@@ -691,6 +691,9 @@ class Database:
             buffer=buffer_pool.stats,
             row_count=len(outcome.rows),
             optimizer_invocations=optimizer.invocations,
+            optimizer_subsets_enumerated=optimizer.subsets_enumerated,
+            optimizer_candidates_costed=optimizer.candidates_costed,
+            column_stats_derived=optimizer.column_stats_derived,
             plan_switches=ctx.switches,
             memory_reallocations=ctx.reallocations,
             initial_estimated_cost=initial_estimate,
@@ -813,6 +816,9 @@ class Database:
         m = self.metrics
         m.counter("engine.queries").inc()
         m.counter("engine.rows_returned").inc(profile.row_count)
+        m.counter("optimizer.subsets_enumerated").inc(profile.optimizer_subsets_enumerated)
+        m.counter("optimizer.candidates_costed").inc(profile.optimizer_candidates_costed)
+        m.counter("stats.column_stats_derived").inc(profile.column_stats_derived)
         m.counter("reoptimizer.plan_switches").inc(ctx.switches)
         m.counter("reoptimizer.memory_reallocations").inc(ctx.reallocations)
         m.counter("reoptimizer.collectors_inserted").inc(profile.collectors_inserted)

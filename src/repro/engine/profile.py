@@ -84,6 +84,15 @@ class ExecutionProfile:
     phases: PhaseBreakdown = field(default_factory=PhaseBreakdown)
     #: Whether the plan (or scenario set) was served from the plan cache.
     plan_cache_hit: bool = False
+    #: Optimizer work on this statement's behalf, initial plan plus every
+    #: mid-query re-optimization: DP relation subsets visited, join
+    #: candidates costed (both zero when the cache served the plan and no
+    #: re-optimization ran) and column statistics derived by
+    #: ``Estimator`` profile propagation.  Exact for a statement executed
+    #: inline — counts, not timings.
+    optimizer_subsets_enumerated: int = 0
+    optimizer_candidates_costed: int = 0
+    column_stats_derived: int = 0
     #: Morsel-parallel execution telemetry (``execution_mode="parallel"``;
     #: all zero/empty otherwise).  ``workers`` is the largest pool used by
     #: any pipeline, ``morsels`` the total morsels executed,

@@ -19,9 +19,12 @@ Paradise).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Mapping
 
 from ..errors import OptimizerError
+from ..observe.feedback import fragment_signature, join_edge_key
+from ..plans.logical import ColumnExpr
 from ..plans.physical import (
     BlockNLJoinNode,
     DistinctNode,
@@ -69,6 +72,12 @@ class PlanAnnotator:
         #: Fragment-text memo shared across this annotator's lifetime (the
         #: DP enumerator re-annotates candidates over shared subtrees).
         self._fragment_memo: dict[int, str] = {}
+        #: Base-table profiles per ``(table, alias)``.  Catalog statistics
+        #: do not change during one annotator's lifetime (re-optimization
+        #: registers its temp table before building a new annotator), and
+        #: profiles are never mutated, so every node over the same scan —
+        #: the DP's index-NL candidates above all — shares one.
+        self._base_profiles: dict[tuple[str, str], RelProfile] = {}
 
     def annotate(self, plan: PlanNode) -> PlanNode:
         """Annotate the whole tree bottom-up and return it."""
@@ -110,9 +119,6 @@ class PlanAnnotator:
             return
         if isinstance(node, _FEEDBACK_PASSTHROUGH):
             return
-        from ..observe.feedback import fragment_signature, join_edge_key
-        from dataclasses import replace as _replace
-
         signature = fragment_signature(node, self._fragment_memo)
         histogram_rows = node.est.profile.rows
         hit = self.estimator.corrected_rows(
@@ -124,7 +130,7 @@ class PlanAnnotator:
         if hit is None:
             return
         corrected, record = hit
-        profile = _replace(node.est.profile, rows=corrected)
+        profile = replace(node.est.profile, rows=corrected)
         node.est.profile = profile
         node.est.rows = corrected
         node.est.pages = pages_for(corrected, profile.row_bytes, self.page_size)
@@ -211,8 +217,13 @@ class PlanAnnotator:
     # -- leaves ----------------------------------------------------------
 
     def _base_profile(self, table_name: str, alias: str) -> RelProfile:
-        stats = self.catalog.stats_for(table_name)
-        return profile_from_table_stats(stats, alias)
+        key = (table_name, alias)
+        profile = self._base_profiles.get(key)
+        if profile is None:
+            profile = self._base_profiles[key] = profile_from_table_stats(
+                self.catalog.stats_for(table_name), alias
+            )
+        return profile
 
     def _annotate_seq_scan(self, node: SeqScanNode) -> None:
         stats = self.catalog.stats_for(node.table_name)
@@ -271,8 +282,6 @@ class PlanAnnotator:
         est.pages = pages_for(est.rows, est.row_bytes, self.page_size)
 
     def _annotate_project(self, node: ProjectNode) -> None:
-        from ..plans.logical import ColumnExpr
-
         child_profile = _require_profile(node.child)
         columns = {}
         for item in node.output:
@@ -383,8 +392,6 @@ class PlanAnnotator:
         row_bytes = float(node.schema.row_bytes)
         columns = {}
         for item in node.output:
-            from ..plans.logical import ColumnExpr
-
             if isinstance(item.expr, ColumnExpr):
                 stats = child_profile.column(item.expr.name)
                 if stats is not None:
@@ -420,7 +427,7 @@ class PlanAnnotator:
         profile = RelProfile(
             rows=rows,
             row_bytes=child_profile.row_bytes,
-            columns=dict(child_profile.columns),
+            columns=child_profile.columns,
             aliases=child_profile.aliases,
         )
         node.est.profile = profile

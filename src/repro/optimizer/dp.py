@@ -13,13 +13,19 @@ this module is our equivalent.
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import combinations
 
 from ..errors import OptimizerError
-from ..plans.logical import Comparison, LogicalQuery, Predicate, qualifier_of
+from ..plans.logical import (
+    ColumnExpr,
+    CompareOp,
+    Comparison,
+    LogicalQuery,
+    Predicate,
+    qualifier_of,
+)
 from ..plans.physical import (
     BlockNLJoinNode,
-    FilterNode,
     HashJoinNode,
     IndexNLJoinNode,
     PlanNode,
@@ -30,7 +36,11 @@ from .annotate import PlanAnnotator
 
 
 class JoinEnumerator:
-    """Enumerates join orders for one bound query."""
+    """Enumerates join orders for one bound query.
+
+    Relation sets are bitmasks over the FROM-clause positions: bit ``i`` is
+    ``query.relations[i]``.
+    """
 
     def __init__(
         self,
@@ -42,6 +52,16 @@ class JoinEnumerator:
         self.catalog = catalog
         self.annotator = annotator
         self.aliases = [rel.alias for rel in query.relations]
+        self._bit = {alias: 1 << i for i, alias in enumerate(self.aliases)}
+        #: ``(predicate, relation mask)`` for every predicate a join can
+        #: apply.  ``qualifiers()`` walks the expression tree, and
+        #: ``_classify_predicates`` runs at every DP extension step, so the
+        #: masks are computed once here.
+        self._predicate_masks: list[tuple[Predicate, int]] = []
+        for pred in query.predicates:
+            bits = [self._bit.get(q) for q in pred.qualifiers()]
+            if bits and None not in bits:
+                self._predicate_masks.append((pred, sum(bits)))
         #: Memoized best access path per alias.  ``_join_candidates`` needs
         #: the leaf for the newly added relation at every one of the
         #: O(n * 2^n) DP extension steps; the leaf only depends on the
@@ -50,6 +70,9 @@ class JoinEnumerator:
         #: Memoized per-alias selection predicates (scanned from the full
         #: predicate list otherwise — quadratic in practice).
         self._selection_cache: dict[str, list[Predicate]] = {}
+        #: Work counters for this enumeration (exact, hardware-independent).
+        self.subsets_enumerated = 0
+        self.candidates_costed = 0
 
     # ------------------------------------------------------------------
 
@@ -85,32 +108,32 @@ class JoinEnumerator:
         """The cheapest left-deep join plan covering every relation."""
         if not self.aliases:
             raise OptimizerError("query has no relations")
-        best: dict[frozenset[str], PlanNode] = {}
-        for relation in self.query.relations:
-            best[frozenset({relation.alias})] = self._leaf(relation.alias)
-        if len(self.aliases) == 1:
-            return best[frozenset(self.aliases)]
-
-        all_aliases = frozenset(self.aliases)
-        for size in range(2, len(self.aliases) + 1):
-            for subset in _subsets(self.aliases, size):
-                # Dominated candidates are pruned as they are produced
-                # (strict < keeps the first-minimal tie-breaking of the
-                # previous list-then-min formulation) instead of being
-                # accumulated and scanned again.
+        count = len(self.aliases)
+        best: dict[int, PlanNode] = {
+            1 << i: self._leaf(alias) for i, alias in enumerate(self.aliases)
+        }
+        for size in range(2, count + 1):
+            for members in combinations(range(count), size):
+                subset = sum(1 << i for i in members)
+                self.subsets_enumerated += 1
+                # Dominated candidates are pruned as they are produced.
+                # Strict < keeps the first-minimal candidate, and
+                # ``members`` is in FROM-clause order, so cost ties break
+                # the same way in every interpreter (iterating a set of
+                # alias strings made the plan depend on PYTHONHASHSEED).
                 best_connected: PlanNode | None = None
                 best_any: PlanNode | None = None
-                for alias in subset:
-                    rest = subset - {alias}
+                for i in members:
+                    rest = subset ^ (1 << i)
                     left = best.get(rest)
                     if left is None:
                         continue
-                    joins = self._join_candidates(left, rest, alias, subset)
-                    for plan, is_connected in joins:
+                    for plan, is_connected in self._join_candidates(left, rest, i):
                         # Children (the best sub-plan and the leaf access
                         # path) are already annotated; only the new join
                         # node needs costing.
                         self.annotator.annotate_node(plan)
+                        self.candidates_costed += 1
                         cost = plan.est.total_cost
                         if is_connected and (
                             best_connected is None
@@ -122,7 +145,7 @@ class JoinEnumerator:
                 winner = best_connected if best_connected is not None else best_any
                 if winner is not None:
                     best[subset] = winner
-        plan = best.get(all_aliases)
+        plan = best.get((1 << count) - 1)
         if plan is None:
             raise OptimizerError("join enumeration failed to cover all relations")
         return plan
@@ -130,25 +153,17 @@ class JoinEnumerator:
     # ------------------------------------------------------------------
 
     def _join_candidates(
-        self,
-        left: PlanNode,
-        left_aliases: frozenset[str],
-        new_alias: str,
-        subset: frozenset[str],
+        self, left: PlanNode, left_mask: int, new_index: int
     ) -> list[tuple[PlanNode, bool]]:
-        """Physical join alternatives adding ``new_alias`` to ``left``."""
-        relation = self.query.relation_for_alias(new_alias)
-        key_pairs, residual = self._classify_predicates(left_aliases, new_alias, subset)
-        is_connected = bool(key_pairs) or any(
-            len(p.qualifiers()) >= 2 for p in residual
-        )
+        """Physical join alternatives adding relation ``new_index`` to ``left``."""
+        relation = self.query.relations[new_index]
+        new_alias = relation.alias
+        key_pairs, residual = self._classify_predicates(left_mask, new_alias)
         candidates: list[tuple[PlanNode, bool]] = []
 
         right = self._leaf(new_alias)
 
         if key_pairs:
-            left_keys = [pair[0] for pair in key_pairs]
-            right_keys = [pair[1] for pair in key_pairs]
             # Hash join, existing tree as build side.
             candidates.append(
                 (HashJoinNode(left, right, key_pairs, residual), True)
@@ -159,8 +174,7 @@ class JoinEnumerator:
                 (HashJoinNode(right, left, swapped, residual), True)
             )
             # Indexed nested loops, probing the new relation's index.
-            table = self.catalog.table(relation.table_name)
-            for outer_col, inner_col in zip(left_keys, right_keys):
+            for outer_col, inner_col in key_pairs:
                 inner_base = inner_col.rsplit(".", 1)[-1]
                 index = self.catalog.index_on(relation.table_name, inner_base)
                 if index is None:
@@ -178,7 +192,9 @@ class JoinEnumerator:
                             outer=left,
                             inner_table=relation.table_name,
                             inner_alias=new_alias,
-                            inner_schema=table.schema.qualify(new_alias),
+                            # The leaf's schema is the table's, qualified
+                            # by this alias; schemas are immutable.
+                            inner_schema=right.schema,
                             outer_column=outer_col,
                             inner_column=inner_base,
                             residual=inl_residual,
@@ -187,56 +203,42 @@ class JoinEnumerator:
                     )
                 )
         else:
+            # Every applicable predicate spans both inputs, so any residual
+            # connects them; none at all makes this a cartesian product.
             candidates.append(
-                (BlockNLJoinNode(left, right, residual), is_connected)
+                (BlockNLJoinNode(left, right, residual), bool(residual))
             )
         return candidates
 
     def _classify_predicates(
-        self,
-        left_aliases: frozenset[str],
-        new_alias: str,
-        subset: frozenset[str],
+        self, left_mask: int, new_alias: str
     ) -> tuple[list[tuple[str, str]], list[Predicate]]:
         """Split predicates into equi-join key pairs and residual conjuncts.
 
-        A predicate becomes applicable at this join when its qualifiers fit
-        inside ``subset`` but not inside ``left_aliases`` alone (those were
-        applied below) and not inside ``{new_alias}`` alone (applied at the
-        leaf).
+        A predicate becomes applicable at this join when its relations fit
+        inside ``left_mask`` plus the new relation but not inside
+        ``left_mask`` alone (those were applied below) and not inside the
+        new relation alone (applied at the leaf).
         """
+        new_bit = self._bit[new_alias]
+        outside = ~(left_mask | new_bit)
         key_pairs: list[tuple[str, str]] = []
         residual: list[Predicate] = []
-        for pred in self.query.predicates:
-            quals = pred.qualifiers()
-            if not quals or not quals <= subset:
-                continue
-            if quals <= left_aliases or quals <= frozenset({new_alias}):
+        for pred, mask in self._predicate_masks:
+            if mask & outside or not mask & new_bit or not mask & left_mask:
                 continue
             if isinstance(pred, Comparison) and pred.is_equi_join:
+                # Two relations, one on each side of this join (the mask
+                # test above): orient the pair as (left input, new relation).
                 left_col, right_col = pred.left.name, pred.right.name  # type: ignore[union-attr]
                 if qualifier_of(left_col) == new_alias:
                     left_col, right_col = right_col, left_col
-                if (
-                    qualifier_of(left_col) in left_aliases
-                    and qualifier_of(right_col) == new_alias
-                ):
-                    key_pairs.append((left_col, right_col))
-                    continue
-            residual.append(pred)
+                key_pairs.append((left_col, right_col))
+            else:
+                residual.append(pred)
         return key_pairs, residual
 
 
 def _equality(left_col: str, right_col: str) -> Predicate:
     """Build an ``a = b`` residual predicate between two columns."""
-    from ..plans.logical import ColumnExpr, CompareOp
-
     return Comparison(CompareOp.EQ, ColumnExpr(left_col), ColumnExpr(right_col))
-
-
-def _subsets(items: Sequence[str], size: int):
-    """All frozenset subsets of ``items`` with the given size."""
-    from itertools import combinations
-
-    for combo in combinations(items, size):
-        yield frozenset(combo)

@@ -44,6 +44,12 @@ class Optimizer:
         self.cost_model = CostModel(config)
         #: Number of optimizer invocations (initial + re-optimizations).
         self.invocations = 0
+        #: Work done on this statement's behalf (exact, hardware-independent):
+        #: DP relation subsets visited and join candidates annotated, over
+        #: the initial plan and every re-optimization.
+        self.subsets_enumerated = 0
+        self.candidates_costed = 0
+        self._derived_before = self.estimator.column_stats_derived
 
     def optimize(
         self,
@@ -58,9 +64,21 @@ class Optimizer:
         )
         enumerator = JoinEnumerator(query, self.catalog, annotator)
         plan: PlanNode = enumerator.best_join_plan()
+        self.subsets_enumerated += enumerator.subsets_enumerated
+        self.candidates_costed += enumerator.candidates_costed
         plan = self._add_output_operators(plan, query)
         annotator.annotate(plan)
         return plan
+
+    @property
+    def column_stats_derived(self) -> int:
+        """Column statistics derived (``_scale_column`` evaluations) since
+        this optimizer was created — planning, annotation passes and
+        mid-query re-optimization alike.  A delta of the estimator's running
+        total: exact when statements do not overlap on one estimator;
+        concurrent server sessions see each other's derivations.
+        """
+        return self.estimator.column_stats_derived - self._derived_before
 
     def _add_output_operators(self, plan: PlanNode, query: LogicalQuery) -> PlanNode:
         if not query.output:

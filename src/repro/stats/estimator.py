@@ -121,6 +121,10 @@ class Estimator:
         #: the plan annotator consults recorded fragment observations before
         #: trusting the histogram-derived cardinality.
         self.feedback = None
+        #: ``_scale_column`` evaluations made on behalf of this estimator's
+        #: profiles so far — a running total; the per-statement
+        #: :class:`~repro.optimizer.optimizer.Optimizer` reports the delta.
+        self.column_stats_derived = 0
 
     def corrected_rows(
         self,
@@ -253,32 +257,30 @@ class Estimator:
         scaled for everything else.
         """
         selectivity = 1.0
-        columns = dict(profile.columns)
-        restricted: set[str] = set()
+        restricted: dict[str, ColumnStats] = {}
         for pred in predicates:
-            sel = self.selectivity(pred, profile)
-            selectivity *= sel
+            selectivity *= self.selectivity(pred, profile)
             target = self._restriction_target(pred)
             if target is not None:
                 column, op, value = target
-                stats = columns.get(column)
+                stats = restricted.get(column)
+                if stats is None:
+                    stats = profile.columns.get(column)
                 if stats is not None:
-                    columns[column] = _restrict_column(stats, op, value)
-                    restricted.add(column)
+                    restricted[column] = _restrict_column(stats, op, value)
         selectivity = _clamp(selectivity)
         new_rows = max(MIN_ROWS, profile.rows * selectivity)
         scale = new_rows / max(profile.rows, 1.0)
-        final_columns: dict[str, ColumnStats] = {}
-        for name, stats in columns.items():
-            if name in restricted:
-                final_columns[name] = replace(stats, count=new_rows)
-            else:
-                final_columns[name] = _scale_column(stats, scale, new_rows)
+        ready = {
+            name: replace(stats, count=new_rows) for name, stats in restricted.items()
+        }
         return (
             RelProfile(
                 rows=new_rows,
                 row_bytes=profile.row_bytes,
-                columns=final_columns,
+                columns=_DerivedColumns(
+                    ((profile.columns, scale, new_rows),), ready, self
+                ),
                 aliases=profile.aliases,
             ),
             selectivity,
@@ -337,22 +339,22 @@ class Estimator:
         cardinality = max(MIN_ROWS, min(cardinality, cross))
         joined = self._joined_profile(left, right, cardinality)
         if residual:
-            joined, sel = self.apply_predicates(joined, residual)
+            joined, __ = self.apply_predicates(joined, residual)
             cardinality = joined.rows
         return joined, cardinality
 
     def _joined_profile(
         self, left: RelProfile, right: RelProfile, cardinality: float
     ) -> RelProfile:
-        columns: dict[str, ColumnStats] = {}
-        for side in (left, right):
-            scale = cardinality / max(side.rows, 1.0)
-            for name, stats in side.columns.items():
-                columns[name] = _scale_column(stats, min(scale, 1.0), cardinality)
+        # Lookup order: the right side overrides a duplicate name.
+        sources = tuple(
+            (side.columns, min(cardinality / max(side.rows, 1.0), 1.0), cardinality)
+            for side in (right, left)
+        )
         return RelProfile(
             rows=cardinality,
             row_bytes=left.row_bytes + right.row_bytes,
-            columns=columns,
+            columns=_DerivedColumns(sources, {}, self),
             aliases=left.aliases | right.aliases,
         )
 
@@ -364,6 +366,77 @@ class Estimator:
         for column in group_columns:
             product *= profile.distinct_of(column)
         return max(1.0, min(product, profile.rows))
+
+
+class _DerivedColumns(Mapping):
+    """Column statistics of a filtered or joined relation, derived on read.
+
+    Propagation records *how* each column follows from the input profile(s)
+    — ``(parent columns, scale, new_rows)`` per input, in lookup order —
+    and evaluates ``_scale_column(parent[name], scale, new_rows)`` only when
+    ``name`` is first looked up: the join enumerator reads the join-key and
+    predicate columns of a candidate and nothing else.  A column's
+    statistics are therefore the same ``_scale_column``/``_restrict_column``
+    chain an eager pass would have computed, evaluated at first read, and
+    the mapping iterates, compares and pickles like the dict it replaces
+    (keys in first-input order; a later input overrides a duplicate in
+    place).  ``ready`` holds the columns the caller computed eagerly (the
+    ones a predicate restricted) and doubles as the memo.
+
+    Memo writes are idempotent — the same inputs always produce an equal
+    value — so plan templates shared between server threads need no lock:
+    two racing readers at worst both derive the column.
+    """
+
+    __slots__ = ("_sources", "_ready", "_names", "_estimator")
+
+    def __init__(self, sources, ready: dict[str, ColumnStats], estimator) -> None:
+        self._sources = sources
+        self._ready = ready
+        self._names: tuple[str, ...] | None = None
+        self._estimator = estimator
+
+    def get(self, name, default=None):
+        stats = self._ready.get(name)
+        if stats is not None:
+            return stats
+        for parent, scale, new_rows in self._sources:
+            base = parent.get(name)
+            if base is not None:
+                stats = self._ready[name] = _scale_column(base, scale, new_rows)
+                self._estimator.column_stats_derived += 1
+                return stats
+        return default
+
+    def __getitem__(self, name: str) -> ColumnStats:
+        stats = self.get(name)
+        if stats is None:
+            raise KeyError(name)
+        return stats
+
+    def __contains__(self, name: object) -> bool:
+        return any(name in parent for parent, __, __ in self._sources)
+
+    def _key_order(self) -> tuple[str, ...]:
+        names = self._names
+        if names is None:
+            merged: dict[str, None] = {}
+            for parent, __, __ in reversed(self._sources):
+                merged.update(dict.fromkeys(parent))
+            names = self._names = tuple(merged)
+        return names
+
+    def __iter__(self):
+        return iter(self._key_order())
+
+    def __len__(self) -> int:
+        return len(self._key_order())
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+    def __reduce__(self):
+        return (dict, (dict(self),))
 
 
 def _clamp(value: float) -> float:

@@ -223,8 +223,14 @@ class Histogram:
         if self.is_empty or other.is_empty:
             return 0.0
         total = 0.0
+        theirs = other.buckets
+        first = 0  # buckets before it end below every remaining b1
         for b1 in self.buckets:
-            for b2 in other.buckets:
+            while first < len(theirs) and theirs[first].high < b1.low:
+                first += 1
+            for b2 in theirs[first:]:
+                if b2.low > b1.high:
+                    break  # sorted and disjoint: nothing later overlaps
                 lo = max(b1.low, b2.low)
                 hi = min(b1.high, b2.high)
                 if hi < lo:

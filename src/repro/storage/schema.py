@@ -90,13 +90,28 @@ class Schema:
 
     def __init__(self, columns: Iterable[Column]) -> None:
         self.columns: tuple[Column, ...] = tuple(columns)
-        self._by_name: dict[str, int] = {}
+        names = [col.name for col in self.columns]
+        if len(set(names)) != len(names):
+            duplicate = next(n for i, n in enumerate(names) if n in names[:i])
+            raise CatalogError(f"duplicate column name {duplicate!r} in schema")
+        # Name lookup tables, built by the first lookup: join enumeration
+        # concatenates a schema for every candidate it costs and resolves
+        # names only on the plan it keeps.  Building is idempotent, so
+        # schemas shared between threads need no lock.
+        self._by_name: dict[str, int] | None = None
         self._by_base: dict[str, list[int]] = {}
-        for i, col in enumerate(self.columns):
-            if col.name in self._by_name:
-                raise CatalogError(f"duplicate column name {col.name!r} in schema")
-            self._by_name[col.name] = i
-            self._by_base.setdefault(col.base_name, []).append(i)
+
+    def _index(self) -> dict[str, int]:
+        by_name = self._by_name
+        if by_name is None:
+            by_name = {}
+            by_base: dict[str, list[int]] = {}
+            for i, col in enumerate(self.columns):
+                by_name[col.name] = i
+                by_base.setdefault(col.base_name, []).append(i)
+            self._by_base = by_base
+            self._by_name = by_name
+        return by_name
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -120,7 +135,7 @@ class Schema:
 
     def has_column(self, name: str) -> bool:
         """Whether ``name`` resolves to exactly one column."""
-        if name in self._by_name:
+        if name in self._index():
             return True
         return len(self._by_base.get(name, ())) == 1
 
@@ -129,8 +144,9 @@ class Schema:
 
         Raises :class:`CatalogError` for unknown or ambiguous names.
         """
-        if name in self._by_name:
-            return self._by_name[name]
+        by_name = self._index()
+        if name in by_name:
+            return by_name[name]
         candidates = self._by_base.get(name, [])
         if len(candidates) == 1:
             return candidates[0]

@@ -1,5 +1,8 @@
 """Tests for cardinality/selectivity estimation over RelProfiles."""
 
+import pickle
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,8 +24,11 @@ from repro.stats.estimator import (
     RelProfile,
     profile_from_table_stats,
 )
-from repro.stats.table_stats import compute_table_stats
+from repro.stats.histogram import Bucket, Histogram, HistogramKind
+from repro.stats.table_stats import ColumnStats, compute_table_stats
 from repro.storage import Column, DataType, Schema, Table
+
+from . import eager_estimator
 
 
 def make_profile(rows=1000, domain=100, alias="t"):
@@ -259,3 +265,147 @@ class TestRelProfile:
         profile = make_profile(alias="q")
         assert "q.a" in profile.columns
         assert profile.column("q.a").name == "q.a"
+
+
+# ----------------------------------------------------------------------
+# Lazy column derivation == the eager reference (tests/eager_estimator.py)
+# ----------------------------------------------------------------------
+
+_OPS = (CompareOp.EQ, CompareOp.NE, CompareOp.LT, CompareOp.LE, CompareOp.GT, CompareOp.GE)
+#: Every generated profile carries ``s.k``, so each join sees one name on
+#: both sides; joining the same alias twice duplicates all of them.
+_NAME_POOL = ("a.k", "a.v", "b.k", "b.v", "c.k", "c.v", "s.k", "z.missing")
+
+
+def _canonical(columns):
+    """Columns as comparable values, in key order (Histogram has no __eq__)."""
+    return [
+        (
+            name,
+            replace(stats, histogram=None),
+            None if stats.histogram is None
+            else (stats.histogram.kind, stats.histogram.buckets),
+        )
+        for name, stats in columns.items()
+    ]
+
+
+def _draw_column(draw, name, rows, histograms):
+    bounds = sorted(draw(st.lists(st.integers(-40, 40), min_size=2, max_size=5, unique=True)))
+    histogram = None
+    if histograms and draw(st.booleans()):
+        histogram = Histogram(
+            HistogramKind.MAXDIFF,
+            [
+                Bucket(
+                    float(low), float(high),
+                    draw(st.floats(0.0, 500.0, allow_nan=False)),
+                    draw(st.floats(0.0, 50.0, allow_nan=False)),
+                )
+                for low, high in zip(bounds, bounds[1:])
+            ],
+        )
+    known_range = draw(st.booleans())
+    return ColumnStats(
+        name=name,
+        dtype=DataType.INTEGER,
+        count=rows,
+        distinct=draw(st.one_of(st.just(0.0), st.floats(1.0, 2000.0, allow_nan=False))),
+        min_value=float(bounds[0]) if known_range else None,
+        max_value=float(bounds[-1]) if known_range else None,
+        histogram=histogram,
+    )
+
+
+def _draw_profile(draw, histograms):
+    alias = draw(st.sampled_from("abc"))
+    rows = float(draw(st.integers(1, 5000)))
+    names = [f"{alias}.k", f"{alias}.v", "s.k"]
+    return RelProfile(
+        rows=rows,
+        row_bytes=24.0,
+        columns={name: _draw_column(draw, name, rows, histograms) for name in names},
+        aliases=frozenset({alias}),
+    )
+
+
+def _draw_predicates(draw):
+    preds = []
+    for __ in range(draw(st.integers(0, 3))):
+        column = ColumnExpr(draw(st.sampled_from(_NAME_POOL)))
+        other = draw(st.one_of(
+            st.integers(-50, 50).map(ConstExpr),
+            st.just(ConstExpr("text")),
+            st.sampled_from(_NAME_POOL).map(ColumnExpr),
+        ))
+        preds.append(Comparison(draw(st.sampled_from(_OPS)), column, other))
+    return preds
+
+
+class TestLazyColumnsMatchEager:
+    @given(data=st.data(), histograms=st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_random_chains(self, data, histograms):
+        draw = data.draw
+        estimator = Estimator()
+        eager = _draw_profile(draw, histograms)
+        # ``full`` has every column read at every step; ``sparse`` only the
+        # drawn few (plus whatever the estimator itself consults).
+        full = sparse = eager
+        for __ in range(draw(st.integers(1, 6))):
+            if draw(st.booleans()):
+                preds = _draw_predicates(draw)
+                eager, expected = eager_estimator.apply_predicates(estimator, eager, preds)
+                full, got = estimator.apply_predicates(full, preds)
+                sparse, __ = estimator.apply_predicates(sparse, preds)
+            else:
+                other = _draw_profile(draw, histograms)
+                pairs = [
+                    (draw(st.sampled_from(_NAME_POOL)), draw(st.sampled_from(_NAME_POOL)))
+                    for __ in range(draw(st.integers(0, 2)))
+                ]
+                residual = _draw_predicates(draw)
+                if draw(st.booleans()):
+                    eager, expected = eager_estimator.join(estimator, eager, other, pairs, residual)
+                    full, got = estimator.join(full, other, pairs, residual)
+                    sparse, __ = estimator.join(sparse, other, pairs, residual)
+                else:
+                    eager, expected = eager_estimator.join(estimator, other, eager, pairs, residual)
+                    full, got = estimator.join(other, full, pairs, residual)
+                    sparse, __ = estimator.join(other, sparse, pairs, residual)
+            assert got == expected
+            assert (full.rows, full.row_bytes, full.aliases) == (
+                eager.rows, eager.row_bytes, eager.aliases
+            )
+            assert _canonical(dict(full.columns)) == _canonical(eager.columns)
+            for name in draw(st.lists(st.sampled_from(_NAME_POOL), max_size=2)):
+                assert (name in sparse.columns) == (name in eager.columns)
+                sparse.column(name)
+
+        assert list(sparse.columns) == list(eager.columns)
+        assert len(sparse.columns) == len(eager.columns)
+        assert _canonical(sparse.columns) == _canonical(eager.columns)
+        revived = pickle.loads(pickle.dumps(sparse))
+        assert type(revived.columns) is dict
+        assert _canonical(revived.columns) == _canonical(eager.columns)
+        if not histograms:
+            # Without histograms ColumnStats compare by value, so the
+            # mapping must equal the dict it replaced, both ways round.
+            assert sparse.columns == eager.columns
+            assert eager.columns == sparse.columns
+            assert revived == sparse == eager
+
+    def test_columns_derived_on_first_read_only(self):
+        estimator = Estimator()
+        a = make_profile(rows=100, alias="a")
+        b = make_profile(rows=100, alias="b")
+        joined, __ = estimator.join(a, b, [("a.id", "b.id")])
+        filtered, __ = estimator.apply_predicates(
+            joined, [Comparison(CompareOp.LT, col("a.a"), const(10))]
+        )
+        before = estimator.column_stats_derived
+        first = filtered.column("b.a")
+        assert estimator.column_stats_derived == before + 2  # join, then filter
+        assert filtered.column("b.a") is first
+        assert filtered.column("z.missing") is None
+        assert estimator.column_stats_derived == before + 2

@@ -240,6 +240,43 @@ class TestJoinEnumeration:
         __, __s, optimizer = db.plan("SELECT a FROM r1", mode=DynamicMode.OFF)
         assert optimizer.invocations == 1
 
+    def test_q8_work_counters(self):
+        """Exact, hardware-independent counts of what planning Q8 costs.
+
+        Deriving every column of every candidate's profile took 69 319
+        ``_scale_column`` calls for this statement; derivation on first
+        read takes about 1 400.  The bound keeps an eager loop from
+        creeping back in unnoticed on a box too noisy to time it.
+        """
+        from repro.bench import ExperimentConfig, build_database
+        from repro.workloads.tpcd import query_by_name
+
+        db = build_database(ExperimentConfig(scale_factor=0.02, seed=31))
+        sql = query_by_name("Q8").sql
+        __, __s, optimizer = db.plan(sql, mode=DynamicMode.OFF)
+        assert optimizer.subsets_enumerated == 2**8 - 1 - 8  # eight relations
+        assert optimizer.candidates_costed >= optimizer.subsets_enumerated
+
+        names = (
+            "optimizer.subsets_enumerated",
+            "optimizer.candidates_costed",
+            "stats.column_stats_derived",
+        )
+        before = db.metrics_snapshot()
+        profile = db.execute(sql, mode=DynamicMode.FULL).profile
+        after = db.metrics_snapshot()
+        assert 0 < profile.column_stats_derived <= 2000
+        assert profile.optimizer_subsets_enumerated >= optimizer.subsets_enumerated
+        recorded = [
+            after[name]["value"] - before.get(name, {"value": 0.0})["value"]
+            for name in names
+        ]
+        assert recorded == [
+            profile.optimizer_subsets_enumerated,
+            profile.optimizer_candidates_costed,
+            profile.column_stats_derived,
+        ]
+
 
 class TestAnnotation:
     def test_every_node_annotated(self):
