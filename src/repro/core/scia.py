@@ -37,6 +37,7 @@ from ..plans.physical import (
     IndexScanNode,
     PlanNode,
     SeqScanNode,
+    SortNode,
     StatsCollectorNode,
 )
 from ..storage.catalog import Catalog
@@ -121,6 +122,23 @@ def _columns_used_by(node: PlanNode) -> frozenset[str]:
     elif isinstance(node, IndexScanNode):
         for pred in node.bound_predicates:
             columns |= pred.columns()
+    return frozenset(columns)
+
+
+def _live_columns(node: PlanNode) -> frozenset[str]:
+    """Every column an operator reads to decide its output: what
+    :func:`_columns_used_by` finds plus block-NL predicates, GROUP BY columns
+    and sort keys.  Decides which columns a collector tracks min/max on;
+    histogram candidates keep the narrower rule (widening it would change
+    SCIA's choices, and with them simulated costs)."""
+    columns = set(_columns_used_by(node))
+    if isinstance(node, BlockNLJoinNode):
+        for pred in node.predicates:
+            columns |= pred.columns()
+    elif isinstance(node, HashAggregateNode):
+        columns.update(node.group_by)
+    elif isinstance(node, SortNode):
+        columns.update(key.name for key in node.keys)
     return frozenset(columns)
 
 
@@ -278,11 +296,17 @@ def insert_collectors(
     for parent, child_index in points:
         point = (parent.node_id, child_index)
         chosen = specs.get(point, {"histograms": [], "distincts": []})
+        child = parent.children[child_index]
+        live = frozenset().union(
+            *map(_live_columns, [parent] + _ancestors(plan, parent))
+        )
         spec = CollectorSpec(
             histogram_columns=tuple(dict.fromkeys(chosen["histograms"])),
             distinct_column_sets=tuple(dict.fromkeys(chosen["distincts"])),
+            minmax_columns=tuple(
+                name for name in child.schema.names if name in live
+            ),
         )
-        child = parent.children[child_index]
         collector = StatsCollectorNode(child, spec)
         collector.scia_potential = point_potentials[point]
         collector.scia_kept = tuple(

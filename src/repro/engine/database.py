@@ -681,6 +681,7 @@ class Database:
             tracer.end(exec_span, rows=len(outcome.rows))
 
         seconds = prepared.phase_seconds
+        collector_work = [observed.work for observed in ctx.observed.values()]
         profile = ExecutionProfile(
             sql=sql,
             mode=mode.value,
@@ -694,6 +695,11 @@ class Database:
             optimizer_subsets_enumerated=optimizer.subsets_enumerated,
             optimizer_candidates_costed=optimizer.candidates_costed,
             column_stats_derived=optimizer.column_stats_derived,
+            collector_wall_s=sum(w.wall_s for w in collector_work),
+            collector_rows_observed=sum(o.row_count for o in ctx.observed.values()),
+            reservoir_draws=sum(w.reservoir_draws for w in collector_work),
+            sketch_values_hashed=sum(w.sketch_values_hashed for w in collector_work),
+            minmax_columns_tracked=sum(w.minmax_columns_tracked for w in collector_work),
             plan_switches=ctx.switches,
             memory_reallocations=ctx.reallocations,
             initial_estimated_cost=initial_estimate,
@@ -819,6 +825,10 @@ class Database:
         m.counter("optimizer.subsets_enumerated").inc(profile.optimizer_subsets_enumerated)
         m.counter("optimizer.candidates_costed").inc(profile.optimizer_candidates_costed)
         m.counter("stats.column_stats_derived").inc(profile.column_stats_derived)
+        m.counter("stats.collector_rows_observed").inc(profile.collector_rows_observed)
+        m.counter("stats.reservoir_draws").inc(profile.reservoir_draws)
+        m.counter("stats.sketch_values_hashed").inc(profile.sketch_values_hashed)
+        m.histogram("stats.collector_wall_s").observe(profile.collector_wall_s)
         m.counter("reoptimizer.plan_switches").inc(ctx.switches)
         m.counter("reoptimizer.memory_reallocations").inc(ctx.reallocations)
         m.counter("reoptimizer.collectors_inserted").inc(profile.collectors_inserted)

@@ -93,6 +93,16 @@ class ExecutionProfile:
     optimizer_subsets_enumerated: int = 0
     optimizer_candidates_costed: int = 0
     column_stats_derived: int = 0
+    #: What the statement's statistics collectors really cost: wall-clock
+    #: seconds in their batch entry points (``breakdown.stats_cpu`` is the
+    #: simulated charge) and exact counts — rows examined, reservoir draws
+    #: (one per row past capacity per *collector*), values hashed into
+    #: distinct sketches, columns min/max was tracked on.
+    collector_wall_s: float = 0.0
+    collector_rows_observed: int = 0
+    reservoir_draws: int = 0
+    sketch_values_hashed: int = 0
+    minmax_columns_tracked: int = 0
     #: Morsel-parallel execution telemetry (``execution_mode="parallel"``;
     #: all zero/empty otherwise).  ``workers`` is the largest pool used by
     #: any pipeline, ``morsels`` the total morsels executed,

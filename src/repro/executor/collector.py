@@ -6,7 +6,8 @@ or discarding it (paper section 2.2 / 3.1):
 * cardinality and average tuple size — a running count (always on),
 * min/max per numeric column — a running comparison (always on),
 * histograms — a one-page reservoir sample per chosen attribute (Vitter
-  [24]), turned into a histogram when the input is exhausted ([19]),
+  [24]; one row sampler per collector places all of them), turned into a
+  histogram when the input is exhausted ([19]),
 * distinct counts — a Flajolet–Martin sketch per chosen attribute set [6]
   (hybridised with exact counting below a threshold, where PCSA is biased).
 
@@ -22,18 +23,30 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import wraps
 from operator import itemgetter
+from time import perf_counter
 from typing import Mapping, Sequence
 
 from ..config import EngineConfig
 from ..plans.physical import CollectorSpec, StatsCollectorNode
 from ..stats.distinct import HybridDistinct, _mix64
 from ..stats.histogram import Histogram, HistogramKind, from_sample
-from ..stats.sampling import Reservoir
+from ..stats.sampling import RowSampler, merge_samples
 from ..stats.table_stats import ColumnStats
 from ..stats.estimator import RelProfile
 from ..storage.schema import Schema
 from ..storage.table import Row
+
+
+@dataclass(frozen=True)
+class CollectorWork:
+    """What one collector's statistics cost: real seconds, exact work counts."""
+
+    wall_s: float = 0.0
+    reservoir_draws: int = 0
+    sketch_values_hashed: int = 0
+    minmax_columns_tracked: int = 0
 
 
 @dataclass
@@ -46,6 +59,8 @@ class ObservedStatistics:
     minmax: Mapping[str, tuple[float, float]] = field(default_factory=dict)
     histograms: Mapping[str, Histogram] = field(default_factory=dict)
     distincts: Mapping[tuple[str, ...], float] = field(default_factory=dict)
+    #: What gathering these cost.  Not a statistic: never compared.
+    work: CollectorWork = field(default_factory=CollectorWork, compare=False)
 
     def describe(self) -> dict:
         """Compact JSON-able summary for trace events and EXPLAIN ANALYZE."""
@@ -173,16 +188,30 @@ class CollectorPartial:
 
     Everything a parallel worker ships back about the statistics side of a
     leaf pipeline: running count, per-column min/max, the distinct sketches
-    (bitmap-OR mergeable), and — in merge-mode statistics only — one
-    per-morsel-seeded reservoir per histogram column.  Exact-mode workers
-    ship ``reservoirs=None``; the parent replays its serially-seeded
-    reservoirs over the (already shipped) output rows instead.
+    (bitmap-OR mergeable), and — in merge-mode statistics only — the
+    per-morsel-seeded row sampler with one sample per histogram column.
+    Exact-mode workers ship ``sampler=None``; the parent replays its
+    serially-seeded sampler over the (already shipped) output rows instead.
     """
 
     row_count: int
     minmax: dict[str, list]
     sketches: dict[tuple[str, ...], HybridDistinct]
-    reservoirs: dict[str, Reservoir] | None
+    sampler: RowSampler | None
+    samples: dict[str, list]
+    wall_s: float = 0.0
+
+
+def _timed(method):
+    """Add a batch entry point's wall-clock seconds to ``wall_s``."""
+
+    @wraps(method)
+    def timed(self, *args) -> None:
+        started = perf_counter()
+        method(self, *args)
+        self.wall_s += perf_counter() - started
+
+    return timed
 
 
 class RuntimeCollector:
@@ -200,13 +229,25 @@ class RuntimeCollector:
         self.schema = schema
         self.config = config
         self.row_count = 0
+        #: Seconds inside the batch entry points (per-row ``observe`` is not
+        #: timed: reading the clock would cost more than the work).
+        self.wall_s = 0.0
         spec: CollectorSpec = node.spec
+        # Min/max only where it can change an estimate: columns SCIA found an
+        # operator above still reading, plus the histogram columns.
+        live = (
+            None
+            if spec.minmax_columns is None
+            else {*spec.minmax_columns, *spec.histogram_columns}
+        )
         self._numeric_positions: list[tuple[str, int]] = [
             (col.name, i)
             for i, col in enumerate(schema.columns)
-            if col.dtype.is_numeric
+            if col.dtype.is_numeric and (live is None or col.name in live)
         ]
         self._minmax: dict[str, list[float]] = {}
+        # One row sampler decides which rows enter the sample; every
+        # histogram column keeps the values of exactly those rows.
         # ``collect_reservoirs=False`` is the exact-statistics parallel
         # worker: reservoir sampling is the one non-mergeable statistic (its
         # sample depends on one serial RNG stream), so workers skip it and
@@ -214,11 +255,9 @@ class RuntimeCollector:
         # is the merge-statistics worker: an independent stream per morsel
         # index, making merged samples schedule-independent.
         seed = config.seed if reservoir_seed is None else reservoir_seed
-        self._reservoirs: dict[str, tuple[int, Reservoir]] = (
-            {
-                col: (schema.index_of(col), Reservoir(config.reservoir_sample_size, seed=seed))
-                for col in spec.histogram_columns
-            }
+        self._sampler = RowSampler(config.reservoir_sample_size, seed=seed)
+        self._samples: dict[str, tuple[int, list]] = (
+            {col: (schema.index_of(col), []) for col in spec.histogram_columns}
             if collect_reservoirs
             else {}
         )
@@ -232,53 +271,55 @@ class RuntimeCollector:
         """Examine one tuple (the hot path of the collector operator)."""
         self.row_count += 1
         for name, position in self._numeric_positions:
-            value = row[position]
-            entry = self._minmax.get(name)
-            if entry is None:
-                self._minmax[name] = [value, value]
-            else:
-                if value < entry[0]:
-                    entry[0] = value
-                elif value > entry[1]:
-                    entry[1] = value
-        for position, reservoir in self._reservoirs.values():
-            reservoir.add(row[position])
+            self._fold_minmax(name, row[position], row[position])
+        self._sample_rows((row,))
         for positions, sketch in self._sketches.values():
             if len(positions) == 1:
                 sketch.add(row[positions[0]])
             else:
                 sketch.add(tuple(row[p] for p in positions))
 
+    def _fold_minmax(self, name: str, lo, hi) -> None:
+        entry = self._minmax.get(name)
+        if entry is None:
+            self._minmax[name] = [lo, hi]
+        else:
+            if lo < entry[0]:
+                entry[0] = lo
+            if hi > entry[1]:
+                entry[1] = hi
+
+    def _sample_rows(self, rows: Sequence[Row]) -> None:
+        """Offer rows to the sampler; copy only the hit rows' values."""
+        if not self._samples:
+            return
+        fill, hits = self._sampler.offer(len(rows))
+        for position, sample in self._samples.values():
+            if fill:
+                sample.extend(map(itemgetter(position), rows[:fill]))
+            for offset, slot in hits:
+                sample[slot] = rows[offset][position]
+
+    @_timed
     def observe_batch(self, rows: Sequence[Row]) -> None:
         """Examine one batch of tuples (the batch-path fast path).
 
         Produces state identical to calling :meth:`observe` per row in
-        order — running counts and min/max fold over the batch, reservoir
-        and sketch updates preserve per-value order so the reservoir's RNG
-        stream (and therefore the final histogram) is bit-identical.
+        order — running counts and min/max fold over the batch, the sampler
+        draws once per row in row order so its RNG stream (and therefore
+        the final histogram) is bit-identical.
         """
         if not rows:
             return
         self.row_count += len(rows)
-        minmax = self._minmax
         for name, position in self._numeric_positions:
             values = list(map(itemgetter(position), rows))
-            lo = min(values)
-            hi = max(values)
-            entry = minmax.get(name)
-            if entry is None:
-                minmax[name] = [lo, hi]
-            else:
-                if lo < entry[0]:
-                    entry[0] = lo
-                if hi > entry[1]:
-                    entry[1] = hi
-        for position, reservoir in self._reservoirs.values():
-            reservoir.add_batch(list(map(itemgetter(position), rows)))
+            self._fold_minmax(name, min(values), max(values))
+        self._sample_rows(rows)
         for positions, sketch in self._sketches.values():
             # itemgetter yields the scalar for one position, the tuple for
             # several — matching observe()'s per-row extraction.
-            sketch.add_batch(list(map(itemgetter(*positions), rows)))
+            sketch.add_batch(map(itemgetter(*positions), rows))
 
     def export_partial(self) -> CollectorPartial:
         """Package this collector's state for shipping to a merging parent."""
@@ -286,81 +327,86 @@ class RuntimeCollector:
             row_count=self.row_count,
             minmax={name: list(entry) for name, entry in self._minmax.items()},
             sketches={cols: sketch for cols, (__, sketch) in self._sketches.items()},
-            reservoirs=(
-                {col: reservoir for col, (__, reservoir) in self._reservoirs.items()}
-                if self._reservoirs
-                else None
-            ),
+            sampler=self._sampler if self._samples else None,
+            samples={col: sample for col, (__, sample) in self._samples.items()},
+            wall_s=self.wall_s,
         )
 
+    @_timed
     def absorb_partial(self, partial: CollectorPartial) -> None:
         """Fold one morsel's partial state into this collector.
 
         Counts and min/max fold associatively; distinct sketches merge
         losslessly (bitmap OR / exact-set union), so absorbing partials in
         *any* order yields the state a serial collector would have reached.
-        Reservoirs (merge-mode statistics only) merge with a dedicated RNG,
-        so as long as partials arrive in morsel order — which the parallel
-        executor guarantees regardless of worker scheduling — the merged
-        sample is deterministic.
+        Samples (merge-mode statistics only) merge column by column with a
+        dedicated RNG, so as long as partials arrive in morsel order — which
+        the parallel executor guarantees regardless of worker scheduling —
+        the merged sample is deterministic.
         """
         self.row_count += partial.row_count
-        minmax = self._minmax
+        self.wall_s += partial.wall_s
         for name, (lo, hi) in partial.minmax.items():
-            entry = minmax.get(name)
-            if entry is None:
-                minmax[name] = [lo, hi]
-            else:
-                if lo < entry[0]:
-                    entry[0] = lo
-                if hi > entry[1]:
-                    entry[1] = hi
+            self._fold_minmax(name, lo, hi)
         for cols, sketch in partial.sketches.items():
             self._sketches[cols][1].merge(sketch)
-        if partial.reservoirs:
+        theirs = partial.sampler
+        if theirs is not None:
             if self._merge_rng is None:
                 self._merge_rng = random.Random(
                     _mix64(self.config.seed ^ _MERGE_RNG_SALT)
                 )
-            for col, reservoir in partial.reservoirs.items():
-                self._reservoirs[col][1].merge(reservoir, rng=self._merge_rng)
+            ours = self._sampler
+            for col, sample in partial.samples.items():
+                merged = self._samples[col][1]
+                merged[:] = merge_samples(
+                    merged, ours.seen, sample, theirs.seen,
+                    ours.capacity, self._merge_rng,
+                )
+            ours.seen += theirs.seen
+            ours.draws += theirs.draws
 
+    @_timed
     def replay_reservoirs(self, rows: Sequence[Row]) -> None:
-        """Offer pipeline output rows to the reservoirs only (exact mode).
+        """Offer pipeline output rows to the sampler only (exact mode).
 
-        Each reservoir owns an independent RNG, and its sampling stream
-        consumes one draw per offered value — so feeding the rows in morsel
-        order reproduces the serial collector's samples bit-for-bit while
-        counts/min-max/sketches arrive pre-merged from the workers.
+        The sampler consumes one draw per offered row — so feeding the rows
+        in morsel order reproduces the serial collector's samples
+        bit-for-bit while counts/min-max/sketches arrive pre-merged from
+        the workers.
         """
-        if not rows:
-            return
-        for position, reservoir in self._reservoirs.values():
-            reservoir.add_batch(list(map(itemgetter(position), rows)))
+        self._sample_rows(rows)
 
+    @_timed
     def replay_reservoir_values(self, values_by_column: dict[str, list]) -> None:
-        """Offer pre-extracted column values to the reservoirs (exact mode).
+        """Offer pre-extracted column values to the sampler (exact mode).
 
         The probe-side and pre-aggregating parallel pipelines do not ship
         the collector's input rows (they ship joined rows or aggregate
-        partials), so workers extract each reservoir column's values and
-        ship those instead.  Each reservoir's sampling stream depends only
-        on its own column's value sequence, so replaying per-morsel value
-        runs in morsel order is bit-identical to the serial row stream.
+        partials), so workers extract each histogram column's values — one
+        per input row, so the lists are equally long — and ship those
+        instead.  The sampler's stream depends only on how many rows it is
+        offered, so replaying per-morsel value runs in morsel order is
+        bit-identical to the serial row stream.
         """
+        count = len(next(iter(values_by_column.values()), ()))
+        fill, hits = self._sampler.offer(count)
         for column, values in values_by_column.items():
-            if values:
-                self._reservoirs[column][1].add_batch(values)
+            sample = self._samples[column][1]
+            sample.extend(values[:fill])
+            for offset, slot in hits:
+                sample[slot] = values[offset]
 
     def finalize(self) -> ObservedStatistics:
         """Turn the accumulated state into observed statistics."""
         histograms: dict[str, Histogram] = {}
-        for column, (__, reservoir) in self._reservoirs.items():
-            if reservoir.seen == 0:
+        seen = self._sampler.seen
+        for column, (__, sample) in self._samples.items():
+            if seen == 0:
                 continue
             histograms[column] = from_sample(
-                [float(v) for v in reservoir.sample],
-                population_count=reservoir.seen,
+                [float(v) for v in sample],
+                population_count=seen,
                 kind=HistogramKind.MAXDIFF,
                 num_buckets=self.config.runtime_histogram_buckets,
             )
@@ -381,4 +427,10 @@ class RuntimeCollector:
             minmax=minmax,
             histograms=histograms,
             distincts=distincts,
+            work=CollectorWork(
+                wall_s=self.wall_s,
+                reservoir_draws=self._sampler.draws,
+                sketch_values_hashed=sum(s.hashed for __, s in self._sketches.values()),
+                minmax_columns_tracked=len(self._numeric_positions),
+            ),
         )

@@ -29,6 +29,7 @@ from ..plans.physical import PlanNode, StatsCollectorNode
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.profile import ExecutionProfile
     from ..engine.results import QueryResult
+    from ..executor.collector import CollectorWork
     from ..executor.dispatcher import DispatchResult
     from ..executor.runtime import RuntimeContext
     from .trace import QueryTracer
@@ -67,6 +68,9 @@ class CollectorInsight:
     kept: int
     dropped: int
     verdict: str
+    #: Simulated ``stats_cpu`` charge, and what the collector really cost.
+    stats_cpu: float = 0.0
+    work: "CollectorWork | None" = None
 
     def format(self) -> str:
         if not self.fired:
@@ -79,6 +83,13 @@ class CollectorInsight:
             parts.append(f"verdict={self.verdict}")
         if self.kept or self.dropped:
             parts.append(f"(scia kept {self.kept}, dropped {self.dropped})")
+        work = self.work
+        if work is not None:
+            parts.append(
+                f"cost: stats_cpu={self.stats_cpu:.1f} wall={work.wall_s * 1e3:.2f}ms "
+                f"draws={work.reservoir_draws} hashed={work.sketch_values_hashed} "
+                f"minmax columns={work.minmax_columns_tracked}"
+            )
         return " ".join(parts)
 
 
@@ -299,6 +310,11 @@ def _collector_insight(
         kept=len(getattr(node, "scia_kept", ())),
         dropped=len(getattr(node, "scia_dropped", ())),
         verdict=_verdict(potential, rows_q_error) if observed is not None else "",
+        stats_cpu=ctx.cost_model.collector(
+            observed.row_count if observed is not None else 0,
+            node.spec.statistic_count,
+        ).stats_cpu_units,
+        work=observed.work if observed is not None else None,
     )
 
 

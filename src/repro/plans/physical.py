@@ -209,6 +209,9 @@ class CollectorSpec:
 
     histogram_columns: tuple[str, ...] = ()
     distinct_column_sets: tuple[tuple[str, ...], ...] = ()
+    #: Columns to track min/max on — those an operator above still reads
+    #: (SCIA fills it in); ``None``, a hand-built spec, tracks every numeric one.
+    minmax_columns: tuple[str, ...] | None = None
 
     @property
     def statistic_count(self) -> int:

@@ -96,8 +96,11 @@ class HybridDistinct:
         self._sketch = FlajoletMartin(num_maps=num_maps, seed=seed)
         self._exact: set | None = set()
         self._threshold = threshold
+        #: Values run through the sketch's hash so far (work counter).
+        self.hashed = 0
 
     def add(self, value) -> None:
+        self.hashed += 1
         self._sketch.add(value)
         if self._exact is not None:
             self._exact.add(value)
@@ -107,15 +110,20 @@ class HybridDistinct:
     def add_batch(self, values) -> None:
         """Observe a batch of values at once.
 
+        Only the batch's *new distinct* values are hashed — setting a bitmap
+        bit is idempotent, so the sketch ends up as if it had hashed them all.
         The exact set is dropped after the batch rather than mid-batch, so
         it may transiently exceed the threshold by one batch; the final
         estimate is unchanged (the sketch observed every value either way).
         """
-        self._sketch.add_batch(values)
+        fresh = set(values)
         if self._exact is not None:
-            self._exact.update(values)
+            fresh -= self._exact
+            self._exact |= fresh
             if len(self._exact) > self._threshold:
                 self._exact = None
+        self.hashed += len(fresh)
+        self._sketch.add_batch(fresh)
 
     def extend(self, values: Iterable) -> None:
         """Observe every value from an iterable."""
@@ -132,25 +140,13 @@ class HybridDistinct:
         the union must too (it no longer knows the exact values).
         """
         self._sketch.merge(other._sketch)
+        self.hashed += other.hashed
         if self._exact is None or other._exact is None:
             self._exact = None
             return
         self._exact |= other._exact
         if len(self._exact) > self._threshold:
             self._exact = None
-
-    def __getstate__(self) -> dict:
-        """Compact picklable state (workers ship sketches back by value)."""
-        return {
-            "sketch": self._sketch,
-            "exact": None if self._exact is None else set(self._exact),
-            "threshold": self._threshold,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self._sketch = state["sketch"]
-        self._exact = state["exact"]
-        self._threshold = state["threshold"]
 
     def estimate(self) -> float:
         if self._exact is not None:

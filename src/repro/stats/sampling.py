@@ -15,142 +15,94 @@ from typing import Iterable, Sequence
 from ..errors import StatisticsError
 
 
-class Reservoir:
-    """A fixed-capacity uniform random sample maintained in one pass."""
+class RowSampler:
+    """Algorithm R's slot decisions, apart from the values they place.
+
+    Which offered row lands in which slot depends on the capacity, ``seen``
+    and the RNG stream — never on the values — so one sampler places the rows
+    of any number of columns: the samples equal those of as many same-seeded
+    :class:`Reservoir` objects fed one column each, for one RNG stream.
+    """
 
     def __init__(self, capacity: int, seed: int = 0) -> None:
         if capacity <= 0:
             raise StatisticsError(f"reservoir capacity must be positive, got {capacity}")
         self.capacity = capacity
         self.seen = 0
-        self._sample: list = []
+        #: Random draws made so far (one per row offered past capacity).
+        self.draws = 0
         self._rng = random.Random(seed)
+
+    def offer(self, count: int) -> tuple[int, list[tuple[int, int]]]:
+        """Decide the fate of the next ``count`` offered rows.
+
+        Returns ``(fill, hits)``: the first ``fill`` rows are appended (the
+        sample was not full), then each ``(offset, slot)`` of ``hits``, in
+        order, puts the row at ``offset`` into ``slot``; the rest are dropped.
+        The draw is ``Random._randbelow(seen)`` with its ``getrandbits``
+        rejection loop inlined — same calls, same order, so slots and RNG end
+        state are unchanged at a third of the price.
+        """
+        capacity = self.capacity
+        seen = self.seen
+        fill = min(max(capacity - seen, 0), count)
+        seen += fill
+        hits: list[tuple[int, int]] = []
+        getrandbits = self._rng.getrandbits
+        bits = seen.bit_length()
+        for offset in range(fill, count):
+            seen += 1
+            if seen >> bits:
+                bits += 1
+            slot = getrandbits(bits)
+            while slot >= seen:
+                slot = getrandbits(bits)
+            if slot < capacity:
+                hits.append((offset, slot))
+        self.seen = seen
+        self.draws += count - fill
+        return fill, hits
+
+
+class Reservoir(RowSampler):
+    """A fixed-capacity uniform random sample maintained in one pass."""
+
+    def __init__(self, capacity: int, seed: int = 0) -> None:
+        super().__init__(capacity, seed)
+        self._sample: list = []
 
     def __len__(self) -> int:
         return len(self._sample)
 
     def add(self, value) -> None:
         """Offer one value to the reservoir (Algorithm R replacement step)."""
-        self.seen += 1
-        if len(self._sample) < self.capacity:
-            self._sample.append(value)
-            return
-        slot = self._rng.randrange(self.seen)
-        if slot < self.capacity:
-            self._sample[slot] = value
+        self.add_batch((value,))
 
     def extend(self, values: Iterable) -> None:
         """Offer every value from an iterable."""
-        for value in values:
-            self.add(value)
+        self.add_batch(list(values))
 
     def add_batch(self, values: Sequence) -> None:
-        """Offer a batch of values with one bookkeeping pass.
-
-        Consumes the RNG exactly as per-value :meth:`add` calls would (one
-        ``randrange`` per value past capacity, with the same running
-        ``seen``), so the resulting sample is bit-identical to the
-        row-at-a-time path.
-        """
+        """Offer a batch of values: one :meth:`offer`, then place the hits."""
+        fill, hits = self.offer(len(values))
         sample = self._sample
-        capacity = self.capacity
-        seen = self.seen
-        index = 0
-        total = len(values)
-        while len(sample) < capacity and index < total:
-            sample.append(values[index])
-            index += 1
-            seen += 1
-        randrange = self._rng.randrange
-        for index in range(index, total):
-            seen += 1
-            slot = randrange(seen)
-            if slot < capacity:
-                sample[slot] = values[index]
-        self.seen = seen
+        sample.extend(values[:fill])
+        for offset, slot in hits:
+            sample[slot] = values[offset]
 
     def merge(self, other: "Reservoir", rng: random.Random | None = None) -> None:
-        """Fold another reservoir into this one (weighted union sampling).
-
-        After merging, this reservoir holds a uniform random sample of the
-        *combined* population: each retained element of either input stands
-        for ``seen / len(sample)`` population values, and elements are drawn
-        from the two (shuffled) samples with probability proportional to the
-        unrepresented population weight remaining on each side — the
-        standard distributed-reservoir union.  When both inputs are
-        exhaustive (``seen <= capacity`` combined) the merge is a plain
-        concatenation and stays exhaustive.
-
-        ``rng`` selects the randomness source for the weighted draw (the
-        parallel executor passes a dedicated merge RNG so results depend
-        only on morsel order, never on worker scheduling); by default this
-        reservoir's own RNG is used.
-        """
-        if other.seen == 0:
-            return
-        if self.capacity != other.capacity:
+        """Fold another reservoir in (:func:`merge_samples`), drawing from
+        ``rng`` or, by default, this reservoir's own RNG."""
+        if other.seen and self.capacity != other.capacity:
             raise StatisticsError(
                 f"cannot merge reservoirs of capacity {other.capacity} "
                 f"into {self.capacity}"
             )
-        if self.seen == 0:
-            self.seen = other.seen
-            self._sample = list(other._sample)
-            return
-        total = self.seen + other.seen
-        if total <= self.capacity:
-            self._sample.extend(other._sample)
-            self.seen = total
-            return
-        rng = self._rng if rng is None else rng
-        ours = list(self._sample)
-        theirs = list(other._sample)
-        rng.shuffle(ours)
-        rng.shuffle(theirs)
-        # Remaining population weight on each side; consumed in per-element
-        # decrements so early draws from a side make later ones less likely.
-        weight_ours = float(self.seen)
-        weight_theirs = float(other.seen)
-        step_ours = weight_ours / len(ours)
-        step_theirs = weight_theirs / len(theirs)
-        merged: list = []
-        i = j = 0
-        target = min(self.capacity, len(ours) + len(theirs))
-        while len(merged) < target:
-            if i >= len(ours):
-                merged.append(theirs[j])
-                j += 1
-                continue
-            if j >= len(theirs):
-                merged.append(ours[i])
-                i += 1
-                continue
-            if rng.random() * (weight_ours + weight_theirs) < weight_ours:
-                merged.append(ours[i])
-                i += 1
-                weight_ours -= step_ours
-            else:
-                merged.append(theirs[j])
-                j += 1
-                weight_theirs -= step_theirs
-        self._sample = merged
-        self.seen = total
-
-    def __getstate__(self) -> dict:
-        """Compact picklable state (workers ship reservoirs back by value)."""
-        return {
-            "capacity": self.capacity,
-            "seen": self.seen,
-            "sample": list(self._sample),
-            "rng": self._rng.getstate(),
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.capacity = state["capacity"]
-        self.seen = state["seen"]
-        self._sample = list(state["sample"])
-        self._rng = random.Random()
-        self._rng.setstate(state["rng"])
+        self._sample = merge_samples(
+            self._sample, self.seen, other._sample, other.seen,
+            self.capacity, self._rng if rng is None else rng,
+        )
+        self.seen += other.seen
 
     @property
     def sample(self) -> Sequence:
@@ -167,3 +119,57 @@ class Reservoir:
         if not self._sample:
             return 0.0
         return self.seen / len(self._sample)
+
+
+def merge_samples(
+    ours: list, seen_ours: int, theirs: list, seen_theirs: int,
+    capacity: int, rng: random.Random,
+) -> list:
+    """Weighted union of two reservoir samples (distributed-reservoir merge).
+
+    The result is a uniform random sample of the *combined* population: each
+    retained element of either input stands for ``seen / len(sample)``
+    population values, and elements are drawn from the two (shuffled) samples
+    with probability proportional to the unrepresented population weight
+    remaining on each side.  When both inputs are exhaustive
+    (``seen <= capacity`` combined) the merge is a plain concatenation and
+    stays exhaustive.  The parallel executor passes a dedicated merge RNG so
+    results depend only on morsel order, never on worker scheduling.
+    """
+    if seen_theirs == 0:
+        return ours
+    if seen_ours == 0:
+        return list(theirs)
+    if seen_ours + seen_theirs <= capacity:
+        return ours + theirs
+    ours = list(ours)
+    theirs = list(theirs)
+    rng.shuffle(ours)
+    rng.shuffle(theirs)
+    # Remaining population weight on each side; consumed in per-element
+    # decrements so early draws from a side make later ones less likely.
+    weight_ours = float(seen_ours)
+    weight_theirs = float(seen_theirs)
+    step_ours = weight_ours / len(ours)
+    step_theirs = weight_theirs / len(theirs)
+    merged: list = []
+    i = j = 0
+    target = min(capacity, len(ours) + len(theirs))
+    while len(merged) < target:
+        if i >= len(ours):
+            merged.append(theirs[j])
+            j += 1
+            continue
+        if j >= len(theirs):
+            merged.append(ours[i])
+            i += 1
+            continue
+        if rng.random() * (weight_ours + weight_theirs) < weight_ours:
+            merged.append(ours[i])
+            i += 1
+            weight_ours -= step_ours
+        else:
+            merged.append(theirs[j])
+            j += 1
+            weight_theirs -= step_theirs
+    return merged

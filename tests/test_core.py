@@ -283,6 +283,46 @@ class TestScia:
         assert ordered[0].potential.value >= ordered[-1].potential.value
 
 
+    def test_minmax_columns_are_those_still_read_above(self):
+        """A collector tracks min/max on what an ancestor still reads — here a
+        block-NL predicate column and a GROUP BY column, both invisible to
+        the histogram-candidate rule — and on nothing else."""
+        from repro.core.scia import _columns_used_by, _live_columns
+
+        db = make_two_table_db(r1_rows=300, r2_rows=600)
+        plan, __, __ = db.plan(
+            "SELECT r1.a, count(*) n FROM r1, r2 "
+            "WHERE r1.b < r2.c AND r1.a < 50 AND r2.c > 2 "
+            "GROUP BY r1.a ORDER BY r1.a",
+            mode=DynamicMode.FULL,
+        )
+        by_label = {node.label: node for node in plan.walk()}
+        assert _columns_used_by(by_label["BlockNLJoin"]) == frozenset()
+        assert _live_columns(by_label["BlockNLJoin"]) == {"r1.b", "r2.c"}
+        assert _live_columns(by_label["HashAggregate"]) == {"r1.a"}
+        assert _live_columns(by_label["Sort"]) == {"a"}
+        (collector,) = collector_nodes(plan)
+        assert collector.child.schema.names == ("r1.id", "r1.a", "r1.b")
+        assert collector.spec.minmax_columns == ("r1.a", "r1.b")
+        result = db.execute(
+            "SELECT r1.a, count(*) n FROM r1, r2 "
+            "WHERE r1.b < r2.c AND r1.a < 50 AND r2.c > 2 "
+            "GROUP BY r1.a ORDER BY r1.a",
+            mode=DynamicMode.FULL,
+        )
+        assert result.profile.minmax_columns_tracked == 2
+
+    def test_scia_specs_track_minmax_on_every_histogram_column(self):
+        db = make_two_table_db()
+        plan, __ = self._join_plan(
+            db, "SELECT r1.a, sum(r2.c) s FROM r1, r2 "
+            "WHERE r1.id = r2.r1_id AND r1.a < 50 GROUP BY r1.a"
+        )
+        insert_collectors(plan, db.catalog, db.config)
+        for node in collector_nodes(plan):
+            assert set(node.spec.histogram_columns) <= set(node.spec.minmax_columns)
+
+
 class TestRuntimeCollector:
     def _collector(self, spec, schema):
         from repro.plans.physical import SeqScanNode
@@ -302,6 +342,21 @@ class TestRuntimeCollector:
         assert observed.row_count == 100
         assert observed.minmax["t.a"] == (0.0, 99.0)
         assert "t.s" not in observed.minmax
+
+    def test_minmax_only_on_the_spec_columns(self):
+        from repro.storage import Column, Schema
+
+        schema = Schema([Column(f"t.{c}", DataType.INTEGER) for c in "abc"])
+        collector = self._collector(
+            CollectorSpec(histogram_columns=("t.b",), minmax_columns=("t.a", "t.s")),
+            schema,
+        )
+        collector.observe_batch([(i, -i, 7) for i in range(10)])
+        observed = collector.finalize()
+        # The named column, plus the histogram column (its observed range
+        # overrides the sample's); the unread ``t.c`` is not tracked.
+        assert observed.minmax == {"t.a": (0.0, 9.0), "t.b": (-9.0, 0.0)}
+        assert observed.work.minmax_columns_tracked == 2
 
     def test_histogram_collection(self):
         from repro.storage import Column, Schema

@@ -15,9 +15,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Database, DataType, DynamicMode
+from repro import Database, DataType, DynamicMode, EngineConfig
 from repro.bench.harness import rows_equivalent
+from repro.executor import batch, columnar, iterators, parallel
 
+from . import reference_collector
 from .oracle import evaluate
 
 
@@ -70,6 +72,33 @@ def random_query(rng: random.Random, tables: int = 3) -> str:
     return sql
 
 
+def assert_collectors_agree(seed: int, sql: str, tables: int = 3, indexes: bool = False):
+    """FULL with the previous collector swapped in == FULL with today's.
+
+    The reservoir is shrunk to 16 values so these small tables overflow it
+    and every histogram depends on the sampler's draws.
+    """
+    runs = []
+    for collector in (reference_collector.RuntimeCollector, None):
+        db = build_random_db(seed, tables, EngineConfig(reservoir_sample_size=16))
+        if indexes:
+            for i in range(1, tables):
+                db.create_index(f"ix_t{i}", f"t{i}", f"t{i - 1}_k")
+        with pytest.MonkeyPatch.context() as patch:
+            if collector is not None:
+                for module in (batch, columnar, iterators, parallel):
+                    patch.setattr(module, "RuntimeCollector", collector)
+            profile = (result := db.execute(sql, mode=DynamicMode.FULL)).profile
+        if collector is not None:
+            # The previous collector reports no work counters: proof it ran.
+            assert profile.minmax_columns_tracked == 0
+        runs.append((
+            profile.plan_explanations, repr(profile.total_cost),
+            profile.plan_switches, profile.memory_reallocations, result.rows,
+        ))
+    assert runs[0] == runs[1], (seed, sql)
+
+
 class TestRandomizedQueries:
     @pytest.mark.parametrize("seed", range(12))
     def test_engine_matches_oracle(self, seed):
@@ -80,6 +109,7 @@ class TestRandomizedQueries:
         for mode in (DynamicMode.OFF, DynamicMode.FULL):
             result = db.execute(sql, mode=mode)
             assert rows_equivalent(result.rows, expected), (seed, mode, sql)
+        assert_collectors_agree(seed, sql)
 
     @given(seed=st.integers(min_value=100, max_value=10_000))
     @settings(max_examples=10, deadline=None)
@@ -91,6 +121,7 @@ class TestRandomizedQueries:
         for mode in (DynamicMode.MEMORY_ONLY, DynamicMode.PLAN_ONLY, DynamicMode.FULL):
             result = db.execute(sql, mode=mode)
             assert rows_equivalent(result.rows, reference.rows), (seed, mode, sql)
+        assert_collectors_agree(seed, sql)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_with_indexes_and_four_tables(self, seed):
@@ -102,3 +133,4 @@ class TestRandomizedQueries:
         expected = evaluate(db, db.bind_sql(sql))
         result = db.execute(sql, mode=DynamicMode.FULL)
         assert rows_equivalent(result.rows, expected), (seed, sql)
+        assert_collectors_agree(seed, sql, tables=4, indexes=True)
