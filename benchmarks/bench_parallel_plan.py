@@ -1,6 +1,6 @@
-"""Plan-wide parallelism scaling: build sides, sorts, columnar morsels.
+"""Plan-wide parallelism scaling: build sides and sorts.
 
-The companion to ``bench_parallel_joins`` for PR 7's tentpole, with three
+The companion to ``bench_parallel_joins`` for PR 7's tentpole, with two
 legs per worker count:
 
 * **build** — TPC-D join queries dispatched with ``parallel_build`` on and
@@ -9,15 +9,11 @@ legs per worker count:
 * **sort** — ORDER BY queries over leaf-extractable chains: workers sort
   their morsel runs with the serial multi-pass sort and the parent merges
   them through the loser tree.
-* **columnar** — the same filter pipelines under ``execution_mode=
-  "columnar"`` with ``columnar_parallel`` on, so the NumPy kernels and
-  zone-map skipping run inside forked morsel workers.
 
 The parity record is unconditional: every parallel run must produce
 byte-identical rows and bit-identical simulated cost/CostBreakdown and
-buffer statistics vs its serial reference (batch for the row legs, batch
-*and* serial columnar for the columnar leg) — a benchmark result with
-broken parity is a bug, not a data point.  The engagement assertions are
+buffer statistics vs its serial (batch) reference — a benchmark result
+with broken parity is a bug, not a data point.  The engagement assertions are
 also unconditional: build pipelines must fan out on the build leg and sort
 pipelines (with at least two merged runs) on the sort leg, so the tentpole
 cannot silently regress to probe-only parallelism.
@@ -89,15 +85,6 @@ SORT_QUERIES = (
     ),
 )
 
-#: Filter pipelines for the columnar-morsel leg.
-COLUMNAR_QUERIES = (
-    (
-        "col_filter",
-        "SELECT l_orderkey, l_extendedprice FROM lineitem "
-        "WHERE l_quantity > 10",
-    ),
-)
-
 
 def available_cpus() -> int:
     """CPUs actually granted to this process (affinity-aware)."""
@@ -151,7 +138,6 @@ def _run_leg(
     plan,
     repetitions: int,
     worker_counts: tuple[int, ...],
-    parallel_mode: str,
     knobs: dict,
 ) -> dict:
     """Measure one query's scaling curve for one leg."""
@@ -168,7 +154,7 @@ def _run_leg(
     for workers in worker_counts:
         best, result, ctx = min(
             (
-                _dispatch(db, plan, parallel_mode, workers, **knobs)
+                _dispatch(db, plan, "parallel", workers, **knobs)
                 for __ in range(repetitions)
             ),
             key=lambda r: r[0],
@@ -187,8 +173,6 @@ def _run_leg(
             entry["sort_runs_merged"] = ctx.parallel.sort_runs_merged
             entry["rows_spilled"] = ctx.parallel.rows_spilled
             entry["partitions_spilled"] = ctx.parallel.partitions_spilled
-            entry["columnar_parallel_pipelines"] = ctx.columnar.parallel_pipelines
-            entry["zone_map_rows_skipped"] = ctx.columnar.rows_skipped
     return entry
 
 
@@ -197,7 +181,7 @@ def run_benchmark(
     repetitions: int = REPETITIONS,
     worker_counts: tuple[int, ...] = WORKER_COUNTS,
 ) -> dict:
-    """Measure the plan-wide scaling curves: build, sort and columnar legs."""
+    """Measure the plan-wide scaling curves: the build and sort legs."""
     db = build_database(ExperimentConfig(scale_factor=scale_factor))
     queries: list[dict] = []
 
@@ -211,7 +195,6 @@ def run_benchmark(
                 plan,
                 repetitions,
                 worker_counts,
-                "parallel",
                 {"morsel_pages": BUILD_MORSEL_PAGES},
             )
         )
@@ -219,13 +202,7 @@ def run_benchmark(
     for name, sql in SORT_QUERIES:
         plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
         queries.append(
-            _run_leg(db, "sort", name, plan, repetitions, worker_counts, "parallel", {})
-        )
-
-    for name, sql in COLUMNAR_QUERIES:
-        plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
-        queries.append(
-            _run_leg(db, "columnar", name, plan, repetitions, worker_counts, "columnar", {})
+            _run_leg(db, "sort", name, plan, repetitions, worker_counts, {})
         )
 
     gate_workers = max(worker_counts)
@@ -273,13 +250,6 @@ def run_benchmark(
             for q in queries
             if q["leg"] == "sort"
         ),
-        "columnar_pipelines_ran": all(
-            q["columnar_parallel_pipelines"] >= 1
-            for q in queries
-            if q["leg"] == "columnar"
-        )
-        if gate_workers > 1
-        else True,
     }
     return stamp_document(document, {"speedup_gate": REQUIRED_CPUS})
 
@@ -338,7 +308,6 @@ def _assert_document(document: dict) -> None:
     ]
     assert document["build_pipelines_ran"], "no build pipeline fanned out"
     assert document["sort_pipelines_ran"], "no sort pipeline fanned out"
-    assert document["columnar_pipelines_ran"], "no columnar pipeline fanned out"
     if document["speedup_gate"]["enforced"]:
         assert document["build"]["speedup"] >= REQUIRED_JOIN_SPEEDUP
         assert document["sort"]["speedup"] >= REQUIRED_SORT_SPEEDUP

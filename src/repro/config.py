@@ -84,26 +84,6 @@ def _default_parallel_sort() -> bool:
     return _env_flag("REPRO_PARALLEL_SORT")
 
 
-def _default_vectorized_agg() -> bool:
-    """Vectorized aggregate-fold kernel default (``REPRO_VECTOR_AGG``)."""
-    return _env_flag("REPRO_VECTOR_AGG")
-
-
-def _default_vectorized_probe() -> bool:
-    """Vectorized join-probe kernel default (``REPRO_VECTOR_PROBE``)."""
-    return _env_flag("REPRO_VECTOR_PROBE")
-
-
-def _default_columnar_parallel() -> bool:
-    """Columnar-morsel default (``REPRO_COLUMNAR_PARALLEL``)."""
-    return _env_flag("REPRO_COLUMNAR_PARALLEL")
-
-
-def _default_zone_maps() -> bool:
-    """Zone-map scan skipping default (``REPRO_ZONE_MAPS``)."""
-    return _env_flag("REPRO_ZONE_MAPS")
-
-
 def _default_zone_map_cost() -> str:
     """Zone-map cost accounting default (``REPRO_ZONE_MAP_COST``)."""
     return os.environ.get("REPRO_ZONE_MAP_COST", "charge")
@@ -267,16 +247,15 @@ class EngineConfig:
     #: own build input still reaches it.  Paradise did not support this;
     #: the default False reproduces the paper's baseline behaviour.
     responsive_hash_joins: bool = False
-    #: Tuple-at-a-time (``"row"``), vectorized (``"batch"``), morsel-driven
-    #: multi-process (``"parallel"``) or NumPy-columnar (``"columnar"``)
-    #: execution.  All paths produce identical rows, cost-clock charges and
-    #: observed statistics (columnar under the default
-    #: ``zone_map_cost_mode="charge"``); the batch path amortises Python
-    #: interpretation overhead over ``batch_size`` tuples and is the
-    #: default, the parallel path additionally fans leaf pipelines across a
-    #: fork-based worker pool, and the columnar path evaluates scan
-    #: predicates as NumPy masks over per-page-group column arrays with
-    #: zone-map group skipping.
+    #: Tuple-at-a-time (``"row"``), vectorized (``"batch"``) or morsel-driven
+    #: multi-process (``"parallel"``) execution.  All paths produce
+    #: identical rows, cost-clock charges and observed statistics (under
+    #: the default ``zone_map_cost_mode="charge"``); the batch path
+    #: amortises Python interpretation overhead over ``batch_size`` tuples
+    #: — running every leaf pipeline that qualifies as NumPy kernels over
+    #: per-page-group column arrays, its own choice per pipeline — and is
+    #: the default; the parallel path additionally fans leaf pipelines
+    #: across a fork-based worker pool.
     execution_mode: str = field(default_factory=_default_execution_mode)
     #: Rows per batch on the batch execution path.  Operators may yield
     #: slightly larger batches (scans round up to page boundaries).
@@ -329,30 +308,6 @@ class EngineConfig:
     #: the morsel workers and merge them with a loser tree that breaks ties
     #: in morsel order — byte-identical to the serial stable sort.
     parallel_sort: bool = field(default_factory=_default_parallel_sort)
-    #: Whether ``execution_mode="columnar"`` fans the per-page-group
-    #: columnar kernels (mask narrowing, zone-map skipping, projection
-    #: takes) across the morsel worker pool when more than one worker
-    #: resolves.  Charge-mode replay in the parent keeps parity.
-    columnar_parallel: bool = field(default_factory=_default_columnar_parallel)
-    #: Whether hash aggregates over a prepared column view fold groups with
-    #: the vectorized NumPy kernels (``executor/agg_kernels.py``) instead
-    #: of the per-row Python accumulator, and whether morsel
-    #: pre-aggregation may cover float SUM/AVG by shipping per-group value
-    #: runs folded once at the merge point.  Bit-parity is unconditional —
-    #: the kernels verify their sequential-fold property at import and
-    #: fall back to the serial fold if NumPy ever changes it.
-    vectorized_agg: bool = field(default_factory=_default_vectorized_agg)
-    #: Whether hash joins probing a columnar pipeline with a single int64
-    #: or dictionary-encoded key answer whole probe batches via a sorted
-    #: build-key index (``np.searchsorted``) instead of per-row dict
-    #: lookups.  Match order and every charge are identical to the serial
-    #: probe loop.
-    vectorized_probe: bool = field(default_factory=_default_vectorized_probe)
-    #: Whether ``execution_mode="columnar"`` scans consult per-page-group
-    #: zone maps (min/max/null-count) to skip groups a filter provably
-    #: matches zero rows in.  Skipping never changes results; whether it
-    #: changes *costs* is governed by :attr:`zone_map_cost_mode`.
-    zone_map_skipping: bool = field(default_factory=_default_zone_maps)
     #: How zone-map-skipped page groups are accounted on the simulated
     #: clock.  ``"charge"`` (default) replays the skipped groups' page
     #: charges, keeping CostBreakdown/buffer statistics byte-identical to
@@ -363,7 +318,7 @@ class EngineConfig:
     #: profiles, at the price of cost/buffer parity with the other modes.
     zone_map_cost_mode: str = field(default_factory=_default_zone_map_cost)
     #: Distinct-value budget for dictionary-encoding a string column in the
-    #: columnar store; columns exceeding it overflow to plain encoding.
+    #: column store; columns exceeding it overflow to plain encoding.
     columnar_dictionary_max: int = 256
     #: Whether :meth:`Database.execute` serves repeated statements from the
     #: statistics-epoch plan cache.  Disabling forces cold preparation on
@@ -470,10 +425,10 @@ class EngineConfig:
             raise ConfigError(f"reservoir_sample_size must be positive, got {self.reservoir_sample_size}")
         if self.runtime_histogram_buckets <= 0:
             raise ConfigError(f"runtime_histogram_buckets must be positive, got {self.runtime_histogram_buckets}")
-        if self.execution_mode not in ("row", "batch", "parallel", "columnar"):
+        if self.execution_mode not in ("row", "batch", "parallel"):
             raise ConfigError(
-                "execution_mode must be 'row', 'batch', 'parallel' or "
-                f"'columnar', got {self.execution_mode!r}"
+                "execution_mode must be 'row', 'batch' or 'parallel', "
+                f"got {self.execution_mode!r}"
             )
         if self.batch_size <= 0:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
@@ -537,11 +492,7 @@ class EngineConfig:
             "parallel_build",
             "parallel_spill",
             "parallel_sort",
-            "columnar_parallel",
-            "vectorized_agg",
-            "vectorized_probe",
             "tracing",
-            "zone_map_skipping",
             "server_mode",
             "feedback_enabled",
         ):

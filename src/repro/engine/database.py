@@ -481,10 +481,9 @@ class Database:
         stays armed for the cases no scenario anticipated.
 
         ``execution_mode`` overrides :attr:`EngineConfig.execution_mode`
-        (``"row"``, ``"batch"``, ``"parallel"`` or ``"columnar"``) for this
-        query only; all paths yield identical rows, cost-clock charges and
-        observed statistics (columnar with the default
-        ``zone_map_cost_mode="charge"``).  ``workers`` overrides
+        (``"row"``, ``"batch"`` or ``"parallel"``) for this query only; all
+        paths yield identical rows, cost-clock charges and observed
+        statistics (with the default ``zone_map_cost_mode="charge"``).  ``workers`` overrides
         :attr:`EngineConfig.parallel_workers` for this query (parallel mode
         only; 0 means one worker per CPU core).
 
@@ -731,7 +730,6 @@ class Database:
             partitions_spilled=ctx.parallel.partitions_spilled,
             columnar_pipelines=ctx.columnar.pipelines,
             columnar_keyed_pipelines=ctx.columnar.keyed_pipelines,
-            columnar_parallel_pipelines=ctx.columnar.parallel_pipelines,
             zone_map_skips=ctx.columnar.groups_skipped,
             zone_map_groups_read=ctx.columnar.groups_read,
             zone_map_pages_skipped=ctx.columnar.pages_skipped,
@@ -740,6 +738,7 @@ class Database:
                 node_id: dict(per_scan)
                 for node_id, per_scan in sorted(ctx.columnar.by_scan.items())
             },
+            leaf_pipelines=ctx.columnar.leaf_pipelines(ctx.actual_rows),
             vectorized_agg_pipelines=ctx.vector.agg_pipelines,
             vectorized_probe_pipelines=ctx.vector.probe_pipelines,
             rows_folded=ctx.vector.rows_folded,
@@ -844,10 +843,14 @@ class Database:
         m.counter("parallel.partitions_spilled").inc(ctx.parallel.partitions_spilled)
         m.counter("columnar.pipelines").inc(ctx.columnar.pipelines)
         m.counter("columnar.keyed_pipelines").inc(ctx.columnar.keyed_pipelines)
-        m.counter("columnar.parallel_pipelines").inc(ctx.columnar.parallel_pipelines)
         m.counter("columnar.zone_map.groups_read").inc(ctx.columnar.groups_read)
         m.counter("columnar.zone_map.groups_skipped").inc(ctx.columnar.groups_skipped)
         m.counter("columnar.zone_map.pages_skipped").inc(ctx.columnar.pages_skipped)
+        for record in profile.leaf_pipelines.values():
+            m.counter(f"leaf.{record['kernel']}_pipelines").inc()
+            m.counter("leaf.rows_scanned").inc(record["rows_scanned"])
+            m.counter("leaf.rows_selected").inc(record["rows_selected"])
+            m.counter("leaf.rows_materialised").inc(record["rows_materialised"])
         m.counter("vector.agg_pipelines").inc(ctx.vector.agg_pipelines)
         m.counter("vector.probe_pipelines").inc(ctx.vector.probe_pipelines)
         m.counter("vector.rows_folded").inc(ctx.vector.rows_folded)

@@ -204,27 +204,8 @@ class PlanCache:
         joins, worker pre-aggregation, build-side joins, parallel sort)
         or how results travel (partitioned spill).  Prefetch is pure
         scheduling and deliberately excluded: it cannot change what
-        executes.  Columnar entries specialize on the zone-map toggles —
-        skipping changes which page groups execute, and the cost mode
-        changes what a cached entry's profile meant — and on the
-        columnar-morsel fan-out (plus its resolved worker count), which
-        changes which pipelines run inside forked workers.  The vector
-        knobs ride along too: ``vectorized_agg``/``vectorized_probe``
-        decide which columnar pipelines take the kernel path (and what
-        the cached profile's vector counters meant), and ``vectorized_agg``
-        decides whether float SUM/AVG pre-aggregate in parallel plans.
+        executes.
         """
-        if execution_mode == "columnar":
-            key = (
-                f"columnar/z{int(config.zone_map_skipping)}"
-                f"/{config.zone_map_cost_mode}"
-                f"/va{int(config.vectorized_agg)}"
-                f"/vp{int(config.vectorized_probe)}"
-            )
-            if config.columnar_parallel:
-                resolved = workers if workers is not None else config.parallel_workers
-                return f"{key}/m1/w{resolved}"
-            return f"{key}/m0"
         if execution_mode != "parallel":
             return execution_mode
         resolved = workers if workers is not None else config.parallel_workers
@@ -235,7 +216,6 @@ class PlanCache:
             f"/b{int(config.parallel_build)}"
             f"/s{int(config.parallel_sort)}"
             f"/p{int(config.parallel_spill)}"
-            f"/va{int(config.vectorized_agg)}"
         )
 
     def lookup(

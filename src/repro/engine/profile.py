@@ -136,28 +136,33 @@ class ExecutionProfile:
     morsels_spilled: int = 0
     partitions_spilled: int = 0
     pipeline_wall_s: dict[str, dict[str, float]] = field(default_factory=dict)
-    #: Columnar execution telemetry (``execution_mode="columnar"``; all
-    #: zero/empty otherwise).  ``zone_map_skips`` counts page groups proven
+    #: Leaf-pipeline telemetry (batch and parallel execution; zero/empty on
+    #: the row path).  ``leaf_pipelines`` has one record per leaf pipeline,
+    #: keyed by scan node id: ``kernel`` (``"column"`` / ``"row"``), the
+    #: ``reason`` a pipeline stayed on the row kernels (temporary table,
+    #: predicate without a kernel, no filter, no numpy; None for column),
+    #: ``rows_scanned``, ``rows_selected`` (rows leaving the pipeline) and
+    #: ``rows_materialised`` — the row tuples actually built, which late
+    #: materialisation keeps at the rows a row-oriented operator received
+    #: (0 under a vectorized aggregate, the matched rows under a
+    #: vectorized join probe).  ``zone_map_skips`` counts page groups proven
     #: empty by zone maps and skipped whole; ``zone_map_groups_read`` the
     #: groups whose arrays were evaluated; ``zone_map_pages_skipped`` the
     #: pages inside skipped groups; ``columnar_pipelines`` how many leaf
     #: pipelines ran in column space (``columnar_keyed_pipelines`` of them
     #: feeding join-probe/aggregate key extraction).  ``zone_map_by_scan``
     #: breaks skips down per scan (keyed by scan node id).
+    leaf_pipelines: dict[int, dict] = field(default_factory=dict)
     columnar_pipelines: int = 0
     columnar_keyed_pipelines: int = 0
-    #: Columnar pipelines whose kernels ran inside forked morsel workers
-    #: (``columnar_parallel``).
-    columnar_parallel_pipelines: int = 0
     zone_map_skips: int = 0
     zone_map_groups_read: int = 0
     zone_map_pages_skipped: int = 0
     zone_map_rows_skipped: int = 0
     zone_map_by_scan: dict[int, dict] = field(default_factory=dict)
-    #: Vectorized-kernel telemetry (``vectorized_agg``/``vectorized_probe``;
-    #: all zero otherwise).  ``vectorized_agg_pipelines`` counts aggregates
-    #: folded by the NumPy group-by kernels (columnar pipelines and parallel
-    #: value-run pre-aggregations alike), ``vectorized_probe_pipelines``
+    #: Vectorized-kernel telemetry.  ``vectorized_agg_pipelines`` counts
+    #: aggregates folded by the NumPy group-by kernels (column-space
+    #: pipelines and parallel value-run pre-aggregations alike), ``vectorized_probe_pipelines``
     #: join probes served by the searchsorted kernel, and ``rows_folded``
     #: the input rows those aggregate folds consumed.
     vectorized_agg_pipelines: int = 0
@@ -257,11 +262,20 @@ class ExecutionProfile:
                 f"{self.partitions_spilled} partitions "
                 f"sort runs merged={self.sort_runs_merged}"
             )
+        if self.leaf_pipelines:
+            records = self.leaf_pipelines.values()
+            lines.append(
+                f"leaf pipelines: column={self.columnar_pipelines} "
+                f"row={sum(1 for r in records if r['kernel'] == 'row')} "
+                f"rows scanned/selected/materialised="
+                f"{sum(r['rows_scanned'] for r in records)}/"
+                f"{sum(r['rows_selected'] for r in records)}/"
+                f"{sum(r['rows_materialised'] for r in records)}"
+            )
         if self.columnar_pipelines:
             lines.append(
                 f"columnar: pipelines={self.columnar_pipelines} "
-                f"(keyed={self.columnar_keyed_pipelines}, "
-                f"parallel={self.columnar_parallel_pipelines}) "
+                f"(keyed={self.columnar_keyed_pipelines}) "
                 f"groups read/skipped="
                 f"{self.zone_map_groups_read}/{self.zone_map_skips} "
                 f"pages skipped={self.zone_map_pages_skipped} "

@@ -1,8 +1,7 @@
 """Vectorized group-by folding and join-probe kernels (NumPy).
 
-The columnar path (PR 6) vectorized scans, filters and key extraction, but
-aggregation and join probing still ran the row-at-a-time Python fold.
-This module supplies the missing kernels under the engine's unconditional
+The kernels the column-space leaf pipelines (:mod:`repro.executor.columnar`)
+fold aggregates and probe hash joins with, under the engine's unconditional
 bit-parity contract: every result byte — including float64 SUM/AVG totals
 — must match the serial ``_AggState`` accumulator exactly.
 
@@ -35,10 +34,19 @@ IEEE 754 addition, so the zero padding is exact, never a no-op
 approximation).  Groups are bucketed into power-of-two length classes so
 the padding overhead is bounded by 2x even under heavy group skew.
 
+The matrix pays a scatter and a reduction over up to twice the input, which
+only amortises across *many short* runs.  A run of :data:`LONG_RUN` values
+or more folds instead with ``np.add.accumulate`` over ``[+0.0, v0, v1, ...]``
+— a prefix sum is a strict left fold by definition (element ``i`` is
+element ``i - 1`` plus ``v_i``, one IEEE 754 addition each, exactly the
+serial loop's), also verified at import (:func:`_probe_accumulate_left_fold`).
+The choice is made per group from its run length, never by an option.
+
 If a future NumPy changes the axis-0 fold (e.g. blocks over rows), the
 import-time probe fails closed: :func:`kernels_available` returns False
 and every caller falls back to the serial fold, keeping parity at the
-cost of speed.
+cost of speed.  If only the accumulate probe fails, long runs take the
+(still verified) matrix fold.
 
 MIN/MAX and integers
 --------------------
@@ -60,7 +68,8 @@ Join probe
 :class:`ProbeIndex` sorts the build side's (key, row) pairs once with a
 stable argsort — equal keys keep hash-table insertion order, which is
 build-input row order — then answers each probe batch with two
-``np.searchsorted`` sweeps and a ``np.repeat`` expansion.  Output rows
+``np.searchsorted`` sweeps and a ``np.repeat`` expansion, asking its
+caller only for the probe rows that matched.  Output rows
 are emitted in probe-row order with build matches in build order: exactly
 the serial ``hash_table.get`` loop's order.  Keys must live in an exact
 total order shared with Python ``==`` — int64 values or dictionary codes
@@ -71,12 +80,24 @@ the kernel for that join.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 try:  # Optional dependency: without NumPy every kernel reports unavailable.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised only without numpy
     _np = None  # type: ignore[assignment]
+
+
+#: Operand sets whose sums differ between sequential and pairwise,
+#: blocked or compensated summation orders.
+_PROBE_CASES = (
+    [1e16, 1.0, 1.0, -1e16],
+    [1.0, 1e100, 1.0, -1e100, 1.0],
+    [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8],
+    [1e308, 1e308, -1e308, -1e308, 1.0],
+    [0.1] * 300 + [1e16, 1.0, -1e16] + [0.3] * 300,
+)
 
 
 def _probe_axis0_left_fold() -> bool:
@@ -90,13 +111,7 @@ def _probe_axis0_left_fold() -> bool:
     """
     if _np is None:
         return False
-    cases = [
-        [1e16, 1.0, 1.0, -1e16],
-        [1.0, 1e100, 1.0, -1e100, 1.0],
-        [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8],
-        [1e308, 1e308, -1e308, -1e308, 1.0],
-    ]
-    for values in cases:
+    for values in _PROBE_CASES:
         total = 0.0
         for value in values:
             total = total + value
@@ -115,7 +130,51 @@ def _probe_axis0_left_fold() -> bool:
     return zero == 0.0 and not _np.signbit(zero)
 
 
+def _accumulate_sum(run, buffer):
+    """``0.0 + run[0] + run[1] + ...`` by prefix sum; ``buffer`` is float64
+    scratch of at least ``len(run) + 1`` elements whose slot 0 holds +0.0."""
+    end = len(run) + 1
+    buffer[1:end] = run
+    with _np.errstate(over="ignore", invalid="ignore"):
+        _np.add.accumulate(buffer[:end], out=buffer[:end])
+    return buffer[end - 1]
+
+
+def _probe_accumulate_left_fold() -> bool:
+    """Whether ``np.add.accumulate`` over a 1-D float64 array reproduces
+    the serial ``total += value`` loop bit for bit, signed-zero start
+    included.  Any mismatch fails closed to the matrix fold."""
+    if _np is None:
+        return False
+    for values in _PROBE_CASES + ([-0.0],):
+        total = 0.0
+        for value in values:
+            total = total + value
+        buffer = _np.zeros(len(values) + 1, dtype=_np.float64)
+        folded = _accumulate_sum(_np.array(values, dtype=_np.float64), buffer)
+        if folded.tobytes() != _np.float64(total).tobytes() and not (
+            _np.isnan(folded) and total != total
+        ):
+            return False
+    return True
+
+
 _KERNELS_OK = _probe_axis0_left_fold()
+_ACCUMULATE_OK = _probe_accumulate_left_fold()
+
+#: Shortest run the accumulate fold takes over the padded-matrix fold
+#: (measured crossover on 300 000 values: 64-value runs fold in 7.8 ms by
+#: accumulate vs 11.2 ms by matrix, 32-value runs in 13.7 vs 11.1 ms).
+LONG_RUN = 64
+
+#: Dense factorization allocates two arrays over the key span; beyond
+#: ``max(_DENSE_SPAN_FLOOR, 8 * rows)`` the sort-based path is cheaper.
+_DENSE_SPAN_FLOOR = 1 << 16
+#: A probe index is read once per probe row, so it affords a sparser
+#: direct-address table than a factorization: up to 64 slots per build row
+#: (a 2 % selection of a surrogate-key domain), never more than 4M slots.
+_PROBE_SPAN_PER_KEY = 64
+_PROBE_SPAN_CEILING = 1 << 22
 
 
 def kernels_available() -> bool:
@@ -130,7 +189,7 @@ def kernels_available() -> bool:
 
 
 def factorize_array(array):
-    """Factorize a numeric array into first-occurrence-ordered group codes.
+    """Factorize an integer array into first-occurrence-ordered group codes.
 
     Returns ``(codes, keys, firsts)``: ``codes[i]`` is the group of row
     ``i``, ``keys`` the distinct values with ``keys[g]`` the value first
@@ -138,7 +197,25 @@ def factorize_array(array):
     index.  Exact for integer dtypes (int64 values, dictionary codes);
     float arrays must go through :func:`factorize_values`, whose Python
     dict replicates the serial path's NaN/signed-zero key semantics.
+
+    A dense value domain (dictionary codes, surrogate keys) factorizes
+    without sorting: one ``minimum.at`` scatter finds every value's first
+    row; only the distinct values are then ordered.  Sparse domains sort
+    through ``np.unique``.  Both return identical arrays.
     """
+    rows = len(array)
+    if rows:
+        low = int(array.min())
+        span = int(array.max()) - low + 1
+        if span <= max(_DENSE_SPAN_FLOOR, 8 * rows):
+            offsets = array.astype(_np.int64) - low
+            first = _np.full(span, rows, dtype=_np.int64)
+            _np.minimum.at(first, offsets, _np.arange(rows, dtype=_np.int64))
+            present = _np.nonzero(first < rows)[0]
+            present = present[_np.argsort(first[present], kind="stable")]
+            rank = _np.empty(span, dtype=_np.int64)
+            rank[present] = _np.arange(len(present), dtype=_np.int64)
+            return rank[offsets], (present + low).astype(array.dtype), first[present]
     uniq, first, inverse = _np.unique(
         array, return_index=True, return_inverse=True
     )
@@ -179,8 +256,16 @@ def factorize_values(values: Sequence):
 def group_layout(codes, n_groups: int):
     """Stable-gather layout: ``(counts, order, starts)`` where ``order``
     sorts rows by group with original row order preserved inside each
-    group and ``starts[g]`` is group ``g``'s first slot in that order."""
+    group and ``starts[g]`` is group ``g``'s first slot in that order.
+
+    Up to 65 536 groups the codes sort as 8- or 16-bit integers, for which
+    NumPy's stable sort is an O(n) radix sort; the permutation is the one
+    the int64 stable argsort returns (a stable order is unique)."""
     counts = _np.bincount(codes, minlength=n_groups)
+    if n_groups <= 1 << 8:
+        codes = codes.astype(_np.uint8)
+    elif n_groups <= 1 << 16:
+        codes = codes.astype(_np.uint16)
     order = _np.argsort(codes, kind="stable")
     starts = _np.zeros(n_groups, dtype=_np.int64)
     if n_groups > 1:
@@ -188,39 +273,52 @@ def group_layout(codes, n_groups: int):
     return counts, order, starts
 
 
-def group_counts(codes, n_groups: int) -> list:
-    """Per-group row counts (COUNT semantics: NULL rows count)."""
-    return _np.bincount(codes, minlength=n_groups).tolist()
-
-
 def float_group_sums(values, codes, n_groups: int, layout=None) -> list:
     """Exact serial-order SUM per group for a float64 array (no NULLs).
 
-    Each group's values are gathered in row order into one column of a
-    front-zero-padded matrix and folded with ``np.add.reduce(axis=0)`` —
-    a verified strict sequential fold (see module docstring).  Groups are
-    bucketed by power-of-two length class to bound padding waste; every
-    matrix keeps >= 2 columns and one all-zero top row so each column
-    folds ``0.0 + v0 + ...`` like the serial accumulator.  Every group
-    must own at least one row.  ``layout`` optionally supplies a
-    precomputed ``group_layout(codes, n_groups)`` so callers folding
-    several columns over the same codes pay for the argsort once.
-    Returns Python floats.
+    Runs of :data:`LONG_RUN` values or more fold one by one with the
+    accumulate prefix sum.  The remaining (short) groups are gathered in
+    row order into the columns of a front-zero-padded matrix and folded
+    with ``np.add.reduce(axis=0)``, bucketed by power-of-two length class
+    to bound padding waste; every matrix keeps >= 2 columns and one
+    all-zero top row so each column folds ``0.0 + v0 + ...`` like the
+    serial accumulator.  Both folds are verified strict sequential folds
+    (see module docstring).  Every group must own at least one row.
+    ``layout`` optionally supplies a precomputed
+    ``group_layout(codes, n_groups)`` so callers folding several columns
+    over the same codes pay for the argsort once.  Returns Python floats.
     """
     counts, order, starts = (
         layout if layout is not None else group_layout(codes, n_groups)
     )
     sorted_values = values[order]
-    sorted_codes = codes[order]
+    totals = _np.zeros(n_groups, dtype=_np.float64)
+    short = _np.ones(n_groups, dtype=bool)
+    if _ACCUMULATE_OK:
+        long_groups = _np.nonzero(counts >= LONG_RUN)[0]
+        if len(long_groups):
+            short[long_groups] = False
+            buffer = _np.zeros(int(counts.max()) + 1, dtype=_np.float64)
+            for g, start, count in zip(
+                long_groups.tolist(),
+                starts[long_groups].tolist(),
+                counts[long_groups].tolist(),
+            ):
+                totals[g] = _accumulate_sum(
+                    sorted_values[start : start + count], buffer
+                )
+            if len(long_groups) == n_groups:
+                return totals.tolist()
     # Position of each slot within its group, then the group's pow-2
     # length class (counts < 2**52 are exact in float64, so frexp's
     # exponent is bit_length(count - 1), i.e. ceil-log2).
+    sorted_codes = codes[order]
     pos = _np.arange(len(values), dtype=_np.int64) - starts[sorted_codes]
     bits = _np.frexp((counts - 1).astype(_np.float64))[1]
     length_class = _np.where(counts <= 1, 1, _np.int64(1) << bits)
-    totals = _np.zeros(n_groups, dtype=_np.float64)
+    length_class[~short] = 0  # already folded
     element_class = length_class[sorted_codes]
-    for cls in _np.unique(length_class).tolist():
+    for cls in _np.unique(length_class[short]).tolist():
         members = _np.nonzero(length_class == cls)[0]
         column_of = _np.zeros(n_groups, dtype=_np.int64)
         column_of[members] = _np.arange(len(members), dtype=_np.int64)
@@ -324,8 +422,8 @@ def object_group_minmax(
 
 
 def left_fold_sum(values: Sequence):
-    """``total = 0; for v in values: total += v`` — exact, with the matrix
-    fold fast path for all-float runs.
+    """``total = 0; for v in values: total += v`` — exact, with the
+    vectorized fold fast path for all-float runs.
 
     Used to finalise parallel pre-aggregation value runs: the run is one
     group's non-NULL values in row order, so one sequential fold at the
@@ -334,15 +432,8 @@ def left_fold_sum(values: Sequence):
     type-visible in the output) take the plain loop.
     """
     n = len(values)
-    if (
-        _KERNELS_OK
-        and n > 16
-        and all(type(value) is float for value in values)
-    ):
-        matrix = _np.zeros((n + 1, 2), dtype=_np.float64)
-        matrix[1:, 0] = values
-        with _np.errstate(over="ignore", invalid="ignore"):
-            return _np.add.reduce(matrix, axis=0)[0].item()
+    if _ACCUMULATE_OK and n > 16 and all(type(value) is float for value in values):
+        return _accumulate_sum(values, _np.zeros(n + 1, dtype=_np.float64)).item()
     total = 0
     for value in values:
         total += value
@@ -360,20 +451,41 @@ class ProbeIndex:
     Built once per hash join from the finished build table: every
     (key, build-row) pair is flattened in hash-table order — key groups
     in insertion order, rows within a key in build order — then stably
-    sorted by key, so ``searchsorted`` ranges enumerate a key's matches
-    in exactly the serial lookup's emission order.
+    sorted by key, so each key's matches are one run of ``flat_rows`` in
+    exactly the serial lookup's emission order.  A dense key domain
+    (surrogate keys, dictionary codes) finds a key's run by direct
+    addressing — ``starts`` / ``counts`` indexed by ``key - low``, with one
+    trailing slot that every out-of-range key maps to — and a sparse one
+    by two ``searchsorted`` sweeps.
     """
 
-    __slots__ = ("sorted_keys", "flat_rows")
+    __slots__ = ("sorted_keys", "flat_rows", "low", "starts", "counts")
 
     def __init__(self, sorted_keys, flat_rows) -> None:
         self.sorted_keys = sorted_keys
         self.flat_rows = flat_rows
+        self.low = 0
+        self.starts = self.counts = None
+        if len(sorted_keys):
+            low = int(sorted_keys[0])
+            span = int(sorted_keys[-1]) - low + 1
+            if span <= min(
+                _PROBE_SPAN_CEILING,
+                max(_DENSE_SPAN_FLOOR, _PROBE_SPAN_PER_KEY * len(sorted_keys)),
+            ):
+                self.low = low
+                self.counts = _np.bincount(sorted_keys - low, minlength=span + 1)
+                self.starts = _np.cumsum(self.counts) - self.counts
 
-    @staticmethod
-    def _sorted(keys, rows) -> "ProbeIndex":
+    @classmethod
+    def _from_table(cls, entry_keys, hash_table: dict) -> "ProbeIndex":
+        """Index a hash table whose entries' int64 keys are ``entry_keys``."""
+        matches = hash_table.values()
+        counts = _np.fromiter(map(len, matches), _np.int64, len(hash_table))
+        rows = list(chain.from_iterable(matches))
+        keys = _np.repeat(entry_keys, counts)
         order = _np.argsort(keys, kind="stable")
-        return ProbeIndex(keys[order], [rows[i] for i in order.tolist()])
+        return cls(keys[order], [rows[i] for i in order.tolist()])
 
     @classmethod
     def from_int_keys(cls, hash_table: dict) -> "ProbeIndex | None":
@@ -381,20 +493,13 @@ class ProbeIndex:
         outside int64's exact domain (floats and bools can equal an int
         under Python ``==`` but not under int64 comparison, so any
         non-int key disables the kernel for the whole join)."""
-        if _np is None:
+        if _np is None or not set(map(type, hash_table)) <= {int}:
             return None
-        repeated: list = []
-        rows: list = []
-        for key, matches in hash_table.items():
-            if type(key) is not int:
-                return None
-            repeated.extend([key] * len(matches))
-            rows.extend(matches)
         try:
-            keys = _np.array(repeated, dtype=_np.int64)
+            keys = _np.fromiter(hash_table, _np.int64, len(hash_table))
         except OverflowError:
             return None
-        return cls._sorted(keys, rows)
+        return cls._from_table(keys, hash_table)
 
     @classmethod
     def from_dict_keys(cls, hash_table: dict, dictionary) -> "ProbeIndex | None":
@@ -409,10 +514,9 @@ class ProbeIndex:
         if _np is None:
             return None
         code_of = dictionary.codes.get
-        repeated: list = []
-        rows: list = []
+        codes: list = []
         missing = -2
-        for key, matches in hash_table.items():
+        for key in hash_table:
             if key is None:
                 code = -1
             else:
@@ -423,36 +527,56 @@ class ProbeIndex:
                 if code is None:
                     code = missing
                     missing -= 1
-            repeated.extend([code] * len(matches))
-            rows.extend(matches)
-        return cls._sorted(_np.array(repeated, dtype=_np.int64), rows)
+            codes.append(code)
+        return cls._from_table(_np.array(codes, dtype=_np.int64), hash_table)
 
-    def probe(self, keys, batch) -> list:
+    def probe(self, keys, rows_at) -> list:
         """All join matches for one probe batch, in serial emission order.
 
         ``keys`` is the batch's key column (int64 values or dictionary
-        codes) aligned with ``batch``; the result rows are
+        codes); ``rows_at(positions)`` returns the probe rows at the given
+        ascending batch positions.  Only probe rows that find a match are
+        ever asked for — the caller materialises them late, from the
+        column arrays or the heap — and the result rows are
         ``build_row + probe_row`` ordered by probe position, matches in
         build order within each.
         """
-        sorted_keys = self.sorted_keys
-        lo = _np.searchsorted(sorted_keys, keys, side="left")
-        hi = _np.searchsorted(sorted_keys, keys, side="right")
-        match_counts = hi - lo
+        counts = self.counts
+        if counts is not None:
+            # Keys below ``low`` wrap to huge unsigned offsets, so one
+            # minimum sends every out-of-range key to the empty last slot.
+            offsets = keys.astype(_np.int64) - self.low
+            slot = _np.minimum(
+                offsets.view(_np.uint64), _np.uint64(len(counts) - 1)
+            ).view(_np.int64)
+            match_counts = counts[slot]
+            lo = self.starts[slot]
+        else:
+            sorted_keys = self.sorted_keys
+            lo = _np.searchsorted(sorted_keys, keys, side="left")
+            match_counts = _np.searchsorted(sorted_keys, keys, side="right") - lo
         matched = _np.nonzero(match_counts)[0]
         if not len(matched):
             return []
+        probe_rows = rows_at(matched)
+        flat_rows = self.flat_rows
         match_counts = match_counts[matched]
         total = int(match_counts.sum())
+        if total == len(matched):  # every matched key is unique on the build side
+            return [
+                flat_rows[slot] + prow
+                for slot, prow in zip(lo[matched].tolist(), probe_rows)
+            ]
         run_offsets = _np.cumsum(match_counts) - match_counts
         slots = (
             _np.arange(total, dtype=_np.int64)
             - _np.repeat(run_offsets, match_counts)
             + _np.repeat(lo[matched], match_counts)
         )
-        probe_positions = _np.repeat(matched, match_counts)
-        flat_rows = self.flat_rows
+        owners = _np.repeat(
+            _np.arange(len(matched), dtype=_np.int64), match_counts
+        )
         return [
-            flat_rows[slot] + batch[position]
-            for slot, position in zip(slots.tolist(), probe_positions.tolist())
+            flat_rows[slot] + probe_rows[owner]
+            for slot, owner in zip(slots.tolist(), owners.tolist())
         ]

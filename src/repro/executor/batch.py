@@ -7,6 +7,13 @@ Python's generator-dispatch overhead, the cost-clock charges and the
 tuple.  Hot inner loops run as list comprehensions over precompiled
 closures (cached on the plan node, shared with the row path).
 
+Leaf pipelines (a scan under filters/projections) that statically qualify
+run in column space instead and materialise late — see
+:mod:`repro.executor.columnar`, which also documents the qualification
+rule.  The choice is the executor's, per pipeline; it is observable
+(``ExecutionProfile.leaf_pipelines``) but not configurable, and either
+kernel honours the parity contract below.
+
 Parity contract: for any plan, the batch path produces **the same rows in
 the same order, the same cost-clock charges and the same observed
 statistics** as the row path in :mod:`repro.executor.iterators`.  The
@@ -52,8 +59,14 @@ from ..plans.physical import (
     SortNode,
     StatsCollectorNode,
 )
+from ..storage.columnar import page_groups
 from ..storage.table import Row
 from .collector import RuntimeCollector
+from .columnar import (
+    columnar_pipeline,
+    columnar_probe_stream,
+    columnar_vectorized_aggregate,
+)
 from .iterators import (
     _AggState,
     aggregate_items,
@@ -81,15 +94,12 @@ def execute_node_batches(node: PlanNode, ctx: RuntimeContext) -> BatchIterator:
         parallel_stream = morsel_pipeline(node, ctx)
         if parallel_stream is not None:
             return parallel_stream
-    elif ctx.execution_mode == "columnar":
-        from .columnar import columnar_pipeline
-
-        # Leaf pipelines with vectorizable filters run over the table's
-        # column arrays with zone-map skipping; the stream is batch-path
-        # identical, including bookkeeping, so no _tracked wrapper here.
-        columnar_stream = columnar_pipeline(node, ctx)
-        if columnar_stream is not None:
-            return columnar_stream
+    # Leaf pipelines with vectorizable filters run over the table's column
+    # arrays with zone-map skipping; the stream is row-kernel identical,
+    # including bookkeeping, so no _tracked wrapper here.
+    columnar_stream = columnar_pipeline(node, ctx)
+    if columnar_stream is not None:
+        return columnar_stream
     executor = _BATCH_EXECUTORS.get(type(node))
     if executor is None:
         raise ExecutionError(f"no batch executor for node type {type(node).__name__}")
@@ -131,21 +141,13 @@ def _batch_residual(node: PlanNode):
 
 def _seq_scan(node: SeqScanNode, ctx: RuntimeContext) -> BatchIterator:
     table = ctx.catalog.table(node.table_name)
-    cpu_per_tuple = ctx.cost_model.params.cpu_per_tuple
-    batch_size = ctx.batch_size
-    access = ctx.buffer_pool.access
-    charge_cpu = ctx.clock.charge_cpu
-    table_id = table.table_id
-    batch: list[Row] = []
-    for page_no, page_rows in enumerate(table.iter_pages()):
-        access(table_id, page_no, sequential=True)
-        charge_cpu(len(page_rows) * cpu_per_tuple)
-        batch.extend(page_rows)
-        if len(batch) >= batch_size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
+    rows = table.rows
+    per_page = table.rows_per_page
+    # Whole pages accumulate until a batch holds batch_size rows: the page
+    # groups.  Each group's pages are requested and charged as one run.
+    for first_page, last_page in page_groups(table, ctx.batch_size):
+        ctx.charge_scan_pages(table, first_page, last_page)
+        yield rows[first_page * per_page : last_page * per_page]
 
 
 def _index_scan(node: IndexScanNode, ctx: RuntimeContext) -> BatchIterator:
@@ -210,25 +212,11 @@ def _project(node: ProjectNode, ctx: RuntimeContext) -> BatchIterator:
 
 def _collector(node: StatsCollectorNode, ctx: RuntimeContext) -> BatchIterator:
     collector = RuntimeCollector(node, node.child.schema, ctx.config)
-    params = ctx.cost_model.params
-    per_row = (
-        params.cpu_stats_per_tuple
-        + node.spec.statistic_count * params.cpu_stats_per_statistic
-    )
     observe_batch = collector.observe_batch
     for batch in execute_node_batches(node.child, ctx):
         observe_batch(batch)
         yield batch
-    ctx.clock.charge_stats_cpu(collector.row_count * per_row)
-    observed = collector.finalize()
-    ctx.observed[node.node_id] = observed
-    if ctx.tracer is not None:
-        ctx.tracer.instant(
-            "collector-complete", "stats",
-            node_id=node.node_id, observed=observed.describe(),
-        )
-    if ctx.controller is not None:
-        ctx.controller.on_collector_complete(node, observed)
+    ctx.collector_completed(node, collector)
 
 
 def _limit(node: LimitNode, ctx: RuntimeContext) -> BatchIterator:
@@ -332,63 +320,46 @@ def _hash_join(node: HashJoinNode, ctx: RuntimeContext) -> BatchIterator:
             yield from parallel_probe
             return
 
-    # On the columnar path the probe child's keys are read straight off
-    # its column arrays (zone-map skipping included); the batches are the
-    # ones the plain pipeline would yield, so the loop below is unchanged
-    # — it just stops re-extracting keys row by row.
-    keyed_probe = None
+    # Single-key joins over an int64 or dictionary-encoded probe column
+    # that runs in column space answer whole batches through the sorted
+    # build-key index, and only probe rows that match are ever
+    # materialised; emission order and charges are those of the plain loop
+    # below.  Indexing costs a sort of the build side, repaid per probe
+    # row: not worth it for a probe side expected to be the smaller one.
     vector_probe = None
-    if ctx.execution_mode == "columnar":
-        from .columnar import columnar_keyed_batches, columnar_probe_stream
-
-        # Single-key joins over an int64 or dictionary-encoded probe
-        # column can answer whole batches through the sorted build-key
-        # index — emission order and charges identical to the loop below.
-        if len(node.key_pairs) == 1:
-            vector_probe = columnar_probe_stream(
-                node.probe,
-                ctx,
-                node.probe.schema.index_of(node.key_pairs[0][1]),
-                hash_table,
-            )
-        if vector_probe is None:
-            keyed_probe = columnar_keyed_batches(
-                node.probe,
-                ctx,
-                [node.probe.schema.index_of(col) for __, col in node.key_pairs],
-            )
+    if len(node.key_pairs) == 1 and node.probe.est.rows >= build_rows:
+        vector_probe = columnar_probe_stream(
+            node.probe,
+            ctx,
+            node.probe.schema.index_of(node.key_pairs[0][1]),
+            hash_table,
+        )
 
     def probe_batches() -> BatchIterator:
         probe_count = 0
         output_count = 0
         get = hash_table.get
-        source = keyed_probe
-        if vector_probe is None and source is None:
-            source = (
-                (batch, map(probe_key, batch))
-                for batch in execute_node_batches(node.probe, ctx)
-            )
         try:
             if vector_probe is not None:
                 stream, index = vector_probe
                 probe_kernel = index.probe
-                for batch, key_array in stream:
-                    probe_count += len(batch)
-                    out = probe_kernel(key_array, batch)
+                for count, key_array, rows_at in stream:
+                    probe_count += count
+                    out = probe_kernel(key_array, rows_at)
                     if residual_filter is not None:
                         out = residual_filter(out)
                     if out:
                         output_count += len(out)
                         yield out
             else:
-                for batch, keys in source:
+                for batch in execute_node_batches(node.probe, ctx):
                     probe_count += len(batch)
                     out: list[Row] = []
                     append = out.append
                     extend = out.extend
                     # Key extraction and hash lookups run under map() at C
                     # speed; the Python loop body only fires to emit matches.
-                    for prow, matches in zip(batch, map(get, keys)):
+                    for prow, matches in zip(batch, map(get, map(probe_key, batch))):
                         if matches is None:
                             continue
                         if len(matches) == 1:
@@ -602,7 +573,6 @@ def _hash_aggregate(node: HashAggregateNode, ctx: RuntimeContext) -> BatchIterat
     input_rows = 0
     grant: int | None = None
     preaggregated = None
-    keyed_input = None
     if ctx.execution_mode == "parallel":
         from .parallel import morsel_preaggregate
 
@@ -610,32 +580,19 @@ def _hash_aggregate(node: HashAggregateNode, ctx: RuntimeContext) -> BatchIterat
         # those instead of rows; partials merge in morsel order, so group
         # states, group order and every output byte match the serial fold.
         # Float SUM/AVG partials travel as ordered value runs folded once
-        # at the merge point (vectorized_agg); returns None (and we fold
-        # serially below) only for non-numeric SUM/AVG arguments, or for
-        # float aggregates when the knob is off.
+        # at the merge point; returns None (and we fold below) only for
+        # non-numeric SUM/AVG arguments.
         preaggregated = morsel_preaggregate(node, ctx)
-    elif ctx.execution_mode == "columnar":
-        from .columnar import columnar_keyed_batches, columnar_vectorized_aggregate
-
+    if preaggregated is None:
         # Best case the whole aggregate runs in column space: keys
         # factorize straight off the column arrays and every fold runs in
         # the vectorized kernels, bit-identical to the serial accumulator
         # (executor/agg_kernels.py documents the parity argument).
         preaggregated = columnar_vectorized_aggregate(node, ctx)
-        if preaggregated is None and group_positions:
-            # Group keys still come straight off the input pipeline's
-            # column arrays; the fold below is unchanged, it just skips
-            # per-row extraction.
-            keyed_input = columnar_keyed_batches(node.child, ctx, group_positions)
     if preaggregated is not None:
         groups, input_rows, grant = preaggregated
     else:
-        source = keyed_input
-        if source is None:
-            source = (
-                (batch, None) for batch in execute_node_batches(node.child, ctx)
-            )
-        for batch, keys in source:
+        for batch in execute_node_batches(node.child, ctx):
             if grant is None:
                 grant = ctx.commit_memory(node)
             input_rows += len(batch)
@@ -644,8 +601,7 @@ def _hash_aggregate(node: HashAggregateNode, ctx: RuntimeContext) -> BatchIterat
             else:
                 buckets = {}
                 setdefault = buckets.setdefault
-                key_iter = map(get_key, batch) if keys is None else keys
-                for key, row in zip(key_iter, batch):
+                for key, row in zip(map(get_key, batch), batch):
                     setdefault(key, []).append(row)
             for key, rows_ in buckets.items():
                 states = groups.get(key)

@@ -1,49 +1,64 @@
-"""Columnar execution of leaf pipelines over page-group column arrays.
+"""Column-space execution of leaf pipelines, materialised late.
 
-``execution_mode="columnar"`` keeps the whole engine on the batch path and
-swaps the *inside* of leaf pipelines — a chain of filters/projections
-(optionally topped by a statistics collector) over a base-table sequential
-scan — for vectorized work over the table's :class:`ColumnStore`: one typed
-NumPy array per column per *page group*, where a page group is exactly the
-run of pages the serial batch scan yields as one batch.
+A *leaf pipeline* is a chain of filters/projections (optionally topped by a
+statistics collector) over a base-table sequential scan.  The batch executor
+runs every leaf pipeline that statically qualifies over the table's
+:class:`~repro.storage.columnar.ColumnStore` instead of its row tuples: one
+typed NumPy array per column per *page group*, where a page group is exactly
+the run of pages the batch scan yields as one batch.  Whether a pipeline
+qualifies is decided from what the code can observe, never by an option:
+
+* the statement runs under ``execution_mode="batch"`` (the default;
+  ``"parallel"`` fans leaf pipelines out as row morsels instead),
+* the table is a base table (a temporary table is written once and read
+  once; encoding its columns would cost more than the row kernels save),
+* NumPy is importable, and
+* every stage has an exact column-space kernel: filters compile to NumPy
+  masks (:func:`repro.executor.vector.compile_mask_conjuncts`), projections
+  select plain columns (*takes* — view remaps that touch no data).  The
+  collector on top, if any, observes the rows that come out.  A stage
+  without a kernel (a UDF filter, a computed projection) runs as the
+  ordinary row operator, and the chain *below* it is a leaf pipeline of
+  its own that may qualify — per-operator fallback, not per-query.
+
+A consumer that needs row tuples additionally wants a mask in the chain —
+without one the heap tuples already are the cheapest answer.  Every pipeline
+that stays on the row kernels records why (``ctx.columnar.leaf``, surfaced
+on the profile and in EXPLAIN ANALYZE).
 
 Per page group the pipeline runs in column space:
 
-* **Masks** — each filter whose predicates have exact NumPy kernels
-  (:func:`repro.executor.vector.compile_mask_filter`) evaluates as one
-  boolean mask over the group's arrays; masks narrow a selection vector
-  stage by stage, so later filters only see surviving rows, like the
-  serial short-circuit.
-* **Takes** — pure-column projections never touch data at all: they just
-  remap which base columns the pipeline's output view reads.
+* **Masks** — conjuncts evaluate as boolean masks over the group's arrays,
+  in order, never showing a conjunct that could raise a row an earlier one
+  excluded (the serial short-circuit; see :class:`_Resolver`).
+  Comparisons of a dictionary-encoded column with a constant evaluate in
+  code space and never decode a string.
 * **Zone-map skipping** — before any array is touched, the *first* mask
   stage's column-vs-constant conjuncts are tested against the group's
-  per-column :class:`~repro.storage.columnar.ZoneMap`; a group whose
-  min/max proves zero matches is skipped whole.  Skipping is only sound
-  from the first mask because every stage below it is count-preserving
-  (a take), so all skipped-group stage counts are known exactly.
-* **Materialisation** — surviving rows become tuples again at the top of
-  the columnar region: when the output view is the identity, the yielded
-  batches are slices of the heap's own row tuples; otherwise tuples are
-  rebuilt from ``ndarray.tolist()`` values, which round-trip exactly.
-  Any stage without a columnar kernel (UDF filters, computed projections,
-  the collector) runs above that point as the ordinary compiled batch
-  kernel — per-operator fallback, not per-query.
-
-Keyed variants (:func:`columnar_keyed_batches`) additionally read hash-join
-probe keys / aggregation group keys straight off the column arrays, so the
-consuming operator skips per-row key extraction.
+  per-column zone maps; a group whose min/max proves zero matches is
+  skipped whole.  Skipping is only sound from the first mask because every
+  stage below it is count-preserving (a take), so all skipped-group stage
+  counts are known exactly.
+* **Late materialisation** — what leaves the masks is ``(page group,
+  selection vector)``, and row tuples are built only for rows a
+  row-oriented operator actually receives.  The vectorized hash-join probe
+  (:func:`columnar_probe_stream`) asks for the probe rows that found a
+  match; the vectorized aggregate (:func:`columnar_vectorized_aggregate`)
+  asks for none.  Any other consumer gets the surviving rows: slices of
+  the heap's own tuples when the output view is the identity, otherwise
+  tuples rebuilt from ``ndarray.tolist()`` values, which round-trip
+  exactly.
 
 Parity contract: rows, batch boundaries, ``CostBreakdown``, buffer
-statistics and observed statistics are byte-identical to the batch path.
+statistics and observed statistics are byte-identical to the row kernels.
 Charges are *replayed* — each group's page accesses and per-page CPU at the
-moment the group is merged, streaming-stage totals from exact integer row
-counts at end of stream — exactly like the morsel-parallel merge parent.
-Skipped groups' treatment is governed by ``EngineConfig.zone_map_cost_mode``:
+moment the group is reached, streaming-stage totals from exact integer row
+counts at end of stream.  Skipped groups' treatment is governed by
+``EngineConfig.zone_map_cost_mode``:
 
 * ``"charge"`` (default) replays a skipped group's scan charges as if its
   pages had been read, so every simulated quantity stays byte-identical to
-  the row/batch paths and the zone maps are purely a wall-clock win.
+  the row path and the zone maps are purely a wall-clock win.
 * ``"free"`` charges skipped groups nothing (no buffer access, no CPU, no
   downstream consumed-row charges), modelling storage that can actually
   avoid the I/O — simulated costs then *diverge* from the row path by
@@ -52,21 +67,10 @@ Skipped groups' treatment is governed by ``EngineConfig.zone_map_cost_mode``:
   provably holds its row count below the first mask and zero survivors at
   it), so SCIA verdicts and EXPLAIN ANALYZE Q-error never mistake skipped
   rows for missing ones.
-
-With ``columnar_parallel`` on, these per-group kernels run *inside* the
-morsel workers: the range-affine scheduler from the parallel executor
-partitions the page groups (which are the batch geometry) into contiguous
-morsels, workers ship per-group batches plus zone-skip flags, and the
-parent replays each group's charges — or its skip — at merge time, in
-group order.  Determinism is inherited from both parents: the merge is the
-parallel executor's ordered merge, and the per-group work is this module's
-serial body.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -76,8 +80,14 @@ except ImportError:  # pragma: no cover - exercised only without numpy
     _np = None  # type: ignore[assignment]
 
 from ..plans.logical import AggFunc, ColumnExpr, CompareOp, Comparison, InPredicate
-from ..plans.physical import FilterNode, PlanNode, ProjectNode, SeqScanNode
-from ..storage.columnar import ColumnGroup, ZoneMap, numpy_available
+from ..plans.physical import (
+    FilterNode,
+    PlanNode,
+    ProjectNode,
+    SeqScanNode,
+    StatsCollectorNode,
+)
+from ..storage.columnar import ColumnGroup, ColumnStore, numpy_available
 from ..storage.table import Table
 from .agg_kernels import (
     ProbeIndex,
@@ -93,66 +103,57 @@ from .agg_kernels import (
 )
 from .collector import RuntimeCollector
 from .iterators import _AggState, aggregate_items
-from .parallel import (
-    _MorselResult,
-    _WorkerState,
-    _extract_chain,
-    _finalize_collector,
-    _group_morsels,
-    _merged_results,
-    _morsel_seed,
-    _record_morsel,
-    _resolve_workers,
-    _spill_read_windows,
-    _staging_windows,
-)
 from .runtime import RuntimeContext
-from .vector import (
-    compile_batch_filter,
-    compile_batch_projector,
-    compile_mask_conjuncts,
-)
+from .vector import compile_mask_conjuncts
 
 Batch = list
 
 
-@dataclass
-class _ColumnarStage:
-    """One pipeline stage, classified for columnar execution.
+@dataclass(frozen=True)
+class _Kernels:
+    """A leaf pipeline compiled for column-space execution.
 
-    ``kind`` is ``"mask"`` (NumPy mask filter; ``fn`` is the per-conjunct
-    kernel list from :func:`compile_mask_conjuncts`), ``"take"`` (pure-column
-    projection — a view remap, no runtime work), ``"batch_filter"`` /
-    ``"batch_project"`` (tuple-space fallback kernels above the columnar
-    region) or ``"collect"`` (the statistics collector).
+    Depends on the plan alone (schemas, predicates, projections), so it is
+    compiled once per cached plan — stored on the chain's top node, whose
+    compiled-closure cache every execution's clone shares — and holds no
+    node, table or per-run state.
     """
 
-    kind: str
-    node: PlanNode
-    fn: object | None
+    #: Why the chain has no column-space form (a stage without an exact
+    #: kernel), else None.  Nothing below is meaningful when set.
+    unsupported: str | None = None
+    #: Per filter/projection stage, bottom-up: the filter's per-conjunct
+    #: mask kernels, or None for a projection (a *take*: a view remap, no
+    #: runtime work).
+    masks: tuple = ()
+    #: Per stage: compares charged per consumed row (filters), else 0.
+    compares: tuple[int, ...] = ()
+    #: Whether a statistics collector tops the chain; it observes row
+    #: tuples, so its pipeline cannot feed a column-space consumer.
+    collects: bool = False
+    #: Output view of the stages: schema position -> base column.
+    out_view: tuple[int, ...] = ()
+    #: Whether the output view is the identity over the full base schema
+    #: (materialise heap-row slices instead of rebuilding tuples).
+    identity: bool = False
+    #: Index of the first mask stage, or None.
+    first_mask: int | None = None
+    #: Zone-map skip conditions derived from the first mask stage:
+    #: ``(base column, check(lows, highs) -> bool array)`` pairs.
+    conditions: tuple = ()
 
 
 @dataclass
 class _Prepared:
-    """A leaf pipeline compiled for columnar execution."""
+    """One execution's view of a leaf pipeline: this clone's nodes, the
+    table as the catalog has it now, and the shared kernels."""
 
     nodes_bottom_up: list[PlanNode]
     scan: SeqScanNode
     table: Table
-    stages: list[_ColumnarStage]
-    #: Number of leading stages that run in column space (masks/takes).
-    split: int
-    #: Output view at the top of the columnar region: schema position ->
-    #: base column index.
-    out_view: tuple[int, ...]
-    #: Whether the output view is the identity over the full base schema
-    #: (yield heap-row slices instead of rebuilding tuples).
-    identity: bool
-    #: Index (into ``stages``) of the first mask stage, or None.
-    first_mask: int | None
-    #: Zone-map skip conditions derived from the first mask stage:
-    #: ``(base column, check(zone) -> bool)`` pairs; any True skips.
-    conditions: tuple = ()
+    #: Why the pipeline cannot run in column space at all, else None.
+    reason: str | None
+    kernels: _Kernels | None
 
 
 # ----------------------------------------------------------------------
@@ -160,101 +161,126 @@ class _Prepared:
 # ----------------------------------------------------------------------
 
 
-def _compile_stages(
-    nodes_bottom_up: list[PlanNode], scan: SeqScanNode
-) -> tuple[list[_ColumnarStage], tuple[int, ...], int]:
-    """Split the chain into a columnar region and a batch-kernel tail.
+def extract_leaf_chain(
+    node: PlanNode,
+) -> tuple[list[PlanNode], SeqScanNode] | None:
+    """``(top-down chain, scan)`` when ``node`` roots a leaf pipeline — an
+    optional statistics collector over filters/projections over a
+    sequential scan — else None."""
+    chain: list[PlanNode] = []
+    cur = node
+    if isinstance(cur, StatsCollectorNode):
+        chain.append(cur)
+        cur = cur.child
+    while isinstance(cur, (FilterNode, ProjectNode)):
+        chain.append(cur)
+        cur = cur.child
+    if not isinstance(cur, SeqScanNode):
+        return None
+    return chain, cur
+
+
+def _compile_kernels(nodes_bottom_up: list[PlanNode], scan: SeqScanNode) -> _Kernels:
+    """Compile every stage to its column-space kernel, or say which cannot.
 
     Walks bottom-up maintaining the *view* (schema position -> base column
-    index).  Filters with full mask kernels and pure-column projections
-    extend the region; the first stage without a columnar form ends it, and
-    that stage plus everything above compiles as the ordinary serial batch
-    kernels (under the serial cache keys, so closures are shared with
-    batch-mode executions of the same plan).
+    index): a filter needs a mask kernel for every conjunct, a projection
+    must select plain columns.
     """
     view = list(range(len(scan.schema)))
-    stages: list[_ColumnarStage] = []
-    split = 0
-    for node in nodes_bottom_up[:]:
+    masks: list = []
+    first_mask: int | None = None
+    conditions: tuple = ()
+    for node in nodes_bottom_up:
         if isinstance(node, FilterNode):
             view_t = tuple(view)
-            fns = node.compiled(
+            conjuncts = node.compiled(
                 "mask_filter",
                 lambda n=node, v=view_t: compile_mask_conjuncts(
                     n.predicates, n.child.schema, v.__getitem__
                 ),
             )
-            if fns is None:
-                break
-            stages.append(_ColumnarStage("mask", node, fns))
+            if conjuncts is None:
+                return _Kernels(unsupported="predicate without a kernel")
+            if first_mask is None:
+                # Every stage below the first mask is a take
+                # (count-preserving), so a proven-empty group's per-stage
+                # counts are all known: group rows below the mask, zero at
+                # and above it.  That is what makes a skip charge-safe.
+                first_mask = len(masks)
+                conditions = _zone_conditions(node, view_t)
+            masks.append(conjuncts)
         elif isinstance(node, ProjectNode):
             if not all(isinstance(item.expr, ColumnExpr) for item in node.output):
-                break
+                return _Kernels(unsupported="computed projection")
             child_schema = node.child.schema
             view = [
                 view[child_schema.index_of(item.expr.name)] for item in node.output
             ]
-            stages.append(_ColumnarStage("take", node, None))
-        else:
-            break
-        split += 1
-    for node in nodes_bottom_up[split:]:
-        if isinstance(node, FilterNode):
-            fn = node.compiled(
-                "batch_filter",
-                lambda n=node: compile_batch_filter(n.predicates, n.child.schema),
-            )
-            stages.append(_ColumnarStage("batch_filter", node, fn))
-        elif isinstance(node, ProjectNode):
-            fn = node.compiled(
-                "batch_project",
-                lambda n=node: compile_batch_projector(n.output, n.child.schema),
-            )
-            stages.append(_ColumnarStage("batch_project", node, fn))
-        else:  # StatsCollectorNode (the only other chain member)
-            stages.append(_ColumnarStage("collect", node, None))
-    return stages, tuple(view), split
+            masks.append(None)
+    return _Kernels(
+        masks=tuple(masks),
+        compares=tuple(
+            max(1, len(node.predicates)) if isinstance(node, FilterNode) else 0
+            for node in nodes_bottom_up[: len(masks)]
+        ),
+        collects=len(masks) < len(nodes_bottom_up),
+        out_view=tuple(view),
+        identity=view == list(range(len(scan.schema))),
+        first_mask=first_mask,
+        conditions=conditions,
+    )
 
 
 def _comparison_check(op: CompareOp, value: object):
-    """``check(zone) -> True`` when no value in [min, max] can satisfy
-    ``column <op> value``.  Conservative: groups containing NULLs never
-    skip (the serial path would raise on a NULL comparison, and skipping
-    must not change behaviour), and incomparable types never skip."""
+    """``check(lows, highs) -> bool array``: True for the groups where no
+    value in ``[low, high]`` can satisfy ``column <op> value``."""
 
-    def check(zone: ZoneMap) -> bool:
-        if zone.null_count or zone.min_value is None:
-            return False
-        mn, mx = zone.min_value, zone.max_value
-        try:
-            if op is CompareOp.EQ:
-                return value < mn or value > mx
-            if op is CompareOp.LT:
-                return mn >= value
-            if op is CompareOp.LE:
-                return mn > value
-            if op is CompareOp.GT:
-                return mx <= value
-            if op is CompareOp.GE:
-                return mx < value
-            return mn == mx == value  # NE
-        except TypeError:
-            return False
+    def check(lows, highs):
+        if op is CompareOp.EQ:
+            return (value < lows) | (value > highs)
+        if op is CompareOp.LT:
+            return lows >= value
+        if op is CompareOp.LE:
+            return lows > value
+        if op is CompareOp.GT:
+            return highs <= value
+        if op is CompareOp.GE:
+            return highs < value
+        return (lows == value) & (highs == value)  # NE
 
     return check
 
 
 def _in_check(values: tuple):
-    def check(zone: ZoneMap) -> bool:
-        if zone.null_count or zone.min_value is None:
-            return False
-        mn, mx = zone.min_value, zone.max_value
-        try:
-            return all(v < mn or v > mx for v in values)
-        except TypeError:
-            return False
+    def check(lows, highs):
+        disproved = True
+        for value in values:
+            disproved = disproved & ((value < lows) | (value > highs))
+        return disproved
 
     return check
+
+
+def _skipped_groups(conditions: tuple, store: ColumnStore) -> list[bool] | None:
+    """Per group: whether its zone maps disprove the first mask stage.
+
+    Conservative: groups containing NULLs never skip (the serial path
+    would raise on a NULL comparison, and skipping must not change
+    behaviour), a NaN bound compares False either way, and a condition
+    whose constant cannot be compared with the bounds skips nothing.
+    None when no group skips."""
+    skipped = None
+    for position, check in conditions:
+        lows, highs, provable = store.zone_bounds(position)
+        try:
+            disproved = check(lows, highs) & provable
+        except (TypeError, OverflowError):
+            continue
+        skipped = disproved if skipped is None else skipped | disproved
+    if skipped is None or not skipped.any():
+        return None
+    return skipped.tolist()
 
 
 def _zone_conditions(node: FilterNode, view: Sequence[int]) -> tuple:
@@ -285,46 +311,32 @@ def _zone_conditions(node: FilterNode, view: Sequence[int]) -> tuple:
 
 
 def _prepare(node: PlanNode, ctx: RuntimeContext) -> _Prepared | None:
-    """Compile ``node`` as a columnar leaf pipeline, or None to stay serial."""
-    if not numpy_available():
-        return None
-    extracted = _extract_chain(node)
+    """``node`` as a leaf pipeline, or None when it does not root one."""
+    extracted = extract_leaf_chain(node)
     if extracted is None:
         return None
     chain, scan = extracted
     table = ctx.catalog.table(scan.table_name)
-    nodes_bottom_up = list(reversed(chain))
-    stages, out_view, split = _compile_stages(nodes_bottom_up, scan)
-    first_mask = next(
-        (i for i, stage in enumerate(stages[:split]) if stage.kind == "mask"),
-        None,
-    )
-    conditions: tuple = ()
-    if first_mask is not None:
-        # Every stage below the first mask is a take (count-preserving), so
-        # a proven-empty group's per-stage counts are all known: group rows
-        # below the mask, zero at and above it.  That is what makes a skip
-        # charge-safe.
-        view_below = list(range(len(scan.schema)))
-        for stage in stages[:first_mask]:
-            child_schema = stage.node.child.schema
-            view_below = [
-                view_below[child_schema.index_of(item.expr.name)]
-                for item in stage.node.output
-            ]
-        conditions = _zone_conditions(stages[first_mask].node, view_below)
-    identity = out_view == tuple(range(len(table.schema)))
-    return _Prepared(
-        nodes_bottom_up=nodes_bottom_up,
-        scan=scan,
-        table=table,
-        stages=stages,
-        split=split,
-        out_view=out_view,
-        identity=identity,
-        first_mask=first_mask,
-        conditions=conditions,
-    )
+    nodes_bottom_up = chain[::-1]
+    reason = kernels = None
+    if ctx.execution_mode != "batch":
+        # Morsel-parallel execution fans leaf pipelines out as row morsels;
+        # what it leaves serial stays on the row kernels it was tuned with.
+        reason = "parallel execution mode"
+    elif not numpy_available():
+        reason = "no numpy"
+    elif table.is_temporary:
+        reason = "temporary table"
+    else:
+        kernels = node.compiled(
+            "leaf_kernels", lambda: _compile_kernels(nodes_bottom_up, scan)
+        )
+        reason = kernels.unsupported
+    return _Prepared(nodes_bottom_up, scan, table, reason, kernels)
+
+
+def _column_store(ctx: RuntimeContext, table: Table) -> ColumnStore:
+    return table.column_store(ctx.batch_size, ctx.config.columnar_dictionary_max)
 
 
 # ----------------------------------------------------------------------
@@ -335,45 +347,31 @@ def _prepare(node: PlanNode, ctx: RuntimeContext) -> _Prepared | None:
 def columnar_pipeline(
     node: PlanNode, ctx: RuntimeContext
 ) -> Iterator[Batch] | None:
-    """A columnar batch iterator for ``node``, or None to stay serial.
+    """A column-space batch iterator for ``node``, or None for row kernels.
 
-    A subtree qualifies when it is a leaf pipeline with at least one mask
-    stage — without one, the columnar path would merely re-materialise the
-    heap rows the batch scan already yields.  Bookkeeping (mark started /
-    completed, charges, collector finalisation) is internal, mirroring the
-    morsel-parallel merge parent.
+    The consumer needs row tuples, so a subtree qualifies when it is a leaf
+    pipeline with at least one mask stage — without one, the column path
+    would merely re-materialise the heap rows the row scan already yields.
+    A leaf pipeline that does not qualify records why.  Bookkeeping (mark
+    started / completed, charges, collector finalisation) is internal.
     """
     prepared = _prepare(node, ctx)
-    if prepared is None or prepared.first_mask is None:
+    if prepared is None:
         return None
-    parallel = _parallel_pipeline(ctx, prepared)
-    if parallel is not None:
-        return parallel
-    return _strip_keys(_run_pipeline(ctx, prepared, None))
-
-
-def columnar_keyed_batches(
-    node: PlanNode, ctx: RuntimeContext, key_positions: Sequence[int]
-) -> Iterator[tuple[Batch, list]] | None:
-    """A columnar ``(batch, keys)`` iterator for a keyed consumer, or None.
-
-    ``key_positions`` index ``node``'s output schema; the yielded ``keys``
-    list is aligned with the batch and holds exactly what the consumer's
-    ``key_extractor`` would have produced (scalars for one position, tuples
-    otherwise) — read off the column arrays instead of row by row.  Unlike
-    plain pipelines a bare scan qualifies (the key extraction is the win),
-    but the whole chain must run in column space: above a fallback batch
-    kernel the arrays no longer describe the stream.
-    """
-    prepared = _prepare(node, ctx)
-    if prepared is None or prepared.split != len(prepared.stages):
+    reason = prepared.reason
+    if reason is None and prepared.kernels.first_mask is None:
+        reason = "no filter"
+    if reason is not None:
+        # The operators re-enter here for every node further down the
+        # chain: the top-most record stands unless a sub-chain below the
+        # offending stage qualifies, which then replaces it.
+        ctx.columnar.leaf.setdefault(
+            prepared.scan.node_id,
+            {"table": prepared.scan.table_name, "kernel": "row",
+             "reason": reason, "top": node.node_id},
+        )
         return None
-    return _run_pipeline(ctx, prepared, tuple(key_positions))
-
-
-def _strip_keys(gen: Iterator[tuple[Batch, list]]) -> Iterator[Batch]:
-    for batch, __keys in gen:
-        yield batch
+    return _run_pipeline(ctx, prepared)
 
 
 def columnar_probe_stream(
@@ -381,9 +379,11 @@ def columnar_probe_stream(
 ):
     """A vectorized hash-join probe source — ``(stream, index)`` — or None.
 
-    ``stream`` yields ``(batch, key_array)`` with the single key column
-    read straight off the probe pipeline's arrays (dictionary columns stay
-    in code space); ``index`` is the sorted build-key
+    ``stream`` yields ``(count, keys, rows_at)`` per surviving page group:
+    the number of probe rows, their single key column read straight off
+    the probe pipeline's arrays (dictionary columns stay in code space) and
+    the late materialiser ``rows_at(positions)`` building tuples for just
+    those rows.  ``index`` is the sorted build-key
     :class:`~repro.executor.agg_kernels.ProbeIndex` answering each batch
     in one ``searchsorted`` sweep.  Declines (None) when the chain leaves
     column space, the key column is neither int64 nor dictionary-encoded,
@@ -391,17 +391,12 @@ def columnar_probe_stream(
     the pipeline generator is never started before qualification, so a
     decline costs nothing.
     """
-    config = ctx.config
-    if not config.vectorized_probe or _np is None:
-        return None
     prepared = _prepare(node, ctx)
-    if prepared is None or prepared.split != len(prepared.stages):
+    if prepared is None or prepared.reason or prepared.kernels.collects:
         return None
-    store = prepared.table.column_store(
-        ctx.batch_size, config.columnar_dictionary_max
-    )
-    column = prepared.out_view[key_position]
-    encoding = store.encodings[column]
+    store = _column_store(ctx, prepared.table)
+    column = prepared.kernels.out_view[key_position]
+    encoding = store.encoding(column)
     if encoding == "int64":
         index = ProbeIndex.from_int_keys(hash_table)
     elif encoding == "dict":
@@ -410,8 +405,44 @@ def columnar_probe_stream(
         return None
     if index is None:
         return None
+    ctx.columnar.keyed_pipelines += 1
     ctx.vector.probe_pipelines += 1
-    return _run_pipeline(ctx, prepared, (key_position,), raw_keys=True), index
+    return _probe_batches(ctx, prepared, store, column), index
+
+
+def _probe_batches(ctx, prepared: _Prepared, store: ColumnStore, column: int):
+    leaf = ctx.columnar.leaf
+    scan_id = prepared.scan.node_id
+    for group, sel, survivors in _run_pipeline(ctx, prepared, yield_groups=True):
+        keys = store.array(group, column)
+        if sel is not None:
+            keys = keys[sel]
+
+        def rows_at(positions, group=group, sel=sel):
+            leaf[scan_id]["rows_materialised"] += len(positions)
+            return _materialise(
+                prepared, store, group, positions if sel is None else sel[positions]
+            )
+
+        yield survivors, keys, rows_at
+
+
+def _materialise(prepared: _Prepared, store: ColumnStore, group: ColumnGroup, index):
+    """Row tuples of ``group`` at the in-group row offsets ``index`` (an
+    ascending integer array; None for every row), through the pipeline's
+    output view."""
+    kernels = prepared.kernels
+    if kernels.identity:
+        rows = prepared.table.rows
+        if index is None:
+            return rows[group.start_row : group.end_row]
+        return [rows[i] for i in (index + group.start_row).tolist()]
+    columns = [
+        store.values(group, column, index).tolist() for column in kernels.out_view
+    ]
+    if len(columns) == 1:
+        return [(v,) for v in columns[0]]
+    return list(zip(*columns))
 
 
 def columnar_vectorized_aggregate(node, ctx: RuntimeContext):
@@ -419,18 +450,20 @@ def columnar_vectorized_aggregate(node, ctx: RuntimeContext):
 
     Returns ``(groups, input_rows, grant)`` — the contract
     ``morsel_preaggregate`` established — or None to stay on the serial
-    fold.  The input pipeline runs in column space end to end; the
-    selected key and argument arrays are concatenated into whole-stream
-    arrays, keys factorize in first-occurrence order, and each aggregate
-    folds once globally in the agg_kernels — per-page-group partial folds
-    would not merge bit-exactly for float SUM/AVG, one whole-stream fold
-    reproduces the serial accumulator byte for byte (see
-    ``executor/agg_kernels.py``).  Qualification is static (encodings and
-    expression shapes only), so a qualified pipeline never bails out
-    after charges started.
+    fold.  The input pipeline runs in column space end to end and hands
+    over one selection per page group; no row is ever materialised.  Keys
+    factorize in first-occurrence order over the whole stream, then each
+    aggregate argument is gathered and folded *one column at a time* —
+    only the selections, the group codes and a single column's values are
+    ever alive together, which is what bounds the transient memory of two
+    sessions aggregating at once.  Each fold runs once globally in the
+    agg_kernels — per-page-group partial folds would not merge
+    bit-exactly for float SUM/AVG, one whole-stream fold reproduces the
+    serial accumulator byte for byte (see ``executor/agg_kernels.py``).
+    Qualification is static (encodings and expression shapes only), so a
+    qualified pipeline never bails out after charges started.
     """
-    config = ctx.config
-    if not config.vectorized_agg or not kernels_available():
+    if not kernels_available():
         return None
     group_positions, agg_items, __ = aggregate_items(node)
     child_schema = node.child.schema
@@ -444,46 +477,30 @@ def columnar_vectorized_aggregate(node, ctx: RuntimeContext):
         else:
             return None  # computed argument: the serial fold handles it
     prepared = _prepare(node.child, ctx)
-    if prepared is None or prepared.split != len(prepared.stages):
+    if prepared is None or prepared.reason or prepared.kernels.collects:
         return None
-    out_view = prepared.out_view
-    store = prepared.table.column_store(
-        ctx.batch_size, config.columnar_dictionary_max
-    )
-    encodings = store.encodings
+    out_view = prepared.kernels.out_view
+    store = _column_store(ctx, prepared.table)
     key_cols = [out_view[p] for p in group_positions]
     specs = [
         (func, None if position is None else out_view[position])
         for func, position in specs
     ]
-    arg_cols = {column for __, column in specs if column is not None}
-    # Dictionary key columns factorize directly on their code arrays; any
-    # column feeding an aggregate argument is collected in value space.
-    as_codes = {
-        column
-        for column in key_cols
-        if encodings[column] == "dict" and column not in arg_cols
+    encodings = {
+        column: store.encoding(column)
+        for column in {*key_cols, *(c for __, c in specs if c is not None)}
     }
-    chunks: dict[int, list] = {column: [] for column in {*key_cols, *arg_cols}}
-    values_of = store.values
+
+    selections: list[tuple[ColumnGroup, object]] = []
     input_rows = 0
     grant: int | None = None
-    for group, sel, survivors in _run_pipeline(
-        ctx, prepared, None, yield_groups=True
-    ):
+    for group, sel, survivors in _run_pipeline(ctx, prepared, yield_groups=True):
         if grant is None:
             grant = ctx.commit_memory(node)
         input_rows += survivors
-        for column, parts in chunks.items():
-            array = (
-                group.arrays[column]
-                if column in as_codes
-                else values_of(group, column)
-            )
-            parts.append(array if sel is None else array[sel])
+        selections.append((group, sel))
 
-    if key_cols:
-        ctx.columnar.keyed_pipelines += 1
+    ctx.columnar.keyed_pipelines += 1
     vec = ctx.vector
     vec.agg_pipelines += 1
     vec.rows_folded += input_rows
@@ -494,13 +511,21 @@ def columnar_vectorized_aggregate(node, ctx: RuntimeContext):
     if input_rows == 0:
         return {}, 0, grant
 
-    streams = {
-        column: (parts[0] if len(parts) == 1 else _np.concatenate(parts))
-        for column, parts in chunks.items()
-    }
+    def stream(column: int, raw: bool = False):
+        """One column of the whole selected stream: as stored (dictionary
+        codes, possibly-int32 integers) when ``raw``, else in value space."""
+        parts = []
+        for group, sel in selections:
+            array = store.array(group, column)
+            parts.append(array if sel is None else array[sel])
+        array = parts[0] if len(parts) == 1 else _np.concatenate(parts)
+        if raw or array.dtype != _np.int32:
+            return array
+        if encodings[column] == "dict":
+            return store.decode(column, array)
+        return array.astype(_np.int64)
 
     # ---- factorize the group keys (first-occurrence order) ------------
-    dictionaries = store.dictionaries
     if not key_cols:
         codes = _np.zeros(input_rows, dtype=_np.int64)
         group_keys: list = [()]
@@ -508,22 +533,23 @@ def columnar_vectorized_aggregate(node, ctx: RuntimeContext):
         per_codes = []
         per_keys = []
         for column in key_cols:
-            array = streams[column]
-            if column in as_codes:
-                col_codes, uniq, __f = factorize_array(array)
-                decoded = dictionaries[column].values
+            kind = encodings[column]
+            if kind == "dict":
+                # Dictionary columns factorize directly on their codes.
+                col_codes, uniq, __f = factorize_array(stream(column, raw=True))
+                decoded = store.dictionaries[column].values
                 keys = [
                     None if code < 0 else decoded[code]
                     for code in uniq.tolist()
                 ]
-            elif encodings[column] == "int64":
-                col_codes, uniq, __f = factorize_array(array)
+            elif kind == "int64":
+                col_codes, uniq, __f = factorize_array(stream(column, raw=True))
                 keys = uniq.tolist()
             else:
                 # Float/object keys: Python-dict factorization replicates
                 # the serial grouping's hash/identity semantics exactly
                 # (signed zeros share a group, NaN objects do not).
-                col_codes, keys = factorize_values(array.tolist())
+                col_codes, keys = factorize_values(stream(column).tolist())
             per_codes.append(col_codes)
             per_keys.append(keys)
         if len(key_cols) == 1:
@@ -551,70 +577,68 @@ def columnar_vectorized_aggregate(node, ctx: RuntimeContext):
                     for col_codes, keys in zip(per_codes, per_keys)
                 ]
                 codes, group_keys = factorize_values(list(zip(*columns)))
+        del per_codes
     n_groups = len(group_keys)
 
-    # ---- fold every aggregate over the whole stream --------------------
+    # ---- fold every aggregate, one argument column at a time ----------
     # The stable-gather layout (bincount + argsort) depends only on the
-    # codes, so it is computed once and shared by every numeric fold.
+    # codes, so it is computed once and shared by every numeric fold; a
+    # column feeding several aggregates (SUM and AVG of one argument) is
+    # gathered and folded once per fold kind.
     layout = group_layout(codes, n_groups)
     counts = layout[0].tolist()
     code_list: list | None = None
-    folded: list = [None] * len(specs)
-    for i, (func, column) in enumerate(specs):
+    folds: dict[tuple[int, str], list] = {}
+    for func, column in specs:
         if column is None or func is AggFunc.COUNT:
             continue  # COUNT folds entirely from the group sizes
-        array = streams[column]
+        slot = _FOLD_SLOT[func]
+        if (column, slot) in folds:
+            continue
+        array = stream(column)
         kind = encodings[column]
-        if func is AggFunc.SUM or func is AggFunc.AVG:
-            if kind == "float64":
-                folded[i] = (
-                    "total",
-                    float_group_sums(array, codes, n_groups, layout=layout),
-                )
-            elif kind == "int64":
-                folded[i] = (
-                    "total",
-                    int_group_sums(array, codes, n_groups, layout=layout),
-                )
+        if kind not in ("float64", "int64"):
+            if code_list is None:
+                code_list = codes.tolist()
+            values = array.tolist()
+            if slot == "total":
+                folded = object_group_sums(values, code_list, n_groups)
             else:
-                if code_list is None:
-                    code_list = codes.tolist()
-                folded[i] = (
-                    "total",
-                    object_group_sums(array.tolist(), code_list, n_groups),
+                folded = object_group_minmax(
+                    values, code_list, n_groups, slot == "maximum"
                 )
+        elif slot != "total":
+            folded = minmax_group_fold(
+                array, codes, n_groups, slot == "maximum", layout=layout
+            )
+        elif kind == "float64":
+            folded = float_group_sums(array, codes, n_groups, layout=layout)
         else:
-            maximum = func is AggFunc.MAX
-            slot = "maximum" if maximum else "minimum"
-            if kind in ("float64", "int64"):
-                folded[i] = (
-                    slot,
-                    minmax_group_fold(
-                        array, codes, n_groups, maximum, layout=layout
-                    ),
-                )
-            else:
-                if code_list is None:
-                    code_list = codes.tolist()
-                folded[i] = (
-                    slot,
-                    object_group_minmax(
-                        array.tolist(), code_list, n_groups, maximum
-                    ),
-                )
+            folded = int_group_sums(array, codes, n_groups, layout=layout)
+        folds[column, slot] = folded
 
     per_node["groups"] += n_groups
     groups: dict = {}
     for g in range(n_groups):
         states = []
-        for i, (func, __column) in enumerate(specs):
+        for func, column in specs:
             state = _AggState(func)
             state.count = counts[g]
-            if folded[i] is not None:
-                setattr(state, folded[i][0], folded[i][1][g])
+            if column is not None and func is not AggFunc.COUNT:
+                slot = _FOLD_SLOT[func]
+                setattr(state, slot, folds[column, slot][g])
             states.append(state)
         groups[group_keys[g]] = states
     return groups, input_rows, grant
+
+
+#: The ``_AggState`` slot each folding aggregate's result lands in.
+_FOLD_SLOT = {
+    AggFunc.SUM: "total",
+    AggFunc.AVG: "total",
+    AggFunc.MIN: "minimum",
+    AggFunc.MAX: "maximum",
+}
 
 
 # ----------------------------------------------------------------------
@@ -622,124 +646,100 @@ def columnar_vectorized_aggregate(node, ctx: RuntimeContext):
 # ----------------------------------------------------------------------
 
 
-def _replay_group_charges(ctx: RuntimeContext, table: Table, group: ColumnGroup):
-    """One group's scan charges, exactly as the serial scan interleaves
-    them ahead of the batch yield: a sequential buffer access plus per-page
-    tuple CPU for every page of the group."""
-    access = ctx.buffer_pool.access
-    charge_cpu = ctx.clock.charge_cpu
-    cpu_per_tuple = ctx.cost_model.params.cpu_per_tuple
-    table_id = table.table_id
-    per_page = table.rows_per_page
-    total_rows = table.row_count
-    for page_no in range(group.first_page, group.last_page):
-        access(table_id, page_no, sequential=True)
-        charge_cpu(min(per_page, total_rows - page_no * per_page) * cpu_per_tuple)
-
-
-def _charge_streaming_stages(ctx, stages, scan_rows, stage_rows) -> None:
+def _charge_streaming_stages(ctx, kernels: _Kernels, scan_rows, stage_rows) -> None:
     """End-of-stream charges for every filter/projection, in serial firing
     order (bottom-up) from exact integer row counts — same formulas and
-    ordering as the serial generators' ``finally`` blocks."""
+    ordering as the row operators' ``finally`` blocks."""
     params = ctx.cost_model.params
     consumed = scan_rows
-    for position, stage in enumerate(stages):
-        if stage.kind in ("mask", "batch_filter"):
-            per_row = max(1, len(stage.node.predicates)) * params.cpu_per_compare
-            ctx.clock.charge_cpu(consumed * per_row)
-        elif stage.kind in ("take", "batch_project"):
+    for position, compares in enumerate(kernels.compares):
+        if compares:
+            ctx.clock.charge_cpu(consumed * (compares * params.cpu_per_compare))
+        else:
             ctx.clock.charge_cpu(consumed * params.cpu_per_tuple)
         consumed = stage_rows[position]
 
 
-def _resolver(values_of, group: ColumnGroup, sel):
-    """The mask kernels' column resolver: the group's column arrays
-    narrowed by the current selection vector (``sel is None`` = all rows).
-    Shared by the serial pipeline body and the forked morsel workers —
-    conjuncts re-resolve after every narrowing, preserving the serial
-    short-circuit."""
-
-    def resolve(column):
-        values = values_of(group, column)
-        return values if sel is None else values[sel]
-
-    return resolve
+class _Unobservable(Exception):
+    """Raised by the resolver when a conjunct asks for values whose
+    comparison could raise while rows are already excluded."""
 
 
-def _zone_skips(conditions: tuple, group: ColumnGroup) -> bool:
-    zones = group.zones
-    for position, check in conditions:
-        if check(zones[position]):
-            return True
-    return False
+class _Resolver:
+    """The mask kernels' column resolver: one group's column arrays,
+    narrowed by the selection vector ``sel`` (None = all rows).
 
+    A row failing conjunct *i* must never reach conjunct *i + 1* — the
+    serial short-circuit, observable when the later conjunct would raise
+    (a NULL comparison).  Numeric arrays and NULL-free dictionary codes
+    cannot raise, so conjuncts over them evaluate on the whole group and
+    their masks are ANDed; with ``guard`` set (rows already excluded, not
+    yet narrowed) asking for anything else raises :class:`_Unobservable`
+    and the pipeline narrows before re-evaluating."""
 
-def _mark_pipeline_completed(
-    ctx: RuntimeContext,
-    prep: _Prepared,
-    scan_rows: int,
-    stage_rows: list[int],
-    skipped_free_rows: int,
-) -> None:
-    """Completion actuals for a columnar pipeline, zone-map skips included.
+    __slots__ = ("store", "group", "sel", "guard")
 
-    ``skipped_free_rows`` were excluded from charges (free mode) but are
-    exact observations: a skipped group provably contributes its full row
-    count to the scan and to every count-preserving stage below the first
-    mask, and zero rows at the mask and above — so the actual-row counts
-    SCIA and EXPLAIN ANALYZE consume stay exact, not deflated by skipping.
-    """
-    first_mask = prep.first_mask
-    ctx.mark_completed(prep.scan, scan_rows + skipped_free_rows)
-    for position, pnode in enumerate(prep.nodes_bottom_up):
-        actual = stage_rows[position]
-        if skipped_free_rows and first_mask is not None and position < first_mask:
-            actual += skipped_free_rows
-        ctx.mark_completed(pnode, actual)
+    def __init__(self, store: ColumnStore, group: ColumnGroup) -> None:
+        self.store = store
+        self.group = group
+        self.sel = None
+        self.guard = False
+
+    def __call__(self, column: int):
+        store = self.store
+        if self.guard and store.encoding(column) not in ("int64", "float64"):
+            raise _Unobservable
+        return store.values(self.group, column, self.sel)
+
+    def codes(self, column: int):
+        coded = self.store.dict_codes(self.group, column)
+        if coded is None or self.sel is None:
+            return coded
+        return coded[0][self.sel], coded[1]
 
 
 def _run_pipeline(
-    ctx: RuntimeContext,
-    prep: _Prepared,
-    key_positions: tuple[int, ...] | None,
-    *,
-    raw_keys: bool = False,
-    yield_groups: bool = False,
+    ctx: RuntimeContext, prep: _Prepared, *, yield_groups: bool = False
 ) -> Iterator:
-    """The columnar pipeline body: per group, zone-check then mask/take in
-    column space, materialise, run fallback kernels, yield.
+    """The column-space pipeline body: per group, zone-check then mask/take
+    in column space, then hand the survivors over.
 
-    Two column-space consumer modes skip row materialisation details:
-    ``raw_keys`` yields ``(batch, key_array)`` with the single key column
-    as a NumPy array (dictionary columns stay in code space) for the
-    vectorized join probe; ``yield_groups`` yields
-    ``(group, sel, survivors)`` triples for the vectorized aggregate —
-    both only offered by callers that verified the whole chain runs in
-    column space (``split == len(stages)``)."""
+    By default survivors are materialised (and shown to the collector, if
+    one tops the chain) and yielded as row batches.  With ``yield_groups`` the
+    narrowed group itself is the batch: ``(group, sel, survivors)`` triples
+    for consumers that stay in column space and materialise late, only
+    offered by callers that verified no collector tops the chain.
+    """
     config = ctx.config
     table = prep.table
-    store = table.column_store(ctx.batch_size, config.columnar_dictionary_max)
+    store = _column_store(ctx, table)
     scan = prep.scan
-    stages = prep.stages
-    split = prep.split
+    kernels = prep.kernels
+    masks = kernels.masks
     charge_skipped = config.zone_map_cost_mode == "charge"
-    conditions = prep.conditions if config.zone_map_skipping else ()
-    first_mask = prep.first_mask if conditions else None
+    conditions = kernels.conditions
+    first_mask = kernels.first_mask
 
     telemetry = ctx.columnar
     telemetry.pipelines += 1
     pipeline_id = telemetry.pipelines
-    if key_positions is not None:
-        telemetry.keyed_pipelines += 1
+    per_scan = telemetry.by_scan.setdefault(
+        scan.node_id,
+        {"table": scan.table_name, "groups_read": 0,
+         "groups_skipped": 0, "pages_skipped": 0, "rows_skipped": 0},
+    )
+    leaf = telemetry.leaf[scan.node_id] = {
+        "table": scan.table_name, "kernel": "column", "reason": None,
+        "rows_scanned": 0, "rows_selected": 0, "rows_materialised": 0,
+    }
 
     collector: RuntimeCollector | None = None
     collector_node = None
-    for stage in stages:
-        if stage.kind == "collect":
-            collector_node = stage.node
-            collector = RuntimeCollector(
-                collector_node, collector_node.child.schema, config
-            )
+    if kernels.collects:
+        collector_node = prep.nodes_bottom_up[-1]
+        collector = RuntimeCollector(
+            collector_node, collector_node.child.schema, config
+        )
 
     tracer = ctx.tracer
     span = None
@@ -747,7 +747,7 @@ def _run_pipeline(
         span = tracer.begin(
             f"columnar-pipeline-{pipeline_id}",
             "pipeline",
-            kind="columnar-keyed" if key_positions is not None else "columnar",
+            kind="columnar-keyed" if yield_groups else "columnar",
             groups=len(store.groups),
             root=prep.nodes_bottom_up[-1].label if prep.nodes_bottom_up else scan.label,
         )
@@ -756,10 +756,10 @@ def _run_pipeline(
     for pnode in prep.nodes_bottom_up:
         ctx.mark_started(pnode)
 
-    values_of = store.values
-    rows = table.rows
+    charge_scan = ctx.charge_scan_pages
     scan_rows = 0
-    stage_rows = [0] * len(stages)
+    stage_rows = [0] * len(prep.nodes_bottom_up)
+    materialised = 0
     groups_read = 0
     groups_skipped = 0
     pages_skipped = 0
@@ -770,10 +770,11 @@ def _run_pipeline(
     # — so completion actuals add these back (SCIA verdicts and EXPLAIN
     # ANALYZE Q-error must not treat proven rows as missing).
     skipped_free_rows = 0
+    skipped = _skipped_groups(conditions, store)
     try:
         for group in store.groups:
             group_rows = group.row_count
-            if conditions and _zone_skips(conditions, group):
+            if skipped is not None and skipped[group.index]:
                 groups_skipped += 1
                 pages_skipped += group.page_count
                 rows_skipped += group_rows
@@ -782,7 +783,7 @@ def _run_pipeline(
                     # materialisation, predicate evaluation) but replays
                     # the simulated page charges, so every cost/buffer
                     # number matches a path that read the group.
-                    _replay_group_charges(ctx, table, group)
+                    charge_scan(table, group.first_page, group.last_page)
                     scan_rows += group_rows
                     for position in range(first_mask):
                         stage_rows[position] += group_rows
@@ -790,418 +791,86 @@ def _run_pipeline(
                     skipped_free_rows += group_rows
                 continue
             groups_read += 1
-            _replay_group_charges(ctx, table, group)
+            # The group's scan charges, exactly as the row scan interleaves
+            # them ahead of the batch yield.
+            charge_scan(table, group.first_page, group.last_page)
             scan_rows += group_rows
 
-            # -- columnar region: masks narrow a selection vector ------
-            sel = None  # row indices into the group; None = all rows
+            # -- masks select the surviving rows ------------------------
+            mask = None  # over the whole group, while no conjunct narrowed
+            sel = None  # row indices into the group, once one did
             survivors = group_rows
-            position = 0
-            for stage in stages[:split]:
-                if stage.kind == "mask":
-                    # Conjuncts narrow the selection one by one: a row
-                    # failing conjunct i never reaches conjunct i+1, the
-                    # serial short-circuit (observable when a later
-                    # conjunct raises, e.g. comparing a NULL).
-                    for fn in stage.fn:
-                        mask = fn(_resolver(values_of, group, sel))
-                        sel = _np.nonzero(mask)[0] if sel is None else sel[mask]
-                        survivors = len(sel)
-                        if survivors == 0:
+            resolver = None
+            for position, conjuncts in enumerate(masks):
+                if conjuncts is not None:
+                    if resolver is None:
+                        resolver = _Resolver(store, group)
+                    for fn in conjuncts:
+                        if sel is None:
+                            resolver.guard = mask is not None
+                            try:
+                                passed = fn(resolver)
+                            except _Unobservable:
+                                resolver.guard = False
+                                sel = resolver.sel = _np.nonzero(mask)[0]
+                            else:
+                                mask = passed if mask is None else mask & passed
+                                continue
+                        if len(sel) == 0:
                             break
+                        sel = resolver.sel = sel[fn(resolver)]
+                    if sel is not None:
+                        survivors = len(sel)
+                    else:
+                        survivors = int(_np.count_nonzero(mask))
                 stage_rows[position] += survivors
-                position += 1
                 if survivors == 0:
                     break
             if survivors == 0:
                 continue
+            if survivors == group_rows:
+                sel = None
+            elif sel is None:
+                sel = _np.nonzero(mask)[0]
 
             if yield_groups:
                 # Column-space consumer: the narrowed group is the batch.
-                # The commit/charge interleaving matches the serial keyed
-                # path — the consumer sees the group at the same clock
-                # position a materialised batch would have arrived at.
+                # The commit/charge interleaving matches the row path —
+                # the consumer sees the group at the same clock position a
+                # materialised batch would have arrived at.
                 yield group, sel, survivors
                 continue
 
-            # -- materialise the region's output -----------------------
-            full = sel is None or survivors == group_rows
-            if prep.identity:
-                if full:
-                    batch = rows[group.start_row : group.end_row]
-                else:
-                    start = group.start_row
-                    batch = [rows[start + i] for i in sel.tolist()]
-            else:
-                columns = []
-                for column in prep.out_view:
-                    values = values_of(group, column)
-                    columns.append(values.tolist() if full else values[sel].tolist())
-                if len(columns) == 1:
-                    batch = [(v,) for v in columns[0]]
-                else:
-                    batch = list(zip(*columns))
-
-            keys: object = None
-            if key_positions is not None:
-                if raw_keys:
-                    # Vectorized probe: the key column as a raw array
-                    # (dictionary codes included), no per-row decode.
-                    array = group.arrays[prep.out_view[key_positions[0]]]
-                    keys = array if full else array[sel]
-                else:
-                    key_columns = []
-                    for pos in key_positions:
-                        values = values_of(group, prep.out_view[pos])
-                        key_columns.append(
-                            values.tolist() if full else values[sel].tolist()
-                        )
-                    if len(key_columns) == 1:
-                        keys = key_columns[0]
-                    else:
-                        keys = list(zip(*key_columns))
-
-            # -- fallback batch kernels above the region ----------------
-            for stage in stages[split:]:
-                if stage.kind == "collect":
-                    if batch:
-                        collector.observe_batch(batch)
-                elif batch:
-                    batch = stage.fn(batch)
-                stage_rows[position] += len(batch)
-                position += 1
-            if batch:
-                yield batch, keys
+            batch = _materialise(prep, store, group, sel)
+            materialised += survivors
+            if collector is not None:
+                collector.observe_batch(batch)
+                stage_rows[-1] += survivors
+            yield batch
     finally:
-        _charge_streaming_stages(ctx, stages, scan_rows, stage_rows)
-        telemetry.groups_read += groups_read
-        telemetry.groups_skipped += groups_skipped
-        telemetry.pages_skipped += pages_skipped
-        telemetry.rows_skipped += rows_skipped
-        per_scan = telemetry.by_scan.setdefault(
-            scan.node_id,
-            {"table": scan.table_name, "groups_read": 0,
-             "groups_skipped": 0, "pages_skipped": 0, "rows_skipped": 0},
-        )
+        _charge_streaming_stages(ctx, kernels, scan_rows, stage_rows)
+        selected = stage_rows[-1] if stage_rows else scan_rows
         per_scan["groups_read"] += groups_read
         per_scan["groups_skipped"] += groups_skipped
         per_scan["pages_skipped"] += pages_skipped
         per_scan["rows_skipped"] += rows_skipped
+        leaf["rows_scanned"] = scan_rows + skipped_free_rows
+        leaf["rows_selected"] = selected
+        leaf["rows_materialised"] += materialised
 
-    # Full drain only, matching the serial collector's after-loop (not
-    # ``finally``) semantics and the serial completion bookkeeping.
+    # Full drain only, matching the row collector's after-loop (not
+    # ``finally``) semantics and the row path's completion bookkeeping.
     if collector is not None:
-        _finalize_collector(ctx, collector_node, collector)
-    _mark_pipeline_completed(
-        ctx, prep, scan_rows, stage_rows, skipped_free_rows
-    )
+        ctx.collector_completed(collector_node, collector)
+    # Completion actuals, zone-map skips included: a skipped group provably
+    # contributes its full row count to the scan and to every
+    # count-preserving stage below the first mask, and zero rows at the
+    # mask and above.
+    ctx.mark_completed(scan, scan_rows + skipped_free_rows)
+    for position, pnode in enumerate(prep.nodes_bottom_up):
+        actual = stage_rows[position]
+        if skipped_free_rows and position < first_mask:
+            actual += skipped_free_rows
+        ctx.mark_completed(pnode, actual)
     if tracer is not None:
-        tracer.end(
-            span,
-            rows=stage_rows[-1] if stage_rows else scan_rows,
-            groups_skipped=groups_skipped,
-        )
-
-
-# ----------------------------------------------------------------------
-# Columnar morsels: the column kernels inside forked workers
-# ----------------------------------------------------------------------
-
-
-def _parallel_pipeline(
-    ctx: RuntimeContext, prep: _Prepared
-) -> Iterator[Batch] | None:
-    """Fan the columnar kernels across the morsel worker pool, or None.
-
-    The page groups *are* the batch geometry, so the morsel scheduler's
-    range-affine partitioning applies unchanged: workers run the per-group
-    columnar body (zone-map check, mask narrowing, materialisation,
-    fallback kernels) over contiguous group ranges and ship per-group
-    batches plus skip flags; the parent replays each group's charges — or
-    its skip, per ``zone_map_cost_mode`` — at merge time, in group order,
-    exactly like the serial columnar loop.  Stays serial (None) when the
-    knob is off, the table is too small to split, or no pool resolves.
-    """
-    config = ctx.config
-    if not config.columnar_parallel:
-        return None
-    store = prep.table.column_store(ctx.batch_size, config.columnar_dictionary_max)
-    groups = [(group.first_page, group.last_page) for group in store.groups]
-    morsels = _group_morsels(groups, config.morsel_pages)
-    if len(morsels) < config.parallel_min_morsels:
-        return None
-    workers, use_pool = _resolve_workers(ctx, len(morsels))
-    if not use_pool:
-        return None
-    return _run_parallel(ctx, prep, store, groups, morsels, workers, use_pool)
-
-
-def _compile_runner(
-    prep: _Prepared,
-    store,
-    morsels: list[tuple[int, int]],
-    config,
-    exact_stats: bool,
-    conditions: tuple,
-):
-    """The worker-side morsel executor for columnar morsels.
-
-    A closure over the synced column store (arrays reach forked workers
-    copy-on-write, like the row heap) that replicates the serial per-group
-    columnar body minus everything parent-owned: charges, telemetry and
-    skip accounting happen at merge time, so the worker only computes.
-    """
-    stages = prep.stages
-    split = prep.split
-    out_view = prep.out_view
-    identity = prep.identity
-    table_rows = prep.table.rows
-    values_of = store.values
-    store_groups = store.groups
-
-    def run(index: int) -> _MorselResult:
-        started = time.perf_counter()
-        collector: RuntimeCollector | None = None
-        for stage in stages:
-            if stage.kind == "collect":
-                collector = RuntimeCollector(
-                    stage.node,
-                    stage.node.child.schema,
-                    config,
-                    collect_reservoirs=not exact_stats,
-                    reservoir_seed=(
-                        None if exact_stats else _morsel_seed(config.seed, index)
-                    ),
-                )
-        first_group, last_group = morsels[index]
-        batches: list[Batch] = []
-        counts: list[tuple[int, ...]] = []
-        skips: list[bool] = []
-        shipped = 0
-        for group in store_groups[first_group:last_group]:
-            group_rows = group.row_count
-            if conditions and _zone_skips(conditions, group):
-                skips.append(True)
-                batches.append([])
-                counts.append((0,) * len(stages))
-                continue
-            skips.append(False)
-            group_counts = [0] * len(stages)
-            sel = None
-            survivors = group_rows
-            position = 0
-            alive = True
-            for stage in stages[:split]:
-                if stage.kind == "mask":
-                    for fn in stage.fn:
-                        mask = fn(_resolver(values_of, group, sel))
-                        sel = _np.nonzero(mask)[0] if sel is None else sel[mask]
-                        survivors = len(sel)
-                        if survivors == 0:
-                            break
-                group_counts[position] = survivors
-                position += 1
-                if survivors == 0:
-                    alive = False
-                    break
-            batch: Batch = []
-            if alive:
-                full = sel is None or survivors == group_rows
-                if identity:
-                    if full:
-                        batch = table_rows[group.start_row : group.end_row]
-                    else:
-                        start = group.start_row
-                        batch = [table_rows[start + i] for i in sel.tolist()]
-                else:
-                    columns = []
-                    for column in out_view:
-                        values = values_of(group, column)
-                        columns.append(
-                            values.tolist() if full else values[sel].tolist()
-                        )
-                    if len(columns) == 1:
-                        batch = [(v,) for v in columns[0]]
-                    else:
-                        batch = list(zip(*columns))
-                for stage in stages[split:]:
-                    if stage.kind == "collect":
-                        if batch:
-                            collector.observe_batch(batch)
-                    elif batch:
-                        batch = stage.fn(batch)
-                    group_counts[position] = len(batch)
-                    position += 1
-            batches.append(batch)
-            counts.append(tuple(group_counts))
-            shipped += len(batch)
-        partial = collector.export_partial() if collector is not None else None
-        return _MorselResult(
-            index=index,
-            batches=batches,
-            counts=counts,
-            partial=partial,
-            replay=None,
-            groups_out=None,
-            shipped_rows=shipped,
-            elapsed=time.perf_counter() - started,
-            pid=os.getpid(),
-            group_skips=skips,
-        )
-
-    return run
-
-
-def _run_parallel(
-    ctx: RuntimeContext,
-    prep: _Prepared,
-    store,
-    groups: list[tuple[int, int]],
-    morsels: list[tuple[int, int]],
-    workers: int,
-    use_pool: bool,
-) -> Iterator[Batch]:
-    """The merging parent for a columnar-morsel pipeline.
-
-    Merge-time replay mirrors the serial columnar loop group by group —
-    skip accounting per ``zone_map_cost_mode`` included — so rows, charges,
-    buffer stats and observed statistics match the serial columnar path
-    (and, under ``"charge"``, the batch path) byte for byte.
-    """
-    config = ctx.config
-    exact_stats = config.parallel_stats == "exact"
-    stages = prep.stages
-    table = prep.table
-    scan = prep.scan
-    charge_skipped = config.zone_map_cost_mode == "charge"
-    conditions = prep.conditions if config.zone_map_skipping else ()
-    first_mask = prep.first_mask if conditions else None
-
-    telemetry = ctx.columnar
-    telemetry.pipelines += 1
-    telemetry.parallel_pipelines += 1
-    parallel = ctx.parallel
-    parallel.pipelines += 1
-    pipeline_id = parallel.pipelines
-    parallel.workers = max(parallel.workers, workers)
-
-    collector_node = None
-    merged: RuntimeCollector | None = None
-    for stage in stages:
-        if stage.kind == "collect":
-            collector_node = stage.node
-            merged = RuntimeCollector(
-                collector_node, collector_node.child.schema, config
-            )
-
-    tracer = ctx.tracer
-    span = None
-    if tracer is not None:
-        span = tracer.begin(
-            f"columnar-pipeline-{telemetry.pipelines}",
-            "pipeline",
-            kind="columnar-parallel",
-            workers=workers,
-            morsels=len(morsels),
-            groups=len(store.groups),
-            root=(
-                prep.nodes_bottom_up[-1].label
-                if prep.nodes_bottom_up
-                else scan.label
-            ),
-        )
-
-    ctx.mark_started(scan)
-    for pnode in prep.nodes_bottom_up:
-        ctx.mark_started(pnode)
-
-    runner = _compile_runner(prep, store, morsels, config, exact_stats, conditions)
-    state = _WorkerState(
-        rows=table.rows,
-        rows_per_page=table.rows_per_page,
-        groups=groups,
-        morsels=morsels,
-        stages=[],
-        config=config,
-        exact_stats=exact_stats,
-        runner=runner,
-    )
-    windows = _staging_windows(ctx, workers, config.morsel_pages)
-    spill_windows = _spill_read_windows(ctx, workers, config.morsel_pages)
-
-    scan_rows = 0
-    stage_rows = [0] * len(stages)
-    groups_read = 0
-    groups_skipped = 0
-    pages_skipped = 0
-    rows_skipped = 0
-    skipped_free_rows = 0
-    try:
-        results = _merged_results(
-            state, workers, use_pool, windows, config.parallel_prefetch, parallel,
-            spill_windows=spill_windows,
-        )
-        for result in results:
-            first_group, last_group = morsels[result.index]
-            _record_morsel(parallel, pipeline_id, result)
-            if tracer is not None:
-                tracer.morsel_merged(
-                    pipeline_id, result.index, result.pid,
-                    result.elapsed, result.shipped_rows,
-                )
-            for offset, group in enumerate(store.groups[first_group:last_group]):
-                group_rows = group.row_count
-                if result.group_skips[offset]:
-                    groups_skipped += 1
-                    pages_skipped += group.page_count
-                    rows_skipped += group_rows
-                    if charge_skipped:
-                        _replay_group_charges(ctx, table, group)
-                        scan_rows += group_rows
-                        for position in range(first_mask):
-                            stage_rows[position] += group_rows
-                    else:
-                        skipped_free_rows += group_rows
-                    continue
-                groups_read += 1
-                _replay_group_charges(ctx, table, group)
-                scan_rows += group_rows
-                for position, produced in enumerate(result.counts[offset]):
-                    stage_rows[position] += produced
-                batch = result.batches[offset]
-                if merged is not None and exact_stats:
-                    # The collector tops the chain, so the shipped batches
-                    # are its input in input order: replay the serial
-                    # sampling RNG over them directly.
-                    merged.replay_reservoirs(batch)
-                if batch:
-                    yield batch
-            if merged is not None and result.partial is not None:
-                merged.absorb_partial(result.partial)
-    finally:
-        _charge_streaming_stages(ctx, stages, scan_rows, stage_rows)
-        telemetry.groups_read += groups_read
-        telemetry.groups_skipped += groups_skipped
-        telemetry.pages_skipped += pages_skipped
-        telemetry.rows_skipped += rows_skipped
-        per_scan = telemetry.by_scan.setdefault(
-            scan.node_id,
-            {"table": scan.table_name, "groups_read": 0,
-             "groups_skipped": 0, "pages_skipped": 0, "rows_skipped": 0},
-        )
-        per_scan["groups_read"] += groups_read
-        per_scan["groups_skipped"] += groups_skipped
-        per_scan["pages_skipped"] += pages_skipped
-        per_scan["rows_skipped"] += rows_skipped
-
-    if merged is not None:
-        _finalize_collector(ctx, collector_node, merged)
-    _mark_pipeline_completed(
-        ctx, prep, scan_rows, stage_rows, skipped_free_rows
-    )
-    if tracer is not None:
-        tracer.end(
-            span,
-            rows=stage_rows[-1] if stage_rows else scan_rows,
-            groups_skipped=groups_skipped,
-        )
+        tracer.end(span, rows=selected, groups_skipped=groups_skipped)

@@ -73,9 +73,9 @@ Determinism contract — the whole point of the design:
   group order — which fixes the aggregate's output order — matches the
   serial fold.  Float SUM/AVG partial *totals* never merge (float
   addition is non-associative, so regrouping additions across workers
-  could change output bytes on TPC-D's float measures); with
-  ``vectorized_agg`` those aggregates pre-aggregate anyway by shipping
-  per-group ordered value *runs* (:class:`_ValueRun`) — the single
+  could change output bytes on TPC-D's float measures); those
+  aggregates pre-aggregate by shipping per-group ordered value *runs*
+  (:class:`_ValueRun`) — the single
   argument column, not raw rows — which concatenate losslessly in morsel
   order and fold once at the merge point with the exact left-fold kernel
   (:func:`~repro.executor.agg_kernels.left_fold_sum`), bit-identical to
@@ -124,6 +124,7 @@ from ..storage.schema import DataType
 from ..storage.table import Row, Table
 from .collector import CollectorPartial, RuntimeCollector
 from .agg_kernels import left_fold_sum
+from .columnar import extract_leaf_chain
 from .iterators import _AggState, aggregate_items, hash_join_keys, key_extractor
 from .loser_tree import merge_runs, row_comparator
 from .memory import MemoryManager
@@ -255,9 +256,6 @@ class _WorkerState:
     preagg: _PreAgg | None = None
     build: _BuildSpec | None = None
     sort: _SortSpec | None = None
-    #: Externally supplied morsel executor (the columnar-morsel path);
-    #: closures compiled in the parent reach forked workers copy-on-write.
-    runner: Callable[[int], "_MorselResult"] | None = None
 
 
 @dataclass
@@ -287,9 +285,6 @@ class _MorselResult:
     #: The morsel's pipeline output sorted by the sort keys (the run a
     #: loser-tree merge consumes).
     sort_run: list[Row] | None = None
-    #: Per page group: True when the columnar-morsel runner skipped the
-    #: group whole via zone maps (charges replayed by the parent).
-    group_skips: list[bool] | None = None
     #: Set by the parent when this result came back through a partition
     #: spill file rather than the staging window.
     spilled: bool = False
@@ -391,8 +386,6 @@ def _run_morsel(index: int) -> _MorselResult:
     per-stage output counts, plus the collector partial for the morsel.
     """
     state = _WORKER_STATE
-    if state.runner is not None:
-        return state.runner(index)
     started = time.perf_counter()
     rows = state.rows
     per_page = state.rows_per_page
@@ -584,25 +577,6 @@ def _spill_read_windows(
     )
 
 
-def _extract_chain(
-    node: PlanNode,
-) -> tuple[list[PlanNode], SeqScanNode] | None:
-    """``(top-down chain, scan)`` when ``node`` roots a leaf-extractable
-    pipeline — an optional statistics collector over filters/projections
-    over a base-table sequential scan — else None."""
-    chain: list[PlanNode] = []
-    cur = node
-    if isinstance(cur, StatsCollectorNode):
-        chain.append(cur)
-        cur = cur.child
-    while isinstance(cur, (FilterNode, ProjectNode)):
-        chain.append(cur)
-        cur = cur.child
-    if not isinstance(cur, SeqScanNode):
-        return None
-    return chain, cur
-
-
 def _scan_morsels(
     ctx: RuntimeContext, scan: SeqScanNode
 ) -> tuple[Table, list[tuple[int, int]], list[tuple[int, int]]] | None:
@@ -708,7 +682,7 @@ def morsel_pipeline(node: PlanNode, ctx: RuntimeContext) -> Iterator[list[Row]] 
     tables) executes on the serial batch path unchanged; hash joins fan out
     their probe side through :func:`morsel_probe_pipeline` instead.
     """
-    extracted = _extract_chain(node)
+    extracted = extract_leaf_chain(node)
     if extracted is None:
         return None
     chain, scan = extracted
@@ -740,7 +714,7 @@ def morsel_probe_pipeline(
     """
     if not ctx.config.parallel_joins:
         return None
-    extracted = _extract_chain(node.probe)
+    extracted = extract_leaf_chain(node.probe)
     if extracted is None:
         return None
     chain, scan = extracted
@@ -773,16 +747,15 @@ def morsel_preaggregate(
     timing) — or None when the aggregate must stay on the serial fold:
     pre-aggregation disabled, a non-leaf input pipeline, a table too small
     to split, or any aggregate whose partials cannot travel exactly.
-    With ``vectorized_agg`` float SUM/AVG pre-aggregate as ordered value
-    runs (:class:`_ValueRun`); with it off they disqualify the aggregate
-    (partial float totals never merge), as before this knob existed.
+    Float SUM/AVG pre-aggregate as ordered value runs (:class:`_ValueRun`)
+    — partial float totals never merge.
     """
     if not ctx.config.parallel_preagg:
         return None
-    extracted = _extract_chain(node.child)
+    extracted = extract_leaf_chain(node.child)
     if extracted is None:
         return None
-    preagg = _preagg_spec(node, ctx.config.vectorized_agg)
+    preagg = _preagg_spec(node)
     if preagg is None:
         return None
     chain, scan = extracted
@@ -795,17 +768,15 @@ def morsel_preaggregate(
     )
 
 
-def _preagg_spec(node: HashAggregateNode, vectorized: bool) -> _PreAgg | None:
+def _preagg_spec(node: HashAggregateNode) -> _PreAgg | None:
     """The pre-aggregation fold when every aggregate can travel exactly.
 
     COUNT partials are integer sums; MIN/MAX merge by (strict) comparison,
     which keeps the earlier occurrence exactly like the serial fold; SUM
     merges by addition, which is only associative — bit-for-bit — for
-    integers, so state merging is gated on the argument's inferred dtype.
-    With ``vectorized`` (the ``vectorized_agg`` knob) float SUM/AVG ship
-    ordered value runs instead of totals and integer AVG merges its exact
-    integer total and count; with it off both disqualify the whole
-    aggregate, preserving the pre-knob gate.  Non-numeric SUM/AVG
+    integers, so state merging is gated on the argument's inferred dtype:
+    float SUM/AVG ship ordered value runs instead of totals and integer
+    AVG merges its exact integer total and count.  Non-numeric SUM/AVG
     arguments always stay on the serial fold.
     """
     child_schema = node.child.schema
@@ -824,7 +795,7 @@ def _preagg_spec(node: HashAggregateNode, vectorized: bool) -> _PreAgg | None:
         if func is AggFunc.SUM and dtype is DataType.INTEGER:
             run_flags.append(False)
             continue
-        if vectorized and dtype in (DataType.INTEGER, DataType.FLOAT):
+        if dtype in (DataType.INTEGER, DataType.FLOAT):
             # Integer AVG partials (total, count) merge exactly; float
             # SUM/AVG ship value runs folded once at the merge point.
             run_flags.append(dtype is DataType.FLOAT)
@@ -1137,22 +1108,14 @@ def _merged_results(
 def _replay_scan_charges(ctx, table, groups, first_group, last_group):
     """Replay one morsel's scan charges exactly as the serial scan
     interleaves them with its yields; returns rows scanned per group."""
-    access = ctx.buffer_pool.access
-    charge_cpu = ctx.clock.charge_cpu
-    cpu_per_tuple = ctx.cost_model.params.cpu_per_tuple
-    table_id = table.table_id
     per_page = table.rows_per_page
     total_rows = table.row_count
     group_rows = []
-    for group_index in range(first_group, last_group):
-        first_page, last_page = groups[group_index]
-        scanned = 0
-        for page_no in range(first_page, last_page):
-            access(table_id, page_no, sequential=True)
-            page_rows = min(per_page, total_rows - page_no * per_page)
-            charge_cpu(page_rows * cpu_per_tuple)
-            scanned += page_rows
-        group_rows.append(scanned)
+    for first_page, last_page in groups[first_group:last_group]:
+        ctx.charge_scan_pages(table, first_page, last_page)
+        group_rows.append(
+            min(last_page * per_page, total_rows) - first_page * per_page
+        )
     return group_rows
 
 
@@ -1185,26 +1148,6 @@ def _charge_probe(ctx, probe: _ProbeTask, probe_rows: int, output_rows: int) -> 
             memory_pages=probe.grant,
         )
     )
-
-
-def _finalize_collector(ctx, collector_node, merged) -> None:
-    """The collector's after-loop semantics: stats CPU charge, finalize,
-    publish, and the controller hook that may arm a plan switch."""
-    params = ctx.cost_model.params
-    per_row = (
-        params.cpu_stats_per_tuple
-        + collector_node.spec.statistic_count * params.cpu_stats_per_statistic
-    )
-    ctx.clock.charge_stats_cpu(merged.row_count * per_row)
-    observed = merged.finalize()
-    ctx.observed[collector_node.node_id] = observed
-    if ctx.tracer is not None:
-        ctx.tracer.instant(
-            "collector-complete", "stats",
-            node_id=collector_node.node_id, observed=observed.describe(),
-        )
-    if ctx.controller is not None:
-        ctx.controller.on_collector_complete(collector_node, observed)
 
 
 def _pipeline_setup(
@@ -1389,7 +1332,7 @@ def _execute_morsels(
     # Everything past this point only happens on a full drain, matching the
     # serial collector's after-loop (not `finally`) semantics.
     if merged is not None:
-        _finalize_collector(ctx, collector_node, merged)
+        ctx.collector_completed(collector_node, merged)
     if probe is not None:
         _charge_probe(
             ctx,
@@ -1509,7 +1452,7 @@ def _run_preagg(
         _charge_streaming_stages(ctx, stages, scan_rows, stage_rows)
 
     if merged is not None:
-        _finalize_collector(ctx, collector_node, merged)
+        ctx.collector_completed(collector_node, merged)
     ctx.mark_completed(scan, scan_rows)
     for position, pnode in enumerate(nodes_bottom_up):
         ctx.mark_completed(pnode, stage_rows[position])
@@ -1559,7 +1502,7 @@ def morsel_build_table(
     """
     if not ctx.config.parallel_build:
         return None
-    extracted = _extract_chain(node.build)
+    extracted = extract_leaf_chain(node.build)
     if extracted is None:
         return None
     chain, scan = extracted
@@ -1679,7 +1622,7 @@ def _run_build(
         _charge_streaming_stages(ctx, stages, scan_rows, stage_rows)
 
     if merged is not None:
-        _finalize_collector(ctx, collector_node, merged)
+        ctx.collector_completed(collector_node, merged)
     ctx.mark_completed(scan, scan_rows)
     for position, pnode in enumerate(nodes_bottom_up):
         ctx.mark_completed(pnode, stage_rows[position])
@@ -1707,7 +1650,7 @@ def morsel_sort(
     """
     if not ctx.config.parallel_sort:
         return None
-    extracted = _extract_chain(node.child)
+    extracted = extract_leaf_chain(node.child)
     if extracted is None:
         return None
     chain, scan = extracted
@@ -1821,7 +1764,7 @@ def _run_sort(
         _charge_streaming_stages(ctx, stages, scan_rows, stage_rows)
 
     if merged is not None:
-        _finalize_collector(ctx, collector_node, merged)
+        ctx.collector_completed(collector_node, merged)
     ctx.mark_completed(scan, scan_rows)
     for position, pnode in enumerate(nodes_bottom_up):
         ctx.mark_completed(pnode, stage_rows[position])

@@ -141,34 +141,59 @@ class ParallelExecStats:
 
 @dataclass
 class ColumnarExecStats:
-    """Columnar-execution telemetry accumulated over one query run.
+    """Leaf-pipeline telemetry accumulated over one query run.
 
-    Counts what the columnar path did — pipelines taken, page groups read
-    versus skipped via zone maps.  Under the default
-    ``zone_map_cost_mode="charge"`` these are purely observational (skipped
-    groups' simulated charges are replayed, so costs stay bit-identical to
-    the serial batch path); under ``"free"`` the skip counts explain
-    exactly where the simulated cost diverges.
+    Which kernels each leaf pipeline ran on and how many tuples it had to
+    build, plus what the column-space pipelines did with their zone maps.
+    Under the default ``zone_map_cost_mode="charge"`` these are purely
+    observational (skipped groups' simulated charges are replayed, so costs
+    stay bit-identical to the row kernels); under ``"free"`` the skip
+    counts explain exactly where the simulated cost diverges.
     """
 
     #: Leaf pipelines that ran in column space (keyed ones included).
     pipelines: int = 0
-    #: Of those, keyed pipelines feeding a hash join probe or aggregate.
+    #: Of those, pipelines whose consumer — a vectorized hash-join probe
+    #: or aggregate — stayed in column space.
     keyed_pipelines: int = 0
-    #: Of those, pipelines whose column kernels ran inside forked morsel
-    #: workers (``columnar_parallel``).
-    parallel_pipelines: int = 0
-    #: Page groups whose arrays were evaluated.
-    groups_read: int = 0
-    #: Page groups skipped whole via zone maps.
-    groups_skipped: int = 0
-    #: Pages belonging to skipped groups.
-    pages_skipped: int = 0
-    #: Rows belonging to skipped groups (never materialised or filtered).
-    rows_skipped: int = 0
-    #: Per-scan breakdown keyed by scan node id:
-    #: ``{"table", "groups_read", "groups_skipped", "pages_skipped"}``.
+    #: Zone-map breakdown per column-space scan, keyed by scan node id:
+    #: ``{"table", "groups_read"`` (page groups whose arrays were
+    #: evaluated), ``"groups_skipped"`` (skipped whole via zone maps),
+    #: ``"pages_skipped", "rows_skipped"}`` (never materialised or
+    #: filtered).
     by_scan: dict[int, dict] = field(default_factory=dict)
+    #: Every leaf pipeline the batch executor ran, keyed by scan node id:
+    #: ``{"table", "kernel": "column" | "row", "reason"}`` — why it stayed
+    #: on the row kernels, None for column — plus, for column pipelines,
+    #: ``"rows_scanned"``, ``"rows_selected"`` (rows leaving the pipeline)
+    #: and ``"rows_materialised"`` (tuples actually built); row pipelines
+    #: carry ``"top"`` (the chain's top node id) and get their counts from
+    #: the completion actuals when the profile is assembled.
+    leaf: dict[int, dict] = field(default_factory=dict)
+
+    def _total(self, counter: str) -> int:
+        return sum(per_scan[counter] for per_scan in self.by_scan.values())
+
+    groups_read = property(lambda self: self._total("groups_read"))
+    groups_skipped = property(lambda self: self._total("groups_skipped"))
+    pages_skipped = property(lambda self: self._total("pages_skipped"))
+    rows_skipped = property(lambda self: self._total("rows_skipped"))
+
+    def leaf_pipelines(self, actual_rows: dict[int, int]) -> dict[int, dict]:
+        """``leaf`` with every record's row counts filled in: a row
+        pipeline scans what its scan emitted, selects what its top node
+        emitted, and had every scanned row as a tuple."""
+        out: dict[int, dict] = {}
+        for scan_id, record in sorted(self.leaf.items()):
+            record = dict(record)
+            top = record.pop("top", None)
+            if record["kernel"] == "row":
+                scanned = actual_rows.get(scan_id, 0)
+                record["rows_scanned"] = scanned
+                record["rows_selected"] = actual_rows.get(top, 0)
+                record["rows_materialised"] = scanned
+            out[scan_id] = record
+        return out
 
 
 @dataclass
@@ -182,7 +207,8 @@ class VectorExecStats:
     """
 
     #: Hash aggregates folded entirely by the vectorized kernels (the
-    #: columnar whole-stream fold or a run-shipping morsel pre-aggregation).
+    #: column-space whole-stream fold or a run-shipping morsel
+    #: pre-aggregation).
     agg_pipelines: int = 0
     #: Hash-join probe sides answered via the sorted build-key index.
     probe_pipelines: int = 0
@@ -222,7 +248,7 @@ class RuntimeContext:
     reallocations: int = 0
     #: Morsel-parallel telemetry (populated by :mod:`repro.executor.parallel`).
     parallel: ParallelExecStats = field(default_factory=ParallelExecStats)
-    #: Columnar telemetry (populated by :mod:`repro.executor.columnar`).
+    #: Leaf-pipeline telemetry (populated by :mod:`repro.executor.columnar`).
     columnar: ColumnarExecStats = field(default_factory=ColumnarExecStats)
     #: Vectorized-kernel telemetry (populated by the agg/probe kernels).
     vector: VectorExecStats = field(default_factory=VectorExecStats)
@@ -246,7 +272,7 @@ class RuntimeContext:
 
     @property
     def execution_mode(self) -> str:
-        """``"row"``, ``"batch"``, ``"parallel"`` or ``"columnar"`` execution."""
+        """``"row"``, ``"batch"`` or ``"parallel"`` execution."""
         return self.config.execution_mode
 
     @property
@@ -274,6 +300,29 @@ class RuntimeContext:
         if cost.stats_cpu_units:
             self.clock.charge_stats_cpu(cost.stats_cpu_units)
 
+    def charge_scan_pages(self, table: Table, first_page: int, last_page: int) -> None:
+        """One scan batch's charges: a sequential buffer request and the
+        per-page tuple CPU for pages ``first_page .. last_page - 1``.
+
+        The same float additions, in the same order, as requesting and
+        charging the pages one at a time — I/O and CPU accumulate in
+        separate categories, so running each category's additions back to
+        back changes no total.
+        """
+        self.buffer_pool.access_run(table.table_id, first_page, last_page)
+        per_page = table.rows_per_page
+        total_rows = table.row_count
+        cpu_per_tuple = self.cost_model.params.cpu_per_tuple
+        breakdown = self.clock.breakdown
+        cpu = breakdown.cpu
+        full_pages = min(last_page, total_rows // per_page)
+        full_page_cpu = per_page * cpu_per_tuple
+        for __ in range(first_page, full_pages):
+            cpu += full_page_cpu
+        for page_no in range(max(first_page, full_pages), last_page):
+            cpu += (total_rows - page_no * per_page) * cpu_per_tuple
+        breakdown.cpu = cpu
+
     def mark_started(self, node: PlanNode) -> None:
         """Record that a node's iterator was first pulled."""
         self.started.add(node.node_id)
@@ -296,6 +345,27 @@ class RuntimeContext:
         self.actual_rows[node.node_id] = rows
         if self.tracer is not None:
             self.tracer.node_completed(node, rows)
+
+    def collector_completed(self, node: StatsCollectorNode, collector) -> None:
+        """A statistics collector's after-loop semantics: the stats CPU
+        charge, finalize, publish, and the controller hook that may arm a
+        plan switch.  ``collector`` is the node's drained
+        :class:`~repro.executor.collector.RuntimeCollector`."""
+        params = self.cost_model.params
+        per_row = (
+            params.cpu_stats_per_tuple
+            + node.spec.statistic_count * params.cpu_stats_per_statistic
+        )
+        self.clock.charge_stats_cpu(collector.row_count * per_row)
+        observed = collector.finalize()
+        self.observed[node.node_id] = observed
+        if self.tracer is not None:
+            self.tracer.instant(
+                "collector-complete", "stats",
+                node_id=node.node_id, observed=observed.describe(),
+            )
+        if self.controller is not None:
+            self.controller.on_collector_complete(node, observed)
 
     def take_switch_for(self, node_id: int) -> PlanSwitchDirective | None:
         """Claim a pending plan switch if it targets this node."""

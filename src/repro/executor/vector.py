@@ -37,7 +37,7 @@ from collections import OrderedDict
 from types import CodeType
 from typing import Callable, Sequence
 
-try:  # Optional: only the columnar mask kernels need NumPy.
+try:  # Optional: only the column-space mask kernels need NumPy.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised only without numpy
     _np = None  # type: ignore[assignment]
@@ -193,21 +193,26 @@ def compile_batch_projector(
 
 
 # ----------------------------------------------------------------------
-# NumPy mask kernels (columnar execution path)
+# NumPy mask kernels (column-space leaf pipelines)
 # ----------------------------------------------------------------------
 #
-# The columnar executor evaluates a filter as one boolean mask over a page
-# group's column arrays instead of one Python expression per row.  A filter
-# compiles to a closure tree — per-group overhead is O(tree size), per-row
-# work runs inside NumPy — taking a ``resolve(column) -> ndarray`` callback
-# so the caller controls where arrays come from (and how dictionary columns
-# decode).  Any predicate shape without an exact NumPy equivalent returns
-# None and the caller falls back to the tuple-space batch kernel for that
-# operator: notably UDF calls, and division by anything but a non-zero
-# constant (NumPy's division-by-zero semantics differ from Python's).
+# A column-space leaf pipeline evaluates a filter as one boolean mask over a
+# page group's column arrays instead of one Python expression per row.  A
+# filter compiles to a closure tree — per-group overhead is O(tree size),
+# per-row work runs inside NumPy — taking a ``resolve(column) -> ndarray``
+# callback so the caller controls where arrays come from.  A resolver may
+# also offer ``resolve.codes(column) -> (codes, dictionary) | None``: a
+# column-vs-constant comparison or IN-list over a dictionary-encoded column
+# then evaluates once per *dictionary value* and gathers the answers by
+# code, never decoding the strings (see ``_code_space``).  Any predicate
+# shape without an exact NumPy equivalent returns None and the caller falls
+# back to the tuple-space batch kernel for that operator: notably UDF
+# calls, and division by anything but a non-zero constant (NumPy's
+# division-by-zero semantics differ from Python's).
 #
 # Semantics parity: comparisons/arithmetic on int64/float64 arrays follow
-# the same integer/IEEE-754 rules as Python scalars; object arrays apply the
+# the same integer/IEEE-754 rules as Python scalars (int32-stored columns
+# compare as they are and widen before arithmetic); object arrays apply the
 # Python operators elementwise.  ``AND`` conjunctions become ``&`` of masks,
 # which is equivalent to short-circuit evaluation because predicates are
 # side-effect-free.
@@ -227,6 +232,15 @@ _ARITH_OPS = {
     "*": operator.mul,
     "/": operator.truediv,
 }
+
+
+def _wide(operand):
+    """An arithmetic operand at full width: the column store keeps
+    integers that fit as int32, which compare exactly as they are but
+    would overflow early under arithmetic."""
+    if getattr(operand, "dtype", None) == _np.int32:
+        return operand.astype(_np.int64)
+    return operand
 
 
 def _mask_expr(expr: ScalarExpr, schema: Schema, position_map):
@@ -253,13 +267,39 @@ def _mask_expr(expr: ScalarExpr, schema: Schema, position_map):
         right = _mask_expr(expr.right, schema, position_map)
         if left is None or right is None:
             return None
-        return lambda resolve: op(left(resolve), right(resolve))
+        return lambda resolve: op(_wide(left(resolve)), _wide(right(resolve)))
     if isinstance(expr, NegExpr):
         child = _mask_expr(expr.child, schema, position_map)
         if child is None:
             return None
-        return lambda resolve: -child(resolve)
+        return lambda resolve: -_wide(child(resolve))
     return None  # FuncExpr / future shapes: no vector kernel
+
+
+def _code_space(column: int, key: tuple, test, value_space):
+    """``value_space``, or its dictionary-code-space equivalent.
+
+    ``test(value) -> bool`` is the predicate on one column value.  When the
+    resolver serves ``column`` as dictionary codes (only for NULL-free
+    groups, so every code indexes the dictionary), the mask is the
+    per-value truth table gathered by code: the same booleans the decoded
+    strings would compare to, one Python comparison per *distinct* value.
+    A constant the values cannot be compared with makes the table raise;
+    the value-space kernel then raises (or not) row by row, like serial.
+    """
+
+    def kernel(resolve):
+        codes_of = getattr(resolve, "codes", None)
+        coded = codes_of(column) if codes_of is not None else None
+        if coded is not None:
+            codes, dictionary = coded
+            try:
+                return dictionary.truth_table(key, test)[codes]
+            except TypeError:
+                pass
+        return value_space(resolve)
+
+    return kernel
 
 
 def _mask_predicate(pred: Predicate, schema: Schema, position_map):
@@ -272,7 +312,21 @@ def _mask_predicate(pred: Predicate, schema: Schema, position_map):
         if left is None or right is None:
             return None
         op = _MASK_OPS[pred.op]
-        return lambda resolve: op(left(resolve), right(resolve))
+
+        def compare(resolve):
+            return op(left(resolve), right(resolve))
+
+        pair = pred.column_and_constant()
+        if pair is None:
+            return compare
+        flipped = _MASK_OPS[pred.normalized().op]
+        constant = pair[1]
+        return _code_space(
+            position_map(schema.index_of(pair[0])),
+            (pred.normalized().op, constant),
+            lambda value: flipped(value, constant),
+            compare,
+        )
     if isinstance(pred, InPredicate):
         if not pred.columns():
             return None
@@ -280,7 +334,19 @@ def _mask_predicate(pred: Predicate, schema: Schema, position_map):
         if expr is None:
             return None
         values = list(pred.values)
-        return lambda resolve: _np.isin(expr(resolve), values)
+
+        def member(resolve):
+            return _np.isin(expr(resolve), values)
+
+        if not isinstance(pred.expr, ColumnExpr):
+            return member
+        members = set(values)
+        return _code_space(
+            position_map(schema.index_of(pred.expr.name)),
+            ("in", pred.values),
+            members.__contains__,
+            member,
+        )
     if isinstance(pred, AndPredicate):
         children = [_mask_predicate(c, schema, position_map) for c in pred.children]
         if any(c is None for c in children):
@@ -324,10 +390,13 @@ def compile_mask_conjuncts(
     ``resolve`` serves (``resolve`` takes positions already passed through
     ``position_map``, which translates schema positions to base-column
     indices when the filter sits above pure-column projections).  Callers
-    must apply the conjuncts *in order, narrowing the row selection between
-    them*: that reproduces the serial per-row short-circuit, where a row
-    failing conjunct *i* never sees conjunct *i+1* — observable when a
-    later conjunct would raise (e.g. a NULL comparison).  Returns None —
+    must apply the conjuncts *in order*, and may show a conjunct rows an
+    earlier one excluded only when it cannot raise on them (numeric
+    arrays, NULL-free dictionary codes) — otherwise they narrow the row
+    selection first: that reproduces the serial per-row short-circuit,
+    where a row failing conjunct *i* never sees conjunct *i+1* —
+    observable when a later conjunct would raise (e.g. a NULL
+    comparison).  Returns None —
     caller falls back to :func:`compile_batch_filter` — when NumPy is
     unavailable or any conjunct lacks an exact kernel.
     """
@@ -339,29 +408,3 @@ def compile_mask_conjuncts(
     if any(fn is None for fn in compiled):
         return None
     return compiled
-
-
-def compile_mask_filter(
-    predicates: Sequence[Predicate],
-    schema: Schema,
-    position_map: Callable[[int], int] | None = None,
-) -> Callable | None:
-    """Compile a conjunction to one folded NumPy boolean-mask function.
-
-    The eager fold (``&`` across conjuncts) is only short-circuit-safe for
-    single-conjunct filters; multi-conjunct callers should prefer
-    :func:`compile_mask_conjuncts`.
-    """
-    compiled = compile_mask_conjuncts(predicates, schema, position_map)
-    if compiled is None:
-        return None
-    if len(compiled) == 1:
-        return compiled[0]
-
-    def conjunction(resolve, compiled=compiled):
-        mask = compiled[0](resolve)
-        for fn in compiled[1:]:
-            mask = mask & fn(resolve)
-        return mask
-
-    return conjunction

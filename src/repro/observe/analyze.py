@@ -109,7 +109,12 @@ class NodeAnalysis:
     sim_window: tuple[float, float] | None
     rows_q_error: float | None
     collector: CollectorInsight | None = None
-    #: For sequential scans executed on the columnar path: page groups
+    #: For the sequential scan under a leaf pipeline: which kernels ran it
+    #: and how many tuples it built (``{"table", "kernel", "reason",
+    #: "rows_scanned", "rows_selected", "rows_materialised"}`` — see
+    #: :attr:`ExecutionProfile.leaf_pipelines`), None otherwise.
+    leaf_pipeline: dict | None = None
+    #: For sequential scans executed by the column kernels: page groups
     #: skipped via zone maps vs. read (``{"groups_read", "groups_skipped",
     #: "pages_skipped", "rows_skipped", "table"}``), None otherwise.
     #: Skipped rows are exact free observations — already included in
@@ -161,6 +166,15 @@ class NodeAnalysis:
         else:
             act = f"{indent}    act:  ({self.not_run_note})"
         lines = [head, est, act]
+        if self.leaf_pipeline is not None:
+            leaf = self.leaf_pipeline
+            why = f" ({leaf['reason']})" if leaf["reason"] else ""
+            lines.append(
+                f"{indent}    leaf pipeline: {leaf['kernel']} kernels{why}, "
+                f"{leaf['rows_scanned']} rows scanned, "
+                f"{leaf['rows_selected']} selected, "
+                f"{leaf['rows_materialised']} materialised"
+            )
         if self.zone_map is not None:
             read = self.zone_map.get("groups_read", 0)
             skipped = self.zone_map.get("groups_skipped", 0)
@@ -377,6 +391,7 @@ def analyze_execution(
                     else "did not complete — consumer stopped pulling early"
                 ),
             )
+            node_analysis.leaf_pipeline = profile.leaf_pipelines.get(node.node_id)
             per_scan = ctx.columnar.by_scan.get(node.node_id)
             if per_scan is not None:
                 node_analysis.zone_map = dict(per_scan)

@@ -56,6 +56,11 @@ class BufferPool:
         self.clock = clock
         self.stats = BufferStats()
         self._pages: OrderedDict[PageKey, None] = OrderedDict()
+        #: Page numbers held per owner — always exactly the keys of
+        #: ``_pages`` grouped by owner.  Lets :meth:`access_run` prove a
+        #: whole run misses without probing page by page, and
+        #: :meth:`invalidate_owner` drop an owner without walking the pool.
+        self._resident: dict[int, set[int]] = {}
 
     def __len__(self) -> int:
         return len(self._pages)
@@ -79,6 +84,55 @@ class BufferPool:
         self._admit(key)
         return False
 
+    def access_run(self, owner_id: int, first_page: int, last_page: int) -> None:
+        """Request pages ``first_page .. last_page - 1`` sequentially.
+
+        Observationally identical to one ``access(owner_id, page,
+        sequential=True)`` per page in ascending order: the same LRU order,
+        the same hit/miss/eviction counters, and the same float additions
+        in the same order on the clock (one ``+= seq_page_read`` per miss,
+        never a multiplied lump).  A scan batch whose pages are all absent
+        — the common case for a table larger than the pool — is admitted
+        in one pass without per-page method calls or membership probes.
+        """
+        count = last_page - first_page
+        if count <= 0:
+            return
+        run = range(first_page, last_page)
+        resident = self._resident.get(owner_id)
+        if resident is None:
+            resident = self._resident[owner_id] = set()
+        elif not resident.isdisjoint(run):
+            for page_no in run:
+                self.access(owner_id, page_no)
+            return
+        breakdown = self.clock.breakdown
+        per_page = 1 * self.clock.params.seq_page_read
+        seq_read = breakdown.seq_read
+        for __ in run:
+            seq_read += per_page
+        breakdown.seq_read = seq_read
+        pages = self._pages
+        popitem = pages.popitem
+        by_owner = self._resident
+        room = self.capacity - len(pages)
+        self.stats.misses += count
+        self.stats.evictions += max(0, count - room)
+        evicted_here: list[int] = []
+        for page_no in run:
+            if room:
+                room -= 1
+            else:
+                old_owner, old_page = popitem(False)[0]
+                if old_owner == owner_id:
+                    evicted_here.append(old_page)
+                else:
+                    by_owner[old_owner].discard(old_page)
+            pages[(owner_id, page_no)] = None
+        # A run longer than the pool evicts its own head: add, then remove.
+        resident.update(run)
+        resident.difference_update(evicted_here)
+
     def write(self, owner_id: int, page_no: int) -> None:
         """Write a page through to disk (always charged) and cache it."""
         key = (owner_id, page_no)
@@ -90,16 +144,18 @@ class BufferPool:
 
     def invalidate_owner(self, owner_id: int) -> None:
         """Drop every cached page belonging to ``owner_id`` (e.g. temp drop)."""
-        stale = [key for key in self._pages if key[0] == owner_id]
-        for key in stale:
-            del self._pages[key]
+        for page_no in self._resident.pop(owner_id, ()):
+            del self._pages[(owner_id, page_no)]
 
     def clear(self) -> None:
         """Empty the pool (counters are preserved)."""
         self._pages.clear()
+        self._resident.clear()
 
     def _admit(self, key: PageKey) -> None:
         if len(self._pages) >= self.capacity:
-            self._pages.popitem(last=False)
+            (old_owner, old_page), __ = self._pages.popitem(last=False)
+            self._resident[old_owner].discard(old_page)
             self.stats.evictions += 1
         self._pages[key] = None
+        self._resident.setdefault(key[0], set()).add(key[1])

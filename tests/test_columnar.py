@@ -1,14 +1,15 @@
-"""Columnar execution: storage, zone maps, kernels, parity, integration.
+"""Column-space leaf pipelines: storage, zone maps, kernels, parity, integration.
 
-The contract under test (DESIGN.md section 9): ``execution_mode="columnar"``
-swaps the inside of leaf pipelines for vectorized NumPy work over per-page-
-group column arrays, with zone-map scan skipping — and under the default
-``zone_map_cost_mode="charge"`` it is byte-identical to the row and batch
-paths: result rows, simulated ``CostBreakdown``, buffer statistics and
-observed statistics, at any page-group size, including across mid-query
-plan switches.  Plus the storage layer the tentpole rides on: incremental
-``ColumnStore.sync``, dictionary overflow demotion, and zone-map soundness
-on the edge groups (all-NULL, single-row).
+The contract under test (DESIGN.md section 9): the batch executor swaps the
+inside of every qualifying leaf pipeline for vectorized NumPy work over
+per-page-group column arrays, with zone-map scan skipping and late
+materialisation — and under the default ``zone_map_cost_mode="charge"`` it
+is byte-identical to the row path (the oracle): result rows, simulated
+``CostBreakdown``, buffer statistics and observed statistics, at any
+page-group size, including across mid-query plan switches.  Plus the
+storage layer it rides on: lazily built, incrementally synced
+``ColumnStore`` columns, dictionary overflow demotion, and zone-map
+soundness on the edge groups (all-NULL, single-row).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import pytest
 
 from repro import Database, DataType, DynamicMode, EngineConfig
 from repro.bench import ExperimentConfig, build_database
-from repro.engine.plan_cache import PlanCache
 from repro.errors import ConfigError
 from repro.executor.dispatcher import Dispatcher
 from repro.executor.runtime import RuntimeContext
@@ -34,7 +34,7 @@ from repro.plans.logical import (
 from repro.stats.histogram import HistogramKind
 from repro.storage import BufferPool, CostClock, Schema, TempTableManager
 from repro.storage.columnar import ColumnStore, ZoneMap, numpy_available, page_groups
-from repro.executor.vector import compile_mask_filter
+from repro.executor.vector import compile_mask_conjuncts
 from repro.workloads.tpcd import ALL_QUERIES
 
 from .conftest import make_two_table_db
@@ -125,28 +125,55 @@ class TestColumnStore:
         for prev, nxt in zip(store.groups, store.groups[1:]):
             assert prev.end_row == nxt.start_row
 
+    @pytest.mark.parametrize("width", [1, 3, 40])
+    def test_page_groups_match_the_page_by_page_accumulation(self, width):
+        # The definition: whole pages accumulate until batch_size rows are
+        # buffered.  page_groups computes the same bounds arithmetically.
+        def accumulate(table, batch_size):
+            groups, start, buffered = [], 0, 0
+            for page_no, page in enumerate(table.iter_pages()):
+                buffered += len(page)
+                if buffered >= batch_size:
+                    groups.append((start, page_no + 1))
+                    start, buffered = page_no + 1, 0
+            if buffered:
+                groups.append((start, table.page_count))
+            return groups
+
+        for rows in (0, 1, 255, 256, 257, 1000, 5000):
+            db = Database()
+            db.create_table("t", [(f"c{i}", DataType.INTEGER) for i in range(width)])
+            db.load_rows("t", [(i,) * width for i in range(rows)])
+            table = db.catalog.table("t")
+            per_page = table.rows_per_page
+            for batch_size in (1, per_page - 1, per_page, per_page + 1, 1024, 10**6):
+                if batch_size > 0:
+                    assert page_groups(table, batch_size) == accumulate(
+                        table, batch_size
+                    ), (rows, batch_size)
+
     def test_integer_column_round_trips_exactly(self):
         values = [(-(2**62), 0), (2**62, 1), (17, 2)]
         __, table, store = _make_table(values)
         group = store.groups[0]
-        assert store.encodings[0] == "int64"
+        assert store.encoding(0) == "int64"
         assert store.values(group, 0).tolist() == [v for v, __ in values]
 
     def test_huge_integer_demotes_to_object(self):
         __, __t, store = _make_table([(2**70, 0), (1, 1)])
-        assert store.encodings[0] == "object"
+        assert store.encoding(0) == "object"
         assert store.values(store.groups[0], 0).tolist() == [2**70, 1]
 
     def test_bool_demotes_to_object(self):
         # bool is an int subclass but int64 storage would turn True into 1,
         # breaking value-level parity with the heap tuples.
         __, __t, store = _make_table([(True, 0), (False, 1)])
-        assert store.encodings[0] == "object"
+        assert store.encoding(0) == "object"
         assert store.values(store.groups[0], 0).tolist() == [True, False]
 
     def test_null_in_numeric_column_demotes_to_object(self):
         __, __t, store = _make_table([(1, 0), (None, 1), (3, 2)])
-        assert store.encodings[0] == "object"
+        assert store.encoding(0) == "object"
         assert store.values(store.groups[0], 0).tolist() == [1, None, 3]
 
     def test_string_column_dictionary_encodes(self):
@@ -154,7 +181,7 @@ class TestColumnStore:
         __, __t, store = _make_table(
             rows, dtypes=[DataType.INTEGER, DataType.STRING]
         )
-        assert store.encodings[1] == "dict"
+        assert store.encoding(1) == "dict"
         decoded = [
             v
             for group in store.groups
@@ -167,7 +194,7 @@ class TestColumnStore:
         __, __t, store = _make_table(
             rows, dtypes=[DataType.INTEGER, DataType.STRING], dictionary_max=16
         )
-        assert store.encodings[1] == "object"
+        assert store.encoding(1) == "object"
         assert store.dictionaries[1] is None
         decoded = [
             v
@@ -198,22 +225,174 @@ class TestColumnStore:
 
     def test_truncate_resets_store(self):
         __, table, store = _make_table([(2**70, 0)])
-        assert store.encodings[0] == "object"
+        assert store.encoding(0) == "object"
         table.truncate()
         assert store.groups == []
-        assert store.encodings[0] == "int64"
+        assert store.encoding(0) == "int64"
 
     def test_store_cached_per_geometry(self):
         __, table, store = _make_table([(i, 0) for i in range(100)])
         assert table.column_store(64) is store
         assert table.column_store(32) is not store
 
+    def test_columns_build_on_first_read_only(self):
+        rows = [(i, i % 5, f"s{i % 3}") for i in range(1000)]
+        dtypes = [DataType.INTEGER, DataType.INTEGER, DataType.STRING]
+        __, __t, store = _make_table(rows, dtypes=dtypes)
+        assert len(store.groups) >= 3
+        assert all(a is None for g in store.groups for a in g.arrays)
+        version = store.version
+        assert store.values(store.groups[1], 1).tolist() == [
+            row[1] for row in rows[store.groups[1].start_row : store.groups[1].end_row]
+        ]
+        # The whole column, every group, in one build; its neighbours unread.
+        assert store.version == version + 1
+        for group in store.groups:
+            assert group.arrays[1] is not None and group.zones[1] is not None
+            assert group.arrays[0] is None and group.arrays[2] is None
+        store.values(store.groups[0], 1)
+        store.zone(store.groups[2], 1)
+        assert store.version == version + 1
+
+    def test_unchanged_table_costs_a_row_count_check(self, monkeypatch):
+        from repro.storage import columnar as storage_columnar
+
+        __, table, store = _make_table([(i, 0) for i in range(1000)])
+        store.encoding(0)
+        calls = []
+        real = storage_columnar.page_groups
+        monkeypatch.setattr(
+            storage_columnar, "page_groups",
+            lambda *args: calls.append(args) or real(*args),
+        )
+        version = store.version
+        assert table.column_store(64) is store
+        assert table.column_store(64) is store
+        assert calls == [] and store.version == version
+        table.append_rows([(1000, 1)])
+        assert len(calls) == 1 and store.version == version + 1
+
+    def test_append_extends_only_tail_groups_of_built_columns(self):
+        rows = [(i, i % 7, float(i)) for i in range(1000)]
+        dtypes = [DataType.INTEGER, DataType.INTEGER, DataType.FLOAT]
+        __, table, store = _make_table(rows, dtypes=dtypes)
+        store.encoding(1)
+        kept = [(id(g), id(g.arrays[1])) for g in store.groups[:-1]]
+        table.append_rows([(i, i % 7, float(i)) for i in range(1000, 1300)])
+        assert [(id(g), id(g.arrays[1])) for g in store.groups[: len(kept)]] == kept
+        assert store.groups[-1].end_row == 1300
+        for group in store.groups:
+            assert group.arrays[1] is not None
+            assert group.arrays[0] is None and group.arrays[2] is None
+        decoded = [v for g in store.groups for v in store.values(g, 1).tolist()]
+        assert decoded == [row[1] for row in table.rows]
+
+    def test_integers_that_fit_store_as_int32_and_widen_on_append(self):
+        __, table, store = _make_table([(i, 0) for i in range(1000)])
+        assert store.array(store.groups[0], 0).dtype == np.int32
+        assert store.encoding(0) == "int64"
+        table.append_rows([(2**40, 1)])  # outgrows int32 in the tail group
+        assert {store.array(g, 0).dtype for g in store.groups} == {
+            np.dtype(np.int64)
+        }
+        decoded = [v for g in store.groups for v in store.values(g, 0).tolist()]
+        assert decoded == [row[0] for row in table.rows]
+        # A column that never fit is int64 from its first group on.
+        __, __t, wide = _make_table([(2**40 + i, 0) for i in range(300)])
+        assert wide.array(wide.groups[-1], 0).dtype == np.int64
+
+    def test_lazy_build_order_equals_eager_build(self):
+        # Column 0 demotes to object in a late group (NULL), column 1's
+        # dictionary overflows mid-build, column 2 outgrows int32 late,
+        # column 3 is a float with a stray bool.  Whichever column is read
+        # first, and whether the appends land before or after the reads,
+        # every column must end in the state an eager build gives it.
+        def rows_for(lo, hi):
+            return [
+                (
+                    None if i == 700 else i,
+                    f"v{i % 11 if i < 400 else i}",
+                    2**40 if i == 650 else i,
+                    True if i == 820 else float(i),
+                    f"c{i % 4}",
+                )
+                for i in range(lo, hi)
+            ]
+
+        dtypes = [
+            DataType.INTEGER, DataType.STRING, DataType.INTEGER,
+            DataType.FLOAT, DataType.STRING,
+        ]
+
+        def state(store):
+            return [
+                (
+                    store.encoding(c),
+                    None if store.dictionaries[c] is None
+                    else list(store.dictionaries[c].values),
+                    [store.array(g, c).dtype for g in store.groups],
+                    [store.array(g, c).tolist() for g in store.groups],
+                    [repr(store.zone(g, c)) for g in store.groups],
+                )
+                for c in range(5)
+            ]
+
+        __, __t, eager = _make_table(
+            rows_for(0, 1000), dtypes=dtypes, dictionary_max=16
+        )
+        expect = state(eager)  # columns read 0..4, all rows present
+        assert [e[0] for e in expect] == [
+            "object", "object", "int64", "object", "dict",
+        ]
+        for order in ([4, 3, 2, 1, 0], [2, 0, 4, 1, 3]):
+            __, table, lazy = _make_table(
+                rows_for(0, 300), dtypes=dtypes, dictionary_max=16
+            )
+            for step, column in enumerate(order):
+                lazy.encoding(column)
+                if step == 1:
+                    table.append_rows(rows_for(300, 680))
+                if step == 3:
+                    table.append_rows(rows_for(680, 1000))
+            assert state(lazy) == expect
+
+    def test_concurrent_first_touch_builds_a_column_once(self):
+        import sys
+        import threading
+
+        __, __t, store = _make_table([(i, i % 9) for i in range(20_000)])
+        version = store.version
+        barrier = threading.Barrier(8)
+        seen, errors = [], []
+
+        def touch():
+            try:
+                barrier.wait(timeout=10)
+                seen.append(store.values(store.groups[-1], 1).tolist())
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=touch) for __ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert store.version == version + 1  # one build, not eight
+        last = store.groups[-1]
+        assert seen == [[i % 9 for i in range(last.start_row, last.end_row)]] * 8
+
 
 class TestZoneMaps:
     def test_zone_maps_exact_min_max(self):
         __, __t, store = _make_table([(i, i % 7) for i in range(1000)])
         for group in store.groups:
-            zone = group.zones[0]
+            zone = store.zone(group, 0)
             assert zone.min_value == group.start_row
             assert zone.max_value == group.end_row - 1
             assert zone.null_count == 0
@@ -221,7 +400,7 @@ class TestZoneMaps:
 
     def test_all_null_group(self):
         __, __t, store = _make_table([(None, i) for i in range(10)])
-        zone = store.groups[0].zones[0]
+        zone = store.zone(store.groups[0], 0)
         assert zone.all_null
         assert zone.min_value is None and zone.max_value is None
         assert zone.null_count == zone.row_count == 10
@@ -236,18 +415,18 @@ class TestZoneMaps:
         assert len(store.groups) == table.page_count == 2
         last = store.groups[-1]
         assert last.row_count == 1
-        zone = last.zones[0]
+        zone = store.zone(last, 0)
         assert zone.min_value == zone.max_value == table_rows - 1
         assert zone.row_count == 1
         for group in store.groups:
-            zone = group.zones[0]
+            zone = store.zone(group, 0)
             assert zone.min_value == group.start_row
             assert zone.max_value == group.end_row - 1
 
     def test_maintained_across_appends(self):
         __, table, store = _make_table([(i, 0) for i in range(100)])
         table.append_rows([(1_000_000, 0)])
-        assert store.groups[-1].zones[0].max_value == 1_000_000
+        assert store.zone(store.groups[-1], 0).max_value == 1_000_000
 
 
 # ----------------------------------------------------------------------
@@ -259,6 +438,15 @@ def _schema():
     from .conftest import simple_schema
 
     return simple_schema()
+
+
+def compile_mask_filter(predicates, schema):
+    """The single conjunct's mask kernel, or None without a kernel."""
+    conjuncts = compile_mask_conjuncts(predicates, schema)
+    if conjuncts is None:
+        return None
+    (kernel,) = conjuncts
+    return kernel
 
 
 class TestMaskCompiler:
@@ -340,7 +528,7 @@ class TestMaskCompiler:
 
 
 # ----------------------------------------------------------------------
-# Parity: columnar vs batch vs row
+# Parity: column kernels (batch path) vs the row path
 # ----------------------------------------------------------------------
 
 PARITY_QUERIES = [
@@ -358,19 +546,17 @@ class TestColumnarParity:
     @pytest.mark.parametrize("sql", PARITY_QUERIES)
     def test_bit_identical_on_two_table_db(self, two_table_db, sql):
         plan, __scia, __opt = two_table_db.plan(sql, mode=DynamicMode.FULL)
-        batch_result, batch_ctx = dispatch(two_table_db, plan, "batch")
-        col_result, col_ctx = dispatch(two_table_db, plan, "columnar")
+        col_result, col_ctx = dispatch(two_table_db, plan, "batch")
         row_result, row_ctx = dispatch(two_table_db, plan, "row")
-        assert_bit_identical(col_result, col_ctx, batch_result, batch_ctx)
-        assert row_result.rows == batch_result.rows
-        assert row_ctx.clock.now == batch_ctx.clock.now
+        assert col_ctx.columnar.leaf  # every query here has a leaf pipeline
+        assert_bit_identical(col_result, col_ctx, row_result, row_ctx)
 
     @pytest.mark.parametrize("query", ALL_QUERIES, ids=lambda q: q.name)
     def test_bit_identical_on_tpcd(self, tpcd_db, query):
         plan, __scia, __opt = tpcd_db.plan(query.sql, mode=DynamicMode.FULL)
-        batch_result, batch_ctx = dispatch(tpcd_db, plan, "batch")
-        col_result, col_ctx = dispatch(tpcd_db, plan, "columnar")
-        assert_bit_identical(col_result, col_ctx, batch_result, batch_ctx)
+        row_result, row_ctx = dispatch(tpcd_db, plan, "row")
+        col_result, col_ctx = dispatch(tpcd_db, plan, "batch")
+        assert_bit_identical(col_result, col_ctx, row_result, row_ctx)
 
     @pytest.mark.parametrize("batch_size", [1, 7, 64, 1024])
     def test_parity_at_any_page_group_size(self, batch_size):
@@ -391,9 +577,9 @@ class TestColumnarParity:
             "SELECT b, count(*) FROM t WHERE k >= 100 GROUP BY b",
         ):
             plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
-            batch_result, batch_ctx = dispatch(db, plan, "batch")
-            col_result, col_ctx = dispatch(db, plan, "columnar")
-            assert_bit_identical(col_result, col_ctx, batch_result, batch_ctx)
+            row_result, row_ctx = dispatch(db, plan, "row")
+            col_result, col_ctx = dispatch(db, plan, "batch")
+            assert_bit_identical(col_result, col_ctx, row_result, row_ctx)
 
     def test_string_and_null_columns_hold_parity(self):
         db = Database(EngineConfig(batch_size=32))
@@ -415,39 +601,51 @@ class TestColumnarParity:
             "SELECT s, count(*) FROM t WHERE k >= 10 GROUP BY s",
         ):
             plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
-            batch_result, batch_ctx = dispatch(db, plan, "batch")
-            col_result, col_ctx = dispatch(db, plan, "columnar")
-            assert_bit_identical(col_result, col_ctx, batch_result, batch_ctx)
+            row_result, row_ctx = dispatch(db, plan, "row")
+            col_result, col_ctx = dispatch(db, plan, "batch")
+            assert_bit_identical(col_result, col_ctx, row_result, row_ctx)
 
     def test_switch_queries_survive_columnar(self, tpcd_db):
-        # Q5 and Q8 re-optimize mid-query at this scale; the columnar path
-        # must reproduce the switch and the final profile exactly.
+        # Q5 and Q8 re-optimize mid-query at this scale; the column kernels
+        # must reproduce the switch and the final profile exactly, and the
+        # switch remainder's temporary table must take the row kernels.
         for name in ("Q5", "Q8"):
             query = next(q for q in ALL_QUERIES if q.name == name)
-            batch = tpcd_db.execute(
-                query.sql, mode=DynamicMode.FULL, execution_mode="batch"
+            row = tpcd_db.execute(
+                query.sql, mode=DynamicMode.FULL, execution_mode="row"
             )
             col = tpcd_db.execute(
-                query.sql, mode=DynamicMode.FULL, execution_mode="columnar"
+                query.sql, mode=DynamicMode.FULL, execution_mode="batch"
             )
-            assert col.rows == batch.rows
-            assert col.profile.plan_switches == batch.profile.plan_switches
-            assert batch.profile.plan_switches >= 1
-            assert col.profile.total_cost == batch.profile.total_cost
-            assert col.profile.breakdown == batch.profile.breakdown
+            assert col.rows == row.rows
+            assert col.profile.plan_switches == row.profile.plan_switches
+            assert row.profile.plan_switches >= 1
+            assert col.profile.total_cost == row.profile.total_cost
+            assert col.profile.breakdown == row.profile.breakdown
+            assert col.profile.columnar_pipelines >= 1
+            temps = [
+                record
+                for record in col.profile.leaf_pipelines.values()
+                if record["table"].startswith("__temp_")
+            ]
+            assert temps
+            for record in temps:
+                assert record["kernel"] == "row"
+                assert record["reason"] == "temporary table"
 
     def test_appends_after_analyze_stay_consistent(self, two_table_db):
         db = two_table_db
         sql = "SELECT id, a FROM r1 WHERE id >= 1990"
-        before = db.execute(sql, execution_mode="columnar")
+        before = db.execute(sql, execution_mode="batch")
         epoch = db.catalog.stats_epoch
         db.load_rows("r1", [(i, 1, 2) for i in range(2000, 2100)])
         assert db.catalog.stats_epoch > epoch  # plan-cache invalidation
-        after_col = db.execute(sql, execution_mode="columnar")
-        after_batch = db.execute(sql, execution_mode="batch")
+        after_col = db.execute(sql, execution_mode="batch")
+        after_row = db.execute(sql, execution_mode="row")
+        assert after_col.profile.columnar_pipelines == 1
         assert len(after_col.rows) == len(before.rows) + 100
-        assert after_col.rows == after_batch.rows
-        assert after_col.profile.total_cost == after_batch.profile.total_cost
+        assert after_col.rows == after_row.rows
+        assert after_col.profile.total_cost == after_row.profile.total_cost
 
 
 # ----------------------------------------------------------------------
@@ -470,7 +668,7 @@ class TestZoneMapSkipping:
     def test_clustered_range_predicate_skips_groups(self):
         db = _clustered_db()
         result = db.execute(
-            "SELECT k, v FROM t WHERE k < 100", execution_mode="columnar"
+            "SELECT k, v FROM t WHERE k < 100", execution_mode="batch"
         )
         profile = result.profile
         assert profile.columnar_pipelines >= 1
@@ -486,58 +684,49 @@ class TestZoneMapSkipping:
         db = _clustered_db()
         sql = "SELECT k FROM t WHERE k >= 1900"
         plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
-        batch_result, batch_ctx = dispatch(db, plan, "batch")
-        col_result, col_ctx = dispatch(db, plan, "columnar")
+        row_result, row_ctx = dispatch(db, plan, "row")
+        col_result, col_ctx = dispatch(db, plan, "batch")
         assert col_ctx.columnar.groups_skipped > 0
-        assert_bit_identical(col_result, col_ctx, batch_result, batch_ctx)
+        assert_bit_identical(col_result, col_ctx, row_result, row_ctx)
 
     def test_free_mode_charges_less_but_returns_same_rows(self):
         db = _clustered_db()
         sql = "SELECT k FROM t WHERE k >= 1900"
         plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
-        batch_result, batch_ctx = dispatch(db, plan, "batch")
+        row_result, row_ctx = dispatch(db, plan, "row")
         free_result, free_ctx = dispatch(
-            db, plan, "columnar", zone_map_cost_mode="free"
+            db, plan, "batch", zone_map_cost_mode="free"
         )
         assert free_ctx.columnar.groups_skipped > 0
-        assert free_result.rows == batch_result.rows
-        assert free_ctx.clock.now < batch_ctx.clock.now
+        assert free_result.rows == row_result.rows
+        assert free_ctx.clock.now < row_ctx.clock.now
         assert (
             free_ctx.buffer_pool.stats.misses + free_ctx.buffer_pool.stats.hits
-            < batch_ctx.buffer_pool.stats.misses + batch_ctx.buffer_pool.stats.hits
+            < row_ctx.buffer_pool.stats.misses + row_ctx.buffer_pool.stats.hits
         )
-
-    def test_skipping_disabled_reads_everything(self):
-        db = _clustered_db()
-        sql = "SELECT k FROM t WHERE k < 100"
-        plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
-        on_result, on_ctx = dispatch(db, plan, "columnar")
-        off_result, off_ctx = dispatch(db, plan, "columnar", zone_map_skipping=False)
-        assert on_ctx.columnar.groups_skipped > 0
-        assert off_ctx.columnar.groups_skipped == 0
-        assert off_result.rows == on_result.rows
-        assert off_ctx.clock.now == on_ctx.clock.now  # charge mode replays
 
     def test_groups_with_nulls_never_skip_and_error_parity(self):
         # A NULL comparison raises on the serial path when the row is
         # reached; skipping a NULL-bearing group would mask that error, so
-        # such groups never skip — and the columnar path raises the same
-        # TypeError the row/batch paths raise.
+        # such groups never skip — and the column kernels raise the same
+        # TypeError the row path raises.
         db = Database(EngineConfig(batch_size=8))
         db.create_table("t", [("k", DataType.INTEGER), ("v", DataType.INTEGER)])
         db.load_rows("t", [(i if i % 8 else None, i) for i in range(2048)])
         sql = "SELECT v FROM t WHERE k > 100000"
         plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
         with pytest.raises(TypeError):
-            dispatch(db, plan, "batch")
+            dispatch(db, plan, "row")
         with pytest.raises(TypeError):
-            dispatch(db, plan, "columnar")
+            dispatch(db, plan, "batch")
 
     def test_conjunct_short_circuit_matches_serial(self):
         # A row failing the first conjunct must never reach the second —
         # here every NULL-k row is excluded by ``v < 100`` first, so the
         # serial path completes without touching the NULLs and the
-        # columnar path must do the same (per-conjunct narrowing).
+        # column kernels must do the same: k demoted to the object
+        # encoding, so the second conjunct waits for the selection to
+        # narrow instead of evaluating over the whole group.
         db = Database(EngineConfig(batch_size=8))
         db.create_table("t", [("k", DataType.INTEGER), ("v", DataType.INTEGER)])
         db.load_rows(
@@ -550,22 +739,22 @@ class TestZoneMapSkipping:
         sql = "SELECT k FROM t WHERE v < 100 AND k > 5"
         plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
         try:
-            batch_outcome = dispatch(db, plan, "batch")
+            row_outcome = dispatch(db, plan, "row")
         except TypeError:
-            batch_outcome = None  # optimizer reordered: both must raise
-        if batch_outcome is None:
+            row_outcome = None  # optimizer reordered: both must raise
+        if row_outcome is None:
             with pytest.raises(TypeError):
-                dispatch(db, plan, "columnar")
+                dispatch(db, plan, "batch")
         else:
-            col_result, col_ctx = dispatch(db, plan, "columnar")
+            col_result, col_ctx = dispatch(db, plan, "batch")
             assert_bit_identical(
-                col_result, col_ctx, batch_outcome[0], batch_outcome[1]
+                col_result, col_ctx, row_outcome[0], row_outcome[1]
             )
 
     def test_in_list_predicate_skips(self):
         db = _clustered_db()
         result = db.execute(
-            "SELECT v FROM t WHERE k IN (3, 5, 7)", execution_mode="columnar"
+            "SELECT v FROM t WHERE k IN (3, 5, 7)", execution_mode="batch"
         )
         assert result.profile.zone_map_skips > 0
         assert sorted(result.rows) == [(3 % 17,), (5 % 17,), (7 % 17,)]
@@ -576,10 +765,71 @@ class TestZoneMapSkipping:
         plan, __scia, __opt = db.plan(
             "SELECT k FROM t WHERE k = 25", mode=DynamicMode.FULL
         )
-        batch_result, batch_ctx = dispatch(db, plan, "batch")
-        col_result, col_ctx = dispatch(db, plan, "columnar")
+        row_result, row_ctx = dispatch(db, plan, "row")
+        col_result, col_ctx = dispatch(db, plan, "batch")
         assert col_ctx.columnar.groups_skipped > 0
-        assert_bit_identical(col_result, col_ctx, batch_result, batch_ctx)
+        assert_bit_identical(col_result, col_ctx, row_result, row_ctx)
+
+
+# ----------------------------------------------------------------------
+# Late materialisation: tuples are built only for rows a row operator gets
+# ----------------------------------------------------------------------
+
+
+class TestLateMaterialisation:
+    """Exact counts at SF 0.01 / seed 31 — observational, but exact: a
+    regression that materialises a probe side or an aggregate input shows
+    as tens of thousands of tuples, not as a slower wall clock."""
+
+    @pytest.fixture(scope="class")
+    def seed31_db(self) -> Database:
+        return build_database(ExperimentConfig(scale_factor=0.01, seed=31))
+
+    def analyzed(self, db, name):
+        query = next(q for q in ALL_QUERIES if q.name == name)
+        report = db.explain_analyze(query.sql, execution_mode="batch")
+        by_table = {
+            record["table"]: record
+            for record in report.result.profile.leaf_pipelines.values()
+        }
+        return report, by_table
+
+    @pytest.mark.parametrize("name, selected", [("Q1", 59963), ("Q6", 1081)])
+    def test_aggregates_materialise_nothing(self, seed31_db, name, selected):
+        __, by_table = self.analyzed(seed31_db, name)
+        assert by_table == {
+            "lineitem": {
+                "table": "lineitem", "kernel": "column", "reason": None,
+                "rows_scanned": 59963, "rows_selected": selected,
+                "rows_materialised": 0,
+            }
+        }
+
+    def test_probe_side_materialises_what_the_join_emits(self, seed31_db):
+        report, by_table = self.analyzed(seed31_db, "Q3")
+        lineitem = by_table["lineitem"]
+        assert lineitem["kernel"] == "column"
+        assert lineitem["rows_scanned"] == 59963
+        assert lineitem["rows_selected"] == 32739
+        joins = [
+            node
+            for node in report.plans[-1].nodes
+            if node.vectorized and node.vectorized["kind"] == "probe"
+        ]
+        top = next(j for j in joins if j.vectorized["rows_probed"] == 32739)
+        assert top.actual_rows == top.vectorized["matches"] == 285
+        assert lineitem["rows_materialised"] == 285
+        # A bare scan feeding a hash-join build is cheapest as heap rows.
+        __, q10 = self.analyzed(seed31_db, "Q10")
+        assert (q10["nation"]["kernel"], q10["nation"]["reason"]) == (
+            "row", "no filter",
+        )
+        assert "leaf pipeline: row kernels (no filter), 25 rows scanned" in (
+            seed31_db.explain_analyze(
+                next(q for q in ALL_QUERIES if q.name == "Q10").sql,
+                execution_mode="batch",
+            ).render()
+        )
 
 
 # ----------------------------------------------------------------------
@@ -591,74 +841,41 @@ class TestEngineIntegration:
     def test_profile_fields_and_summary(self):
         db = _clustered_db()
         result = db.execute(
-            "SELECT k FROM t WHERE k < 100", execution_mode="columnar"
+            "SELECT k FROM t WHERE k < 100", execution_mode="batch"
         )
         profile = result.profile
         assert profile.columnar_pipelines >= 1
         assert profile.zone_map_groups_read >= 1
         assert "columnar: pipelines=" in profile.summary()
-        batch = db.execute("SELECT k FROM t WHERE k < 100", execution_mode="batch")
-        assert batch.profile.columnar_pipelines == 0
-        assert batch.profile.zone_map_skips == 0
+        assert "leaf pipelines: column=1 row=0" in profile.summary()
+        row = db.execute("SELECT k FROM t WHERE k < 100", execution_mode="row")
+        assert row.profile.columnar_pipelines == 0
+        assert row.profile.zone_map_skips == 0
+        assert row.profile.leaf_pipelines == {}
 
     def test_keyed_pipelines_feed_joins_and_aggregates(self, two_table_db):
         result = two_table_db.execute(
             "SELECT r1.a, count(*) FROM r1, r2 "
             "WHERE r1.id = r2.r1_id AND r2.c < 8 GROUP BY r1.a",
-            execution_mode="columnar",
+            execution_mode="batch",
         )
         assert result.profile.columnar_keyed_pipelines >= 1
 
     def test_plan_cache_isolates_modes(self, two_table_db):
         db = two_table_db
         sql = "SELECT id FROM r1 WHERE a < 10"
-        db.execute(sql, execution_mode="batch")
+        db.execute(sql, execution_mode="row")
         before = db.plan_cache.stats.snapshot()
-        db.execute(sql, execution_mode="columnar")
+        db.execute(sql, execution_mode="batch")
         after = db.plan_cache.stats.snapshot()
         assert after.hits == before.hits  # no cross-mode hit
-        db.execute(sql, execution_mode="columnar")
+        db.execute(sql, execution_mode="batch")
         assert db.plan_cache.stats.hits == after.hits + 1
-
-    def test_execution_key_specializes_on_zone_toggles(self):
-        # parallel_workers and the vector knobs pinned so REPRO_WORKERS /
-        # REPRO_VECTOR_* env legs cannot leak into the key's components.
-        base = EngineConfig(
-            execution_mode="columnar",
-            parallel_workers=0,
-            vectorized_agg=True,
-            vectorized_probe=True,
-        )
-        key = PlanCache.execution_key(base, "columnar", None)
-        assert key == "columnar/z1/charge/va1/vp1/m1/w0"
-        no_skip = base.with_updates(zone_map_skipping=False)
-        free = base.with_updates(zone_map_cost_mode="free")
-        assert PlanCache.execution_key(no_skip, "columnar", None) != key
-        assert PlanCache.execution_key(free, "columnar", None) != key
-        assert PlanCache.execution_key(base, "batch", None) == "batch"
-        # The vector knobs specialize columnar entries too.
-        no_vec_agg = base.with_updates(vectorized_agg=False)
-        no_vec_probe = base.with_updates(vectorized_probe=False)
-        assert (
-            PlanCache.execution_key(no_vec_agg, "columnar", None)
-            == "columnar/z1/charge/va0/vp1/m1/w0"
-        )
-        assert PlanCache.execution_key(no_vec_probe, "columnar", None) != key
-        # The columnar-morsel fan-out (and its worker count) specializes too.
-        serial_kernels = base.with_updates(columnar_parallel=False)
-        assert (
-            PlanCache.execution_key(serial_kernels, "columnar", None)
-            == "columnar/z1/charge/va1/vp1/m0"
-        )
-        assert (
-            PlanCache.execution_key(base, "columnar", 4)
-            == "columnar/z1/charge/va1/vp1/m1/w4"
-        )
 
     def test_metrics_counters_recorded(self):
         registry = MetricsRegistry()
         db = Database(
-            EngineConfig(batch_size=64, execution_mode="columnar"),
+            EngineConfig(batch_size=64, execution_mode="batch"),
             metrics=registry,
         )
         db.create_table("t", [("k", DataType.INTEGER)], key=["k"])
@@ -670,13 +887,21 @@ class TestEngineIntegration:
         assert snap["columnar.zone_map.groups_skipped"]["value"] >= 1
         assert snap["columnar.zone_map.pages_skipped"]["value"] >= 1
         assert snap["columnar.zone_map.groups_read"]["value"] >= 1
+        assert snap["leaf.column_pipelines"]["value"] == 1
+        assert snap["leaf.rows_scanned"]["value"] == 2000
+        assert snap["leaf.rows_selected"]["value"] == 64
+        assert snap["leaf.rows_materialised"]["value"] == 64
 
     def test_explain_analyze_reports_zone_map_line(self):
         db = _clustered_db()
         report = db.explain_analyze(
-            "SELECT k FROM t WHERE k < 100", execution_mode="columnar"
+            "SELECT k FROM t WHERE k < 100", execution_mode="batch"
         )
         rendered = report.render()
+        assert (
+            "leaf pipeline: column kernels, 2000 rows scanned, "
+            "100 selected, 100 materialised"
+        ) in rendered
         assert "zone maps: skipped" in rendered
         assert "page groups" in rendered
         scans = [
@@ -688,20 +913,32 @@ class TestEngineIntegration:
         assert scans and scans[0].zone_map["groups_skipped"] >= 1
 
     def test_env_and_validation(self, monkeypatch):
+        # The mode is gone: column kernels are the batch executor's own
+        # choice, so the old spelling is a configuration error wherever
+        # it arrives from, and its toggles are not fields any more.
+        with pytest.raises(ConfigError):
+            EngineConfig(execution_mode="columnar").validate()
+        with pytest.raises(ConfigError):
+            _clustered_db().execute(
+                "SELECT k FROM t WHERE k < 10", execution_mode="columnar"
+            )
         monkeypatch.setenv("REPRO_EXECUTION_MODE", "columnar")
-        assert EngineConfig().execution_mode == "columnar"
-        monkeypatch.setenv("REPRO_ZONE_MAPS", "0")
+        with pytest.raises(ConfigError):
+            EngineConfig().validate()
+        monkeypatch.delenv("REPRO_EXECUTION_MODE")
+        for gone in (
+            "zone_map_skipping",
+            "vectorized_agg",
+            "vectorized_probe",
+            "columnar_parallel",
+        ):
+            assert not hasattr(EngineConfig(), gone)
         monkeypatch.setenv("REPRO_ZONE_MAP_COST", "free")
-        config = EngineConfig()
-        assert config.zone_map_skipping is False
-        assert config.zone_map_cost_mode == "free"
-        EngineConfig(execution_mode="columnar").validate()
+        assert EngineConfig().zone_map_cost_mode == "free"
         with pytest.raises(ConfigError):
             EngineConfig(zone_map_cost_mode="cheap").validate()
         with pytest.raises(ConfigError):
             EngineConfig(columnar_dictionary_max=0).validate()
-        with pytest.raises(ConfigError):
-            EngineConfig(execution_mode="columns").validate()
 
     def test_row_mode_never_builds_stores(self):
         db = _clustered_db()

@@ -331,21 +331,6 @@ class TestPreAggregation:
         assert result.rows == batch_result.rows
         assert ctx.clock.breakdown == batch_ctx.clock.breakdown
 
-    def test_float_sum_stays_serial_with_knob_off(self, tpcd_db):
-        sql = (
-            "SELECT l_linenumber, SUM(l_extendedprice) FROM lineitem "
-            "GROUP BY l_linenumber"
-        )
-        plan, __scia, __opt = tpcd_db.plan(sql, mode=DynamicMode.FULL)
-        batch_result, batch_ctx = dispatch(tpcd_db, plan, "batch")
-        result, ctx = dispatch(
-            tpcd_db, plan, "parallel", workers=2, vectorized_agg=False
-        )
-        assert ctx.parallel.preagg_pipelines == 0
-        assert ctx.vector.agg_pipelines == 0
-        assert result.rows == batch_result.rows
-        assert ctx.clock.breakdown == batch_ctx.clock.breakdown
-
     def test_avg_preaggregates_with_knob(self, tpcd_db):
         sql = "SELECT AVG(l_suppkey) FROM lineitem"
         plan, __scia, __opt = tpcd_db.plan(sql, mode=DynamicMode.FULL)
@@ -353,13 +338,8 @@ class TestPreAggregation:
         result, ctx = dispatch(tpcd_db, plan, "parallel", workers=2)
         assert ctx.parallel.preagg_pipelines == 1
         assert ctx.parallel.rows_shipped == 0
-        result_off, ctx_off = dispatch(
-            tpcd_db, plan, "parallel", workers=2, vectorized_agg=False
-        )
-        assert ctx_off.parallel.preagg_pipelines == 0
-        assert result_off.rows == result.rows == batch_result.rows
+        assert result.rows == batch_result.rows
         assert ctx.clock.breakdown == batch_ctx.clock.breakdown
-        assert ctx_off.clock.breakdown == batch_ctx.clock.breakdown
 
     def test_preagg_toggle_off(self, tpcd_db):
         plan, __scia, __opt = tpcd_db.plan(INT_AGG_SQL, mode=DynamicMode.FULL)
@@ -485,36 +465,28 @@ class TestProfileAndCache:
         assert total > 0.0
 
     def test_execution_key_specialization(self):
-        # vectorized_agg pinned so a REPRO_VECTOR_AGG env leg cannot leak
-        # into the key's vector component.
-        config = EngineConfig(vectorized_agg=True)
+        config = EngineConfig()
         assert PlanCache.execution_key(config, "batch", None) == "batch"
         assert PlanCache.execution_key(config, "row", 5) == "row"
         key = PlanCache.execution_key(config, "parallel", 3)
-        assert key == "parallel/w3/j1/a1/b1/s1/p1/va1"
+        assert key == "parallel/w3/j1/a1/b1/s1/p1"
         off = config.with_updates(parallel_joins=False, parallel_preagg=False)
         assert (
             PlanCache.execution_key(off, "parallel", 3)
-            == "parallel/w3/j0/a0/b1/s1/p1/va1"
+            == "parallel/w3/j0/a0/b1/s1/p1"
         )
         plan_wide_off = config.with_updates(
             parallel_build=False, parallel_sort=False, parallel_spill=False
         )
         assert (
             PlanCache.execution_key(plan_wide_off, "parallel", 3)
-            == "parallel/w3/j1/a1/b0/s0/p0/va1"
-        )
-        # The vector-aggregate knob changes which aggregates pre-aggregate.
-        no_vector = config.with_updates(vectorized_agg=False)
-        assert (
-            PlanCache.execution_key(no_vector, "parallel", 3)
-            == "parallel/w3/j1/a1/b1/s1/p1/va0"
+            == "parallel/w3/j1/a1/b0/s0/p0"
         )
         # workers=None resolves from the config.
         sized = config.with_updates(parallel_workers=6)
         assert (
             PlanCache.execution_key(sized, "parallel", None)
-            == "parallel/w6/j1/a1/b1/s1/p1/va1"
+            == "parallel/w6/j1/a1/b1/s1/p1"
         )
 
     def test_toggle_changes_cache_key(self, tpcd_db):

@@ -1,10 +1,9 @@
-"""Plan-wide parallelism: build sides, partitioned spill, loser-tree sort,
-columnar morsels.
+"""Plan-wide parallelism: build sides, partitioned spill, loser-tree sort.
 
 The contract under test (DESIGN.md section 10, PR 7): extending the morsel
-worker pool from probe pipelines to hash-join *build* sides, ORDER BY sorts
-and columnar kernels — with partitioned spill relieving the staging windows
-— changes *nothing observable*: byte-identical result rows, bit-for-bit
+worker pool from probe pipelines to hash-join *build* sides and ORDER BY
+sorts — with partitioned spill relieving the staging windows — changes
+*nothing observable*: byte-identical result rows, bit-for-bit
 identical simulated ``CostBreakdown``, clock and buffer statistics, and (in
 exact statistics mode) bit-identical observed statistics, at any worker
 count, in both ``parallel_stats`` modes, and across mid-query plan switches
@@ -452,85 +451,33 @@ def _clustered_db(rows=4000) -> Database:
 
 
 class TestColumnarMorsels:
+    """One leaf pipeline, two executors' kernels: the batch executor runs it
+    in column space (zone maps included), the parallel executor fans it out
+    as row morsels — columnar morsels, the mix of the two, are gone."""
+
     numpy = pytest.importorskip("numpy")
 
     def test_charge_mode_parity_vs_batch_and_serial(self):
         db = _clustered_db()
         plan = plan_for(db, FILTER_SQL)
         batch_result, batch_ctx = dispatch(db, plan, "batch")
-        serial_result, serial_ctx = dispatch(
-            db, plan, "columnar", columnar_parallel=False
-        )
-        assert serial_ctx.columnar.parallel_pipelines == 0
+        serial_result, serial_ctx = dispatch(db, plan, "row")
+        assert batch_ctx.columnar.pipelines == 1
+        assert batch_ctx.columnar.groups_skipped > 0
+        assert serial_ctx.columnar.leaf == {}
         assert_bit_identical(serial_result, serial_ctx, batch_result, batch_ctx)
-        # workers=1 resolves no pool: the pipeline stays on the serial
-        # columnar loop, still byte-identical.
-        lone_result, lone_ctx = dispatch(db, plan, "columnar", workers=1)
-        assert lone_ctx.columnar.parallel_pipelines == 0
-        assert_bit_identical(lone_result, lone_ctx, batch_result, batch_ctx)
-        for workers in (2, 7):
-            result, ctx = dispatch(db, plan, "columnar", workers=workers)
-            assert ctx.columnar.parallel_pipelines >= 1
-            assert ctx.columnar.groups_skipped == serial_ctx.columnar.groups_skipped
-            assert ctx.columnar.pages_skipped == serial_ctx.columnar.pages_skipped
+        for workers in WORKER_COUNTS:
+            result, ctx = dispatch(db, plan, "parallel", workers=workers)
+            # Row morsels, never the column kernels: no pipeline in column
+            # space, no zone map consulted, and a recorded reason if the
+            # pipeline stayed serial.
+            assert ctx.parallel.pipelines >= 1
+            assert ctx.columnar.pipelines == 0
+            assert ctx.columnar.groups_skipped == 0
+            for record in ctx.columnar.leaf.values():
+                assert record["kernel"] == "row"
+                assert record["reason"] == "parallel execution mode"
             assert_bit_identical(result, ctx, batch_result, batch_ctx)
-
-    def test_free_mode_parity_vs_serial_columnar(self):
-        db = _clustered_db()
-        plan = plan_for(db, FILTER_SQL)
-        serial_result, serial_ctx = dispatch(
-            db, plan, "columnar", columnar_parallel=False,
-            zone_map_cost_mode="free",
-        )
-        assert serial_ctx.columnar.groups_skipped > 0
-        for workers in (2, 7):
-            result, ctx = dispatch(
-                db, plan, "columnar", workers=workers, zone_map_cost_mode="free"
-            )
-            assert ctx.columnar.parallel_pipelines >= 1
-            assert result.rows == serial_result.rows
-            assert ctx.clock.breakdown == serial_ctx.clock.breakdown
-            assert ctx.clock.now == serial_ctx.clock.now
-            assert ctx.buffer_pool.stats == serial_ctx.buffer_pool.stats
-            assert ctx.columnar.rows_skipped == serial_ctx.columnar.rows_skipped
-
-    def test_keyed_pipelines_stay_serial(self, switch_db):
-        # Probe/aggregate feeds go through the keyed columnar path, which
-        # deliberately does not fan out; the plain leaf pipeline does, and
-        # the mix is byte-identical to the all-serial columnar run.
-        def run(workers):
-            return switch_db.execute(
-                RUNNING_EXAMPLE_SQL,
-                params=SWITCH_PARAMS,
-                mode=DynamicMode.OFF,
-                execution_mode="columnar",
-                workers=workers,
-            )
-
-        serial = run(1)
-        assert serial.profile.columnar_parallel_pipelines == 0
-        result = run(2)
-        profile = result.profile
-        assert profile.columnar_keyed_pipelines >= 1
-        assert profile.columnar_parallel_pipelines >= 1
-        # Keyed and parallel pipelines are disjoint subsets of the total.
-        assert (
-            profile.columnar_keyed_pipelines + profile.columnar_parallel_pipelines
-            <= profile.columnar_pipelines
-        )
-        assert result.rows == serial.rows
-        assert profile.total_cost == serial.profile.total_cost
-        assert profile.breakdown == serial.profile.breakdown
-        assert profile.buffer == serial.profile.buffer
-
-    def test_columnar_parallel_toggle_off(self):
-        db = _clustered_db()
-        plan = plan_for(db, FILTER_SQL)
-        result, ctx = dispatch(
-            db, plan, "columnar", workers=2, columnar_parallel=False
-        )
-        assert ctx.columnar.parallel_pipelines == 0
-        assert ctx.columnar.pipelines >= 1
 
 
 # ----------------------------------------------------------------------
@@ -548,7 +495,7 @@ class TestZoneMapObservations:
         # Q-error never reads pruning as a cardinality miss.
         db = _clustered_db()
         db.config = db.config.with_updates(zone_map_cost_mode=cost_mode)
-        report = db.explain_analyze(FILTER_SQL, execution_mode="columnar")
+        report = db.explain_analyze(FILTER_SQL, execution_mode="batch")
         assert report.result.profile.zone_map_skips > 0
         scan = next(
             node
@@ -565,9 +512,9 @@ class TestZoneMapObservations:
     def test_by_scan_counts_rows_in_both_modes(self):
         db = _clustered_db()
         plan = plan_for(db, FILTER_SQL)
-        __result, charge_ctx = dispatch(db, plan, "columnar")
+        __result, charge_ctx = dispatch(db, plan, "batch")
         __result, free_ctx = dispatch(
-            db, plan, "columnar", zone_map_cost_mode="free"
+            db, plan, "batch", zone_map_cost_mode="free"
         )
         for ctx in (charge_ctx, free_ctx):
             (per_scan,) = ctx.columnar.by_scan.values()
@@ -688,7 +635,6 @@ class TestTelemetrySurfaces:
             "parallel.rows_spilled",
             "parallel.morsels_spilled",
             "parallel.partitions_spilled",
-            "columnar.parallel_pipelines",
         ):
             assert snapshot[name]["type"] == "counter"
         summary = profile.summary()

@@ -6,11 +6,17 @@ cross-product evaluator returns.  This is the strongest end-to-end
 correctness net in the suite: it exercises the optimizer's plan choices,
 every join algorithm, the collectors, and the mid-query switch machinery
 at once.
+
+The second half holds the default executor's column-space leaf pipelines
+to the row path (``execution_mode="row"``, the oracle) on tables of several
+page groups whose columns change encoding while queries run: rows, plans
+and every simulated quantity must agree exactly.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,3 +140,235 @@ class TestRandomizedQueries:
         result = db.execute(sql, mode=DynamicMode.FULL)
         assert rows_equivalent(result.rows, expected), (seed, sql)
         assert_collectors_agree(seed, sql, tables=4, indexes=True)
+
+
+# ----------------------------------------------------------------------
+# Column-space leaf pipelines (the default path) against the row path
+# ----------------------------------------------------------------------
+
+WIDE_COLUMNS = [
+    ("k", DataType.INTEGER),
+    ("fk", DataType.INTEGER),
+    ("v", DataType.INTEGER),
+    ("w", DataType.FLOAT),
+    ("s", DataType.STRING),
+    ("late", DataType.INTEGER),
+    ("big", DataType.INTEGER),
+]
+
+#: What makes ``f.late`` leave the int64 encoding, in a late page group.
+LATE_DEMOTIONS = (None, True, 2**70)
+
+
+def wide_rows(rng: random.Random, lo: int, hi: int, odd: object = 0, many_strings=False):
+    """Rows ``lo .. hi - 1`` of ``f``.  ``odd`` replaces one ``late`` value;
+    ``many_strings`` makes ``s`` outgrow the dictionary budget."""
+    rows = []
+    for k in range(lo, hi):
+        rows.append((
+            k,
+            rng.randrange(12),
+            rng.randrange(15),
+            rng.choice([0.1, 0.25, 1e16, -1e16, 3.5, -0.0, 7.0]),
+            f"s{k}" if many_strings else f"s{rng.randrange(5)}",
+            odd if k == hi - 7 else k % 9,
+            2**40 + k if many_strings else k * 3,
+        ))
+    return rows
+
+
+def build_wide_db(seed: int, config=None) -> tuple[Database, random.Random]:
+    """``f`` (600 rows, ten page groups at batch_size 64) and ``d``.
+
+    Feedback stays off: the tests run each statement twice (default path,
+    then oracle) and the second run must plan exactly like the first."""
+    config = config or EngineConfig(
+        batch_size=64, columnar_dictionary_max=8, feedback_enabled=False
+    )
+    db = Database(config)
+    rng = random.Random(seed)
+    db.create_table("f", WIDE_COLUMNS, key=["k"])
+    db.create_table("d", [("k", DataType.INTEGER), ("name", DataType.STRING)], key=["k"])
+    db.load_rows("f", wide_rows(rng, 0, 600))
+    db.load_rows("d", [(k, f"name{k % 4}") for k in range(12)])
+    db.analyze()
+    return db, rng
+
+
+def wide_queries(rng: random.Random) -> list[str]:
+    x, y = rng.randrange(2, 14), rng.choice([0.1, 0.25, 3.5])
+    op = rng.choice(["<", "<=", ">", ">=", "<>"])
+    name = f"s{rng.randrange(5)}"
+    return [
+        f"SELECT f.k, f.s FROM f WHERE f.v {op} {x} AND f.w >= {y}",
+        f"SELECT f.s g, count(*) n, sum(f.w) sw, avg(f.w) aw, min(f.v) mn "
+        f"FROM f WHERE f.v <> {x} GROUP BY f.s",
+        f"SELECT d.name, f.k FROM d, f WHERE d.k = f.fk AND f.v {op} {x}",
+        f"SELECT f.fk g, sum(f.big) sb, max(f.w) mw FROM f "
+        f"WHERE f.s = '{name}' GROUP BY f.fk",
+        f"SELECT count(*) n, sum(f.w) sw FROM f WHERE f.s <> '{name}' AND f.v < {x}",
+    ]
+
+
+#: First read of ``f.late`` and ``f.big`` — by a *later* query than the
+#: ones above, so their columns are built after their neighbours.
+LATE_QUERIES = [
+    "SELECT f.late g, count(*) n FROM f WHERE f.v < 9 GROUP BY f.late",
+    "SELECT f.v g, max(f.big) mb, sum(f.big) sb FROM f GROUP BY f.v",
+    "SELECT f.k, f.late, f.big FROM f WHERE f.v < 3",
+]
+
+
+def assert_matches_row_path(db: Database, sql: str, mode=DynamicMode.FULL) -> None:
+    default = db.execute(sql, mode=mode, execution_mode="batch")
+    oracle = db.execute(sql, mode=mode, execution_mode="row")
+    assert default.rows == oracle.rows, sql
+    assert default.profile.plan_explanations == oracle.profile.plan_explanations, sql
+    assert repr(default.profile.total_cost) == repr(oracle.profile.total_cost), sql
+    assert default.profile.breakdown == oracle.profile.breakdown, sql
+    assert default.profile.buffer == oracle.profile.buffer, sql
+    assert default.profile.plan_switches == oracle.profile.plan_switches, sql
+    assert (
+        default.profile.memory_reallocations == oracle.profile.memory_reallocations
+    ), sql
+    # The scan of f ran on the column kernels; the oracle built nothing.
+    kernels = {
+        record["table"]: record["kernel"]
+        for record in default.profile.leaf_pipelines.values()
+    }
+    assert kernels.get("f") == "column", (sql, default.profile.leaf_pipelines)
+    assert oracle.profile.leaf_pipelines == {}
+
+
+class TestColumnKernelsAgainstRowPath:
+    @pytest.mark.parametrize("odd", LATE_DEMOTIONS, ids=["null", "bool", "2**70"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_encodings_change_under_running_queries(self, seed, odd):
+        pytest.importorskip("numpy")
+        db, rng = build_wide_db(seed)
+        store = db.table("f").column_store(64, 8)
+        assert len(store.groups) >= 3
+        for sql in wide_queries(rng):
+            assert_matches_row_path(db, sql)
+        late, big, s = (db.table("f").schema.index_of(c) for c in ("late", "big", "s"))
+        assert not store._built[late]
+        assert store.encodings[s] == "dict"
+        assert {store.array(g, big).dtype.name for g in store.groups} == {"int32"}
+        # Appends: ``late`` meets a value int64 cannot hold exactly (before
+        # it was ever read), ``s`` overflows its dictionary mid-column and
+        # ``big`` outgrows int32.
+        db.load_rows("f", wide_rows(rng, 600, 900, odd=odd, many_strings=True))
+        assert store.encodings[s] == "object"
+        for sql in wide_queries(rng) + LATE_QUERIES:
+            assert_matches_row_path(db, sql)
+        assert store.encodings[late] == "object"
+        assert store.encodings[big] == "int64"
+        assert {store.array(g, big).dtype.name for g in store.groups} == {"int64"}
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=15, deadline=None)
+    def test_property_default_path_equals_row_path(self, seed):
+        pytest.importorskip("numpy")
+        db, rng = build_wide_db(seed)
+        for mode in (DynamicMode.OFF, DynamicMode.FULL):
+            for sql in wide_queries(rng):
+                assert_matches_row_path(db, sql, mode)
+
+    def test_pipelines_without_kernels_stay_on_rows_with_a_reason(self):
+        pytest.importorskip("numpy")
+        db, __ = build_wide_db(3)
+        db.register_udf("half", lambda v: v // 2)
+        cases = {
+            "SELECT f.k FROM f WHERE half(f.v) < 3": "predicate without a kernel",
+            "SELECT f.k, f.v FROM f": "no filter",
+        }
+        for sql, reason in cases.items():
+            default = db.execute(sql, execution_mode="batch")
+            oracle = db.execute(sql, execution_mode="row")
+            assert default.rows == oracle.rows
+            assert repr(default.profile.total_cost) == repr(oracle.profile.total_cost)
+            (record,) = default.profile.leaf_pipelines.values()
+            assert (record["kernel"], record["reason"]) == ("row", reason)
+            assert record["rows_scanned"] == record["rows_materialised"] == 600
+            assert record["rows_selected"] == len(default.rows)
+            assert default.profile.columnar_pipelines == 0
+        # A stage without a kernel is an ordinary row operator; the chain
+        # below it is a leaf pipeline of its own and still qualifies.
+        sql = "SELECT f.k, f.v + 1 x FROM f WHERE f.v < 5"
+        default = db.execute(sql, execution_mode="batch")
+        oracle = db.execute(sql, execution_mode="row")
+        assert default.rows == oracle.rows
+        assert repr(default.profile.total_cost) == repr(oracle.profile.total_cost)
+        (record,) = default.profile.leaf_pipelines.values()
+        assert (record["kernel"], record["reason"]) == ("column", None)
+        assert record["rows_materialised"] == len(default.rows) < 600
+
+    def test_numpy_absent_runs_the_row_kernels(self, monkeypatch):
+        from repro.executor import columnar as executor_columnar
+
+        db, rng = build_wide_db(5)
+        monkeypatch.setattr(executor_columnar, "numpy_available", lambda: False)
+        for sql in wide_queries(rng):
+            default = db.execute(sql, execution_mode="batch")
+            oracle = db.execute(sql, execution_mode="row")
+            assert default.rows == oracle.rows
+            assert repr(default.profile.total_cost) == repr(oracle.profile.total_cost)
+            assert default.profile.columnar_pipelines == 0
+            assert default.profile.vectorized_agg_pipelines == 0
+            for record in default.profile.leaf_pipelines.values():
+                assert (record["kernel"], record["reason"]) == ("row", "no numpy")
+        assert db.table("f")._column_stores == {}
+
+    def test_session_temp_tables_take_the_row_kernels(self):
+        pytest.importorskip("numpy")
+        db, __ = build_wide_db(7)
+        session = db.create_session("hot-client")
+        try:
+            session.create_temp_table("hot", [("h_k", DataType.INTEGER)])
+            session.load_rows("hot", [(k,) for k in range(0, 600, 7)])
+            session.analyze("hot")
+            result = session.execute(
+                "SELECT f.s g, count(*) n FROM hot, f "
+                "WHERE hot.h_k = f.k AND hot.h_k < 300 GROUP BY f.s",
+                execution_mode="batch",
+            )
+        finally:
+            session.close()
+        by_table = {r["table"]: r for r in result.profile.leaf_pipelines.values()}
+        assert by_table["hot"]["kernel"] == "row"
+        assert by_table["hot"]["reason"] == "temporary table"
+        assert sum(n for __, n in result.rows) == len(range(0, 300, 7))
+
+    def test_two_sessions_first_touching_a_column_build_it_once(self):
+        pytest.importorskip("numpy")
+        db, __ = build_wide_db(
+            11, EngineConfig(batch_size=64, max_sessions=2, feedback_enabled=False)
+        )
+        store = db.table("f").column_store(64, db.config.columnar_dictionary_max)
+        assert not any(store._built)
+        version = store.version
+        sql = "SELECT f.fk g, sum(f.w) sw, count(*) n FROM f WHERE f.v < 9 GROUP BY f.fk"
+        oracle = db.execute(sql, execution_mode="row")
+        barrier = threading.Barrier(2)
+        results, errors = [], []
+
+        def client(index: int) -> None:
+            session = db.create_session(f"client-{index}")
+            try:
+                barrier.wait(timeout=10)
+                results.append(session.execute(sql, execution_mode="batch"))
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+            finally:
+                session.close()
+
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert [r.rows for r in results] == [oracle.rows] * 2
+        # fk, v and w were read by both sessions and built once each.
+        assert sum(store._built) == 3
+        assert store.version == version + 3

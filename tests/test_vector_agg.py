@@ -3,11 +3,11 @@
 The contract under test (DESIGN.md section 13): the NumPy group-by fold
 kernels in ``executor/agg_kernels.py`` reproduce the serial accumulator
 byte-for-byte — including non-associative float SUM/AVG, signed zeros,
-infinities and NaN — so the columnar path aggregates entirely in column
-space and the parallel path pre-aggregates float SUM/AVG as ordered value
-runs instead of shipping raw rows.  Plus the searchsorted join-probe
-kernel's exact emission-order parity, and the ``vectorized_agg`` /
-``vectorized_probe`` knobs that disable each independently.
+infinities and NaN — so the batch executor's column-space leaf pipelines
+aggregate entirely in column space and the parallel path pre-aggregates
+float SUM/AVG as ordered value runs instead of shipping raw rows.  Plus
+the join-probe kernel's exact emission-order parity with late
+materialisation, and the import-time fold probes failing closed.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.executor.agg_kernels import (  # noqa: E402
     factorize_array,
     factorize_values,
     float_group_sums,
-    group_counts,
     int_group_sums,
     kernels_available,
     left_fold_sum,
@@ -142,6 +141,159 @@ class TestFloatSums:
             assert bits(got[g]) == bits(expect)
 
 
+def serial_group_sums(values, codes, n_groups):
+    """``total = 0; total += v`` per group, in row order — the oracle."""
+    totals = [0] * n_groups
+    for code, value in zip(codes, values):
+        totals[code] += value
+    return [float(t) for t in totals]
+
+
+class TestLongRunFold:
+    """Runs of ``LONG_RUN`` values or more fold by ``np.add.accumulate``,
+    shorter ones through the padded matrix; both must equal the Python
+    loop bit for bit, whichever side of the threshold a run falls on."""
+
+    INF, NAN = float("inf"), float("nan")
+
+    def check(self, values, codes, n_groups):
+        got = float_group_sums(
+            np.asarray(values, dtype=np.float64),
+            np.asarray(codes, dtype=np.int64),
+            n_groups,
+        )
+        expect = serial_group_sums(values, codes, n_groups)
+        assert [bits(v) for v in got] == [bits(v) for v in expect]
+
+    def test_probe_passed(self):
+        assert agg_kernels._ACCUMULATE_OK
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            [1e16, 1.0, -1e16],
+            [-0.0],
+            [INF, 1.0, 2.0],
+            [1.0, INF, -INF, 1.0],
+            [1.0, NAN, 2.0],
+            [1e308, 1e308, -1e308],
+            [0.1, 0.2, 0.3],
+        ],
+        ids=["cancel", "negzero", "inf", "inf-inf", "nan", "overflow", "tenths"],
+    )
+    @pytest.mark.parametrize(
+        "length",
+        [agg_kernels.LONG_RUN - 1, agg_kernels.LONG_RUN, agg_kernels.LONG_RUN + 1, 1000],
+    )
+    def test_adversarial_runs_straddling_the_threshold(self, pattern, length):
+        run = (pattern * (length // len(pattern) + 1))[:length]
+        self.check(run, [0] * length, 1)
+
+    def test_long_and_short_groups_interleaved(self):
+        rng = random.Random(17)
+        lengths = [1, 3, 63, 64, 65, 200, 2, 5000, 64, 17]
+        codes = [g for g, length in enumerate(lengths) for __ in range(length)]
+        rng.shuffle(codes)  # runs interleave in row order
+        values = [rng.choice(ADVERSARIAL) for __ in codes]
+        self.check(values, codes, len(lengths))
+
+    def test_one_group_and_ten_thousand_groups(self):
+        rng = random.Random(23)
+        values = [rng.choice(ADVERSARIAL) for __ in range(40_000)]
+        self.check(values, [0] * len(values), 1)
+        codes = [i % 10_000 for i in range(len(values))]
+        self.check(values, codes, 10_000)
+
+    def test_accumulate_probe_fails_closed(self, monkeypatch):
+        # A NumPy whose accumulate stopped being a strict left fold must
+        # leave results untouched: long runs take the (verified) matrix.
+        calls = []
+        real = agg_kernels._accumulate_sum
+        monkeypatch.setattr(
+            agg_kernels, "_accumulate_sum",
+            lambda *args: calls.append(1) or real(*args),
+        )
+        run = [1e16, 1.0, -1e16] * 400
+        self.check(run, [0] * len(run), 1)
+        assert calls
+        del calls[:]
+        monkeypatch.setattr(agg_kernels, "_ACCUMULATE_OK", False)
+        self.check(run, [0] * len(run), 1)
+        assert bits(left_fold_sum(run)) == bits(serial_sum(run))
+        assert not calls
+        # ... and with the matrix probe failed too, the plain loop.
+        monkeypatch.setattr(agg_kernels, "_KERNELS_OK", False)
+        assert bits(left_fold_sum(run)) == bits(serial_sum(run))
+        assert not kernels_available()
+
+
+def unique_factorize(array):
+    """The sort-based factorization — the dense path's oracle."""
+    uniq, first, inverse = np.unique(array, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order), dtype=np.int64)
+    return rank[inverse], uniq[order], first[order]
+
+
+class TestDenseFactorizationAndRadixLayout:
+    def same(self, array):
+        got = factorize_array(array)
+        expect = unique_factorize(array)
+        for g, e in zip(got, expect):
+            assert g.tolist() == e.tolist()
+        return got
+
+    def test_dense_equals_sorted(self):
+        rng = random.Random(31)
+        for __trial in range(40):
+            n = rng.randrange(1, 600)
+            low = rng.choice([-1, 0, -50, 10**9, -(10**9)])
+            width = rng.choice([1, 2, 7, 300, 5000])
+            values = [low + rng.randrange(width) for __ in range(n)]
+            for dtype in (np.int64, np.int32):
+                self.same(np.asarray(values, dtype=dtype))
+
+    def test_null_codes_and_negative_minimum(self):
+        codes, keys, firsts = self.same(
+            np.asarray([2, -1, 2, 0, -1, 1], dtype=np.int32)
+        )
+        assert keys.tolist() == [2, -1, 0, 1]
+        assert firsts.tolist() == [0, 1, 3, 5]
+        assert codes.tolist() == [0, 1, 0, 2, 1, 3]
+
+    def test_span_just_below_and_above_the_dense_limit(self):
+        floor = agg_kernels._DENSE_SPAN_FLOOR
+        for span in (floor, floor + 1):
+            array = np.asarray([5, 5 + span - 1, 5, 7], dtype=np.int64)
+            self.same(array)
+        # Above the floor the limit scales with the row count.
+        rows = floor
+        for span in (8 * rows, 8 * rows + 1):
+            array = np.zeros(rows, dtype=np.int64)
+            array[1] = span - 1
+            self.same(array)
+
+    def test_empty_array(self):
+        codes, keys, firsts = factorize_array(np.asarray([], dtype=np.int64))
+        assert len(codes) == len(keys) == len(firsts) == 0
+
+    @pytest.mark.parametrize("n_groups", [1, 2, 256, 257, 65_536, 65_537])
+    def test_radix_layout_equals_int64_stable_argsort(self, n_groups):
+        rng = random.Random(n_groups)
+        codes = np.asarray(
+            list(range(n_groups))
+            + [rng.randrange(n_groups) for __ in range(3000)],
+            dtype=np.int64,
+        )
+        rng.shuffle(codes)
+        counts, order, starts = agg_kernels.group_layout(codes, n_groups)
+        assert order.tolist() == np.argsort(codes, kind="stable").tolist()
+        assert counts.tolist() == np.bincount(codes, minlength=n_groups).tolist()
+        assert starts.tolist() == (np.cumsum(counts) - counts).tolist()
+
+
+
 class TestIntAndObjectSums:
     def test_int_sums_exact(self):
         values = np.asarray([2**40, -(2**40), 17, 1], dtype=np.int64)
@@ -164,7 +316,7 @@ class TestIntAndObjectSums:
 
     def test_empty_input(self):
         assert object_group_sums([], [], 0) == []
-        assert group_counts(np.asarray([], dtype=np.int64), 0) == []
+        assert object_group_minmax([], [], 0, True) == []
 
 
 class TestMinMaxFolds:
@@ -319,12 +471,50 @@ class TestProbeIndex:
         assert index is not None
         probe_keys = [rng.randrange(60) for __ in range(200)]
         batch = [(k, i) for i, k in enumerate(probe_keys)]
-        got = index.probe(np.asarray(probe_keys, dtype=np.int64), batch)
+        asked = []
+
+        def rows_at(positions):
+            asked.extend(positions.tolist())
+            return [batch[i] for i in positions.tolist()]
+
+        expect = []
+        for row in batch:
+            for build_row in hash_table.get(row[0], ()):
+                expect.append(build_row + row)
+        for dtype in (np.int64, np.int32):  # narrow-stored key columns too
+            del asked[:]
+            got = index.probe(np.asarray(probe_keys, dtype=dtype), rows_at)
+            assert got == expect
+            # Late materialisation: only probe rows with a match are built.
+            assert asked == [
+                i for i, key in enumerate(probe_keys) if key in hash_table
+            ]
+
+    def test_sparse_keys_probe_by_searchsorted(self):
+        # A key domain too sparse for direct addressing takes the
+        # searchsorted path; same emission order.
+        hash_table = {
+            0: [(0, "a")],
+            10**12: [(10**12, "b"), (10**12, "c")],
+            -(10**12): [(-(10**12), "d")],
+        }
+        index = ProbeIndex.from_int_keys(hash_table)
+        assert index.counts is None
+        keys = [10**12, 5, -(10**12), 0, 10**12, 2**62]
+        batch = [(k, i) for i, k in enumerate(keys)]
+        got = index.probe(
+            np.asarray(keys, dtype=np.int64),
+            lambda positions: [batch[i] for i in positions.tolist()],
+        )
         expect = []
         for row in batch:
             for build_row in hash_table.get(row[0], ()):
                 expect.append(build_row + row)
         assert got == expect
+
+    def test_empty_build_side_matches_nothing(self):
+        index = ProbeIndex.from_int_keys({})
+        assert index.probe(np.asarray([1, 2], dtype=np.int64), None) == []
 
     def test_rejects_non_int_build_keys(self):
         # bool/float equal ints under Python == but not under int64
@@ -347,7 +537,9 @@ class TestProbeIndex:
         assert index is not None
         codes = np.asarray([1, -1, 0, 1], dtype=np.int64)
         batch = [("blue", 10), (None, 11), ("red", 12), ("blue", 13)]
-        got = index.probe(codes, batch)
+        got = index.probe(
+            codes, lambda positions: [batch[i] for i in positions.tolist()]
+        )
         expect = []
         for code_key, row in zip(["blue", None, "red", "blue"], batch):
             for build_row in hash_table.get(code_key, ()):
@@ -399,25 +591,30 @@ class TestEndToEndFloatParity:
         db = _float_db(batch_size=batch_size)
         for sql in FLOAT_AGG_QUERIES:
             plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
-            batch_result, batch_ctx = dispatch(db, plan, "batch")
-            col_result, col_ctx = dispatch(db, plan, "columnar")
+            col_result, col_ctx = dispatch(db, plan, "batch")
             row_result, row_ctx = dispatch(db, plan, "row")
-            assert_bit_identical(col_result, col_ctx, batch_result, batch_ctx)
-            assert row_result.rows == batch_result.rows
-            assert row_ctx.clock.now == batch_ctx.clock.now
+            assert col_ctx.vector.agg_pipelines == 1
+            assert_bit_identical(col_result, col_ctx, row_result, row_ctx)
 
     def test_columnar_uses_vector_kernels(self):
         db = _float_db()
         sql = FLOAT_AGG_QUERIES[0]
         plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
-        __, ctx = dispatch(db, plan, "columnar")
+        result, ctx = dispatch(db, plan, "batch")
         assert ctx.vector.agg_pipelines == 1
         assert ctx.vector.rows_folded > 0
-        # Knob off: same bytes, no kernel use.
-        batch_result, batch_ctx = dispatch(db, plan, "batch")
-        off_result, off_ctx = dispatch(db, plan, "columnar", vectorized_agg=False)
+        # The aggregate never asks for a row: nothing is materialised.
+        (leaf,) = ctx.columnar.leaf.values()
+        assert leaf["kernel"] == "column"
+        assert leaf["rows_materialised"] == 0
+        # Fold probe failed at import: same bytes, no kernel use.
+        row_result, row_ctx = dispatch(db, plan, "row")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(agg_kernels, "_KERNELS_OK", False)
+            off_result, off_ctx = dispatch(db, plan, "batch")
         assert off_ctx.vector.agg_pipelines == 0
-        assert_bit_identical(off_result, off_ctx, batch_result, batch_ctx)
+        assert_bit_identical(result, ctx, row_result, row_ctx)
+        assert_bit_identical(off_result, off_ctx, row_result, row_ctx)
 
     @pytest.mark.parametrize("workers", (1, 2, 7))
     def test_parallel_float_preagg_ships_no_rows(self, workers):
@@ -447,9 +644,10 @@ class TestEndToEndFloatParity:
         )
         sql = "SELECT s, SUM(x), COUNT(*) FROM t GROUP BY s"
         plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
-        batch_result, batch_ctx = dispatch(db, plan, "batch")
-        col_result, col_ctx = dispatch(db, plan, "columnar")
-        assert_bit_identical(col_result, col_ctx, batch_result, batch_ctx)
+        row_result, row_ctx = dispatch(db, plan, "row")
+        col_result, col_ctx = dispatch(db, plan, "batch")
+        assert col_ctx.vector.agg_pipelines == 1
+        assert_bit_identical(col_result, col_ctx, row_result, row_ctx)
 
     def test_probe_kernel_parity_and_knob(self):
         db = build_database(ExperimentConfig(scale_factor=0.01))
@@ -458,20 +656,30 @@ class TestEndToEndFloatParity:
             "WHERE o_orderkey = l_orderkey AND o_custkey < 300"
         )
         plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
-        batch_result, batch_ctx = dispatch(db, plan, "batch")
-        on_result, on_ctx = dispatch(db, plan, "columnar")
-        off_result, off_ctx = dispatch(db, plan, "columnar", vectorized_probe=False)
+        row_result, row_ctx = dispatch(db, plan, "row")
+        on_result, on_ctx = dispatch(db, plan, "batch")
         assert on_ctx.vector.probe_pipelines >= 1
-        assert off_ctx.vector.probe_pipelines == 0
-        assert_bit_identical(on_result, on_ctx, batch_result, batch_ctx)
-        assert_bit_identical(off_result, off_ctx, batch_result, batch_ctx)
+        assert_bit_identical(on_result, on_ctx, row_result, row_ctx)
+        # The probe side (lineitem, a bare scan) builds exactly the tuples
+        # the join emits; nothing else of its 60 000 rows becomes a row.
+        lineitem = next(
+            record
+            for record in on_ctx.columnar.leaf.values()
+            if record["table"] == "lineitem"
+        )
+        assert lineitem["kernel"] == "column"
+        assert 0 < lineitem["rows_materialised"] == len(on_result.rows)
+        assert lineitem["rows_materialised"] < lineitem["rows_selected"]
+        # The knob is gone: which probe runs is the executor's choice.
+        with pytest.raises(TypeError):
+            db.config.with_updates(vectorized_probe=False)
 
     def test_profile_and_metrics_surface_vector_counters(self):
         from repro.observe.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
         db = Database(
-            EngineConfig(batch_size=64, execution_mode="columnar"),
+            EngineConfig(batch_size=64, execution_mode="batch"),
             metrics=registry,
         )
         db.create_table("t", [("g", DataType.INTEGER), ("x", DataType.FLOAT)])
