@@ -17,13 +17,15 @@ identically), so the comparison isolates pure compile-time overhead.
 The benchmark runs under ``DynamicMode.MEMORY_ONLY``: statistics collectors
 and dynamic memory re-allocation stay armed (cold runs pay the full
 parse/bind/optimize/SCIA pipeline), but mid-query *plan modification* is
-off.  That is deliberate — a plan switch proves the optimizer's estimates
-wrong and therefore bumps the statistics epoch, correctly invalidating the
-cached plan; a statement that re-optimizes mid-flight on every execution
-must never be served warm, so under FULL mode the complex queries (which
-switch even with fresh statistics at this scale) measure the invalidation
-path rather than the cache.  ``test_full_mode_switching_is_never_served_stale``
-pins that behaviour.
+off, so the cold/warm ratio isolates the compile pipeline.  Under FULL mode
+the complex queries switch plans even with fresh statistics at this scale,
+and the remainder re-optimization a switch performs is paid by warm and
+cold executions alike (the cache holds the statement's initial plan, not
+the re-planned remainder).  A switching statement *is* served warm — a
+switch changes nothing the optimizer reads, so it does not move the
+statistics epoch — and the warm execution switches again at the same node
+with identical rows and simulated cost;
+``test_full_mode_switching_is_served_warm_and_identical`` pins that.
 
 Writes ``BENCH_prepared.json`` at the repository root and
 ``results/prepared.txt``.  Runs under pytest
@@ -43,9 +45,10 @@ from repro import DynamicMode
 from repro.bench import ExperimentConfig, build_database, stamp_document
 from repro.workloads.tpcd import CatalogProfile, query_by_name
 
-#: Accurate statistics: warm-path measurements should not be polluted by
-#: mid-query re-optimizations (which bump the statistics epoch and
-#: deliberately invalidate the cache).
+#: Accurate statistics, so fewer statements re-optimize mid-query; the ones
+#: that still would are kept from it by ``BENCH_MODE`` (a plan switch costs
+#: the same remainder re-optimization warm or cold, which would dilute the
+#: compile-time ratio measured here — it does not invalidate the cache).
 CONFIG = ExperimentConfig(scale_factor=0.02, catalog=CatalogProfile.FRESH)
 QUERY_NAMES = ("Q3", "Q5", "Q7", "Q8", "Q10")
 COLD_REPETITIONS = 3
@@ -172,21 +175,24 @@ def _meets_acceptance(document: dict) -> bool:
     return len(fast_complex) >= REQUIRED_COUNT
 
 
-def test_full_mode_switching_is_never_served_stale():
-    """FULL mode: a plan switch bumps the epoch, so no stale warm serving."""
+def test_full_mode_switching_is_served_warm_and_identical():
+    """FULL mode: a plan switch leaves the epoch alone, so the follow-up
+    execution is a cache hit that switches again and changes nothing."""
     db = build_database(
         ExperimentConfig(scale_factor=0.005, catalog=CatalogProfile.FRESH)
     )
     query = query_by_name("Q5")
+    epoch = db.catalog.stats_epoch
     first = db.execute(query.sql, mode=DynamicMode.FULL)
     second = db.execute(query.sql, mode=DynamicMode.FULL)
-    if first.profile.plan_switches:
-        # The switch discredited the cached plan's estimates mid-execution;
-        # the follow-up execution must re-optimize, not serve the stale plan.
-        assert not second.profile.plan_cache_hit
-    else:  # pragma: no cover - depends on scale/statistics
-        assert second.profile.plan_cache_hit
+    assert first.profile.plan_switches >= 1, "Q5 no longer switches at this scale"
+    assert db.catalog.stats_epoch == epoch
+    assert not first.profile.plan_cache_hit
+    assert second.profile.plan_cache_hit
     assert second.rows == first.rows
+    assert repr(second.profile.total_cost) == repr(first.profile.total_cost)
+    assert second.profile.plan_switches == first.profile.plan_switches
+    assert second.profile.memory_reallocations == first.profile.memory_reallocations
 
 
 def test_warm_executions_beat_cold(results_dir):
@@ -214,6 +220,8 @@ if __name__ == "__main__":
             warm_reps=2,
         )
         print(_render(doc))
+        test_full_mode_switching_is_served_warm_and_identical()
+        print("FULL-mode switching statement: served warm, identical to cold")
         print("smoke OK")
     else:
         doc = run_benchmark()

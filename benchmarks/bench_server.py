@@ -202,7 +202,7 @@ def _render(document: dict) -> str:
         f"{document['statements_per_session']} stmts/session, "
         f"{document['cpus_available']} CPU(s))",
         f"{'mode':<8}{'sessions':>9}{'serial qps':>12}{'server qps':>12}"
-        f"{'spdup':>7}{'p50 ms':>9}{'p99 ms':>9}{'parity':>8}",
+        f"{'spdup':>7}{'p50 ms':>9}{'p99 ms':>9}{'cache hit':>10}{'parity':>8}",
     ]
     for mode in document["modes"]:
         for point in mode["points"]:
@@ -211,6 +211,7 @@ def _render(document: dict) -> str:
                 f"{point['serial_qps']:>12.2f}{point['throughput_qps']:>12.2f}"
                 f"{point['speedup']:>6.2f}x{point['latency_p50_ms']:>9.1f}"
                 f"{point['latency_p99_ms']:>9.1f}"
+                f"{point['plan_cache_hit_rate']:>10.0%}"
                 f"{'ok' if point['parity'] else 'FAIL':>8}"
             )
     gate = document["throughput_gate"]

@@ -313,11 +313,6 @@ class DynamicReoptimizer:
             reason=decision.reason,
         )
         self._queries_by_plan[id(new_plan)] = rebound
-        # The observed statistics just proved the optimizer's catalog-derived
-        # estimates wrong badly enough to abandon the running plan: fold that
-        # knowledge into the statistics epoch so the plan cache never serves
-        # a plan optimized under the discredited estimates again.
-        self.ctx.catalog.bump_stats_epoch()
         self.ctx.request_switch(directive)
         event.action = "switch"
         event.detail = (

@@ -87,6 +87,8 @@ class PreparedExecution:
     scia: SciaResult | None
     optimizer: Optimizer
     cache_hit: bool = False
+    #: Why the plan cache missed (``None`` on a hit or with the cache off).
+    cache_miss: str | None = None
     parametric_plans: int = 0
     parametric_choice: str = ""
     #: Wall-clock seconds per preparation phase (parse/bind/optimize/scia).
@@ -296,6 +298,7 @@ class Database:
 
         key = None
         entry: CachedPlan | None = None
+        cache_miss: str | None = None
         if use_cache:
             key = PlanCache.exact_key(
                 deparse(query),
@@ -304,7 +307,9 @@ class Database:
                 exec_mode_key,
                 scope=scope,
             )
-            entry = self.plan_cache.lookup(key, epoch, feedback=self.feedback)
+            entry, cache_miss = self.plan_cache.lookup(
+                key, epoch, feedback=self.feedback
+            )
 
         optimizer = Optimizer(cat, self.config, estimator=self.estimator)
         if entry is not None:
@@ -361,6 +366,7 @@ class Database:
             plan=plan,
             scia=scia_result,
             optimizer=optimizer,
+            cache_miss=cache_miss,
             phase_seconds=phases,
         )
 
@@ -387,12 +393,13 @@ class Database:
         t2 = perf_counter()
         key = None
         cache_hit = False
+        cache_miss: str | None = None
         scenarios = None
         if use_cache:
             key = PlanCache.parametric_key(
                 deparse(mask_parameters(query)), scope=scope
             )
-            entry = self.plan_cache.lookup(key, epoch)
+            entry, cache_miss = self.plan_cache.lookup(key, epoch)
             if entry is not None:
                 scenarios = entry.parametric
                 cache_hit = True
@@ -425,6 +432,7 @@ class Database:
             scia=scia_result,
             optimizer=optimizer,
             cache_hit=cache_hit,
+            cache_miss=cache_miss,
             parametric_plans=scenarios.plan_count,
             parametric_choice=(
                 f"chose {scenario.describe()} for observed sel~{actual:.3f} "
@@ -714,6 +722,7 @@ class Database:
                 execute_s=execute_s,
             ),
             plan_cache_hit=prepared.cache_hit,
+            plan_cache_miss=prepared.cache_miss,
             workers=ctx.parallel.workers,
             morsels=ctx.parallel.morsels,
             parallel_pipelines=ctx.parallel.pipelines,

@@ -26,13 +26,16 @@ Two kinds of entry live in one LRU map:
   statement; per execution only the cheap ``choose_plan`` selection and
   value plugging remain.
 
-Every entry is stamped with the catalog's statistics epoch
-(:attr:`repro.storage.catalog.Catalog.stats_epoch`) at optimization time.
-``ANALYZE``, data loads, index DDL, table DDL, injected statistics and
-mid-query re-optimization feedback all bump the epoch, and a lookup whose
-entry carries an older epoch is treated as a miss (and counted as an
-invalidation) — a stale plan is never served after the engine has learned
-better estimates.
+**An entry is stale when something the optimizer reads has changed.**  Every
+entry is stamped with the catalog's statistics epoch
+(:attr:`repro.storage.catalog.Catalog.stats_epoch`) at optimization time;
+``ANALYZE``, data loads, index/table DDL and injected statistics bump it, and
+a lookup whose entry carries an older epoch — or a fragment that has since
+earned a bad feedback record — is a miss counted as an invalidation.  A
+mid-query plan switch is not such an event: what it observed goes to the
+running query's temp table (paper section 2.4), never to the catalog, so a
+statement that switches is served warm and its clone switches again, with
+the rows and simulated cost of a cold execution.
 """
 
 from __future__ import annotations
@@ -53,6 +56,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 #: Default number of cached entries (exact + parametric combined).
 DEFAULT_CAPACITY = 128
+
+#: Why a lookup missed (:meth:`PlanCache.lookup`,
+#: :attr:`~repro.engine.profile.ExecutionProfile.plan_cache_miss`).
+MISS_ABSENT = "absent"
+MISS_STALE_EPOCH = "stale-epoch"
+MISS_FEEDBACK = "feedback"
 
 
 def parameter_signature(params: Mapping[str, object] | None) -> tuple:
@@ -223,45 +232,46 @@ class PlanCache:
         key: tuple,
         epoch: int,
         feedback: "FeedbackRepository | None" = None,
-    ):
-        """The live entry under ``key``, or None.
+    ) -> "tuple[CachedPlan | CachedScenarios | None, str | None]":
+        """``(entry, None)`` on a hit, ``(None, reason)`` on a miss.
 
-        Entries stamped with an older statistics epoch are dropped and
-        counted as invalidations (as well as misses); a hit refreshes the
-        entry's LRU position.  When a feedback repository is supplied, an
-        entry is also invalidated if any of its plan-fragment signatures
+        The reason is one of :data:`MISS_ABSENT` (nothing stored under
+        ``key``), :data:`MISS_STALE_EPOCH` (the entry was optimized under
+        another statistics epoch) or :data:`MISS_FEEDBACK` (with a feedback
+        repository supplied: one of the entry's plan-fragment signatures
         earned a bad Q-error record after the entry was stored — the
-        re-prepared plan then benefits from the feedback corrections.
+        re-prepared plan then benefits from the feedback corrections).  The
+        last two drop the entry and count as invalidations as well as
+        misses; a hit refreshes the entry's LRU position.  The reason
+        travels with the return value, not on the cache, which every
+        session shares.
         """
         with self._lock:
             entry = self._entries.get(key)
+            miss = None
             if entry is None:
-                self.stats.misses += 1
-                self._bump("misses")
-                return None
-            if entry.epoch != epoch:
+                miss = MISS_ABSENT
+            elif entry.epoch != epoch:
+                miss = MISS_STALE_EPOCH
+            elif feedback is not None and getattr(entry, "signatures", None):
+                poisoned = feedback.poisoned_since(entry.feedback_epoch)
+                if poisoned and not poisoned.isdisjoint(entry.signatures):
+                    miss = MISS_FEEDBACK
+            if miss is None:
+                self._entries.move_to_end(key)
+                self.stats.hits += 1
+                self._bump("hits")
+                return entry, None
+            self.stats.misses += 1
+            self._bump("misses")
+            if miss != MISS_ABSENT:
                 del self._entries[key]
                 self.stats.invalidations += 1
-                self.stats.misses += 1
                 self._bump("invalidations")
-                self._bump("misses")
-                return None
-            signatures = getattr(entry, "signatures", frozenset())
-            if feedback is not None and signatures:
-                poisoned = feedback.poisoned_since(entry.feedback_epoch)
-                if poisoned and not poisoned.isdisjoint(signatures):
-                    del self._entries[key]
-                    self.stats.invalidations += 1
-                    self.stats.feedback_invalidations += 1
-                    self.stats.misses += 1
-                    self._bump("invalidations")
-                    self._bump("feedback_invalidations")
-                    self._bump("misses")
-                    return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            self._bump("hits")
-            return entry
+            if miss == MISS_FEEDBACK:
+                self.stats.feedback_invalidations += 1
+                self._bump("feedback_invalidations")
+            return None, miss
 
     def store(self, key: tuple, entry: "CachedPlan | CachedScenarios") -> None:
         """Insert (or replace) an entry, evicting the LRU tail if needed."""

@@ -9,7 +9,7 @@ set — from the statistics-epoch plan cache.  The first execution pays the
 full optimization cost and populates the cache; later executions with the
 same (or, parametrically, any) parameter values pay only a cheap clone and
 ``choose_plan`` selection, while a statistics-epoch bump (ANALYZE, loads,
-index DDL, re-optimization feedback) transparently forces re-optimization.
+index/table DDL) transparently forces re-optimization.
 
 Results are identical to cold :meth:`Database.execute` calls in both row
 and batch execution modes: the simulated cost clock is still charged one

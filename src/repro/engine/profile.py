@@ -84,6 +84,9 @@ class ExecutionProfile:
     phases: PhaseBreakdown = field(default_factory=PhaseBreakdown)
     #: Whether the plan (or scenario set) was served from the plan cache.
     plan_cache_hit: bool = False
+    #: Why the cache missed: ``"absent"``, ``"stale-epoch"`` or ``"feedback"``
+    #: (``None`` on a hit or with the cache off).
+    plan_cache_miss: str | None = None
     #: Optimizer work on this statement's behalf, initial plan plus every
     #: mid-query re-optimization: DP relation subsets visited, join
     #: candidates costed (both zero when the cache served the plan and no
@@ -245,7 +248,8 @@ class ExecutionProfile:
             f"(parse={self.phases.parse_s * 1e3:.2f}, bind={self.phases.bind_s * 1e3:.2f}, "
             f"optimize={self.phases.optimize_s * 1e3:.2f}, scia={self.phases.scia_s * 1e3:.2f}) "
             f"execute={self.phases.execute_s * 1e3:.2f}ms "
-            f"cache={'hit' if self.plan_cache_hit else 'miss'}",
+            f"cache={'hit' if self.plan_cache_hit else 'miss'}"
+            + (f"({self.plan_cache_miss})" if self.plan_cache_miss else ""),
         ]
         if self.parallel_pipelines:
             lines.append(

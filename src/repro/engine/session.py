@@ -82,9 +82,6 @@ class SessionCatalog:
         """(shared, local) epoch pair for session-scoped cache entries."""
         return (self.base.stats_epoch, self._local.stats_epoch)
 
-    def bump_stats_epoch(self) -> int:
-        return self.base.bump_stats_epoch()
-
     def __contains__(self, name: str) -> bool:
         return name in self._local or name in self.base
 

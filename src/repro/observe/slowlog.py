@@ -49,6 +49,7 @@ def build_slow_query_record(
         "simulated_cost": round(profile.total_cost, 6),
         "rows": profile.row_count,
         "plan_cache_hit": profile.plan_cache_hit,
+        "plan_cache_miss": profile.plan_cache_miss,
         "plan_switches": profile.plan_switches,
         "memory_reallocations": profile.memory_reallocations,
         "collectors_inserted": profile.collectors_inserted,

@@ -41,15 +41,13 @@ class Catalog:
     """Name -> table/index/statistics registry.
 
     The catalog also carries a monotonically increasing **statistics epoch**:
-    any event that can change what the optimizer would decide — fresh or
-    injected statistics, data loads, index DDL, table creation/removal, or
-    mid-query re-optimization folding back improved observed statistics —
-    bumps the epoch.  The plan cache (:mod:`repro.engine.plan_cache`) stamps
-    every entry with the epoch it was optimized under and refuses to serve
-    entries from older epochs, so a stale plan is never returned after the
-    engine has learned better estimates.  Per-query *temporary* tables are
-    exempt: they come and go inside a single execution and say nothing new
-    about the persistent database.
+    any event that changes what the optimizer reads here — fresh or injected
+    statistics, data loads, index DDL, table creation/removal — bumps it.
+    The plan cache (:mod:`repro.engine.plan_cache`) refuses to serve entries
+    optimized under an older epoch and the feedback repository ages its
+    records by it.  Per-query *temporary* tables are exempt, and so is a
+    mid-query plan switch: both live and die inside one execution and write
+    nothing about the persistent database here.
     """
 
     def __init__(self, page_size: int) -> None:

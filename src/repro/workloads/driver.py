@@ -74,6 +74,7 @@ class WorkloadReport:
 
     def summary(self) -> dict:
         """Plain-dict summary for benchmark JSON documents."""
+        hits = [p.plan_cache_hit for client in self.profiles for p in client]
         return {
             "sessions": self.sessions,
             "statements": self.statements,
@@ -82,6 +83,7 @@ class WorkloadReport:
             "latency_p50_ms": round(self.latency_percentile(50) * 1e3, 2),
             "latency_p90_ms": round(self.latency_percentile(90) * 1e3, 2),
             "latency_p99_ms": round(self.latency_percentile(99) * 1e3, 2),
+            "plan_cache_hit_rate": round(sum(hits) / max(1, len(hits)), 4),
             "errors": len(self.errors),
         }
 

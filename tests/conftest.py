@@ -40,9 +40,10 @@ def buffer_pool(config, clock) -> BufferPool:
 def make_two_table_db(
     r1_rows: int = 2000, r2_rows: int = 8000, seed: int = 3,
     histogram_kind: HistogramKind | None = HistogramKind.MAXDIFF,
+    config: EngineConfig | None = None,
 ) -> Database:
     """A small two-table database: r1(id, a, b) and r2(id, r1_id, c)."""
-    db = Database()
+    db = Database(config)
     rng = random.Random(seed)
     db.create_table(
         "r1",

@@ -37,22 +37,30 @@ def _digest(rows) -> str:
     return hashlib.sha1(text.encode()).hexdigest()[:16]
 
 
-def measure(scale_factor: float, memory_pages: int, seed: int) -> dict:
-    db = build_database(
+def build(scale_factor: float, memory_pages: int, seed: int):
+    return build_database(
         ExperimentConfig(scale_factor=scale_factor, memory_pages=memory_pages, seed=seed)
     )
-    rows = {}
+
+
+def measure(db) -> tuple[dict, set]:
+    """One pass over the golden statements on ``db``: the golden rows, and
+    which of them the plan cache served."""
+    rows, hits = {}, set()
     for name in QUERIES:
         for mode in (DynamicMode.OFF, DynamicMode.FULL):
             result = db.execute(query_by_name(name).sql, mode=mode)
             profile = result.profile
-            rows[f"{name}:{mode.value}"] = {
+            kind = f"{name}:{mode.value}"
+            rows[kind] = {
                 "total_cost": repr(profile.total_cost),
                 "switches": profile.plan_switches,
                 "reallocations": profile.memory_reallocations,
                 "rows": _digest(result.rows),
             }
-    return rows
+            if profile.plan_cache_hit:
+                hits.add(kind)
+    return rows, hits
 
 
 def _key(configuration) -> str:
@@ -61,11 +69,20 @@ def _key(configuration) -> str:
 
 @pytest.mark.parametrize("configuration", CONFIGURATIONS, ids=_key)
 def test_simulated_costs_match_golden(configuration):
+    """Cold, then again on the same database without clearing the cache: a
+    cached template cloned, executed and (Q5/Q7/Q8 FULL) switched mid-query
+    reproduces the golden row a fresh optimization gives."""
     golden = json.loads(GOLDEN.read_text())[_key(configuration)]
-    measured = measure(*configuration)
-    assert measured.keys() == golden.keys()
+    db = build(*configuration)
+    cold, cold_hits = measure(db)
+    warm, warm_hits = measure(db)
+    assert cold.keys() == golden.keys()
+    assert not cold_hits
+    assert warm_hits == golden.keys()
+    assert any(row["switches"] for row in golden.values())
     for kind, expected in golden.items():
-        assert measured[kind] == expected, kind
+        assert cold[kind] == expected, kind
+        assert warm[kind] == expected, f"{kind} (warm)"
 
 
 def test_q8_collector_work_counters():
@@ -74,7 +91,7 @@ def test_q8_collector_work_counters():
     four histograms — four same-seeded reservoirs used to draw four times as
     often) and min/max on at most four of its 26 columns.  The counts reach
     EXPLAIN ANALYZE, the profile and the metrics registry."""
-    db = build_database(ExperimentConfig(scale_factor=0.01, memory_pages=192, seed=31))
+    db = build(0.01, 192, 31)
     capacity = db.config.reservoir_sample_size
     before = db.metrics_snapshot()
     report = db.explain_analyze(query_by_name("Q8").sql, mode=DynamicMode.FULL)
@@ -111,5 +128,6 @@ def test_q8_collector_work_counters():
 
 if __name__ == "__main__":
     GOLDEN.write_text(
-        json.dumps({_key(c): measure(*c) for c in CONFIGURATIONS}, indent=1) + "\n"
+        json.dumps({_key(c): measure(build(*c))[0] for c in CONFIGURATIONS}, indent=1)
+        + "\n"
     )

@@ -327,6 +327,38 @@ class TestLearningLoop:
         third = db.execute(JOIN_SQL, mode=DynamicMode.OFF)
         assert third.rows == first.rows
 
+    def test_confidence_ages_with_the_catalog_not_with_switches(self):
+        """Decay counts epochs the *catalog* churned: another statement's
+        mid-query plan switch is not one, ``ANALYZE`` is."""
+        from repro.workloads.synthetic import (
+            RUNNING_EXAMPLE_SQL,
+            SyntheticConfig,
+            build_running_example,
+        )
+
+        db = Database(
+            EngineConfig().with_updates(feedback_enabled=True, feedback_path=""),
+            metrics=MetricsRegistry(),
+        )
+        build_running_example(
+            db, SyntheticConfig(rel1_rows=20_000, rel3_rows=60_000, correlation=1.0)
+        )
+        populate(db)
+        db.execute(JOIN_SQL, mode=DynamicMode.OFF)
+        record = db.feedback.lookup(db.feedback_report()["records"][0]["signature"])
+        assert db.feedback.confidence(record, db.catalog.stats_epoch) == 1.0
+        switching = db.execute(
+            RUNNING_EXAMPLE_SQL,
+            params={"value1": 80, "value2": 80},
+            mode=DynamicMode.FULL,
+        )
+        assert switching.profile.plan_switches >= 1
+        assert db.feedback.confidence(record, db.catalog.stats_epoch) == 1.0
+        db.analyze("rel2")
+        assert db.feedback.confidence(
+            record, db.catalog.stats_epoch
+        ) == db.feedback.decay
+
     def test_explain_analyze_annotates_corrections(self):
         db = feedback_db()
         db.execute(JOIN_SQL, mode=DynamicMode.OFF)

@@ -1,5 +1,6 @@
 """Plan cache, prepared statements and statistics-epoch invalidation."""
 
+import json
 import random
 
 import pytest
@@ -41,7 +42,7 @@ class TestPlanCacheUnit:
         k1 = PlanCache.exact_key("q1", (), "full", "batch")
         cache.store(k0, CachedPlan(query=None, plan=None, scia=None, epoch=0))
         cache.store(k1, CachedPlan(query=None, plan=None, scia=None, epoch=0))
-        assert cache.lookup(k0, 0) is not None  # refresh q0
+        assert cache.lookup(k0, 0)[0] is not None  # refresh q0
         cache.store(
             PlanCache.exact_key("q2", (), "full", "batch"),
             CachedPlan(query=None, plan=None, scia=None, epoch=0),
@@ -52,7 +53,7 @@ class TestPlanCacheUnit:
         cache = PlanCache()
         key = PlanCache.exact_key("q", (), "full", "batch")
         cache.store(key, CachedPlan(query=None, plan=None, scia=None, epoch=3))
-        assert cache.lookup(key, 4) is None
+        assert cache.lookup(key, 4) == (None, "stale-epoch")
         assert cache.stats.invalidations == 1
         assert cache.stats.misses == 1
         assert key not in cache
@@ -68,9 +69,10 @@ class TestPlanCacheUnit:
     def test_hit_rate(self):
         cache = PlanCache()
         key = PlanCache.exact_key("q", (), "full", "batch")
-        assert cache.lookup(key, 0) is None
-        cache.store(key, CachedPlan(query=None, plan=None, scia=None, epoch=0))
-        assert cache.lookup(key, 0) is not None
+        assert cache.lookup(key, 0) == (None, "absent")
+        entry = CachedPlan(query=None, plan=None, scia=None, epoch=0)
+        cache.store(key, entry)
+        assert cache.lookup(key, 0) == (entry, None)
         assert cache.stats.hit_rate == 0.5
 
 
@@ -167,11 +169,61 @@ class TestWarmExecution:
         assert db.plan_cache.capacity == 1
 
 
+class TestMissReason:
+    """A miss says why, on the profile of the statement that missed."""
+
+    def test_absent_stale_epoch_and_hit(self, tmp_path):
+        log = tmp_path / "slow.jsonl"
+        db = make_two_table_db(
+            config=EngineConfig(
+                feedback_enabled=False, slow_query_s=1e-9, slow_query_path=str(log)
+            )
+        )
+        cold = db.execute(SQL).profile
+        warm = db.execute(SQL).profile
+        db.analyze("r1")
+        stale = db.execute(SQL).profile
+        assert (cold.plan_cache_hit, cold.plan_cache_miss) == (False, "absent")
+        assert (warm.plan_cache_hit, warm.plan_cache_miss) == (True, None)
+        assert (stale.plan_cache_hit, stale.plan_cache_miss) == (False, "stale-epoch")
+        assert "cache=miss(absent)" in cold.summary()
+        assert "cache=hit" in warm.summary()
+        assert "cache=miss(stale-epoch)" in stale.summary()
+        logged = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [r["plan_cache_miss"] for r in logged] == ["absent", None, "stale-epoch"]
+
+    def test_feedback_poisoned_entry(self):
+        from .test_feedback import JOIN_SQL, feedback_db
+
+        db = feedback_db()
+        first = db.execute(JOIN_SQL, mode=DynamicMode.OFF).profile
+        second = db.execute(JOIN_SQL, mode=DynamicMode.OFF).profile
+        assert first.plan_cache_miss == "absent"
+        assert second.plan_cache_miss == "feedback"
+        assert "cache=miss(feedback)" in second.summary()
+
+    def test_cache_off_has_no_reason(self):
+        db = make_two_table_db(config=EngineConfig(plan_cache_enabled=False))
+        profile = db.execute(SQL).profile
+        assert (profile.plan_cache_hit, profile.plan_cache_miss) == (False, None)
+        assert profile.summary().count("cache=miss") == 1
+        assert "cache=miss(" not in profile.summary()
+
+
 class TestEpochInvalidation:
     def _warm(self, db):
         db.execute(SQL)
         warm = db.execute(SQL)
         assert warm.profile.plan_cache_hit
+
+    def _switching_db(self) -> Database:
+        """The running example at the size where FULL mode switches plans."""
+        # Feedback off: the tests need the cold misestimate to switch.
+        db = Database(EngineConfig(feedback_enabled=False))
+        build_running_example(
+            db, SyntheticConfig(rel1_rows=20_000, rel3_rows=60_000, correlation=1.0)
+        )
+        return db
 
     def test_analyze_invalidates(self):
         db = make_two_table_db()
@@ -216,23 +268,66 @@ class TestEpochInvalidation:
         db.register_udf("double", lambda x: 2 * x)
         assert len(db.plan_cache) == 0
 
-    def test_mid_query_reoptimization_bumps_epoch(self):
-        # Feedback off: the test needs the cold misestimate to switch.
-        db = Database(EngineConfig(feedback_enabled=False))
-        build_running_example(
-            db, SyntheticConfig(rel1_rows=20_000, rel3_rows=60_000, correlation=1.0)
-        )
+    def test_mid_query_reoptimization_keeps_epoch_and_cache(self):
+        """A plan switch changes nothing the optimizer reads (the observed
+        statistics reach only the running query's temp table), so it is not
+        an invalidation event: the epoch stands, the switching statement is
+        served warm — and switches again, identically — and every other
+        cached entry survives."""
+        db = self._switching_db()
         sql = RUNNING_EXAMPLE_SQL
         params = {"value1": 80, "value2": 80}
+        other = "SELECT count(*) n FROM rel2 WHERE rel2.attr2a < 500"
+        assert not db.execute(other).profile.plan_cache_hit
         epoch = db.catalog.stats_epoch
         first = db.execute(sql, params=params, mode=DynamicMode.FULL)
         assert first.profile.plan_switches >= 1
-        # The switch discredited the optimizer's estimates: the epoch moved,
-        # so the stale plan cannot be served again.
-        assert db.catalog.stats_epoch > epoch
+        assert not first.profile.plan_cache_hit
+        assert db.catalog.stats_epoch == epoch
         second = db.execute(sql, params=params, mode=DynamicMode.FULL)
-        assert not second.profile.plan_cache_hit
+        assert second.profile.plan_cache_hit
         assert second.rows == first.rows
+        assert repr(second.profile.total_cost) == repr(first.profile.total_cost)
+        assert second.profile.plan_switches == first.profile.plan_switches
+        assert (
+            second.profile.memory_reallocations == first.profile.memory_reallocations
+        )
+        assert second.profile.remainder_sqls == first.profile.remainder_sqls
+        assert db.execute(other).profile.plan_cache_hit
+        assert db.plan_cache.stats.invalidations == 0
+
+    def test_warm_switch_observes_what_the_cold_one_did(self):
+        """Warm ≡ cold node for node through the switch: estimates, actual
+        rows, simulated windows and every collector's observed statistics
+        and work counts (EXPLAIN ANALYZE of the cached template's clone)."""
+        db = self._switching_db()
+        params = {"value1": 80, "value2": 80}
+
+        def observed(report):
+            return [
+                (
+                    plan.outcome, plan.materialized_rows, node.depth, node.label,
+                    node.detail, repr(node.est_rows), repr(node.est_cost),
+                    node.actual_rows, node.sim_window,
+                    node.collector and (
+                        node.collector.fired, node.collector.observed_rows,
+                        node.collector.statistics, repr(node.collector.stats_cpu),
+                        node.collector.work and (
+                            node.collector.work.reservoir_draws,
+                            node.collector.work.sketch_values_hashed,
+                            node.collector.work.minmax_columns_tracked,
+                        ),
+                    ),
+                )
+                for plan in report.plans for node in plan.nodes
+            ]
+
+        cold = db.explain_analyze(RUNNING_EXAMPLE_SQL, params=params)
+        warm = db.explain_analyze(RUNNING_EXAMPLE_SQL, params=params)
+        assert not cold.profile.plan_cache_hit and warm.profile.plan_cache_hit
+        assert len(warm.plans) == len(cold.plans) >= 2
+        assert observed(warm) == observed(cold)
+        assert repr(warm.profile.breakdown) == repr(cold.profile.breakdown)
 
     def test_temp_tables_do_not_bump_epoch(self, two_table_db, buffer_pool):
         from repro.storage.temp import TempTableManager

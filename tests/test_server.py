@@ -440,6 +440,145 @@ class TestSessionIsolation:
         assert not [n for n in db.catalog.table_names if n.startswith("__temp")]
 
 
+class TestSwitchesLeaveOtherPlansCached:
+    """One session's mid-query plan switches and temp-table write cycles
+    invalidate nothing another session (or the switching statement itself)
+    has cached: a switch is not a statistics event, temp-table DDL moves
+    only the session's scoped epoch."""
+
+    ROUNDS = 3
+    GLOBAL_SQL = "SELECT count(*) n FROM rel2 WHERE rel2.attr2a < 500"
+    TEMP_SQL = "SELECT t.x x FROM t WHERE t.x < 3"
+
+    def _database(self, **overrides) -> Database:
+        from repro.workloads import SyntheticConfig, build_running_example
+
+        # Pinned to the batch executor: two sessions running morsel workers
+        # at once race on ``parallel._WORKER_STATE`` (ROADMAP item 2).
+        config = EngineConfig(
+            max_sessions=2, feedback_enabled=False, execution_mode="batch",
+            server_mode=False, **overrides,
+        )
+        db = Database(config, metrics=MetricsRegistry())
+        build_running_example(
+            db, SyntheticConfig(rel1_rows=20_000, rel3_rows=60_000, correlation=1.0)
+        )
+        return db
+
+    def _run(self, db: Database, concurrent: bool):
+        """Client A (switching statement + temp-table cycle) and client B
+        (one global statement, twice a round); returns a WorkloadReport."""
+        from repro.workloads import RUNNING_EXAMPLE_SQL
+        from repro.workloads.driver import WorkloadReport
+
+        report = WorkloadReport(
+            sessions=2, statements=4 * self.ROUNDS, elapsed_s=0.0,
+            rows=[[], []], profiles=[[], []],
+        )
+        # Rounds run in lockstep, so from round 2 on every B statement is
+        # known to execute after at least one of A's switches.
+        barrier = threading.Barrier(2 if concurrent else 1)
+
+        def record(index: int, result) -> None:
+            report.rows[index].append(result.rows)
+            report.profiles[index].append(result.profile)
+
+        def client_a() -> None:
+            session = db.create_session("switcher")
+            for __ in range(self.ROUNDS):
+                record(0, session.execute(
+                    RUNNING_EXAMPLE_SQL,
+                    params={"value1": 80, "value2": 80},
+                    mode=DynamicMode.FULL,
+                ))
+                session.create_temp_table("t", [("x", DataType.INTEGER)])
+                session.load_rows("t", [(i,) for i in range(10)])
+                session.analyze("t")
+                record(0, session.execute(self.TEMP_SQL))
+                session.drop_table("t")
+                barrier.wait()
+            session.close()
+
+        def client_b() -> None:
+            session = db.create_session("reader")
+            for __ in range(self.ROUNDS):
+                record(1, session.execute(self.GLOBAL_SQL))
+                record(1, session.execute(self.GLOBAL_SQL))
+                barrier.wait()
+            session.close()
+
+        def guarded(client) -> None:
+            try:
+                client()
+            except Exception as exc:  # noqa: BLE001 - reported, not swallowed
+                report.errors.append(f"{client.__name__}: {exc!r}")
+                barrier.abort()
+
+        if concurrent:
+            threads = [
+                threading.Thread(target=guarded, args=(client,))
+                for client in (client_a, client_b)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        else:
+            guarded(client_a)
+            guarded(client_b)
+        return report
+
+    def test_switching_session_invalidates_only_its_scoped_entry(self):
+        from repro.workloads import assert_parity
+
+        db = self._database()
+        epoch = db.catalog.stats_epoch
+        report = self._run(db, concurrent=True)
+        assert_parity(self._run(self._database(), concurrent=False).rows, report)
+
+        a, b = report.profiles
+        switching, temp = a[0::2], a[1::2]
+        assert all(p.plan_switches >= 1 for p in switching)
+        assert [p.plan_cache_hit for p in switching] == [False] + [True] * (
+            self.ROUNDS - 1
+        )
+        assert [p.plan_cache_hit for p in b] == [False] + [True] * (
+            2 * self.ROUNDS - 1
+        )
+        # Each create/load/analyze cycle moves the session's scoped epoch:
+        # the temp statement's previous entry is the only thing invalidated.
+        assert [p.plan_cache_miss for p in temp] == ["absent"] + ["stale-epoch"] * (
+            self.ROUNDS - 1
+        )
+        assert db.plan_cache.stats.invalidations == self.ROUNDS - 1
+        assert db.catalog.stats_epoch == epoch
+        assert report.summary()["plan_cache_hit_rate"] == round(
+            (3 * self.ROUNDS - 2) / (4 * self.ROUNDS), 4
+        )
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="fork unavailable")
+    def test_fork_worker_serves_the_parents_template_through_a_switch(self):
+        """Both worker modes follow one policy: a forked statement worker
+        clones the template the parent cached, switches, and matches the
+        inline execution (its own stores die with the child — fork mode
+        is only as warm as the parent's cache)."""
+        from repro.workloads import RUNNING_EXAMPLE_SQL
+
+        db = self._database(server_worker_mode="fork")
+        params = {"value1": 80, "value2": 80}
+        inline = db.execute(RUNNING_EXAMPLE_SQL, params=params, mode=DynamicMode.FULL)
+        session = db.create_session("forked")
+        forked = session.execute(
+            RUNNING_EXAMPLE_SQL, params=params, mode=DynamicMode.FULL
+        )
+        session.close()
+        assert forked.profile.executed_via == "fork"
+        assert forked.profile.plan_cache_hit and not inline.profile.plan_cache_hit
+        assert forked.profile.plan_switches == inline.profile.plan_switches >= 1
+        assert forked.rows == inline.rows
+        assert repr(forked.profile.total_cost) == repr(inline.profile.total_cost)
+
+
 class TestContentionReallocation:
     """Acceptance: the paper's memory re-allocation trigger fires from real
     cross-query pressure (a departing session's pages re-granted mid-query)."""
