@@ -701,6 +701,7 @@ class Database:
             optimizer_invocations=optimizer.invocations,
             optimizer_subsets_enumerated=optimizer.subsets_enumerated,
             optimizer_candidates_costed=optimizer.candidates_costed,
+            optimizer_candidates_pruned=optimizer.candidates_pruned,
             column_stats_derived=optimizer.column_stats_derived,
             collector_wall_s=sum(w.wall_s for w in collector_work),
             collector_rows_observed=sum(o.row_count for o in ctx.observed.values()),
@@ -832,6 +833,7 @@ class Database:
         m.counter("engine.rows_returned").inc(profile.row_count)
         m.counter("optimizer.subsets_enumerated").inc(profile.optimizer_subsets_enumerated)
         m.counter("optimizer.candidates_costed").inc(profile.optimizer_candidates_costed)
+        m.counter("optimizer.candidates_pruned").inc(profile.optimizer_candidates_pruned)
         m.counter("stats.column_stats_derived").inc(profile.column_stats_derived)
         m.counter("stats.collector_rows_observed").inc(profile.collector_rows_observed)
         m.counter("stats.reservoir_draws").inc(profile.reservoir_draws)

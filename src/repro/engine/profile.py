@@ -89,12 +89,14 @@ class ExecutionProfile:
     plan_cache_miss: str | None = None
     #: Optimizer work on this statement's behalf, initial plan plus every
     #: mid-query re-optimization: DP relation subsets visited, join
-    #: candidates costed (both zero when the cache served the plan and no
-    #: re-optimization ran) and column statistics derived by
+    #: candidates costed (annotated) and pruned on their cost bound (all
+    #: zero when the cache served the plan and no re-optimization ran) and
+    #: column statistics derived by
     #: ``Estimator`` profile propagation.  Exact for a statement executed
     #: inline — counts, not timings.
     optimizer_subsets_enumerated: int = 0
     optimizer_candidates_costed: int = 0
+    optimizer_candidates_pruned: int = 0
     column_stats_derived: int = 0
     #: What the statement's statistics collectors really cost: wall-clock
     #: seconds in their batch entry points (``breakdown.stats_cpu`` is the

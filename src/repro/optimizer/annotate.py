@@ -43,6 +43,7 @@ from ..plans.physical import (
 )
 from ..stats.estimator import Estimator, RelProfile, profile_from_table_stats
 from ..storage.catalog import Catalog
+from ..storage.index import Index
 from .cost_model import CostModel, OperatorCost, pages_for
 
 #: Operators whose cardinality is their input's (or, for Limit, an exact
@@ -300,31 +301,68 @@ class PlanAnnotator:
         self._finish(node, cost)
 
     # -- joins -------------------------------------------------------------
+    #
+    # A join's memory demand and cost follow from its annotated inputs
+    # (``est.rows`` / ``est.pages`` are the profile's, set by ``_finish``)
+    # and an output cardinality in exactly one method each.  The
+    # ``_annotate_*_join`` methods call it at the estimated output, the DP
+    # enumerator at the smallest output the estimator can return — so its
+    # lower bound is this arithmetic and cannot drift from it.
+
+    def hash_join_cost(
+        self, build: Estimates, probe: Estimates, output_rows: float, memory: int | None = None
+    ) -> tuple[int, int, OperatorCost]:
+        """``(min pages, max pages, cost)``; no grant means the maximum."""
+        minimum, maximum = self.cost_model.hash_join_memory(build.pages)
+        cost = self.cost_model.hash_join(
+            build_rows=build.rows,
+            build_pages=build.pages,
+            probe_rows=probe.rows,
+            probe_pages=probe.pages,
+            output_rows=output_rows,
+            memory_pages=maximum if memory is None else memory,
+        )
+        return minimum, maximum, cost
+
+    def block_nl_join_cost(
+        self, outer: Estimates, inner: Estimates, memory: int | None = None
+    ) -> tuple[int, int, OperatorCost]:
+        """``(min pages, max pages, cost)``; no grant means the maximum."""
+        minimum, maximum = self.cost_model.block_nl_join_memory(outer.pages)
+        cost = self.cost_model.block_nl_join(
+            outer_rows=outer.rows,
+            outer_pages=outer.pages,
+            inner_rows=inner.rows,
+            inner_pages=inner.pages,
+            memory_pages=maximum if memory is None else memory,
+        )
+        return minimum, maximum, cost
+
+    def index_nl_join_cost(
+        self, outer: Estimates, index: Index, matches_total: float, output_rows: float
+    ) -> OperatorCost:
+        """Cost of probing ``index`` (on the inner table) once per outer row."""
+        return self.cost_model.index_nl_join(
+            outer_rows=outer.rows,
+            height=index.height,
+            entries_per_leaf=index.entries_per_leaf,
+            matches_total=matches_total,
+            clustered=index.clustered,
+            inner_table_pages=self.catalog.stats_for(index.table.name).page_count,
+            output_rows=output_rows,
+        )
 
     def _annotate_hash_join(self, node: HashJoinNode) -> None:
-        build_profile = _require_profile(node.build)
-        probe_profile = _require_profile(node.probe)
         profile, __ = self.estimator.join(
-            build_profile, probe_profile, node.key_pairs, node.residual
+            _require_profile(node.build),
+            _require_profile(node.probe),
+            node.key_pairs,
+            node.residual,
         )
-        node.est.profile = profile
-        build_pages = pages_for(
-            build_profile.rows, build_profile.row_bytes, self.page_size
-        )
-        probe_pages = pages_for(
-            probe_profile.rows, probe_profile.row_bytes, self.page_size
-        )
-        minimum, maximum = self.cost_model.hash_join_memory(build_pages)
-        node.est.min_memory_pages = minimum
-        node.est.max_memory_pages = maximum
-        memory = self._memory_for(node)
-        cost = self.cost_model.hash_join(
-            build_rows=build_profile.rows,
-            build_pages=build_pages,
-            probe_rows=probe_profile.rows,
-            probe_pages=probe_pages,
-            output_rows=profile.rows,
-            memory_pages=memory,
+        est = node.est
+        est.profile = profile
+        est.min_memory_pages, est.max_memory_pages, cost = self.hash_join_cost(
+            node.build.est, node.probe.est, profile.rows, self.allocation.get(node.node_id)
         )
         self._finish(node, cost)
 
@@ -346,41 +384,17 @@ class PlanAnnotator:
             raise OptimizerError(
                 f"no index on {node.inner_table}.{node.inner_column} for index NL join"
             )
-        inner_stats = self.catalog.stats_for(node.inner_table)
-        cost = self.cost_model.index_nl_join(
-            outer_rows=outer_profile.rows,
-            height=index.height,
-            entries_per_leaf=index.entries_per_leaf,
-            matches_total=matches_total,
-            clustered=index.clustered,
-            inner_table_pages=inner_stats.page_count,
-            output_rows=profile.rows,
-        )
+        cost = self.index_nl_join_cost(node.outer.est, index, matches_total, profile.rows)
         self._finish(node, cost)
 
     def _annotate_block_nl_join(self, node: BlockNLJoinNode) -> None:
-        outer_profile = _require_profile(node.outer)
-        inner_profile = _require_profile(node.inner)
         profile, __ = self.estimator.join(
-            outer_profile, inner_profile, [], node.predicates
+            _require_profile(node.outer), _require_profile(node.inner), [], node.predicates
         )
-        node.est.profile = profile
-        outer_pages = pages_for(
-            outer_profile.rows, outer_profile.row_bytes, self.page_size
-        )
-        inner_pages = pages_for(
-            inner_profile.rows, inner_profile.row_bytes, self.page_size
-        )
-        minimum, maximum = self.cost_model.block_nl_join_memory(outer_pages)
-        node.est.min_memory_pages = minimum
-        node.est.max_memory_pages = maximum
-        memory = self._memory_for(node)
-        cost = self.cost_model.block_nl_join(
-            outer_rows=outer_profile.rows,
-            outer_pages=outer_pages,
-            inner_rows=inner_profile.rows,
-            inner_pages=inner_pages,
-            memory_pages=memory,
+        est = node.est
+        est.profile = profile
+        est.min_memory_pages, est.max_memory_pages, cost = self.block_nl_join_cost(
+            node.outer.est, node.inner.est, self.allocation.get(node.node_id)
         )
         self._finish(node, cost)
 

@@ -13,6 +13,11 @@ procedure: time real optimizer runs on star-join queries of increasing size
 and fit ``unit`` by least squares (converted through
 ``cost_units_per_second``).  The deterministic default keeps experiments
 reproducible; the calibration path is exercised by tests and examples.
+
+``n * 2**n`` counts sub-plans *enumerated*.  The enumerator's cost bound
+(``dp.py``) changes how many of them are annotated, not how many are
+generated, so ``T_opt,estimated``, Equation 1 and every simulated cost are
+what they were when every candidate was costed.
 """
 
 from __future__ import annotations

@@ -13,7 +13,9 @@ this module is our equivalent.
 
 from __future__ import annotations
 
+from functools import cache, partial
 from itertools import combinations
+from typing import Callable
 
 from ..errors import OptimizerError
 from ..plans.logical import (
@@ -30,9 +32,13 @@ from ..plans.physical import (
     IndexNLJoinNode,
     PlanNode,
 )
+from ..stats.estimator import MIN_ROWS
 from ..storage.catalog import Catalog
 from .access_paths import best_access_path
 from .annotate import PlanAnnotator
+
+#: ``(lower bound on est.total_cost, plan-node factory, is connected)``.
+_Candidate = tuple[float, Callable[[], PlanNode], bool]
 
 
 class JoinEnumerator:
@@ -40,6 +46,14 @@ class JoinEnumerator:
 
     Relation sets are bitmasks over the FROM-clause positions: bit ``i`` is
     ``query.relations[i]``.
+
+    Enumeration is *bound, order, then build*: a candidate's lower bound is
+    its inputs' cost plus the annotator's own ``*_join_cost`` formula at the
+    smallest output the estimator can return.  The formulas are sums of
+    products of non-negative terms and IEEE rounding is monotone, so
+    ``bound <= cost`` holds to the last bit, and building only candidates
+    whose bound can still win returns the plan that costing all of them
+    returns (``tests/exhaustive_dp.py``).
     """
 
     def __init__(
@@ -53,15 +67,21 @@ class JoinEnumerator:
         self.annotator = annotator
         self.aliases = [rel.alias for rel in query.relations]
         self._bit = {alias: 1 << i for i, alias in enumerate(self.aliases)}
-        #: ``(predicate, relation mask)`` for every predicate a join can
-        #: apply.  ``qualifiers()`` walks the expression tree, and
-        #: ``_classify_predicates`` runs at every DP extension step, so the
-        #: masks are computed once here.
-        self._predicate_masks: list[tuple[Predicate, int]] = []
+        #: ``(predicate, relation mask, equi columns)`` for every predicate
+        #: a join can apply; ``equi columns`` is ``(left, right, bit of
+        #: left's relation)`` for ``a.x = b.y`` and None otherwise.
+        #: ``_classify_predicates`` runs at every DP extension step, so
+        #: ``qualifiers()`` and ``is_equi_join`` are evaluated once here.
+        self._predicate_masks: list[tuple[Predicate, int, tuple | None]] = []
         for pred in query.predicates:
             bits = [self._bit.get(q) for q in pred.qualifiers()]
             if bits and None not in bits:
-                self._predicate_masks.append((pred, sum(bits)))
+                equi = None
+                if isinstance(pred, Comparison) and pred.is_equi_join:
+                    left_col: str = pred.left.name  # type: ignore[union-attr]
+                    right_col: str = pred.right.name  # type: ignore[union-attr]
+                    equi = (left_col, right_col, self._bit[qualifier_of(left_col)])
+                self._predicate_masks.append((pred, sum(bits), equi))
         #: Memoized best access path per alias.  ``_join_candidates`` needs
         #: the leaf for the newly added relation at every one of the
         #: O(n * 2^n) DP extension steps; the leaf only depends on the
@@ -70,9 +90,13 @@ class JoinEnumerator:
         #: Memoized per-alias selection predicates (scanned from the full
         #: predicate list otherwise — quadratic in practice).
         self._selection_cache: dict[str, list[Predicate]] = {}
-        #: Work counters for this enumeration (exact, hardware-independent).
+        #: ``catalog.index_on``, asked per equi-join pair at every step.
+        self._index_on = cache(catalog.index_on)
+        #: Work counters for this enumeration (exact, hardware-independent):
+        #: candidates annotated, and candidates their bound ruled out.
         self.subsets_enumerated = 0
         self.candidates_costed = 0
+        self.candidates_pruned = 0
 
     # ------------------------------------------------------------------
 
@@ -116,33 +140,17 @@ class JoinEnumerator:
             for members in combinations(range(count), size):
                 subset = sum(1 << i for i in members)
                 self.subsets_enumerated += 1
-                # Dominated candidates are pruned as they are produced.
-                # Strict < keeps the first-minimal candidate, and
-                # ``members`` is in FROM-clause order, so cost ties break
-                # the same way in every interpreter (iterating a set of
-                # alias strings made the plan depend on PYTHONHASHSEED).
-                best_connected: PlanNode | None = None
-                best_any: PlanNode | None = None
+                # ``members`` is in FROM-clause order, so candidates are
+                # generated, and cost ties broken, the same way in every
+                # interpreter (iterating a set of alias strings made the
+                # plan depend on PYTHONHASHSEED).
+                candidates: list[_Candidate] = []
                 for i in members:
                     rest = subset ^ (1 << i)
                     left = best.get(rest)
-                    if left is None:
-                        continue
-                    for plan, is_connected in self._join_candidates(left, rest, i):
-                        # Children (the best sub-plan and the leaf access
-                        # path) are already annotated; only the new join
-                        # node needs costing.
-                        self.annotator.annotate_node(plan)
-                        self.candidates_costed += 1
-                        cost = plan.est.total_cost
-                        if is_connected and (
-                            best_connected is None
-                            or cost < best_connected.est.total_cost
-                        ):
-                            best_connected = plan
-                        if best_any is None or cost < best_any.est.total_cost:
-                            best_any = plan
-                winner = best_connected if best_connected is not None else best_any
+                    if left is not None:
+                        candidates += self._join_candidates(left, rest, i)
+                winner = self._cheapest(candidates)
                 if winner is not None:
                     best[subset] = winner
         plan = best.get((1 << count) - 1)
@@ -150,68 +158,85 @@ class JoinEnumerator:
             raise OptimizerError("join enumeration failed to cover all relations")
         return plan
 
+    def _cheapest(self, candidates: list[_Candidate]) -> PlanNode | None:
+        """The first candidate, in generation order, of minimal cost.
+
+        System-R's rule that a connected extension beats a cartesian one
+        whatever it costs is settled before costing: a subset with a
+        connected candidate never looks at the others.  The rest are
+        visited in ascending ``(bound, generation number)``; once that is
+        above the incumbent's ``(cost, number)`` neither this candidate nor
+        any later one can be the first minimum.
+        """
+        connected = any(is_connected for __, __, is_connected in candidates)
+        pool = sorted(
+            (bound, number, build)
+            for number, (bound, build, is_connected) in enumerate(candidates)
+            if is_connected or not connected
+        )
+        winner, best_key, costed = None, None, 0
+        for bound, number, build in pool:
+            if winner is not None and (bound, number) > best_key:
+                break
+            # Children (the best sub-plan and the leaf access path) are
+            # already annotated; only the new join node needs costing.
+            plan = self.annotator.annotate_node(build())
+            costed += 1
+            key = (plan.est.total_cost, number)
+            if winner is None or key < best_key:
+                winner, best_key = plan, key
+        self.candidates_costed += costed
+        self.candidates_pruned += len(candidates) - costed
+        return winner
+
     # ------------------------------------------------------------------
 
     def _join_candidates(
         self, left: PlanNode, left_mask: int, new_index: int
-    ) -> list[tuple[PlanNode, bool]]:
+    ) -> list[_Candidate]:
         """Physical join alternatives adding relation ``new_index`` to ``left``."""
         relation = self.query.relations[new_index]
-        new_alias = relation.alias
-        key_pairs, residual = self._classify_predicates(left_mask, new_alias)
-        candidates: list[tuple[PlanNode, bool]] = []
-
-        right = self._leaf(new_alias)
-
-        if key_pairs:
-            # Hash join, existing tree as build side.
-            candidates.append(
-                (HashJoinNode(left, right, key_pairs, residual), True)
-            )
-            # Hash join, new relation as build side.
-            swapped = [(r, l) for l, r in key_pairs]
-            candidates.append(
-                (HashJoinNode(right, left, swapped, residual), True)
-            )
-            # Indexed nested loops, probing the new relation's index.
-            for outer_col, inner_col in key_pairs:
-                inner_base = inner_col.rsplit(".", 1)[-1]
-                index = self.catalog.index_on(relation.table_name, inner_base)
-                if index is None:
-                    continue
-                inl_residual = list(residual)
-                inl_residual.extend(self._selection_predicates(new_alias))
-                other_pairs = [
-                    pair for pair in key_pairs if pair != (outer_col, inner_col)
-                ]
-                for lcol, rcol in other_pairs:
-                    inl_residual.append(_equality(lcol, rcol))
-                candidates.append(
-                    (
-                        IndexNLJoinNode(
-                            outer=left,
-                            inner_table=relation.table_name,
-                            inner_alias=new_alias,
-                            # The leaf's schema is the table's, qualified
-                            # by this alias; schemas are immutable.
-                            inner_schema=right.schema,
-                            outer_column=outer_col,
-                            inner_column=inner_base,
-                            residual=inl_residual,
-                        ),
-                        True,
-                    )
-                )
-        else:
+        key_pairs, residual = self._classify_predicates(left_mask, 1 << new_index)
+        right = self._leaf(relation.alias)
+        annotator = self.annotator
+        params = annotator.cost_model.params
+        inputs_cost = left.est.total_cost + right.est.total_cost
+        if not key_pairs:
             # Every applicable predicate spans both inputs, so any residual
             # connects them; none at all makes this a cartesian product.
-            candidates.append(
-                (BlockNLJoinNode(left, right, residual), bool(residual))
+            # Block NL never reads its output size: the bound is exact.
+            cost = annotator.block_nl_join_cost(left.est, right.est)[2]
+            build = partial(BlockNLJoinNode, left, right, residual)
+            return [(cost.total_units(params) + inputs_cost, build, bool(residual))]
+        candidates: list[_Candidate] = []
+        # Hash join: the existing tree as build side, then the new relation.
+        for build_side, probe_side, pairs in (
+            (left, right, key_pairs),
+            (right, left, [(r, l) for l, r in key_pairs]),
+        ):
+            cost = annotator.hash_join_cost(build_side.est, probe_side.est, MIN_ROWS)[2]
+            build = partial(HashJoinNode, build_side, probe_side, pairs, residual)
+            candidates.append((cost.total_units(params) + inputs_cost, build, True))
+        # Indexed nested loops, probing the new relation's index.
+        for pair in key_pairs:
+            inner_base = pair[1].rsplit(".", 1)[-1]
+            index = self._index_on(relation.table_name, inner_base)
+            if index is None:
+                continue
+            inl_residual = residual + self._selection_predicates(relation.alias)
+            inl_residual += [_equality(*other) for other in key_pairs if other != pair]
+            cost = annotator.index_nl_join_cost(left.est, index, 0.0, 0.0)
+            build = partial(
+                IndexNLJoinNode, left, relation.table_name, relation.alias,
+                # The leaf's schema is the table's, qualified by this alias;
+                # schemas are immutable.
+                right.schema, pair[0], inner_base, inl_residual,
             )
+            candidates.append((cost.total_units(params) + left.est.total_cost, build, True))
         return candidates
 
     def _classify_predicates(
-        self, left_mask: int, new_alias: str
+        self, left_mask: int, new_bit: int
     ) -> tuple[list[tuple[str, str]], list[Predicate]]:
         """Split predicates into equi-join key pairs and residual conjuncts.
 
@@ -220,22 +245,21 @@ class JoinEnumerator:
         ``left_mask`` alone (those were applied below) and not inside the
         new relation alone (applied at the leaf).
         """
-        new_bit = self._bit[new_alias]
         outside = ~(left_mask | new_bit)
         key_pairs: list[tuple[str, str]] = []
         residual: list[Predicate] = []
-        for pred, mask in self._predicate_masks:
+        for pred, mask, equi in self._predicate_masks:
             if mask & outside or not mask & new_bit or not mask & left_mask:
                 continue
-            if isinstance(pred, Comparison) and pred.is_equi_join:
+            if equi is None:
+                residual.append(pred)
+            else:
                 # Two relations, one on each side of this join (the mask
                 # test above): orient the pair as (left input, new relation).
-                left_col, right_col = pred.left.name, pred.right.name  # type: ignore[union-attr]
-                if qualifier_of(left_col) == new_alias:
+                left_col, right_col, left_bit = equi
+                if left_bit == new_bit:
                     left_col, right_col = right_col, left_col
                 key_pairs.append((left_col, right_col))
-            else:
-                residual.append(pred)
         return key_pairs, residual
 
 

@@ -45,10 +45,12 @@ class Optimizer:
         #: Number of optimizer invocations (initial + re-optimizations).
         self.invocations = 0
         #: Work done on this statement's behalf (exact, hardware-independent):
-        #: DP relation subsets visited and join candidates annotated, over
-        #: the initial plan and every re-optimization.
+        #: DP relation subsets visited, join candidates annotated and join
+        #: candidates pruned on their cost bound, over the initial plan and
+        #: every re-optimization.
         self.subsets_enumerated = 0
         self.candidates_costed = 0
+        self.candidates_pruned = 0
         self._derived_before = self.estimator.column_stats_derived
 
     def optimize(
@@ -66,6 +68,7 @@ class Optimizer:
         plan: PlanNode = enumerator.best_join_plan()
         self.subsets_enumerated += enumerator.subsets_enumerated
         self.candidates_costed += enumerator.candidates_costed
+        self.candidates_pruned += enumerator.candidates_pruned
         plan = self._add_output_operators(plan, query)
         annotator.annotate(plan)
         return plan

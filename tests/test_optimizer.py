@@ -29,6 +29,7 @@ from repro.plans.physical import (
 )
 
 from .conftest import make_two_table_db
+from .exhaustive_dp import ExhaustiveJoinEnumerator
 
 
 class TestOperatorCost:
@@ -245,8 +246,10 @@ class TestJoinEnumeration:
 
         Deriving every column of every candidate's profile took 69 319
         ``_scale_column`` calls for this statement; derivation on first
-        read takes about 1 400.  The bound keeps an eager loop from
-        creeping back in unnoticed on a box too noisy to time it.
+        read took about 1 400, and far fewer now that the enumerator
+        annotates only candidates whose cost bound can still win.  The
+        pins keep an eager or exhaustive loop from creeping back in
+        unnoticed on a box too noisy to time it.
         """
         from repro.bench import ExperimentConfig, build_database
         from repro.workloads.tpcd import query_by_name
@@ -255,11 +258,20 @@ class TestJoinEnumeration:
         sql = query_by_name("Q8").sql
         __, __s, optimizer = db.plan(sql, mode=DynamicMode.OFF)
         assert optimizer.subsets_enumerated == 2**8 - 1 - 8  # eight relations
-        assert optimizer.candidates_costed >= optimizer.subsets_enumerated
+        # Every candidate is accounted for, and at most a quarter of them
+        # is annotated: costing all 2 216 is the exhaustive loop again.
+        reference = ExhaustiveJoinEnumerator(
+            db.bind_sql(sql), db.catalog, optimizer.annotator()
+        )
+        reference.best_join_plan()
+        generated = optimizer.candidates_costed + optimizer.candidates_pruned
+        assert generated == reference.candidates_costed == 2216
+        assert optimizer.subsets_enumerated <= optimizer.candidates_costed <= generated // 4
 
         names = (
             "optimizer.subsets_enumerated",
             "optimizer.candidates_costed",
+            "optimizer.candidates_pruned",
             "stats.column_stats_derived",
         )
         before = db.metrics_snapshot()
@@ -274,6 +286,7 @@ class TestJoinEnumeration:
         assert recorded == [
             profile.optimizer_subsets_enumerated,
             profile.optimizer_candidates_costed,
+            profile.optimizer_candidates_pruned,
             profile.column_stats_derived,
         ]
 

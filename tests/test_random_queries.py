@@ -78,6 +78,38 @@ def random_query(rng: random.Random, tables: int = 3) -> str:
     return sql
 
 
+def random_join_graph_query(rng: random.Random, tables: int = 3) -> str:
+    """Join graphs ``random_query`` never draws (planned, not executed: a
+    missing edge makes the answer a cross product).
+
+    Each chain edge is an equi-join, a non-equi comparison or absent (a
+    FROM list in disconnected pieces: cartesian-only subsets); a table may
+    appear a second time under another alias, which gives the enumerator
+    candidates of exactly equal cost to break by FROM order.
+    """
+    relations = [f"t{i}" for i in range(tables)]
+    conjuncts = []
+    for i in range(1, tables):
+        edge = rng.choice(["equi", "equi", "non-equi", "none"])
+        if edge == "equi":
+            conjuncts.append(f"t{i}.t{i - 1}_k = t{i - 1}.k")
+        elif edge == "non-equi":
+            conjuncts.append(f"t{i}.v {rng.choice(['<', '<=', '>', '<>'])} t{i - 1}.v")
+    if rng.random() < 0.6:
+        i = rng.randrange(tables)
+        relations.insert(rng.randrange(len(relations) + 1), f"t{i} u{i}")
+        edge = rng.choice(["equi", "non-equi", "none"])
+        if edge == "equi":
+            conjuncts.append(f"u{i}.k = t{i}.k")
+        elif edge == "non-equi":
+            conjuncts.append(f"u{i}.v < t{rng.randrange(tables)}.v")
+    for i in range(tables):
+        if rng.random() < 0.4:
+            conjuncts.append(f"t{i}.v {rng.choice(['<', '>=', '='])} {rng.randrange(15)}")
+    where = f" WHERE {' AND '.join(conjuncts)}" if conjuncts else ""
+    return f"SELECT t0.v a, t{tables - 1}.k b FROM {', '.join(relations)}{where}"
+
+
 def assert_collectors_agree(seed: int, sql: str, tables: int = 3, indexes: bool = False):
     """FULL with the previous collector swapped in == FULL with today's.
 
