@@ -752,6 +752,8 @@ class Database:
             vectorized_agg_pipelines=ctx.vector.agg_pipelines,
             vectorized_probe_pipelines=ctx.vector.probe_pipelines,
             rows_folded=ctx.vector.rows_folded,
+            join_matches=ctx.vector.join_total("matches"),
+            join_rows_materialised=ctx.vector.join_total("rows_materialised"),
             pipeline_wall_s={
                 str(pipeline): {
                     str(pid): round(secs, 6)
@@ -865,6 +867,8 @@ class Database:
         m.counter("vector.agg_pipelines").inc(ctx.vector.agg_pipelines)
         m.counter("vector.probe_pipelines").inc(ctx.vector.probe_pipelines)
         m.counter("vector.rows_folded").inc(ctx.vector.rows_folded)
+        m.counter("join.matches").inc(profile.join_matches)
+        m.counter("join.rows_materialised").inc(profile.join_rows_materialised)
         m.gauge("buffer_pool.hit_rate").set(buffer_pool.stats.hit_ratio)
         m.gauge("plan_cache.hit_rate").set(self.plan_cache.stats.hit_rate)
         m.histogram("query.simulated_cost").observe(clock.now)

@@ -145,7 +145,7 @@ class ExecutionProfile:
     #: the row path).  ``leaf_pipelines`` has one record per leaf pipeline,
     #: keyed by scan node id: ``kernel`` (``"column"`` / ``"row"``), the
     #: ``reason`` a pipeline stayed on the row kernels (temporary table,
-    #: predicate without a kernel, no filter, no numpy; None for column),
+    #: predicate without a kernel, no filter; None for column),
     #: ``rows_scanned``, ``rows_selected`` (rows leaving the pipeline) and
     #: ``rows_materialised`` — the row tuples actually built, which late
     #: materialisation keeps at the rows a row-oriented operator received
@@ -167,12 +167,16 @@ class ExecutionProfile:
     zone_map_by_scan: dict[int, dict] = field(default_factory=dict)
     #: Vectorized-kernel telemetry.  ``vectorized_agg_pipelines`` counts
     #: aggregates folded by the NumPy group-by kernels (column-space
-    #: pipelines and parallel value-run pre-aggregations alike), ``vectorized_probe_pipelines``
-    #: join probes served by the searchsorted kernel, and ``rows_folded``
-    #: the input rows those aggregate folds consumed.
+    #: pipelines and parallel value-run pre-aggregations alike),
+    #: ``vectorized_probe_pipelines`` hash-join probe sides read in column
+    #: space, ``rows_folded`` the input rows those aggregate folds consumed,
+    #: ``join_matches`` the rows the joins emitted (as row-id chunks) and
+    #: ``join_rows_materialised`` the tuples built from those chunks.
     vectorized_agg_pipelines: int = 0
     vectorized_probe_pipelines: int = 0
     rows_folded: int = 0
+    join_matches: int = 0
+    join_rows_materialised: int = 0
     #: Concurrent-server telemetry (label fields empty and wait/broker
     #: counters zero for inline executions; the memory fields always record
     #: the budget the query actually ran under).
@@ -292,6 +296,11 @@ class ExecutionProfile:
                 f"vectorized: agg pipelines={self.vectorized_agg_pipelines} "
                 f"probe pipelines={self.vectorized_probe_pipelines} "
                 f"rows folded={self.rows_folded}"
+            )
+        if self.join_matches:
+            lines.append(
+                f"joins: matches={self.join_matches} "
+                f"materialised={self.join_rows_materialised}"
             )
         if self.feedback_corrections or self.feedback_records:
             lines.append(

@@ -65,28 +65,24 @@ ints.  COUNT is ``np.bincount`` (counting NULLs, like the serial
 
 Join probe
 ----------
-:class:`ProbeIndex` sorts the build side's (key, row) pairs once with a
-stable argsort — equal keys keep hash-table insertion order, which is
-build-input row order — then answers each probe batch with two
-``np.searchsorted`` sweeps and a ``np.repeat`` expansion, asking its
-caller only for the probe rows that matched.  Output rows
-are emitted in probe-row order with build matches in build order: exactly
-the serial ``hash_table.get`` loop's order.  Keys must live in an exact
-total order shared with Python ``==`` — int64 values or dictionary codes
-— so any build key that is not a plain ``int`` (a float or bool can equal
-an int under Python semantics but not under int64 comparison) disables
-the kernel for that join.
+:class:`ProbeIndex` *is* the hash-join build structure: born from the build
+side's key columns, it codes each column exactly (int64 values by
+arithmetic, everything else through a Python dict — the serial lookup's
+own equality), folds the codes into one key per row and sorts the build
+row ids once with a stable argsort — equal keys keep build-input order.
+Each probe batch is one table gather and a ``np.repeat`` expansion into
+``(build slots, probe positions)``, in probe-row order with build matches
+in build order: exactly the serial ``hash_table.get`` loop's emission
+order.  No joined tuple is built here (see :mod:`repro.executor.chunk`).
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Sequence
 
-try:  # Optional dependency: without NumPy every kernel reports unavailable.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None  # type: ignore[assignment]
+import numpy as _np
+
+from ..storage.index import expand_runs
 
 
 #: Operand sets whose sums differ between sequential and pairwise,
@@ -109,8 +105,6 @@ def _probe_axis0_left_fold() -> bool:
     signed-zero prefix identity (``0.0 + -0.0`` must normalise to
     ``+0.0``).  Any mismatch fails closed to the serial fold.
     """
-    if _np is None:
-        return False
     for values in _PROBE_CASES:
         total = 0.0
         for value in values:
@@ -144,8 +138,6 @@ def _probe_accumulate_left_fold() -> bool:
     """Whether ``np.add.accumulate`` over a 1-D float64 array reproduces
     the serial ``total += value`` loop bit for bit, signed-zero start
     included.  Any mismatch fails closed to the matrix fold."""
-    if _np is None:
-        return False
     for values in _PROBE_CASES + ([-0.0],):
         total = 0.0
         for value in values:
@@ -168,8 +160,10 @@ _ACCUMULATE_OK = _probe_accumulate_left_fold()
 LONG_RUN = 64
 
 #: Dense factorization allocates two arrays over the key span; beyond
-#: ``max(_DENSE_SPAN_FLOOR, 8 * rows)`` the sort-based path is cheaper.
+#: ``max(_DENSE_SPAN_FLOOR, _DENSE_SPAN_PER_ROW * rows)`` the sort-based path
+#: is cheaper.
 _DENSE_SPAN_FLOOR = 1 << 16
+_DENSE_SPAN_PER_ROW = 8
 #: A probe index is read once per probe row, so it affords a sparser
 #: direct-address table than a factorization: up to 64 slots per build row
 #: (a 2 % selection of a surrogate-key domain), never more than 4M slots.
@@ -177,9 +171,14 @@ _PROBE_SPAN_PER_KEY = 64
 _PROBE_SPAN_CEILING = 1 << 22
 
 
+def _probe_span_limit(rows: int) -> int:
+    """The widest key span a build side of ``rows`` addresses directly."""
+    return min(_PROBE_SPAN_CEILING, max(_DENSE_SPAN_FLOOR, _PROBE_SPAN_PER_KEY * rows))
+
+
 def kernels_available() -> bool:
-    """Whether the vectorized fold kernels may run (NumPy present and the
-    axis-0 sequential-fold property verified)."""
+    """Whether the vectorized fold kernels may run (the axis-0
+    sequential-fold property verified)."""
     return _KERNELS_OK
 
 
@@ -207,7 +206,7 @@ def factorize_array(array):
     if rows:
         low = int(array.min())
         span = int(array.max()) - low + 1
-        if span <= max(_DENSE_SPAN_FLOOR, 8 * rows):
+        if span <= max(_DENSE_SPAN_FLOOR, _DENSE_SPAN_PER_ROW * rows):
             offsets = array.astype(_np.int64) - low
             first = _np.full(span, rows, dtype=_np.int64)
             _np.minimum.at(first, offsets, _np.arange(rows, dtype=_np.int64))
@@ -441,142 +440,155 @@ def left_fold_sum(values: Sequence):
 
 
 # ----------------------------------------------------------------------
-# Vectorized join probe
+# The hash-join build structure
 # ----------------------------------------------------------------------
 
 
-class ProbeIndex:
-    """A sorted build-key index answering whole probe batches at once.
+class _KeyCodes:
+    """One key column's code space, fixed by the build side.
 
-    Built once per hash join from the finished build table: every
-    (key, build-row) pair is flattened in hash-table order — key groups
-    in insertion order, rows within a key in build order — then stably
-    sorted by key, so each key's matches are one run of ``flat_rows`` in
-    exactly the serial lookup's emission order.  A dense key domain
-    (surrogate keys, dictionary codes) finds a key's run by direct
-    addressing — ``starts`` / ``counts`` indexed by ``key - low``, with one
-    trailing slot that every out-of-range key maps to — and a sparse one
-    by two ``searchsorted`` sweeps.
+    A value's code is the same integer on both sides of the join exactly
+    when Python's ``==`` (as a dict applies it: identity, or equal hash and
+    ``==``) says the values are equal; probe values the build side never
+    held get a code outside ``[0, size)``.  int64 columns code by
+    arithmetic — offset from the minimum over a dense domain (surrogate
+    keys), rank among the sorted distinct values over a sparse one — and
+    anything else (strings, floats, NULLs, bools, ints beyond int64)
+    through a Python dict, the serial lookup's own notion of equality.  An int64 build column met by a
+    non-int64 probe column derives that dict from its distinct values.
     """
 
-    __slots__ = ("sorted_keys", "flat_rows", "low", "starts", "counts")
+    __slots__ = ("codes", "size", "low", "distinct", "table")
 
-    def __init__(self, sorted_keys, flat_rows) -> None:
-        self.sorted_keys = sorted_keys
-        self.flat_rows = flat_rows
-        self.low = 0
-        self.starts = self.counts = None
-        if len(sorted_keys):
-            low = int(sorted_keys[0])
-            span = int(sorted_keys[-1]) - low + 1
-            if span <= min(
-                _PROBE_SPAN_CEILING,
-                max(_DENSE_SPAN_FLOOR, _PROBE_SPAN_PER_KEY * len(sorted_keys)),
-            ):
-                self.low = low
-                self.counts = _np.bincount(sorted_keys - low, minlength=span + 1)
-                self.starts = _np.cumsum(self.counts) - self.counts
-
-    @classmethod
-    def _from_table(cls, entry_keys, hash_table: dict) -> "ProbeIndex":
-        """Index a hash table whose entries' int64 keys are ``entry_keys``."""
-        matches = hash_table.values()
-        counts = _np.fromiter(map(len, matches), _np.int64, len(hash_table))
-        rows = list(chain.from_iterable(matches))
-        keys = _np.repeat(entry_keys, counts)
-        order = _np.argsort(keys, kind="stable")
-        return cls(keys[order], [rows[i] for i in order.tolist()])
-
-    @classmethod
-    def from_int_keys(cls, hash_table: dict) -> "ProbeIndex | None":
-        """Index over plain-int build keys, or None when any key falls
-        outside int64's exact domain (floats and bools can equal an int
-        under Python ``==`` but not under int64 comparison, so any
-        non-int key disables the kernel for the whole join)."""
-        if _np is None or not set(map(type, hash_table)) <= {int}:
-            return None
-        try:
-            keys = _np.fromiter(hash_table, _np.int64, len(hash_table))
-        except OverflowError:
-            return None
-        return cls._from_table(keys, hash_table)
-
-    @classmethod
-    def from_dict_keys(cls, hash_table: dict, dictionary) -> "ProbeIndex | None":
-        """Index over a dictionary-encoded probe column's code space.
-
-        Build keys map through the probe dictionary: equal values share a
-        code (dict equality — the serial lookup's own notion), NULL is
-        code -1, and keys absent from the dictionary get sub--1 codes no
-        probe row can carry, so they never match — exactly like the
-        serial ``hash_table.get`` missing every probe value.
-        """
-        if _np is None:
-            return None
-        code_of = dictionary.codes.get
-        codes: list = []
-        missing = -2
-        for key in hash_table:
-            if key is None:
-                code = -1
+    def __init__(self, column) -> None:
+        self.low = self.distinct = self.table = None
+        rows = len(column)
+        if rows and column.dtype.kind == "i":
+            low = int(column.min())
+            span = int(column.max()) - low + 1
+            if span <= _probe_span_limit(rows):
+                self.low, self.size = low, span
+                self.codes = column.astype(_np.int64) - low
             else:
-                try:
-                    code = code_of(key)
-                except TypeError:
-                    return None
-                if code is None:
-                    code = missing
-                    missing -= 1
-            codes.append(code)
-        return cls._from_table(_np.array(codes, dtype=_np.int64), hash_table)
-
-    def probe(self, keys, rows_at) -> list:
-        """All join matches for one probe batch, in serial emission order.
-
-        ``keys`` is the batch's key column (int64 values or dictionary
-        codes); ``rows_at(positions)`` returns the probe rows at the given
-        ascending batch positions.  Only probe rows that find a match are
-        ever asked for — the caller materialises them late, from the
-        column arrays or the heap — and the result rows are
-        ``build_row + probe_row`` ordered by probe position, matches in
-        build order within each.
-        """
-        counts = self.counts
-        if counts is not None:
-            # Keys below ``low`` wrap to huge unsigned offsets, so one
-            # minimum sends every out-of-range key to the empty last slot.
-            offsets = keys.astype(_np.int64) - self.low
-            slot = _np.minimum(
-                offsets.view(_np.uint64), _np.uint64(len(counts) - 1)
-            ).view(_np.int64)
-            match_counts = counts[slot]
-            lo = self.starts[slot]
+                self.distinct, self.codes = _np.unique(column, return_inverse=True)
+                self.size = len(self.distinct)
         else:
-            sorted_keys = self.sorted_keys
-            lo = _np.searchsorted(sorted_keys, keys, side="left")
-            match_counts = _np.searchsorted(sorted_keys, keys, side="right") - lo
+            table: dict = {}
+            self.codes = _np.fromiter(
+                (table.setdefault(value, len(table)) for value in column.tolist()),
+                _np.int64,
+                rows,
+            )
+            self.table, self.size = table, len(table)
+
+    def encode(self, column):
+        """Codes of a probe-side column: an array of values, or a
+        ``(codes, dictionary)`` pair for a dictionary-encoded column, whose
+        entries (and NULL, its code -1) are looked up once each."""
+        if type(column) is tuple:
+            coded, dictionary = column
+            get = self._table().get
+            translation = _np.fromiter(
+                (get(value, -1) for value in (*dictionary.values, None)),
+                _np.int64,
+                len(dictionary.values) + 1,
+            )
+            return translation[coded]  # code -1 reads the NULL slot, the last
+        if self.table is None and column.dtype.kind == "i":
+            if self.low is not None:
+                return _np.subtract(column, self.low, dtype=_np.int64)
+            distinct = self.distinct
+            at = _np.minimum(_np.searchsorted(distinct, column), self.size - 1)
+            return _np.where(distinct[at] == column, at, -1)
+        get = self._table().get
+        return _np.fromiter(
+            (get(value, -1) for value in column.tolist()), _np.int64, len(column)
+        )
+
+    def _table(self) -> dict:
+        if self.table is None:
+            values = (
+                range(self.low, self.low + self.size)
+                if self.low is not None
+                else self.distinct.tolist()
+            )
+            self.table = {value: code for code, value in enumerate(values)}
+        return self.table
+
+
+class ProbeIndex:
+    """A hash join's build side, indexed: row ids stably sorted by key.
+
+    Born from the build side's 1..n key columns (arrays over the build
+    rows).  Each column is coded exactly (:class:`_KeyCodes`); a further
+    column folds into the key so far by joint factorisation — ``key * size
+    + code``, re-ranked among the combinations the build side holds once
+    the product outgrows a direct-address table, so a key never outgrows
+    the build side's row count.  One stable argsort
+    then puts every key's rows in one run of ``order``, in build insertion
+    order: the serial ``hash_table.get`` emission order.  The join
+    re-indexes its build side by ``order`` once, so a probe answers in
+    *slots* of that sorted side, found by direct addressing (``starts`` /
+    ``counts``, with one trailing slot every absent key maps to).
+    """
+
+    __slots__ = ("encoders", "folds", "order", "starts", "counts", "unique")
+
+    def __init__(self, key_columns) -> None:
+        self.encoders = [_KeyCodes(column) for column in key_columns]
+        keys, size = self.encoders[0].codes, self.encoders[0].size
+        #: Per further column: the sorted distinct combined keys it made,
+        #: or None where the plain product still addresses a table.
+        self.folds = []
+        limit = _probe_span_limit(len(keys))
+        for encoder in self.encoders[1:]:
+            keys, size, distinct = keys * encoder.size + encoder.codes, size * encoder.size, None
+            if size > limit:
+                distinct, keys = _np.unique(keys, return_inverse=True)
+                size = len(distinct)
+            self.folds.append(distinct)
+        for encoder in self.encoders:
+            encoder.codes = None  # build-sized, and spent
+        self.counts, self.order, self.starts = group_layout(keys, size + 1)
+        self.unique = int(self.counts.max()) <= 1
+
+    def probe(self, key_columns):
+        """All matches of one probe batch: ``(slots, matched, counts)``.
+
+        ``key_columns`` are the batch's key columns, aligned with the build
+        side's (each an array of values or a ``(codes, dictionary)`` pair).
+        ``matched`` holds the ascending batch positions that found a match,
+        ``counts`` how many each found — None when every one found exactly
+        one — and ``slots`` the matching rows of the sorted build side,
+        position by position, a key's rows in build order: the pairs
+        ``(slots, repeat(matched, counts))`` in serial emission order.
+        """
+        if not len(self.order):
+            return self.order, self.order, None
+        encoders = self.encoders
+        keys, size = encoders[0].encode(key_columns[0]), encoders[0].size
+        for encoder, distinct, column in zip(encoders[1:], self.folds, key_columns[1:]):
+            codes = encoder.encode(column)
+            known = (keys >= 0) & (keys < size) & (codes >= 0) & (codes < encoder.size)
+            keys, size = keys * encoder.size + codes, size * encoder.size
+            if distinct is not None:
+                size = len(distinct)
+                at = _np.minimum(_np.searchsorted(distinct, keys), size - 1)
+                known &= distinct[at] == keys
+                keys = at
+            keys = _np.where(known, keys, -1)
+        counts = self.counts
+        # Codes below the domain wrap to huge unsigned offsets, so one
+        # minimum sends every absent key to the empty last slot.
+        slot = _np.minimum(
+            keys.view(_np.uint64), _np.uint64(len(counts) - 1)
+        ).view(_np.int64)
+        match_counts = counts[slot]
         matched = _np.nonzero(match_counts)[0]
-        if not len(matched):
-            return []
-        probe_rows = rows_at(matched)
-        flat_rows = self.flat_rows
+        lo = self.starts[slot[matched]]
+        if self.unique:  # a key side: every match is one build row
+            return lo, matched, None
         match_counts = match_counts[matched]
-        total = int(match_counts.sum())
-        if total == len(matched):  # every matched key is unique on the build side
-            return [
-                flat_rows[slot] + prow
-                for slot, prow in zip(lo[matched].tolist(), probe_rows)
-            ]
-        run_offsets = _np.cumsum(match_counts) - match_counts
-        slots = (
-            _np.arange(total, dtype=_np.int64)
-            - _np.repeat(run_offsets, match_counts)
-            + _np.repeat(lo[matched], match_counts)
-        )
-        owners = _np.repeat(
-            _np.arange(len(matched), dtype=_np.int64), match_counts
-        )
-        return [
-            flat_rows[slot] + probe_rows[owner]
-            for slot, owner in zip(slots.tolist(), owners.tolist())
-        ]
+        if int(match_counts.sum()) == len(matched):
+            return lo, matched, None
+        return expand_runs(lo, match_counts), matched, match_counts

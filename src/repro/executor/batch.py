@@ -1,11 +1,25 @@
 """Batch (vectorized) physical operator implementations.
 
 The MonetDB/X100 recipe applied to this engine: every operator consumes and
-yields *lists of rows* of roughly ``EngineConfig.batch_size`` tuples, so
-Python's generator-dispatch overhead, the cost-clock charges and the
-``_tracked`` bookkeeping are all amortised over a batch instead of paid per
-tuple.  Hot inner loops run as list comprehensions over precompiled
-closures (cached on the plan node, shared with the row path).
+yields *batches* of roughly ``EngineConfig.batch_size`` rows, so Python's
+generator-dispatch overhead, the cost-clock charges and the ``_tracked``
+bookkeeping are all amortised over a batch instead of paid per tuple.
+
+What flows out of the three join operators is a row-id
+:class:`~repro.executor.chunk.Chunk`: index vectors over the row lists the
+join read, not joined tuples.  A hash join's build side *is* the stable-
+sorted key index (:class:`~repro.executor.agg_kernels.ProbeIndex`) and a
+probe batch is one gather from its table; an index-NL join
+answers a whole outer key column against the index's arrays
+(:meth:`~repro.storage.index.Index.lookup_many`); a block-NL join emits
+``repeat`` / ``tile`` vectors per block.  Joins read their key columns,
+residual predicates and statistics collectors the columns they name, and a
+tuple is built only where a row-oriented consumer — the final result, a
+switch spool, sort / distinct / limit, a projection, an aggregate — reads
+the chunk as the row sequence it also is.  Every other operator yields
+plain row lists, the degenerate chunk; their hot loops run as list
+comprehensions over precompiled closures (cached on the plan node, shared
+with the row path).
 
 Leaf pipelines (a scan under filters/projections) that statically qualify
 run in column space instead and materialise late — see
@@ -21,8 +35,11 @@ charging formulas and charge *ordering* are replicated exactly — scans
 charge per page as pages are read, streaming operators charge once at end
 of stream from running totals, blocking operators charge at their blocking
 point — and statistics collectors consume batches in row order, so
-reservoir-sampling RNG streams are bit-identical.  The parity suite in
-``tests/test_batch_executor.py`` enforces this.
+reservoir-sampling RNG streams are bit-identical.  A chunk changes what is
+*built*, never what is *counted*: every charge is computed from the same
+integer row counts at the same points.  The parity suites in
+``tests/test_batch_executor.py`` and ``tests/test_join_chunks.py`` enforce
+this.
 
 Re-optimization semantics (paper Figure 6) are unchanged: plan switches are
 honoured at the same blocking-operator boundaries (hash join build end,
@@ -39,8 +56,11 @@ exactly the limit row, which a read-ahead batch would overshoot.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import itemgetter
 from typing import Iterator
+
+import numpy as np
 
 from ..errors import ExecutionError
 from ..optimizer.cost_model import OperatorCost, pages_for
@@ -61,6 +81,8 @@ from ..plans.physical import (
 )
 from ..storage.columnar import page_groups
 from ..storage.table import Row
+from .agg_kernels import ProbeIndex
+from .chunk import Chunk, as_chunk
 from .collector import RuntimeCollector
 from .columnar import (
     columnar_pipeline,
@@ -71,15 +93,21 @@ from .iterators import (
     _AggState,
     aggregate_items,
     execute_node,
-    hash_join_keys,
     key_extractor,
 )
 from .runtime import PlanSwitched, RuntimeContext
-from .vector import compile_batch_filter, compile_batch_projector
+from .vector import (
+    compile_batch_filter,
+    compile_batch_projector,
+    compile_mask_conjuncts,
+    has_arithmetic,
+)
 
-Batch = list
+#: What flows between operators: a plain row list, or — out of the joins —
+#: a :class:`~repro.executor.chunk.Chunk`, which reads as one.
+Batch = list | Chunk
 
-#: Iterator over row batches; no batch is ever empty.
+#: Iterator over batches; no batch is ever empty.
 BatchIterator = Iterator[Batch]
 
 
@@ -122,16 +150,50 @@ def _chunked(rows: list, size: int) -> BatchIterator:
         yield rows[start : start + size]
 
 
-def _batch_residual(node: PlanNode):
-    """Source-compiled residual filter over joined rows, or None."""
+def _join_stats(node: PlanNode, ctx: RuntimeContext) -> dict:
+    """The join's telemetry record; its output chunks count the tuples
+    built from them into ``rows_materialised``."""
+    return ctx.vector.by_node.setdefault(
+        node.node_id,
+        {"kind": "probe", "rows_probed": 0, "matches": 0, "rows_materialised": 0},
+    )
+
+
+def _chunk_residual(node: PlanNode):
+    """A join's residual predicates as ``fn(chunk) -> batch``, or None.
+
+    The mask kernels of the leaf pipelines, over the columns the predicates
+    name: conjunct by conjunct, narrowing the chunk's index vectors in
+    between, so a row one conjunct excludes never reaches the next (the
+    serial short-circuit).  Predicates without an exact mask kernel — a
+    UDF, or arithmetic, which wraps over int64 arrays where Python's ints
+    do not — filter the chunk's built rows instead."""
     predicates = getattr(node, "residual", None)
     if predicates is None:
         predicates = node.predicates
     if not predicates:
         return None
-    return node.compiled(
-        "batch_residual", lambda: compile_batch_filter(predicates, node.schema)
+    conjuncts = node.compiled(
+        "mask_residual",
+        lambda: None
+        if any(map(has_arithmetic, predicates))
+        else compile_mask_conjuncts(predicates, node.schema),
     )
+    if conjuncts is None:
+        return node.compiled(
+            "batch_residual", lambda: compile_batch_filter(predicates, node.schema)
+        )
+
+    def residual(chunk: Chunk) -> Chunk:
+        for passing in conjuncts:
+            mask = passing(chunk.column)
+            if not mask.all():
+                chunk = chunk.take(np.nonzero(mask)[0])
+                if not len(chunk):
+                    break
+        return chunk
+
+    return residual
 
 
 # ----------------------------------------------------------------------
@@ -213,9 +275,25 @@ def _project(node: ProjectNode, ctx: RuntimeContext) -> BatchIterator:
 def _collector(node: StatsCollectorNode, ctx: RuntimeContext) -> BatchIterator:
     collector = RuntimeCollector(node, node.child.schema, ctx.config)
     observe_batch = collector.observe_batch
+    width = len(node.child.schema)
+    # A selective join emits a handful of rows per probe batch.  Their
+    # chunks pass straight through and are observed together, a batch's
+    # worth at a time and in stream order — the sampler draws once per row
+    # either way — so a column read is amortised like everywhere else.
+    pending: list[Chunk] = []
+    held = 0
     for batch in execute_node_batches(node.child, ctx):
-        observe_batch(batch)
+        if type(batch) is Chunk:
+            pending.append(batch)
+            held += len(batch)
+        if pending and (type(batch) is list or held >= ctx.batch_size):
+            observe_batch(Chunk.concat(pending, width))
+            pending, held = [], 0
+        if type(batch) is list:
+            observe_batch(batch)
         yield batch
+    if pending:
+        observe_batch(Chunk.concat(pending, width))
     ctx.collector_completed(node, collector)
 
 
@@ -266,24 +344,28 @@ def _limit(node: LimitNode, ctx: RuntimeContext) -> BatchIterator:
 
 
 def _hash_join(node: HashJoinNode, ctx: RuntimeContext) -> BatchIterator:
-    build_key, probe_key = hash_join_keys(node)
-    residual_filter = _batch_residual(node)
+    build_schema, probe_schema = node.build.schema, node.probe.schema
+    build_keys = [build_schema.index_of(col) for col, __ in node.key_pairs]
+    probe_keys = [probe_schema.index_of(col) for __, col in node.key_pairs]
+    residual = _chunk_residual(node)
+    stats = _join_stats(node, ctx)
     page_size = ctx.catalog.page_size
 
     # --- build phase (blocking) ---
     # A leaf-extractable build side can fan out across the morsel worker
-    # pool: workers fold partition hash tables merged in morsel order, so
-    # the merged table is observationally identical to the serial loop's.
-    built = None
+    # pool: workers fold partition hash tables merged in morsel order, and
+    # flattening the merged buckets keeps every key's rows in build order —
+    # all the emission order depends on.
+    hash_table = None
     if ctx.execution_mode == "parallel":
         from .parallel import morsel_build_table
 
         built = morsel_build_table(node, ctx)
-    if built is not None:
-        hash_table, build_rows, grant = built
-    else:
-        hash_table = {}
-        setdefault = hash_table.setdefault
+        if built is not None:
+            hash_table, build_rows, grant = built
+            batches = [list(chain.from_iterable(hash_table.values()))]
+    if hash_table is None:
+        batches = []
         build_rows = 0
         grant = None
         responsive = ctx.config.responsive_hash_joins
@@ -291,11 +373,12 @@ def _hash_join(node: HashJoinNode, ctx: RuntimeContext) -> BatchIterator:
             if grant is None and not responsive:
                 grant = ctx.commit_memory(node)
             build_rows += len(batch)
-            for row in batch:
-                setdefault(build_key(row), []).append(row)
+            batches.append(batch)
     if grant is None:
         grant = ctx.commit_memory(node)
-    build_pages = pages_for(build_rows, node.build.schema.row_bytes, page_size)
+    build = Chunk.concat(batches, len(build_schema))
+    del batches
+    build_pages = pages_for(build_rows, build_schema.row_bytes, page_size)
     ctx.charge(ctx.cost_model.hash_join_build(build_rows, build_pages, grant))
 
     # --- plan-switch window: build done, probe not started ---
@@ -312,7 +395,7 @@ def _hash_join(node: HashJoinNode, ctx: RuntimeContext) -> BatchIterator:
         from .parallel import morsel_probe_pipeline
 
         parallel_probe = morsel_probe_pipeline(
-            node, ctx, hash_table, build_pages, grant
+            node, ctx, build if hash_table is None else hash_table, build_pages, grant
         )
         if parallel_probe is not None:
             if directive is not None:
@@ -320,68 +403,45 @@ def _hash_join(node: HashJoinNode, ctx: RuntimeContext) -> BatchIterator:
             yield from parallel_probe
             return
 
-    # Single-key joins over an int64 or dictionary-encoded probe column
-    # that runs in column space answer whole batches through the sorted
-    # build-key index, and only probe rows that match are ever
-    # materialised; emission order and charges are those of the plain loop
-    # below.  Indexing costs a sort of the build side, repaid per probe
-    # row: not worth it for a probe side expected to be the smaller one.
-    vector_probe = None
-    if len(node.key_pairs) == 1 and node.probe.est.rows >= build_rows:
-        vector_probe = columnar_probe_stream(
-            node.probe,
-            ctx,
-            node.probe.schema.index_of(node.key_pairs[0][1]),
-            hash_table,
-        )
+    # The build structure is the sorted key index, born from the build
+    # side's key columns.  A single-key probe side that runs in column
+    # space hands over its key arrays and builds only the probe rows that
+    # match; any other arrives as batches whose key columns are gathered.
+    stream = None
+    if len(probe_keys) == 1:
+        stream = columnar_probe_stream(node.probe, ctx, probe_keys[0])
+    if stream is None:
+        stream = _probe_stream(node.probe, ctx, probe_keys)
+    index = ProbeIndex([build.column(position) for position in build_keys])
+    build = build.take(index.order)
+    probe_width = len(probe_schema)
 
     def probe_batches() -> BatchIterator:
         probe_count = 0
         output_count = 0
-        get = hash_table.get
         try:
-            if vector_probe is not None:
-                stream, index = vector_probe
-                probe_kernel = index.probe
-                for count, key_array, rows_at in stream:
-                    probe_count += count
-                    out = probe_kernel(key_array, rows_at)
-                    if residual_filter is not None:
-                        out = residual_filter(out)
-                    if out:
-                        output_count += len(out)
-                        yield out
-            else:
-                for batch in execute_node_batches(node.probe, ctx):
-                    probe_count += len(batch)
-                    out: list[Row] = []
-                    append = out.append
-                    extend = out.extend
-                    # Key extraction and hash lookups run under map() at C
-                    # speed; the Python loop body only fires to emit matches.
-                    for prow, matches in zip(batch, map(get, map(probe_key, batch))):
-                        if matches is None:
-                            continue
-                        if len(matches) == 1:
-                            append(matches[0] + prow)
-                        else:
-                            extend([brow + prow for brow in matches])
-                    if residual_filter is not None:
-                        out = residual_filter(out)
-                    if out:
-                        output_count += len(out)
-                        yield out
+            for count, keys, fetch in stream:
+                probe_count += count
+                slots, matched, counts = index.probe(keys)
+                if not len(matched):
+                    continue
+                # Only probe rows that found a match travel on, each paired
+                # with its build rows in build order.
+                probe = as_chunk(fetch(matched), probe_width)
+                probe_ids = None
+                if counts is not None:
+                    probe_ids = np.repeat(np.arange(len(matched)), counts)
+                out = Chunk.join(build, slots, probe, probe_ids, stats)
+                if residual is not None:
+                    out = residual(out)
+                    if not out:
+                        continue
+                output_count += len(out)
+                yield out
         finally:
-            if vector_probe is not None:
-                per_node = ctx.vector.by_node.setdefault(
-                    node.node_id,
-                    {"kind": "probe", "rows_probed": 0, "matches": 0},
-                )
-                per_node["rows_probed"] += probe_count
-                per_node["matches"] += output_count
-            probe_pages = pages_for(
-                probe_count, node.probe.schema.row_bytes, page_size
-            )
+            stats["rows_probed"] += probe_count
+            stats["matches"] += output_count
+            probe_pages = pages_for(probe_count, probe_schema.row_bytes, page_size)
             ctx.charge(
                 ctx.cost_model.hash_join_probe(
                     build_pages=build_pages,
@@ -395,6 +455,16 @@ def _hash_join(node: HashJoinNode, ctx: RuntimeContext) -> BatchIterator:
     if directive is not None:
         _materialize_and_switch(node, ctx, directive, probe_batches())
     yield from probe_batches()
+
+
+def _probe_stream(node: PlanNode, ctx: RuntimeContext, positions: list[int]):
+    """A probe side as ``(rows, key columns, fetch)`` per batch, where
+    ``fetch(positions)`` is the batch narrowed to those rows — the contract
+    :func:`~repro.executor.columnar.columnar_probe_stream` set."""
+    width = len(node.schema)
+    for batch in execute_node_batches(node, ctx):
+        chunk = as_chunk(batch, width)
+        yield len(chunk), [chunk.column(p) for p in positions], chunk.take
 
 
 def _materialize_and_switch(
@@ -434,41 +504,37 @@ def _index_nl_join(node: IndexNLJoinNode, ctx: RuntimeContext) -> BatchIterator:
         raise ExecutionError(
             f"index on {node.inner_table}.{node.inner_column} disappeared"
         )
+    outer_width = len(node.outer.schema)
     outer_position = node.outer.schema.index_of(node.outer_column)
-    residual_filter = _batch_residual(node)
-    lookup_eq = index.lookup_eq
-    inner_rows = inner_table.rows
+    residual = _chunk_residual(node)
+    stats = _join_stats(node, ctx)
+    # The inner side is the table's heap itself, addressed by the row ids
+    # the index returns.
+    inner = as_chunk(inner_table.rows, len(inner_table.schema), heap=True)
     outer_count = 0
     matches_total = 0
     output_count = 0
-    get_outer = itemgetter(outer_position)
-    # Outer keys repeat heavily in FK joins; memoizing the (pure) index
-    # lookups trades memory for skipping most bisect probes.
-    lookup_cache: dict[object, list[int]] = {}
-    cache_get = lookup_cache.get
     try:
         for batch in execute_node_batches(node.outer, ctx):
             outer_count += len(batch)
-            out: list[Row] = []
-            append = out.append
-            extend = out.extend
-            for orow, key in zip(batch, map(get_outer, batch)):
-                row_indices = cache_get(key)
-                if row_indices is None:
-                    row_indices = lookup_cache[key] = lookup_eq(key)
-                if not row_indices:
+            outer = as_chunk(batch, outer_width)
+            # One sweep answers the whole key column: per outer row, in
+            # order, its matches in index order.
+            counts, row_ids = index.lookup_many(outer.column(outer_position))
+            if not len(row_ids):
+                continue
+            matches_total += len(row_ids)
+            outer_ids = np.repeat(np.arange(len(outer), dtype=np.int64), counts)
+            out = Chunk.join(outer, outer_ids, inner, row_ids, stats)
+            if residual is not None:
+                out = residual(out)
+                if not out:
                     continue
-                matches_total += len(row_indices)
-                if len(row_indices) == 1:
-                    append(orow + inner_rows[row_indices[0]])
-                else:
-                    extend([orow + inner_rows[i] for i in row_indices])
-            if residual_filter is not None:
-                out = residual_filter(out)
-            if out:
-                output_count += len(out)
-                yield out
+            output_count += len(out)
+            yield out
     finally:
+        stats["rows_probed"] += outer_count
+        stats["matches"] += output_count
         ctx.charge(
             ctx.cost_model.index_nl_join(
                 outer_rows=outer_count,
@@ -489,62 +555,81 @@ def _index_nl_join(node: IndexNLJoinNode, ctx: RuntimeContext) -> BatchIterator:
 
 def _block_nl_join(node: BlockNLJoinNode, ctx: RuntimeContext) -> BatchIterator:
     page_size = ctx.catalog.page_size
-    predicate_filter = _batch_residual(node)
-    inner_rows: list[Row] = []
-    for batch in execute_node_batches(node.inner, ctx):
-        inner_rows.extend(batch)
-    inner_pages = pages_for(len(inner_rows), node.inner.schema.row_bytes, page_size)
+    residual = _chunk_residual(node)
+    stats = _join_stats(node, ctx)
+    outer_width = len(node.outer.schema)
+    inner = Chunk.concat(
+        list(execute_node_batches(node.inner, ctx)), len(node.inner.schema)
+    )
+    inner_count = len(inner)
+    inner_pages = pages_for(inner_count, node.inner.schema.row_bytes, page_size)
 
     directive = ctx.take_switch_for(node.node_id)
 
     rows_per_page = node.outer.schema.rows_per_page(page_size)
     params = ctx.cost_model.params
+    # Outer rows paired with the whole inner per emitted chunk: what keeps
+    # a chunk's index vectors near a batch's size.
+    slab = max(1, ctx.batch_size // max(1, inner_count))
+    inner_ids = np.arange(inner_count, dtype=np.int64)
 
     def joined_batches() -> BatchIterator:
         grant = ctx.commit_memory(node)
         block_rows = max(1, (max(1, grant - 2)) * rows_per_page)
-        block: list[Row] = []
+        block: list[Chunk] = []
+        pending = 0
         blocks_done = 0
         compares = 0
+        outer_count = output_count = 0
 
-        def flush(block_: list[Row]) -> list[Row]:
-            nonlocal blocks_done, compares
+        def flush() -> BatchIterator:
+            nonlocal blocks_done, compares, output_count
             if blocks_done > 0:
                 # Re-scan of the (materialised) inner per additional block.
                 ctx.clock.charge_seq_read(inner_pages)
             blocks_done += 1
-            compares += len(block_) * len(inner_rows)
-            out: list[Row] = []
-            extend = out.extend
-            if predicate_filter is not None:
-                for orow in block_:
-                    extend(
-                        predicate_filter([orow + irow for irow in inner_rows])
-                    )
-            else:
-                for orow in block_:
-                    extend([orow + irow for irow in inner_rows])
-            return out
+            compares += pending * inner_count
+            outer = Chunk.concat(block, outer_width)
+            for start in range(0, pending, slab):
+                stop = min(start + slab, pending)
+                # Outer-major pairs: each outer row against the whole
+                # inner, in inner order.
+                out = Chunk.join(
+                    outer,
+                    np.repeat(np.arange(start, stop, dtype=np.int64), inner_count),
+                    inner,
+                    np.tile(inner_ids, stop - start),
+                    stats,
+                )
+                if residual is not None:
+                    out = residual(out)
+                if out:
+                    output_count += len(out)
+                    yield out
 
         try:
             for batch in execute_node_batches(node.outer, ctx):
+                outer_count += len(batch)
+                batch = as_chunk(batch, outer_width)
                 start = 0
-                remaining = len(batch)
-                while remaining > 0:
-                    take = min(block_rows - len(block), remaining)
-                    block.extend(batch[start : start + take])
+                while start < len(batch):
+                    take = min(block_rows - pending, len(batch) - start)
+                    block.append(
+                        batch
+                        if take == len(batch)
+                        else batch.take(np.arange(start, start + take, dtype=np.int64))
+                    )
                     start += take
-                    remaining -= take
-                    if len(block) >= block_rows:
-                        out = flush(block)
+                    pending += take
+                    if pending >= block_rows:
+                        yield from flush()
                         block = []
-                        if out:
-                            yield out
+                        pending = 0
             if block:
-                out = flush(block)
-                if out:
-                    yield out
+                yield from flush()
         finally:
+            stats["rows_probed"] += outer_count
+            stats["matches"] += output_count
             ctx.clock.charge_cpu(compares * params.cpu_per_compare)
 
     if directive is not None:
@@ -698,7 +783,7 @@ def _sort(node: SortNode, ctx: RuntimeContext) -> BatchIterator:
         # Stable multi-key sort: apply keys in reverse significance order.
         for key in reversed(node.keys):
             position = schema.index_of(key.name)
-            rows.sort(key=lambda r: r[position], reverse=not key.ascending)
+            rows.sort(key=itemgetter(position), reverse=not key.ascending)
     if grant is None:
         grant = ctx.commit_memory(node)
     page_size = ctx.catalog.page_size

@@ -1,0 +1,237 @@
+"""Row-id chunks: what the join operators emit instead of joined tuples.
+
+A :class:`Chunk` is a batch of joined rows that have not been built: a flat
+tuple of *sources* — row lists such as a leaf pipeline's batch, a hash
+join's accumulated build side or a base table's heap — each paired with an
+int64 index vector (``None`` for "every row, in order"), plus the schema map
+*output column -> (source, column)*.  Row ``i`` of the chunk is the
+concatenation of ``source.rows[ids[i]]`` over the sources, in order.
+
+A join over chunks ``L`` and ``R`` computes ``(left ids, right ids)`` and
+returns ``L``'s sources re-indexed by the left ids followed by ``R``'s by
+the right ids (:meth:`Chunk.join`): index vectors compose, chunks never
+nest, and a 91 620-row intermediate is a handful of int64 vectors over the
+few thousand narrow tuples it was joined from.  Consumers read what they
+name — :meth:`Chunk.column` gathers one column as an array for join keys,
+:meth:`Chunk.values` as Python values for residual predicates and
+statistics collectors — and only a row-oriented consumer (the final
+result, a switch spool, sort / distinct / aggregation, a projection, a UDF)
+builds tuples, through :meth:`Chunk.rows`, the one place a joined tuple is
+made.  A chunk is a read-only sequence of its rows, so such consumers
+iterate, slice and ``extend`` from it as they do from the plain row list
+every other operator yields; a row list is the degenerate chunk and
+:func:`as_chunk` wraps one without touching its rows.
+"""
+
+from __future__ import annotations
+
+from operator import add, itemgetter
+
+import numpy as np
+
+
+def typed(values: list):
+    """``values`` as an array whose comparisons are Python's: int64 when
+    every value is a plain ``int`` that fits (a bool or float can equal an
+    int under ``==`` but not as int64), the objects themselves otherwise."""
+    if set(map(type, values)) == {int}:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    return np.fromiter(values, object, len(values))
+
+
+class Source:
+    """One row list chunks index into, with its columns extracted on demand.
+
+    An owned list (a batch, a build side) extracts a column once, over all
+    of its narrow rows, and serves every later read from it in the form the
+    reader computes in: the list itself for Python consumers (collectors,
+    the sampler), its typed array for kernels (join keys, residual masks) —
+    a 4 000-value list costs 320 us to turn into an int64 array and 7 us to
+    gather from one, so neither form stands in for the other.  A base
+    table's ``heap`` is never read whole: a read touches the rows it names
+    (Q8 reads ``l_suppkey`` for 3 246 survivors of 91 620 matches; as an
+    owned list extracted whole, Q8 ``OFF`` runs 17 -> 37 ms, E24).
+    """
+
+    __slots__ = ("rows", "width", "heap", "_columns")
+
+    def __init__(self, rows: list, width: int, heap: bool = False) -> None:
+        self.rows = rows
+        self.width = width
+        self.heap = heap
+        #: ``(column, as array?)`` -> the column of every row, once read.
+        self._columns: dict[tuple[int, bool], object] = {}
+
+    def values(self, column: int, ids) -> list:
+        """Column ``column`` at row indices ``ids`` (None: every row), as
+        the rows' own objects."""
+        if self.heap:
+            rows = map(self.rows.__getitem__, ids.tolist())
+            return list(map(itemgetter(column), rows))
+        values = self._columns.get((column, False))
+        if values is None:
+            values = list(map(itemgetter(column), self.rows))
+            self._columns[column, False] = values
+        if ids is None:
+            return values
+        return list(map(values.__getitem__, ids.tolist()))
+
+    def gather(self, column: int, ids):
+        """The same column as an array (see :func:`typed`)."""
+        if self.heap:
+            return typed(self.values(column, ids))
+        array = self._columns.get((column, True))
+        if array is None:
+            array = self._columns[column, True] = typed(self.values(column, None))
+        return array if ids is None else array[ids]
+
+
+class Chunk:
+    """A batch of rows as index vectors over row sources (see module doc)."""
+
+    __slots__ = ("sources", "ids", "length", "stats", "_columns", "_rows")
+
+    def __init__(self, sources, ids, length: int, stats=None) -> None:
+        self.sources: tuple[Source, ...] = sources
+        self.ids: list = ids
+        self.length = length
+        #: The emitting join's ``VectorExecStats.by_node`` record.
+        self.stats = stats
+        self._columns = None
+        self._rows: list | None = None
+
+    @property
+    def columns(self) -> list[tuple[int, int]]:
+        """The schema map: output column -> (index into ``sources``, column
+        of that source).  A chunk's row is its sources' rows concatenated,
+        so the map follows from their widths; spelled out on first use."""
+        if self._columns is None:
+            self._columns = [
+                (j, c) for j, s in enumerate(self.sources) for c in range(s.width)
+            ]
+        return self._columns
+
+    @classmethod
+    def join(cls, left, left_ids, right, right_ids, stats=None) -> "Chunk":
+        """Rows ``left[left_ids[i]] + right[right_ids[i]]``; None ids pair
+        that side's rows as they stand."""
+        lids, rids, length = left.ids, right.ids, left.length
+        if left_ids is not None:
+            lids = [left_ids if v is None else v[left_ids] for v in lids]
+            length = len(left_ids)
+        if right_ids is not None:
+            rids = [right_ids if v is None else v[right_ids] for v in rids]
+        return cls(left.sources + right.sources, lids + rids, length, stats)
+
+    @classmethod
+    def concat(cls, batches: list, width: int) -> "Chunk":
+        """All of ``batches`` (chunks of one shape, or row lists) as one
+        chunk.  A source every batch shares keeps its index vectors, end to
+        end; per-batch sources are appended into one and their vectors
+        shifted."""
+        if len(batches) == 1:
+            return as_chunk(batches[0], width)
+        shapes = {
+            tuple(s.width for s in batch.sources) if type(batch) is Chunk else None
+            for batch in batches
+        }
+        if len(shapes) != 1 or None in shapes:
+            rows: list = []
+            for batch in batches:
+                rows.extend(batch)
+            return as_chunk(rows, width)
+        sources = []
+        vectors = []
+        for j, source in enumerate(batches[0].sources):
+            shared = all(batch.sources[j] is source for batch in batches)
+            # Whole row lists, appended, are still "every row, in order"
+            # (what a unique-key probe emits; Q3's collector reads them
+            # 1.3 ms a statement faster as lists than through a vector).
+            whole = not shared and all(batch.ids[j] is None for batch in batches)
+            rows = source.rows if shared else []
+            parts = []
+            for batch in batches:
+                ids, own = batch.ids[j], batch.sources[j].rows
+                base = 0 if shared else len(rows)
+                if not shared:
+                    rows.extend(own)
+                if whole:
+                    continue
+                if ids is None:
+                    ids = np.arange(base, base + len(own), dtype=np.int64)
+                elif base:
+                    ids = ids + base
+                parts.append(ids)
+            sources.append(source if shared else Source(rows, source.width))
+            vectors.append(None if whole else np.concatenate(parts))
+        return cls(tuple(sources), vectors, sum(map(len, batches)), batches[0].stats)
+
+    def take(self, selection) -> "Chunk":
+        """The rows at positions ``selection`` (an int64 array).  Of a
+        plain row list, the plain list of those rows."""
+        source = self.sources[0]
+        if len(self.sources) == 1 and self.ids[0] is None and not source.heap:
+            rows = list(map(source.rows.__getitem__, selection.tolist()))
+            return as_chunk(rows, source.width)
+        return Chunk(
+            self.sources,
+            [selection if v is None else v[selection] for v in self.ids],
+            len(selection),
+            self.stats,
+        )
+
+    def column(self, position: int):
+        """One output column as an array (int64 or object, see
+        :func:`typed`), gathered through its source's index vector."""
+        j, c = self.columns[position]
+        return self.sources[j].gather(c, self.ids[j])
+
+    def values(self, position: int, at=None) -> list:
+        """One output column as Python values (the source rows' own
+        objects), for every row or for the rows at offsets ``at``."""
+        j, c = self.columns[position]
+        ids = self.ids[j]
+        if at is not None:
+            at = np.asarray(at, dtype=np.int64)
+            ids = at if ids is None else ids[at]
+        return self.sources[j].values(c, ids)
+
+    def rows(self) -> list:
+        """The chunk's rows as tuples, built once from the sources' own
+        tuples (so every value is the original object)."""
+        out = self._rows
+        if out is None:
+            parts = [
+                source.rows
+                if ids is None
+                else list(map(source.rows.__getitem__, ids.tolist()))
+                for source, ids in zip(self.sources, self.ids)
+            ]
+            out = parts[0]
+            for part in parts[1:]:
+                out = list(map(add, out, part))
+            if self.stats is not None and len(parts) > 1:
+                self.stats["rows_materialised"] += self.length
+            self._rows = out
+        return out
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __iter__(self):
+        return iter(self.rows())
+
+    def __getitem__(self, item):
+        return self.rows()[item]
+
+
+def as_chunk(batch, width: int, heap: bool = False) -> Chunk:
+    """``batch`` as a chunk: itself, or a row list wrapped as the single
+    source it already is (nothing is allocated per row); ``heap`` marks a
+    base table's rows (see :class:`Source`)."""
+    if type(batch) is Chunk:
+        return batch
+    return Chunk((Source(batch, width, heap),), [None], len(batch))

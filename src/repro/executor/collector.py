@@ -37,6 +37,7 @@ from ..stats.table_stats import ColumnStats
 from ..stats.estimator import RelProfile
 from ..storage.schema import Schema
 from ..storage.table import Row
+from .chunk import Chunk
 
 
 @dataclass(frozen=True)
@@ -289,37 +290,55 @@ class RuntimeCollector:
             if hi > entry[1]:
                 entry[1] = hi
 
-    def _sample_rows(self, rows: Sequence[Row]) -> None:
-        """Offer rows to the sampler; copy only the hit rows' values."""
+    def _sample_rows(self, rows: Sequence[Row] | Chunk) -> None:
+        """Offer rows to the sampler; read only the hit rows' values — by
+        offset, so a chunk builds none of its rows."""
         if not self._samples:
             return
         fill, hits = self._sampler.offer(len(rows))
+        if not fill and not hits:
+            return
+        offsets = [*range(fill), *(offset for offset, __ in hits)]
         for position, sample in self._samples.values():
-            if fill:
-                sample.extend(map(itemgetter(position), rows[:fill]))
-            for offset, slot in hits:
-                sample[slot] = rows[offset][position]
+            if type(rows) is Chunk:
+                values = rows.values(position, offsets)
+            else:
+                values = [rows[offset][position] for offset in offsets]
+            sample.extend(values[:fill])
+            for (__, slot), value in zip(hits, values[fill:]):
+                sample[slot] = value
 
     @_timed
-    def observe_batch(self, rows: Sequence[Row]) -> None:
+    def observe_batch(self, rows: Sequence[Row] | Chunk) -> None:
         """Examine one batch of tuples (the batch-path fast path).
 
         Produces state identical to calling :meth:`observe` per row in
         order — running counts and min/max fold over the batch, the sampler
         draws once per row in row order so its RNG stream (and therefore
-        the final histogram) is bit-identical.
+        the final histogram) is bit-identical.  A join's chunk is read
+        column by column — only the columns a statistic names — and none
+        of its rows is built.
         """
         if not rows:
             return
+        by_column = type(rows) is Chunk
         self.row_count += len(rows)
         for name, position in self._numeric_positions:
-            values = list(map(itemgetter(position), rows))
+            if by_column:
+                values = rows.values(position)
+            else:
+                values = list(map(itemgetter(position), rows))
             self._fold_minmax(name, min(values), max(values))
         self._sample_rows(rows)
         for positions, sketch in self._sketches.values():
-            # itemgetter yields the scalar for one position, the tuple for
-            # several — matching observe()'s per-row extraction.
-            sketch.add_batch(map(itemgetter(*positions), rows))
+            # The scalar for one position, the tuple for several — matching
+            # observe()'s per-row extraction.
+            if not by_column:
+                sketch.add_batch(map(itemgetter(*positions), rows))
+            elif len(positions) == 1:
+                sketch.add_batch(rows.values(positions[0]))
+            else:
+                sketch.add_batch(zip(*map(rows.values, positions)))
 
     def export_partial(self) -> CollectorPartial:
         """Package this collector's state for shipping to a merging parent."""

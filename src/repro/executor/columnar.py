@@ -11,8 +11,7 @@ qualifies is decided from what the code can observe, never by an option:
 * the statement runs under ``execution_mode="batch"`` (the default;
   ``"parallel"`` fans leaf pipelines out as row morsels instead),
 * the table is a base table (a temporary table is written once and read
-  once; encoding its columns would cost more than the row kernels save),
-* NumPy is importable, and
+  once; encoding its columns would cost more than the row kernels save), and
 * every stage has an exact column-space kernel: filters compile to NumPy
   masks (:func:`repro.executor.vector.compile_mask_conjuncts`), projections
   select plain columns (*takes* — view remaps that touch no data).  The
@@ -41,7 +40,7 @@ Per page group the pipeline runs in column space:
   counts are known exactly.
 * **Late materialisation** — what leaves the masks is ``(page group,
   selection vector)``, and row tuples are built only for rows a
-  row-oriented operator actually receives.  The vectorized hash-join probe
+  row-oriented operator actually receives.  A hash-join probe
   (:func:`columnar_probe_stream`) asks for the probe rows that found a
   match; the vectorized aggregate (:func:`columnar_vectorized_aggregate`)
   asks for none.  Any other consumer gets the surviving rows: slices of
@@ -74,10 +73,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-try:  # Guarded import: the engine must load without NumPy installed.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 from ..plans.logical import AggFunc, ColumnExpr, CompareOp, Comparison, InPredicate
 from ..plans.physical import (
@@ -87,10 +83,9 @@ from ..plans.physical import (
     SeqScanNode,
     StatsCollectorNode,
 )
-from ..storage.columnar import ColumnGroup, ColumnStore, numpy_available
+from ..storage.columnar import ColumnGroup, ColumnStore
 from ..storage.table import Table
 from .agg_kernels import (
-    ProbeIndex,
     factorize_array,
     factorize_values,
     float_group_sums,
@@ -105,8 +100,6 @@ from .collector import RuntimeCollector
 from .iterators import _AggState, aggregate_items
 from .runtime import RuntimeContext
 from .vector import compile_mask_conjuncts
-
-Batch = list
 
 
 @dataclass(frozen=True)
@@ -323,8 +316,6 @@ def _prepare(node: PlanNode, ctx: RuntimeContext) -> _Prepared | None:
         # Morsel-parallel execution fans leaf pipelines out as row morsels;
         # what it leaves serial stays on the row kernels it was tuned with.
         reason = "parallel execution mode"
-    elif not numpy_available():
-        reason = "no numpy"
     elif table.is_temporary:
         reason = "temporary table"
     else:
@@ -346,7 +337,7 @@ def _column_store(ctx: RuntimeContext, table: Table) -> ColumnStore:
 
 def columnar_pipeline(
     node: PlanNode, ctx: RuntimeContext
-) -> Iterator[Batch] | None:
+) -> Iterator[list] | None:
     """A column-space batch iterator for ``node``, or None for row kernels.
 
     The consumer needs row tuples, so a subtree qualifies when it is a leaf
@@ -374,45 +365,34 @@ def columnar_pipeline(
     return _run_pipeline(ctx, prepared)
 
 
-def columnar_probe_stream(
-    node: PlanNode, ctx: RuntimeContext, key_position: int, hash_table: dict
-):
-    """A vectorized hash-join probe source — ``(stream, index)`` — or None.
+def columnar_probe_stream(node: PlanNode, ctx: RuntimeContext, key_position: int):
+    """A late-materialising hash-join probe source, or None.
 
-    ``stream`` yields ``(count, keys, rows_at)`` per surviving page group:
-    the number of probe rows, their single key column read straight off
-    the probe pipeline's arrays (dictionary columns stay in code space) and
-    the late materialiser ``rows_at(positions)`` building tuples for just
-    those rows.  ``index`` is the sorted build-key
-    :class:`~repro.executor.agg_kernels.ProbeIndex` answering each batch
-    in one ``searchsorted`` sweep.  Declines (None) when the chain leaves
-    column space, the key column is neither int64 nor dictionary-encoded,
-    or the build keys fall outside the kernel's exact comparison domain —
-    the pipeline generator is never started before qualification, so a
-    decline costs nothing.
+    Yields ``(count, [key], rows_at)`` per surviving page group: the number
+    of probe rows, their key column read straight off the probe pipeline's
+    arrays (an int array, or ``(codes, dictionary)`` for a dictionary
+    column, which stays in code space) and the late materialiser
+    ``rows_at(positions)`` building tuples for just those rows.  Declines
+    (None) when the chain leaves column space or the key column is neither
+    int64 nor dictionary-encoded.  The pipeline generator is never started
+    before qualification, so a decline costs nothing.
     """
     prepared = _prepare(node, ctx)
     if prepared is None or prepared.reason or prepared.kernels.collects:
         return None
     store = _column_store(ctx, prepared.table)
     column = prepared.kernels.out_view[key_position]
-    encoding = store.encoding(column)
-    if encoding == "int64":
-        index = ProbeIndex.from_int_keys(hash_table)
-    elif encoding == "dict":
-        index = ProbeIndex.from_dict_keys(hash_table, store.dictionaries[column])
-    else:
-        return None
-    if index is None:
+    if store.encoding(column) not in ("int64", "dict"):
         return None
     ctx.columnar.keyed_pipelines += 1
     ctx.vector.probe_pipelines += 1
-    return _probe_batches(ctx, prepared, store, column), index
+    return _probe_batches(ctx, prepared, store, column)
 
 
 def _probe_batches(ctx, prepared: _Prepared, store: ColumnStore, column: int):
     leaf = ctx.columnar.leaf
     scan_id = prepared.scan.node_id
+    dictionary = store.dictionaries[column]
     for group, sel, survivors in _run_pipeline(ctx, prepared, yield_groups=True):
         keys = store.array(group, column)
         if sel is not None:
@@ -424,7 +404,7 @@ def _probe_batches(ctx, prepared: _Prepared, store: ColumnStore, column: int):
                 prepared, store, group, positions if sel is None else sel[positions]
             )
 
-        yield survivors, keys, rows_at
+        yield survivors, [keys if dictionary is None else (keys, dictionary)], rows_at
 
 
 def _materialise(prepared: _Prepared, store: ColumnStore, group: ColumnGroup, index):

@@ -698,13 +698,16 @@ def morsel_pipeline(node: PlanNode, ctx: RuntimeContext) -> Iterator[list[Row]] 
 def morsel_probe_pipeline(
     node: HashJoinNode,
     ctx: RuntimeContext,
-    hash_table: dict,
+    hash_table,
     build_pages: int,
     grant: int,
 ) -> Iterator[list[Row]] | None:
     """A morsel-parallel probe stream for a hash join, or None to stay serial.
 
-    Called by the batch hash join *after* its build side materialised (so
+    ``hash_table`` is :func:`morsel_build_table`'s merged buckets, or a
+    serially built side as its chunk, whose rows are bucketed by key (in
+    build order) once the probe side qualifies.  Called by the batch hash
+    join *after* its build side materialised (so
     forked workers inherit the finished hash table copy-on-write) and after
     the plan-switch window — the merged stream is byte-identical to the
     serial probe loop's, so a pending switch materialises the same temp
@@ -722,6 +725,12 @@ def morsel_probe_pipeline(
     if located is None:
         return None
     table, groups, morsels = located
+    if not isinstance(hash_table, dict):
+        build_key = hash_join_keys(node)[0]
+        buckets: dict = {}
+        for row in hash_table.rows():
+            buckets.setdefault(build_key(row), []).append(row)
+        hash_table = buckets
     probe = _ProbeTask(node=node, build_pages=build_pages, grant=grant)
     return _execute_morsels(
         ctx,

@@ -210,14 +210,23 @@ class VectorExecStats:
     #: column-space whole-stream fold or a run-shipping morsel
     #: pre-aggregation).
     agg_pipelines: int = 0
-    #: Hash-join probe sides answered via the sorted build-key index.
+    #: Hash-join probe sides read in column space, materialised late.
     probe_pipelines: int = 0
     #: Input rows folded by vectorized aggregation kernels.
     rows_folded: int = 0
     #: Per-node breakdown keyed by plan-node id (aggregate nodes:
-    #: ``{"kind": "aggregate", "rows_folded", "groups"}``; join nodes:
-    #: ``{"kind": "probe", "rows_probed", "matches"}``).
+    #: ``{"kind": "aggregate", "rows_folded", "groups"}``; every join node:
+    #: ``{"kind": "probe", "rows_probed", "matches", "rows_materialised"}``
+    #: — outer/probe rows in, rows out, tuples built from its chunks).
     by_node: dict[int, dict] = field(default_factory=dict)
+
+    def join_total(self, counter: str) -> int:
+        """``counter`` summed over the statement's join nodes."""
+        return sum(
+            record[counter]
+            for record in self.by_node.values()
+            if record["kind"] == "probe"
+        )
 
 
 @dataclass

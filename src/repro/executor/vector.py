@@ -37,10 +37,7 @@ from collections import OrderedDict
 from types import CodeType
 from typing import Callable, Sequence
 
-try:  # Optional: only the column-space mask kernels need NumPy.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 from ..plans.logical import (
     AndPredicate,
@@ -276,6 +273,17 @@ def _mask_expr(expr: ScalarExpr, schema: Schema, position_map):
     return None  # FuncExpr / future shapes: no vector kernel
 
 
+def has_arithmetic(pred) -> bool:
+    """Whether ``pred`` computes (``+ - * /``, negation) anywhere below it.
+    The mask kernels compute over fixed-width arrays: exact over what a
+    column store holds, not over arbitrary Python ints."""
+    if isinstance(pred, (ArithExpr, NegExpr)):
+        return True
+    below = [getattr(pred, name, None) for name in ("left", "right", "expr", "child")]
+    below.extend(getattr(pred, "children", ()))
+    return any(has_arithmetic(node) for node in below if node is not None)
+
+
 def _code_space(column: int, key: tuple, test, value_space):
     """``value_space``, or its dictionary-code-space equivalent.
 
@@ -397,10 +405,10 @@ def compile_mask_conjuncts(
     where a row failing conjunct *i* never sees conjunct *i+1* —
     observable when a later conjunct would raise (e.g. a NULL
     comparison).  Returns None —
-    caller falls back to :func:`compile_batch_filter` — when NumPy is
-    unavailable or any conjunct lacks an exact kernel.
+    caller falls back to :func:`compile_batch_filter` — when any conjunct
+    lacks an exact kernel.
     """
-    if _np is None or not predicates:
+    if not predicates:
         return None
     if position_map is None:
         position_map = lambda position: position  # noqa: E731

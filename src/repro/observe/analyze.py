@@ -122,8 +122,9 @@ class NodeAnalysis:
     zone_map: dict | None = None
     #: For nodes served by a vectorized kernel: the per-node counters
     #: (``{"kind": "aggregate"|"preagg-run"|"probe", ...}`` with
-    #: ``rows_folded``/``groups`` for aggregates and
-    #: ``rows_probed``/``matches`` for probes), None otherwise.
+    #: ``rows_folded``/``groups`` for aggregates and, for every join,
+    #: ``rows_probed``/``matches``/``rows_materialised`` — the tuples
+    #: built from its output chunks), None otherwise.
     vectorized: dict | None = None
     #: For nodes whose estimate was corrected by the cross-query feedback
     #: repository at annotation time: the correction stamp
@@ -189,9 +190,10 @@ class NodeAnalysis:
             kind = self.vectorized.get("kind", "?")
             if kind == "probe":
                 lines.append(
-                    f"{indent}    vectorized probe: "
+                    f"{indent}    join: "
                     f"{self.vectorized.get('rows_probed', 0)} rows probed, "
-                    f"{self.vectorized.get('matches', 0)} matches"
+                    f"{self.vectorized.get('matches', 0)} matches, "
+                    f"{self.vectorized.get('rows_materialised', 0)} materialised"
                 )
             else:
                 lines.append(

@@ -2,7 +2,7 @@
 
 from .buffer import BufferPool, BufferStats
 from .catalog import Catalog, TableEntry
-from .columnar import ColumnStore, ZoneMap, numpy_available, page_groups
+from .columnar import ColumnStore, ZoneMap, page_groups
 from .disk import CostBreakdown, CostClock
 from .index import Index, build_index
 from .schema import Column, DataType, Schema, date_to_int, int_to_date
@@ -28,6 +28,5 @@ __all__ = [
     "build_index",
     "date_to_int",
     "int_to_date",
-    "numpy_available",
     "page_groups",
 ]

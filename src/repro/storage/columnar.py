@@ -43,10 +43,6 @@ columns already built.  Encoding demotions (dictionary overflow, int64
 overflow, a NULL arriving in a numeric column) re-encode the affected
 column across all groups, which keeps every group's representation uniform
 per column.
-
-NumPy is an optional dependency of this module: when it is unavailable the
-store reports :func:`numpy_available` as False and leaf pipelines stay on
-the row kernels; nothing else in the engine imports NumPy.
 """
 
 from __future__ import annotations
@@ -60,10 +56,7 @@ from .schema import DataType
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .table import Table
 
-try:  # NumPy is baked into the supported environments but stays optional.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 _INT32_MIN = -(2**31)
 _INT32_MAX = 2**31 - 1
@@ -71,11 +64,6 @@ _INT32_MAX = 2**31 - 1
 #: Cached predicate truth tables per dictionary (each at most
 #: ``dictionary_max`` booleans).
 _TRUTH_TABLES_MAX = 64
-
-
-def numpy_available() -> bool:
-    """Whether the columnar representation can be built at all."""
-    return np is not None
 
 
 def page_groups(table: "Table", batch_size: int) -> list[tuple[int, int]]:
@@ -209,8 +197,6 @@ class ColumnStore:
     """
 
     def __init__(self, table: "Table", batch_size: int, dictionary_max: int = 256):
-        if np is None:  # pragma: no cover - exercised only without numpy
-            raise RuntimeError("ColumnStore requires numpy")
         self.table = table
         self.batch_size = batch_size
         self.dictionary_max = dictionary_max

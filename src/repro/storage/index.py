@@ -21,13 +21,24 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Sequence
+from itertools import chain
+
+import numpy as np
 
 from ..errors import StorageError
 from .table import Table
 
 #: Bytes per index entry beyond the key itself (row pointer).
 ENTRY_POINTER_BYTES = 8
+
+
+def expand_runs(starts, counts):
+    """The indices ``starts[i] .. starts[i] + counts[i] - 1`` of every run
+    ``i``, concatenated in run order (int64 arrays in, one out)."""
+    offsets = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(
+        starts - offsets, counts
+    )
 
 
 class Index:
@@ -39,11 +50,7 @@ class Index:
         self.column = table.schema.column(column).name
         self.clustered = clustered
         self._position = table.schema.index_of(column)
-        pairs = sorted(
-            (row[self._position], i) for i, row in enumerate(table.rows)
-        )
-        self.keys: list = [k for k, _ in pairs]
-        self.row_indices: list[int] = [i for _, i in pairs]
+        self._sort()
         key_width = table.schema.columns[self._position].width
         self.entries_per_leaf = max(2, table.page_size // (key_width + ENTRY_POINTER_BYTES))
 
@@ -94,6 +101,46 @@ class Index:
             return []
         return self.row_indices[lo:hi]
 
+    def _int64_arrays(self):
+        """``(keys, row_indices)`` as int64 arrays, built on first use, or
+        None when a key is not a plain int64-representable ``int`` (a float
+        or bool can equal an int under ``==`` but not as int64)."""
+        if self._arrays is None:
+            arrays = False
+            if set(map(type, self.keys)) <= {int}:
+                try:
+                    arrays = (
+                        np.array(self.keys, dtype=np.int64),
+                        np.array(self.row_indices, dtype=np.int64),
+                    )
+                except OverflowError:
+                    pass
+            self._arrays = arrays
+        return self._arrays or None
+
+    def lookup_many(self, keys):
+        """``(match_counts, row_ids)`` for a whole array of lookup keys:
+        per key, in order, what :meth:`lookup_eq` returns — how many rows
+        match and, flattened in that order, which.
+
+        An int64 key array over int64 index keys is answered by two
+        ``searchsorted`` sweeps; anything else asks :meth:`lookup_eq` once
+        per distinct key."""
+        arrays = self._int64_arrays()
+        if arrays is not None and keys.dtype.kind == "i":
+            index_keys, row_indices = arrays
+            lo = np.searchsorted(index_keys, keys, side="left")
+            counts = np.searchsorted(index_keys, keys, side="right") - lo
+            return counts, row_indices[expand_runs(lo, counts)]
+        found: dict = {}
+        per_key = [
+            found[key] if key in found else found.setdefault(key, self.lookup_eq(key))
+            for key in keys.tolist()
+        ]
+        counts = np.fromiter(map(len, per_key), np.int64, len(per_key))
+        row_ids = np.fromiter(chain.from_iterable(per_key), np.int64, int(counts.sum()))
+        return counts, row_ids
+
     def leaf_pages_for(self, match_count: int) -> int:
         """Leaf pages touched when reading ``match_count`` consecutive entries."""
         if match_count <= 0:
@@ -115,11 +162,16 @@ class Index:
 
     def rebuild(self) -> None:
         """Re-sort the index after its table was bulk-loaded again."""
+        self._sort()
+
+    def _sort(self) -> None:
         pairs = sorted(
             (row[self._position], i) for i, row in enumerate(self.table.rows)
         )
-        self.keys = [k for k, _ in pairs]
-        self.row_indices = [i for _, i in pairs]
+        self.keys: list = [k for k, _ in pairs]
+        self.row_indices: list[int] = [i for _, i in pairs]
+        #: ``_int64_arrays``' cache: None until asked, False when declined.
+        self._arrays = None
 
 
 def build_index(name: str, table: Table, column: str, clustered: bool = False) -> Index:

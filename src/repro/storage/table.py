@@ -101,8 +101,7 @@ class Table:
 
         Stores are cached per ``(batch_size, dictionary_max)`` — the page
         groups *are* the serial batch-scan batches, so the geometry is part
-        of the identity.  Requires NumPy; callers gate on
-        :func:`repro.storage.columnar.numpy_available`.
+        of the identity.
         """
         key = (batch_size, dictionary_max)
         with self._store_lock:

@@ -14,6 +14,7 @@ soundness on the edge groups (all-NULL, single-row).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import Database, DataType, DynamicMode, EngineConfig
@@ -33,17 +34,11 @@ from repro.plans.logical import (
 )
 from repro.stats.histogram import HistogramKind
 from repro.storage import BufferPool, CostClock, Schema, TempTableManager
-from repro.storage.columnar import ColumnStore, ZoneMap, numpy_available, page_groups
+from repro.storage.columnar import ColumnStore, ZoneMap, page_groups
 from repro.executor.vector import compile_mask_conjuncts
 from repro.workloads.tpcd import ALL_QUERIES
 
 from .conftest import make_two_table_db
-
-np = pytest.importorskip("numpy")
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="columnar path requires numpy"
-)
 
 
 @pytest.fixture(scope="module")

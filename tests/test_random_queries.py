@@ -335,22 +335,6 @@ class TestColumnKernelsAgainstRowPath:
         assert (record["kernel"], record["reason"]) == ("column", None)
         assert record["rows_materialised"] == len(default.rows) < 600
 
-    def test_numpy_absent_runs_the_row_kernels(self, monkeypatch):
-        from repro.executor import columnar as executor_columnar
-
-        db, rng = build_wide_db(5)
-        monkeypatch.setattr(executor_columnar, "numpy_available", lambda: False)
-        for sql in wide_queries(rng):
-            default = db.execute(sql, execution_mode="batch")
-            oracle = db.execute(sql, execution_mode="row")
-            assert default.rows == oracle.rows
-            assert repr(default.profile.total_cost) == repr(oracle.profile.total_cost)
-            assert default.profile.columnar_pipelines == 0
-            assert default.profile.vectorized_agg_pipelines == 0
-            for record in default.profile.leaf_pipelines.values():
-                assert (record["kernel"], record["reason"]) == ("row", "no numpy")
-        assert db.table("f")._column_stores == {}
-
     def test_session_temp_tables_take_the_row_kernels(self):
         pytest.importorskip("numpy")
         db, __ = build_wide_db(7)

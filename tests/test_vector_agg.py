@@ -15,21 +15,13 @@ from __future__ import annotations
 import random
 import struct
 
+import numpy as np
 import pytest
 
 from repro import Database, DataType, DynamicMode, EngineConfig
 from repro.bench import ExperimentConfig, build_database
-from repro.executor.iterators import _AggState
-from repro.executor.parallel import _ValueRun
-from repro.plans.logical import AggFunc
-from repro.storage.columnar import numpy_available
-
-from .test_columnar import assert_bit_identical, dispatch
-
-np = pytest.importorskip("numpy")
-
-from repro.executor import agg_kernels  # noqa: E402  (needs numpy)
-from repro.executor.agg_kernels import (  # noqa: E402
+from repro.executor import agg_kernels
+from repro.executor.agg_kernels import (
     ProbeIndex,
     factorize_array,
     factorize_values,
@@ -41,10 +33,12 @@ from repro.executor.agg_kernels import (  # noqa: E402
     object_group_minmax,
     object_group_sums,
 )
+from repro.executor.chunk import typed
+from repro.executor.iterators import _AggState
+from repro.executor.parallel import _ValueRun
+from repro.plans.logical import AggFunc
 
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="vectorized kernels require numpy"
-)
+from .test_columnar import assert_bit_identical, dispatch
 
 
 def bits(x: float) -> bytes:
@@ -457,95 +451,117 @@ class TestAggStateMerge:
 # ----------------------------------------------------------------------
 
 
+def serial_pairs(build_keys, probe_keys):
+    """The serial hash join's (build row, probe row) pairs, in emission
+    order: a dict of buckets, probed row by row."""
+    table = {}
+    for row, key in enumerate(build_keys):
+        table.setdefault(key, []).append(row)
+    return [
+        (brow, prow)
+        for prow, key in enumerate(probe_keys)
+        for brow in table.get(key, ())
+    ]
+
+
+def index_pairs(index, probe_columns):
+    """The same pairs from a ProbeIndex answer (slots are positions in the
+    build side sorted by ``index.order``)."""
+    slots, matched, counts = index.probe(probe_columns)
+    if counts is not None:
+        matched = np.repeat(matched, counts)
+    return list(zip(index.order[slots].tolist(), matched.tolist()))
+
+
 class TestProbeIndex:
     def test_matches_serial_probe_order(self):
         rng = random.Random(13)
-        hash_table = {}
-        row_id = 0
-        for key in rng.sample(range(50), 30):
-            hash_table[key] = [
-                (key, f"b{row_id + i}") for i in range(rng.randrange(1, 4))
-            ]
-            row_id += len(hash_table[key])
-        index = ProbeIndex.from_int_keys(hash_table)
-        assert index is not None
+        build_keys = [rng.choice(range(50)) for __ in range(60)]
+        index = ProbeIndex([typed(build_keys)])
+        assert index.encoders[0].low is not None  # a dense domain: offsets
         probe_keys = [rng.randrange(60) for __ in range(200)]
-        batch = [(k, i) for i, k in enumerate(probe_keys)]
-        asked = []
-
-        def rows_at(positions):
-            asked.extend(positions.tolist())
-            return [batch[i] for i in positions.tolist()]
-
-        expect = []
-        for row in batch:
-            for build_row in hash_table.get(row[0], ()):
-                expect.append(build_row + row)
+        expect = serial_pairs(build_keys, probe_keys)
         for dtype in (np.int64, np.int32):  # narrow-stored key columns too
-            del asked[:]
-            got = index.probe(np.asarray(probe_keys, dtype=dtype), rows_at)
-            assert got == expect
-            # Late materialisation: only probe rows with a match are built.
-            assert asked == [
-                i for i, key in enumerate(probe_keys) if key in hash_table
+            probe = np.asarray(probe_keys, dtype=dtype)
+            assert index_pairs(index, [probe]) == expect
+            # Late materialisation: only probe rows with a match are named.
+            __, matched, __c = index.probe([probe])
+            assert matched.tolist() == [
+                i for i, key in enumerate(probe_keys) if key in set(build_keys)
             ]
 
     def test_sparse_keys_probe_by_searchsorted(self):
-        # A key domain too sparse for direct addressing takes the
-        # searchsorted path; same emission order.
-        hash_table = {
-            0: [(0, "a")],
-            10**12: [(10**12, "b"), (10**12, "c")],
-            -(10**12): [(-(10**12), "d")],
-        }
-        index = ProbeIndex.from_int_keys(hash_table)
-        assert index.counts is None
-        keys = [10**12, 5, -(10**12), 0, 10**12, 2**62]
-        batch = [(k, i) for i, k in enumerate(keys)]
-        got = index.probe(
-            np.asarray(keys, dtype=np.int64),
-            lambda positions: [batch[i] for i in positions.tolist()],
+        # A key domain too sparse for direct addressing is coded by rank
+        # among the sorted distinct keys; same emission order.
+        build_keys = [0, 10**12, 10**12, -(10**12)]
+        index = ProbeIndex([typed(build_keys)])
+        assert index.encoders[0].distinct is not None
+        probe_keys = [10**12, 5, -(10**12), 0, 10**12, 2**62]
+        assert index_pairs(index, [typed(probe_keys)]) == serial_pairs(
+            build_keys, probe_keys
         )
-        expect = []
-        for row in batch:
-            for build_row in hash_table.get(row[0], ()):
-                expect.append(build_row + row)
-        assert got == expect
 
     def test_empty_build_side_matches_nothing(self):
-        index = ProbeIndex.from_int_keys({})
-        assert index.probe(np.asarray([1, 2], dtype=np.int64), None) == []
+        for columns in ([typed([])], [typed([]), typed([])]):
+            index = ProbeIndex(columns)
+            probe = [np.asarray([1, 2], dtype=np.int64)] * len(columns)
+            assert index_pairs(index, probe) == []
 
     def test_rejects_non_int_build_keys(self):
         # bool/float equal ints under Python == but not under int64
-        # compare — any such key disables the kernel entirely.
-        assert ProbeIndex.from_int_keys({True: [(1,)]}) is None
-        assert ProbeIndex.from_int_keys({2.0: [(1,)]}) is None
-        assert ProbeIndex.from_int_keys({2**70: [(1,)]}) is None
+        # compare, and 2**70 does not fit: any such key sends the column
+        # through the dict coding — the serial lookup's own equality.
+        for build_keys in ([True, 3], [2.0, 3], [2**70, 3], [None, 3]):
+            index = ProbeIndex([typed(build_keys)])
+            assert index.encoders[0].table is not None
+            probe_keys = [1, 2, 3, 2**70, None, 1.0, 2.0, "x"]
+            assert index_pairs(index, [typed(probe_keys)]) == serial_pairs(
+                build_keys, probe_keys
+            )
+        # ... and an int64 build column meets a non-int64 probe column the
+        # same way, from its distinct values.
+        index = ProbeIndex([typed([1, 2, 2, 10**12])])
+        probe_keys = [2.0, True, 10**12, None, 3]
+        assert index_pairs(index, [typed(probe_keys)]) == serial_pairs(
+            [1, 2, 2, 10**12], probe_keys
+        )
 
     def test_dict_keys_null_and_absent(self):
         class Dictionary:
-            codes = {"red": 0, "blue": 1}
+            values = ["red", "blue"]
 
-        hash_table = {
-            "blue": [("blue", 1)],
-            None: [(None, 2)],        # NULL probe codes (-1) match it, like
-            #                           the serial dict's None == None lookup
-            "green": [("green", 3)],  # absent from the dictionary: no match
-        }
-        index = ProbeIndex.from_dict_keys(hash_table, Dictionary())
-        assert index is not None
-        codes = np.asarray([1, -1, 0, 1], dtype=np.int64)
-        batch = [("blue", 10), (None, 11), ("red", 12), ("blue", 13)]
-        got = index.probe(
-            codes, lambda positions: [batch[i] for i in positions.tolist()]
-        )
-        expect = []
-        for code_key, row in zip(["blue", None, "red", "blue"], batch):
-            for build_row in hash_table.get(code_key, ()):
-                expect.append(build_row + row)
-        assert got == expect
-        assert (None, 2, None, 11) in got  # serial None == None semantics
+        # "green" is absent from the probe dictionary (no match); NULL
+        # probe codes (-1) match a NULL build key, like the serial dict's
+        # None == None lookup.
+        build_keys = ["blue", None, "green", "blue"]
+        index = ProbeIndex([typed(build_keys)])
+        codes = np.asarray([1, -1, 0, 1], dtype=np.int32)
+        decoded = ["blue", None, "red", "blue"]
+        got = index_pairs(index, [(codes, Dictionary())])
+        assert got == serial_pairs(build_keys, decoded)
+        assert (1, 1) in got  # serial None == None semantics
+
+    def test_several_key_columns_combine_exactly(self):
+        rng = random.Random(5)
+        build = [
+            [rng.randrange(6) for __ in range(80)],
+            [rng.choice(["a", "b", None]) for __ in range(80)],
+            [rng.choice([1, 1.0, 2**70]) for __ in range(80)],
+        ]
+        probe = [
+            [rng.randrange(8) for __ in range(150)],
+            [rng.choice(["a", "b", "c", None]) for __ in range(150)],
+            [rng.choice([1, True, 2**70, 7]) for __ in range(150)],
+        ]
+        expect = serial_pairs(list(zip(*build)), list(zip(*probe)))
+        index = ProbeIndex([typed(column) for column in build])
+        assert index_pairs(index, [typed(column) for column in probe]) == expect
+        # Wide code spaces fold without overflowing: a combined key is
+        # re-ranked among the build side's own combinations.
+        wide = [[i * 2**40 for i in range(400)] for __ in range(5)]
+        index = ProbeIndex([typed(column) for column in wide])
+        probe = [typed(column[::-1][:100] + [3]) for column in wide]
+        assert index_pairs(index, probe) == [(399 - i, i) for i in range(100)]
 
 
 # ----------------------------------------------------------------------
