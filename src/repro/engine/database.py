@@ -708,6 +708,7 @@ class Database:
             reservoir_draws=sum(w.reservoir_draws for w in collector_work),
             sketch_values_hashed=sum(w.sketch_values_hashed for w in collector_work),
             minmax_columns_tracked=sum(w.minmax_columns_tracked for w in collector_work),
+            minmax_python_columns=sum(w.minmax_python_columns for w in collector_work),
             plan_switches=ctx.switches,
             memory_reallocations=ctx.reallocations,
             initial_estimated_cost=initial_estimate,

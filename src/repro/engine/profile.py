@@ -102,12 +102,14 @@ class ExecutionProfile:
     #: seconds in their batch entry points (``breakdown.stats_cpu`` is the
     #: simulated charge) and exact counts — rows examined, reservoir draws
     #: (one per row past capacity per *collector*), values hashed into
-    #: distinct sketches, columns min/max was tracked on.
+    #: distinct sketches, columns min/max was tracked on, and of those the
+    #: ones a join's chunk folded as Python values (``CollectorWork``).
     collector_wall_s: float = 0.0
     collector_rows_observed: int = 0
     reservoir_draws: int = 0
     sketch_values_hashed: int = 0
     minmax_columns_tracked: int = 0
+    minmax_python_columns: int = 0
     #: Morsel-parallel execution telemetry (``execution_mode="parallel"``;
     #: all zero/empty otherwise).  ``workers`` is the largest pool used by
     #: any pipeline, ``morsels`` the total morsels executed,

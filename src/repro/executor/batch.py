@@ -509,8 +509,9 @@ def _index_nl_join(node: IndexNLJoinNode, ctx: RuntimeContext) -> BatchIterator:
     residual = _chunk_residual(node)
     stats = _join_stats(node, ctx)
     # The inner side is the table's heap itself, addressed by the row ids
-    # the index returns.
-    inner = as_chunk(inner_table.rows, len(inner_table.schema), heap=True)
+    # the index returns (min/max reads its column store's whole columns).
+    store = inner_table.column_store(ctx.batch_size, ctx.config.columnar_dictionary_max)
+    inner = as_chunk(inner_table.rows, len(inner_table.schema), heap=store)
     outer_count = 0
     matches_total = 0
     output_count = 0

@@ -42,6 +42,24 @@ def typed(values: list):
     return np.fromiter(values, object, len(values))
 
 
+def numeric(values: list):
+    """``values`` as an array whose ``min`` / ``max`` are Python's: int64
+    when every value is a plain ``int`` that fits, float64 when every value
+    is a ``float`` and none is NaN (Python's ``min`` over a NaN depends on
+    where it stands), else None."""
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            return None
+    if kinds == {float}:
+        array = np.array(values, dtype=np.float64)
+        if not np.isnan(array).any():
+            return array
+    return None
+
+
 class Source:
     """One row list chunks index into, with its columns extracted on demand.
 
@@ -53,40 +71,65 @@ class Source:
     gather from one, so neither form stands in for the other.  A base
     table's ``heap`` is never read whole: a read touches the rows it names
     (Q8 reads ``l_suppkey`` for 3 246 survivors of 91 620 matches; as an
-    owned list extracted whole, Q8 ``OFF`` runs 17 -> 37 ms, E24).
+    owned list extracted whole, Q8 ``OFF`` runs 17 -> 37 ms, E24) — except
+    for min/max, which gathers from the table's whole-column array (its
+    :class:`~repro.storage.columnar.ColumnStore`, passed as ``heap``).
     """
 
     __slots__ = ("rows", "width", "heap", "_columns")
 
-    def __init__(self, rows: list, width: int, heap: bool = False) -> None:
+    def __init__(self, rows: list, width: int, heap=None) -> None:
         self.rows = rows
         self.width = width
         self.heap = heap
-        #: ``(column, as array?)`` -> the column of every row, once read.
-        self._columns: dict[tuple[int, bool], object] = {}
+        #: ``(column, form)`` -> the column of every row, once read, as a
+        #: list (``"values"``), a :func:`typed` or a :func:`numeric` array.
+        self._columns: dict[tuple[int, str], object] = {}
 
     def values(self, column: int, ids) -> list:
         """Column ``column`` at row indices ``ids`` (None: every row), as
         the rows' own objects."""
-        if self.heap:
+        if self.heap is not None:
             rows = map(self.rows.__getitem__, ids.tolist())
             return list(map(itemgetter(column), rows))
-        values = self._columns.get((column, False))
+        values = self._columns.get((column, "values"))
         if values is None:
             values = list(map(itemgetter(column), self.rows))
-            self._columns[column, False] = values
+            self._columns[column, "values"] = values
         if ids is None:
             return values
         return list(map(values.__getitem__, ids.tolist()))
 
     def gather(self, column: int, ids):
         """The same column as an array (see :func:`typed`)."""
-        if self.heap:
+        if self.heap is not None:
             return typed(self.values(column, ids))
-        array = self._columns.get((column, True))
+        array = self._columns.get((column, "typed"))
         if array is None:
-            array = self._columns[column, True] = typed(self.values(column, None))
+            array = self._columns[column, "typed"] = typed(self.values(column, None))
         return array if ids is None else array[ids]
+
+    def bounds(self, column: int, ids):
+        """``(min, max)`` of the column at ``ids`` as Python's ``min`` /
+        ``max`` return them over :meth:`values` — value and type — or None
+        when it has no :func:`numeric` array."""
+        if self.heap is not None:
+            array = self.heap.numeric(column)
+            if array is not None and len(array) != len(self.rows):
+                array = None  # rows appended since: their ids may be past it
+        elif (column, "numeric") in self._columns:
+            array = self._columns[column, "numeric"]
+        else:
+            array = self._columns[column, "numeric"] = numeric(
+                self.values(column, None)
+            )
+        if array is None:
+            return None
+        if ids is not None:
+            array = array[ids]
+        # arg* pick the first of equal extremes, as min / max keep theirs:
+        # a 0.0 / -0.0 tie comes out with the sign Python's would.
+        return array[array.argmin()].item(), array[array.argmax()].item()
 
 
 class Chunk:
@@ -173,7 +216,7 @@ class Chunk:
         """The rows at positions ``selection`` (an int64 array).  Of a
         plain row list, the plain list of those rows."""
         source = self.sources[0]
-        if len(self.sources) == 1 and self.ids[0] is None and not source.heap:
+        if len(self.sources) == 1 and self.ids[0] is None and source.heap is None:
             rows = list(map(source.rows.__getitem__, selection.tolist()))
             return as_chunk(rows, source.width)
         return Chunk(
@@ -188,6 +231,13 @@ class Chunk:
         :func:`typed`), gathered through its source's index vector."""
         j, c = self.columns[position]
         return self.sources[j].gather(c, self.ids[j])
+
+    def bounds(self, position: int):
+        """``(min, max)`` of one output column (see :meth:`Source.bounds`),
+        gathered from a typed array through its index vector; None when
+        the column must be folded as Python values."""
+        j, c = self.columns[position]
+        return self.sources[j].bounds(c, self.ids[j])
 
     def values(self, position: int, at=None) -> list:
         """One output column as Python values (the source rows' own
@@ -228,10 +278,10 @@ class Chunk:
         return self.rows()[item]
 
 
-def as_chunk(batch, width: int, heap: bool = False) -> Chunk:
+def as_chunk(batch, width: int, heap=None) -> Chunk:
     """``batch`` as a chunk: itself, or a row list wrapped as the single
     source it already is (nothing is allocated per row); ``heap`` marks a
-    base table's rows (see :class:`Source`)."""
+    base table's rows, by the table's column store (see :class:`Source`)."""
     if type(batch) is Chunk:
         return batch
     return Chunk((Source(batch, width, heap),), [None], len(batch))

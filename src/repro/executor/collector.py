@@ -48,6 +48,9 @@ class CollectorWork:
     reservoir_draws: int = 0
     sketch_values_hashed: int = 0
     minmax_columns_tracked: int = 0
+    #: Tracked columns a join's chunk folded as Python values, lacking an
+    #: int64 / NaN-free float64 form (row lists always fold so, uncounted).
+    minmax_python_columns: int = 0
 
 
 @dataclass
@@ -247,6 +250,7 @@ class RuntimeCollector:
             if col.dtype.is_numeric and (live is None or col.name in live)
         ]
         self._minmax: dict[str, list[float]] = {}
+        self._minmax_python: set[str] = set()
         # One row sampler decides which rows enter the sample; every
         # histogram column keeps the values of exactly those rows.
         # ``collect_reservoirs=False`` is the exact-statistics parallel
@@ -317,7 +321,9 @@ class RuntimeCollector:
         draws once per row in row order so its RNG stream (and therefore
         the final histogram) is bit-identical.  A join's chunk is read
         column by column — only the columns a statistic names — and none
-        of its rows is built.
+        of its rows is built; its min/max come from typed arrays where the
+        column has them (:meth:`Chunk.bounds`), the values and types
+        Python's ``min`` / ``max`` would have returned.
         """
         if not rows:
             return
@@ -325,6 +331,11 @@ class RuntimeCollector:
         self.row_count += len(rows)
         for name, position in self._numeric_positions:
             if by_column:
+                bounds = rows.bounds(position)
+                if bounds is not None:
+                    self._fold_minmax(name, *bounds)
+                    continue
+                self._minmax_python.add(name)
                 values = rows.values(position)
             else:
                 values = list(map(itemgetter(position), rows))
@@ -451,5 +462,6 @@ class RuntimeCollector:
                 reservoir_draws=self._sampler.draws,
                 sketch_values_hashed=sum(s.hashed for __, s in self._sketches.values()),
                 minmax_columns_tracked=len(self._numeric_positions),
+                minmax_python_columns=len(self._minmax_python),
             ),
         )

@@ -19,7 +19,6 @@ Paradise).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Mapping
 
 from ..errors import OptimizerError
@@ -131,7 +130,7 @@ class PlanAnnotator:
         if hit is None:
             return
         corrected, record = hit
-        profile = replace(node.est.profile, rows=corrected)
+        profile = node.est.profile._replace(rows=corrected)
         node.est.profile = profile
         node.est.rows = corrected
         node.est.pages = pages_for(corrected, profile.row_bytes, self.page_size)

@@ -26,14 +26,14 @@ join run in (roughly) two passes, reproducing the paper's Figure 3 scenario.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..config import CostParameters, EngineConfig
 
 
-@dataclass(frozen=True)
-class OperatorCost:
-    """Resource consumption of one operator invocation."""
+class OperatorCost(NamedTuple):
+    """Resource consumption of one operator invocation (an immutable record:
+    the join enumerator builds thousands per plan)."""
 
     seq_read_pages: float = 0.0
     rand_read_pages: float = 0.0
@@ -49,16 +49,6 @@ class OperatorCost:
             + self.write_pages * params.page_write
             + self.cpu_units
             + self.stats_cpu_units
-        )
-
-    def plus(self, other: "OperatorCost") -> "OperatorCost":
-        """Component-wise sum."""
-        return OperatorCost(
-            seq_read_pages=self.seq_read_pages + other.seq_read_pages,
-            rand_read_pages=self.rand_read_pages + other.rand_read_pages,
-            write_pages=self.write_pages + other.write_pages,
-            cpu_units=self.cpu_units + other.cpu_units,
-            stats_cpu_units=self.stats_cpu_units + other.stats_cpu_units,
         )
 
 
@@ -195,11 +185,21 @@ class CostModel:
         output_rows: float,
         memory_pages: float,
     ) -> OperatorCost:
-        """Full hybrid hash join cost (build plus probe)."""
-        return self.hash_join_build(build_rows, build_pages, memory_pages).plus(
-            self.hash_join_probe(
-                build_pages, probe_rows, probe_pages, output_rows, memory_pages
-            )
+        """:meth:`hash_join_build` plus :meth:`hash_join_probe` as one record:
+        per component, the two phases' float operations and their sum, in
+        that order (the build's zero components drop out exactly: counts
+        are non-negative)."""
+        spill = self.hash_join_spill_fraction(build_pages, memory_pages)
+        params = self.params
+        return OperatorCost(
+            seq_read_pages=spill * (build_pages + probe_pages),
+            write_pages=spill * build_pages + spill * probe_pages,
+            cpu_units=build_rows * params.cpu_hash_build
+            + (
+                probe_rows * params.cpu_hash_probe
+                + output_rows * params.cpu_per_tuple
+                + spill * probe_rows * params.cpu_hash_probe
+            ),
         )
 
     # -- indexed nested loops join ---------------------------------------------

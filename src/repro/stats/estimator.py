@@ -23,8 +23,7 @@ the magic defaults — the paper's motivating error sources.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from ..plans.logical import (
     AndPredicate,
@@ -49,17 +48,17 @@ DEFAULT_DISTINCT_FRACTION = 0.1
 MIN_ROWS = 1.0
 
 
-@dataclass(frozen=True)
-class RelProfile:
+class RelProfile(NamedTuple):
     """Statistics describing one (base or intermediate) relation.
 
     ``columns`` maps *qualified* column names (``alias.column``) to their
-    statistics; the per-column ``count`` fields track ``rows``.
+    statistics; the per-column ``count`` fields track ``rows``.  Immutable,
+    like :class:`ColumnStats` (the default ``columns`` is shared: never write).
     """
 
     rows: float
     row_bytes: float
-    columns: Mapping[str, ColumnStats] = field(default_factory=dict)
+    columns: Mapping[str, ColumnStats] = {}
     aliases: frozenset[str] = frozenset()
 
     def column(self, qualified: str) -> ColumnStats | None:
@@ -272,7 +271,7 @@ class Estimator:
         new_rows = max(MIN_ROWS, profile.rows * selectivity)
         scale = new_rows / max(profile.rows, 1.0)
         ready = {
-            name: replace(stats, count=new_rows) for name, stats in restricted.items()
+            name: stats._replace(count=new_rows) for name, stats in restricted.items()
         }
         return (
             RelProfile(
@@ -454,8 +453,7 @@ def _restrict_column(stats: ColumnStats, op: CompareOp, value: object) -> Column
         histogram = None
         if stats.has_histogram and numeric is not None:
             histogram = stats.histogram.restricted(numeric, numeric)
-        return replace(
-            stats,
+        return stats._replace(
             distinct=1.0,
             min_value=numeric if numeric is not None else stats.min_value,
             max_value=numeric if numeric is not None else stats.max_value,
@@ -476,8 +474,7 @@ def _restrict_column(stats: ColumnStats, op: CompareOp, value: object) -> Column
         if histogram is not None and not histogram.is_empty
         else stats.distinct
     )
-    return replace(
-        stats,
+    return stats._replace(
         distinct=max(1.0, distinct),
         min_value=low if low is not None else stats.min_value,
         max_value=high if high is not None else stats.max_value,
@@ -487,15 +484,20 @@ def _restrict_column(stats: ColumnStats, op: CompareOp, value: object) -> Column
 
 def _scale_column(stats: ColumnStats, scale: float, new_rows: float) -> ColumnStats:
     """Scale a column's stats when rows are removed by unrelated predicates."""
+    name, dtype, count, distinct, low, high, histogram, is_key, observed = stats
     if scale >= 1.0:
-        if stats.count == new_rows:
+        if count == new_rows:
             return stats
-        return replace(stats, count=new_rows)
-    histogram = stats.histogram.scaled(scale) if stats.has_histogram else stats.histogram
-    if stats.distinct > 0 and stats.count > 0:
-        per_value = stats.count / stats.distinct
-        survive = 1.0 - (1.0 - scale) ** per_value
-        distinct = max(1.0, min(stats.distinct * survive, new_rows))
+        distinct_out = distinct
     else:
-        distinct = min(stats.distinct, new_rows)
-    return replace(stats, count=new_rows, distinct=distinct, histogram=histogram)
+        if histogram is not None and not histogram.is_empty:
+            histogram = histogram.scaled(scale)
+        if distinct > 0 and count > 0:
+            per_value = count / distinct
+            survive = 1.0 - (1.0 - scale) ** per_value
+            distinct_out = max(1.0, min(distinct * survive, new_rows))
+        else:
+            distinct_out = min(distinct, new_rows)
+    return ColumnStats(
+        name, dtype, new_rows, distinct_out, low, high, histogram, is_key, observed
+    )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..errors import StatisticsError
@@ -69,47 +69,82 @@ class Bucket:
 
         Zero-width (singleton) buckets overlap fully or not at all.
         """
-        if high < self.low or low > self.high:
-            return 0.0
-        if self.width == 0:
-            return 1.0
-        lo = max(low, self.low)
-        hi = min(high, self.high)
-        return max(0.0, hi - lo) / self.width
+        return _overlap_fraction(self.low, self.high, low, high)
+
+
+def _overlap_fraction(b_low: float, b_high: float, low: float, high: float) -> float:
+    """:meth:`Bucket.overlap_fraction` of the bucket ``[b_low, b_high]``."""
+    if high < b_low or low > b_high:
+        return 0.0
+    width = b_high - b_low
+    if width == 0:
+        return 1.0
+    lo = max(low, b_low)
+    hi = min(high, b_high)
+    return max(0.0, hi - lo) / width
 
 
 class Histogram:
-    """An immutable bucketised summary of one numeric attribute."""
+    """An immutable bucketised summary of one numeric attribute.
+
+    Kept as one tuple of ``(low, high, count, distinct)`` rows, which the
+    optimizer's loops unpack (:attr:`buckets` shows them as objects).
+    Derived histograms skip the order check: each bucket stays inside its
+    parent's bounds, so they are sorted and disjoint because it is.
+    """
+
+    __slots__ = ("kind", "_rows", "_buckets", "total_count", "total_distinct")
 
     def __init__(self, kind: HistogramKind, buckets: Sequence[Bucket]) -> None:
-        self.kind = kind
-        self.buckets: tuple[Bucket, ...] = tuple(buckets)
-        for prev, nxt in zip(self.buckets, self.buckets[1:]):
+        buckets = tuple(buckets)
+        for prev, nxt in zip(buckets, buckets[1:]):
             if nxt.low < prev.high:
                 raise StatisticsError("histogram buckets must be sorted and disjoint")
-        self.total_count = sum(b.count for b in self.buckets)
-        self.total_distinct = sum(b.distinct for b in self.buckets)
+        self._init(kind, tuple((b.low, b.high, b.count, b.distinct) for b in buckets))
+        self._buckets: tuple[Bucket, ...] | None = buckets
+
+    @classmethod
+    def _derived(cls, kind: HistogramKind, rows: tuple) -> "Histogram":
+        """A histogram over bucket rows already known to be in order."""
+        hist = cls.__new__(cls)
+        hist._init(kind, rows)
+        hist._buckets = None
+        return hist
+
+    def _init(self, kind: HistogramKind, rows: tuple) -> None:
+        self.kind = kind
+        self._rows: tuple[tuple[float, float, float, float], ...] = rows
+        self.total_count = sum(row[2] for row in rows)
+        self.total_distinct = sum(row[3] for row in rows)
 
     def __repr__(self) -> str:
         return (
-            f"Histogram({self.kind.value}, buckets={len(self.buckets)}, "
+            f"Histogram({self.kind.value}, buckets={len(self._rows)}, "
             f"count={self.total_count:.0f}, distinct={self.total_distinct:.0f})"
         )
 
     @property
+    def buckets(self) -> tuple[Bucket, ...]:
+        """The buckets, in value order."""
+        buckets = self._buckets
+        if buckets is None:
+            buckets = self._buckets = tuple(Bucket(*row) for row in self._rows)
+        return buckets
+
+    @property
     def is_empty(self) -> bool:
         """Whether the histogram summarises zero rows."""
-        return self.total_count <= 0 or not self.buckets
+        return self.total_count <= 0 or not self._rows
 
     @property
     def min_value(self) -> float | None:
         """Smallest value covered, or None when empty."""
-        return self.buckets[0].low if self.buckets else None
+        return self._rows[0][0] if self._rows else None
 
     @property
     def max_value(self) -> float | None:
         """Largest value covered, or None when empty."""
-        return self.buckets[-1].high if self.buckets else None
+        return self._rows[-1][1] if self._rows else None
 
     # ------------------------------------------------------------------
     # Selectivity estimation
@@ -119,22 +154,22 @@ class Histogram:
         """Estimated selectivity of ``attr = value``."""
         if self.is_empty:
             return 0.0
-        for bucket in self.buckets:
-            if bucket.contains(value):
-                if bucket.distinct <= 0:
+        for low, high, count, distinct in self._rows:
+            if low <= value <= high:
+                if distinct <= 0:
                     return 0.0
-                return (bucket.count / bucket.distinct) / self.total_count
+                return (count / distinct) / self.total_count
         return 0.0
 
     def selectivity_range(self, low: float | None, high: float | None) -> float:
         """Estimated selectivity of ``low <= attr <= high`` (open ends allowed)."""
         if self.is_empty:
             return 0.0
-        lo = self.buckets[0].low if low is None else low
-        hi = self.buckets[-1].high if high is None else high
+        lo = self._rows[0][0] if low is None else low
+        hi = self._rows[-1][1] if high is None else high
         if hi < lo:
             return 0.0
-        matched = sum(b.count * b.overlap_fraction(lo, hi) for b in self.buckets)
+        matched = sum(n * _overlap_fraction(a, b, lo, hi) for a, b, n, __ in self._rows)
         return min(1.0, matched / self.total_count)
 
     def count_in_range(self, low: float | None, high: float | None) -> float:
@@ -145,12 +180,13 @@ class Histogram:
         """Estimated number of distinct values in the range."""
         if self.is_empty:
             return 0.0
-        lo = self.buckets[0].low if low is None else low
-        hi = self.buckets[-1].high if high is None else high
-        return sum(b.distinct * b.overlap_fraction(lo, hi) for b in self.buckets)
+        lo = self._rows[0][0] if low is None else low
+        hi = self._rows[-1][1] if high is None else high
+        return sum(d * _overlap_fraction(a, b, lo, hi) for a, b, __, d in self._rows)
 
     # ------------------------------------------------------------------
-    # Propagation operations
+    # Propagation operations (an inlined ``max`` / ``min`` keeps the
+    # builtin's tie rule, first argument wins: it decides a zero's sign)
     # ------------------------------------------------------------------
 
     def scaled(self, factor: float) -> "Histogram":
@@ -164,40 +200,40 @@ class Histogram:
             raise StatisticsError(f"scale factor must be non-negative, got {factor}")
         if factor >= 1.0:
             return self
-        buckets = []
-        for b in self.buckets:
-            new_count = b.count * factor
-            per_value = b.count / b.distinct if b.distinct > 0 else 0.0
-            if per_value > 0:
-                survive = 1.0 - (1.0 - factor) ** per_value
+        removed = 1.0 - factor
+        rows = []
+        for low, high, count, distinct in self._rows:
+            new_count = count * factor
+            per_value = count / distinct if distinct > 0 else 0.0
+            survive = 1.0 - removed**per_value if per_value > 0 else factor
+            if new_count > 0:
+                new_distinct = distinct * survive  # min(new_distinct, new_count)
+                if new_count < new_distinct:
+                    new_distinct = new_count
             else:
-                survive = factor
-            new_distinct = min(b.distinct * survive, new_count) if new_count > 0 else 0.0
-            buckets.append(Bucket(b.low, b.high, new_count, new_distinct))
-        return Histogram(self.kind, buckets)
+                new_distinct = 0.0
+            rows.append((low, high, new_count, new_distinct))
+        return Histogram._derived(self.kind, tuple(rows))
 
     def restricted(self, low: float | None, high: float | None) -> "Histogram":
         """Slice the histogram to ``[low, high]`` (for predicates on this attr)."""
         if self.is_empty:
             return self
-        lo = self.buckets[0].low if low is None else low
-        hi = self.buckets[-1].high if high is None else high
-        buckets = []
-        for b in self.buckets:
-            frac = b.overlap_fraction(lo, hi)
+        lo = self._rows[0][0] if low is None else low
+        hi = self._rows[-1][1] if high is None else high
+        rows = []
+        for b_low, b_high, count, distinct in self._rows:
+            frac = _overlap_fraction(b_low, b_high, lo, hi)
             if frac <= 0:
-                continue
-            new_low = max(b.low, lo)
-            new_high = min(b.high, hi)
-            buckets.append(
-                Bucket(
-                    low=new_low,
-                    high=new_high,
-                    count=b.count * frac,
-                    distinct=max(1.0, b.distinct * frac) if b.count * frac > 0 else 0.0,
-                )
-            )
-        return Histogram(self.kind, buckets)
+                continue  # a kept bucket overlaps [lo, hi], so its slice is not inverted
+            new_count = count * frac
+            rows.append((
+                max(b_low, lo),
+                min(b_high, hi),
+                new_count,
+                max(1.0, distinct * frac) if new_count > 0 else 0.0,
+            ))
+        return Histogram._derived(self.kind, tuple(rows))
 
     def scaled_counts(self, factor: float) -> "Histogram":
         """Scale counts keeping distincts: sample-to-population extrapolation.
@@ -208,11 +244,12 @@ class Histogram:
         """
         if factor < 0:
             raise StatisticsError(f"scale factor must be non-negative, got {factor}")
-        buckets = [
-            Bucket(b.low, b.high, b.count * factor, min(b.distinct, b.count * factor))
-            for b in self.buckets
-        ]
-        return Histogram(self.kind, buckets)
+        rows = []
+        for low, high, count, distinct in self._rows:
+            new_count = count * factor
+            capped = new_count if new_count < distinct else distinct  # min()
+            rows.append((low, high, new_count, capped))
+        return Histogram._derived(self.kind, tuple(rows))
 
     def join_cardinality(self, other: "Histogram") -> float:
         """Estimated equi-join output size against ``other``.
@@ -223,26 +260,39 @@ class Histogram:
         if self.is_empty or other.is_empty:
             return 0.0
         total = 0.0
-        theirs = other.buckets
-        first = 0  # buckets before it end below every remaining b1
-        for b1 in self.buckets:
-            while first < len(theirs) and theirs[first].high < b1.low:
+        theirs = other._rows
+        end = len(theirs)
+        first = 0  # buckets before it end below every remaining bucket of ours
+        for low1, high1, count1, distinct1 in self._rows:
+            while first < end and theirs[first][1] < low1:
                 first += 1
-            for b2 in theirs[first:]:
-                if b2.low > b1.high:
+            width1 = high1 - low1
+            for low2, high2, count2, distinct2 in theirs[first:]:
+                if low2 > high1:
                     break  # sorted and disjoint: nothing later overlaps
-                lo = max(b1.low, b2.low)
-                hi = min(b1.high, b2.high)
+                lo = low2 if low2 > low1 else low1  # max(low1, low2)
+                hi = high2 if high2 < high1 else high1  # min(high1, high2)
                 if hi < lo:
                     continue
-                f1 = b1.overlap_fraction(lo, hi)
-                f2 = b2.overlap_fraction(lo, hi)
-                n1 = b1.count * f1
-                n2 = b2.count * f2
-                d1 = max(b1.distinct * f1, 1e-9)
-                d2 = max(b2.distinct * f2, 1e-9)
+                # Each bucket's overlap_fraction(lo, hi): [lo, hi] lies
+                # inside both, so it is max(0.0, hi - lo) over the width,
+                # or 1.0 for a singleton bucket.
+                span = hi - lo
+                if not span > 0.0:
+                    span = 0.0
+                f1 = 1.0 if width1 == 0 else span / width1
+                width2 = high2 - low2
+                f2 = 1.0 if width2 == 0 else span / width2
+                n1 = count1 * f1
+                n2 = count2 * f2
                 if n1 > 0 and n2 > 0:
-                    total += n1 * n2 / max(d1, d2)
+                    d1 = distinct1 * f1  # max(d1, 1e-9), likewise d2
+                    if 1e-9 > d1:
+                        d1 = 1e-9
+                    d2 = distinct2 * f2
+                    if 1e-9 > d2:
+                        d2 = 1e-9
+                    total += n1 * n2 / (d2 if d2 > d1 else d1)
         return total
 
 

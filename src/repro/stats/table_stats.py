@@ -16,7 +16,7 @@ way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ..storage.schema import DataType, Schema
 from ..storage.table import Table
@@ -24,9 +24,12 @@ from .distinct import ExactDistinct
 from .histogram import Histogram, HistogramKind, build_histogram
 
 
-@dataclass(frozen=True)
-class ColumnStats:
-    """Statistics for one column of one (base or intermediate) relation."""
+class ColumnStats(NamedTuple):
+    """Statistics for one column of one (base or intermediate) relation.
+
+    Immutable (plan templates carrying it are shared between server
+    threads); a tuple, because estimation derives thousands per plan.
+    """
 
     name: str
     dtype: DataType
@@ -46,7 +49,7 @@ class ColumnStats:
 
     def renamed(self, name: str) -> "ColumnStats":
         """Return a copy with a different (qualified) name."""
-        return replace(self, name=name)
+        return ColumnStats(name, *self[1:])
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,7 @@ class TableStats:
         last ANALYZE).  Column counts scale with the table.
         """
         columns = {
-            name: replace(cs, count=cs.count * factor)
+            name: cs._replace(count=cs.count * factor)
             for name, cs in self.columns.items()
         }
         return replace(
@@ -95,7 +98,7 @@ class TableStats:
         columns = {}
         for name, cs in self.columns.items():
             if targets is None or name in targets:
-                columns[name] = replace(cs, histogram=None)
+                columns[name] = cs._replace(histogram=None)
             else:
                 columns[name] = cs
         return replace(self, columns=columns)

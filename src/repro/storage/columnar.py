@@ -209,6 +209,8 @@ class ColumnStore:
         self._rows = 0
         #: Per column: ``(version, zone_bounds(position))``.
         self._bounds: dict[int, tuple] = {}
+        #: Per column: :meth:`numeric`, until the rows change.
+        self._numeric: dict[int, object] = {}
         self._forget_columns()
 
     def _forget_columns(self) -> None:
@@ -278,11 +280,13 @@ class ColumnStore:
             for position in built:
                 self._encode_group(position, group, chunk)
         self._rows = nrows
+        self._numeric.clear()
         self.version += 1
 
     def reset(self) -> None:
         """Drop everything (table truncated); the next reads rebuild."""
         self.groups.clear()
+        self._numeric.clear()
         self._rows = 0
         self._forget_columns()
         self.version += 1
@@ -457,6 +461,22 @@ class ColumnStore:
         bounds = (lows, highs, provable)
         self._bounds[position] = (self.version, bounds)
         return bounds
+
+    def numeric(self, position: int):
+        """An ``"int64"`` or NaN-free ``"float64"`` column as one array over
+        every row (min/max over an index-NL join's inner heap), else None.
+        Built on first read; :meth:`sync` and :meth:`reset` drop it."""
+        whole = self._numeric.get(position, False)
+        if whole is False:
+            with self.table._store_lock:
+                kind = self.encoding(position)
+                whole = None
+                if kind in ("int64", "float64") and self.groups:
+                    whole = np.concatenate([g.arrays[position] for g in self.groups])
+                    if kind == "float64" and np.isnan(whole).any():
+                        whole = None
+                self._numeric[position] = whole
+        return whole
 
     def values(self, group: ColumnGroup, position: int, sel=None):
         """The group's column in *value space*, optionally narrowed to the

@@ -11,7 +11,6 @@ mapping to equal them float for float and key for key.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 from repro.plans.logical import Predicate
@@ -49,7 +48,7 @@ def apply_predicates(
     final_columns: dict[str, ColumnStats] = {}
     for name, stats in columns.items():
         if name in restricted:
-            final_columns[name] = replace(stats, count=new_rows)
+            final_columns[name] = stats._replace(count=new_rows)
         else:
             final_columns[name] = _scale_column(stats, scale, new_rows)
     return (

@@ -1,7 +1,6 @@
 """Tests for cardinality/selectivity estimation over RelProfiles."""
 
 import pickle
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -282,7 +281,7 @@ def _canonical(columns):
     return [
         (
             name,
-            replace(stats, histogram=None),
+            stats._replace(histogram=None),
             None if stats.histogram is None
             else (stats.histogram.kind, stats.histogram.buckets),
         )

@@ -39,11 +39,12 @@ class TestOperatorCost:
         total = cost.total_units(config.cost)
         assert total == pytest.approx(10 * 1.0 + 2 * 4.0 + 4 * 1.5 + 1.5)
 
-    def test_plus(self):
-        a = OperatorCost(seq_read_pages=1, cpu_units=2)
-        b = OperatorCost(seq_read_pages=3, write_pages=1)
-        c = a.plus(b)
-        assert c.seq_read_pages == 4 and c.write_pages == 1 and c.cpu_units == 2
+    def test_hash_join_is_build_plus_probe(self, cost_model):
+        for memory in (10, 100):  # spilling, and not
+            build = cost_model.hash_join_build(1000, 50, memory)
+            probe = cost_model.hash_join_probe(50, 5000, 200, 3000, memory)
+            whole = cost_model.hash_join(1000, 50, 5000, 200, 3000, memory)
+            assert whole == tuple(a + b for a, b in zip(build, probe))
 
 
 class TestPagesFor:
@@ -289,6 +290,32 @@ class TestJoinEnumeration:
             profile.optimizer_candidates_pruned,
             profile.column_stats_derived,
         ]
+
+    def test_figure10_work_counts_are_exact(self):
+        """The enumerator's exact work on the switching queries, cold, OFF,
+        in the Figure-10 configuration.  A last-bit change in a candidate's
+        bound moves pruning before it moves a plan, so these move first:
+        ``(subsets_enumerated, candidates_costed, candidates_pruned,
+        column_stats_derived)``."""
+        from repro.bench import ExperimentConfig, build_database
+        from repro.workloads.tpcd import query_by_name
+
+        db = build_database(ExperimentConfig(scale_factor=0.01, memory_pages=192, seed=31))
+        pins = {
+            "Q8": (247, 334, 1882, 286),
+            "Q5": (57, 98, 324, 94),
+            "Q7": (57, 90, 320, 111),
+        }
+        for name, pinned in pins.items():
+            profile = db.execute(query_by_name(name).sql, mode=DynamicMode.OFF).profile
+            assert not profile.plan_cache_hit
+            counts = (
+                profile.optimizer_subsets_enumerated,
+                profile.optimizer_candidates_costed,
+                profile.optimizer_candidates_pruned,
+                profile.column_stats_derived,
+            )
+            assert counts == pinned, name
 
 
 class TestAnnotation:
