@@ -95,7 +95,7 @@ from .iterators import (
     execute_node,
     key_extractor,
 )
-from .runtime import PlanSwitched, RuntimeContext
+from .runtime import RuntimeContext
 from .vector import (
     compile_batch_filter,
     compile_batch_projector,
@@ -399,7 +399,7 @@ def _hash_join(node: HashJoinNode, ctx: RuntimeContext) -> BatchIterator:
         )
         if parallel_probe is not None:
             if directive is not None:
-                _materialize_and_switch(node, ctx, directive, parallel_probe)
+                ctx.spool_and_switch(node, directive, chain.from_iterable(parallel_probe))
             yield from parallel_probe
             return
 
@@ -453,7 +453,7 @@ def _hash_join(node: HashJoinNode, ctx: RuntimeContext) -> BatchIterator:
             )
 
     if directive is not None:
-        _materialize_and_switch(node, ctx, directive, probe_batches())
+        ctx.spool_and_switch(node, directive, chain.from_iterable(probe_batches()))
     yield from probe_batches()
 
 
@@ -466,30 +466,6 @@ def _probe_stream(node: PlanNode, ctx: RuntimeContext, positions: list[int]):
         chunk = as_chunk(batch, width)
         yield len(chunk), [chunk.column(p) for p in positions], chunk.take
 
-
-def _materialize_and_switch(
-    node: PlanNode,
-    ctx: RuntimeContext,
-    directive,
-    batches: BatchIterator,
-) -> None:
-    """Spool a cut operator's output into the directive's temp table."""
-    materialized: list[Row] = []
-    for batch in batches:
-        materialized.extend(batch)
-    directive.temp_table.append_rows(materialized)
-    for page_no in range(directive.temp_table.page_count):
-        ctx.buffer_pool.write(directive.temp_table.table_id, page_no)
-    ctx.mark_completed(node, len(materialized))
-    ctx.switches += 1
-    if ctx.tracer is not None:
-        ctx.tracer.instant(
-            "switch-materialize", "reopt",
-            cut_node_id=node.node_id,
-            rows=len(materialized),
-            temp_pages=directive.temp_table.page_count,
-        )
-    raise PlanSwitched(directive, len(materialized))
 
 
 # ----------------------------------------------------------------------
@@ -634,7 +610,7 @@ def _block_nl_join(node: BlockNLJoinNode, ctx: RuntimeContext) -> BatchIterator:
             ctx.clock.charge_cpu(compares * params.cpu_per_compare)
 
     if directive is not None:
-        _materialize_and_switch(node, ctx, directive, joined_batches())
+        ctx.spool_and_switch(node, directive, chain.from_iterable(joined_batches()))
     yield from joined_batches()
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import wraps
+from itertools import chain
 from operator import itemgetter
 from time import perf_counter
 from typing import Mapping, Sequence
@@ -339,7 +340,14 @@ class RuntimeCollector:
                 values = rows.values(position)
             else:
                 values = list(map(itemgetter(position), rows))
-            self._fold_minmax(name, min(values), max(values))
+            entry = self._minmax.get(name)
+            if entry is None:
+                self._minmax[name] = [min(values), max(values)]
+            else:
+                # Seeded with the running extremes: observe()'s comparisons
+                # exactly, even when a NaN leads the batch.
+                entry[0] = min(chain((entry[0],), values))
+                entry[1] = max(chain((entry[1],), values))
         self._sample_rows(rows)
         for positions, sketch in self._sketches.values():
             # The scalar for one position, the tuple for several — matching

@@ -21,6 +21,7 @@ Manager issued, which is the behaviour the memory experiments measure.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
@@ -49,7 +50,7 @@ from ..plans.physical import (
 )
 from ..storage.table import Row
 from .collector import RuntimeCollector
-from .runtime import PlanSwitched, RuntimeContext
+from .runtime import RuntimeContext
 
 
 def execute_node(node: PlanNode, ctx: RuntimeContext) -> Iterator[Row]:
@@ -199,7 +200,7 @@ def _seq_scan(node: SeqScanNode, ctx: RuntimeContext) -> Iterator[Row]:
     table = ctx.catalog.table(node.table_name)
     params = ctx.cost_model.params
     for page_no, page_rows in enumerate(table.iter_pages()):
-        ctx.buffer_pool.access(table.table_id, page_no, sequential=True)
+        ctx.buffer_pool.access_run(table.table_id, page_no, page_no + 1)
         ctx.clock.charge_cpu(len(page_rows) * params.cpu_per_tuple)
         yield from page_rows
 
@@ -354,20 +355,7 @@ def _hash_join(node: HashJoinNode, ctx: RuntimeContext) -> Iterator[Row]:
             )
 
     if directive is not None:
-        materialized = list(probe_rows())
-        directive.temp_table.append_rows(materialized)
-        for page_no in range(directive.temp_table.page_count):
-            ctx.buffer_pool.write(directive.temp_table.table_id, page_no)
-        ctx.mark_completed(node, len(materialized))
-        ctx.switches += 1
-        if ctx.tracer is not None:
-            ctx.tracer.instant(
-                "switch-materialize", "reopt",
-                cut_node_id=node.node_id,
-                rows=len(materialized),
-                temp_pages=directive.temp_table.page_count,
-            )
-        raise PlanSwitched(directive, len(materialized))
+        ctx.spool_and_switch(node, directive, probe_rows())
     yield from probe_rows()
 
 
@@ -462,20 +450,7 @@ def _block_nl_join(node: BlockNLJoinNode, ctx: RuntimeContext) -> Iterator[Row]:
             ctx.clock.charge_cpu(compares * params.cpu_per_compare)
 
     if directive is not None:
-        materialized = list(joined())
-        directive.temp_table.append_rows(materialized)
-        for page_no in range(directive.temp_table.page_count):
-            ctx.buffer_pool.write(directive.temp_table.table_id, page_no)
-        ctx.mark_completed(node, len(materialized))
-        ctx.switches += 1
-        if ctx.tracer is not None:
-            ctx.tracer.instant(
-                "switch-materialize", "reopt",
-                cut_node_id=node.node_id,
-                rows=len(materialized),
-                temp_pages=directive.temp_table.page_count,
-            )
-        raise PlanSwitched(directive, len(materialized))
+        ctx.spool_and_switch(node, directive, joined())
     yield from joined()
 
 
@@ -542,26 +517,26 @@ class _AggState:
                     total += value
             self.total = total
         elif func is AggFunc.MIN:
+            # Seeded with the running minimum, so a NaN leading the batch
+            # meets the same comparisons it meets in update().
+            best = self.minimum
             try:
-                best = min(values)
+                best = min(values) if best is None else min(chain((best,), values))
             except TypeError:
                 # None mixed with values: replicate the row path's skip.
-                best = None
                 for value in values:
                     if value is not None and (best is None or value < best):
                         best = value
-            if best is not None and (self.minimum is None or best < self.minimum):
-                self.minimum = best
+            self.minimum = best
         else:
+            best = self.maximum
             try:
-                best = max(values)
+                best = max(values) if best is None else max(chain((best,), values))
             except TypeError:
-                best = None
                 for value in values:
                     if value is not None and (best is None or value > best):
                         best = value
-            if best is not None and (self.maximum is None or best > self.maximum):
-                self.maximum = best
+            self.maximum = best
 
     def merge(self, other: "_AggState") -> None:
         """Fold another partial state (from a later input run) into this one.

@@ -355,6 +355,24 @@ class RuntimeContext:
         if self.tracer is not None:
             self.tracer.node_completed(node, rows)
 
+    def spool_and_switch(self, node: PlanNode, directive: PlanSwitchDirective, rows) -> None:
+        """Spool a cut operator's output into the directive's temp table —
+        one page-write run — and unwind to the dispatcher (paper Figure 6)."""
+        materialized = list(rows)
+        temp = directive.temp_table
+        temp.append_rows(materialized)
+        self.buffer_pool.write_run(temp.table_id, 0, temp.page_count)
+        self.mark_completed(node, len(materialized))
+        self.switches += 1
+        if self.tracer is not None:
+            self.tracer.instant(
+                "switch-materialize", "reopt",
+                cut_node_id=node.node_id,
+                rows=len(materialized),
+                temp_pages=temp.page_count,
+            )
+        raise PlanSwitched(directive, len(materialized))
+
     def collector_completed(self, node: StatsCollectorNode, collector) -> None:
         """A statistics collector's after-loop semantics: the stats CPU
         charge, finalize, publish, and the controller hook that may arm a

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Iterable, Protocol
 
+import numpy as np
+
 from ..errors import StatisticsError
 
 #: Flajolet–Martin magic constant (1/0.77351).
@@ -172,16 +174,31 @@ class FlajoletMartin:
         self._bitmaps[bucket] |= 1 << rank
 
     def add_batch(self, values) -> None:
-        """Observe a batch of values with the hashing loop kept local."""
-        bitmaps = self._bitmaps
-        salt = self._salt
-        num_maps = self.num_maps
-        for value in values:
-            h = _mix64(hash(value) ^ salt)
-            bucket = h % num_maps
-            h //= num_maps
-            rank = (h & -h).bit_length() - 1 if h else 63
-            bitmaps[bucket] |= 1 << rank
+        """Observe a batch of values: :meth:`add` per value, bit for bit.
+
+        Only Python's ``hash`` runs per value.  The salt, the SplitMix64
+        finalizer, bucket, quotient and trailing-zero rank are ``uint64``
+        array operations (multiplies wrap: ``& _MASK``), and each bucket's
+        rank bits are OR-ed together before they reach its bitmap.
+        """
+        h = np.fromiter(map(hash, values), dtype=np.int64).view(np.uint64)
+        if not h.size:
+            return
+        h ^= np.uint64(self._salt)
+        h ^= h >> np.uint64(30)
+        h *= np.uint64(_MIX1)
+        h ^= h >> np.uint64(27)
+        h *= np.uint64(_MIX2)
+        h ^= h >> np.uint64(31)
+        num_maps = np.uint64(self.num_maps)
+        buckets = (h % num_maps).astype(np.intp)
+        h //= num_maps
+        # The lowest set bit is ``1 << rank``; a zero quotient ranks 63.
+        bits = h & (~h + np.uint64(1))
+        bits[h == 0] = np.uint64(1 << 63)
+        merged = np.zeros(self.num_maps, dtype=np.uint64)
+        np.bitwise_or.at(merged, buckets, bits)
+        self._bitmaps = [a | b for a, b in zip(self._bitmaps, merged.tolist())]
 
     def extend(self, values: Iterable) -> None:
         """Observe every value from an iterable."""

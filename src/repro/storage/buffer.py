@@ -1,9 +1,15 @@
 """A simulated LRU buffer pool.
 
-Scans and index lookups route their page requests through the buffer pool;
-only misses charge the :class:`~repro.storage.disk.CostClock`.  The pool is
-identified-page based (``(owner_id, page_no)``), write-through, and keeps
-simple hit/miss counters so experiments can report buffer behaviour.
+Scans route their page requests through the buffer pool; only misses charge
+the :class:`~repro.storage.disk.CostClock`.  The pool is identified-page
+based (``(owner_id, page_no)``), write-through, and keeps simple
+hit/miss/eviction counters so experiments can report buffer behaviour.
+
+The pool is exactly a page-level LRU, held as a list of *runs*
+``[owner, first, last]`` — pages ``first .. last - 1`` of one owner, aging
+in page order — least recently used first.  Requests take runs too, so a
+scan batch (or a whole table scan) is a handful of list operations, not one
+dictionary operation per page.
 
 The paper kept the Paradise buffer pool deliberately small (32 MB/node) so
 that memory-management effects were visible; the default pool here is small
@@ -12,12 +18,9 @@ relative to workload sizes for the same reason.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from .disk import CostClock
-
-PageKey = tuple[int, int]
 
 
 @dataclass
@@ -47,6 +50,10 @@ class BufferPool:
     The pool stores page *identities* only — row data lives in the owning
     :class:`~repro.storage.table.Table` — because the simulation only needs to
     know whether an access is a hit (free) or a miss (charged to the clock).
+    Every request behaves exactly like its pages requested one at a time in
+    ascending order: the same LRU order, the same counters, and one float
+    addition of the page cost per charged page, in order (``n * cost`` is a
+    different float).
     """
 
     def __init__(self, capacity_pages: int, clock: CostClock) -> None:
@@ -55,107 +62,108 @@ class BufferPool:
         self.capacity = capacity_pages
         self.clock = clock
         self.stats = BufferStats()
-        self._pages: OrderedDict[PageKey, None] = OrderedDict()
-        #: Page numbers held per owner — always exactly the keys of
-        #: ``_pages`` grouped by owner.  Lets :meth:`access_run` prove a
-        #: whole run misses without probing page by page, and
-        #: :meth:`invalidate_owner` drop an owner without walking the pool.
-        self._resident: dict[int, set[int]] = {}
+        #: The LRU order as runs ``[owner, first, last]``, least recently
+        #: used first; within a run, page ``first`` is the oldest.
+        self.runs: list[list[int]] = []
+        self._size = 0
 
     def __len__(self) -> int:
-        return len(self._pages)
-
-    def access(self, owner_id: int, page_no: int, sequential: bool = True) -> bool:
-        """Request a page; charge the clock on a miss.
-
-        Returns ``True`` on a buffer hit.  ``sequential`` selects the read
-        cost charged on a miss (sequential vs random page read).
-        """
-        key = (owner_id, page_no)
-        if key in self._pages:
-            self._pages.move_to_end(key)
-            self.stats.hits += 1
-            return True
-        self.stats.misses += 1
-        if sequential:
-            self.clock.charge_seq_read(1)
-        else:
-            self.clock.charge_rand_read(1)
-        self._admit(key)
-        return False
+        return self._size
 
     def access_run(self, owner_id: int, first_page: int, last_page: int) -> None:
-        """Request pages ``first_page .. last_page - 1`` sequentially.
-
-        Observationally identical to one ``access(owner_id, page,
-        sequential=True)`` per page in ascending order: the same LRU order,
-        the same hit/miss/eviction counters, and the same float additions
-        in the same order on the clock (one ``+= seq_page_read`` per miss,
-        never a multiplied lump).  A scan batch whose pages are all absent
-        — the common case for a table larger than the pool — is admitted
-        in one pass without per-page method calls or membership probes.
-        """
-        count = last_page - first_page
-        if count <= 0:
-            return
-        run = range(first_page, last_page)
-        resident = self._resident.get(owner_id)
-        if resident is None:
-            resident = self._resident[owner_id] = set()
-        elif not resident.isdisjoint(run):
-            for page_no in run:
-                self.access(owner_id, page_no)
-            return
+        """Read pages ``first_page .. last_page - 1``; charge one sequential
+        page read per miss."""
+        misses = self._request(owner_id, first_page, last_page)
+        self.stats.hits += last_page - first_page - misses
+        self.stats.misses += misses
         breakdown = self.clock.breakdown
-        per_page = 1 * self.clock.params.seq_page_read
+        per_page = self.clock.params.seq_page_read
         seq_read = breakdown.seq_read
-        for __ in run:
+        for __ in range(misses):
             seq_read += per_page
         breakdown.seq_read = seq_read
-        pages = self._pages
-        popitem = pages.popitem
-        by_owner = self._resident
-        room = self.capacity - len(pages)
-        self.stats.misses += count
-        self.stats.evictions += max(0, count - room)
-        evicted_here: list[int] = []
-        for page_no in run:
-            if room:
-                room -= 1
-            else:
-                old_owner, old_page = popitem(False)[0]
-                if old_owner == owner_id:
-                    evicted_here.append(old_page)
-                else:
-                    by_owner[old_owner].discard(old_page)
-            pages[(owner_id, page_no)] = None
-        # A run longer than the pool evicts its own head: add, then remove.
-        resident.update(run)
-        resident.difference_update(evicted_here)
 
-    def write(self, owner_id: int, page_no: int) -> None:
-        """Write a page through to disk (always charged) and cache it."""
-        key = (owner_id, page_no)
-        self.clock.charge_write(1)
-        if key in self._pages:
-            self._pages.move_to_end(key)
-        else:
-            self._admit(key)
+    def write_run(self, owner_id: int, first_page: int, last_page: int) -> None:
+        """Write pages ``first_page .. last_page - 1`` through to disk (each
+        charged) and cache them; writes count neither hits nor misses."""
+        self._request(owner_id, first_page, last_page)
+        breakdown = self.clock.breakdown
+        per_page = self.clock.params.page_write
+        write = breakdown.write
+        for __ in range(first_page, last_page):
+            write += per_page
+        breakdown.write = write
 
     def invalidate_owner(self, owner_id: int) -> None:
         """Drop every cached page belonging to ``owner_id`` (e.g. temp drop)."""
-        for page_no in self._resident.pop(owner_id, ()):
-            del self._pages[(owner_id, page_no)]
+        self.runs[:] = [run for run in self.runs if run[0] != owner_id]
+        self._size = sum(run[2] - run[1] for run in self.runs)
 
     def clear(self) -> None:
         """Empty the pool (counters are preserved)."""
-        self._pages.clear()
-        self._resident.clear()
+        self.runs.clear()
+        self._size = 0
 
-    def _admit(self, key: PageKey) -> None:
-        if len(self._pages) >= self.capacity:
-            (old_owner, old_page), __ = self._pages.popitem(last=False)
-            self._resident[old_owner].discard(old_page)
-            self.stats.evictions += 1
-        self._pages[key] = None
-        self._resident.setdefault(key[0], set()).add(key[1])
+    def _request(self, owner_id: int, first_page: int, last_page: int) -> int:
+        """Make pages ``first_page .. last_page - 1`` the most recently used,
+        in page order, evicting from the head as needed; return how many
+        were absent.
+
+        The request is served in segments.  A segment of resident pages —
+        all inside one run — is cut out of that run (splitting it) and
+        appended; hits never evict, so the whole segment hits.  A segment
+        of absent pages (up to the next resident page) is appended and the
+        pool trimmed to capacity from the head, which is where one-at-a-time
+        eviction would have taken the same pages from.  Trimming may evict
+        pages further along the request, so each segment looks afresh.
+        """
+        runs = self.runs
+        misses = 0
+        page = first_page
+        while page < last_page:
+            end = last_page
+            for index, run in enumerate(runs):
+                if run[0] == owner_id and run[2] > page:
+                    if run[1] <= page:
+                        break
+                    if run[1] < end:
+                        end = run[1]
+            else:
+                misses += end - page
+                self._append(owner_id, page, end)
+                self._size += end - page
+                if self._size > self.capacity:
+                    self._evict(self._size - self.capacity)
+                page = end
+                continue
+            start, stop = run[1], run[2]
+            end = min(stop, last_page)
+            runs[index : index + 1] = [
+                [owner_id, lo, hi] for lo, hi in ((start, page), (end, stop)) if lo < hi
+            ]
+            self._append(owner_id, page, end)
+            page = end
+        return misses
+
+    def _append(self, owner_id: int, first: int, last: int) -> None:
+        runs = self.runs
+        if runs:
+            tail = runs[-1]
+            if tail[0] == owner_id and tail[2] == first:
+                tail[2] = last
+                return
+        runs.append([owner_id, first, last])
+
+    def _evict(self, count: int) -> None:
+        self.stats.evictions += count
+        self._size -= count
+        runs = self.runs
+        dropped = 0
+        for run in runs:
+            held = run[2] - run[1]
+            if held > count:
+                run[1] += count
+                break
+            count -= held
+            dropped += 1
+        del runs[:dropped]

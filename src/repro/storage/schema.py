@@ -86,10 +86,12 @@ class Schema:
     :meth:`concat` and :meth:`qualify` return new schemas.
     """
 
-    __slots__ = ("columns", "_by_name", "_by_base")
+    __slots__ = ("columns", "row_bytes", "_by_name", "_by_base")
 
     def __init__(self, columns: Iterable[Column]) -> None:
         self.columns: tuple[Column, ...] = tuple(columns)
+        #: Estimated stored width of one row, including the row header.
+        self.row_bytes: int = ROW_HEADER_BYTES + sum(c.width for c in self.columns)
         names = [col.name for col in self.columns]
         if len(set(names)) != len(names):
             duplicate = next(n for i, n in enumerate(names) if n in names[:i])
@@ -158,11 +160,6 @@ class Schema:
     def column(self, name: str) -> Column:
         """Return the :class:`Column` that ``name`` resolves to."""
         return self.columns[self.index_of(name)]
-
-    @property
-    def row_bytes(self) -> int:
-        """Estimated stored width of one row, including the row header."""
-        return ROW_HEADER_BYTES + sum(c.width for c in self.columns)
 
     def rows_per_page(self, page_size: int) -> int:
         """How many rows fit on one simulated page (always at least 1)."""

@@ -55,8 +55,7 @@ class TempTableManager:
         table_name = name or self.next_name()
         table = Table(table_name, schema, self.catalog.page_size, is_temporary=True)
         table.append_rows(rows)
-        for page_no in range(table.page_count):
-            self.buffer_pool.write(table.table_id, page_no)
+        self.buffer_pool.write_run(table.table_id, 0, table.page_count)
         entry = self.catalog.register_table(table)
         if stats is not None:
             entry.stats = stats

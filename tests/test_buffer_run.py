@@ -1,19 +1,21 @@
-"""``BufferPool.access_run`` against its oracle: one ``access`` per page.
+"""``BufferPool`` against an independent oracle: a naive page-list LRU.
 
-A scan batch's page requests go through ``access_run`` in one call; the
-contract is that nothing observable distinguishes it from the per-page
-loop it replaced — LRU order, hit/miss/eviction counters, and the clock's
-float totals *bit for bit* (one addition of the page cost per miss, in
-order; ``n * cost`` is a different float).  The differential below drives
-two pools through the same random operation sequence, one with
-``access_run`` and one with the loop, and compares everything after every
-step, including the per-owner residency index ``access_run`` relies on to
-prove a run misses.
+The pool holds its LRU order as runs ``[owner, first, last]`` and serves a
+request run by run.  Nothing observable may distinguish it from the
+textbook LRU below, which moves one ``(owner, page)`` at a time: the LRU
+order, the hit/miss/eviction counters, and the clock's float totals *bit
+for bit* — one addition of the page cost per miss and per written page, in
+order (``n * cost`` is a different float).  The differential drives both
+through the same random reads, writes, invalidations and clears and
+compares everything after every step.
 
 Hand mutations of ``storage/buffer.py`` this test was checked to catch:
-``stats.evictions`` off by one in the all-miss path; ``seq_read += count *
-per_page`` instead of ``count`` additions; ``_resident`` not updated in
-``write`` (``_admit``) or in ``invalidate_owner``.
+merging a request into the newest run when it does not directly follow
+it; eviction trimming one page too many; a hit's split dropping the
+right-hand piece of its run; a request longer than the pool keeping
+``capacity + 1`` pages; ``write_run`` charging ``n * page_write`` in one
+addition; ``stats.evictions`` off by one; ``seq_read += misses *
+per_page``; ``invalidate_owner`` leaving the pool's size unchanged.
 """
 
 from __future__ import annotations
@@ -22,59 +24,96 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import CostParameters
 from repro.storage import BufferPool, CostClock
+from repro.storage.buffer import BufferStats
+
+
+class NaiveLRU:
+    """The oracle: a list of ``(owner, page)``, least recently used first."""
+
+    def __init__(self, capacity: int, clock: CostClock) -> None:
+        self.capacity = capacity
+        self.clock = clock
+        self.pages: list[tuple[int, int]] = []
+        self.stats = BufferStats()
+
+    def _touch(self, key: tuple[int, int]) -> bool:
+        if key in self.pages:
+            self.pages.remove(key)
+            self.pages.append(key)
+            return True
+        if len(self.pages) >= self.capacity:
+            del self.pages[0]
+            self.stats.evictions += 1
+        self.pages.append(key)
+        return False
+
+    def access_run(self, owner: int, first: int, last: int) -> None:
+        for page in range(first, last):
+            if self._touch((owner, page)):
+                self.stats.hits += 1
+            else:
+                self.stats.misses += 1
+                self.clock.breakdown.seq_read += self.clock.params.seq_page_read
+
+    def write_run(self, owner: int, first: int, last: int) -> None:
+        for page in range(first, last):
+            self.clock.breakdown.write += self.clock.params.page_write
+            self._touch((owner, page))
+
+    def invalidate_owner(self, owner: int) -> None:
+        self.pages = [key for key in self.pages if key[0] != owner]
+
+    def clear(self) -> None:
+        self.pages.clear()
+
 
 OWNERS = st.integers(min_value=1, max_value=3)
-PAGES = st.integers(min_value=0, max_value=60)
+PAGES = st.integers(min_value=0, max_value=40)
 
 OPERATIONS = st.one_of(
-    # Runs: overlapping, empty (length 0) and longer than any capacity.
-    st.tuples(st.just("run"), OWNERS, PAGES, st.integers(min_value=0, max_value=50)),
-    st.tuples(st.just("access"), OWNERS, PAGES, st.booleans()),
-    st.tuples(st.just("write"), OWNERS, PAGES),
+    # Reads: overlapping, empty (length 0) and longer than any capacity.
+    st.tuples(st.just("read"), OWNERS, PAGES, st.integers(min_value=0, max_value=50)),
+    st.tuples(st.just("read"), OWNERS, PAGES, st.integers(min_value=0, max_value=4)),
+    st.tuples(st.just("write"), OWNERS, PAGES, st.integers(min_value=0, max_value=12)),
     st.tuples(st.just("invalidate"), OWNERS),
     st.tuples(st.just("clear")),
 )
 
 
-def make_pool(capacity: int) -> BufferPool:
-    # A page cost whose multiples are not its repeated sums: 6 * 0.1 is
+def make_clock() -> CostClock:
+    # Page costs whose multiples are not their repeated sums: 6 * 0.1 is
     # 0.6000000000000001, six additions of 0.1 make 0.6.
-    return BufferPool(capacity, CostClock(CostParameters(seq_page_read=0.1)))
+    return CostClock(CostParameters(seq_page_read=0.1, page_write=0.1))
 
 
-def apply(pool: BufferPool, op: tuple, use_run: bool) -> None:
-    kind = op[0]
-    if kind == "run":
-        __, owner, first, length = op
-        if use_run:
-            pool.access_run(owner, first, first + length)
-        else:
-            for page_no in range(first, first + length):
-                pool.access(owner, page_no, sequential=True)
-    elif kind == "access":
-        pool.access(op[1], op[2], sequential=op[3])
+def make_pair(capacity: int) -> tuple[BufferPool, NaiveLRU]:
+    return BufferPool(capacity, make_clock()), NaiveLRU(capacity, make_clock())
+
+
+def apply(pool, op: tuple) -> None:
+    kind, *args = op
+    if kind == "read":
+        owner, first, length = args
+        pool.access_run(owner, first, first + length)
     elif kind == "write":
-        pool.write(op[1], op[2])
+        owner, first, length = args
+        pool.write_run(owner, first, first + length)
     elif kind == "invalidate":
-        pool.invalidate_owner(op[1])
+        pool.invalidate_owner(*args)
     else:
         pool.clear()
 
 
-def residency(pool: BufferPool) -> dict[int, set[int]]:
-    held: dict[int, set[int]] = {}
-    for owner, page_no in pool._pages:
-        held.setdefault(owner, set()).add(page_no)
-    return held
+def lru_order(pool: BufferPool) -> list[tuple[int, int]]:
+    return [(owner, page) for owner, first, last in pool.runs for page in range(first, last)]
 
 
-def assert_same(run_pool: BufferPool, page_pool: BufferPool, step) -> None:
-    assert list(run_pool._pages) == list(page_pool._pages), step
-    assert run_pool.stats == page_pool.stats, step
-    assert repr(run_pool.clock.breakdown) == repr(page_pool.clock.breakdown), step
-    for pool in (run_pool, page_pool):
-        index = {owner: pages for owner, pages in pool._resident.items() if pages}
-        assert index == residency(pool), step
+def assert_same(pool: BufferPool, oracle: NaiveLRU, step) -> None:
+    assert lru_order(pool) == oracle.pages, step
+    assert len(pool) == len(oracle.pages), step
+    assert all(first < last for __, first, last in pool.runs), step
+    assert pool.stats == oracle.stats, step
+    assert repr(pool.clock.breakdown) == repr(oracle.clock.breakdown), step
 
 
 @given(
@@ -83,35 +122,55 @@ def assert_same(run_pool: BufferPool, page_pool: BufferPool, step) -> None:
 )
 @settings(max_examples=300, deadline=None)
 def test_access_run_matches_per_page_access(capacity, operations):
-    run_pool, page_pool = make_pool(capacity), make_pool(capacity)
+    pool, oracle = make_pair(capacity)
     for step, op in enumerate(operations):
-        apply(run_pool, op, use_run=True)
-        apply(page_pool, op, use_run=False)
-        assert_same(run_pool, page_pool, (step, op))
+        apply(pool, op)
+        apply(oracle, op)
+        assert_same(pool, oracle, (step, op))
 
 
 def test_sequential_flood_of_a_table_larger_than_the_pool():
     # The shape every large scan has: all-miss runs, steady eviction.
-    run_pool, page_pool = make_pool(256), make_pool(256)
+    pool, oracle = make_pair(256)
     for first in range(0, 2000, 29):
-        op = ("run", 7, first, min(29, 2000 - first))
-        apply(run_pool, op, use_run=True)
-        apply(page_pool, op, use_run=False)
-    assert_same(run_pool, page_pool, "flood")
-    assert run_pool.stats.misses == 2000
-    assert run_pool.stats.evictions == 2000 - 256
+        op = ("read", 7, first, min(29, 2000 - first))
+        apply(pool, op)
+        apply(oracle, op)
+    assert_same(pool, oracle, "flood")
+    assert pool.stats.misses == 2000
+    assert pool.stats.evictions == 2000 - 256
+    assert pool.runs == [[7, 2000 - 256, 2000]]  # the whole scan is one run
     # A re-scan of the resident tail hits page by page.
-    op = ("run", 7, 1900, 100)
-    apply(run_pool, op, use_run=True)
-    apply(page_pool, op, use_run=False)
-    assert_same(run_pool, page_pool, "tail")
-    assert run_pool.stats.hits == 100
+    op = ("read", 7, 1900, 100)
+    apply(pool, op)
+    apply(oracle, op)
+    assert_same(pool, oracle, "tail")
+    assert pool.stats.hits == 100
+    assert pool.runs == [[7, 2000 - 256, 2000]]
+
+
+def test_a_hit_splits_its_run():
+    pool, __ = make_pair(10)
+    pool.access_run(1, 0, 6)
+    pool.access_run(1, 2, 4)
+    assert pool.runs == [[1, 0, 2], [1, 4, 6], [1, 2, 4]]
+    assert (pool.stats.hits, pool.stats.misses, pool.stats.evictions) == (2, 6, 0)
+
+
+def test_a_request_longer_than_the_pool_keeps_its_last_pages():
+    pool, __ = make_pair(4)
+    pool.access_run(2, 0, 3)
+    pool.access_run(1, 0, 10)
+    assert pool.runs == [[1, 6, 10]]
+    assert (pool.stats.misses, pool.stats.evictions) == (13, 9)
 
 
 def test_run_misses_cost_one_addition_each():
-    pool = make_pool(8)
+    pool, __ = make_pair(8)
     pool.access_run(1, 0, 6)
+    pool.write_run(2, 0, 6)
     six_additions = 0.0
     for __ in range(6):
         six_additions += 0.1
     assert pool.clock.breakdown.seq_read == six_additions != 6 * 0.1
+    assert pool.clock.breakdown.write == six_additions
