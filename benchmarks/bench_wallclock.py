@@ -11,9 +11,7 @@ times are reported alongside for context.
 Results are written to ``BENCH_wallclock.json`` at the repository root and
 to ``results/wallclock.txt``.  Runs either under pytest
 (``pytest benchmarks/bench_wallclock.py``) or as a script
-(``python benchmarks/bench_wallclock.py [--workers N]``; the flag adds a
-morsel-parallel timing per query without touching the committed JSON —
-the full scaling curve is ``bench_parallel.py``'s job).
+(``python benchmarks/bench_wallclock.py``, which writes the JSON only).
 """
 
 from __future__ import annotations
@@ -39,11 +37,9 @@ JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_wallclock.json"
 REQUIRED_SPEEDUP = 2.0
 
 
-def _dispatch_seconds(db: Database, plan, execution_mode: str, workers: int = 0) -> float:
+def _dispatch_seconds(db: Database, plan, execution_mode: str) -> float:
     """One timed Dispatcher run of ``plan`` on a fresh runtime context."""
-    config = db.config.with_updates(
-        execution_mode=execution_mode, parallel_workers=workers
-    )
+    config = db.config.with_updates(execution_mode=execution_mode)
     clock = CostClock(config.cost)
     pool = BufferPool(config.buffer_pool_pages, clock)
     ctx = RuntimeContext(
@@ -72,12 +68,8 @@ def _execute_seconds(db: Database, sql: str, execution_mode: str) -> tuple[float
     return elapsed, result.profile.phases.as_dict()
 
 
-def run_benchmark(repetitions: int = REPETITIONS, workers: int = 0) -> dict:
-    """Measure every harness query; return the result document.
-
-    ``workers`` > 0 additionally times the morsel-parallel executor at that
-    worker count (dispatcher-level only), adding ``parallel_s`` per query.
-    """
+def run_benchmark(repetitions: int = REPETITIONS) -> dict:
+    """Measure every harness query; return the result document."""
     db = build_database(CONFIG)
     queries = []
     totals = {"row": 0.0, "batch": 0.0}
@@ -96,15 +88,6 @@ def run_benchmark(repetitions: int = REPETITIONS, workers: int = 0) -> dict:
             entry[f"phases_{mode}"] = {
                 k: round(v, 6) for k, v in best_run[1].items()
             }
-        if workers > 0:
-            entry["parallel_s"] = round(
-                min(
-                    _dispatch_seconds(db, plan, "parallel", workers)
-                    for __ in range(repetitions)
-                ),
-                6,
-            )
-            entry["parallel_workers"] = workers
         entry["speedup"] = round(entry["row_s"] / entry["batch_s"], 2)
         entry["end_to_end_speedup"] = round(
             entry["end_to_end_row_s"] / entry["end_to_end_batch_s"], 2
@@ -157,27 +140,7 @@ def test_batch_path_halves_wallclock(results_dir):
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description="row vs batch wall-clock benchmark")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="also time the morsel-parallel executor at this worker count",
-    )
-    args = parser.parse_args()
-    doc = run_benchmark(workers=args.workers)
-    if args.workers <= 0:
-        # The committed document stays a pure row-vs-batch comparison;
-        # parallel timings live in BENCH_parallel.json.
-        JSON_PATH.write_text(json.dumps(doc, indent=2) + "\n")
+    doc = run_benchmark()
+    JSON_PATH.write_text(json.dumps(doc, indent=2) + "\n")
     print(_render(doc))
-    if args.workers > 0:
-        for entry in doc["queries"]:
-            print(
-                f"  {entry['name']}: parallel({args.workers} workers) "
-                f"{entry['parallel_s']:.3f}s"
-            )
-    else:
-        print(f"\nwrote {JSON_PATH}")
+    print(f"\nwrote {JSON_PATH}")

@@ -3,9 +3,8 @@
 The concurrent query server (:mod:`repro.engine.server`) runs sessions on
 threads, so the process-wide structures those threads share — the plan
 cache, the catalog, metric counters, the compiled-predicate code cache,
-lazily synced column stores — each carry a lock.  Two execution paths
-``fork()`` this process while those threads run: the morsel-parallel
-executor's pipeline workers and the server's ``fork`` worker mode.  A child
+lazily synced column stores — each carry a lock.  The server's ``fork``
+worker mode ``fork()``s this process while those threads run.  A child
 forked while another thread holds one of those locks would inherit it in
 the *held* state and deadlock on first acquire.
 

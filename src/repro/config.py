@@ -35,53 +35,10 @@ PAGE_SIZE_BYTES = 4096
 def _default_execution_mode() -> str:
     """Execution-mode default, overridable via ``REPRO_EXECUTION_MODE``.
 
-    Lets CI run the whole test suite under another executor (notably
-    ``parallel``) without touching any call site.
+    Lets CI run the whole test suite under the ``row`` interpreter
+    without touching any call site.
     """
     return os.environ.get("REPRO_EXECUTION_MODE", "batch")
-
-
-def _default_parallel_workers() -> int:
-    """Worker-count default, overridable via ``REPRO_WORKERS`` (0 = auto)."""
-    try:
-        return int(os.environ.get("REPRO_WORKERS", "0"))
-    except ValueError:
-        return 0
-
-
-def _env_flag(name: str) -> bool:
-    """An on-by-default boolean knob: any value but 0/false/empty is on."""
-    return os.environ.get(name, "1") not in ("0", "false", "False", "")
-
-
-def _default_parallel_joins() -> bool:
-    """Probe-side join parallelism default (``REPRO_PARALLEL_JOINS``)."""
-    return _env_flag("REPRO_PARALLEL_JOINS")
-
-
-def _default_parallel_preagg() -> bool:
-    """Worker pre-aggregation default (``REPRO_PARALLEL_PREAGG``)."""
-    return _env_flag("REPRO_PARALLEL_PREAGG")
-
-
-def _default_parallel_prefetch() -> bool:
-    """Result read-ahead default (``REPRO_PARALLEL_PREFETCH``)."""
-    return _env_flag("REPRO_PARALLEL_PREFETCH")
-
-
-def _default_parallel_build() -> bool:
-    """Build-side join parallelism default (``REPRO_PARALLEL_BUILD``)."""
-    return _env_flag("REPRO_PARALLEL_BUILD")
-
-
-def _default_parallel_spill() -> bool:
-    """Partitioned result spilling default (``REPRO_PARALLEL_SPILL``)."""
-    return _env_flag("REPRO_PARALLEL_SPILL")
-
-
-def _default_parallel_sort() -> bool:
-    """Parallel run-sort default (``REPRO_PARALLEL_SORT``)."""
-    return _env_flag("REPRO_PARALLEL_SORT")
 
 
 def _default_zone_map_cost() -> str:
@@ -92,7 +49,7 @@ def _default_zone_map_cost() -> str:
 def _default_tracing() -> bool:
     """Query-tracing default (``REPRO_TRACE``): *off* unless explicitly
     enabled — tracing is the one observability knob that allocates per-span
-    state, so unlike the parallel flags it is opt-in."""
+    state, so it is opt-in."""
     return os.environ.get("REPRO_TRACE", "") not in ("", "0", "false", "False")
 
 
@@ -247,67 +204,17 @@ class EngineConfig:
     #: own build input still reaches it.  Paradise did not support this;
     #: the default False reproduces the paper's baseline behaviour.
     responsive_hash_joins: bool = False
-    #: Tuple-at-a-time (``"row"``), vectorized (``"batch"``) or morsel-driven
-    #: multi-process (``"parallel"``) execution.  All paths produce
-    #: identical rows, cost-clock charges and observed statistics (under
-    #: the default ``zone_map_cost_mode="charge"``); the batch path
-    #: amortises Python interpretation overhead over ``batch_size`` tuples
-    #: — running every leaf pipeline that qualifies as NumPy kernels over
-    #: per-page-group column arrays, its own choice per pipeline — and is
-    #: the default; the parallel path additionally fans leaf pipelines
-    #: across a fork-based worker pool.
+    #: Tuple-at-a-time (``"row"``) or vectorized (``"batch"``) execution.
+    #: Both paths produce identical rows, cost-clock charges and observed
+    #: statistics (under the default ``zone_map_cost_mode="charge"``); the
+    #: batch path amortises Python interpretation overhead over
+    #: ``batch_size`` tuples — running every leaf pipeline that qualifies
+    #: as NumPy kernels over per-page-group column arrays, its own choice
+    #: per pipeline — and is the default.
     execution_mode: str = field(default_factory=_default_execution_mode)
     #: Rows per batch on the batch execution path.  Operators may yield
     #: slightly larger batches (scans round up to page boundaries).
     batch_size: int = 1024
-    #: Worker processes for ``execution_mode="parallel"``; 0 means one per
-    #: CPU core (``os.cpu_count()``).  1 executes morsels in-process.
-    parallel_workers: int = field(default_factory=_default_parallel_workers)
-    #: Pages of a base table per morsel (the unit of parallel work).  64
-    #: pages ≈ 256 KB of simulated data — large enough to amortise pickling
-    #: a result batch back, small enough to load-balance.
-    morsel_pages: int = 64
-    #: A scan is only parallelized when it splits into at least this many
-    #: morsels; smaller inputs stay on the serial batch path.
-    parallel_min_morsels: int = 2
-    #: How parallel leaf pipelines collect reservoir samples:
-    #: ``"exact"`` (default) replays the serial sampling RNG over the merged
-    #: morsel outputs in the parent, making every observed statistic —
-    #: histograms included — bit-identical to the batch path; ``"merge"``
-    #: samples per morsel (RNG seeded by morsel index) and merges weighted,
-    #: which is schedule-independent but yields a different (equally valid)
-    #: sample than serial execution.
-    parallel_stats: str = "exact"
-    #: Whether hash joins fan their probe side across the worker pool once
-    #: the build side has materialized (workers inherit the hash table
-    #: copy-on-write).  Off restricts parallelism to leaf pipelines, the
-    #: pre-PR-4 behaviour.
-    parallel_joins: bool = field(default_factory=_default_parallel_joins)
-    #: Whether workers pre-aggregate associative aggregates (COUNT/MIN/MAX
-    #: and integer SUM) and ship per-group partials instead of rows.
-    #: Output bytes are identical either way; float SUM/AVG pipelines
-    #: never pre-aggregate regardless.
-    parallel_preagg: bool = field(default_factory=_default_parallel_preagg)
-    #: Whether a per-partition read-ahead thread in the parent stages
-    #: (deserializes) the next morsel results while earlier partitions are
-    #: still merging — overlapping real unpickling work with simulated-I/O
-    #: replay the way a spill reader prefetches its next partition.
-    parallel_prefetch: bool = field(default_factory=_default_parallel_prefetch)
-    #: Whether hash joins build their hash table in the workers: each
-    #: partition worker folds its morsel range into per-key row lists and
-    #: the parent merges them in morsel order, so within-key row order and
-    #: first-occurrence key order match the serial insertion loop exactly.
-    parallel_build: bool = field(default_factory=_default_parallel_build)
-    #: Whether a partition worker whose staging window is exhausted spills
-    #: its morsel results to a per-partition file (keyed by the stable
-    #: range-affine partition id) instead of blocking.  Transport-level
-    #: only: simulated charges are replayed by the parent identically, so
-    #: spilling can never change costs, statistics or results.
-    parallel_spill: bool = field(default_factory=_default_parallel_spill)
-    #: Whether sorts over leaf-extractable inputs sort per-worker runs in
-    #: the morsel workers and merge them with a loser tree that breaks ties
-    #: in morsel order — byte-identical to the serial stable sort.
-    parallel_sort: bool = field(default_factory=_default_parallel_sort)
     #: How zone-map-skipped page groups are accounted on the simulated
     #: clock.  ``"charge"`` (default) replays the skipped groups' page
     #: charges, keeping CostBreakdown/buffer statistics byte-identical to
@@ -425,27 +332,12 @@ class EngineConfig:
             raise ConfigError(f"reservoir_sample_size must be positive, got {self.reservoir_sample_size}")
         if self.runtime_histogram_buckets <= 0:
             raise ConfigError(f"runtime_histogram_buckets must be positive, got {self.runtime_histogram_buckets}")
-        if self.execution_mode not in ("row", "batch", "parallel"):
+        if self.execution_mode not in ("row", "batch"):
             raise ConfigError(
-                "execution_mode must be 'row', 'batch' or 'parallel', "
-                f"got {self.execution_mode!r}"
+                f"execution_mode must be 'row' or 'batch', got {self.execution_mode!r}"
             )
         if self.batch_size <= 0:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
-        if self.parallel_workers < 0:
-            raise ConfigError(
-                f"parallel_workers must be non-negative, got {self.parallel_workers}"
-            )
-        if self.morsel_pages <= 0:
-            raise ConfigError(f"morsel_pages must be positive, got {self.morsel_pages}")
-        if self.parallel_min_morsels <= 0:
-            raise ConfigError(
-                f"parallel_min_morsels must be positive, got {self.parallel_min_morsels}"
-            )
-        if self.parallel_stats not in ("exact", "merge"):
-            raise ConfigError(
-                f"parallel_stats must be 'exact' or 'merge', got {self.parallel_stats!r}"
-            )
         if self.zone_map_cost_mode not in ("charge", "free"):
             raise ConfigError(
                 "zone_map_cost_mode must be 'charge' or 'free', "
@@ -485,17 +377,7 @@ class EngineConfig:
                 "admission_timeout_s must be positive, "
                 f"got {self.admission_timeout_s}"
             )
-        for flag in (
-            "parallel_joins",
-            "parallel_preagg",
-            "parallel_prefetch",
-            "parallel_build",
-            "parallel_spill",
-            "parallel_sort",
-            "tracing",
-            "server_mode",
-            "feedback_enabled",
-        ):
+        for flag in ("tracing", "server_mode", "feedback_enabled"):
             if not isinstance(getattr(self, flag), bool):
                 raise ConfigError(
                     f"{flag} must be a bool, got {getattr(self, flag)!r}"

@@ -35,7 +35,7 @@ from ..core.parametric import (
 )
 from ..core.reoptimizer import DynamicReoptimizer
 from ..core.scia import SciaResult, insert_collectors
-from ..errors import CatalogError
+from ..errors import CatalogError, ConfigError
 from ..executor.dispatcher import Dispatcher
 from ..executor.memory import MemoryManager
 from ..executor.runtime import RuntimeContext
@@ -241,7 +241,6 @@ class Database:
         params: Mapping[str, object] | None = None,
         mode: DynamicMode = DynamicMode.FULL,
         execution_mode: str | None = None,
-        workers: int | None = None,
         parametric: bool = False,
         use_cache: bool = True,
         catalog: Catalog | None = None,
@@ -285,11 +284,6 @@ class Database:
                 scope = cache_scope
                 epoch = cat.scoped_epoch
         exec_mode = execution_mode or self.config.execution_mode
-        # A plan prepared for parallel pipelines is specialized to its
-        # worker count and fan-out toggles (morsel assignment, staging
-        # windows, which pipelines parallelize); never serve it to the
-        # serial executor or a differently-shaped pool, and vice versa.
-        exec_mode_key = PlanCache.execution_key(self.config, exec_mode, workers)
 
         if parametric and has_parameter_predicates(query):
             return self._prepare_parametric(
@@ -304,7 +298,7 @@ class Database:
                 deparse(query),
                 parameter_signature(params),
                 mode.value,
-                exec_mode_key,
+                exec_mode,
                 scope=scope,
             )
             entry, cache_miss = self.plan_cache.lookup(
@@ -489,11 +483,11 @@ class Database:
         stays armed for the cases no scenario anticipated.
 
         ``execution_mode`` overrides :attr:`EngineConfig.execution_mode`
-        (``"row"``, ``"batch"`` or ``"parallel"``) for this query only; all
-        paths yield identical rows, cost-clock charges and observed
-        statistics (with the default ``zone_map_cost_mode="charge"``).  ``workers`` overrides
-        :attr:`EngineConfig.parallel_workers` for this query (parallel mode
-        only; 0 means one worker per CPU core).
+        (``"row"`` or ``"batch"``) for this query only; both paths yield
+        identical rows, cost-clock charges and observed statistics (with
+        the default ``zone_map_cost_mode="charge"``).  There is no parallel
+        executor: ``workers`` is accepted only to refuse it with
+        :class:`ConfigError`, as an unknown ``execution_mode`` is.
 
         Preparation (parse/bind/optimize/SCIA) goes through the plan cache:
         repeats of the same statement under an unchanged statistics epoch
@@ -510,6 +504,11 @@ class Database:
         :meth:`create_session` for session-scoped temp tables and
         prepared handles.
         """
+        if workers is not None:
+            raise ConfigError(
+                f"workers={workers!r}: there is no parallel executor; "
+                "every statement runs in one process"
+            )
         if self.config.server_mode:
             return self.server.execute(
                 sql,
@@ -518,19 +517,15 @@ class Database:
                 memory_budget_pages=memory_budget_pages,
                 parametric=parametric,
                 execution_mode=execution_mode,
-                workers=workers,
             )
         prepared = self._prepare(
             sql,
             params=params,
             mode=mode,
             execution_mode=execution_mode,
-            workers=workers,
             parametric=parametric,
         )
-        return self._run(
-            prepared, sql, mode, memory_budget_pages, execution_mode, workers
-        )
+        return self._run(prepared, sql, mode, memory_budget_pages, execution_mode)
 
     def _execute_prepared(
         self,
@@ -541,7 +536,6 @@ class Database:
         memory_budget_pages: int | None,
         parametric: bool,
         execution_mode: str | None,
-        workers: int | None = None,
     ) -> QueryResult:
         """Execution entry point for :class:`PreparedStatement`."""
         if self.config.server_mode:
@@ -554,7 +548,6 @@ class Database:
                 memory_budget_pages=memory_budget_pages,
                 parametric=parametric,
                 execution_mode=execution_mode,
-                workers=workers,
             )
         prepared = self._prepare(
             sql,
@@ -562,12 +555,9 @@ class Database:
             params=params,
             mode=mode,
             execution_mode=execution_mode,
-            workers=workers,
             parametric=parametric,
         )
-        return self._run(
-            prepared, sql, mode, memory_budget_pages, execution_mode, workers
-        )
+        return self._run(prepared, sql, mode, memory_budget_pages, execution_mode)
 
     def _run(
         self,
@@ -576,7 +566,6 @@ class Database:
         mode: DynamicMode,
         memory_budget_pages: int | None = None,
         execution_mode: str | None = None,
-        workers: int | None = None,
         analysis_sink: dict | None = None,
         catalog: Catalog | None = None,
         lease=None,
@@ -604,14 +593,8 @@ class Database:
         optimizer = prepared.optimizer
         scia_result = prepared.scia
         run_config = self.config
-        updates: dict[str, object] = {}
         if execution_mode is not None:
-            updates["execution_mode"] = execution_mode
-        if workers is not None:
-            updates["parallel_workers"] = workers
-        if updates:
-            run_config = self.config.with_updates(**updates)
-            run_config.validate()
+            run_config = self.config.with_updates(execution_mode=execution_mode)
 
         clock = CostClock(self.config.cost)
         tracer: QueryTracer | None = None
@@ -635,7 +618,6 @@ class Database:
             # Broker re-grants/reclaims now flow into this manager; they
             # take effect at the next dynamic re-allocation.
             lease.attach(memory_manager)
-            budget = memory_manager.budget_pages
         ctx = RuntimeContext(
             catalog=cat,
             config=run_config,
@@ -643,7 +625,6 @@ class Database:
             buffer_pool=buffer_pool,
             temp_manager=temp_manager,
             cost_model=cost_model,
-            memory_budget_pages=budget,
             tracer=tracer,
             # With feedback enabled the dispatcher snapshots each adopted
             # plan's estimates here, so query-end absorption compares what
@@ -725,20 +706,6 @@ class Database:
             ),
             plan_cache_hit=prepared.cache_hit,
             plan_cache_miss=prepared.cache_miss,
-            workers=ctx.parallel.workers,
-            morsels=ctx.parallel.morsels,
-            parallel_pipelines=ctx.parallel.pipelines,
-            parallel_join_pipelines=ctx.parallel.join_pipelines,
-            parallel_preagg_pipelines=ctx.parallel.preagg_pipelines,
-            parallel_rows_shipped=ctx.parallel.rows_shipped,
-            parallel_rows_preaggregated=ctx.parallel.rows_preaggregated,
-            parallel_prefetched_morsels=ctx.parallel.prefetched_morsels,
-            parallel_build_pipelines=ctx.parallel.build_pipelines,
-            parallel_sort_pipelines=ctx.parallel.sort_pipelines,
-            sort_runs_merged=ctx.parallel.sort_runs_merged,
-            rows_spilled=ctx.parallel.rows_spilled,
-            morsels_spilled=ctx.parallel.morsels_spilled,
-            partitions_spilled=ctx.parallel.partitions_spilled,
             columnar_pipelines=ctx.columnar.pipelines,
             columnar_keyed_pipelines=ctx.columnar.keyed_pipelines,
             zone_map_skips=ctx.columnar.groups_skipped,
@@ -755,15 +722,6 @@ class Database:
             rows_folded=ctx.vector.rows_folded,
             join_matches=ctx.vector.join_total("matches"),
             join_rows_materialised=ctx.vector.join_total("rows_materialised"),
-            pipeline_wall_s={
-                str(pipeline): {
-                    str(pid): round(secs, 6)
-                    for pid, secs in sorted(per_worker.items())
-                }
-                for pipeline, per_worker in sorted(
-                    ctx.parallel.pipeline_worker_seconds.items()
-                )
-            },
             session=session_label,
             executed_via=executed_via,
             admission_wait_s=admission_wait_s,
@@ -845,16 +803,6 @@ class Database:
         m.counter("reoptimizer.plan_switches").inc(ctx.switches)
         m.counter("reoptimizer.memory_reallocations").inc(ctx.reallocations)
         m.counter("reoptimizer.collectors_inserted").inc(profile.collectors_inserted)
-        m.counter("parallel.pipelines").inc(ctx.parallel.pipelines)
-        m.counter("parallel.morsels").inc(ctx.parallel.morsels)
-        m.counter("parallel.rows_shipped").inc(ctx.parallel.rows_shipped)
-        m.counter("parallel.rows_preaggregated").inc(ctx.parallel.rows_preaggregated)
-        m.counter("parallel.build_pipelines").inc(ctx.parallel.build_pipelines)
-        m.counter("parallel.sort_pipelines").inc(ctx.parallel.sort_pipelines)
-        m.counter("parallel.sort_runs_merged").inc(ctx.parallel.sort_runs_merged)
-        m.counter("parallel.rows_spilled").inc(ctx.parallel.rows_spilled)
-        m.counter("parallel.morsels_spilled").inc(ctx.parallel.morsels_spilled)
-        m.counter("parallel.partitions_spilled").inc(ctx.parallel.partitions_spilled)
         m.counter("columnar.pipelines").inc(ctx.columnar.pipelines)
         m.counter("columnar.keyed_pipelines").inc(ctx.columnar.keyed_pipelines)
         m.counter("columnar.zone_map.groups_read").inc(ctx.columnar.groups_read)
@@ -896,7 +844,6 @@ class Database:
         mode: DynamicMode = DynamicMode.FULL,
         memory_budget_pages: int | None = None,
         execution_mode: str | None = None,
-        workers: int | None = None,
     ) -> ExplainAnalyzeReport:
         """EXPLAIN ANALYZE: execute the statement, then report estimated vs.
         actual rows/size/cost per plan node with Q-errors and
@@ -913,7 +860,6 @@ class Database:
             params=params,
             mode=mode,
             execution_mode=execution_mode,
-            workers=workers,
         )
         sink: dict = {}
         self._run(
@@ -922,7 +868,6 @@ class Database:
             mode,
             memory_budget_pages,
             execution_mode,
-            workers,
             analysis_sink=sink,
         )
         return sink["report"]

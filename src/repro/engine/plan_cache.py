@@ -202,31 +202,6 @@ class PlanCache:
         """Key for a parametric scenario set (mode/value independent)."""
         return ("parametric", scope, masked_sql)
 
-    @staticmethod
-    def execution_key(config, execution_mode: str, workers: int | None) -> str:
-        """The execution-mode component of :meth:`exact_key`.
-
-        Plans are executor-agnostic, but compiled-kernel reuse and the
-        parallel telemetry a cached entry was profiled under are not — so
-        parallel entries specialize on the resolved worker count and on
-        every toggle that changes *which pipelines* fan out (probe-side
-        joins, worker pre-aggregation, build-side joins, parallel sort)
-        or how results travel (partitioned spill).  Prefetch is pure
-        scheduling and deliberately excluded: it cannot change what
-        executes.
-        """
-        if execution_mode != "parallel":
-            return execution_mode
-        resolved = workers if workers is not None else config.parallel_workers
-        return (
-            f"parallel/w{resolved}"
-            f"/j{int(config.parallel_joins)}"
-            f"/a{int(config.parallel_preagg)}"
-            f"/b{int(config.parallel_build)}"
-            f"/s{int(config.parallel_sort)}"
-            f"/p{int(config.parallel_spill)}"
-        )
-
     def lookup(
         self,
         key: tuple,

@@ -50,7 +50,6 @@ class PreparedStatement:
         mode: DynamicMode = DynamicMode.FULL,
         memory_budget_pages: int | None = None,
         execution_mode: str | None = None,
-        workers: int | None = None,
         parametric: bool = True,
     ) -> "QueryResult":
         """Run the statement, reusing cached optimization products.
@@ -68,7 +67,6 @@ class PreparedStatement:
             memory_budget_pages=memory_budget_pages,
             parametric=parametric,
             execution_mode=execution_mode,
-            workers=workers,
         )
         self.executions += 1
         return result

@@ -110,41 +110,8 @@ class ExecutionProfile:
     sketch_values_hashed: int = 0
     minmax_columns_tracked: int = 0
     minmax_python_columns: int = 0
-    #: Morsel-parallel execution telemetry (``execution_mode="parallel"``;
-    #: all zero/empty otherwise).  ``workers`` is the largest pool used by
-    #: any pipeline, ``morsels`` the total morsels executed,
-    #: ``parallel_pipelines`` how many pipelines fanned out (of which
-    #: ``parallel_join_pipelines`` were probe-side hash joins and
-    #: ``parallel_preagg_pipelines`` pre-aggregated in the workers), and
-    #: ``pipeline_wall_s`` maps pipeline id (``"1"``.. in execution order)
-    #: to per-worker-pid busy wall-clock seconds — wall-clock observations
-    #: only, never part of the simulated cost.  ``parallel_rows_shipped``
-    #: counts rows pickled from workers to the merge point;
-    #: ``parallel_rows_preaggregated`` counts pipeline-output rows folded
-    #: into worker-side partials instead of being shipped.
-    workers: int = 0
-    morsels: int = 0
-    parallel_pipelines: int = 0
-    parallel_join_pipelines: int = 0
-    parallel_preagg_pipelines: int = 0
-    parallel_rows_shipped: int = 0
-    parallel_rows_preaggregated: int = 0
-    parallel_prefetched_morsels: int = 0
-    #: Plan-wide parallelism telemetry: hash-join build-side pipelines,
-    #: parallel-sort pipelines and the sorted runs their loser trees
-    #: merged, plus partitioned-spill counters (rows/morsels that travelled
-    #: through per-partition spill files, and how many distinct partitions
-    #: spilled at least once).  Spill counters are transport observations:
-    #: simulated costs never depend on them.
-    parallel_build_pipelines: int = 0
-    parallel_sort_pipelines: int = 0
-    sort_runs_merged: int = 0
-    rows_spilled: int = 0
-    morsels_spilled: int = 0
-    partitions_spilled: int = 0
-    pipeline_wall_s: dict[str, dict[str, float]] = field(default_factory=dict)
-    #: Leaf-pipeline telemetry (batch and parallel execution; zero/empty on
-    #: the row path).  ``leaf_pipelines`` has one record per leaf pipeline,
+    #: Leaf-pipeline telemetry (batch execution; zero/empty on the row
+    #: path).  ``leaf_pipelines`` has one record per leaf pipeline,
     #: keyed by scan node id: ``kernel`` (``"column"`` / ``"row"``), the
     #: ``reason`` a pipeline stayed on the row kernels (temporary table,
     #: predicate without a kernel, no filter; None for column),
@@ -168,8 +135,8 @@ class ExecutionProfile:
     zone_map_rows_skipped: int = 0
     zone_map_by_scan: dict[int, dict] = field(default_factory=dict)
     #: Vectorized-kernel telemetry.  ``vectorized_agg_pipelines`` counts
-    #: aggregates folded by the NumPy group-by kernels (column-space
-    #: pipelines and parallel value-run pre-aggregations alike),
+    #: aggregates folded by the NumPy group-by kernels over column-space
+    #: pipelines,
     #: ``vectorized_probe_pipelines`` hash-join probe sides read in column
     #: space, ``rows_folded`` the input rows those aggregate folds consumed,
     #: ``join_matches`` the rows the joins emitted (as row-id chunks) and
@@ -219,23 +186,6 @@ class ExecutionProfile:
     trace: "QueryTracer | None" = None
 
     @property
-    def worker_wall_s(self) -> dict[str, float]:
-        """Busy wall-clock seconds per worker pid, across all pipelines.
-
-        Backwards-compatible aggregate of :attr:`pipeline_wall_s`, which
-        earlier versions stored directly (then covering leaf pipelines
-        only, the sole parallel pipeline shape at the time).
-        """
-        totals: dict[str, float] = {}
-        for per_worker in self.pipeline_wall_s.values():
-            for pid, seconds in per_worker.items():
-                totals[pid] = totals.get(pid, 0.0) + seconds
-        # Round once after summation: rounding inside the loop would make
-        # the totals depend on pipeline iteration order and drop sub-1e-6
-        # contributions entirely.
-        return {pid: round(total, 6) for pid, total in totals.items()}
-
-    @property
     def stats_overhead_fraction(self) -> float:
         """Observed statistics-collection overhead as a fraction of total."""
         if self.total_cost <= 0:
@@ -259,21 +209,6 @@ class ExecutionProfile:
             f"cache={'hit' if self.plan_cache_hit else 'miss'}"
             + (f"({self.plan_cache_miss})" if self.plan_cache_miss else ""),
         ]
-        if self.parallel_pipelines:
-            lines.append(
-                f"parallel: workers={self.workers} morsels={self.morsels} "
-                f"pipelines={self.parallel_pipelines} "
-                f"(join={self.parallel_join_pipelines}, "
-                f"preagg={self.parallel_preagg_pipelines}, "
-                f"build={self.parallel_build_pipelines}, "
-                f"sort={self.parallel_sort_pipelines}) "
-                f"rows shipped/preaggregated="
-                f"{self.parallel_rows_shipped}/{self.parallel_rows_preaggregated} "
-                f"prefetched={self.parallel_prefetched_morsels} "
-                f"spilled={self.rows_spilled} rows/"
-                f"{self.partitions_spilled} partitions "
-                f"sort runs merged={self.sort_runs_merged}"
-            )
         if self.leaf_pipelines:
             records = self.leaf_pipelines.values()
             lines.append(

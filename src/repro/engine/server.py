@@ -13,9 +13,9 @@ priority queue (FIFO within a priority level).  A full queue rejects
 immediately and a parked statement times out after ``admission_timeout_s``
 — both raise :class:`~repro.errors.AdmissionError`.
 
-**The global memory broker** (:class:`GlobalMemoryBroker`) generalizes
-:meth:`MemoryManager.split_grant` from parallel workers to sessions: the
-server-wide page pool is divided into per-session leases.  Under the
+**The global memory broker** (:class:`GlobalMemoryBroker`) divides the
+server-wide page pool into per-session leases
+(:meth:`MemoryManager.split_grant` computes the fair shares).  Under the
 ``fair`` policy a lease may *borrow* idle pages beyond its fair share; when
 another session arrives (or leaves), the broker reclaims borrowed headroom
 and re-grants freed pages to running leases by resizing their
@@ -383,7 +383,6 @@ def _forked_statement_worker(conn, database, catalog, scope, call) -> None:
             params=call["params"],
             mode=call["mode"],
             execution_mode=call["execution_mode"],
-            workers=call["workers"],
             parametric=call["parametric"],
             catalog=catalog,
             cache_scope=scope,
@@ -394,7 +393,6 @@ def _forked_statement_worker(conn, database, catalog, scope, call) -> None:
             call["mode"],
             memory_budget_pages=call["budget_pages"],
             execution_mode=call["execution_mode"],
-            workers=call["workers"],
             catalog=catalog,
             session_label=call["label"],
             admission_wait_s=call["admission_wait_s"],
@@ -460,7 +458,6 @@ class QueryServer:
         memory_budget_pages: int | None = None,
         parametric: bool = False,
         execution_mode: str | None = None,
-        workers: int | None = None,
         priority: int = 0,
     ) -> "QueryResult":
         """One-shot execution without a long-lived session.
@@ -477,7 +474,6 @@ class QueryServer:
             memory_budget_pages=memory_budget_pages,
             parametric=parametric,
             execution_mode=execution_mode,
-            workers=workers,
             priority=priority,
         )
 
@@ -491,7 +487,6 @@ class QueryServer:
         memory_budget_pages: int | None = None,
         parametric: bool = False,
         execution_mode: str | None = None,
-        workers: int | None = None,
         priority: int = 0,
     ) -> "QueryResult":
         db = self.database
@@ -514,12 +509,12 @@ class QueryServer:
                     return self._run_forked(
                         catalog, scope, label, lease, wait_s, depth,
                         sql, ast, params, mode, parametric,
-                        execution_mode, workers,
+                        execution_mode,
                     )
                 return self._run_threaded(
                     catalog, scope, label, lease, wait_s, depth,
                     sql, ast, params, mode, parametric,
-                    execution_mode, workers,
+                    execution_mode,
                 )
             finally:
                 self.broker.release(lease)
@@ -530,7 +525,7 @@ class QueryServer:
 
     def _run_threaded(
         self, catalog, scope, label, lease, wait_s, depth,
-        sql, ast, params, mode, parametric, execution_mode, workers,
+        sql, ast, params, mode, parametric, execution_mode,
     ) -> "QueryResult":
         db = self.database
         prepared = db._prepare(
@@ -539,7 +534,6 @@ class QueryServer:
             params=params,
             mode=mode,
             execution_mode=execution_mode,
-            workers=workers,
             parametric=parametric,
             catalog=catalog,
             cache_scope=scope,
@@ -549,7 +543,6 @@ class QueryServer:
             sql,
             mode,
             execution_mode=execution_mode,
-            workers=workers,
             catalog=catalog,
             lease=lease,
             session_label=label,
@@ -560,7 +553,7 @@ class QueryServer:
 
     def _run_forked(
         self, catalog, scope, label, lease, wait_s, depth,
-        sql, ast, params, mode, parametric, execution_mode, workers,
+        sql, ast, params, mode, parametric, execution_mode,
     ) -> "QueryResult":
         import multiprocessing
 
@@ -573,7 +566,6 @@ class QueryServer:
             "mode": mode,
             "parametric": parametric,
             "execution_mode": execution_mode,
-            "workers": workers,
             "label": label,
             "admission_wait_s": wait_s,
             "queue_depth": depth,

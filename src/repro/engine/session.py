@@ -275,7 +275,6 @@ class Session:
         memory_budget_pages: int | None = None,
         parametric: bool = False,
         execution_mode: str | None = None,
-        workers: int | None = None,
         priority: int = 0,
     ) -> "QueryResult":
         """Execute a statement through admission control and the broker."""
@@ -289,7 +288,6 @@ class Session:
                 memory_budget_pages=memory_budget_pages,
                 parametric=parametric,
                 execution_mode=execution_mode,
-                workers=workers,
                 priority=priority,
             )
 
@@ -321,7 +319,6 @@ class Session:
         memory_budget_pages: int | None,
         parametric: bool,
         execution_mode: str | None,
-        workers: int | None = None,
     ) -> "QueryResult":
         self._check_open()
         with self._statement_guard():
@@ -334,7 +331,6 @@ class Session:
                 memory_budget_pages=memory_budget_pages,
                 parametric=parametric,
                 execution_mode=execution_mode,
-                workers=workers,
             )
 
     # -- lifecycle --------------------------------------------------------

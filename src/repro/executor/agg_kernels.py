@@ -424,11 +424,10 @@ def left_fold_sum(values: Sequence):
     """``total = 0; for v in values: total += v`` — exact, with the
     vectorized fold fast path for all-float runs.
 
-    Used to finalise parallel pre-aggregation value runs: the run is one
-    group's non-NULL values in row order, so one sequential fold at the
-    merge point reproduces the serial total bit-for-bit.  Runs holding
-    any non-float (Python int arithmetic keeps integer totals exact and
-    type-visible in the output) take the plain loop.
+    The fold runs in input order, so the total equals the row-at-a-time
+    fold bit-for-bit.  Runs holding any non-float (Python int arithmetic
+    keeps integer totals exact and type-visible in the output) take the
+    plain loop.
     """
     n = len(values)
     if _ACCUMULATE_OK and n > 16 and all(type(value) is float for value in values):

@@ -113,15 +113,6 @@ BatchIterator = Iterator[Batch]
 
 def execute_node_batches(node: PlanNode, ctx: RuntimeContext) -> BatchIterator:
     """Execute a plan subtree, yielding non-empty batches of result rows."""
-    if ctx.execution_mode == "parallel":
-        from .parallel import morsel_pipeline
-
-        # Leaf pipelines (scan + filters/projections + collector) fan out
-        # across the morsel worker pool; the merged stream is batch-path
-        # identical, including bookkeeping, so no _tracked wrapper here.
-        parallel_stream = morsel_pipeline(node, ctx)
-        if parallel_stream is not None:
-            return parallel_stream
     # Leaf pipelines with vectorizable filters run over the table's column
     # arrays with zone-map skipping; the stream is row-kernel identical,
     # including bookkeeping, so no _tracked wrapper here.
@@ -352,28 +343,15 @@ def _hash_join(node: HashJoinNode, ctx: RuntimeContext) -> BatchIterator:
     page_size = ctx.catalog.page_size
 
     # --- build phase (blocking) ---
-    # A leaf-extractable build side can fan out across the morsel worker
-    # pool: workers fold partition hash tables merged in morsel order, and
-    # flattening the merged buckets keeps every key's rows in build order —
-    # all the emission order depends on.
-    hash_table = None
-    if ctx.execution_mode == "parallel":
-        from .parallel import morsel_build_table
-
-        built = morsel_build_table(node, ctx)
-        if built is not None:
-            hash_table, build_rows, grant = built
-            batches = [list(chain.from_iterable(hash_table.values()))]
-    if hash_table is None:
-        batches = []
-        build_rows = 0
-        grant = None
-        responsive = ctx.config.responsive_hash_joins
-        for batch in execute_node_batches(node.build, ctx):
-            if grant is None and not responsive:
-                grant = ctx.commit_memory(node)
-            build_rows += len(batch)
-            batches.append(batch)
+    batches = []
+    build_rows = 0
+    grant = None
+    responsive = ctx.config.responsive_hash_joins
+    for batch in execute_node_batches(node.build, ctx):
+        if grant is None and not responsive:
+            grant = ctx.commit_memory(node)
+        build_rows += len(batch)
+        batches.append(batch)
     if grant is None:
         grant = ctx.commit_memory(node)
     build = Chunk.concat(batches, len(build_schema))
@@ -383,25 +361,6 @@ def _hash_join(node: HashJoinNode, ctx: RuntimeContext) -> BatchIterator:
 
     # --- plan-switch window: build done, probe not started ---
     directive = ctx.take_switch_for(node.node_id)
-
-    # With the build side materialized (and the switch window resolved),
-    # a leaf-extractable probe child can fan out across the morsel worker
-    # pool: forked workers inherit the finished hash table copy-on-write
-    # and run the probe lookup as the pipeline's top stage.  The merged
-    # stream — batches, charges, statistics — is byte-identical to
-    # probe_batches() below, so a pending switch spools the same temp
-    # table either way.
-    if ctx.execution_mode == "parallel":
-        from .parallel import morsel_probe_pipeline
-
-        parallel_probe = morsel_probe_pipeline(
-            node, ctx, build if hash_table is None else hash_table, build_pages, grant
-        )
-        if parallel_probe is not None:
-            if directive is not None:
-                ctx.spool_and_switch(node, directive, chain.from_iterable(parallel_probe))
-            yield from parallel_probe
-            return
 
     # The build structure is the sorted key index, born from the build
     # side's key columns.  A single-key probe side that runs in column
@@ -634,23 +593,11 @@ def _hash_aggregate(node: HashAggregateNode, ctx: RuntimeContext) -> BatchIterat
     groups: dict[object, list[_AggState]] = {}
     input_rows = 0
     grant: int | None = None
-    preaggregated = None
-    if ctx.execution_mode == "parallel":
-        from .parallel import morsel_preaggregate
-
-        # Workers fold their morsels into per-group partials and ship
-        # those instead of rows; partials merge in morsel order, so group
-        # states, group order and every output byte match the serial fold.
-        # Float SUM/AVG partials travel as ordered value runs folded once
-        # at the merge point; returns None (and we fold below) only for
-        # non-numeric SUM/AVG arguments.
-        preaggregated = morsel_preaggregate(node, ctx)
-    if preaggregated is None:
-        # Best case the whole aggregate runs in column space: keys
-        # factorize straight off the column arrays and every fold runs in
-        # the vectorized kernels, bit-identical to the serial accumulator
-        # (executor/agg_kernels.py documents the parity argument).
-        preaggregated = columnar_vectorized_aggregate(node, ctx)
+    # Best case the whole aggregate runs in column space: keys factorize
+    # straight off the column arrays and every fold runs in the vectorized
+    # kernels, bit-identical to the serial accumulator
+    # (executor/agg_kernels.py documents the parity argument).
+    preaggregated = columnar_vectorized_aggregate(node, ctx)
     if preaggregated is not None:
         groups, input_rows, grant = preaggregated
     else:
@@ -739,28 +686,17 @@ def _distinct(node: DistinctNode, ctx: RuntimeContext) -> BatchIterator:
 
 
 def _sort(node: SortNode, ctx: RuntimeContext) -> BatchIterator:
-    # A leaf-extractable input can fan out across the morsel worker pool:
-    # workers ship sorted runs, merged by a loser tree whose morsel-order
-    # tie-break reproduces the serial stable sort byte-for-byte.
-    rows = None
+    rows = []
     grant: int | None = None
-    if ctx.execution_mode == "parallel":
-        from .parallel import morsel_sort
-
-        sorted_runs = morsel_sort(node, ctx)
-        if sorted_runs is not None:
-            rows, grant = sorted_runs
     schema = node.schema
-    if rows is None:
-        rows = []
-        for batch in execute_node_batches(node.child, ctx):
-            if grant is None:
-                grant = ctx.commit_memory(node)
-            rows.extend(batch)
-        # Stable multi-key sort: apply keys in reverse significance order.
-        for key in reversed(node.keys):
-            position = schema.index_of(key.name)
-            rows.sort(key=itemgetter(position), reverse=not key.ascending)
+    for batch in execute_node_batches(node.child, ctx):
+        if grant is None:
+            grant = ctx.commit_memory(node)
+        rows.extend(batch)
+    # Stable multi-key sort: apply keys in reverse significance order.
+    for key in reversed(node.keys):
+        position = schema.index_of(key.name)
+        rows.sort(key=itemgetter(position), reverse=not key.ascending)
     if grant is None:
         grant = ctx.commit_memory(node)
     page_size = ctx.catalog.page_size

@@ -21,7 +21,6 @@ that the improved-estimate machinery substitutes into the plan.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from functools import wraps
 from itertools import chain
@@ -31,9 +30,9 @@ from typing import Mapping, Sequence
 
 from ..config import EngineConfig
 from ..plans.physical import CollectorSpec, StatsCollectorNode
-from ..stats.distinct import HybridDistinct, _mix64
+from ..stats.distinct import HybridDistinct
 from ..stats.histogram import Histogram, HistogramKind, from_sample
-from ..stats.sampling import RowSampler, merge_samples
+from ..stats.sampling import RowSampler
 from ..stats.table_stats import ColumnStats
 from ..stats.estimator import RelProfile
 from ..storage.schema import Schema
@@ -182,31 +181,6 @@ def _guess_dtype(histogram: Histogram):
     return DataType.FLOAT if histogram.buckets else DataType.INTEGER
 
 
-#: Salt for the dedicated reservoir-merge RNG, so merge randomness never
-#: aliases the per-reservoir sampling streams derived from the same seed.
-_MERGE_RNG_SALT = 0xC2B2AE3D27D4EB4F
-
-
-@dataclass
-class CollectorPartial:
-    """Picklable partial collector state for one morsel of input.
-
-    Everything a parallel worker ships back about the statistics side of a
-    leaf pipeline: running count, per-column min/max, the distinct sketches
-    (bitmap-OR mergeable), and — in merge-mode statistics only — the
-    per-morsel-seeded row sampler with one sample per histogram column.
-    Exact-mode workers ship ``sampler=None``; the parent replays its
-    serially-seeded sampler over the (already shipped) output rows instead.
-    """
-
-    row_count: int
-    minmax: dict[str, list]
-    sketches: dict[tuple[str, ...], HybridDistinct]
-    sampler: RowSampler | None
-    samples: dict[str, list]
-    wall_s: float = 0.0
-
-
 def _timed(method):
     """Add a batch entry point's wall-clock seconds to ``wall_s``."""
 
@@ -227,14 +201,12 @@ class RuntimeCollector:
         node: StatsCollectorNode,
         schema: Schema,
         config: EngineConfig,
-        collect_reservoirs: bool = True,
-        reservoir_seed: int | None = None,
     ) -> None:
         self.node = node
         self.schema = schema
         self.config = config
         self.row_count = 0
-        #: Seconds inside the batch entry points (per-row ``observe`` is not
+        #: Seconds inside the batch entry point (per-row ``observe`` is not
         #: timed: reading the clock would cost more than the work).
         self.wall_s = 0.0
         spec: CollectorSpec = node.spec
@@ -254,20 +226,10 @@ class RuntimeCollector:
         self._minmax_python: set[str] = set()
         # One row sampler decides which rows enter the sample; every
         # histogram column keeps the values of exactly those rows.
-        # ``collect_reservoirs=False`` is the exact-statistics parallel
-        # worker: reservoir sampling is the one non-mergeable statistic (its
-        # sample depends on one serial RNG stream), so workers skip it and
-        # the parent replays it over the merged output.  ``reservoir_seed``
-        # is the merge-statistics worker: an independent stream per morsel
-        # index, making merged samples schedule-independent.
-        seed = config.seed if reservoir_seed is None else reservoir_seed
-        self._sampler = RowSampler(config.reservoir_sample_size, seed=seed)
-        self._samples: dict[str, tuple[int, list]] = (
-            {col: (schema.index_of(col), []) for col in spec.histogram_columns}
-            if collect_reservoirs
-            else {}
-        )
-        self._merge_rng: random.Random | None = None
+        self._sampler = RowSampler(config.reservoir_sample_size, seed=config.seed)
+        self._samples: dict[str, tuple[int, list]] = {
+            col: (schema.index_of(col), []) for col in spec.histogram_columns
+        }
         self._sketches: dict[tuple[str, ...], tuple[tuple[int, ...], HybridDistinct]] = {}
         for cols in spec.distinct_column_sets:
             positions = tuple(schema.index_of(c) for c in cols)
@@ -358,82 +320,6 @@ class RuntimeCollector:
                 sketch.add_batch(rows.values(positions[0]))
             else:
                 sketch.add_batch(zip(*map(rows.values, positions)))
-
-    def export_partial(self) -> CollectorPartial:
-        """Package this collector's state for shipping to a merging parent."""
-        return CollectorPartial(
-            row_count=self.row_count,
-            minmax={name: list(entry) for name, entry in self._minmax.items()},
-            sketches={cols: sketch for cols, (__, sketch) in self._sketches.items()},
-            sampler=self._sampler if self._samples else None,
-            samples={col: sample for col, (__, sample) in self._samples.items()},
-            wall_s=self.wall_s,
-        )
-
-    @_timed
-    def absorb_partial(self, partial: CollectorPartial) -> None:
-        """Fold one morsel's partial state into this collector.
-
-        Counts and min/max fold associatively; distinct sketches merge
-        losslessly (bitmap OR / exact-set union), so absorbing partials in
-        *any* order yields the state a serial collector would have reached.
-        Samples (merge-mode statistics only) merge column by column with a
-        dedicated RNG, so as long as partials arrive in morsel order — which
-        the parallel executor guarantees regardless of worker scheduling —
-        the merged sample is deterministic.
-        """
-        self.row_count += partial.row_count
-        self.wall_s += partial.wall_s
-        for name, (lo, hi) in partial.minmax.items():
-            self._fold_minmax(name, lo, hi)
-        for cols, sketch in partial.sketches.items():
-            self._sketches[cols][1].merge(sketch)
-        theirs = partial.sampler
-        if theirs is not None:
-            if self._merge_rng is None:
-                self._merge_rng = random.Random(
-                    _mix64(self.config.seed ^ _MERGE_RNG_SALT)
-                )
-            ours = self._sampler
-            for col, sample in partial.samples.items():
-                merged = self._samples[col][1]
-                merged[:] = merge_samples(
-                    merged, ours.seen, sample, theirs.seen,
-                    ours.capacity, self._merge_rng,
-                )
-            ours.seen += theirs.seen
-            ours.draws += theirs.draws
-
-    @_timed
-    def replay_reservoirs(self, rows: Sequence[Row]) -> None:
-        """Offer pipeline output rows to the sampler only (exact mode).
-
-        The sampler consumes one draw per offered row — so feeding the rows
-        in morsel order reproduces the serial collector's samples
-        bit-for-bit while counts/min-max/sketches arrive pre-merged from
-        the workers.
-        """
-        self._sample_rows(rows)
-
-    @_timed
-    def replay_reservoir_values(self, values_by_column: dict[str, list]) -> None:
-        """Offer pre-extracted column values to the sampler (exact mode).
-
-        The probe-side and pre-aggregating parallel pipelines do not ship
-        the collector's input rows (they ship joined rows or aggregate
-        partials), so workers extract each histogram column's values — one
-        per input row, so the lists are equally long — and ship those
-        instead.  The sampler's stream depends only on how many rows it is
-        offered, so replaying per-morsel value runs in morsel order is
-        bit-identical to the serial row stream.
-        """
-        count = len(next(iter(values_by_column.values()), ()))
-        fill, hits = self._sampler.offer(count)
-        for column, values in values_by_column.items():
-            sample = self._samples[column][1]
-            sample.extend(values[:fill])
-            for offset, slot in hits:
-                sample[slot] = values[offset]
 
     def finalize(self) -> ObservedStatistics:
         """Turn the accumulated state into observed statistics."""

@@ -8,8 +8,6 @@ typed NumPy array per column per *page group*, where a page group is exactly
 the run of pages the batch scan yields as one batch.  Whether a pipeline
 qualifies is decided from what the code can observe, never by an option:
 
-* the statement runs under ``execution_mode="batch"`` (the default;
-  ``"parallel"`` fans leaf pipelines out as row morsels instead),
 * the table is a base table (a temporary table is written once and read
   once; encoding its columns would cost more than the row kernels save), and
 * every stage has an exact column-space kernel: filters compile to NumPy
@@ -312,11 +310,7 @@ def _prepare(node: PlanNode, ctx: RuntimeContext) -> _Prepared | None:
     table = ctx.catalog.table(scan.table_name)
     nodes_bottom_up = chain[::-1]
     reason = kernels = None
-    if ctx.execution_mode != "batch":
-        # Morsel-parallel execution fans leaf pipelines out as row morsels;
-        # what it leaves serial stays on the row kernels it was tuned with.
-        reason = "parallel execution mode"
-    elif table.is_temporary:
+    if table.is_temporary:
         reason = "temporary table"
     else:
         kernels = node.compiled(
@@ -428,10 +422,9 @@ def _materialise(prepared: _Prepared, store: ColumnStore, group: ColumnGroup, in
 def columnar_vectorized_aggregate(node, ctx: RuntimeContext):
     """Fully vectorized hash aggregation over a prepared column view.
 
-    Returns ``(groups, input_rows, grant)`` — the contract
-    ``morsel_preaggregate`` established — or None to stay on the serial
-    fold.  The input pipeline runs in column space end to end and hands
-    over one selection per page group; no row is ever materialised.  Keys
+    Returns ``(groups, input_rows, grant)`` or None to stay on the
+    per-batch fold.  The input pipeline runs in column space end to end
+    and hands over one selection per page group; no row is ever materialised.  Keys
     factorize in first-occurrence order over the whole stream, then each
     aggregate argument is gathered and folded *one column at a time* —
     only the selections, the group codes and a single column's values are

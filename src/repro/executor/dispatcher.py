@@ -127,7 +127,7 @@ class Dispatcher:
         they surface at batch boundaries (the cut operator's blocking point),
         so re-optimization semantics are identical.
         """
-        if self.ctx.execution_mode in ("batch", "parallel"):
+        if self.ctx.execution_mode == "batch":
             rows: list[Row] = []
             for batch in execute_node_batches(plan, self.ctx):
                 rows.extend(batch)

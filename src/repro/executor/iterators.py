@@ -545,9 +545,10 @@ class _AggState:
         bit: COUNT, integer SUM/AVG totals (integer addition regroups
         freely) and MIN/MAX, whose strict comparisons keep the earlier
         occurrence just like the serial fold.  Float SUM/AVG partial
-        *totals* must never be merged — the parallel pre-aggregation
-        path ships their ordered value runs instead and performs one
-        exact left fold at the merge point (see executor.parallel).
+        *totals* must never be merged: float addition does not regroup, so
+        only one left fold over the values in input order
+        (:func:`~repro.executor.agg_kernels.left_fold_sum`) reproduces the
+        serial total.
         """
         self.count += other.count
         self.total += other.total

@@ -178,18 +178,16 @@ class MemoryManager:
     def split_grant(pages: int, partitions: int) -> list[int]:
         """Divide a grant of ``pages`` across ``partitions`` consumers.
 
-        Used by the morsel-parallel executor to bound per-worker staging
-        memory and by the cross-session memory broker to compute per-session
-        fair shares: shares differ by at most one page and sum exactly to
-        the grant, with earlier partitions receiving the remainder pages.
+        Used by the cross-session memory broker to compute per-session fair
+        shares: shares differ by at most one page and sum exactly to the
+        grant, with earlier partitions receiving the remainder pages.
 
-        Degenerate splits follow a **floor-zero contract**, the same one
-        :meth:`spill_windows` exposes: ``pages <= 0`` yields all-zero shares
-        (never an error), and ``partitions > pages`` yields trailing
-        zero-page shares — the sum stays exact and no share is ever
-        invented.  Callers that cannot tolerate a zero share (the staging
-        windows' anti-deadlock floor, the broker's one-page session
-        guarantee) must apply their floor explicitly on top.
+        Degenerate splits follow a **floor-zero contract**: ``pages <= 0``
+        yields all-zero shares (never an error), and ``partitions > pages``
+        yields trailing zero-page shares — the sum stays exact and no share
+        is ever invented.  Callers that cannot tolerate a zero share (the
+        broker's one-page session guarantee) must apply their floor
+        explicitly on top.
         """
         if partitions <= 0:
             raise MemoryGrantError(
@@ -197,61 +195,6 @@ class MemoryManager:
             )
         base, extra = divmod(max(0, pages), partitions)
         return [base + 1 if i < extra else base for i in range(partitions)]
-
-    @staticmethod
-    def _result_windows(
-        free_pages: int, partitions: int, morsel_pages: int, cap: int, floor: int
-    ) -> list[int]:
-        """Shared share→window arithmetic for the two window helpers.
-
-        Each partition's :meth:`split_grant` share of ``free_pages`` is
-        converted into a count of morsel results, clamped to
-        ``[min(floor, cap), cap]`` — the floor never outranks the cap, so a
-        caller asking for at most zero windows gets zero even when its
-        declared floor is one.
-        """
-        shares = MemoryManager.split_grant(free_pages, partitions)
-        low = min(floor, cap)
-        return [
-            max(low, min(share // max(1, morsel_pages), cap)) for share in shares
-        ]
-
-    @staticmethod
-    def staging_windows(
-        free_pages: int, partitions: int, morsel_pages: int, cap: int
-    ) -> list[int]:
-        """Per-partition staging windows for the morsel-parallel executor.
-
-        Each partition worker's :meth:`split_grant` share of the workspace
-        pages the operator allocation left free is converted into a count
-        of unmerged morsel results it may hold — at least one (a tight
-        budget degrades throughput instead of deadlocking) and at most
-        ``cap`` (the merge point must not hoard results).
-        """
-        return MemoryManager._result_windows(
-            free_pages, partitions, morsel_pages, cap, floor=1
-        )
-
-    @staticmethod
-    def spill_windows(
-        free_pages: int, partitions: int, morsel_pages: int, cap: int
-    ) -> list[int]:
-        """Per-partition read-back budgets for spilled morsel results.
-
-        With partitioned spill on, a worker whose staging window is
-        exhausted writes results to its per-partition spill file — keyed
-        by the stable range-affine partition id — instead of blocking.
-        This arbitrates the second half of that bargain: how many spilled
-        results each partition's read-ahead may stage back into parent
-        memory beyond its staging window.  Shares come from the same
-        :meth:`split_grant` arithmetic under its floor-zero contract: a
-        zero share yields zero windows (spilled payloads then stay on disk
-        until the merge point reaches them), and windows are capped at
-        ``cap``.
-        """
-        return MemoryManager._result_windows(
-            free_pages, partitions, morsel_pages, cap, floor=0
-        )
 
     @staticmethod
     def _grant_max_or_min(

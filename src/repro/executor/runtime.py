@@ -70,76 +70,6 @@ class ExecutionController(Protocol):
 
 
 @dataclass
-class ParallelExecStats:
-    """Morsel-execution telemetry accumulated over one query run.
-
-    Purely observational (wall-clock, worker identities): nothing here may
-    feed back into simulated costs or statistics, which stay bit-identical
-    to the serial batch path by construction.
-    """
-
-    #: Largest effective pool size used by any parallel pipeline (0 until
-    #: the first pipeline runs; 1 when every pipeline fell back to serial).
-    workers: int = 0
-    #: Total morsels executed across all parallel pipelines.
-    morsels: int = 0
-    #: Number of pipelines (leaf, probe-side or pre-aggregating) that took
-    #: the morsel-parallel path.
-    pipelines: int = 0
-    #: Of those, probe-side hash-join pipelines.
-    join_pipelines: int = 0
-    #: Of those, pipelines that pre-aggregated in the workers.
-    preagg_pipelines: int = 0
-    #: Of those, hash-join build-side pipelines (per-worker partition
-    #: hash tables merged in morsel order).
-    build_pipelines: int = 0
-    #: Of those, sort pipelines (per-worker sorted runs, loser-tree merge).
-    sort_pipelines: int = 0
-    #: Sorted runs consumed by loser-tree merges (one run per morsel that
-    #: produced pipeline output).
-    sort_runs_merged: int = 0
-    #: Rows that travelled through per-partition spill files because the
-    #: worker's staging window was exhausted (``parallel_spill``).
-    rows_spilled: int = 0
-    #: Morsel results spilled to per-partition files.
-    morsels_spilled: int = 0
-    #: Distinct partitions that spilled at least one result.
-    partitions_spilled: int = 0
-    #: Rows shipped from workers to the merge point (pre-aggregated
-    #: pipelines ship group partials instead, so their input rows are
-    #: counted in :attr:`rows_preaggregated`, not here).
-    rows_shipped: int = 0
-    #: Pipeline-output rows folded into worker-side aggregate partials
-    #: instead of being shipped.
-    rows_preaggregated: int = 0
-    #: Group partials shipped by pre-aggregating morsels (one per group
-    #: per morsel; compare with :attr:`rows_preaggregated` for the
-    #: shipping reduction).
-    groups_shipped: int = 0
-    #: Morsel results that were already staged (unpickled by a read-ahead
-    #: thread) when the merge loop asked for them.
-    prefetched_morsels: int = 0
-    #: Busy wall-clock seconds per worker process id, per pipeline
-    #: (pipelines are numbered 1..n in execution order; the parent's pid
-    #: appears for in-process fallback morsels).
-    pipeline_worker_seconds: dict[int, dict[int, float]] = field(
-        default_factory=dict
-    )
-    #: Set once a requested multi-worker pool degraded to serial execution
-    #: (platform without ``fork``), so the warning fires once per run.
-    fallback_warned: bool = False
-
-    @property
-    def worker_seconds(self) -> dict[int, float]:
-        """Busy seconds per worker pid, aggregated across pipelines."""
-        totals: dict[int, float] = {}
-        for per_worker in self.pipeline_worker_seconds.values():
-            for pid, seconds in per_worker.items():
-                totals[pid] = totals.get(pid, 0.0) + seconds
-        return totals
-
-
-@dataclass
 class ColumnarExecStats:
     """Leaf-pipeline telemetry accumulated over one query run.
 
@@ -207,8 +137,7 @@ class VectorExecStats:
     """
 
     #: Hash aggregates folded entirely by the vectorized kernels (the
-    #: column-space whole-stream fold or a run-shipping morsel
-    #: pre-aggregation).
+    #: column-space whole-stream fold).
     agg_pipelines: int = 0
     #: Hash-join probe sides read in column space, materialised late.
     probe_pipelines: int = 0
@@ -255,23 +184,15 @@ class RuntimeContext:
     switches: int = 0
     #: Count of memory re-allocations performed so far.
     reallocations: int = 0
-    #: Morsel-parallel telemetry (populated by :mod:`repro.executor.parallel`).
-    parallel: ParallelExecStats = field(default_factory=ParallelExecStats)
     #: Leaf-pipeline telemetry (populated by :mod:`repro.executor.columnar`).
     columnar: ColumnarExecStats = field(default_factory=ColumnarExecStats)
     #: Vectorized-kernel telemetry (populated by the agg/probe kernels).
     vector: VectorExecStats = field(default_factory=VectorExecStats)
-    #: The query's total workspace budget in pages; the parallel executor
-    #: bounds its in-flight morsel staging by what the allocation left free.
-    memory_budget_pages: int = 0
     #: Optional span tracer (:mod:`repro.observe.trace`).  Strictly
     #: observational — it reads ``clock.now`` but never charges, so every
     #: simulated quantity is identical whether or not it is attached.  All
     #: hooks guard on ``None`` so disabled tracing costs one attribute
-    #: check per operator, never per row.  On the parallel path all span
-    #: recording happens in the merging parent (workers run raw stage
-    #: functions, not the mark hooks), so worker scheduling cannot reorder
-    #: the trace.
+    #: check per operator, never per row.
     tracer: "QueryTracer | None" = None
     #: Per-node estimate snapshots taken at plan adoption, keyed by node id
     #: (populated by the dispatcher when the feedback repository is enabled;
@@ -281,7 +202,7 @@ class RuntimeContext:
 
     @property
     def execution_mode(self) -> str:
-        """``"row"``, ``"batch"`` or ``"parallel"`` execution."""
+        """``"row"`` or ``"batch"`` execution."""
         return self.config.execution_mode
 
     @property

@@ -19,14 +19,12 @@ Two invariants the rest of the engine relies on:
   ``if ctx.tracer is not None`` at span/event granularity (never per row),
   so a disabled tracer costs one attribute check per operator.
 
-Span-closure discipline: operator and pipeline spans on the parallel path
-complete FIFO (``_execute_morsels`` marks the scan complete before the
-stages above it), and mid-query plan switches abandon generators whose
+Span-closure discipline: mid-query plan switches abandon generators whose
 natural end never runs.  Chrome's ``B``/``E`` events require strict LIFO
 nesting per thread, so only the strictly-sequential top-level spans
 (compile phases, ``execute``, per-plan spans) export as ``B``/``E`` pairs;
-operator/pipeline/morsel spans export as ``X`` *complete* events, which
-carry an explicit duration and have no nesting requirement.  Spans still
+operator/pipeline spans export as ``X`` *complete* events, which carry an
+explicit duration and have no nesting requirement.  Spans still
 open at export time are auto-closed (LIFO) at the export timestamp.
 """
 
@@ -61,7 +59,6 @@ class Span:
     seq: int
     wall_start_us: float
     sim_start: float | None
-    tid: int
     args: dict[str, Any]
     wall_end_us: float | None = None
     sim_end: float | None = None
@@ -135,8 +132,7 @@ class QueryTracer:
     # span / event recording
     # ------------------------------------------------------------------
 
-    def begin(self, name: str, category: str = "exec", *, tid: int = 1,
-              **args: Any) -> Span:
+    def begin(self, name: str, category: str = "exec", **args: Any) -> Span:
         span = Span(
             span_id=self._next_span_id,
             name=name,
@@ -144,7 +140,6 @@ class QueryTracer:
             seq=self._next_seq(),
             wall_start_us=self._now_us(),
             sim_start=self._sim_now(),
-            tid=tid,
             args=dict(args),
         )
         self._next_span_id += 1
@@ -162,29 +157,6 @@ class QueryTracer:
             span.args.update(args)
         if span in self._open:
             self._open.remove(span)
-
-    def completed_span(self, name: str, category: str, *, wall_start_us: float,
-                       wall_end_us: float, tid: int = 1,
-                       sim_start: float | None = None,
-                       sim_end: float | None = None, **args: Any) -> Span:
-        """Record a span retroactively (e.g. a worker-side morsel whose
-        duration is only known when its result merges in the parent)."""
-        span = Span(
-            span_id=self._next_span_id,
-            name=name,
-            category=category,
-            seq=self._next_seq(),
-            wall_start_us=wall_start_us,
-            sim_start=sim_start,
-            tid=tid,
-            args=dict(args),
-            wall_end_us=wall_end_us,
-            sim_end=sim_end,
-            end_seq=self._next_seq(),
-        )
-        self._next_span_id += 1
-        self.spans.append(span)
-        return span
 
     def instant(self, name: str, category: str = "event", **args: Any) -> None:
         self.events.append(
@@ -252,23 +224,6 @@ class QueryTracer:
         if window is None:
             self.node_windows[node.node_id] = [self._sim_now(), None, None]
 
-    def morsel_merged(self, pipeline_id: int, index: int, pid: int,
-                      elapsed_s: float, rows_shipped: int) -> None:
-        """Record a worker morsel retroactively as its result merges in the
-        parent.  The worker never touches the tracer; its measured wall time
-        is back-dated from the merge instant, on the worker's own tid lane."""
-        end_us = self._now_us()
-        start_us = max(0.0, end_us - max(0.0, elapsed_s) * 1e6)
-        self.completed_span(
-            f"morsel-{index}",
-            "morsel",
-            wall_start_us=start_us,
-            wall_end_us=end_us,
-            tid=pid,
-            pipeline=pipeline_id,
-            rows_shipped=rows_shipped,
-        )
-
     def node_completed(self, node: "PlanNode", rows: int) -> None:
         stack = self._node_open.get(node.node_id)
         if stack:
@@ -298,7 +253,7 @@ class QueryTracer:
                 "name": span.name,
                 "cat": span.category,
                 "pid": self.pid,
-                "tid": span.tid,
+                "tid": 1,
             }
 
         for span in self.spans:

@@ -220,18 +220,6 @@ class FlajoletMartin:
             )
         self._bitmaps = [a | b for a, b in zip(self._bitmaps, other._bitmaps)]
 
-    def __getstate__(self) -> dict:
-        return {
-            "num_maps": self.num_maps,
-            "salt": self._salt,
-            "bitmaps": list(self._bitmaps),
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.num_maps = state["num_maps"]
-        self._salt = state["salt"]
-        self._bitmaps = list(state["bitmaps"])
-
     def estimate(self) -> float:
         total_rank = sum(self._lowest_zero(bm) for bm in self._bitmaps)
         mean_rank = total_rank / self.num_maps

@@ -133,8 +133,8 @@ def merge_samples(
     with probability proportional to the unrepresented population weight
     remaining on each side.  When both inputs are exhaustive
     (``seen <= capacity`` combined) the merge is a plain concatenation and
-    stays exhaustive.  The parallel executor passes a dedicated merge RNG so
-    results depend only on morsel order, never on worker scheduling.
+    stays exhaustive.  The draws come from ``rng`` alone, so a caller that
+    passes a fixed-seed generator gets the same merged sample every time.
     """
     if seen_theirs == 0:
         return ours

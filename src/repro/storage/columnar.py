@@ -71,8 +71,8 @@ def page_groups(table: "Table", batch_size: int) -> list[tuple[int, int]]:
 
     The serial scan accumulates whole pages until at least ``batch_size``
     rows are buffered, then yields; every consumer that wants to reproduce
-    the serial batch structure — the batch scan itself, the morsel
-    scheduler, the columnar store — derives its geometry from this one
+    the serial batch structure — the batch scan itself and the columnar
+    store — derives its geometry from this one
     function so the boundaries can never drift apart.  Every page but the
     table's last is full, so each group is the same number of pages and the
     last takes what is left.

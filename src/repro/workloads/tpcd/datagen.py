@@ -213,7 +213,7 @@ def generate_tpcd(db: Database, config: TpcdConfig | None = None) -> TpcdConfig:
         for line_no in range(1, line_count + 1):
             quantity = float(quantities[li])
             price = round(quantity * (900 + int(l_parts[li]) % 1000 / 10.0), 2)
-            discount = discounts[li] / 100.0
+            discount = int(discounts[li]) / 100.0
             ship_date = min(order_date + rng.randrange(1, 122), END_DATE)
             commit_date = min(order_date + rng.randrange(30, 91), END_DATE)
             receipt_date = min(ship_date + rng.randrange(1, 31), END_DATE)

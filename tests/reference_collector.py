@@ -15,7 +15,6 @@ into the engine to require identical plans, switches and simulated costs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -23,7 +22,7 @@ from repro.config import EngineConfig
 from repro.errors import StatisticsError
 from repro.executor.collector import ObservedStatistics
 from repro.plans.physical import CollectorSpec, StatsCollectorNode
-from repro.stats.distinct import HybridDistinct as _HybridDistinct, _mix64
+from repro.stats.distinct import HybridDistinct as _HybridDistinct
 from repro.stats.histogram import Histogram, HistogramKind, from_sample
 from repro.storage.schema import Schema
 from repro.storage.table import Row
@@ -94,89 +93,6 @@ class Reservoir:
                 sample[slot] = values[index]
         self.seen = seen
 
-    def merge(self, other: "Reservoir", rng: random.Random | None = None) -> None:
-        """Fold another reservoir into this one (weighted union sampling).
-
-        After merging, this reservoir holds a uniform random sample of the
-        *combined* population: each retained element of either input stands
-        for ``seen / len(sample)`` population values, and elements are drawn
-        from the two (shuffled) samples with probability proportional to the
-        unrepresented population weight remaining on each side — the
-        standard distributed-reservoir union.  When both inputs are
-        exhaustive (``seen <= capacity`` combined) the merge is a plain
-        concatenation and stays exhaustive.
-
-        ``rng`` selects the randomness source for the weighted draw (the
-        parallel executor passes a dedicated merge RNG so results depend
-        only on morsel order, never on worker scheduling); by default this
-        reservoir's own RNG is used.
-        """
-        if other.seen == 0:
-            return
-        if self.capacity != other.capacity:
-            raise StatisticsError(
-                f"cannot merge reservoirs of capacity {other.capacity} "
-                f"into {self.capacity}"
-            )
-        if self.seen == 0:
-            self.seen = other.seen
-            self._sample = list(other._sample)
-            return
-        total = self.seen + other.seen
-        if total <= self.capacity:
-            self._sample.extend(other._sample)
-            self.seen = total
-            return
-        rng = self._rng if rng is None else rng
-        ours = list(self._sample)
-        theirs = list(other._sample)
-        rng.shuffle(ours)
-        rng.shuffle(theirs)
-        # Remaining population weight on each side; consumed in per-element
-        # decrements so early draws from a side make later ones less likely.
-        weight_ours = float(self.seen)
-        weight_theirs = float(other.seen)
-        step_ours = weight_ours / len(ours)
-        step_theirs = weight_theirs / len(theirs)
-        merged: list = []
-        i = j = 0
-        target = min(self.capacity, len(ours) + len(theirs))
-        while len(merged) < target:
-            if i >= len(ours):
-                merged.append(theirs[j])
-                j += 1
-                continue
-            if j >= len(theirs):
-                merged.append(ours[i])
-                i += 1
-                continue
-            if rng.random() * (weight_ours + weight_theirs) < weight_ours:
-                merged.append(ours[i])
-                i += 1
-                weight_ours -= step_ours
-            else:
-                merged.append(theirs[j])
-                j += 1
-                weight_theirs -= step_theirs
-        self._sample = merged
-        self.seen = total
-
-    def __getstate__(self) -> dict:
-        """Compact picklable state (workers ship reservoirs back by value)."""
-        return {
-            "capacity": self.capacity,
-            "seen": self.seen,
-            "sample": list(self._sample),
-            "rng": self._rng.getstate(),
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.capacity = state["capacity"]
-        self.seen = state["seen"]
-        self._sample = list(state["sample"])
-        self._rng = random.Random()
-        self._rng.setstate(state["rng"])
-
     @property
     def sample(self) -> Sequence:
         """The current sample (length ``min(capacity, seen)``)."""
@@ -194,29 +110,6 @@ class Reservoir:
         return self.seen / len(self._sample)
 
 
-#: Salt for the dedicated reservoir-merge RNG, so merge randomness never
-#: aliases the per-reservoir sampling streams derived from the same seed.
-_MERGE_RNG_SALT = 0xC2B2AE3D27D4EB4F
-
-
-@dataclass
-class CollectorPartial:
-    """Picklable partial collector state for one morsel of input.
-
-    Everything a parallel worker ships back about the statistics side of a
-    leaf pipeline: running count, per-column min/max, the distinct sketches
-    (bitmap-OR mergeable), and — in merge-mode statistics only — one
-    per-morsel-seeded reservoir per histogram column.  Exact-mode workers
-    ship ``reservoirs=None``; the parent replays its serially-seeded
-    reservoirs over the (already shipped) output rows instead.
-    """
-
-    row_count: int
-    minmax: dict[str, list]
-    sketches: dict[tuple[str, ...], HybridDistinct]
-    reservoirs: dict[str, Reservoir] | None
-
-
 class RuntimeCollector:
     """Per-execution state of one statistics collector."""
 
@@ -225,8 +118,6 @@ class RuntimeCollector:
         node: StatsCollectorNode,
         schema: Schema,
         config: EngineConfig,
-        collect_reservoirs: bool = True,
-        reservoir_seed: int | None = None,
     ) -> None:
         self.node = node
         self.schema = schema
@@ -239,22 +130,13 @@ class RuntimeCollector:
             if col.dtype.is_numeric
         ]
         self._minmax: dict[str, list[float]] = {}
-        # ``collect_reservoirs=False`` is the exact-statistics parallel
-        # worker: reservoir sampling is the one non-mergeable statistic (its
-        # sample depends on one serial RNG stream), so workers skip it and
-        # the parent replays it over the merged output.  ``reservoir_seed``
-        # is the merge-statistics worker: an independent stream per morsel
-        # index, making merged samples schedule-independent.
-        seed = config.seed if reservoir_seed is None else reservoir_seed
-        self._reservoirs: dict[str, tuple[int, Reservoir]] = (
-            {
-                col: (schema.index_of(col), Reservoir(config.reservoir_sample_size, seed=seed))
-                for col in spec.histogram_columns
-            }
-            if collect_reservoirs
-            else {}
-        )
-        self._merge_rng: random.Random | None = None
+        self._reservoirs: dict[str, tuple[int, Reservoir]] = {
+            col: (
+                schema.index_of(col),
+                Reservoir(config.reservoir_sample_size, seed=config.seed),
+            )
+            for col in spec.histogram_columns
+        }
         self._sketches: dict[tuple[str, ...], tuple[tuple[int, ...], HybridDistinct]] = {}
         for cols in spec.distinct_column_sets:
             positions = tuple(schema.index_of(c) for c in cols)
@@ -311,78 +193,6 @@ class RuntimeCollector:
             # itemgetter yields the scalar for one position, the tuple for
             # several — matching observe()'s per-row extraction.
             sketch.add_batch(list(map(itemgetter(*positions), rows)))
-
-    def export_partial(self) -> CollectorPartial:
-        """Package this collector's state for shipping to a merging parent."""
-        return CollectorPartial(
-            row_count=self.row_count,
-            minmax={name: list(entry) for name, entry in self._minmax.items()},
-            sketches={cols: sketch for cols, (__, sketch) in self._sketches.items()},
-            reservoirs=(
-                {col: reservoir for col, (__, reservoir) in self._reservoirs.items()}
-                if self._reservoirs
-                else None
-            ),
-        )
-
-    def absorb_partial(self, partial: CollectorPartial) -> None:
-        """Fold one morsel's partial state into this collector.
-
-        Counts and min/max fold associatively; distinct sketches merge
-        losslessly (bitmap OR / exact-set union), so absorbing partials in
-        *any* order yields the state a serial collector would have reached.
-        Reservoirs (merge-mode statistics only) merge with a dedicated RNG,
-        so as long as partials arrive in morsel order — which the parallel
-        executor guarantees regardless of worker scheduling — the merged
-        sample is deterministic.
-        """
-        self.row_count += partial.row_count
-        minmax = self._minmax
-        for name, (lo, hi) in partial.minmax.items():
-            entry = minmax.get(name)
-            if entry is None:
-                minmax[name] = [lo, hi]
-            else:
-                if lo < entry[0]:
-                    entry[0] = lo
-                if hi > entry[1]:
-                    entry[1] = hi
-        for cols, sketch in partial.sketches.items():
-            self._sketches[cols][1].merge(sketch)
-        if partial.reservoirs:
-            if self._merge_rng is None:
-                self._merge_rng = random.Random(
-                    _mix64(self.config.seed ^ _MERGE_RNG_SALT)
-                )
-            for col, reservoir in partial.reservoirs.items():
-                self._reservoirs[col][1].merge(reservoir, rng=self._merge_rng)
-
-    def replay_reservoirs(self, rows: Sequence[Row]) -> None:
-        """Offer pipeline output rows to the reservoirs only (exact mode).
-
-        Each reservoir owns an independent RNG, and its sampling stream
-        consumes one draw per offered value — so feeding the rows in morsel
-        order reproduces the serial collector's samples bit-for-bit while
-        counts/min-max/sketches arrive pre-merged from the workers.
-        """
-        if not rows:
-            return
-        for position, reservoir in self._reservoirs.values():
-            reservoir.add_batch(list(map(itemgetter(position), rows)))
-
-    def replay_reservoir_values(self, values_by_column: dict[str, list]) -> None:
-        """Offer pre-extracted column values to the reservoirs (exact mode).
-
-        The probe-side and pre-aggregating parallel pipelines do not ship
-        the collector's input rows (they ship joined rows or aggregate
-        partials), so workers extract each reservoir column's values and
-        ship those instead.  Each reservoir's sampling stream depends only
-        on its own column's value sequence, so replaying per-morsel value
-        runs in morsel order is bit-identical to the serial row stream.
-        """
-        for column, values in values_by_column.items():
-            if values:
-                self._reservoirs[column][1].add_batch(values)
 
     def finalize(self) -> ObservedStatistics:
         """Turn the accumulated state into observed statistics."""

@@ -16,6 +16,7 @@ import random
 import pytest
 
 from repro import Database, DynamicMode, EngineConfig
+from repro.bench import ExperimentConfig, build_database
 from repro.engine.results import QueryResult
 from repro.errors import ConfigError
 from repro.executor.dispatcher import Dispatcher
@@ -28,6 +29,8 @@ from repro.workloads.synthetic import (
     build_running_example,
 )
 
+from repro.workloads.tpcd import ALL_QUERIES
+
 from .test_random_queries import build_random_db, random_query
 
 ALL_MODES = (
@@ -39,8 +42,11 @@ ALL_MODES = (
 
 
 def assert_parity(row_result: QueryResult, batch_result: QueryResult) -> None:
-    """Assert exact row, cost-clock, buffer and event parity."""
-    assert row_result.rows == batch_result.rows
+    """Assert exact row, cost-clock, buffer and event parity.
+
+    Rows compare by ``repr``: ``==`` would let a NumPy scalar pass for the
+    Python number it equals, and the contract is bit-identical rows."""
+    assert repr(row_result.rows) == repr(batch_result.rows)
     row_profile = row_result.profile
     batch_profile = batch_result.profile
     assert row_profile.breakdown == batch_profile.breakdown
@@ -118,6 +124,21 @@ class TestRandomQueryParity:
         ):
             row_result, batch_result = run_both(db, sql, DynamicMode.FULL)
             assert_parity(row_result, batch_result)
+
+
+class TestTpcdParity:
+    """The seven paper queries in the Figure-10 configuration (SF 0.01,
+    192 pages), with and without re-optimization: generated data must hold
+    only Python scalars, or the row path's values print differently."""
+
+    @pytest.fixture(scope="class")
+    def fig10_db(self) -> Database:
+        return build_database(ExperimentConfig(scale_factor=0.01, memory_pages=192))
+
+    @pytest.mark.parametrize("query", ALL_QUERIES, ids=lambda q: q.name)
+    def test_rows_costs_and_events_match(self, fig10_db, query):
+        for mode in (DynamicMode.OFF, DynamicMode.FULL):
+            assert_parity(*run_both(fig10_db, query.sql, mode))
 
 
 class TestBatchSizeInsensitivity:

@@ -3,9 +3,10 @@
 ``reference_collector`` is the previous implementation, verbatim: one
 same-seeded ``Reservoir`` (a ``randrange`` per row) per histogram column,
 min/max on every numeric column, every value hashed into the sketches.  For
-random schemas, row streams, statistic specs and any interleaving of the four
-entry points, the rebuilt collector must report the same statistics, leave its
-RNG in the same state, and survive pickling — under any ``PYTHONHASHSEED``
+random schemas, row streams, statistic specs and any interleaving of the two
+entry points, the rebuilt collector must report the same statistics and leave
+its RNG in the same state, and its sampler must survive pickling — under any
+``PYTHONHASHSEED``
 (the sketch hashes strings, and its de-duplication iterates a set).
 """
 
@@ -29,7 +30,7 @@ _VALUES = {
     DataType.FLOAT: st.floats(-8, 8, allow_nan=False).map(lambda x: round(x, 1)),
     DataType.STRING: st.sampled_from(["", "a", "b", "ab", "FRANCE", "GERMANY"]),
 }
-_ENTRY_POINTS = ("observe", "observe_batch", "replay_reservoirs", "replay_reservoir_values")
+_ENTRY_POINTS = ("observe", "observe_batch")
 
 
 @st.composite
@@ -68,18 +69,13 @@ def collector_cases(draw):
     return schema, spec, config, steps
 
 
-def _feed(collector, spec, schema, steps) -> None:
+def _feed(collector, steps) -> None:
     for entry_point, chunk in steps:
         if entry_point == "observe":
             for row in chunk:
                 collector.observe(row)
-        elif entry_point == "replay_reservoir_values":
-            collector.replay_reservoir_values({
-                column: [row[schema.index_of(column)] for row in chunk]
-                for column in spec.histogram_columns
-            })
         else:
-            getattr(collector, entry_point)(chunk)
+            collector.observe_batch(chunk)
 
 
 def _tracked(spec, schema) -> set[str]:
@@ -113,8 +109,8 @@ def _pair(schema, spec, config):
 def test_collector_equals_reference_on_any_interleaving(case):
     schema, spec, config, steps = case
     new, old = _pair(schema, spec, config)
-    _feed(new, spec, schema, steps)
-    _feed(old, spec, schema, steps)
+    _feed(new, steps)
+    _feed(old, steps)
     assert_same_statistics(new.finalize(), old.finalize(), _tracked(spec, schema))
     for __, reservoir in old._reservoirs.values():
         assert new._sampler.seen == reservoir.seen
@@ -126,29 +122,6 @@ def test_collector_equals_reference_on_any_interleaving(case):
         assert work.reservoir_draws == max(
             0, new._sampler.seen - config.reservoir_sample_size
         )
-
-
-@settings(max_examples=150, deadline=None)
-@given(collector_cases(), st.booleans())
-def test_partials_equal_reference_partials(case, exact):
-    """Parallel hand-off: per-morsel workers export, the parent absorbs the
-    pickled partials in morsel order (exact mode also replays the rows)."""
-    schema, spec, config, steps = case
-    new, old = _pair(schema, spec, config)
-    for merged in (new, old):
-        for index, (__, chunk) in enumerate(steps):
-            worker = type(merged)(
-                merged.node, schema, config,
-                collect_reservoirs=not exact,
-                reservoir_seed=None if exact else 1000 + index,
-            )
-            worker.observe_batch(chunk)
-            merged.absorb_partial(pickle.loads(pickle.dumps(worker.export_partial())))
-            if exact:
-                merged.replay_reservoirs(chunk)
-    assert_same_statistics(new.finalize(), old.finalize(), _tracked(spec, schema))
-    if new._merge_rng is not None:
-        assert new._merge_rng.getstate() == old._merge_rng.getstate()
 
 
 @settings(max_examples=200, deadline=None)

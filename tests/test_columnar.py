@@ -58,7 +58,6 @@ def dispatch(db: Database, plan, execution_mode: str, **updates):
         buffer_pool=pool,
         temp_manager=TempTableManager(db.catalog, pool),
         cost_model=CostModel(config),
-        memory_budget_pages=config.query_memory_pages,
     )
     try:
         result = Dispatcher(ctx).run(plan)
@@ -908,24 +907,38 @@ class TestEngineIntegration:
         assert scans and scans[0].zone_map["groups_skipped"] >= 1
 
     def test_env_and_validation(self, monkeypatch):
-        # The mode is gone: column kernels are the batch executor's own
-        # choice, so the old spelling is a configuration error wherever
-        # it arrives from, and its toggles are not fields any more.
+        # The columnar and parallel modes are gone: column kernels are the
+        # batch executor's own choice and every statement runs in one
+        # process, so either spelling is a configuration error wherever it
+        # arrives from, and their toggles are not fields any more.
+        db = _clustered_db()
+        sql = "SELECT k FROM t WHERE k < 10"
+        for mode in ("columnar", "parallel"):
+            with pytest.raises(ConfigError):
+                EngineConfig(execution_mode=mode).validate()
+            with pytest.raises(ConfigError):
+                db.execute(sql, execution_mode=mode)
+            monkeypatch.setenv("REPRO_EXECUTION_MODE", mode)
+            with pytest.raises(ConfigError):
+                EngineConfig().validate()
+            monkeypatch.delenv("REPRO_EXECUTION_MODE")
         with pytest.raises(ConfigError):
-            EngineConfig(execution_mode="columnar").validate()
-        with pytest.raises(ConfigError):
-            _clustered_db().execute(
-                "SELECT k FROM t WHERE k < 10", execution_mode="columnar"
-            )
-        monkeypatch.setenv("REPRO_EXECUTION_MODE", "columnar")
-        with pytest.raises(ConfigError):
-            EngineConfig().validate()
-        monkeypatch.delenv("REPRO_EXECUTION_MODE")
+            db.execute(sql, workers=2)
         for gone in (
             "zone_map_skipping",
             "vectorized_agg",
             "vectorized_probe",
             "columnar_parallel",
+            "parallel_workers",
+            "morsel_pages",
+            "parallel_min_morsels",
+            "parallel_stats",
+            "parallel_joins",
+            "parallel_preagg",
+            "parallel_prefetch",
+            "parallel_build",
+            "parallel_spill",
+            "parallel_sort",
         ):
             assert not hasattr(EngineConfig(), gone)
         monkeypatch.setenv("REPRO_ZONE_MAP_COST", "free")

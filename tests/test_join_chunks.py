@@ -684,7 +684,7 @@ class TestMaterialisationPins:
             if record["kernel"] == "column" and record["reason"] is None
             and record["table"] in ("supplier", "nation")
         }
-        if fig10_db.config.execution_mode == "batch":  # morsels read row kernels
+        if fig10_db.config.execution_mode == "batch":  # the row path has no leaf pipelines
             assert late == {"supplier": 100, "nation": 24}
 
     def test_q8_full_spools_the_survivors_only(self, fig10_db):

@@ -145,14 +145,6 @@ class TestQueryTracer:
         # One window: first start to last completion.
         assert tracer.node_windows[7][2] == 10
 
-    def test_morsel_merged_lands_on_worker_tid(self):
-        tracer = QueryTracer()
-        tracer.morsel_merged(1, 0, pid=4242, elapsed_s=0.001, rows_shipped=9)
-        morsel = next(s for s in tracer.spans if s.category == "morsel")
-        assert morsel.tid == 4242 and morsel.closed
-        assert morsel.args == {"pipeline": 1, "rows_shipped": 9}
-        assert validate_trace(tracer.to_chrome()) == []
-
     def test_chrome_export_shapes(self):
         clock = CostClock()
         tracer = QueryTracer(clock, label="shapes")
@@ -305,7 +297,7 @@ class TestMetrics:
 
 
 # ----------------------------------------------------------------------
-# q_error and the profile satellites
+# q_error
 # ----------------------------------------------------------------------
 
 
@@ -343,54 +335,9 @@ def make_profile(**overrides) -> ExecutionProfile:
     return ExecutionProfile(**base)
 
 
-class TestWorkerWallRounding:
-    def test_sub_microsecond_contributions_survive_summation(self):
-        # Three pipelines each contribute 0.4us on the same worker.  Rounding
-        # per addition would floor every contribution to zero; rounding once
-        # after summation keeps the 1.2us total (as 1e-6 at 6 digits).
-        profile = make_profile(
-            pipeline_wall_s={
-                "1": {"101": 4e-7},
-                "2": {"101": 4e-7},
-                "3": {"101": 4e-7},
-            }
-        )
-        assert profile.worker_wall_s == {"101": 1e-06}
-
-    def test_totals_are_order_independent_across_pipelines(self):
-        forward = make_profile(
-            pipeline_wall_s={"1": {"7": 0.1000004}, "2": {"7": 0.2000004}}
-        )
-        backward = make_profile(
-            pipeline_wall_s={"1": {"7": 0.2000004}, "2": {"7": 0.1000004}}
-        )
-        assert forward.worker_wall_s == backward.worker_wall_s == {"7": 0.300001}
-
-
 class TestParallelSummaryLine:
-    def test_summary_includes_parallel_telemetry(self):
-        profile = make_profile(
-            workers=4,
-            morsels=12,
-            parallel_pipelines=3,
-            parallel_join_pipelines=2,
-            parallel_preagg_pipelines=1,
-            parallel_rows_shipped=100,
-            parallel_rows_preaggregated=900,
-            parallel_prefetched_morsels=5,
-            parallel_build_pipelines=1,
-            parallel_sort_pipelines=1,
-            sort_runs_merged=4,
-            rows_spilled=37,
-            partitions_spilled=2,
-        )
-        summary = profile.summary()
-        assert "parallel: workers=4 morsels=12 pipelines=3" in summary
-        assert "(join=2, preagg=1, build=1, sort=1)" in summary
-        assert "rows shipped/preaggregated=100/900" in summary
-        assert "prefetched=5" in summary
-        assert "spilled=37 rows/2 partitions" in summary
-        assert "sort runs merged=4" in summary
+    """Every statement runs in one process, so the summary has no
+    ``parallel:`` line."""
 
     def test_serial_summary_has_no_parallel_line(self):
         assert "parallel:" not in make_profile().summary()

@@ -1,12 +1,11 @@
-"""Morsel-driven parallel execution: parity, merges, determinism.
+"""Mergeable statistics, grant splitting and page-group geometry.
 
-The contract under test (DESIGN.md section 8): ``execution_mode="parallel"``
-is an implementation detail of the batch path — byte-identical result rows,
-bit-for-bit identical simulated ``CostBreakdown`` and buffer statistics, and
-(in the default exact statistics mode) bit-identical observed statistics,
-for any worker count, on every TPC-D query.  Plus the mergeable-statistics
-primitives the tentpole rides on: ``Reservoir.merge``, ``HybridDistinct``/
-``FlajoletMartin.merge``, collector partials, and pickling.
+The module name is historical: there is no parallel executor (DESIGN.md
+section 8).  What it tests stays on its own: ``Reservoir.merge`` /
+``merge_samples`` and the distinct counters' ``merge`` (a merged summary
+equals, or is distributed like, one built over the concatenated input),
+``MemoryManager.split_grant`` (the memory broker's fair shares) and
+``storage.columnar.page_groups`` (the batch scan's yield boundaries).
 """
 
 from __future__ import annotations
@@ -16,65 +15,18 @@ import random
 
 import pytest
 
-from repro import Database, DynamicMode, EngineConfig
+from repro import Database
 from repro.bench import ExperimentConfig, build_database
-from repro.errors import ConfigError, MemoryGrantError, StatisticsError
-from repro.executor import parallel as parallel_mod
-from repro.executor.collector import RuntimeCollector
-from repro.executor.dispatcher import Dispatcher
+from repro.errors import MemoryGrantError, StatisticsError
 from repro.executor.memory import MemoryManager
-from repro.executor.runtime import RuntimeContext
-from repro.optimizer.cost_model import CostModel
 from repro.stats.distinct import ExactDistinct, FlajoletMartin, HybridDistinct
 from repro.stats.sampling import Reservoir
-from repro.storage import BufferPool, CostClock, TempTableManager
-from repro.workloads.tpcd import ALL_QUERIES
+from repro.storage.columnar import page_groups
 
 
 @pytest.fixture(scope="module")
 def tpcd_db() -> Database:
     return build_database(ExperimentConfig(scale_factor=0.01))
-
-
-def dispatch(db: Database, plan, execution_mode: str, workers: int = 0, stats: str = "exact"):
-    """One dispatcher run on a fresh runtime context; returns (result, ctx)."""
-    config = db.config.with_updates(
-        execution_mode=execution_mode,
-        parallel_workers=workers,
-        parallel_stats=stats,
-    )
-    clock = CostClock(config.cost)
-    pool = BufferPool(config.buffer_pool_pages, clock)
-    ctx = RuntimeContext(
-        catalog=db.catalog,
-        config=config,
-        clock=clock,
-        buffer_pool=pool,
-        temp_manager=TempTableManager(db.catalog, pool),
-        cost_model=CostModel(config),
-        memory_budget_pages=config.query_memory_pages,
-    )
-    try:
-        result = Dispatcher(ctx).run(plan)
-    finally:
-        ctx.temp_manager.drop_all()
-    return result, ctx
-
-
-def assert_observed_equal(left: dict, right: dict) -> None:
-    """Collector-output equality (histograms compared by kind + buckets)."""
-    assert set(left) == set(right)
-    for node_id, a in left.items():
-        b = right[node_id]
-        assert a.row_count == b.row_count
-        assert a.row_bytes == b.row_bytes
-        assert dict(a.minmax) == dict(b.minmax)
-        assert dict(a.distincts) == dict(b.distincts)
-        assert set(a.histograms) == set(b.histograms)
-        for column, ha in a.histograms.items():
-            hb = b.histograms[column]
-            assert ha.kind == hb.kind
-            assert ha.buckets == hb.buckets
 
 
 # ----------------------------------------------------------------------
@@ -234,87 +186,7 @@ class TestSplitGrant:
 
 
 # ----------------------------------------------------------------------
-# Collector partials
-# ----------------------------------------------------------------------
-
-
-def _collector_inputs(db: Database):
-    """A TPC-D plan's first collector node plus its observed input rows."""
-    q = next(q for q in ALL_QUERIES if q.name == "Q3")
-    plan, scia, __opt = db.plan(q.sql, mode=DynamicMode.FULL)
-    assert scia is not None and scia.collector_points > 0
-    __, ctx = dispatch(db, plan, "batch")
-    node_id = sorted(ctx.observed)[0]
-
-    def find(node):
-        if node.node_id == node_id:
-            return node
-        for child in node.children:
-            found = find(child)
-            if found is not None:
-                return found
-        return None
-
-    return find(plan)
-
-
-class TestCollectorPartials:
-    def test_absorbed_partials_match_serial_collector(self, tpcd_db):
-        node = _collector_inputs(tpcd_db)
-        table = tpcd_db.table("lineitem")
-        rows = table.rows[: 20_000]
-        config = tpcd_db.config
-        serial = RuntimeCollector(node, node.child.schema, config)
-        for start in range(0, len(rows), 1024):
-            serial.observe_batch(rows[start : start + 1024])
-
-        merged = RuntimeCollector(node, node.child.schema, config)
-        morsel_size = 4096
-        for start in range(0, len(rows), morsel_size):
-            chunk = rows[start : start + morsel_size]
-            worker = RuntimeCollector(
-                node, node.child.schema, config, collect_reservoirs=False
-            )
-            worker.observe_batch(chunk)
-            merged.absorb_partial(pickle.loads(pickle.dumps(worker.export_partial())))
-            merged.replay_reservoirs(chunk)
-        # Exact mode: every statistic, histograms included, is bit-equal.
-        a, b = serial.finalize(), merged.finalize()
-        assert_observed_equal({0: a}, {0: b})
-
-    def test_merge_mode_partials_are_chunking_independent(self, tpcd_db):
-        node = _collector_inputs(tpcd_db)
-        table = tpcd_db.table("lineitem")
-        rows = table.rows[: 20_000]
-        config = tpcd_db.config
-
-        def run(morsel_size: int):
-            merged = RuntimeCollector(node, node.child.schema, config)
-            for index, start in enumerate(range(0, len(rows), morsel_size)):
-                chunk = rows[start : start + morsel_size]
-                worker = RuntimeCollector(
-                    node,
-                    node.child.schema,
-                    config,
-                    reservoir_seed=parallel_mod._morsel_seed(config.seed, index),
-                )
-                worker.observe_batch(chunk)
-                merged.absorb_partial(worker.export_partial())
-            return merged.finalize()
-
-        # Identical morsel structure must give identical output however the
-        # morsels were scheduled — absorb order is morsel order by design —
-        # and count/size/minmax/distincts are exact regardless of chunking.
-        a, b = run(4096), run(4096)
-        assert_observed_equal({0: a}, {0: b})
-        c = run(2048)
-        assert a.row_count == c.row_count
-        assert dict(a.minmax) == dict(c.minmax)
-        assert dict(a.distincts) == dict(c.distincts)
-
-
-# ----------------------------------------------------------------------
-# Page groups mirror the serial scan's batch boundaries
+# Page groups: the batch scan's yield boundaries
 # ----------------------------------------------------------------------
 
 
@@ -322,7 +194,7 @@ class TestPageGroups:
     def test_groups_cover_table_exactly(self, tpcd_db):
         for name in ("lineitem", "orders", "customer"):
             table = tpcd_db.table(name)
-            groups = parallel_mod._page_groups(table, 1024)
+            groups = page_groups(table, 1024)
             assert groups[0][0] == 0
             assert groups[-1][1] == table.page_count
             for (__, a_end), (b_start, __b) in zip(groups, groups[1:]):
@@ -332,7 +204,7 @@ class TestPageGroups:
         table = tpcd_db.table("orders")
         batch_size = 1024
         per_page = table.rows_per_page
-        groups = parallel_mod._page_groups(table, batch_size)
+        groups = page_groups(table, batch_size)
         # Reconstruct the serial scan's yields from the geometry.
         serial_batches = []
         batch = 0
@@ -348,144 +220,3 @@ class TestPageGroups:
             for first, last in groups
         ]
         assert group_rows == serial_batches
-
-    def test_morsels_align_with_group_boundaries(self, tpcd_db):
-        table = tpcd_db.table("lineitem")
-        groups = parallel_mod._page_groups(table, 1024)
-        morsels = parallel_mod._group_morsels(groups, 64)
-        assert morsels[0][0] == 0
-        assert morsels[-1][1] == len(groups)
-        for (__, a_end), (b_start, __b) in zip(morsels, morsels[1:]):
-            assert a_end == b_start
-        spans = [groups[last - 1][1] - groups[first][0] for first, last in morsels]
-        assert all(s >= 64 for s in spans[:-1])
-
-
-# ----------------------------------------------------------------------
-# Executor parity: parallel vs batch on every TPC-D query
-# ----------------------------------------------------------------------
-
-
-class TestParallelParity:
-    @pytest.mark.parametrize("query", ALL_QUERIES, ids=lambda q: q.name)
-    def test_bit_identical_to_batch(self, tpcd_db, query):
-        plan, __scia, __opt = tpcd_db.plan(query.sql, mode=DynamicMode.FULL)
-        batch_result, batch_ctx = dispatch(tpcd_db, plan, "batch")
-        par_result, par_ctx = dispatch(tpcd_db, plan, "parallel", workers=2)
-        assert par_result.rows == batch_result.rows
-        assert par_ctx.clock.breakdown == batch_ctx.clock.breakdown
-        assert par_ctx.clock.now == batch_ctx.clock.now
-        assert par_ctx.buffer_pool.stats == batch_ctx.buffer_pool.stats
-        assert par_ctx.switches == batch_ctx.switches
-        assert par_ctx.reallocations == batch_ctx.reallocations
-        assert_observed_equal(par_ctx.observed, batch_ctx.observed)
-
-    @pytest.mark.parametrize("query_name", ["Q3", "Q6"])
-    def test_worker_count_invariance(self, tpcd_db, query_name):
-        query = next(q for q in ALL_QUERIES if q.name == query_name)
-        plan, __scia, __opt = tpcd_db.plan(query.sql, mode=DynamicMode.FULL)
-        reference, ref_ctx = dispatch(tpcd_db, plan, "parallel", workers=1)
-        for workers in (2, 7):
-            result, ctx = dispatch(tpcd_db, plan, "parallel", workers=workers)
-            assert result.rows == reference.rows
-            assert ctx.clock.breakdown == ref_ctx.clock.breakdown
-            assert_observed_equal(ctx.observed, ref_ctx.observed)
-
-    @pytest.mark.parametrize("query_name", ["Q3", "Q6"])
-    def test_merge_stats_schedule_independent(self, tpcd_db, query_name):
-        query = next(q for q in ALL_QUERIES if q.name == query_name)
-        plan, __scia, __opt = tpcd_db.plan(query.sql, mode=DynamicMode.FULL)
-        reference, ref_ctx = dispatch(tpcd_db, plan, "parallel", workers=1, stats="merge")
-        for workers in (2, 7):
-            result, ctx = dispatch(
-                tpcd_db, plan, "parallel", workers=workers, stats="merge"
-            )
-            assert result.rows == reference.rows
-            assert ctx.clock.breakdown == ref_ctx.clock.breakdown
-            assert_observed_equal(ctx.observed, ref_ctx.observed)
-
-    def test_parallel_pipelines_actually_ran(self, tpcd_db):
-        query = next(q for q in ALL_QUERIES if q.name == "Q6")
-        plan, __scia, __opt = tpcd_db.plan(query.sql, mode=DynamicMode.FULL)
-        __, ctx = dispatch(tpcd_db, plan, "parallel", workers=2)
-        assert ctx.parallel.pipelines >= 1
-        assert ctx.parallel.morsels >= 2
-        assert ctx.parallel.workers == 2
-        assert sum(ctx.parallel.worker_seconds.values()) > 0.0
-
-
-class TestEngineIntegration:
-    def test_execute_parallel_profile_fields(self, tpcd_db):
-        query = next(q for q in ALL_QUERIES if q.name == "Q6")
-        batch = tpcd_db.execute(query.sql, mode=DynamicMode.FULL, execution_mode="batch")
-        par = tpcd_db.execute(
-            query.sql, mode=DynamicMode.FULL, execution_mode="parallel", workers=2
-        )
-        assert par.rows == batch.rows
-        assert par.profile.total_cost == batch.profile.total_cost
-        assert par.profile.breakdown == batch.profile.breakdown
-        assert par.profile.workers == 2
-        assert par.profile.morsels >= 2
-        assert par.profile.parallel_pipelines >= 1
-        assert par.profile.worker_wall_s
-        assert batch.profile.workers == 0 and batch.profile.morsels == 0
-
-    def test_switch_queries_survive_parallel(self, tpcd_db):
-        # Q5 and Q8 re-optimize mid-query at this scale; the parallel path
-        # must reproduce the switch and the final profile exactly.
-        for name in ("Q5", "Q8"):
-            query = next(q for q in ALL_QUERIES if q.name == name)
-            batch = tpcd_db.execute(query.sql, mode=DynamicMode.FULL, execution_mode="batch")
-            par = tpcd_db.execute(
-                query.sql, mode=DynamicMode.FULL, execution_mode="parallel", workers=2
-            )
-            assert par.rows == batch.rows
-            assert par.profile.plan_switches == batch.profile.plan_switches
-            assert par.profile.total_cost == batch.profile.total_cost
-
-    def test_serial_fallback_without_fork(self, tpcd_db, monkeypatch):
-        monkeypatch.setattr(parallel_mod, "_fork_available", lambda: False)
-        query = next(q for q in ALL_QUERIES if q.name == "Q6")
-        plan, __scia, __opt = tpcd_db.plan(query.sql, mode=DynamicMode.FULL)
-        batch_result, batch_ctx = dispatch(tpcd_db, plan, "batch")
-        with pytest.warns(RuntimeWarning, match="fork"):
-            par_result, par_ctx = dispatch(tpcd_db, plan, "parallel", workers=4)
-        assert par_result.rows == batch_result.rows
-        assert par_ctx.clock.breakdown == batch_ctx.clock.breakdown
-        assert par_ctx.parallel.workers == 1
-        assert par_ctx.parallel.fallback_warned
-
-    def test_small_tables_stay_serial(self):
-        db = Database()
-        db.create_table("t", [("k", __import__("repro").DataType.INTEGER)])
-        db.load_rows("t", [(i,) for i in range(100)])
-        db.analyze()
-        result = db.execute(
-            "SELECT k FROM t WHERE k < 50", execution_mode="parallel", workers=4
-        )
-        assert result.profile.parallel_pipelines == 0
-        assert len(result.rows) == 50
-
-
-class TestParallelConfig:
-    def test_parallel_mode_accepted(self):
-        EngineConfig(execution_mode="parallel").validate()
-
-    def test_parallel_knobs_validated(self):
-        with pytest.raises(ConfigError):
-            EngineConfig(parallel_workers=-1).validate()
-        with pytest.raises(ConfigError):
-            EngineConfig(morsel_pages=0).validate()
-        with pytest.raises(ConfigError):
-            EngineConfig(parallel_min_morsels=0).validate()
-        with pytest.raises(ConfigError):
-            EngineConfig(parallel_stats="sampled").validate()
-
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTION_MODE", "parallel")
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        config = EngineConfig()
-        assert config.execution_mode == "parallel"
-        assert config.parallel_workers == 3
-        monkeypatch.setenv("REPRO_WORKERS", "not-a-number")
-        assert EngineConfig().parallel_workers == 0

@@ -111,25 +111,6 @@ class TestWarmExecution:
         assert not row.profile.plan_cache_hit
         assert row.rows == batch.rows
 
-    def test_parallel_mode_and_worker_count_are_part_of_the_key(self):
-        db = make_two_table_db()
-        batch = db.execute(SQL, execution_mode="batch")
-        # Parallel mode must not be served the batch entry: the cached plan
-        # is specialized per execution mode *and* resolved worker count.
-        two = db.execute(SQL, execution_mode="parallel", workers=2)
-        assert not two.profile.plan_cache_hit
-        assert two.rows == batch.rows
-        # A different worker count is a different key...
-        four = db.execute(SQL, execution_mode="parallel", workers=4)
-        assert not four.profile.plan_cache_hit
-        assert four.rows == batch.rows
-        # ...while repeating a worker count hits its own entry.
-        warm = db.execute(SQL, execution_mode="parallel", workers=2)
-        assert warm.profile.plan_cache_hit
-        assert warm.rows == batch.rows
-        # And the batch entry is still intact.
-        assert db.execute(SQL, execution_mode="batch").profile.plan_cache_hit
-
     def test_dynamic_mode_is_part_of_the_key(self):
         db = make_two_table_db()
         db.execute(SQL, mode=DynamicMode.FULL)

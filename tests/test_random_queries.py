@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Database, DataType, DynamicMode, EngineConfig
 from repro.bench.harness import rows_equivalent
-from repro.executor import batch, columnar, iterators, parallel
+from repro.executor import batch, columnar, iterators
 
 from . import reference_collector
 from .oracle import evaluate
@@ -124,7 +124,7 @@ def assert_collectors_agree(seed: int, sql: str, tables: int = 3, indexes: bool 
                 db.create_index(f"ix_t{i}", f"t{i}", f"t{i - 1}_k")
         with pytest.MonkeyPatch.context() as patch:
             if collector is not None:
-                for module in (batch, columnar, iterators, parallel):
+                for module in (batch, columnar, iterators):
                     patch.setattr(module, "RuntimeCollector", collector)
             profile = (result := db.execute(sql, mode=DynamicMode.FULL)).profile
         if collector is not None:

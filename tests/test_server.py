@@ -58,19 +58,6 @@ class TestSplitGrantContract:
                 assert all(s >= 0 for s in shares)
                 assert max(shares) - min(shares) <= 1
 
-    def test_spill_windows_zero_share_yields_zero_windows(self):
-        # spill_windows exposes the floor-zero side of the contract...
-        assert MemoryManager.spill_windows(0, 3, 8, 8) == [0, 0, 0]
-        # ...while staging_windows floors at one to avoid deadlock.
-        assert MemoryManager.staging_windows(0, 3, 64, 4) == [1, 1, 1]
-
-    def test_window_floor_never_exceeds_cap(self):
-        # A zero cap means zero windows even for the floor-one helper: the
-        # declared floor is clamped to the cap, keeping the two helpers
-        # consistent at the degenerate edge.
-        assert MemoryManager.staging_windows(1000, 2, 8, 0) == [0, 0]
-        assert MemoryManager.spill_windows(1000, 2, 8, 0) == [0, 0]
-
 
 class TestAdmissionController:
     def test_serial_admits_immediately(self):
@@ -453,11 +440,8 @@ class TestSwitchesLeaveOtherPlansCached:
     def _database(self, **overrides) -> Database:
         from repro.workloads import SyntheticConfig, build_running_example
 
-        # Pinned to the batch executor: two sessions running morsel workers
-        # at once race on ``parallel._WORKER_STATE`` (ROADMAP item 2).
         config = EngineConfig(
-            max_sessions=2, feedback_enabled=False, execution_mode="batch",
-            server_mode=False, **overrides,
+            max_sessions=2, feedback_enabled=False, server_mode=False, **overrides
         )
         db = Database(config, metrics=MetricsRegistry())
         build_running_example(

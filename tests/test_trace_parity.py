@@ -1,10 +1,10 @@
 """Trace-parity suite: tracing must never perturb the simulated engine.
 
-The observe subsystem's contract (DESIGN.md section 11): the tracer only
+The observe subsystem's contract (DESIGN.md section 10): the tracer only
 *reads* the cost clock, so result rows, the simulated ``CostBreakdown``,
 buffer-pool statistics and observed collector statistics are byte-identical
-with tracing on or off — on the row, batch and morsel-parallel paths, for
-every TPC-D query, and across a mid-query plan switch.  The CI leg that
+with tracing on or off — on the row and batch paths, for every TPC-D
+query, and across a mid-query plan switch.  The CI leg that
 runs the whole repository suite under ``REPRO_TRACE=1`` enforces the same
 thing from the environment side.
 """
@@ -29,8 +29,8 @@ from repro.workloads.tpcd import ALL_QUERIES
 
 SWITCH_PARAMS = {"value1": 80, "value2": 80}
 
-#: (execution_mode, workers) combinations the contract covers.
-EXECUTION_SHAPES = (("row", 0), ("batch", 0), ("parallel", 2))
+#: Execution modes the contract covers.
+EXECUTION_MODES = ("row", "batch")
 
 
 @pytest.fixture(scope="module")
@@ -38,12 +38,9 @@ def tpcd_db() -> Database:
     return build_database(ExperimentConfig(scale_factor=0.01))
 
 
-def dispatch(db: Database, plan, execution_mode: str, workers: int = 0,
-             traced: bool = False):
+def dispatch(db: Database, plan, execution_mode: str, traced: bool = False):
     """One dispatcher run on a fresh runtime context; returns (result, ctx)."""
-    config = db.config.with_updates(
-        execution_mode=execution_mode, parallel_workers=workers
-    )
+    config = db.config.with_updates(execution_mode=execution_mode)
     clock = CostClock(config.cost)
     pool = BufferPool(config.buffer_pool_pages, clock)
     ctx = RuntimeContext(
@@ -53,7 +50,6 @@ def dispatch(db: Database, plan, execution_mode: str, workers: int = 0,
         buffer_pool=pool,
         temp_manager=TempTableManager(db.catalog, pool),
         cost_model=CostModel(config),
-        memory_budget_pages=config.query_memory_pages,
         tracer=QueryTracer(clock) if traced else None,
     )
     try:
@@ -86,12 +82,12 @@ class TestTpcdTraceParity:
     @pytest.mark.parametrize("query", ALL_QUERIES, ids=lambda q: q.name)
     def test_all_shapes_identical_with_tracing(self, tpcd_db, query):
         plan, __scia, __opt = tpcd_db.plan(query.sql, mode=DynamicMode.FULL)
-        for execution_mode, workers in EXECUTION_SHAPES:
+        for execution_mode in EXECUTION_MODES:
             baseline, baseline_ctx = dispatch(
-                tpcd_db, plan, execution_mode, workers, traced=False
+                tpcd_db, plan, execution_mode, traced=False
             )
             traced, traced_ctx = dispatch(
-                tpcd_db, plan, execution_mode, workers, traced=True
+                tpcd_db, plan, execution_mode, traced=True
             )
             assert traced.rows == baseline.rows, execution_mode
             assert_ctx_parity(baseline_ctx, traced_ctx)
@@ -122,16 +118,18 @@ class TestEndToEndTraceParity:
 
         return build(False), build(True)
 
-    @pytest.mark.parametrize("execution_mode,workers", EXECUTION_SHAPES)
-    def test_mid_query_switch_parity(self, switch_dbs, execution_mode, workers):
+    # The ``-0`` id suffix (no worker processes) keeps the ids stable.
+    @pytest.mark.parametrize(
+        "execution_mode",
+        [pytest.param(mode, id=f"{mode}-0") for mode in EXECUTION_MODES],
+    )
+    def test_mid_query_switch_parity(self, switch_dbs, execution_mode):
         plain_db, traced_db = switch_dbs
         kwargs = dict(
             params=SWITCH_PARAMS,
             mode=DynamicMode.FULL,
             execution_mode=execution_mode,
         )
-        if workers:
-            kwargs["workers"] = workers
         plain = plain_db.execute(RUNNING_EXAMPLE_SQL, **kwargs)
         traced = traced_db.execute(RUNNING_EXAMPLE_SQL, **kwargs)
 
@@ -187,9 +185,9 @@ class TestEndToEndTraceParity:
 
 class TestServerModeTracing:
     """Chrome trace export stays valid when statements run through the
-    query server: concurrent sessions each get a complete, balanced trace;
-    morsel-parallel workers land on per-pid tid lanes; the exported file
-    round-trips through ``observe.validate``'s CLI."""
+    query server: concurrent sessions each get a complete, balanced trace,
+    and the exported file round-trips through ``observe.validate``'s
+    CLI."""
 
     @pytest.fixture(scope="class")
     def server_db(self) -> Database:
@@ -237,27 +235,6 @@ class TestServerModeTracing:
             document = trace.to_chrome()
             assert validate_trace(document) == [], name
             assert document["traceEvents"], name
-
-    def test_parallel_morsels_use_per_pid_tid_lanes(self, server_db):
-        session = server_db.create_session("lanes")
-        try:
-            result = session.execute(
-                RUNNING_EXAMPLE_SQL,
-                params=SWITCH_PARAMS,
-                mode=DynamicMode.FULL,
-                execution_mode="parallel",
-                workers=2,
-            )
-        finally:
-            session.close()
-        document = result.profile.trace.to_chrome()
-        assert validate_trace(document) == []
-        events = document["traceEvents"]
-        # Every event belongs to the submitting process...
-        assert {e["pid"] for e in events} == {result.profile.trace.pid}
-        # ...but morsel spans are recorded on their worker's pid as the
-        # tid, so concurrent workers render as separate lanes.
-        assert len({e["tid"] for e in events}) >= 2
 
     def test_export_round_trips_through_validator_cli(self, server_db, tmp_path):
         from repro.observe.validate import main as validate_main

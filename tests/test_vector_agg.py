@@ -1,13 +1,13 @@
 """Vectorized aggregation & join-probe kernels: bit-exact float parity.
 
-The contract under test (DESIGN.md section 13): the NumPy group-by fold
+The contract under test (DESIGN.md section 9): the NumPy group-by fold
 kernels in ``executor/agg_kernels.py`` reproduce the serial accumulator
 byte-for-byte — including non-associative float SUM/AVG, signed zeros,
 infinities and NaN — so the batch executor's column-space leaf pipelines
-aggregate entirely in column space and the parallel path pre-aggregates
-float SUM/AVG as ordered value runs instead of shipping raw rows.  Plus
-the join-probe kernel's exact emission-order parity with late
-materialisation, and the import-time fold probes failing closed.
+aggregate entirely in column space.  Plus ``left_fold_sum`` and
+``_AggState.merge`` against the serial fold, the join-probe kernel's exact
+emission-order parity with late materialisation, and the import-time fold
+probes failing closed.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.executor.agg_kernels import (
 )
 from repro.executor.chunk import typed
 from repro.executor.iterators import _AggState
-from repro.executor.parallel import _ValueRun
 from repro.plans.logical import AggFunc
 
 from .test_columnar import assert_bit_identical, dispatch
@@ -379,7 +378,7 @@ class TestLeftFoldSum:
 
 
 # ----------------------------------------------------------------------
-# _AggState.merge and _ValueRun (parallel partials)
+# _AggState.merge (associative partial states)
 # ----------------------------------------------------------------------
 
 
@@ -406,44 +405,6 @@ class TestAggStateMerge:
                 left.merge(right)
                 assert left.count == serial.count
                 assert left.result() == serial.result()
-
-    def test_value_run_finalize_is_bit_exact(self):
-        rng = random.Random(9)
-        values = [
-            None if rng.random() < 0.2 else rng.choice(ADVERSARIAL)
-            for __ in range(500)
-        ]
-        for func in (AggFunc.SUM, AggFunc.AVG):
-            serial = _AggState(func)
-            serial.update_batch(values)
-            runs = []
-            for split in (0, 120, 121, 400, len(values)):
-                run = _ValueRun(func)
-                run.fold(values[:split] if not runs else values[prev:split])
-                prev = split
-                runs.append(run)
-            merged, prev = _ValueRun(func), 0
-            for split in (0, 120, 121, 400, len(values)):
-                run = _ValueRun(func)
-                run.fold(values[prev:split])
-                prev = split
-                merged.merge(run)
-            state = merged.finalize()
-            assert state.count == serial.count
-            got, expect = state.result(), serial.result()
-            if expect is None:
-                assert got is None
-            else:
-                assert bits(float(got)) == bits(float(expect))
-
-    def test_value_run_null_only_and_empty(self):
-        run = _ValueRun(AggFunc.SUM)
-        run.fold([None, None])
-        state = run.finalize()
-        assert state.count == 2 and state.total == 0
-        assert state.result() == 0  # serial: count > 0, int-0 total
-        empty = _ValueRun(AggFunc.AVG).finalize()
-        assert empty.count == 0 and empty.result() is None
 
 
 # ----------------------------------------------------------------------
@@ -565,14 +526,12 @@ class TestProbeIndex:
 
 
 # ----------------------------------------------------------------------
-# End-to-end parity: float aggregates across modes, sizes, workers
+# End-to-end parity: float aggregates across modes and sizes
 # ----------------------------------------------------------------------
 
 
 def _float_db(batch_size: int = 64, rows: int = 900) -> Database:
-    # morsel_pages=2 so the parallel scheduler can split even this small
-    # table (the default 64-page morsels need a much larger one).
-    db = Database(EngineConfig(batch_size=batch_size, morsel_pages=2))
+    db = Database(EngineConfig(batch_size=batch_size))
     db.create_table(
         "m",
         [
@@ -631,20 +590,6 @@ class TestEndToEndFloatParity:
         assert off_ctx.vector.agg_pipelines == 0
         assert_bit_identical(result, ctx, row_result, row_ctx)
         assert_bit_identical(off_result, off_ctx, row_result, row_ctx)
-
-    @pytest.mark.parametrize("workers", (1, 2, 7))
-    def test_parallel_float_preagg_ships_no_rows(self, workers):
-        db = _float_db()
-        for sql in FLOAT_AGG_QUERIES:
-            plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
-            batch_result, batch_ctx = dispatch(db, plan, "batch")
-            result, ctx = dispatch(db, plan, "parallel", parallel_workers=workers)
-            assert ctx.parallel.preagg_pipelines == 1
-            # The telemetry contract of the lifted gate: float SUM/AVG
-            # pre-aggregate as value runs — zero raw rows shipped.
-            assert ctx.parallel.rows_shipped == 0
-            assert ctx.parallel.rows_preaggregated > 0
-            assert_bit_identical(result, ctx, batch_result, batch_ctx)
 
     def test_dictionary_overflow_groups_through_object_path(self):
         # > columnar_dictionary_max distinct strings demote the column to
