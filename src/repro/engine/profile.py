@@ -115,11 +115,13 @@ class ExecutionProfile:
     #: keyed by scan node id: ``kernel`` (``"column"`` / ``"row"``), the
     #: ``reason`` a pipeline stayed on the row kernels (temporary table,
     #: predicate without a kernel, no filter; None for column),
-    #: ``rows_scanned``, ``rows_selected`` (rows leaving the pipeline) and
+    #: ``rows_scanned``, ``rows_selected`` (rows leaving the pipeline),
     #: ``rows_materialised`` — the row tuples actually built, which late
     #: materialisation keeps at the rows a row-oriented operator received
     #: (0 under a vectorized aggregate, the matched rows under a
-    #: vectorized join probe).  ``zone_map_skips`` counts page groups proven
+    #: vectorized join probe) — and, for column kernels, ``passes``: one
+    #: per run of page groups the zone maps did not skip (1 for a scan
+    #: with no skip).  ``zone_map_skips`` counts page groups proven
     #: empty by zone maps and skipped whole; ``zone_map_groups_read`` the
     #: groups whose arrays were evaluated; ``zone_map_pages_skipped`` the
     #: pages inside skipped groups; ``columnar_pipelines`` how many leaf

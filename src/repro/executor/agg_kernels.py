@@ -420,24 +420,6 @@ def object_group_minmax(
     return best
 
 
-def left_fold_sum(values: Sequence):
-    """``total = 0; for v in values: total += v`` — exact, with the
-    vectorized fold fast path for all-float runs.
-
-    The fold runs in input order, so the total equals the row-at-a-time
-    fold bit-for-bit.  Runs holding any non-float (Python int arithmetic
-    keeps integer totals exact and type-visible in the output) take the
-    plain loop.
-    """
-    n = len(values)
-    if _ACCUMULATE_OK and n > 16 and all(type(value) is float for value in values):
-        return _accumulate_sum(values, _np.zeros(n + 1, dtype=_np.float64)).item()
-    total = 0
-    for value in values:
-        total += value
-    return total
-
-
 # ----------------------------------------------------------------------
 # The hash-join build structure
 # ----------------------------------------------------------------------

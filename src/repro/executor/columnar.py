@@ -3,10 +3,10 @@
 A *leaf pipeline* is a chain of filters/projections (optionally topped by a
 statistics collector) over a base-table sequential scan.  The batch executor
 runs every leaf pipeline that statically qualifies over the table's
-:class:`~repro.storage.columnar.ColumnStore` instead of its row tuples: one
-typed NumPy array per column per *page group*, where a page group is exactly
-the run of pages the batch scan yields as one batch.  Whether a pipeline
-qualifies is decided from what the code can observe, never by an option:
+:class:`~repro.storage.columnar.ColumnStore` — one typed NumPy array per
+column, cut into zone-mapped *page groups* — instead of its row tuples.
+Whether a pipeline qualifies is decided from what the code can observe,
+never by an option:
 
 * the table is a base table (a temporary table is written once and read
   once; encoding its columns would cost more than the row kernels save), and
@@ -23,52 +23,52 @@ without one the heap tuples already are the cheapest answer.  Every pipeline
 that stays on the row kernels records why (``ctx.columnar.leaf``, surfaced
 on the profile and in EXPLAIN ANALYZE).
 
-Per page group the pipeline runs in column space:
+A page group is a slice, a run is a pass: the pipeline works on *runs*,
+maximal stretches of consecutive groups the zone maps do not skip — with no
+skip, the whole scan (``leaf_pipelines[scan]["passes"]`` counts them):
 
-* **Masks** — conjuncts evaluate as boolean masks over the group's arrays,
-  in order, never showing a conjunct that could raise a row an earlier one
-  excluded (the serial short-circuit; see :class:`_Resolver`).
+* **Zone-map skipping** — before any array is touched, the *first* mask
+  stage's column-vs-constant conjuncts are tested against every group's
+  zone maps; a group whose min/max proves zero matches is skipped whole.
+  Only the first mask can skip: every stage below it is count-preserving
+  (a take), so all skipped-group stage counts are known exactly.
+* **Masks** — per run, conjuncts evaluate as boolean masks over the run's
+  arrays, in order, never showing a conjunct that could raise a row an
+  earlier one excluded (the serial short-circuit; see :class:`_Resolver`).
   Comparisons of a dictionary-encoded column with a constant evaluate in
   code space and never decode a string.
-* **Zone-map skipping** — before any array is touched, the *first* mask
-  stage's column-vs-constant conjuncts are tested against the group's
-  per-column zone maps; a group whose min/max proves zero matches is
-  skipped whole.  Skipping is only sound from the first mask because every
-  stage below it is count-preserving (a take), so all skipped-group stage
-  counts are known exactly.
-* **Late materialisation** — what leaves the masks is ``(page group,
-  selection vector)``, and row tuples are built only for rows a
-  row-oriented operator actually receives.  A hash-join probe
-  (:func:`columnar_probe_stream`) asks for the probe rows that found a
-  match; the vectorized aggregate (:func:`columnar_vectorized_aggregate`)
-  asks for none.  Any other consumer gets the surviving rows: slices of
-  the heap's own tuples when the output view is the identity, otherwise
-  tuples rebuilt from ``ndarray.tolist()`` values, which round-trip
-  exactly.
+* **Late materialisation** — what leaves the masks is ``(run, selection
+  vector)``, and row tuples are built only for rows a row-oriented operator
+  actually receives.  A hash-join probe (:func:`columnar_probe_stream`)
+  asks for the probe rows that found a match; the vectorized aggregate
+  (:func:`columnar_vectorized_aggregate`) asks for none.  Any other
+  consumer gets the surviving rows: slices of the heap's own tuples when
+  the output view is the identity, otherwise tuples rebuilt from
+  ``ndarray.tolist()`` values, which round-trip exactly.
 
-Parity contract: rows, batch boundaries, ``CostBreakdown``, buffer
-statistics and observed statistics are byte-identical to the row kernels.
-Charges are *replayed* — each group's page accesses and per-page CPU at the
-moment the group is reached, streaming-stage totals from exact integer row
-counts at end of stream.  Skipped groups' treatment is governed by
-``EngineConfig.zone_map_cost_mode``:
+Parity contract: rows, ``CostBreakdown``, buffer statistics and observed
+statistics are byte-identical to the row kernels.  Charges are *replayed*:
+a run's pages as one sequential request when the run is reached (the same
+additions, in page order, as page by page), streaming-stage totals from
+exact integer row counts at end of stream.  ``EngineConfig.zone_map_cost_mode``
+governs skipped groups:
 
-* ``"charge"`` (default) replays a skipped group's scan charges as if its
-  pages had been read, so every simulated quantity stays byte-identical to
-  the row path and the zone maps are purely a wall-clock win.
-* ``"free"`` charges skipped groups nothing (no buffer access, no CPU, no
-  downstream consumed-row charges), modelling storage that can actually
-  avoid the I/O — simulated costs then *diverge* from the row path by
-  design.  Completion *actuals* still include skipped rows in both modes:
-  a zone-map skip is an exact, free cardinality observation (the group
-  provably holds its row count below the first mask and zero survivors at
-  it), so SCIA verdicts and EXPLAIN ANALYZE Q-error never mistake skipped
-  rows for missing ones.
+* ``"charge"`` (default) replays their scan charges, in page order between
+  the runs, so every simulated quantity stays byte-identical to the row
+  path and the zone maps are purely a wall-clock win.
+* ``"free"`` charges them nothing (no buffer access, no CPU, no downstream
+  consumed-row charges), modelling storage that can actually avoid the
+  I/O — simulated costs then *diverge* from the row path by design.
+  Completion *actuals* still include skipped rows in both modes: a skip is
+  an exact, free cardinality observation (the group provably holds its row
+  count below the first mask and zero survivors at it), so SCIA verdicts
+  and EXPLAIN ANALYZE Q-error never mistake skipped rows for missing ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterator, Sequence
 
 import numpy as _np
@@ -253,24 +253,20 @@ def _in_check(values: tuple):
     return check
 
 
-def _skipped_groups(conditions: tuple, store: ColumnStore) -> list[bool] | None:
+def _skipped_groups(conditions: tuple, store: ColumnStore) -> list[bool]:
     """Per group: whether its zone maps disprove the first mask stage.
 
     Conservative: groups containing NULLs never skip (the serial path
     would raise on a NULL comparison, and skipping must not change
     behaviour), a NaN bound compares False either way, and a condition
-    whose constant cannot be compared with the bounds skips nothing.
-    None when no group skips."""
-    skipped = None
+    whose constant cannot be compared with the bounds skips nothing."""
+    skipped = _np.zeros(len(store.groups), dtype=bool)
     for position, check in conditions:
         lows, highs, provable = store.zone_bounds(position)
         try:
-            disproved = check(lows, highs) & provable
+            skipped |= check(lows, highs) & provable
         except (TypeError, OverflowError):
             continue
-        skipped = disproved if skipped is None else skipped | disproved
-    if skipped is None or not skipped.any():
-        return None
     return skipped.tolist()
 
 
@@ -362,7 +358,7 @@ def columnar_pipeline(
 def columnar_probe_stream(node: PlanNode, ctx: RuntimeContext, key_position: int):
     """A late-materialising hash-join probe source, or None.
 
-    Yields ``(count, [key], rows_at)`` per surviving page group: the number
+    Yields ``(count, [key], rows_at)`` per run with survivors: the number
     of probe rows, their key column read straight off the probe pipeline's
     arrays (an int array, or ``(codes, dictionary)`` for a dictionary
     column, which stays in code space) and the late materialiser
@@ -387,32 +383,32 @@ def _probe_batches(ctx, prepared: _Prepared, store: ColumnStore, column: int):
     leaf = ctx.columnar.leaf
     scan_id = prepared.scan.node_id
     dictionary = store.dictionaries[column]
-    for group, sel, survivors in _run_pipeline(ctx, prepared, yield_groups=True):
-        keys = store.array(group, column)
+    for run, sel, survivors in _run_pipeline(ctx, prepared, yield_runs=True):
+        keys = store.array(run, column)
         if sel is not None:
             keys = keys[sel]
 
-        def rows_at(positions, group=group, sel=sel):
+        def rows_at(positions, run=run, sel=sel):
             leaf[scan_id]["rows_materialised"] += len(positions)
             return _materialise(
-                prepared, store, group, positions if sel is None else sel[positions]
+                prepared, store, run, positions if sel is None else sel[positions]
             )
 
         yield survivors, [keys if dictionary is None else (keys, dictionary)], rows_at
 
 
-def _materialise(prepared: _Prepared, store: ColumnStore, group: ColumnGroup, index):
-    """Row tuples of ``group`` at the in-group row offsets ``index`` (an
+def _materialise(prepared: _Prepared, store: ColumnStore, run: ColumnGroup, index):
+    """Row tuples of ``run`` at the in-run row offsets ``index`` (an
     ascending integer array; None for every row), through the pipeline's
     output view."""
     kernels = prepared.kernels
     if kernels.identity:
         rows = prepared.table.rows
         if index is None:
-            return rows[group.start_row : group.end_row]
-        return [rows[i] for i in (index + group.start_row).tolist()]
+            return rows[run.start_row : run.end_row]
+        return [rows[i] for i in (index + run.start_row).tolist()]
     columns = [
-        store.values(group, column, index).tolist() for column in kernels.out_view
+        store.values(run, column, index).tolist() for column in kernels.out_view
     ]
     if len(columns) == 1:
         return [(v,) for v in columns[0]]
@@ -423,18 +419,18 @@ def columnar_vectorized_aggregate(node, ctx: RuntimeContext):
     """Fully vectorized hash aggregation over a prepared column view.
 
     Returns ``(groups, input_rows, grant)`` or None to stay on the
-    per-batch fold.  The input pipeline runs in column space end to end
-    and hands over one selection per page group; no row is ever materialised.  Keys
+    per-batch fold.  The input pipeline runs in column space end to end;
+    no row is ever materialised.  Its runs' selections become one index
+    into the store's columns (a slice when one run keeps every row), keys
     factorize in first-occurrence order over the whole stream, then each
-    aggregate argument is gathered and folded *one column at a time* —
-    only the selections, the group codes and a single column's values are
-    ever alive together, which is what bounds the transient memory of two
-    sessions aggregating at once.  Each fold runs once globally in the
-    agg_kernels — per-page-group partial folds would not merge
-    bit-exactly for float SUM/AVG, one whole-stream fold reproduces the
-    serial accumulator byte for byte (see ``executor/agg_kernels.py``).
-    Qualification is static (encodings and expression shapes only), so a
-    qualified pipeline never bails out after charges started.
+    aggregate argument is gathered and folded *one column at a time*: the
+    transient memory is the index, the group codes and one gathered column,
+    each as long as the selected stream.  Each fold runs once globally in
+    the agg_kernels — partial folds would not merge bit-exactly for float
+    SUM/AVG, one whole-stream fold reproduces the serial accumulator byte
+    for byte (see ``executor/agg_kernels.py``).  Qualification is static
+    (encodings and expression shapes only), so a qualified pipeline never
+    bails out after charges started.
     """
     if not kernels_available():
         return None
@@ -464,14 +460,16 @@ def columnar_vectorized_aggregate(node, ctx: RuntimeContext):
         for column in {*key_cols, *(c for __, c in specs if c is not None)}
     }
 
-    selections: list[tuple[ColumnGroup, object]] = []
+    parts: list = []  # per run, its selected rows as table rows
     input_rows = 0
     grant: int | None = None
-    for group, sel, survivors in _run_pipeline(ctx, prepared, yield_groups=True):
+    for run, sel, survivors in _run_pipeline(ctx, prepared, yield_runs=True):
         if grant is None:
             grant = ctx.commit_memory(node)
         input_rows += survivors
-        selections.append((group, sel))
+        parts.append(
+            slice(run.start_row, run.end_row) if sel is None else sel + run.start_row
+        )
 
     ctx.columnar.keyed_pipelines += 1
     vec = ctx.vector
@@ -484,14 +482,13 @@ def columnar_vectorized_aggregate(node, ctx: RuntimeContext):
     if input_rows == 0:
         return {}, 0, grant
 
+    rows = parts[0] if len(parts) == 1 else _np.r_[tuple(parts)]
+    del parts
+
     def stream(column: int, raw: bool = False):
         """One column of the whole selected stream: as stored (dictionary
         codes, possibly-int32 integers) when ``raw``, else in value space."""
-        parts = []
-        for group, sel in selections:
-            array = store.array(group, column)
-            parts.append(array if sel is None else array[sel])
-        array = parts[0] if len(parts) == 1 else _np.concatenate(parts)
+        array = store.column(column)[rows]
         if raw or array.dtype != _np.int32:
             return array
         if encodings[column] == "dict":
@@ -505,24 +502,27 @@ def columnar_vectorized_aggregate(node, ctx: RuntimeContext):
     else:
         per_codes = []
         per_keys = []
+        raws = []
         for column in key_cols:
             kind = encodings[column]
+            raw = stream(column, raw=True)
+            raws.append(raw)
             if kind == "dict":
                 # Dictionary columns factorize directly on their codes.
-                col_codes, uniq, __f = factorize_array(stream(column, raw=True))
+                col_codes, uniq, __f = factorize_array(raw)
                 decoded = store.dictionaries[column].values
                 keys = [
                     None if code < 0 else decoded[code]
                     for code in uniq.tolist()
                 ]
             elif kind == "int64":
-                col_codes, uniq, __f = factorize_array(stream(column, raw=True))
+                col_codes, uniq, __f = factorize_array(raw)
                 keys = uniq.tolist()
             else:
                 # Float/object keys: Python-dict factorization replicates
                 # the serial grouping's hash/identity semantics exactly
                 # (signed zeros share a group, NaN objects do not).
-                col_codes, keys = factorize_values(stream(column).tolist())
+                col_codes, keys = factorize_values(raw.tolist())
             per_codes.append(col_codes)
             per_keys.append(keys)
         if len(key_cols) == 1:
@@ -532,25 +532,27 @@ def columnar_vectorized_aggregate(node, ctx: RuntimeContext):
             span = 1
             for keys in per_keys:
                 span *= len(keys)
+            firsts = None
             if span < 2**62:
                 combined = per_codes[0]
                 for col_codes, keys in zip(per_codes[1:], per_keys[1:]):
                     combined = combined * len(keys) + col_codes
                 codes, __u, firsts = factorize_array(combined)
-                group_keys = [
-                    tuple(
-                        per_keys[j][int(per_codes[j][first])]
-                        for j in range(len(key_cols))
-                    )
-                    for first in firsts.tolist()
-                ]
-            else:  # cardinality product overflows: tuple-space dict
-                columns = [
-                    [keys[code] for code in col_codes.tolist()]
-                    for col_codes, keys in zip(per_codes, per_keys)
-                ]
+            # Key tuples hold each group's first row's values, as the row
+            # path's first-inserted key does: equal keys can differ (0.0
+            # and -0.0), so a column's first value of a class will not do.
+            columns = []
+            for column, values in zip(key_cols, raws):
+                if firsts is not None:
+                    values = values[firsts]
+                if encodings[column] == "dict":
+                    values = store.decode(column, values)
+                columns.append(values.tolist())
+            if firsts is None:  # cardinality product overflows: tuple space
                 codes, group_keys = factorize_values(list(zip(*columns)))
-        del per_codes
+            else:
+                group_keys = list(zip(*columns))
+        del per_codes, raws
     n_groups = len(group_keys)
 
     # ---- fold every aggregate, one argument column at a time ----------
@@ -639,22 +641,22 @@ class _Unobservable(Exception):
 
 
 class _Resolver:
-    """The mask kernels' column resolver: one group's column arrays,
+    """The mask kernels' column resolver: one run's column arrays,
     narrowed by the selection vector ``sel`` (None = all rows).
 
     A row failing conjunct *i* must never reach conjunct *i + 1* — the
     serial short-circuit, observable when the later conjunct would raise
     (a NULL comparison).  Numeric arrays and NULL-free dictionary codes
-    cannot raise, so conjuncts over them evaluate on the whole group and
+    cannot raise, so conjuncts over them evaluate on the whole run and
     their masks are ANDed; with ``guard`` set (rows already excluded, not
     yet narrowed) asking for anything else raises :class:`_Unobservable`
     and the pipeline narrows before re-evaluating."""
 
-    __slots__ = ("store", "group", "sel", "guard")
+    __slots__ = ("store", "run", "sel", "guard")
 
-    def __init__(self, store: ColumnStore, group: ColumnGroup) -> None:
+    def __init__(self, store: ColumnStore, run: ColumnGroup) -> None:
         self.store = store
-        self.group = group
+        self.run = run
         self.sel = None
         self.guard = False
 
@@ -662,26 +664,27 @@ class _Resolver:
         store = self.store
         if self.guard and store.encoding(column) not in ("int64", "float64"):
             raise _Unobservable
-        return store.values(self.group, column, self.sel)
+        return store.values(self.run, column, self.sel)
 
     def codes(self, column: int):
-        coded = self.store.dict_codes(self.group, column)
+        coded = self.store.dict_codes(self.run, column)
         if coded is None or self.sel is None:
             return coded
         return coded[0][self.sel], coded[1]
 
 
 def _run_pipeline(
-    ctx: RuntimeContext, prep: _Prepared, *, yield_groups: bool = False
+    ctx: RuntimeContext, prep: _Prepared, *, yield_runs: bool = False
 ) -> Iterator:
-    """The column-space pipeline body: per group, zone-check then mask/take
-    in column space, then hand the survivors over.
+    """The column-space pipeline body: zone-check every group, then per run
+    of read groups mask/take in column space and hand the survivors over.
 
     By default survivors are materialised (and shown to the collector, if
-    one tops the chain) and yielded as row batches.  With ``yield_groups`` the
-    narrowed group itself is the batch: ``(group, sel, survivors)`` triples
-    for consumers that stay in column space and materialise late, only
-    offered by callers that verified no collector tops the chain.
+    one tops the chain) and yielded as one row batch per run.  With
+    ``yield_runs`` the narrowed run itself is the batch: ``(run, sel,
+    survivors)`` triples for consumers that stay in column space and
+    materialise late, only offered by callers that verified no collector
+    tops the chain.
     """
     config = ctx.config
     table = prep.table
@@ -690,8 +693,16 @@ def _run_pipeline(
     kernels = prep.kernels
     masks = kernels.masks
     charge_skipped = config.zone_map_cost_mode == "charge"
-    conditions = kernels.conditions
     first_mask = kernels.first_mask
+    # Maximal stretches of groups with one zone-map verdict, in page order:
+    # ``(skipped, first group, stop group)``.
+    runs, first = [], 0
+    for skip, members in groupby(_skipped_groups(kernels.conditions, store)):
+        stop = first + len(list(members))
+        runs.append((skip, first, stop))
+        first = stop
+    passes = sum(1 for skip, __, __ in runs if not skip)
+    groups_skipped = sum(stop - first for skip, first, stop in runs if skip)
 
     telemetry = ctx.columnar
     telemetry.pipelines += 1
@@ -704,6 +715,7 @@ def _run_pipeline(
     leaf = telemetry.leaf[scan.node_id] = {
         "table": scan.table_name, "kernel": "column", "reason": None,
         "rows_scanned": 0, "rows_selected": 0, "rows_materialised": 0,
+        "passes": passes,
     }
 
     collector: RuntimeCollector | None = None
@@ -720,8 +732,9 @@ def _run_pipeline(
         span = tracer.begin(
             f"columnar-pipeline-{pipeline_id}",
             "pipeline",
-            kind="columnar-keyed" if yield_groups else "columnar",
+            kind="columnar-keyed" if yield_runs else "columnar",
             groups=len(store.groups),
+            runs=passes,
             root=prep.nodes_bottom_up[-1].label if prep.nodes_bottom_up else scan.label,
         )
 
@@ -733,51 +746,47 @@ def _run_pipeline(
     scan_rows = 0
     stage_rows = [0] * len(prep.nodes_bottom_up)
     materialised = 0
-    groups_read = 0
-    groups_skipped = 0
-    pages_skipped = 0
-    rows_skipped = 0
     # Rows of free-mode-skipped groups: excluded from charges by design,
     # but a zone-map skip is an exact, free cardinality observation — the
     # group provably holds ``row_count`` scan rows and zero mask survivors
     # — so completion actuals add these back (SCIA verdicts and EXPLAIN
     # ANALYZE Q-error must not treat proven rows as missing).
     skipped_free_rows = 0
-    skipped = _skipped_groups(conditions, store)
     try:
-        for group in store.groups:
-            group_rows = group.row_count
-            if skipped is not None and skipped[group.index]:
-                groups_skipped += 1
-                pages_skipped += group.page_count
-                rows_skipped += group_rows
+        for skip, first, stop in runs:
+            run = store.run(first, stop)
+            run_rows = run.row_count
+            if skip:
+                per_scan["groups_skipped"] += stop - first
+                per_scan["pages_skipped"] += run.last_page - run.first_page
+                per_scan["rows_skipped"] += run_rows
                 if charge_skipped:
                     # Parity mode: the skip saves the real work (tuple
                     # materialisation, predicate evaluation) but replays
                     # the simulated page charges, so every cost/buffer
-                    # number matches a path that read the group.
-                    charge_scan(table, group.first_page, group.last_page)
-                    scan_rows += group_rows
+                    # number matches a path that read the groups.
+                    charge_scan(table, run.first_page, run.last_page)
+                    scan_rows += run_rows
                     for position in range(first_mask):
-                        stage_rows[position] += group_rows
+                        stage_rows[position] += run_rows
                 else:
-                    skipped_free_rows += group_rows
+                    skipped_free_rows += run_rows
                 continue
-            groups_read += 1
-            # The group's scan charges, exactly as the row scan interleaves
-            # them ahead of the batch yield.
-            charge_scan(table, group.first_page, group.last_page)
-            scan_rows += group_rows
+            per_scan["groups_read"] += stop - first
+            # The run's scan charges, ahead of its hand-off as the row scan
+            # charges a batch's pages before yielding it.
+            charge_scan(table, run.first_page, run.last_page)
+            scan_rows += run_rows
 
             # -- masks select the surviving rows ------------------------
-            mask = None  # over the whole group, while no conjunct narrowed
-            sel = None  # row indices into the group, once one did
-            survivors = group_rows
+            mask = None  # over the whole run, while no conjunct narrowed
+            sel = None  # row indices into the run, once one did
+            survivors = run_rows
             resolver = None
             for position, conjuncts in enumerate(masks):
                 if conjuncts is not None:
                     if resolver is None:
-                        resolver = _Resolver(store, group)
+                        resolver = _Resolver(store, run)
                     for fn in conjuncts:
                         if sel is None:
                             resolver.guard = mask is not None
@@ -801,20 +810,19 @@ def _run_pipeline(
                     break
             if survivors == 0:
                 continue
-            if survivors == group_rows:
+            if survivors == run_rows:
                 sel = None
             elif sel is None:
                 sel = _np.nonzero(mask)[0]
 
-            if yield_groups:
-                # Column-space consumer: the narrowed group is the batch.
-                # The commit/charge interleaving matches the row path —
-                # the consumer sees the group at the same clock position a
-                # materialised batch would have arrived at.
-                yield group, sel, survivors
+            if yield_runs:
+                # Column-space consumer: the narrowed run is the batch,
+                # reaching it at the clock position a materialised batch
+                # would have.
+                yield run, sel, survivors
                 continue
 
-            batch = _materialise(prep, store, group, sel)
+            batch = _materialise(prep, store, run, sel)
             materialised += survivors
             if collector is not None:
                 collector.observe_batch(batch)
@@ -823,10 +831,6 @@ def _run_pipeline(
     finally:
         _charge_streaming_stages(ctx, kernels, scan_rows, stage_rows)
         selected = stage_rows[-1] if stage_rows else scan_rows
-        per_scan["groups_read"] += groups_read
-        per_scan["groups_skipped"] += groups_skipped
-        per_scan["pages_skipped"] += pages_skipped
-        per_scan["rows_skipped"] += rows_skipped
         leaf["rows_scanned"] = scan_rows + skipped_free_rows
         leaf["rows_selected"] = selected
         leaf["rows_materialised"] += materialised

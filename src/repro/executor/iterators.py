@@ -538,29 +538,6 @@ class _AggState:
                         best = value
             self.maximum = best
 
-    def merge(self, other: "_AggState") -> None:
-        """Fold another partial state (from a later input run) into this one.
-
-        Exact only when the aggregate's fold is associative down to the
-        bit: COUNT, integer SUM/AVG totals (integer addition regroups
-        freely) and MIN/MAX, whose strict comparisons keep the earlier
-        occurrence just like the serial fold.  Float SUM/AVG partial
-        *totals* must never be merged: float addition does not regroup, so
-        only one left fold over the values in input order
-        (:func:`~repro.executor.agg_kernels.left_fold_sum`) reproduces the
-        serial total.
-        """
-        self.count += other.count
-        self.total += other.total
-        if other.minimum is not None and (
-            self.minimum is None or other.minimum < self.minimum
-        ):
-            self.minimum = other.minimum
-        if other.maximum is not None and (
-            self.maximum is None or other.maximum > self.maximum
-        ):
-            self.maximum = other.maximum
-
     def result(self):
         if self.func is AggFunc.COUNT:
             return self.count

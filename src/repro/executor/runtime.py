@@ -95,8 +95,9 @@ class ColumnarExecStats:
     #: Every leaf pipeline the batch executor ran, keyed by scan node id:
     #: ``{"table", "kernel": "column" | "row", "reason"}`` — why it stayed
     #: on the row kernels, None for column — plus, for column pipelines,
-    #: ``"rows_scanned"``, ``"rows_selected"`` (rows leaving the pipeline)
-    #: and ``"rows_materialised"`` (tuples actually built); row pipelines
+    #: ``"rows_scanned"``, ``"rows_selected"`` (rows leaving the pipeline),
+    #: ``"rows_materialised"`` (tuples actually built) and ``"passes"``
+    #: (kernel passes: runs of page groups not skipped); row pipelines
     #: carry ``"top"`` (the chain's top node id) and get their counts from
     #: the completion actuals when the profile is assembled.
     leaf: dict[int, dict] = field(default_factory=dict)

@@ -111,7 +111,8 @@ class NodeAnalysis:
     collector: CollectorInsight | None = None
     #: For the sequential scan under a leaf pipeline: which kernels ran it
     #: and how many tuples it built (``{"table", "kernel", "reason",
-    #: "rows_scanned", "rows_selected", "rows_materialised"}`` — see
+    #: "rows_scanned", "rows_selected", "rows_materialised"}``, plus
+    #: ``"passes"`` for column kernels — see
     #: :attr:`ExecutionProfile.leaf_pipelines`), None otherwise.
     leaf_pipeline: dict | None = None
     #: For sequential scans executed by the column kernels: page groups
@@ -170,11 +171,13 @@ class NodeAnalysis:
         if self.leaf_pipeline is not None:
             leaf = self.leaf_pipeline
             why = f" ({leaf['reason']})" if leaf["reason"] else ""
+            passes = leaf.get("passes")
             lines.append(
                 f"{indent}    leaf pipeline: {leaf['kernel']} kernels{why}, "
                 f"{leaf['rows_scanned']} rows scanned, "
                 f"{leaf['rows_selected']} selected, "
                 f"{leaf['rows_materialised']} materialised"
+                + ("" if passes is None else f", {passes} passes")
             )
         if self.zone_map is not None:
             read = self.zone_map.get("groups_read", 0)

@@ -74,10 +74,6 @@ class ExactDistinct:
         for value in values:
             self._seen.add(value)
 
-    def merge(self, other: "ExactDistinct") -> None:
-        """Fold another exact counter in (set union)."""
-        self._seen |= other._seen
-
     def estimate(self) -> float:
         return float(len(self._seen))
 
@@ -131,24 +127,6 @@ class HybridDistinct:
         """Observe every value from an iterable."""
         for value in values:
             self.add(value)
-
-    def merge(self, other: "HybridDistinct") -> None:
-        """Fold another hybrid counter in.
-
-        The sketches OR their bitmaps (lossless: the merged sketch equals
-        one that observed both inputs).  The exact sets union while both
-        sides still have one, with the same drop-after-update semantics as
-        :meth:`add_batch`; once either side has fallen back to the sketch
-        the union must too (it no longer knows the exact values).
-        """
-        self._sketch.merge(other._sketch)
-        self.hashed += other.hashed
-        if self._exact is None or other._exact is None:
-            self._exact = None
-            return
-        self._exact |= other._exact
-        if len(self._exact) > self._threshold:
-            self._exact = None
 
     def estimate(self) -> float:
         if self._exact is not None:
@@ -204,21 +182,6 @@ class FlajoletMartin:
         """Observe every value from an iterable."""
         for value in values:
             self.add(value)
-
-    def merge(self, other: "FlajoletMartin") -> None:
-        """Fold another sketch in (bitmap OR).
-
-        Lossless: a bit records that *some* value hashed to that rank, so
-        the union of two sketches over disjoint scans equals the sketch of
-        one scan over the concatenated input.  Both sketches must share the
-        bitmap count and salt, otherwise ranks are incomparable.
-        """
-        if other.num_maps != self.num_maps or other._salt != self._salt:
-            raise StatisticsError(
-                "cannot merge Flajolet-Martin sketches with different "
-                "geometry or seed"
-            )
-        self._bitmaps = [a | b for a, b in zip(self._bitmaps, other._bitmaps)]
 
     def estimate(self) -> float:
         total_rank = sum(self._lowest_zero(bm) for bm in self._bitmaps)

@@ -90,20 +90,6 @@ class Reservoir(RowSampler):
         for offset, slot in hits:
             sample[slot] = values[offset]
 
-    def merge(self, other: "Reservoir", rng: random.Random | None = None) -> None:
-        """Fold another reservoir in (:func:`merge_samples`), drawing from
-        ``rng`` or, by default, this reservoir's own RNG."""
-        if other.seen and self.capacity != other.capacity:
-            raise StatisticsError(
-                f"cannot merge reservoirs of capacity {other.capacity} "
-                f"into {self.capacity}"
-            )
-        self._sample = merge_samples(
-            self._sample, self.seen, other._sample, other.seen,
-            self.capacity, self._rng if rng is None else rng,
-        )
-        self.seen += other.seen
-
     @property
     def sample(self) -> Sequence:
         """The current sample (length ``min(capacity, seen)``)."""
@@ -120,56 +106,3 @@ class Reservoir(RowSampler):
             return 0.0
         return self.seen / len(self._sample)
 
-
-def merge_samples(
-    ours: list, seen_ours: int, theirs: list, seen_theirs: int,
-    capacity: int, rng: random.Random,
-) -> list:
-    """Weighted union of two reservoir samples (distributed-reservoir merge).
-
-    The result is a uniform random sample of the *combined* population: each
-    retained element of either input stands for ``seen / len(sample)``
-    population values, and elements are drawn from the two (shuffled) samples
-    with probability proportional to the unrepresented population weight
-    remaining on each side.  When both inputs are exhaustive
-    (``seen <= capacity`` combined) the merge is a plain concatenation and
-    stays exhaustive.  The draws come from ``rng`` alone, so a caller that
-    passes a fixed-seed generator gets the same merged sample every time.
-    """
-    if seen_theirs == 0:
-        return ours
-    if seen_ours == 0:
-        return list(theirs)
-    if seen_ours + seen_theirs <= capacity:
-        return ours + theirs
-    ours = list(ours)
-    theirs = list(theirs)
-    rng.shuffle(ours)
-    rng.shuffle(theirs)
-    # Remaining population weight on each side; consumed in per-element
-    # decrements so early draws from a side make later ones less likely.
-    weight_ours = float(seen_ours)
-    weight_theirs = float(seen_theirs)
-    step_ours = weight_ours / len(ours)
-    step_theirs = weight_theirs / len(theirs)
-    merged: list = []
-    i = j = 0
-    target = min(capacity, len(ours) + len(theirs))
-    while len(merged) < target:
-        if i >= len(ours):
-            merged.append(theirs[j])
-            j += 1
-            continue
-        if j >= len(theirs):
-            merged.append(ours[i])
-            i += 1
-            continue
-        if rng.random() * (weight_ours + weight_theirs) < weight_ours:
-            merged.append(ours[i])
-            i += 1
-            weight_ours -= step_ours
-        else:
-            merged.append(theirs[j])
-            j += 1
-            weight_theirs -= step_theirs
-    return merged

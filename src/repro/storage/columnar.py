@@ -1,21 +1,23 @@
-"""Columnar page groups: typed NumPy arrays per column, with zone maps.
+"""Column store: one typed NumPy array per column, page groups as slices.
 
 A :class:`ColumnStore` is a columnar shadow of a heap :class:`~.table.Table`:
-the table's rows, cut into *page groups* (the runs of whole pages the serial
-batch scan accumulates into one batch — see :func:`page_groups`), with one
-typed NumPy array per column per group and a per-group per-column
-:class:`ZoneMap` (min / max / null count).  The heap rows remain the source
+one encoded array per column over every row of the table, and the table cut
+into *page groups* (the runs of whole pages the serial batch scan
+accumulates into one batch — see :func:`page_groups`), each holding its
+page / row bounds and a per-column :class:`ZoneMap` (min / max / null
+count).  A page group's column is a slice of the column — a view, never a
+copy — and so is a *run* of consecutive groups (:meth:`ColumnStore.run`):
+a page group is a slice, a run is a pass.  The heap rows remain the source
 of truth — the store is a derived, incrementally-maintained acceleration
 structure that the column-space leaf pipelines
 (:mod:`repro.executor.columnar`) use for vectorized filter masks, key
 extraction, aggregation and zone-map scan skipping.
 
-The store costs what is read: a column is encoded — arrays, zone maps and
-its encoding decision — the first time anything asks for it, all groups at
-once and in group order under the table's store lock.  Encodings depend on
-one column's values only, so the state a column reaches is the one an eager
-build of every column would have given it, whichever query touches it first
-and however late.
+The store costs what is read: a column is encoded — array, zone maps and
+its encoding decision — the first time anything asks for it, under the
+table's store lock.  Encodings depend on one column's values only, so the
+state a column reaches is the one an eager build of every column would
+have given it, whichever query touches it first and however late.
 
 Column encodings:
 
@@ -25,31 +27,30 @@ Column encodings:
   the heap tuples' values.  An ``"int64"`` column whose values all fit is
   *stored* as int32 (most keys, dates and quantities do): exact under
   comparison and ``tolist()``, widened by its readers before any
-  arithmetic, and widened in place by an append that no longer fits.
+  arithmetic, and widened by an append that no longer fits.
 * ``"dict"`` — low-cardinality string columns: one table-wide, append-only
-  dictionary (value → code) plus an ``int32`` code array per group.  NULLs
-  encode as code ``-1``.  When the dictionary exceeds the configured
-  distinct-value budget the column *overflows* to plain encoding and every
-  existing group's codes are decoded in place.
+  dictionary (value → code) plus an ``int32`` code array.  NULLs encode as
+  code ``-1``.  When the dictionary exceeds the configured distinct-value
+  budget the column *overflows* to the object encoding.
 * ``"object"`` — the always-correct fallback: Python objects in an object
   array (mixed types, NULLs, integers beyond int64).
 
 Maintenance: :meth:`Table.append_rows <repro.storage.table.Table.append_rows>`
 re-syncs every attached store after each bulk append.  Rows are only ever
 appended or truncated, so freshness is a row-count comparison; a stale
-store keeps the longest valid prefix of groups and rebuilds just the tail
-(at most the previously-partial final group plus the new rows) of the
-columns already built.  Encoding demotions (dictionary overflow, int64
-overflow, a NULL arriving in a numeric column) re-encode the affected
-column across all groups, which keeps every group's representation uniform
-per column.
+store keeps the longest valid prefix of groups and re-encodes just the tail
+rows (at most the previously-partial final group plus the new rows) of the
+columns already built, onto the kept prefix of each column.  Encoding
+demotions (dictionary overflow, int64 overflow, a NULL arriving in a
+numeric column) re-encode the whole column as objects, zone maps included,
+so a column has one representation over every row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .schema import DataType
 
@@ -60,6 +61,11 @@ import numpy as np
 
 _INT32_MIN = -(2**31)
 _INT32_MAX = 2**31 - 1
+
+#: A column's array type per encoding.
+_DTYPES = {
+    "int64": np.int64, "float64": np.float64, "dict": np.int32, "object": object,
+}
 
 #: Cached predicate truth tables per dictionary (each at most
 #: ``dictionary_max`` booleans).
@@ -151,39 +157,26 @@ class _Dictionary:
         return table
 
 
-class ColumnGroup:
-    """One page group: per-column arrays plus per-column zone maps.
+class ColumnGroup(NamedTuple):
+    """A page group, or a run of consecutive ones, as page and row bounds.
 
-    ``arrays`` / ``zones`` hold ``None`` for columns not built yet; read
-    them through :meth:`ColumnStore.array` / :meth:`ColumnStore.zone`.
+    A page group (an entry of :attr:`ColumnStore.groups`) also holds one
+    zone map per column — ``None`` until the column is built; read them
+    through :meth:`ColumnStore.zone`.  A run (:meth:`ColumnStore.run`) has
+    none.  Column data are slices of the store's columns:
+    :meth:`ColumnStore.array`.
     """
 
-    __slots__ = (
-        "index",
-        "first_page",
-        "last_page",
-        "start_row",
-        "end_row",
-        "arrays",
-        "zones",
-    )
-
-    def __init__(self, index, first_page, last_page, start_row, end_row, width):
-        self.index = index
-        self.first_page = first_page
-        self.last_page = last_page
-        self.start_row = start_row
-        self.end_row = end_row
-        self.arrays: list = [None] * width
-        self.zones: list[ZoneMap | None] = [None] * width
+    index: int
+    first_page: int
+    last_page: int
+    start_row: int
+    end_row: int
+    zones: list | None
 
     @property
     def row_count(self) -> int:
         return self.end_row - self.start_row
-
-    @property
-    def page_count(self) -> int:
-        return self.last_page - self.first_page
 
 
 class ColumnStore:
@@ -223,9 +216,10 @@ class ColumnStore:
             _Dictionary() if kind == "dict" else None for kind in self.encodings
         ]
         self._built = [False] * self._width
-        #: Per "int64" column: whether its arrays are stored as int32
-        #: (None until its first group is encoded).
-        self._narrow: list[bool | None] = [None] * self._width
+        #: Per column: its array over every row, once built.
+        self._columns: list = [None] * self._width
+        #: Per "int64" column: whether it is stored as int32.
+        self._narrow: list[bool] = [False] * self._width
 
     @staticmethod
     def _initial_encoding(dtype: DataType) -> str:
@@ -244,8 +238,8 @@ class ColumnStore:
         an unchanged row count means nothing to do.  Otherwise keeps the
         longest prefix of groups whose page bounds *and* row extent still
         match the current geometry (appends can only grow the final,
-        previously-partial group) and rebuilds the rest — for the columns
-        already built; the others stay unread.
+        previously-partial group) and re-encodes the rows after it — for
+        the columns already built; the others stay unread.
         """
         table = self.table
         nrows = table.row_count
@@ -264,22 +258,16 @@ class ColumnStore:
             else:
                 break
         del self.groups[keep:]
-        built = [position for position in range(self._width) if self._built[position]]
-        for index in range(keep, len(bounds)):
-            first_page, last_page = bounds[index]
-            group = ColumnGroup(
-                index,
-                first_page,
-                last_page,
-                first_page * per_page,
-                min(last_page * per_page, nrows),
-                self._width,
-            )
-            self.groups.append(group)
-            chunk = table.rows[group.start_row : group.end_row]
-            for position in built:
-                self._encode_group(position, group, chunk)
+        start = self.groups[-1].end_row if self.groups else 0
+        for index, (first_page, last_page) in enumerate(bounds[keep:], keep):
+            start_row, end_row = first_page * per_page, min(last_page * per_page, nrows)
+            self.groups.append(ColumnGroup(
+                index, first_page, last_page, start_row, end_row, [None] * self._width
+            ))
         self._rows = nrows
+        for position in range(self._width):
+            if self._built[position]:
+                self._encode(position, start)
         self._numeric.clear()
         self.version += 1
 
@@ -292,7 +280,7 @@ class ColumnStore:
         self.version += 1
 
     def _ensure(self, position: int) -> None:
-        """Build ``position``'s arrays and zone maps in every group, once.
+        """Build ``position``'s array and zone maps, once.
 
         Serialized by the table's store lock: two sessions first-touching
         the same column build it once, and neither sees it half-built."""
@@ -301,27 +289,49 @@ class ColumnStore:
         with self.table._store_lock:
             if self._built[position]:
                 return
-            rows = self.table.rows
-            for group in self.groups:
-                self._encode_group(
-                    position, group, rows[group.start_row : group.end_row]
-                )
+            self._encode(position, 0)
             self._built[position] = True
             self.version += 1
 
     # -- encoding -------------------------------------------------------
 
-    def _encode_group(self, position: int, group: ColumnGroup, chunk: list) -> None:
-        values = list(map(itemgetter(position), chunk))
-        kind = self.encodings[position]
+    def _encode(self, position: int, start: int) -> None:
+        """Encode rows ``start ..`` of column ``position`` onto the kept
+        prefix of its array, with the zone maps of the groups they fill
+        (every group from the one starting at ``start``).  A value the
+        encoding cannot hold demotes the column and re-encodes all of it.
+
+        Encoded group by group — each group's values are type-checked,
+        converted and summarised while they are in cache — into one array."""
+        rows = self.table.rows
         while True:
+            kind = self.encodings[position]
+            tail = np.empty(self._rows - start, _DTYPES[kind])
             try:
-                array, zone = self._encode_as(kind, position, values)
+                for group in self.groups:
+                    if group.start_row < start:
+                        continue
+                    chunk = rows[group.start_row : group.end_row]
+                    values = list(map(itemgetter(position), chunk))
+                    array, zone = self._encode_as(kind, position, values)
+                    group.zones[position] = zone
+                    tail[group.start_row - start : group.end_row - start] = array
                 break
             except _EncodingOverflow:
-                kind = self._demote(position)
-        group.arrays[position] = array
-        group.zones[position] = zone
+                self.encodings[position] = "object"
+                self.dictionaries[position] = None
+                start = 0
+        if kind == "int64" and len(tail):
+            # Stored as int32 while every value so far fits.
+            self._narrow[position] = (start == 0 or self._narrow[position]) and (
+                _INT32_MIN <= tail.min() and tail.max() <= _INT32_MAX
+            )
+            if self._narrow[position]:
+                tail = tail.astype(np.int32)
+        if start:
+            # An int32 prefix meeting an int64 tail widens here.
+            tail = np.concatenate((self._columns[position][:start], tail))
+        self._columns[position] = tail
 
     def _encode_as(self, kind: str, position: int, values: list) -> tuple:
         # Exact-type gate: NumPy would silently *truncate* a stray float in
@@ -355,21 +365,7 @@ class ColumnStore:
         # floats exactly (same IEEE 754 representation), so tolist() always
         # returns the original values.
         low, high = arr.min().item(), arr.max().item()
-        if kind == "int64":
-            fits = _INT32_MIN <= low and high <= _INT32_MAX
-            if self._narrow[position] is None:
-                self._narrow[position] = fits
-            elif self._narrow[position] and not fits:
-                # An int32-stored column met a value beyond int32.
-                self._narrow[position] = False
-                for group in self.groups:
-                    if group.arrays[position] is not None:
-                        group.arrays[position] = group.arrays[position].astype(
-                            np.int64
-                        )
-            if self._narrow[position]:
-                arr = arr.astype(np.int32)
-        elif low != low or high != high:  # a NaN: bounds prove nothing
+        if low != low or high != high:  # a NaN: bounds prove nothing
             low = high = float("nan")
         return arr, ZoneMap(low, high, 0, len(values))
 
@@ -395,28 +391,6 @@ class ColumnStore:
         )
         return codes, zone
 
-    def _demote(self, position: int) -> str:
-        """Demote a column one step (dict → object, numeric → object) and
-        re-encode it in every already-built group."""
-        dictionary = self.dictionaries[position]
-        self.encodings[position] = "object"
-        self.dictionaries[position] = None
-        rows = self.table.rows
-        for group in self.groups:
-            old = group.arrays[position]
-            if old is None:
-                continue
-            arr = np.empty(group.row_count, dtype=object)
-            if dictionary is not None:
-                values = dictionary.values
-                arr[:] = [values[c] if c >= 0 else None for c in old.tolist()]
-            else:
-                arr[:] = [
-                    row[position] for row in rows[group.start_row : group.end_row]
-                ]
-            group.arrays[position] = arr
-        return "object"
-
     # -- access ---------------------------------------------------------
 
     def encoding(self, position: int) -> str:
@@ -424,14 +398,26 @@ class ColumnStore:
         self._ensure(position)
         return self.encodings[position]
 
-    def array(self, group: ColumnGroup, position: int):
-        """The group's column as stored: dictionary codes for ``"dict"``
-        columns, possibly int32 for ``"int64"`` ones."""
+    def run(self, first: int, stop: int) -> ColumnGroup:
+        """Page groups ``first .. stop - 1`` as one span of pages and rows
+        (no zone maps): what one kernel pass reads."""
+        head, last = self.groups[first], self.groups[stop - 1]
+        return ColumnGroup(
+            first, head.first_page, last.last_page, head.start_row, last.end_row, None
+        )
+
+    def column(self, position: int):
+        """The column over every row, as stored: dictionary codes for
+        ``"dict"`` columns, possibly int32 for ``"int64"`` ones."""
         self._ensure(position)
-        return group.arrays[position]
+        return self._columns[position]
+
+    def array(self, group: ColumnGroup, position: int):
+        """The group's (or run's) slice of :meth:`column` — a view."""
+        return self.column(position)[group.start_row : group.end_row]
 
     def zone(self, group: ColumnGroup, position: int) -> ZoneMap:
-        """The group's zone map for one column."""
+        """The page group's zone map for one column."""
         self._ensure(position)
         return group.zones[position]
 
@@ -463,29 +449,27 @@ class ColumnStore:
         return bounds
 
     def numeric(self, position: int):
-        """An ``"int64"`` or NaN-free ``"float64"`` column as one array over
-        every row (min/max over an index-NL join's inner heap), else None.
-        Built on first read; :meth:`sync` and :meth:`reset` drop it."""
+        """An ``"int64"`` or NaN-free ``"float64"`` :meth:`column` (min/max
+        over an index-NL join's inner heap), else None; the verdict is kept
+        until :meth:`sync` or :meth:`reset`."""
         whole = self._numeric.get(position, False)
         if whole is False:
-            with self.table._store_lock:
-                kind = self.encoding(position)
-                whole = None
-                if kind in ("int64", "float64") and self.groups:
-                    whole = np.concatenate([g.arrays[position] for g in self.groups])
-                    if kind == "float64" and np.isnan(whole).any():
-                        whole = None
-                self._numeric[position] = whole
+            whole = None
+            if self.encoding(position) in ("int64", "float64") and self._rows:
+                whole = self._columns[position]
+                if whole.dtype == np.float64 and np.isnan(whole).any():
+                    whole = None
+            self._numeric[position] = whole
         return whole
 
     def values(self, group: ColumnGroup, position: int, sel=None):
-        """The group's column in *value space*, optionally narrowed to the
-        row indices ``sel``: dictionary columns decoded (strings are built
-        per call and not kept; predicates on dictionary columns evaluate
-        in code space instead, see :meth:`dict_codes`), everything else as
-        stored.  ``tolist()`` of the result is exact; an ``"int64"``
-        column may come back as int32, which compares exactly but must be
-        widened before arithmetic."""
+        """The group's (or run's) column in *value space*, optionally
+        narrowed to the row indices ``sel``: dictionary columns decoded
+        (strings are built per call and not kept; predicates on dictionary
+        columns evaluate in code space instead, see :meth:`dict_codes`),
+        everything else as stored.  ``tolist()`` of the result is exact; an
+        ``"int64"`` column may come back as int32, which compares exactly
+        but must be widened before arithmetic."""
         array = self.array(group, position)
         if sel is not None:
             array = array[sel]
@@ -495,12 +479,12 @@ class ColumnStore:
 
     def dict_codes(self, group: ColumnGroup, position: int):
         """``(codes, dictionary)`` when the column is dictionary-encoded and
-        the group holds no NULL in it, else None.  With no NULL every code
-        indexes the dictionary, so a per-value truth table gathered by code
-        is the predicate's mask."""
+        the group (or run) holds no NULL in it, else None.  With no NULL
+        every code indexes the dictionary, so a per-value truth table
+        gathered by code is the predicate's mask."""
         array = self.array(group, position)
         dictionary = self.dictionaries[position]
-        if dictionary is None or group.zones[position].null_count:
+        if dictionary is None or (array < 0).any():
             return None
         return array, dictionary
 
@@ -518,18 +502,24 @@ class _EncodingOverflow(Exception):
 
 
 def _zone_of(values: list) -> ZoneMap:
-    """Exact min/max/null-count of one column chunk, as Python values."""
+    """Exact min/max/null-count of one column chunk, as Python values; a
+    NaN makes both bounds NaN, which no predicate can disprove."""
     null_count = 0
     mn = mx = None
+    nan = False
     for value in values:
         if value is None:
             null_count += 1
+        elif value != value:
+            nan = True
         elif mn is None:
             mn = mx = value
         elif value < mn:
             mn = value
         elif value > mx:
             mx = value
+    if nan:
+        mn = mx = float("nan")
     return ZoneMap(
         min_value=mn, max_value=mx, null_count=null_count, row_count=len(values)
     )

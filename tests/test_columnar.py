@@ -2,7 +2,7 @@
 
 The contract under test (DESIGN.md section 9): the batch executor swaps the
 inside of every qualifying leaf pipeline for vectorized NumPy work over
-per-page-group column arrays, with zone-map scan skipping and late
+whole-column arrays cut into page groups, with zone-map scan skipping and late
 materialisation — and under the default ``zone_map_cost_mode="charge"`` it
 is byte-identical to the row path (the oracle): result rows, simulated
 ``CostBreakdown``, buffer statistics and observed statistics, at any
@@ -234,16 +234,19 @@ class TestColumnStore:
         dtypes = [DataType.INTEGER, DataType.INTEGER, DataType.STRING]
         __, __t, store = _make_table(rows, dtypes=dtypes)
         assert len(store.groups) >= 3
-        assert all(a is None for g in store.groups for a in g.arrays)
+        assert store._built == [False, False, False]
+        assert all(z is None for g in store.groups for z in g.zones)
         version = store.version
         assert store.values(store.groups[1], 1).tolist() == [
             row[1] for row in rows[store.groups[1].start_row : store.groups[1].end_row]
         ]
         # The whole column, every group, in one build; its neighbours unread.
         assert store.version == version + 1
+        assert store._built == [False, True, False]
         for group in store.groups:
-            assert group.arrays[1] is not None and group.zones[1] is not None
-            assert group.arrays[0] is None and group.arrays[2] is None
+            assert group.zones[1] is not None
+            assert group.zones[0] is None and group.zones[2] is None
+            assert np.shares_memory(store.array(group, 1), store._columns[1])
         store.values(store.groups[0], 1)
         store.zone(store.groups[2], 1)
         assert store.version == version + 1
@@ -266,18 +269,32 @@ class TestColumnStore:
         table.append_rows([(1000, 1)])
         assert len(calls) == 1 and store.version == version + 1
 
-    def test_append_extends_only_tail_groups_of_built_columns(self):
+    def test_append_extends_only_tail_groups_of_built_columns(self, monkeypatch):
         rows = [(i, i % 7, float(i)) for i in range(1000)]
         dtypes = [DataType.INTEGER, DataType.INTEGER, DataType.FLOAT]
         __, table, store = _make_table(rows, dtypes=dtypes)
         store.encoding(1)
-        kept = [(id(g), id(g.arrays[1])) for g in store.groups[:-1]]
+        kept = [(id(g), id(g.zones[1])) for g in store.groups[:-1]]
+        tail = store.groups[-1].start_row
+        encoded = []
+        encode_as = store._encode_as
+        monkeypatch.setattr(
+            store, "_encode_as",
+            lambda kind, position, values: encoded.append((position, len(values)))
+            or encode_as(kind, position, values),
+        )
         table.append_rows([(i, i % 7, float(i)) for i in range(1000, 1300)])
-        assert [(id(g), id(g.arrays[1])) for g in store.groups[: len(kept)]] == kept
+        # Only the built column, only from the previously-partial group on.
+        assert encoded == [
+            (1, g.row_count) for g in store.groups if g.start_row >= tail
+        ]
+        assert sum(n for __, n in encoded) == 1300 - tail
+        assert [(id(g), id(g.zones[1])) for g in store.groups[: len(kept)]] == kept
         assert store.groups[-1].end_row == 1300
+        assert store._built == [False, True, False]
         for group in store.groups:
-            assert group.arrays[1] is not None
-            assert group.arrays[0] is None and group.arrays[2] is None
+            assert np.shares_memory(store.array(group, 1), store._columns[1])
+            assert group.zones[0] is None and group.zones[2] is None
         decoded = [v for g in store.groups for v in store.values(g, 1).tolist()]
         assert decoded == [row[1] for row in table.rows]
 
@@ -745,6 +762,22 @@ class TestZoneMapSkipping:
                 col_result, col_ctx, row_outcome[0], row_outcome[1]
             )
 
+    def test_nan_in_an_object_column_bounds_prove_nothing(self):
+        # The int 7 sends the FLOAT column to objects; the group holding
+        # the NaN must get NaN bounds, or `f <> 5.0` would skip the NaN
+        # row it selects.
+        db = Database(EngineConfig(batch_size=64))
+        db.create_table("t", [("k", DataType.INTEGER), ("f", DataType.FLOAT)])
+        rows = [(i, 7 if i == 0 else 5.0) for i in range(600)]
+        rows[400] = (400, float("nan"))
+        db.load_rows("t", rows)
+        db.analyze()
+        sql = "SELECT t.k FROM t WHERE t.f <> 5.0"
+        batch = db.execute(sql, execution_mode="batch")
+        assert batch.profile.zone_map_skips > 0
+        assert batch.rows == db.execute(sql, execution_mode="row").rows
+        assert batch.rows == [(0,), (400,)]
+
     def test_in_list_predicate_skips(self):
         db = _clustered_db()
         result = db.execute(
@@ -795,7 +828,7 @@ class TestLateMaterialisation:
             "lineitem": {
                 "table": "lineitem", "kernel": "column", "reason": None,
                 "rows_scanned": 59963, "rows_selected": selected,
-                "rows_materialised": 0,
+                "rows_materialised": 0, "passes": 1,
             }
         }
 

@@ -1,8 +1,7 @@
-"""Aggregate-state merging and the batch path's mid-query switch.
+"""The batch path's mid-query switch.
 
 The module name is historical: there is no parallel executor (DESIGN.md
-section 8).  What it tests stays: ``_AggState.merge`` of two input runs
-equals one fold over both, and on the running example in FULL mode the
+section 8).  What it tests stays: on the running example in FULL mode the
 batch executor switches plans at the cut join and runs the remainder over
 the materialised temporary table.
 """
@@ -12,8 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro import Database, DynamicMode, EngineConfig
-from repro.executor.iterators import _AggState
-from repro.plans.logical import AggFunc
 from repro.workloads.synthetic import (
     RUNNING_EXAMPLE_SQL,
     SyntheticConfig,
@@ -35,20 +32,6 @@ def switch_db() -> Database:
         db, SyntheticConfig(rel1_rows=20_000, rel3_rows=60_000, correlation=1.0)
     )
     return db
-
-
-class TestPreAggregation:
-    def test_agg_state_merge_matches_serial_fold(self):
-        values = [7, None, 3, 9, 1, None, 5, 2, 8]
-        for func in (AggFunc.COUNT, AggFunc.SUM, AggFunc.MIN, AggFunc.MAX):
-            serial = _AggState(func)
-            serial.update_batch(values)
-            left, right = _AggState(func), _AggState(func)
-            left.update_batch(values[:4])
-            right.update_batch(values[4:])
-            left.merge(right)
-            assert left.count == serial.count
-            assert left.result() == serial.result()
 
 
 class TestSwitchDuringParallelProbe:

@@ -4,8 +4,7 @@ The contract under test (DESIGN.md section 9): the NumPy group-by fold
 kernels in ``executor/agg_kernels.py`` reproduce the serial accumulator
 byte-for-byte — including non-associative float SUM/AVG, signed zeros,
 infinities and NaN — so the batch executor's column-space leaf pipelines
-aggregate entirely in column space.  Plus ``left_fold_sum`` and
-``_AggState.merge`` against the serial fold, the join-probe kernel's exact
+aggregate entirely in column space.  Plus the join-probe kernel's exact
 emission-order parity with late materialisation, and the import-time fold
 probes failing closed.
 """
@@ -28,14 +27,11 @@ from repro.executor.agg_kernels import (
     float_group_sums,
     int_group_sums,
     kernels_available,
-    left_fold_sum,
     minmax_group_fold,
     object_group_minmax,
     object_group_sums,
 )
 from repro.executor.chunk import typed
-from repro.executor.iterators import _AggState
-from repro.plans.logical import AggFunc
 
 from .test_columnar import assert_bit_identical, dispatch
 
@@ -212,11 +208,9 @@ class TestLongRunFold:
         del calls[:]
         monkeypatch.setattr(agg_kernels, "_ACCUMULATE_OK", False)
         self.check(run, [0] * len(run), 1)
-        assert bits(left_fold_sum(run)) == bits(serial_sum(run))
         assert not calls
-        # ... and with the matrix probe failed too, the plain loop.
+        # ... and with the matrix probe failed too, no kernel at all.
         monkeypatch.setattr(agg_kernels, "_KERNELS_OK", False)
-        assert bits(left_fold_sum(run)) == bits(serial_sum(run))
         assert not kernels_available()
 
 
@@ -358,53 +352,6 @@ class TestFactorization:
         assert codes.tolist() == [0, 1, 2, 1, 0]
         assert keys[0] is nan_a and keys[2] is nan_b
         assert bits(keys[1]) == bits(0.0)
-
-
-class TestLeftFoldSum:
-    def test_matches_serial_and_keeps_types(self):
-        rng = random.Random(5)
-        floats = [rng.choice(ADVERSARIAL) for __ in range(333)]
-        assert bits(left_fold_sum(floats)) == bits(serial_sum(floats))
-        ints = list(range(100))
-        total = left_fold_sum(ints)
-        assert total == sum(ints) and type(total) is int
-        mixed = [1, 2.5] * 20
-        assert left_fold_sum(mixed) == serial_sum(mixed)
-        assert left_fold_sum([]) == 0 and type(left_fold_sum([])) is int
-
-    def test_long_adversarial_cancellation(self):
-        values = [1e16, 1.0, -1e16, 1.0] * 64
-        assert bits(left_fold_sum(values)) == bits(serial_sum(values))
-
-
-# ----------------------------------------------------------------------
-# _AggState.merge (associative partial states)
-# ----------------------------------------------------------------------
-
-
-class TestAggStateMerge:
-    @pytest.mark.parametrize(
-        "values",
-        [
-            [None, None, None],          # NULL-only
-            [7],                         # single row
-            [],                          # empty split half
-            [3, None, 9, 1, None, 5, 2],
-            [2**62, 2**62, 2**62],       # big-int totals stay exact
-        ],
-        ids=["null-only", "single", "empty", "mixed", "bigint"],
-    )
-    def test_merge_matches_serial_fold(self, values):
-        for func in (AggFunc.COUNT, AggFunc.SUM, AggFunc.MIN, AggFunc.MAX):
-            for split in range(len(values) + 1):
-                serial = _AggState(func)
-                serial.update_batch(values)
-                left, right = _AggState(func), _AggState(func)
-                left.update_batch(values[:split])
-                right.update_batch(values[split:])
-                left.merge(right)
-                assert left.count == serial.count
-                assert left.result() == serial.result()
 
 
 # ----------------------------------------------------------------------
