@@ -1,8 +1,8 @@
 """Concurrent-server throughput: interleaved TPC-D sessions vs serial.
 
-PR 8's tentpole benchmark.  A workload of simulated clients — each with its
-own :class:`~repro.engine.session.Session` and statement script drawn from
-the TPC-D query mix — is run two ways on the same database:
+A workload of simulated clients — each with its own
+:class:`~repro.engine.session.Session` and statement script drawn from the
+TPC-D query mix — is run two ways on the same database:
 
 * **serial** — every statement back to back through the inline engine,
   one query at a time (the pre-server engine).
@@ -10,19 +10,14 @@ the TPC-D query mix — is run two ways on the same database:
   :class:`~repro.engine.server.QueryServer`, under admission control and
   the global memory broker.
 
-Both worker modes are measured: ``thread`` (shared-memory, mid-query
-re-grants reach running queries, but the GIL serialises pure-Python
-execution) and ``fork`` (one forked process per statement — real
-multi-core scaling where ``os.fork`` exists).
+Statements run on their sessions' threads (shared memory, so mid-query
+re-grants reach running queries; the GIL serialises pure-Python
+execution, so throughput is not expected to scale with sessions).
 
 The parity record is unconditional: the concurrent run must produce
 byte-identical rows, statement by statement, client by client, vs the
 serial baseline — a benchmark result with broken parity is a bug, not a
-data point.  The throughput gate (>= ``REQUIRED_SPEEDUP``x at
-``GATE_SESSIONS`` sessions, best worker mode) is hardware-dependent and is
-enforced only when the host grants this process at least ``REQUIRED_CPUS``
-cores; smaller hosts still run the curve and the parity checks, and the
-JSON document records the gate as skipped with the reason.
+data point.  There is no throughput gate; the curve is recorded.
 
 Results go to ``BENCH_server.json`` at the repository root and
 ``results/server.txt``.  Runs under pytest
@@ -37,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 from pathlib import Path
 
 from repro import Database, MetricsRegistry
@@ -57,38 +51,16 @@ STATEMENTS_PER_SESSION = 6
 SMOKE_STATEMENTS = 2
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_server.json"
 
-REQUIRED_SPEEDUP = 2.0
-GATE_SESSIONS = 4
-REQUIRED_CPUS = 4
-
 #: Metrics worth surfacing in the benchmark document (prefix match).
 TELEMETRY_PREFIXES = ("server.", "broker.")
 
 
-def available_cpus() -> int:
-    """CPUs actually granted to this process (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
-
-
-def worker_modes() -> tuple[str, ...]:
-    """Thread mode always; fork mode where the platform can fork."""
-    return ("thread", "fork") if hasattr(os, "fork") else ("thread",)
-
-
-def _build_server_database(
-    scale_factor: float, worker_mode: str, max_sessions: int
-) -> Database:
-    """A TPC-D database whose server runs in the given worker mode."""
+def _build_server_database(scale_factor: float, max_sessions: int) -> Database:
+    """A TPC-D database whose server admits ``max_sessions`` statements."""
     experiment = ExperimentConfig(scale_factor=scale_factor)
-    engine = experiment.engine_config().with_updates(
-        server_worker_mode=worker_mode,
-        max_sessions=max_sessions,
-    )
-    # Own registry per mode: telemetry in the document must not mix the
-    # thread-mode and fork-mode runs through the process-wide default.
+    engine = experiment.engine_config().with_updates(max_sessions=max_sessions)
+    # Own registry: telemetry in the document must not mix in other runs
+    # through the process-wide default.
     db = Database(engine, metrics=MetricsRegistry())
     generate_tpcd(db, experiment.tpcd_config())
     return db
@@ -104,13 +76,13 @@ def _telemetry(db: Database) -> dict:
     }
 
 
-def _run_mode(
-    db: Database,
-    worker_mode: str,
-    session_counts: tuple[int, ...],
-    statements_per_session: int,
+def run_benchmark(
+    scale_factor: float = SCALE_FACTOR,
+    session_counts: tuple[int, ...] = SESSION_COUNTS,
+    statements_per_session: int = STATEMENTS_PER_SESSION,
 ) -> dict:
-    """The scaling curve for one worker mode on one database."""
+    """Measure serial vs concurrent TPC-D throughput per session count."""
+    db = _build_server_database(scale_factor, max_sessions=max(session_counts))
     points = []
     for sessions in session_counts:
         scripts = build_tpcd_scripts(
@@ -122,8 +94,7 @@ def _run_mode(
         serial_rows, serial_elapsed = run_serial(db, scripts)
         report = run_concurrent(db.server, scripts)
         assert_parity(serial_rows, report)
-        statements = report.statements
-        serial_qps = statements / serial_elapsed if serial_elapsed > 0 else 0.0
+        serial_qps = report.statements / serial_elapsed if serial_elapsed > 0 else 0.0
         point = report.summary()
         point.update(
             {
@@ -136,63 +107,16 @@ def _run_mode(
             }
         )
         points.append(point)
-    return {
-        "worker_mode": worker_mode,
-        "points": points,
-        "telemetry": _telemetry(db),
-    }
-
-
-def run_benchmark(
-    scale_factor: float = SCALE_FACTOR,
-    session_counts: tuple[int, ...] = SESSION_COUNTS,
-    statements_per_session: int = STATEMENTS_PER_SESSION,
-) -> dict:
-    """Measure serial vs concurrent TPC-D throughput per worker mode."""
-    modes = []
-    for worker_mode in worker_modes():
-        db = _build_server_database(
-            scale_factor, worker_mode, max_sessions=max(session_counts)
-        )
-        modes.append(
-            _run_mode(db, worker_mode, session_counts, statements_per_session)
-        )
-
-    gate_sessions = max(session_counts)
-    cpus = available_cpus()
-    gate_enforced = cpus >= REQUIRED_CPUS and gate_sessions >= GATE_SESSIONS
-
-    def speedup_at_gate(mode: dict) -> float:
-        for point in mode["points"]:
-            if point["sessions"] == gate_sessions:
-                return point["speedup"]
-        return 0.0
-
-    best = max(modes, key=speedup_at_gate)
     document = {
         "scale_factor": scale_factor,
         "session_counts": list(session_counts),
         "statements_per_session": statements_per_session,
-        "cpus_available": cpus,
         "metric": "completed statements per wall-clock second",
-        "modes": modes,
-        "best_mode": best["worker_mode"],
-        "best_speedup": speedup_at_gate(best),
-        "throughput_gate": {
-            "at_sessions": gate_sessions,
-            "required_speedup": REQUIRED_SPEEDUP,
-            "enforced": gate_enforced,
-            "reason": (
-                "enforced"
-                if gate_enforced
-                else f"skipped: {cpus} CPU(s) granted, need {REQUIRED_CPUS}"
-            ),
-        },
-        "parity_ok": all(
-            point["parity"] for mode in modes for point in mode["points"]
-        ),
+        "points": points,
+        "telemetry": _telemetry(db),
+        "parity_ok": all(point["parity"] for point in points),
     }
-    return stamp_document(document, {"throughput_gate": REQUIRED_CPUS})
+    return stamp_document(document)
 
 
 def _render(document: dict) -> str:
@@ -200,43 +124,29 @@ def _render(document: dict) -> str:
         "Concurrent server throughput vs serial baseline "
         f"(TPC-D sf={document['scale_factor']}, "
         f"{document['statements_per_session']} stmts/session, "
-        f"{document['cpus_available']} CPU(s))",
-        f"{'mode':<8}{'sessions':>9}{'serial qps':>12}{'server qps':>12}"
+        f"{document['cpu_count']} CPU(s))",
+        f"{'sessions':>9}{'serial qps':>12}{'server qps':>12}"
         f"{'spdup':>7}{'p50 ms':>9}{'p99 ms':>9}{'cache hit':>10}{'parity':>8}",
     ]
-    for mode in document["modes"]:
-        for point in mode["points"]:
-            lines.append(
-                f"{mode['worker_mode']:<8}{point['sessions']:>9}"
-                f"{point['serial_qps']:>12.2f}{point['throughput_qps']:>12.2f}"
-                f"{point['speedup']:>6.2f}x{point['latency_p50_ms']:>9.1f}"
-                f"{point['latency_p99_ms']:>9.1f}"
-                f"{point['plan_cache_hit_rate']:>10.0%}"
-                f"{'ok' if point['parity'] else 'FAIL':>8}"
-            )
-    gate = document["throughput_gate"]
-    lines.append(
-        f"gate: best mode {document['best_mode']} at {gate['at_sessions']} "
-        f"sessions = {document['best_speedup']:.2f}x "
-        f"(need {gate['required_speedup']}x, {gate['reason']})"
-    )
+    for point in document["points"]:
+        lines.append(
+            f"{point['sessions']:>9}"
+            f"{point['serial_qps']:>12.2f}{point['throughput_qps']:>12.2f}"
+            f"{point['speedup']:>6.2f}x{point['latency_p50_ms']:>9.1f}"
+            f"{point['latency_p99_ms']:>9.1f}"
+            f"{point['plan_cache_hit_rate']:>10.0%}"
+            f"{'ok' if point['parity'] else 'FAIL':>8}"
+        )
     return "\n".join(lines)
 
 
 def _assert_document(document: dict) -> None:
     assert document["parity_ok"], "concurrent rows diverged from serial baseline"
-    for mode in document["modes"]:
-        telemetry = mode["telemetry"]
-        assert telemetry.get("server.admitted", {}).get("value", 0) >= 1
-        assert telemetry.get("broker.leases", {}).get("value", 0) >= 1
-        for point in mode["points"]:
-            assert point["errors"] == 0
-    if document["throughput_gate"]["enforced"]:
-        assert document["best_speedup"] >= REQUIRED_SPEEDUP, (
-            f"best mode {document['best_mode']} reached only "
-            f"{document['best_speedup']}x at "
-            f"{document['throughput_gate']['at_sessions']} sessions"
-        )
+    telemetry = document["telemetry"]
+    assert telemetry.get("server.admitted", {}).get("value", 0) >= 1
+    assert telemetry.get("broker.leases", {}).get("value", 0) >= 1
+    for point in document["points"]:
+        assert point["errors"] == 0
 
 
 def _parse_args(argv=None) -> argparse.Namespace:

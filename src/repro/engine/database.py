@@ -19,11 +19,11 @@ Typical usage::
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from ..concurrency import fork_safe_lock
 from ..config import EngineConfig
 from ..core.modes import DynamicMode
 from ..core.parametric import (
@@ -121,16 +121,12 @@ class Database:
         self.feedback: FeedbackRepository | None = None
         if self.config.feedback_enabled:
             self.feedback = FeedbackRepository(
-                path=self.config.feedback_path,
-                q_error_threshold=self.config.feedback_q_error_threshold,
-                decay=self.config.feedback_decay,
-                max_correction=self.config.feedback_max_correction,
-                metrics=self.metrics,
+                path=self.config.feedback_path, metrics=self.metrics
             )
         self.estimator.feedback = self.feedback
         self._udfs: dict[str, Callable] = {}
         self._server = None
-        self._server_lock = fork_safe_lock(self, "_server_lock")
+        self._server_lock = threading.RLock()
 
     # -- DDL / loading ------------------------------------------------------
 
@@ -484,10 +480,9 @@ class Database:
 
         ``execution_mode`` overrides :attr:`EngineConfig.execution_mode`
         (``"row"`` or ``"batch"``) for this query only; both paths yield
-        identical rows, cost-clock charges and observed statistics (with
-        the default ``zone_map_cost_mode="charge"``).  There is no parallel
-        executor: ``workers`` is accepted only to refuse it with
-        :class:`ConfigError`, as an unknown ``execution_mode`` is.
+        identical rows, cost-clock charges and observed statistics.  There
+        is no parallel executor: ``workers`` is accepted only to refuse it
+        with :class:`ConfigError`, as an unknown ``execution_mode`` is.
 
         Preparation (parse/bind/optimize/SCIA) goes through the plan cache:
         repeats of the same statement under an unchanged statistics epoch

@@ -40,11 +40,11 @@ the rows and simulated cost of a cold execution.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
-from ..concurrency import fork_safe_lock
 from ..core.scia import SciaResult
 from ..plans.logical import LogicalQuery
 from ..plans.physical import PlanNode
@@ -157,7 +157,7 @@ class PlanCache:
         self._entries: "OrderedDict[tuple, CachedPlan | CachedScenarios]" = OrderedDict()
         self.stats = PlanCacheStats()
         self._metrics = metrics
-        self._lock = fork_safe_lock(self, "_lock")
+        self._lock = threading.RLock()
 
     def _bump(self, name: str, amount: int = 1) -> None:
         if self._metrics is not None:

@@ -152,7 +152,7 @@ class ExecutionProfile:
     #: counters zero for inline executions; the memory fields always record
     #: the budget the query actually ran under).
     #: ``session`` is the owning session's label, ``executed_via`` how the
-    #: statement ran (``"inline"``, ``"thread"`` or ``"fork"``),
+    #: statement ran (``"inline"`` or ``"thread"``, through the server),
     #: ``admission_wait_s`` how long admission control parked it and
     #: ``queue_depth_at_admission`` how many statements were waiting when it
     #: arrived.  ``memory_requested_pages``/``memory_granted_pages`` record

@@ -9,16 +9,17 @@ machinery that makes that safe and interesting:
 
 **Admission control** (:class:`AdmissionController`) bounds concurrency at
 ``max_sessions`` statements in flight, parking excess arrivals in a bounded
-priority queue (FIFO within a priority level).  A full queue rejects
-immediately and a parked statement times out after ``admission_timeout_s``
-— both raise :class:`~repro.errors.AdmissionError`.
+priority queue (FIFO within a priority level).  A full queue
+(:data:`ADMISSION_QUEUE_SIZE` parked) rejects immediately and a parked
+statement times out after :data:`ADMISSION_TIMEOUT_S` — both raise
+:class:`~repro.errors.AdmissionError`.
 
 **The global memory broker** (:class:`GlobalMemoryBroker`) divides the
 server-wide page pool into per-session leases
-(:meth:`MemoryManager.split_grant` computes the fair shares).  Under the
-``fair`` policy a lease may *borrow* idle pages beyond its fair share; when
-another session arrives (or leaves), the broker reclaims borrowed headroom
-and re-grants freed pages to running leases by resizing their
+(:meth:`MemoryManager.split_grant` computes the fair shares).  A lease may
+*borrow* idle pages beyond its fair share; when another session arrives
+(or leaves), the broker reclaims borrowed headroom and re-grants freed
+pages to running leases by resizing their
 :class:`~repro.executor.memory.MemoryManager` budgets mid-query.  The
 resize lands at the query's next dynamic re-allocation (a statistics
 collector completing), which is exactly the paper's trigger — now fed by
@@ -26,10 +27,8 @@ real cross-query pressure instead of a synthetic budget change.  Pages a
 manager has already promised to operators (``reserved_pages``) are never
 reclaimed, preserving the paper's started-operators-keep-their-grants rule.
 
-Statements run on the caller's thread (``worker_mode="thread"``, default:
-shared memory, mid-query re-grants reach the running query) or in a forked
-child per statement (``worker_mode="fork"``: true multi-core throughput;
-the lease is fixed at admission because the child's memory is private).
+Statements run on the submitting session's thread, sharing the engine's
+memory, so a mid-query re-grant reaches the running query.
 
 Determinism: an uncontended server grants every statement its full
 requested budget (the pool defaults to ``max_sessions *
@@ -43,9 +42,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 import threading
-import warnings
 from time import monotonic, perf_counter
 from typing import TYPE_CHECKING, Mapping
 
@@ -66,6 +63,13 @@ __all__ = [
     "QueryServer",
     "SessionLease",
 ]
+
+#: Statements that may wait for an admission slot; arrivals past this bound
+#: are rejected (overload sheds load rather than queueing without limit).
+ADMISSION_QUEUE_SIZE = 64
+#: Seconds a statement may wait for admission or for memory before it is
+#: refused (guards tests and CI against deadlock-shaped bugs).
+ADMISSION_TIMEOUT_S = 120.0
 
 #: Bucket bounds for the broker's page-size histograms (powers of four, in
 #: pages — the default wall-clock-oriented buckets bottom out far below any
@@ -126,33 +130,26 @@ class SessionLease:
 class GlobalMemoryBroker:
     """Arbitrates the server-wide page pool across session leases.
 
-    Policies:
-
-    * ``"fair"`` (default) — a default-budget statement is guaranteed
-      ``min(requested, total // max_sessions)`` pages and may borrow idle
-      pages up to its full request; arrivals reclaim borrowed headroom
-      (never below a lease's guarantee or its manager's promised pages) and
-      departures re-grant freed pages to running leases in arrival order.
-    * ``"static"`` — a default-budget statement gets exactly its fair share,
-      no borrowing, no mid-query changes: predictable, lower utilization.
+    A default-budget statement is guaranteed ``min(requested, total //
+    max_sessions)`` pages and may borrow idle pages up to its full request;
+    arrivals reclaim borrowed headroom (never below a lease's guarantee or
+    its manager's promised pages) and departures re-grant freed pages to
+    running leases in arrival order.
 
     Statements with an *explicit* ``memory_budget_pages`` are granted
-    exactly that amount under both policies (their profile must not depend
-    on server state); a request larger than the whole pool is refused with
-    :class:`~repro.errors.AdmissionError`.
+    exactly that amount (their profile must not depend on server state); a
+    request larger than the whole pool waits for exclusive use of it.
     """
 
     def __init__(
         self,
         total_pages: int,
         max_sessions: int,
-        policy: str = "fair",
         metrics: "MetricsRegistry | None" = None,
-        timeout_s: float = 120.0,
+        timeout_s: float = ADMISSION_TIMEOUT_S,
     ) -> None:
         self.total_pages = max(1, total_pages)
         self.max_sessions = max(1, max_sessions)
-        self.policy = policy
         self.timeout_s = timeout_s
         self._metrics = metrics
         self._cond = threading.Condition()
@@ -161,7 +158,7 @@ class GlobalMemoryBroker:
 
     @property
     def fair_share(self) -> int:
-        """Per-session guarantee under the fair policy (never zero)."""
+        """Per-session guarantee (never zero)."""
         return max(
             1, MemoryManager.split_grant(self.total_pages, self.max_sessions)[0]
         )
@@ -212,8 +209,6 @@ class GlobalMemoryBroker:
             if overcommit:
                 grant = requested
                 self._bump("broker.overcommits")
-            elif self.policy == "static" and not explicit:
-                grant = guarantee
             else:
                 shortfall = guarantee - self.free_pages()
                 if shortfall > 0:
@@ -233,8 +228,7 @@ class GlobalMemoryBroker:
             if lease in self._leases:
                 self._leases.remove(lease)
                 lease.granted_pages = 0
-                if self.policy != "static":
-                    self._redistribute()
+                self._redistribute()
             self._set_gauges()
             self._cond.notify_all()
 
@@ -369,80 +363,21 @@ class AdmissionController:
             self._metrics.gauge("server.queue_depth").set(len(self._waiting))
 
 
-def _forked_statement_worker(conn, database, catalog, scope, call) -> None:
-    """Child-process body for ``worker_mode="fork"``: run one statement
-    against the inherited engine state and pickle the result back.
-
-    Runs with freshly re-initialized locks (``repro.concurrency``'s
-    at-fork hook) and a private copy of every structure, so nothing it does
-    is visible to — or racing with — the parent."""
-    try:
-        prepared = database._prepare(
-            call["sql"],
-            ast=call["ast"],
-            params=call["params"],
-            mode=call["mode"],
-            execution_mode=call["execution_mode"],
-            parametric=call["parametric"],
-            catalog=catalog,
-            cache_scope=scope,
-        )
-        result = database._run(
-            prepared,
-            call["sql"],
-            call["mode"],
-            memory_budget_pages=call["budget_pages"],
-            execution_mode=call["execution_mode"],
-            catalog=catalog,
-            session_label=call["label"],
-            admission_wait_s=call["admission_wait_s"],
-            admission_queue_depth=call["queue_depth"],
-            executed_via="fork",
-        )
-        result.profile.memory_requested_pages = call["requested_pages"]
-        result.profile.memory_granted_pages = call["budget_pages"]
-        # Tracers hold live engine objects; keep the payload picklable.
-        result.profile.trace = None
-        try:
-            conn.send(("ok", result))
-        except Exception:
-            result.profile.events = []
-            conn.send(("ok", result))
-    except BaseException as exc:  # noqa: BLE001 - marshalled to the parent
-        try:
-            conn.send(("error", exc))
-        except Exception:
-            conn.send(("error", RuntimeError(repr(exc))))
-    finally:
-        conn.close()
-
-
 class QueryServer:
     """Runs concurrent statements against one shared :class:`Database`."""
 
     def __init__(self, database: "Database") -> None:
         self.database = database
         config = database.config
-        self.worker_mode = config.server_worker_mode
-        if self.worker_mode == "fork" and not hasattr(os, "fork"):
-            warnings.warn(
-                "server_worker_mode='fork' is unavailable on this platform; "
-                "falling back to threads",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self.worker_mode = "thread"
         self.broker = GlobalMemoryBroker(
             total_pages=config.resolved_server_memory_pages,
             max_sessions=config.max_sessions,
-            policy=config.session_memory_policy,
             metrics=database.metrics,
-            timeout_s=config.admission_timeout_s,
         )
         self.admission = AdmissionController(
             max_active=config.max_sessions,
-            queue_size=config.admission_queue_size,
-            timeout_s=config.admission_timeout_s,
+            queue_size=ADMISSION_QUEUE_SIZE,
+            timeout_s=ADMISSION_TIMEOUT_S,
             metrics=database.metrics,
         )
 
@@ -505,16 +440,27 @@ class QueryServer:
             )
             lease = self.broker.acquire(label, requested, explicit=explicit)
             try:
-                if self.worker_mode == "fork":
-                    return self._run_forked(
-                        catalog, scope, label, lease, wait_s, depth,
-                        sql, ast, params, mode, parametric,
-                        execution_mode,
-                    )
-                return self._run_threaded(
-                    catalog, scope, label, lease, wait_s, depth,
-                    sql, ast, params, mode, parametric,
-                    execution_mode,
+                prepared = db._prepare(
+                    sql,
+                    ast=ast,
+                    params=params,
+                    mode=mode,
+                    execution_mode=execution_mode,
+                    parametric=parametric,
+                    catalog=catalog,
+                    cache_scope=scope,
+                )
+                return db._run(
+                    prepared,
+                    sql,
+                    mode,
+                    execution_mode=execution_mode,
+                    catalog=catalog,
+                    lease=lease,
+                    session_label=label,
+                    admission_wait_s=wait_s,
+                    admission_queue_depth=depth,
+                    executed_via="thread",
                 )
             finally:
                 self.broker.release(lease)
@@ -522,78 +468,3 @@ class QueryServer:
             self.admission.leave()
             if db.metrics is not None:
                 db.metrics.counter("server.statements").inc()
-
-    def _run_threaded(
-        self, catalog, scope, label, lease, wait_s, depth,
-        sql, ast, params, mode, parametric, execution_mode,
-    ) -> "QueryResult":
-        db = self.database
-        prepared = db._prepare(
-            sql,
-            ast=ast,
-            params=params,
-            mode=mode,
-            execution_mode=execution_mode,
-            parametric=parametric,
-            catalog=catalog,
-            cache_scope=scope,
-        )
-        return db._run(
-            prepared,
-            sql,
-            mode,
-            execution_mode=execution_mode,
-            catalog=catalog,
-            lease=lease,
-            session_label=label,
-            admission_wait_s=wait_s,
-            admission_queue_depth=depth,
-            executed_via="thread",
-        )
-
-    def _run_forked(
-        self, catalog, scope, label, lease, wait_s, depth,
-        sql, ast, params, mode, parametric, execution_mode,
-    ) -> "QueryResult":
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        call = {
-            "sql": sql,
-            "ast": ast,
-            "params": params,
-            "mode": mode,
-            "parametric": parametric,
-            "execution_mode": execution_mode,
-            "label": label,
-            "admission_wait_s": wait_s,
-            "queue_depth": depth,
-            # The lease is fixed at admission in fork mode: the child's
-            # memory is private, so mid-query re-grants cannot reach it.
-            "budget_pages": lease.granted_pages,
-            "requested_pages": lease.requested_pages,
-        }
-        proc = ctx.Process(
-            target=_forked_statement_worker,
-            args=(child_conn, self.database, catalog, scope, call),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        try:
-            status, payload = parent_conn.recv()  # releases the GIL
-        except EOFError:
-            proc.join()
-            raise AdmissionError(
-                f"forked statement worker for {label!r} died "
-                f"(exit code {proc.exitcode})"
-            )
-        finally:
-            parent_conn.close()
-            proc.join()
-        if self.database.metrics is not None:
-            self.database.metrics.counter("server.fork_statements").inc()
-        if status == "error":
-            raise payload
-        return payload

@@ -50,19 +50,10 @@ Parity contract: rows, ``CostBreakdown``, buffer statistics and observed
 statistics are byte-identical to the row kernels.  Charges are *replayed*:
 a run's pages as one sequential request when the run is reached (the same
 additions, in page order, as page by page), streaming-stage totals from
-exact integer row counts at end of stream.  ``EngineConfig.zone_map_cost_mode``
-governs skipped groups:
-
-* ``"charge"`` (default) replays their scan charges, in page order between
-  the runs, so every simulated quantity stays byte-identical to the row
-  path and the zone maps are purely a wall-clock win.
-* ``"free"`` charges them nothing (no buffer access, no CPU, no downstream
-  consumed-row charges), modelling storage that can actually avoid the
-  I/O — simulated costs then *diverge* from the row path by design.
-  Completion *actuals* still include skipped rows in both modes: a skip is
-  an exact, free cardinality observation (the group provably holds its row
-  count below the first mask and zero survivors at it), so SCIA verdicts
-  and EXPLAIN ANALYZE Q-error never mistake skipped rows for missing ones.
+exact integer row counts at end of stream.  Zone-map-skipped groups have
+their scan charges replayed too, in page order between the runs, so every
+simulated quantity stays byte-identical to the row path and the zone maps
+are purely a wall-clock win.
 """
 
 from __future__ import annotations
@@ -692,7 +683,6 @@ def _run_pipeline(
     scan = prep.scan
     kernels = prep.kernels
     masks = kernels.masks
-    charge_skipped = config.zone_map_cost_mode == "charge"
     first_mask = kernels.first_mask
     # Maximal stretches of groups with one zone-map verdict, in page order:
     # ``(skipped, first group, stop group)``.
@@ -746,12 +736,6 @@ def _run_pipeline(
     scan_rows = 0
     stage_rows = [0] * len(prep.nodes_bottom_up)
     materialised = 0
-    # Rows of free-mode-skipped groups: excluded from charges by design,
-    # but a zone-map skip is an exact, free cardinality observation — the
-    # group provably holds ``row_count`` scan rows and zero mask survivors
-    # — so completion actuals add these back (SCIA verdicts and EXPLAIN
-    # ANALYZE Q-error must not treat proven rows as missing).
-    skipped_free_rows = 0
     try:
         for skip, first, stop in runs:
             run = store.run(first, stop)
@@ -760,17 +744,15 @@ def _run_pipeline(
                 per_scan["groups_skipped"] += stop - first
                 per_scan["pages_skipped"] += run.last_page - run.first_page
                 per_scan["rows_skipped"] += run_rows
-                if charge_skipped:
-                    # Parity mode: the skip saves the real work (tuple
-                    # materialisation, predicate evaluation) but replays
-                    # the simulated page charges, so every cost/buffer
-                    # number matches a path that read the groups.
-                    charge_scan(table, run.first_page, run.last_page)
-                    scan_rows += run_rows
-                    for position in range(first_mask):
-                        stage_rows[position] += run_rows
-                else:
-                    skipped_free_rows += run_rows
+                # The skip saves the real work (tuple materialisation,
+                # predicate evaluation) but replays the simulated page
+                # charges, so every cost/buffer number matches a path that
+                # read the groups.  A skipped group provably holds its row
+                # count below the first mask and zero survivors at it.
+                charge_scan(table, run.first_page, run.last_page)
+                scan_rows += run_rows
+                for position in range(first_mask):
+                    stage_rows[position] += run_rows
                 continue
             per_scan["groups_read"] += stop - first
             # The run's scan charges, ahead of its hand-off as the row scan
@@ -831,7 +813,7 @@ def _run_pipeline(
     finally:
         _charge_streaming_stages(ctx, kernels, scan_rows, stage_rows)
         selected = stage_rows[-1] if stage_rows else scan_rows
-        leaf["rows_scanned"] = scan_rows + skipped_free_rows
+        leaf["rows_scanned"] = scan_rows
         leaf["rows_selected"] = selected
         leaf["rows_materialised"] += materialised
 
@@ -839,15 +821,8 @@ def _run_pipeline(
     # ``finally``) semantics and the row path's completion bookkeeping.
     if collector is not None:
         ctx.collector_completed(collector_node, collector)
-    # Completion actuals, zone-map skips included: a skipped group provably
-    # contributes its full row count to the scan and to every
-    # count-preserving stage below the first mask, and zero rows at the
-    # mask and above.
-    ctx.mark_completed(scan, scan_rows + skipped_free_rows)
+    ctx.mark_completed(scan, scan_rows)
     for position, pnode in enumerate(prep.nodes_bottom_up):
-        actual = stage_rows[position]
-        if skipped_free_rows and position < first_mask:
-            actual += skipped_free_rows
-        ctx.mark_completed(pnode, actual)
+        ctx.mark_completed(pnode, stage_rows[position])
     if tracer is not None:
         tracer.end(span, rows=selected, groups_skipped=groups_skipped)

@@ -75,10 +75,8 @@ class ColumnarExecStats:
 
     Which kernels each leaf pipeline ran on and how many tuples it had to
     build, plus what the column-space pipelines did with their zone maps.
-    Under the default ``zone_map_cost_mode="charge"`` these are purely
-    observational (skipped groups' simulated charges are replayed, so costs
-    stay bit-identical to the row kernels); under ``"free"`` the skip
-    counts explain exactly where the simulated cost diverges.
+    These are purely observational: skipped groups' simulated charges are
+    replayed, so costs stay bit-identical to the row kernels.
     """
 
     #: Leaf pipelines that ran in column space (keyed ones included).

@@ -32,7 +32,7 @@ the pre-compiled ``def`` with fresh cells runs per plan node.
 from __future__ import annotations
 
 import operator
-import sys
+import threading
 from collections import OrderedDict
 from types import CodeType
 from typing import Callable, Sequence
@@ -55,7 +55,6 @@ from ..plans.logical import (
     Predicate,
     ScalarExpr,
 )
-from ..concurrency import fork_safe_lock
 from ..errors import ExecutionError
 from ..storage.schema import Schema
 
@@ -64,11 +63,8 @@ _CODE_CACHE: "OrderedDict[str, CodeType]" = OrderedDict()
 _CODE_CACHE_CAPACITY = 512
 
 #: Serializes cache access across concurrent server sessions (the LRU
-#: move-to-end/evict sequence is not atomic).  Owned by this module so the
-#: post-fork hook replaces it with an unheld lock in pipeline workers.
-_CODE_CACHE_LOCK = fork_safe_lock(
-    sys.modules[__name__], "_CODE_CACHE_LOCK", reentrant=False
-)
+#: move-to-end/evict sequence is not atomic).
+_CODE_CACHE_LOCK = threading.Lock()
 
 #: Observability counters for the code-object cache (tests, benchmarks).
 code_cache_stats = {"hits": 0, "misses": 0}

@@ -45,8 +45,8 @@ shapes, executions, and processes:
 
 The store is JSON-on-disk (atomic tmp-file + rename), epoch-versioned (the
 repository epoch advances once per absorbed query; the catalog's statistics
-epoch stamps each record for confidence decay), and thread/fork-safe via
-:func:`repro.concurrency.fork_safe_lock`.
+epoch stamps each record for confidence decay), and thread-safe behind one
+lock.
 """
 
 from __future__ import annotations
@@ -57,10 +57,10 @@ import math
 import os
 import re
 import tempfile
+import threading
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from ..concurrency import fork_safe_lock
 from ..plans.physical import (
     BlockNLJoinNode,
     DistinctNode,
@@ -451,7 +451,7 @@ class EdgeRecord:
 
 
 class FeedbackRepository:
-    """Thread/fork-safe, optionally JSON-backed store of feedback records."""
+    """Thread-safe, optionally JSON-backed store of feedback records."""
 
     def __init__(
         self,
@@ -474,7 +474,7 @@ class FeedbackRepository:
         #: updated *later* can invalidate them.
         self.epoch = 0
         self.queries_absorbed = 0
-        fork_safe_lock(self, "_lock")
+        self._lock = threading.RLock()
         if path and os.path.exists(path):
             self.load()
 
@@ -813,9 +813,9 @@ class FeedbackRepository:
     def save(self) -> None:
         """Atomically persist the repository, merging with the file's
         current contents: records this process never touched are kept, and
-        for touched signatures the freshest writer wins.  (Under the
-        server's fork worker mode each statement's child process saves its
-        own absorption; the merge makes those writes additive.)"""
+        for touched signatures the freshest writer wins.  (Two processes
+        that open one store path each save their own absorptions; the merge
+        makes those writes additive.)"""
         if not self.path:
             return
         with self._lock:

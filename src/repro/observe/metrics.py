@@ -18,7 +18,6 @@ from __future__ import annotations
 import threading
 from typing import Iterable
 
-from ..concurrency import fork_safe_lock
 
 __all__ = [
     "Counter",
@@ -48,7 +47,7 @@ class Counter:
     def __init__(self, name: str):
         self.name = name
         self.value = 0.0
-        fork_safe_lock(self, "_lock", reentrant=False)
+        self._lock = threading.Lock()
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
@@ -68,7 +67,7 @@ class Gauge:
     def __init__(self, name: str):
         self.name = name
         self.value = 0.0
-        fork_safe_lock(self, "_lock", reentrant=False)
+        self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
         self.value = float(value)
@@ -103,7 +102,7 @@ class Histogram:
         self.total = 0.0
         self.minimum: float | None = None
         self.maximum: float | None = None
-        fork_safe_lock(self, "_lock", reentrant=False)
+        self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
         value = float(value)

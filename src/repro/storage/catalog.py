@@ -10,10 +10,10 @@ sources the paper discusses.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from ..concurrency import fork_safe_lock
 from ..errors import CatalogError
 from ..stats.histogram import HistogramKind
 from ..stats.table_stats import TableStats, compute_table_stats, schema_only_stats
@@ -59,7 +59,7 @@ class Catalog:
         # concurrent server sessions.  Reads stay lock-free: single dict
         # lookups are atomic under the GIL and entries are never mutated in
         # place by a writer holding the lock mid-read.
-        self._lock = fork_safe_lock(self, "_lock")
+        self._lock = threading.RLock()
 
     def bump_stats_epoch(self) -> int:
         """Advance the statistics epoch; returns the new value."""

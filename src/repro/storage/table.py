@@ -10,9 +10,9 @@ buffer pool.  This keeps the cost accounting in one layer.
 from __future__ import annotations
 
 import itertools
+import threading
 from typing import Iterable, Iterator, Sequence
 
-from ..concurrency import fork_safe_lock
 from ..errors import StorageError
 from .schema import Schema
 
@@ -45,7 +45,7 @@ class Table:
         # Concurrent server sessions scanning the same table may both reach
         # the lazy column-store build/sync; serialize it so one session
         # never observes a half-built shadow.
-        self._store_lock = fork_safe_lock(self, "_store_lock")
+        self._store_lock = threading.RLock()
         if rows is not None:
             self.append_rows(rows)
 

@@ -238,10 +238,7 @@ class TestPlanSwitchParity:
 
 
 class TestConfigKnobs:
-    def test_batch_is_the_default(self, monkeypatch):
-        # The env override exists so CI can re-run the whole suite under
-        # another executor; absent it, batch is the documented default.
-        monkeypatch.delenv("REPRO_EXECUTION_MODE", raising=False)
+    def test_batch_is_the_default(self):
         assert EngineConfig().execution_mode == "batch"
 
     def test_execution_mode_validated(self):

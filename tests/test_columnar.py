@@ -3,16 +3,17 @@
 The contract under test (DESIGN.md section 9): the batch executor swaps the
 inside of every qualifying leaf pipeline for vectorized NumPy work over
 whole-column arrays cut into page groups, with zone-map scan skipping and late
-materialisation — and under the default ``zone_map_cost_mode="charge"`` it
-is byte-identical to the row path (the oracle): result rows, simulated
-``CostBreakdown``, buffer statistics and observed statistics, at any
-page-group size, including across mid-query plan switches.  Plus the
-storage layer it rides on: lazily built, incrementally synced
-``ColumnStore`` columns, dictionary overflow demotion, and zone-map
+materialisation — and it is byte-identical to the row path (the oracle):
+result rows, simulated ``CostBreakdown``, buffer statistics and observed
+statistics, at any page-group size, including across mid-query plan
+switches.  Plus the storage layer it rides on: lazily built, incrementally
+synced ``ColumnStore`` columns, dictionary overflow demotion, and zone-map
 soundness on the edge groups (all-NULL, single-row).
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -700,22 +701,6 @@ class TestZoneMapSkipping:
         assert col_ctx.columnar.groups_skipped > 0
         assert_bit_identical(col_result, col_ctx, row_result, row_ctx)
 
-    def test_free_mode_charges_less_but_returns_same_rows(self):
-        db = _clustered_db()
-        sql = "SELECT k FROM t WHERE k >= 1900"
-        plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
-        row_result, row_ctx = dispatch(db, plan, "row")
-        free_result, free_ctx = dispatch(
-            db, plan, "batch", zone_map_cost_mode="free"
-        )
-        assert free_ctx.columnar.groups_skipped > 0
-        assert free_result.rows == row_result.rows
-        assert free_ctx.clock.now < row_ctx.clock.now
-        assert (
-            free_ctx.buffer_pool.stats.misses + free_ctx.buffer_pool.stats.hits
-            < row_ctx.buffer_pool.stats.misses + row_ctx.buffer_pool.stats.hits
-        )
-
     def test_groups_with_nulls_never_skip_and_error_parity(self):
         # A NULL comparison raises on the serial path when the row is
         # reached; skipping a NULL-bearing group would mask that error, so
@@ -939,11 +924,12 @@ class TestEngineIntegration:
         ]
         assert scans and scans[0].zone_map["groups_skipped"] >= 1
 
-    def test_env_and_validation(self, monkeypatch):
+    def test_env_and_validation(self):
         # The columnar and parallel modes are gone: column kernels are the
         # batch executor's own choice and every statement runs in one
-        # process, so either spelling is a configuration error wherever it
-        # arrives from, and their toggles are not fields any more.
+        # process, so either spelling is a configuration error, and their
+        # toggles — like the knobs no result told apart — are not fields
+        # any more.
         db = _clustered_db()
         sql = "SELECT k FROM t WHERE k < 10"
         for mode in ("columnar", "parallel"):
@@ -951,10 +937,6 @@ class TestEngineIntegration:
                 EngineConfig(execution_mode=mode).validate()
             with pytest.raises(ConfigError):
                 db.execute(sql, execution_mode=mode)
-            monkeypatch.setenv("REPRO_EXECUTION_MODE", mode)
-            with pytest.raises(ConfigError):
-                EngineConfig().validate()
-            monkeypatch.delenv("REPRO_EXECUTION_MODE")
         with pytest.raises(ConfigError):
             db.execute(sql, workers=2)
         for gone in (
@@ -972,12 +954,20 @@ class TestEngineIntegration:
             "parallel_build",
             "parallel_spill",
             "parallel_sort",
+            "zone_map_cost_mode",
+            "session_memory_policy",
+            "admission_queue_size",
+            "admission_timeout_s",
+            "feedback_q_error_threshold",
+            "feedback_decay",
+            "feedback_max_correction",
+            "server_worker_mode",
         ):
-            assert not hasattr(EngineConfig(), gone)
-        monkeypatch.setenv("REPRO_ZONE_MAP_COST", "free")
-        assert EngineConfig().zone_map_cost_mode == "free"
-        with pytest.raises(ConfigError):
-            EngineConfig(zone_map_cost_mode="cheap").validate()
+            assert gone not in {f.name for f in dataclasses.fields(EngineConfig)}
+            with pytest.raises(TypeError):
+                EngineConfig(**{gone: None})
+        # The worker-mode name survives only as a read-only class constant.
+        assert EngineConfig().server_worker_mode == "thread"
         with pytest.raises(ConfigError):
             EngineConfig(columnar_dictionary_max=0).validate()
 

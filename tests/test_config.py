@@ -89,6 +89,83 @@ class TestEngineConfig:
         assert config.query_memory_pages * config.page_size == 8 * 1024 * 1024
 
 
+FLAG_FIELDS = {
+    "REPRO_TRACE": "tracing",
+    "REPRO_SERVER": "server_mode",
+    "REPRO_FEEDBACK": "feedback_enabled",
+}
+
+
+class TestEnvironment:
+    """The deployment variables parse strictly: a value that is not a
+    recognised flag or number is an error naming the variable, never a
+    silent default."""
+
+    @pytest.mark.parametrize("variable", sorted(FLAG_FIELDS))
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            ("1", True), ("true", True), ("TRUE", True), ("yes", True),
+            ("On", True), ("0", False), ("false", False), ("FALSE", False),
+            ("no", False), ("off", False), ("Off", False), ("", False),
+        ],
+    )
+    def test_flag_spellings(self, monkeypatch, variable, raw, expected):
+        monkeypatch.setenv(variable, raw)
+        assert getattr(EngineConfig(), FLAG_FIELDS[variable]) is expected
+
+    @pytest.mark.parametrize("variable", sorted(FLAG_FIELDS))
+    @pytest.mark.parametrize("raw", ["2", "enabled", "y", "t rue"])
+    def test_malformed_flag_names_the_variable(self, monkeypatch, variable, raw):
+        monkeypatch.setenv(variable, raw)
+        with pytest.raises(ConfigError, match=variable):
+            EngineConfig()
+
+    @pytest.mark.parametrize(
+        "variable, field_name, raw, expected",
+        [
+            ("REPRO_MAX_SESSIONS", "max_sessions", "2", 2),
+            ("REPRO_MAX_SESSIONS", "max_sessions", "", 4),
+            ("REPRO_SLOW_QUERY", "slow_query_s", "0.25", 0.25),
+            ("REPRO_SLOW_QUERY", "slow_query_s", "3", 3.0),
+            ("REPRO_SLOW_QUERY", "slow_query_s", "", 0.0),
+        ],
+    )
+    def test_numbers(self, monkeypatch, variable, field_name, raw, expected):
+        monkeypatch.setenv(variable, raw)
+        assert getattr(EngineConfig(), field_name) == expected
+
+    @pytest.mark.parametrize(
+        "variable, raw",
+        [
+            ("REPRO_MAX_SESSIONS", "two"),
+            ("REPRO_MAX_SESSIONS", "2.5"),
+            ("REPRO_SLOW_QUERY", "1s"),
+            ("REPRO_SLOW_QUERY", "fast"),
+        ],
+    )
+    def test_malformed_number_names_the_variable(self, monkeypatch, variable, raw):
+        monkeypatch.setenv(variable, raw)
+        with pytest.raises(ConfigError, match=variable):
+            EngineConfig()
+
+    @pytest.mark.parametrize(
+        "variable, raw",
+        [
+            ("REPRO_EXECUTION_MODE", "row"),
+            ("REPRO_ZONE_MAP_COST", "free"),
+            ("REPRO_ADMISSION_QUEUE", "bogus"),
+            ("REPRO_SESSION_MEMORY", "static"),
+            ("REPRO_SERVER_WORKER_MODE", "fork"),
+        ],
+    )
+    def test_removed_variables_are_not_read(self, monkeypatch, variable, raw):
+        before = EngineConfig()
+        monkeypatch.setenv(variable, raw)
+        assert EngineConfig() == before
+        assert before.execution_mode == "batch"
+
+
 class TestErrorHierarchy:
     def test_all_errors_derive_from_repro_error(self):
         for exc_type in (

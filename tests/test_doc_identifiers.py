@@ -86,13 +86,23 @@ def test_repository_paths_exist(document):
 
 
 def test_checks_catch_a_dead_name():
-    """The checks reject the identifiers the parallel executor left behind."""
+    """The checks reject the identifiers the parallel executor and the
+    fork statement workers left behind."""
     spans = _SPAN.findall(
-        "`REPRO_WORKERS=2`, `EngineConfig.morsel_pages`, "
-        "`src/repro/executor/parallel.py`, `benchmarks/bench_parallel{,_joins}.py`"
+        "`REPRO_WORKERS=2`, `REPRO_SERVER_WORKER_MODE=fork`, "
+        "`EngineConfig.morsel_pages`, `EngineConfig.session_memory_policy`, "
+        "`src/repro/executor/parallel.py`, `src/repro/concurrency.py`, "
+        "`benchmarks/bench_parallel{,_joins}.py`"
     )
-    assert {n for s in spans for n in _ENV.findall(s)} - _variables_read_in_src()
+    named = {n for s in spans for n in _ENV.findall(s)}
+    assert named == {"REPRO_WORKERS", "REPRO_SERVER_WORKER_MODE"}
+    assert not named & _variables_read_in_src()
+    assert {n for s in spans for n in _CONFIG.findall(s)} == {
+        "morsel_pages", "session_memory_policy",
+    }
     assert not hasattr(EngineConfig, "morsel_pages")
+    assert not hasattr(EngineConfig, "session_memory_policy")
     assert not _resolves("src/repro/executor/parallel.py")
+    assert not _resolves("src/repro/concurrency.py")
     assert not _resolves("benchmarks/bench_parallel{,_joins}.py")
     assert _resolves("benchmarks/bench_{wallclock,prepared}.py")

@@ -3,8 +3,8 @@
 The module name is historical: there is no parallel executor (DESIGN.md
 section 8).  What it tests stays: a leaf pipeline runs in column space on
 the batch path and stays bit-identical to the row path, zone-map skips
-count as exact cardinality observations in both cost modes, and the
-running example plan-switches in FULL mode on the batch path.
+count as exact cardinality observations, and the running example
+plan-switches in FULL mode on the batch path.
 """
 
 from __future__ import annotations
@@ -62,13 +62,11 @@ class TestColumnarMorsels:
 
 
 class TestZoneMapObservations:
-    @pytest.mark.parametrize("cost_mode", ("charge", "free"))
-    def test_scan_actuals_include_skipped_rows(self, cost_mode):
+    def test_scan_actuals_include_skipped_rows(self):
         # A zone-map skip is an exact cardinality observation: the scan's
-        # actual rows must count skipped groups in both cost modes, so
-        # Q-error never reads pruning as a cardinality miss.
+        # actual rows must count skipped groups, so Q-error never reads
+        # pruning as a cardinality miss.
         db = _clustered_db(rows=4000)
-        db.config = db.config.with_updates(zone_map_cost_mode=cost_mode)
         report = db.explain_analyze(FILTER_SQL, execution_mode="batch")
         assert report.result.profile.zone_map_skips > 0
         scan = next(
@@ -84,13 +82,13 @@ class TestZoneMapObservations:
         assert f"{scan.zone_map['rows_skipped']} rows" in report.render()
 
     def test_by_scan_counts_rows_in_both_modes(self):
+        # Both hand-off modes: survivors materialised as row batches, and
+        # runs a vectorized aggregate consumes in column space.
         db = _clustered_db(rows=4000)
-        plan = plan_for(db, FILTER_SQL)
-        __result, charge_ctx = dispatch(db, plan, "batch")
-        __result, free_ctx = dispatch(
-            db, plan, "batch", zone_map_cost_mode="free"
-        )
-        for ctx in (charge_ctx, free_ctx):
+        aggregate_sql = "SELECT count(*) n, sum(v) s FROM t WHERE k < 1200"
+        for sql, keyed in ((FILTER_SQL, 0), (aggregate_sql, 1)):
+            __result, ctx = dispatch(db, plan_for(db, sql), "batch")
+            assert ctx.columnar.keyed_pipelines == keyed
             (per_scan,) = ctx.columnar.by_scan.values()
             assert per_scan["rows_skipped"] > 0
             assert per_scan["rows_skipped"] == ctx.columnar.rows_skipped

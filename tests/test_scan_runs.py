@@ -106,16 +106,6 @@ class TestRunsSplitBySkips:
         assert per_scan["groups_read"] == (pages + 1) // 2
         assert per_scan["groups_skipped"] == pages // 2
 
-    @pytest.mark.parametrize("sql", STRIPED_SQL)
-    def test_free_mode_keeps_completion_actuals(self, sql):
-        db, __ = _striped_db()
-        plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
-        row, row_ctx = dispatch(db, plan, "row")
-        free, free_ctx = dispatch(db, plan, "batch", zone_map_cost_mode="free")
-        assert repr(free.rows) == repr(row.rows)
-        assert free_ctx.columnar.groups_skipped > 0
-        assert free_ctx.actual_rows == row_ctx.actual_rows
-
     def test_explain_and_trace_show_the_pass_count(self):
         db, pages = _striped_db(tracing=True)
         report = db.explain_analyze(STRIPED_SQL[0])

@@ -4,7 +4,6 @@ memory re-allocation trigger under induced cross-query contention."""
 
 from __future__ import annotations
 
-import os
 import threading
 
 import pytest
@@ -171,16 +170,6 @@ class TestGlobalMemoryBroker:
         broker.release(lease)
         assert broker.free_pages() == 100
 
-    def test_static_policy_fixed_shares(self):
-        broker = GlobalMemoryBroker(total_pages=100, max_sessions=2, policy="static")
-        a = broker.acquire("a", 90)
-        assert a.granted_pages == 50  # exactly the share, no borrowing
-        b = broker.acquire("b", 10)
-        assert b.granted_pages == 10
-        broker.release(b)
-        assert a.granted_pages == 50  # and no re-grants either
-        broker.release(a)
-
     def test_reclaim_respects_reserved_pages(self):
         broker = GlobalMemoryBroker(total_pages=100, max_sessions=2)
         first = broker.acquire("running", 90)
@@ -247,18 +236,6 @@ class TestServerExecution:
         for rows_list in results.values():
             for rows in rows_list:
                 assert rows == base.rows
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="fork unavailable")
-    def test_fork_worker_mode_parity(self):
-        inline = small_db()
-        base = inline.execute(JOIN_SQL)
-        server_db = small_db(
-            EngineConfig(server_mode=True, server_worker_mode="fork", max_sessions=2)
-        )
-        res = server_db.execute(JOIN_SQL)
-        assert res.rows == base.rows
-        assert res.profile.total_cost == base.profile.total_cost
-        assert res.profile.executed_via == "fork"
 
     def test_admission_telemetry_on_profile(self):
         server_db = small_db(EngineConfig(server_mode=True, max_sessions=2))
@@ -437,11 +414,11 @@ class TestSwitchesLeaveOtherPlansCached:
     GLOBAL_SQL = "SELECT count(*) n FROM rel2 WHERE rel2.attr2a < 500"
     TEMP_SQL = "SELECT t.x x FROM t WHERE t.x < 3"
 
-    def _database(self, **overrides) -> Database:
+    def _database(self) -> Database:
         from repro.workloads import SyntheticConfig, build_running_example
 
         config = EngineConfig(
-            max_sessions=2, feedback_enabled=False, server_mode=False, **overrides
+            max_sessions=2, feedback_enabled=False, server_mode=False
         )
         db = Database(config, metrics=MetricsRegistry())
         build_running_example(
@@ -540,27 +517,6 @@ class TestSwitchesLeaveOtherPlansCached:
             (3 * self.ROUNDS - 2) / (4 * self.ROUNDS), 4
         )
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="fork unavailable")
-    def test_fork_worker_serves_the_parents_template_through_a_switch(self):
-        """Both worker modes follow one policy: a forked statement worker
-        clones the template the parent cached, switches, and matches the
-        inline execution (its own stores die with the child — fork mode
-        is only as warm as the parent's cache)."""
-        from repro.workloads import RUNNING_EXAMPLE_SQL
-
-        db = self._database(server_worker_mode="fork")
-        params = {"value1": 80, "value2": 80}
-        inline = db.execute(RUNNING_EXAMPLE_SQL, params=params, mode=DynamicMode.FULL)
-        session = db.create_session("forked")
-        forked = session.execute(
-            RUNNING_EXAMPLE_SQL, params=params, mode=DynamicMode.FULL
-        )
-        session.close()
-        assert forked.profile.executed_via == "fork"
-        assert forked.profile.plan_cache_hit and not inline.profile.plan_cache_hit
-        assert forked.profile.plan_switches == inline.profile.plan_switches >= 1
-        assert forked.rows == inline.rows
-        assert repr(forked.profile.total_cost) == repr(inline.profile.total_cost)
 
 
 class TestContentionReallocation:
