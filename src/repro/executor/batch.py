@@ -14,9 +14,9 @@ answers a whole outer key column against the index's arrays
 (:meth:`~repro.storage.index.Index.lookup_many`); a block-NL join emits
 ``repeat`` / ``tile`` vectors per block.  Joins read their key columns,
 residual predicates and statistics collectors the columns they name, and a
-tuple is built only where a row-oriented consumer — the final result, a
-switch spool, sort / distinct / limit, a projection, an aggregate — reads
-the chunk as the row sequence it also is.  Every other operator yields
+tuple is built only where a row-oriented consumer — the final result,
+sort / distinct / limit, a projection, an aggregate — reads the chunk as
+the row sequence it also is.  Every other operator yields
 plain row lists, the degenerate chunk; their hot loops run as list
 comprehensions over precompiled closures (cached on the plan node, shared
 with the row path).
@@ -44,9 +44,9 @@ this.
 Re-optimization semantics (paper Figure 6) are unchanged: plan switches are
 honoured at the same blocking-operator boundaries (hash join build end,
 block-NL inner materialisation), which are always batch boundaries too, and
-the cut operator spools its output into the directive's temporary table
-before :class:`~repro.executor.runtime.PlanSwitched` unwinds to the
-dispatcher.
+the cut operator spools its output chunks into the directive's temporary
+table, which holds them as one chunk, before
+:class:`~repro.executor.runtime.PlanSwitched` unwinds to the dispatcher.
 
 The one deliberate exception is LIMIT: its subtree executes row-at-a-time
 (via :func:`~repro.executor.iterators.execute_node`) because early
@@ -56,7 +56,6 @@ exactly the limit row, which a read-ahead batch would overshoot.
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import itemgetter
 from typing import Iterator
 
@@ -194,7 +193,8 @@ def _chunk_residual(node: PlanNode):
 
 def _seq_scan(node: SeqScanNode, ctx: RuntimeContext) -> BatchIterator:
     table = ctx.catalog.table(node.table_name)
-    rows = table.rows
+    # A temp table holding its cut's chunk yields slices of it, unbuilt.
+    rows = table.rows if table.held is None else table.held
     per_page = table.rows_per_page
     # Whole pages accumulate until a batch holds batch_size rows: the page
     # groups.  Each group's pages are requested and charged as one run.
@@ -412,7 +412,7 @@ def _hash_join(node: HashJoinNode, ctx: RuntimeContext) -> BatchIterator:
             )
 
     if directive is not None:
-        ctx.spool_and_switch(node, directive, chain.from_iterable(probe_batches()))
+        ctx.spool_and_switch(node, directive, probe_batches())
     yield from probe_batches()
 
 
@@ -569,7 +569,7 @@ def _block_nl_join(node: BlockNLJoinNode, ctx: RuntimeContext) -> BatchIterator:
             ctx.clock.charge_cpu(compares * params.cpu_per_compare)
 
     if directive is not None:
-        ctx.spool_and_switch(node, directive, chain.from_iterable(joined_batches()))
+        ctx.spool_and_switch(node, directive, joined_batches())
     yield from joined_batches()
 
 

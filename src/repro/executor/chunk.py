@@ -15,12 +15,15 @@ few thousand narrow tuples it was joined from.  Consumers read what they
 name — :meth:`Chunk.column` gathers one column as an array for join keys,
 :meth:`Chunk.values` as Python values for residual predicates and
 statistics collectors — and only a row-oriented consumer (the final
-result, a switch spool, sort / distinct / aggregation, a projection, a UDF)
-builds tuples, through :meth:`Chunk.rows`, the one place a joined tuple is
-made.  A chunk is a read-only sequence of its rows, so such consumers
-iterate, slice and ``extend`` from it as they do from the plain row list
-every other operator yields; a row list is the degenerate chunk and
-:func:`as_chunk` wraps one without touching its rows.
+result, sort / distinct / aggregation, a projection, a UDF) builds tuples,
+through :meth:`Chunk.rows`, the one place a joined tuple is made.  A chunk
+is a read-only sequence of its rows, so such consumers iterate and
+``extend`` from it as they do from the plain row list every other operator
+yields; a slice of it is the chunk of those rows, still unbuilt.  A switch
+spool concatenates the cut's chunks into one that its temporary table
+holds, and the table's scan yields slices of it.  A row list is the
+degenerate chunk and :func:`as_chunk` wraps one without touching its
+rows.
 """
 
 from __future__ import annotations
@@ -275,6 +278,9 @@ class Chunk:
         return iter(self.rows())
 
     def __getitem__(self, item):
+        """A row, or for a slice the chunk of those rows (nothing built)."""
+        if type(item) is slice and self._rows is None:
+            return self.take(np.arange(*item.indices(self.length), dtype=np.int64))
         return self.rows()[item]
 
 

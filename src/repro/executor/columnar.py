@@ -8,8 +8,9 @@ column, cut into zone-mapped *page groups* — instead of its row tuples.
 Whether a pipeline qualifies is decided from what the code can observe,
 never by an option:
 
-* the table is a base table (a temporary table is written once and read
-  once; encoding its columns would cost more than the row kernels save), and
+* the table is a base table (a switch's temporary table holds the cut's
+  row-id chunk, not a heap: its scan yields slices of that chunk, which
+  the operators above read by column as they read any join's output), and
 * every stage has an exact column-space kernel: filters compile to NumPy
   masks (:func:`repro.executor.vector.compile_mask_conjuncts`), projections
   select plain columns (*takes* — view remaps that touch no data).  The
@@ -337,11 +338,13 @@ def columnar_pipeline(
         # The operators re-enter here for every node further down the
         # chain: the top-most record stands unless a sub-chain below the
         # offending stage qualifies, which then replaces it.
-        ctx.columnar.leaf.setdefault(
-            prepared.scan.node_id,
-            {"table": prepared.scan.table_name, "kernel": "row",
-             "reason": reason, "top": node.node_id},
-        )
+        record = {"table": prepared.scan.table_name, "kernel": "row",
+                  "reason": reason, "top": node.node_id}
+        if node is prepared.scan and prepared.table.held is not None:
+            # A bare scan of a temp table holding its cut's chunk yields
+            # slices of the chunk: it builds no tuple.
+            record["rows_materialised"] = 0
+        ctx.columnar.leaf.setdefault(prepared.scan.node_id, record)
         return None
     return _run_pipeline(ctx, prepared)
 

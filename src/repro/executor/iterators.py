@@ -355,7 +355,7 @@ def _hash_join(node: HashJoinNode, ctx: RuntimeContext) -> Iterator[Row]:
             )
 
     if directive is not None:
-        ctx.spool_and_switch(node, directive, probe_rows())
+        ctx.spool_and_switch(node, directive, [list(probe_rows())])
     yield from probe_rows()
 
 
@@ -450,7 +450,7 @@ def _block_nl_join(node: BlockNLJoinNode, ctx: RuntimeContext) -> Iterator[Row]:
             ctx.clock.charge_cpu(compares * params.cpu_per_compare)
 
     if directive is not None:
-        ctx.spool_and_switch(node, directive, joined())
+        ctx.spool_and_switch(node, directive, [list(joined())])
     yield from joined()
 
 

@@ -28,6 +28,7 @@ from ..storage.catalog import Catalog
 from ..storage.disk import CostClock
 from ..storage.table import Table
 from ..storage.temp import TempTableManager
+from .chunk import Chunk
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..observe.trace import QueryTracer
@@ -111,7 +112,8 @@ class ColumnarExecStats:
     def leaf_pipelines(self, actual_rows: dict[int, int]) -> dict[int, dict]:
         """``leaf`` with every record's row counts filled in: a row
         pipeline scans what its scan emitted, selects what its top node
-        emitted, and had every scanned row as a tuple."""
+        emitted, and had every scanned row as a tuple (unless its record
+        says otherwise: a temp table's chunk, scanned bare)."""
         out: dict[int, dict] = {}
         for scan_id, record in sorted(self.leaf.items()):
             record = dict(record)
@@ -120,7 +122,7 @@ class ColumnarExecStats:
                 scanned = actual_rows.get(scan_id, 0)
                 record["rows_scanned"] = scanned
                 record["rows_selected"] = actual_rows.get(top, 0)
-                record["rows_materialised"] = scanned
+                record.setdefault("rows_materialised", scanned)
             out[scan_id] = record
         return out
 
@@ -275,23 +277,26 @@ class RuntimeContext:
         if self.tracer is not None:
             self.tracer.node_completed(node, rows)
 
-    def spool_and_switch(self, node: PlanNode, directive: PlanSwitchDirective, rows) -> None:
-        """Spool a cut operator's output into the directive's temp table —
-        one page-write run — and unwind to the dispatcher (paper Figure 6)."""
-        materialized = list(rows)
+    def spool_and_switch(self, node: PlanNode, directive: PlanSwitchDirective, batches) -> None:
+        """Spool a cut operator's output batches into the directive's temp
+        table — one page-write run — and unwind to the dispatcher (paper
+        Figure 6).  The table holds the batches as one chunk: its readers
+        build tuples, if they need any, and the cut builds none."""
+        cut = Chunk.concat(list(batches), len(node.schema))
+        # Tuples built from the spool are its readers', not the cut join's.
+        cut = Chunk(cut.sources, cut.ids, cut.length)
         temp = directive.temp_table
-        temp.append_rows(materialized)
-        self.buffer_pool.write_run(temp.table_id, 0, temp.page_count)
-        self.mark_completed(node, len(materialized))
+        self.temp_manager.fill(temp, cut)
+        self.mark_completed(node, len(cut))
         self.switches += 1
         if self.tracer is not None:
             self.tracer.instant(
                 "switch-materialize", "reopt",
                 cut_node_id=node.node_id,
-                rows=len(materialized),
+                rows=len(cut),
                 temp_pages=temp.page_count,
             )
-        raise PlanSwitched(directive, len(materialized))
+        raise PlanSwitched(directive, len(cut))
 
     def collector_completed(self, node: StatsCollectorNode, collector) -> None:
         """A statistics collector's after-loop semantics: the stats CPU

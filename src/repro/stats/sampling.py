@@ -5,14 +5,78 @@ attribute values per collected histogram, filled with Vitter's reservoir
 sampling [24]; when the input is exhausted the reservoir is turned into a
 histogram ([19]'s recommendation).  :class:`Reservoir` implements exactly
 that single-pass, fixed-memory sampler with a deterministic seed.
+
+Which row lands in which slot depends only on the capacity, the seed and the
+row's index in the stream — never on the values — so the draws are made
+once per ``(capacity, seed)`` for the whole process (:class:`_Schedule`) and
+every sampler of that pair reads its slots from the shared record.
 """
 
 from __future__ import annotations
 
 import random
+import threading
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 from ..errors import StatisticsError
+
+
+class _Schedule:
+    """Algorithm R's slot decisions for one ``(capacity, seed)``, drawn once.
+
+    Row ``i`` past the first ``capacity`` draws ``Random._randbelow(i + 1)``
+    — its ``getrandbits`` rejection loop inlined, same calls in the same
+    order — and is a *hit* when the slot is below ``capacity``.  ``rows`` /
+    ``slots`` list every hit among the first ``frontier`` rows, in order;
+    :meth:`extend` draws further under a lock, so samplers on any thread
+    read the same decisions one stream of draws would have made.
+    """
+
+    def __init__(self, capacity: int, seed) -> None:
+        self.capacity = capacity
+        self.rng = random.Random(seed)
+        #: Rows decided so far: the first ``capacity`` need no draw.
+        self.frontier = capacity
+        self.rows: list[int] = []
+        self.slots: list[int] = []
+        self._lock = threading.Lock()
+
+    def extend(self, end: int) -> None:
+        """Decide every row before ``end``."""
+        with self._lock:
+            seen = self.frontier
+            if seen >= end:
+                return
+            capacity = self.capacity
+            getrandbits = self.rng.getrandbits
+            rows, slots = self.rows, self.slots
+            bits = seen.bit_length()
+            for row in range(seen, end):
+                seen = row + 1
+                if seen >> bits:
+                    bits += 1
+                slot = getrandbits(bits)
+                while slot >= seen:
+                    slot = getrandbits(bits)
+                if slot < capacity:
+                    rows.append(row)
+                    slots.append(slot)
+            # Published last: a reader that sees the frontier sees its hits.
+            self.frontier = end
+
+
+_schedules: dict[tuple, _Schedule] = {}
+_schedules_lock = threading.Lock()
+
+
+def _schedule(capacity: int, seed) -> _Schedule:
+    """The process's one schedule for ``(capacity, seed)``."""
+    with _schedules_lock:
+        schedule = _schedules.get((capacity, seed))
+        if schedule is None:
+            schedule = _schedules[capacity, seed] = _Schedule(capacity, seed)
+    return schedule
 
 
 class RowSampler:
@@ -21,17 +85,30 @@ class RowSampler:
     Which offered row lands in which slot depends on the capacity, ``seen``
     and the RNG stream — never on the values — so one sampler places the rows
     of any number of columns: the samples equal those of as many same-seeded
-    :class:`Reservoir` objects fed one column each, for one RNG stream.
+    :class:`Reservoir` objects fed one column each, for one RNG stream.  The
+    stream itself is the process-wide :class:`_Schedule` of the sampler's
+    ``(capacity, seed)``; a pickle carries ``(capacity, seed, seen, draws)``
+    and re-attaches to it.
     """
 
     def __init__(self, capacity: int, seed: int = 0) -> None:
         if capacity <= 0:
             raise StatisticsError(f"reservoir capacity must be positive, got {capacity}")
         self.capacity = capacity
+        self.seed = seed
         self.seen = 0
-        #: Random draws made so far (one per row offered past capacity).
+        #: Rows decided by a draw so far (one per row offered past capacity).
         self.draws = 0
-        self._rng = random.Random(seed)
+        self._schedule = _schedule(capacity, seed)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_schedule"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._schedule = _schedule(self.capacity, self.seed)
 
     def offer(self, count: int) -> tuple[int, list[tuple[int, int]]]:
         """Decide the fate of the next ``count`` offered rows.
@@ -39,29 +116,21 @@ class RowSampler:
         Returns ``(fill, hits)``: the first ``fill`` rows are appended (the
         sample was not full), then each ``(offset, slot)`` of ``hits``, in
         order, puts the row at ``offset`` into ``slot``; the rest are dropped.
-        The draw is ``Random._randbelow(seen)`` with its ``getrandbits``
-        rejection loop inlined — same calls, same order, so slots and RNG end
-        state are unchanged at a third of the price.
+        The hits are the schedule's between ``seen`` and ``seen + count``:
+        two bisects, once the schedule has been drawn that far.
         """
-        capacity = self.capacity
-        seen = self.seen
-        fill = min(max(capacity - seen, 0), count)
-        seen += fill
-        hits: list[tuple[int, int]] = []
-        getrandbits = self._rng.getrandbits
-        bits = seen.bit_length()
-        for offset in range(fill, count):
-            seen += 1
-            if seen >> bits:
-                bits += 1
-            slot = getrandbits(bits)
-            while slot >= seen:
-                slot = getrandbits(bits)
-            if slot < capacity:
-                hits.append((offset, slot))
-        self.seen = seen
+        start = self.seen
+        end = start + count
+        fill = min(max(self.capacity - start, 0), count)
+        self.seen = end
         self.draws += count - fill
-        return fill, hits
+        schedule = self._schedule
+        if end > schedule.frontier:
+            schedule.extend(end)
+        rows, slots = schedule.rows, schedule.slots
+        lo = bisect_left(rows, start + fill)
+        hi = bisect_left(rows, end, lo)
+        return fill, [(rows[k] - start, slots[k]) for k in range(lo, hi)]
 
 
 class Reservoir(RowSampler):

@@ -4,7 +4,10 @@ A :class:`Table` is a named, schema-ed, paged container of row tuples.  It is
 deliberately *passive*: it knows its page geometry (how many simulated pages
 it occupies, which page a row lives on) but does not charge the cost clock —
 the executor's scan iterators do that, routing page requests through the
-buffer pool.  This keeps the cost accounting in one layer.
+buffer pool.  This keeps the cost accounting in one layer.  A temporary
+table filled by a plan switch instead *holds* the cut's output as the
+executor produced it (:meth:`Table.hold`); :attr:`Table.rows` builds its
+tuples the first time something reads them.
 """
 
 from __future__ import annotations
@@ -37,7 +40,11 @@ class Table:
         self.schema = schema
         self.page_size = page_size
         self.is_temporary = is_temporary
-        self.rows: list[Row] = []
+        self._rows: list[Row] = []
+        #: What :meth:`hold` was given — an executor chunk, a sized
+        #: sequence of rows that builds them when iterated — until
+        #: :attr:`rows` is first read.
+        self.held = None
         #: Columnar shadows keyed by (batch_size, dictionary_max); built on
         #: demand by :meth:`column_store` and kept in sync by
         #: :meth:`append_rows` / :meth:`truncate`.
@@ -53,9 +60,19 @@ class Table:
         return f"Table({self.name!r}, rows={self.row_count}, pages={self.page_count})"
 
     @property
+    def rows(self) -> list[Row]:
+        """The stored row tuples; built here from a held chunk on first read."""
+        held = self.held
+        if held is not None:
+            self.held = None
+            self.append_rows(held)
+        return self._rows
+
+    @property
     def row_count(self) -> int:
         """Number of rows stored."""
-        return len(self.rows)
+        held = self.held
+        return len(self._rows) if held is None else len(held)
 
     @property
     def rows_per_page(self) -> int:
@@ -86,7 +103,7 @@ class Table:
                     f"row arity {len(row)} does not match schema width {width} "
                     f"for table {self.name!r}"
                 )
-            self.rows.append(tuple(row))
+            self._rows.append(tuple(row))
             added += 1
         if added:
             # Zone maps / column arrays are maintained on append: each
@@ -95,6 +112,13 @@ class Table:
                 for store in self._column_stores.values():
                     store.sync()
         return added
+
+    def hold(self, rows) -> None:
+        """Store ``rows`` in this empty table without building them: scans
+        slice what is held, and :attr:`rows` builds the tuples when read."""
+        if self.row_count:
+            raise StorageError(f"table {self.name!r} is not empty")
+        self.held = rows
 
     def column_store(self, batch_size: int, dictionary_max: int = 256):
         """The (synced) columnar shadow of this table at one batch geometry.
@@ -123,7 +147,8 @@ class Table:
 
     def truncate(self) -> None:
         """Remove all rows (used by temp-table recycling)."""
-        self.rows.clear()
+        self._rows.clear()
+        self.held = None
         with self._store_lock:
             for store in self._column_stores.values():
                 store.reset()

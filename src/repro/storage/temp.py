@@ -4,7 +4,7 @@ When Dynamic Re-Optimization decides to change the plan mid-query, the output
 of the currently executing operator is redirected to a temporary table on
 disk (paper Figure 6); SQL for the remainder of the query is then generated
 in terms of that table.  :class:`TempTableManager` creates uniquely named
-temp tables, charges the page writes for materialisation to the cost clock,
+temp tables, fills them and charges the page writes to the cost clock,
 registers the tables (with their *exact*, observed statistics) in the
 catalog, and cleans them up when the query finishes.
 """
@@ -12,7 +12,7 @@ catalog, and cleans them up when the query finishes.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from typing import Sequence
 
 from ..stats.table_stats import TableStats
 from .buffer import BufferPool
@@ -39,29 +39,6 @@ class TempTableManager:
         """Generate a fresh temp-table name."""
         return f"__temp_{next(self._counter)}"
 
-    def materialize(
-        self,
-        schema: Schema,
-        rows: Iterable[Row],
-        stats: TableStats | None = None,
-        name: str | None = None,
-    ) -> Table:
-        """Write rows to a new temp table, charging write I/O per page.
-
-        ``stats``, when given, should describe the materialised result (the
-        collectors' observed statistics); it is stored in the catalog so the
-        re-invoked optimizer sees exact cardinalities for the temp table.
-        """
-        table_name = name or self.next_name()
-        table = Table(table_name, schema, self.catalog.page_size, is_temporary=True)
-        table.append_rows(rows)
-        self.buffer_pool.write_run(table.table_id, 0, table.page_count)
-        entry = self.catalog.register_table(table)
-        if stats is not None:
-            entry.stats = stats
-        self._active.append(table_name)
-        return table
-
     def create_empty(
         self,
         schema: Schema,
@@ -73,7 +50,7 @@ class TempTableManager:
         Used by plan modification: the remainder query must be optimized
         against the temp table's (estimated/observed) statistics *before*
         the materialisation happens, so the table is created empty with its
-        statistics pre-seeded and rows are appended later.
+        statistics pre-seeded and filled later by :meth:`fill`.
         """
         table_name = name or self.next_name()
         table = Table(table_name, schema, self.catalog.page_size, is_temporary=True)
@@ -82,6 +59,13 @@ class TempTableManager:
             entry.stats = stats
         self._active.append(table_name)
         return table
+
+    def fill(self, table: Table, rows: Sequence[Row]) -> None:
+        """Fill an empty temp table from ``rows`` — a cut operator's output
+        chunk, held unbuilt (:meth:`Table.hold`), or a row list — and charge
+        its page writes as one run."""
+        table.hold(rows)
+        self.buffer_pool.write_run(table.table_id, 0, table.page_count)
 
     def drop(self, name: str) -> None:
         """Drop one temp table and invalidate its buffered pages."""

@@ -5,15 +5,17 @@ same-seeded ``Reservoir`` (a ``randrange`` per row) per histogram column,
 min/max on every numeric column, every value hashed into the sketches.  For
 random schemas, row streams, statistic specs and any interleaving of the two
 entry points, the rebuilt collector must report the same statistics and leave
-its RNG in the same state, and its sampler must survive pickling — under any
-``PYTHONHASHSEED``
-(the sketch hashes strings, and its de-duplication iterates a set).
+the shared slot schedule's RNG where a per-row replay leaves it, and its
+sampler must survive pickling — under any ``PYTHONHASHSEED`` (the sketch
+hashes strings, and its de-duplication iterates a set).
 """
 
 from __future__ import annotations
 
 import pickle
 import random
+import sys
+import threading
 
 from hypothesis import given, settings, strategies as st
 
@@ -78,6 +80,24 @@ def _feed(collector, steps) -> None:
             collector.observe_batch(chunk)
 
 
+def replayed(capacity: int, seed: int, rows: int) -> random.Random:
+    """The RNG after Algorithm R's ``randrange(seen)`` for each of the
+    first ``rows`` rows past ``capacity``."""
+    rng = random.Random(seed)
+    for seen in range(capacity + 1, rows + 1):
+        rng.randrange(seen)
+    return rng
+
+
+def assert_schedule_replays(sampler: RowSampler) -> None:
+    """The sampler's shared schedule has decided at least its rows, and its
+    RNG stands where a per-row replay to the schedule's frontier leaves it."""
+    schedule = sampler._schedule
+    assert schedule.frontier >= sampler.seen
+    replay = replayed(sampler.capacity, sampler.seed, schedule.frontier)
+    assert schedule.rng.getstate() == replay.getstate()
+
+
 def _tracked(spec, schema) -> set[str]:
     numeric = {c.name for c in schema.columns if c.dtype.is_numeric}
     if spec.minmax_columns is None:
@@ -114,7 +134,7 @@ def test_collector_equals_reference_on_any_interleaving(case):
     assert_same_statistics(new.finalize(), old.finalize(), _tracked(spec, schema))
     for __, reservoir in old._reservoirs.values():
         assert new._sampler.seen == reservoir.seen
-        assert new._sampler._rng.getstate() == reservoir._rng.getstate()
+    assert_schedule_replays(new._sampler)
     work = new.finalize().work
     assert work.minmax_columns_tracked == len(_tracked(spec, schema))
     if spec.histogram_columns:
@@ -144,7 +164,7 @@ def test_row_sampler_replays_randrange(capacity, seed, batch_sizes, data):
             old.add(value)
         assert sampler.sample == old.sample
         assert sampler.seen == old.seen
-        assert sampler._rng.getstate() == old._rng.getstate()
+        assert_schedule_replays(sampler)
     assert sampler.draws == max(0, offset - capacity)
 
 
@@ -161,4 +181,48 @@ def test_row_sampler_crosses_powers_of_two():
         slot = rng.randrange(seen)
         assert fill == 0
         assert hits == ([(0, slot)] if slot < 3 else [])
-    assert sampler._rng.getstate() == rng.getstate()
+    assert_schedule_replays(sampler)
+    assert replayed(3, 7, sampler.seen).getstate() == rng.getstate()
+
+
+def test_threads_share_one_schedule():
+    """Samplers of one ``(capacity, seed)``, fed different batch splits on
+    more threads than cores, all extend the one schedule; each keeps the
+    sample a per-row replay keeps.  Small batches and a dense reservoir
+    keep the threads at the schedule's frontier; every round is a fresh
+    seed, so a fresh schedule."""
+    capacity, total = 200, 6_000
+    values = list(range(total))
+
+    def feed(sampler: Reservoir, sizes: random.Random, barrier) -> None:
+        barrier.wait(timeout=60)
+        offset = 0
+        while offset < total:
+            size = sizes.randint(1, 40)
+            sampler.add_batch(values[offset : offset + size])
+            offset += size
+
+    for seed in range(918_273, 918_281):
+        want = reference.Reservoir(capacity, seed=seed)
+        want.extend(values)
+        samplers = [Reservoir(capacity, seed=seed) for __ in range(4)]
+        barrier = threading.Barrier(len(samplers))
+        threads = [
+            threading.Thread(target=feed, args=(sampler, random.Random(i), barrier))
+            for i, sampler in enumerate(samplers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(sampler._schedule is samplers[0]._schedule for sampler in samplers)
+        for sampler in samplers:
+            assert sampler.sample == want.sample
+            assert sampler.seen == total and sampler.draws == total - capacity
+            assert_schedule_replays(sampler)

@@ -14,7 +14,8 @@ read — and build tuples only for row-oriented consumers.  Held here:
   above joins: rows in order, the clock to the last bit, every observed
   statistic;
 * a forced switch at each cut point (hash-join build end, block-NL inner)
-  spools the row path's temp rows and charges its writes.
+  spools the row path's temp rows and charges its writes, holding the
+  cut's chunk without building a tuple of it.
 
 Hand mutations of ``src/`` that each fail a test named here (applied one at
 a time, then reverted):
@@ -30,7 +31,10 @@ a time, then reverted):
 * the hash-join probe charge moved out of its ``finally`` —
   ``TestCutPoints::test_switch_below_a_probing_join_charges_its_probe``;
 * ``commit_memory`` moved after the build loop —
-  ``TestCutPoints::test_grant_commits_on_the_first_build_batch``.
+  ``TestCutPoints::test_grant_commits_on_the_first_build_batch``;
+* the spool building the cut's tuples, or a chunk slice off by one row —
+  ``TestCutPoints::test_forced_switch_spools_the_row_paths_temp_rows``
+  and ``TestMaterialisationPins::test_full_switch_builds_no_tuple_at_the_cut``.
 """
 
 from __future__ import annotations
@@ -572,8 +576,9 @@ class TestCutPoints:
                     r for node_id, r in ctx.vector.by_node.items()
                     if node_id == cut.node_id
                 ]
-                # The spool is the one place the cut's tuples were built.
-                assert record["rows_materialised"] == len(log[0].rows) > 0
+                # The batch spool holds the cut's chunk and built none of
+                # its tuples; the ones read above are the temp table's.
+                assert record["rows_materialised"] == 0 < len(log[0].rows)
         assert spools[0] == spools[1]
         assert results[0] == results[1]  # rows, clock, breakdown (writes), buffer
         assert results[1][2].write > 0
@@ -695,10 +700,34 @@ class TestMaterialisationPins:
         # The collector above it observed all 91 620 rows by column ...
         assert profile.collector_rows_observed >= 91_620
         assert wide.vectorized["rows_materialised"] == 0
-        # ... and the cut spooled exactly its 3 246 survivors.
-        cut = next(j for j in joins if j.vectorized["rows_materialised"] == 3_246)
-        assert cut.vectorized["matches"] == 3_246
+        # ... and the cut spooled exactly its 3 246 survivors, as the
+        # chunk they already were: no tuple built at the cut.
+        (cut,) = [
+            j for j in report.plans[0].nodes
+            if j.vectorized and j.vectorized.get("matches") == 3_246
+        ]
+        assert cut.vectorized["rows_materialised"] == 0
         assert "after materializing 3246 rows" in report.render()
+
+    @pytest.mark.parametrize("name", ["Q5", "Q7", "Q8"])
+    def test_full_switch_builds_no_tuple_at_the_cut(self, fig10_db, name):
+        report, __ = self.analyzed(fig10_db, name, DynamicMode.FULL)
+        switched = report.plans[0]
+        assert switched.outcome == "switched"
+        # The cut join's output went to the temp table as the chunk it was.
+        (cut,) = [
+            j for j in switched.nodes
+            if j.vectorized and j.vectorized.get("matches") == switched.materialized_rows
+        ]
+        assert cut.vectorized["rows_materialised"] == 0
+        # ... and the remainder's scan of it yields slices of that chunk.
+        (temp,) = [
+            record for record in report.profile.leaf_pipelines.values()
+            if record["table"].startswith("__temp_")
+        ]
+        assert temp["reason"] == "temporary table"
+        assert temp["rows_scanned"] == switched.materialized_rows
+        assert temp["rows_materialised"] == 0
 
     def test_q5_off_and_the_registry(self, fig10_db):
         before = fig10_db.metrics_snapshot().get("join.rows_materialised", {"value": 0})

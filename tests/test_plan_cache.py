@@ -316,7 +316,8 @@ class TestEpochInvalidation:
         db = two_table_db
         manager = TempTableManager(db.catalog, buffer_pool)
         epoch = db.catalog.stats_epoch
-        table = manager.materialize(db.table("r1").schema, [(1, 2, 3)])
+        table = manager.create_empty(db.table("r1").schema)
+        manager.fill(table, [(1, 2, 3)])
         manager.drop(table.name)
         assert db.catalog.stats_epoch == epoch
 

@@ -298,20 +298,22 @@ class TestTempTableManager:
         pool = BufferPool(config.buffer_pool_pages, clock)
         return TempTableManager(catalog, pool), catalog, clock
 
-    def test_materialize_registers_and_charges(self):
+    def test_fill_registers_and_charges(self):
         manager, catalog, clock = self._manager()
         rows = [(i, float(i), "x") for i in range(200)]
-        table = manager.materialize(simple_schema(), rows)
+        table = manager.create_empty(simple_schema())
+        manager.fill(table, rows)
         assert table.name in catalog
         assert table.row_count == 200
         assert clock.breakdown.write > 0
 
-    def test_materialize_with_stats(self):
+    def test_fill_with_stats(self):
         manager, catalog, __ = self._manager()
         source = Table("src", simple_schema(), 4096)
         source.append_rows([(i, float(i), "x") for i in range(50)])
         stats = compute_table_stats(source)
-        table = manager.materialize(simple_schema(), source.rows, stats=stats)
+        table = manager.create_empty(simple_schema(), stats=stats)
+        manager.fill(table, source.rows)
         assert catalog.stats_for(table.name).row_count == 50
 
     def test_create_empty_then_fill(self):
@@ -322,6 +324,23 @@ class TestTempTableManager:
         table.append_rows([(1, 1.0, "a")])
         assert catalog.table(table.name).row_count == 1
 
+    def test_fill_holds_rows_until_read(self):
+        manager, __, clock = self._manager()
+        table = manager.create_empty(simple_schema())
+        held = [[i, float(i), "x"] for i in range(300)]
+        manager.fill(table, held)
+        # Geometry and the write charge come from what is held ...
+        assert table.held is held and table.row_count == 300
+        assert table.page_count == simple_schema().page_count(300, 4096)
+        assert clock.breakdown.write > 0
+        # ... the tuples from the first read.
+        assert table.rows[7] == (7, 7.0, "x")
+        assert table.held is None and table.row_count == 300
+        with pytest.raises(StorageError):
+            manager.fill(table, [(1, 1.0, "a")])
+        table.truncate()
+        assert table.row_count == 0 and table.held is None
+
     def test_names_are_unique(self):
         manager, __, __c = self._manager()
         names = {manager.next_name() for __ in range(10)}
@@ -329,7 +348,7 @@ class TestTempTableManager:
 
     def test_drop_all(self):
         manager, catalog, __ = self._manager()
-        manager.materialize(simple_schema(), [])
+        manager.fill(manager.create_empty(simple_schema()), [])
         manager.create_empty(simple_schema())
         assert len(manager.active_names) == 2
         manager.drop_all()
