@@ -84,11 +84,6 @@ class ParametricPlan:
         """Number of structurally distinct plans kept."""
         return len(self.scenarios)
 
-    @property
-    def is_degenerate(self) -> bool:
-        """True when every scenario collapsed to one plan."""
-        return self.plan_count <= 1
-
 
 def plan_signature(plan: PlanNode) -> tuple:
     """A structural fingerprint used to deduplicate scenario plans."""

@@ -95,7 +95,8 @@ class ColumnarExecStats:
     #: ``{"table", "kernel": "column" | "row", "reason"}`` — why it stayed
     #: on the row kernels, None for column — plus, for column pipelines,
     #: ``"rows_scanned"``, ``"rows_selected"`` (rows leaving the pipeline),
-    #: ``"rows_materialised"`` (tuples actually built) and ``"passes"``
+    #: ``"rows_materialised"`` (tuples a row consumer had built from its
+    #: chunks of row ids) and ``"passes"``
     #: (kernel passes: runs of page groups not skipped); row pipelines
     #: carry ``"top"`` (the chain's top node id) and get their counts from
     #: the completion actuals when the profile is assembled.

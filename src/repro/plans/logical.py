@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ..errors import BindError
 from ..storage.schema import Column, DataType, Schema
@@ -694,14 +694,6 @@ def parameter_names(query: LogicalQuery) -> frozenset[str]:
         else:
             visit_expr(item.expr)
     return frozenset(names)
-
-
-def conjuncts_referencing(
-    predicates: Iterable[Predicate], aliases: Sequence[str]
-) -> list[Predicate]:
-    """Predicates whose qualifiers are all within ``aliases``."""
-    allowed = frozenset(aliases)
-    return [p for p in predicates if p.qualifiers() <= allowed]
 
 
 def infer_dtype(expr: ScalarExpr | AggregateExpr, schema: Schema) -> DataType:

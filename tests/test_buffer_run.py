@@ -20,11 +20,14 @@ per_page``; ``invalidate_owner`` leaving the pool's size unchanged.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import CostParameters
 from repro.storage import BufferPool, CostClock
 from repro.storage.buffer import BufferStats
+
+pytestmark = pytest.mark.hashseed
 
 
 class NaiveLRU:

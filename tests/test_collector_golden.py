@@ -23,6 +23,8 @@ from repro import DynamicMode
 from repro.bench import ExperimentConfig, build_database
 from repro.workloads.tpcd import query_by_name
 
+pytestmark = pytest.mark.hashseed
+
 GOLDEN = Path(__file__).with_name("golden_collector_costs.json")
 CONFIGURATIONS = ((0.01, 192, 31), (0.02, 256, 31))
 QUERIES = ("Q1", "Q3", "Q5", "Q6", "Q7", "Q8", "Q10")

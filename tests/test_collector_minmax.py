@@ -31,6 +31,8 @@ from repro.workloads.tpcd import query_by_name
 
 from .test_join_chunks import forced_joins, run_plan, with_collectors
 
+pytestmark = pytest.mark.hashseed
+
 #: Column kinds: which values a column holds, and whether they have a typed
 #: (int64 / NaN-free float64) form.
 _KINDS = {
@@ -237,16 +239,16 @@ class TestHeapSource:
         # Neither loading nor ANALYZE builds a column store, let alone arrays.
         assert table._column_stores == {}
         store = table.column_store(32)
-        assert store._numeric == {}
+        assert store._exact == {}
         rng = np.random.default_rng(7)
         _assert_heap_bounds(table, store, rng.integers(0, 200, 300))
-        assert set(store._numeric) == {0, 1, 2, 3}  # built on first read ...
+        assert set(store._exact) == {0, 1, 2, 3}  # built on first read ...
         table.append_rows(_heap_rows(200, 260, scale=40.0))
-        assert store._numeric == {}  # ... dropped by the append's sync
+        assert store._exact == {}  # ... dropped by the append's sync
         _assert_heap_bounds(table, store, rng.integers(0, 260, 300))
-        assert len(store._numeric[2]) == 260
+        assert len(store._exact[2][0]) == 260
         table.truncate()
-        assert store._numeric == {}
+        assert store._exact == {}
         table.append_rows(_heap_rows(500, 520, scale=-3.0))
         _assert_heap_bounds(table, store, rng.integers(0, 20, 50))
         # An integer beyond int64, a NaN and a NULL each take their column
@@ -294,7 +296,7 @@ class TestHeapSource:
                     measured, __, ctx = run_plan(db, plan, mode)
                 runs.append((repr(seen), repr(measured[5]), measured[0]))
             assert runs[0] == runs[1]
-            assert len(store._numeric[1]) == db.table("hot").row_count
+            assert len(store._exact[1][0]) == db.table("hot").row_count
             assert ctx.observed
 
 

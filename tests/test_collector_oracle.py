@@ -17,6 +17,7 @@ import random
 import sys
 import threading
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import DataType, EngineConfig
@@ -26,6 +27,8 @@ from repro.stats.sampling import Reservoir, RowSampler
 from repro.storage import Column, Schema
 
 from . import reference_collector as reference
+
+pytestmark = pytest.mark.hashseed
 
 _VALUES = {
     DataType.INTEGER: st.integers(-50, 50),

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.stats.distinct import _MASK, _MIX1, _MIX2, FlajoletMartin
+
+pytestmark = pytest.mark.hashseed
 
 VALUES = st.one_of(
     st.integers(min_value=-(2**63), max_value=2**63 - 1),

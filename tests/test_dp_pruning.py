@@ -42,6 +42,8 @@ from repro.workloads.tpcd import ALL_QUERIES
 from .exhaustive_dp import ExhaustiveJoinEnumerator
 from .test_random_queries import build_random_db, random_join_graph_query, random_query
 
+pytestmark = pytest.mark.hashseed
+
 
 def _sql(predicates) -> tuple[str, ...]:
     return tuple(p.sql() for p in predicates)

@@ -29,6 +29,8 @@ from repro.storage import Column, DataType, Schema, Table
 
 from . import eager_estimator
 
+pytestmark = pytest.mark.hashseed
+
 
 def make_profile(rows=1000, domain=100, alias="t"):
     """A profile for a table with columns a (uniform 0..domain-1) and s."""

@@ -71,6 +71,8 @@ from repro.storage.table import Table
 from .test_random_queries import build_random_db
 from .test_vector_agg import index_pairs, serial_pairs
 
+pytestmark = pytest.mark.hashseed
+
 JOIN_NODES = (HashJoinNode, IndexNLJoinNode, BlockNLJoinNode)
 
 # ----------------------------------------------------------------------
@@ -188,6 +190,15 @@ def row_lists(draw, min_rows=1):
     return rows, width
 
 
+def heap_of(rows, width) -> Chunk:
+    """``rows`` as a base table's heap, read through its column store
+    (all-int columns as int64, the others as objects)."""
+    columns = [Column(f"c{i}", DataType.INTEGER) for i in range(width)]
+    table = Table("h", Schema(columns), 4096)
+    table.append_rows(rows)
+    return as_chunk(table.rows, width, heap=table.column_store(4))
+
+
 def ids_into(draw, rows, length):
     return np.asarray(
         draw(
@@ -234,8 +245,8 @@ class TestChunkComposition:
             return
         n2 = data.draw(st.integers(min_value=0, max_value=15))
         iab, ic = ids_into(data.draw, pairs, n2), ids_into(data.draw, c, n2)
-        # The heap source reads the same through its rows.
-        heap = as_chunk(c, wc, heap=True)
+        # A heap source reads the same through its column store.
+        heap = heap_of(c, wc)
         abc = Chunk.join(ab, iab, heap, ic, stats)
         triples = [pairs[i] + c[j] for i, j in zip(iab.tolist(), ic.tolist())]
         assert len(abc.sources) == 3  # index vectors compose, chunks never nest
@@ -271,7 +282,9 @@ class TestChunkComposition:
         chunk = as_chunk(rows, 2)
         assert chunk.rows() is rows and as_chunk(chunk, 2) is chunk
         taken = chunk.take(np.asarray([4, 0, 4]))
-        assert taken.ids == [None] and taken.rows() == [rows[4], rows[0], rows[4]]
+        assert taken.sources == chunk.sources  # re-indexed, nothing copied
+        assert taken.ids[0].tolist() == [4, 0, 4]
+        assert taken.rows() == [rows[4], rows[0], rows[4]]
         assert all(got is want for got, want in zip(taken.rows(), [rows[4], rows[0]]))
 
 
@@ -675,14 +688,15 @@ class TestMaterialisationPins:
         profile = report.result.profile
         assert len(joins) == 7  # hash, index-NL and block-NL alike
         assert {j.vectorized["matches"] for j in joins} >= {91_620, 22_755, 3_246}
-        # 91 620 + 22 755 + 4 551 + 4 x 3 246 tuples before row-id chunks.
+        # 91 620 + 22 755 + 4 551 + 4 x 3 246 tuples before row-id chunks,
+        # and 447 while the aggregate read its input as rows.
         assert profile.join_matches == sum(j.vectorized["matches"] for j in joins)
-        assert profile.join_rows_materialised <= 13_500
+        assert profile.join_rows_materialised == 0
         assert "join: 22755 rows probed, 91620 matches, 0 materialised" in report.render()
         assert "joins: matches=" in profile.summary()
         # The late probe runs wherever it qualifies, whatever the sizes:
         # supplier (100 rows) and n2 (25) probe the 3 246-row chunk by key
-        # column and fetch their matching rows.
+        # column and pass their matches on as row ids, building none.
         late = {
             record["table"]: record["rows_materialised"]
             for record in profile.leaf_pipelines.values()
@@ -690,7 +704,7 @@ class TestMaterialisationPins:
             and record["table"] in ("supplier", "nation")
         }
         if fig10_db.config.execution_mode == "batch":  # the row path has no leaf pipelines
-            assert late == {"supplier": 100, "nation": 24}
+            assert late == {"supplier": 0, "nation": 0}
 
     def test_q8_full_spools_the_survivors_only(self, fig10_db):
         report, joins = self.analyzed(fig10_db, "Q8", DynamicMode.FULL)

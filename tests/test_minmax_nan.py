@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Database, DataType, EngineConfig
@@ -20,6 +21,8 @@ from repro.executor.iterators import _AggState
 from repro.plans.logical import AggFunc
 from repro.plans.physical import CollectorSpec, SeqScanNode, StatsCollectorNode
 from repro.storage import Column, Schema
+
+pytestmark = pytest.mark.hashseed
 
 NAN = math.nan
 NUMBERS = st.one_of(st.sampled_from([NAN, 0.5, 1.0, 0.0, -0.0, 2]), st.floats())

@@ -31,6 +31,8 @@ from repro.plans.physical import (
 from .conftest import make_two_table_db
 from .exhaustive_dp import ExhaustiveJoinEnumerator
 
+pytestmark = pytest.mark.hashseed
+
 
 class TestOperatorCost:
     def test_total_units(self, config):

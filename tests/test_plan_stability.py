@@ -12,7 +12,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
+
+pytestmark = pytest.mark.hashseed
 
 _SCRIPT = """
 import json

@@ -28,6 +28,8 @@ from repro.executor import batch, columnar, iterators
 from . import reference_collector
 from .oracle import evaluate
 
+pytestmark = pytest.mark.hashseed
+
 
 def build_random_db(seed: int, tables: int = 3, config=None) -> Database:
     """A chain-joinable database: t0(k, v), t1(k, t0_k, v), t2(k, t1_k, v)."""

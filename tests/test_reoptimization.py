@@ -10,6 +10,8 @@ from repro.workloads.synthetic import (
     build_running_example,
 )
 
+pytestmark = pytest.mark.hashseed
+
 SMALL = SyntheticConfig(rel1_rows=8000, rel2_rows=2000, rel3_rows=24_000)
 
 
