@@ -158,26 +158,37 @@ AggItem = tuple[int, AggFunc, "Callable | None"]
 
 def aggregate_items(
     node: HashAggregateNode,
-) -> tuple[tuple[int, ...], tuple[AggItem, ...], tuple[tuple[int, int], ...]]:
-    """Group positions, aggregate items and group outputs, cached on the node."""
+) -> tuple[
+    tuple[int, ...],
+    tuple[AggItem, ...],
+    tuple[tuple[int, int], ...],
+    tuple[int | None, ...],
+]:
+    """Group positions, aggregate items, group outputs and each aggregate's
+    argument column (None for COUNT(*) or a computed argument), cached on
+    the node."""
 
     def build():
         child_schema = node.child.schema
         group_positions = tuple(child_schema.index_of(col) for col in node.group_by)
         agg_items: list[AggItem] = []
         group_outputs: list[tuple[int, int]] = []
+        arg_columns: list[int | None] = []
         for out_index, item in enumerate(node.output):
             if isinstance(item.expr, AggregateExpr):
                 arg = item.expr.arg
+                column = None
                 if arg is None:
                     arg_fn = None
                 elif isinstance(arg, ColumnExpr):
                     # itemgetter extracts at C speed under map() in the
                     # batch path's per-group folds.
-                    arg_fn = itemgetter(child_schema.index_of(arg.name))
+                    column = child_schema.index_of(arg.name)
+                    arg_fn = itemgetter(column)
                 else:
                     arg_fn = arg.compile(child_schema)
                 agg_items.append((out_index, item.expr.func, arg_fn))
+                arg_columns.append(column)
             elif isinstance(item.expr, ColumnExpr):
                 group_outputs.append(
                     (out_index, child_schema.index_of(item.expr.name))
@@ -186,7 +197,12 @@ def aggregate_items(
                 raise ExecutionError(
                     f"non-aggregate output {item.name!r} must be a group column"
                 )
-        return group_positions, tuple(agg_items), tuple(group_outputs)
+        return (
+            group_positions,
+            tuple(agg_items),
+            tuple(group_outputs),
+            tuple(arg_columns),
+        )
 
     return node.compiled("aggregate_items", build)
 
@@ -554,7 +570,7 @@ class _AggState:
 
 def _hash_aggregate(node: HashAggregateNode, ctx: RuntimeContext) -> Iterator[Row]:
     child_schema = node.child.schema
-    group_positions, agg_items, group_outputs = aggregate_items(node)
+    group_positions, agg_items, group_outputs, __ = aggregate_items(node)
     groups: dict[tuple, list[_AggState]] = {}
     input_rows = 0
     grant: int | None = None

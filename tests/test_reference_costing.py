@@ -34,6 +34,8 @@ from repro.workloads.tpcd import query_by_name
 from . import reference_costing as reference
 from .test_dp_pruning import generated_statements
 
+pytestmark = pytest.mark.hashseed
+
 # ----------------------------------------------------------------------
 # Generated inputs
 # ----------------------------------------------------------------------
