@@ -161,6 +161,9 @@ class EngineConfig:
 
     #: Server statements always run on the session's thread (not settable).
     server_worker_mode: ClassVar[str] = "thread"
+    #: Every statement runs on the batch executor (not settable); the row
+    #: interpreter drives only LIMIT over a streaming subtree.
+    execution_mode: ClassVar[str] = "batch"
 
     cost: CostParameters = field(default_factory=CostParameters)
     reopt: ReoptimizationParameters = field(default_factory=ReoptimizationParameters)
@@ -187,26 +190,16 @@ class EngineConfig:
     #: own build input still reaches it.  Paradise did not support this;
     #: the default False reproduces the paper's baseline behaviour.
     responsive_hash_joins: bool = False
-    #: Tuple-at-a-time (``"row"``) or vectorized (``"batch"``) execution.
-    #: Both paths produce identical rows, cost-clock charges and observed
-    #: statistics; the batch path amortises Python interpretation overhead
-    #: over ``batch_size`` tuples — running every leaf pipeline that
-    #: qualifies as NumPy column kernels, its own choice per pipeline,
-    #: with zone-map-skipped page groups still charged on the simulated
-    #: clock — and is the default.
-    execution_mode: str = "batch"
-    #: Rows per batch on the batch execution path.  Operators may yield
+    #: Rows per executor batch.  Operators may yield
     #: slightly larger batches (scans round up to page boundaries).
     batch_size: int = 1024
     #: Distinct-value budget for dictionary-encoding a string column in the
     #: column store; columns exceeding it overflow to plain encoding.
     columnar_dictionary_max: int = 256
-    #: Whether :meth:`Database.execute` serves repeated statements from the
-    #: statistics-epoch plan cache.  Disabling forces cold preparation on
-    #: every call; results and simulated-cost profiles are identical either
-    #: way (only wall-clock latency differs).
-    plan_cache_enabled: bool = True
-    #: Capacity of the plan cache (exact + parametric entries combined).
+    #: Capacity of the statistics-epoch plan cache (exact + parametric
+    #: entries combined).  0 disables it: every call prepares cold.  Results
+    #: and simulated-cost profiles are identical either way (only wall-clock
+    #: latency differs).
     plan_cache_size: int = 128
     #: Route every :meth:`Database.execute` through the embedded query
     #: server (admission control + memory broker) as if it arrived on a
@@ -264,22 +257,17 @@ class EngineConfig:
             "runtime_histogram_buckets",
             "batch_size",
             "columnar_dictionary_max",
-            "plan_cache_size",
             "max_sessions",
         ):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("server_memory_pages", "slow_query_s"):
+        for name in ("plan_cache_size", "server_memory_pages", "slow_query_s"):
             if getattr(self, name) < 0:
                 raise ConfigError(
                     f"{name} must be non-negative, got {getattr(self, name)}"
                 )
         if self.hash_fudge_factor < 1.0:
             raise ConfigError(f"hash_fudge_factor must be >= 1.0, got {self.hash_fudge_factor}")
-        if self.execution_mode not in ("row", "batch"):
-            raise ConfigError(
-                f"execution_mode must be 'row' or 'batch', got {self.execution_mode!r}"
-            )
         for flag in ("tracing", "server_mode", "feedback_enabled"):
             if not isinstance(getattr(self, flag), bool):
                 raise ConfigError(

@@ -236,7 +236,6 @@ class Database:
         ast: AstSelect | None = None,
         params: Mapping[str, object] | None = None,
         mode: DynamicMode = DynamicMode.FULL,
-        execution_mode: str | None = None,
         parametric: bool = False,
         use_cache: bool = True,
         catalog: Catalog | None = None,
@@ -269,7 +268,7 @@ class Database:
         t2 = perf_counter()
         phases["bind"] = t2 - t1
 
-        use_cache = use_cache and self.config.plan_cache_enabled
+        use_cache = use_cache and self.config.plan_cache_size > 0
         epoch = cat.stats_epoch
         scope = ""
         if cache_scope:
@@ -279,7 +278,6 @@ class Database:
             ):
                 scope = cache_scope
                 epoch = cat.scoped_epoch
-        exec_mode = execution_mode or self.config.execution_mode
 
         if parametric and has_parameter_predicates(query):
             return self._prepare_parametric(
@@ -294,7 +292,6 @@ class Database:
                 deparse(query),
                 parameter_signature(params),
                 mode.value,
-                exec_mode,
                 scope=scope,
             )
             entry, cache_miss = self.plan_cache.lookup(
@@ -478,11 +475,9 @@ class Database:
         values are known — the section 4 hybrid; Dynamic Re-Optimization
         stays armed for the cases no scenario anticipated.
 
-        ``execution_mode`` overrides :attr:`EngineConfig.execution_mode`
-        (``"row"`` or ``"batch"``) for this query only; both paths yield
-        identical rows, cost-clock charges and observed statistics.  There
-        is no parallel executor: ``workers`` is accepted only to refuse it
-        with :class:`ConfigError`, as an unknown ``execution_mode`` is.
+        There is one executor and no parallel one: ``execution_mode`` and
+        ``workers`` are accepted only to refuse any value with
+        :class:`ConfigError`, before the statement is parsed.
 
         Preparation (parse/bind/optimize/SCIA) goes through the plan cache:
         repeats of the same statement under an unchanged statistics epoch
@@ -499,6 +494,11 @@ class Database:
         :meth:`create_session` for session-scoped temp tables and
         prepared handles.
         """
+        if execution_mode is not None:
+            raise ConfigError(
+                f"execution_mode={execution_mode!r}: there is one executor; "
+                "every statement runs on it"
+            )
         if workers is not None:
             raise ConfigError(
                 f"workers={workers!r}: there is no parallel executor; "
@@ -511,16 +511,9 @@ class Database:
                 mode=mode,
                 memory_budget_pages=memory_budget_pages,
                 parametric=parametric,
-                execution_mode=execution_mode,
             )
-        prepared = self._prepare(
-            sql,
-            params=params,
-            mode=mode,
-            execution_mode=execution_mode,
-            parametric=parametric,
-        )
-        return self._run(prepared, sql, mode, memory_budget_pages, execution_mode)
+        prepared = self._prepare(sql, params=params, mode=mode, parametric=parametric)
+        return self._run(prepared, sql, mode, memory_budget_pages)
 
     def _execute_prepared(
         self,
@@ -530,7 +523,6 @@ class Database:
         mode: DynamicMode,
         memory_budget_pages: int | None,
         parametric: bool,
-        execution_mode: str | None,
     ) -> QueryResult:
         """Execution entry point for :class:`PreparedStatement`."""
         if self.config.server_mode:
@@ -542,17 +534,11 @@ class Database:
                 mode=mode,
                 memory_budget_pages=memory_budget_pages,
                 parametric=parametric,
-                execution_mode=execution_mode,
             )
         prepared = self._prepare(
-            sql,
-            ast=ast,
-            params=params,
-            mode=mode,
-            execution_mode=execution_mode,
-            parametric=parametric,
+            sql, ast=ast, params=params, mode=mode, parametric=parametric
         )
-        return self._run(prepared, sql, mode, memory_budget_pages, execution_mode)
+        return self._run(prepared, sql, mode, memory_budget_pages)
 
     def _run(
         self,
@@ -560,7 +546,6 @@ class Database:
         sql: str,
         mode: DynamicMode,
         memory_budget_pages: int | None = None,
-        execution_mode: str | None = None,
         analysis_sink: dict | None = None,
         catalog: Catalog | None = None,
         lease=None,
@@ -587,13 +572,9 @@ class Database:
         plan = prepared.plan
         optimizer = prepared.optimizer
         scia_result = prepared.scia
-        run_config = self.config
-        if execution_mode is not None:
-            run_config = self.config.with_updates(execution_mode=execution_mode)
-
         clock = CostClock(self.config.cost)
         tracer: QueryTracer | None = None
-        if run_config.tracing or analysis_sink is not None:
+        if self.config.tracing or analysis_sink is not None:
             tracer = QueryTracer(clock, label=sql)
             tracer.record_compile_phases(prepared.phase_seconds)
         buffer_pool = BufferPool(self.config.buffer_pool_pages, clock)
@@ -615,7 +596,7 @@ class Database:
             lease.attach(memory_manager)
         ctx = RuntimeContext(
             catalog=cat,
-            config=run_config,
+            config=self.config,
             clock=clock,
             buffer_pool=buffer_pool,
             temp_manager=temp_manager,
@@ -650,10 +631,7 @@ class Database:
         dispatcher = Dispatcher(ctx)
         exec_span = None
         if tracer is not None:
-            exec_span = tracer.begin(
-                "execute", "phase", mode=mode.value,
-                execution=run_config.execution_mode,
-            )
+            exec_span = tracer.begin("execute", "phase", mode=mode.value)
         t_exec = perf_counter()
         try:
             outcome = dispatcher.run(plan)
@@ -838,7 +816,6 @@ class Database:
         params: Mapping[str, object] | None = None,
         mode: DynamicMode = DynamicMode.FULL,
         memory_budget_pages: int | None = None,
-        execution_mode: str | None = None,
     ) -> ExplainAnalyzeReport:
         """EXPLAIN ANALYZE: execute the statement, then report estimated vs.
         actual rows/size/cost per plan node with Q-errors and
@@ -850,21 +827,9 @@ class Database:
         (tracing never perturbs simulated costs, so the profile matches a
         plain :meth:`execute`).
         """
-        prepared = self._prepare(
-            sql,
-            params=params,
-            mode=mode,
-            execution_mode=execution_mode,
-        )
+        prepared = self._prepare(sql, params=params, mode=mode)
         sink: dict = {}
-        self._run(
-            prepared,
-            sql,
-            mode,
-            memory_budget_pages,
-            execution_mode,
-            analysis_sink=sink,
-        )
+        self._run(prepared, sql, mode, memory_budget_pages, analysis_sink=sink)
         return sink["report"]
 
     # -- introspection ---------------------------------------------------------

@@ -10,8 +10,8 @@ Two kinds of entry live in one LRU map:
 
 * **Exact entries** — keyed by the *normalized* SQL text (the bound query
   deparsed back to canonical SQL, so formatting, alias qualification and
-  literal spelling all collapse), the parameter signature, the
-  :class:`~repro.core.modes.DynamicMode` and the execution mode.  They hold
+  literal spelling all collapse), the parameter signature and the
+  :class:`~repro.core.modes.DynamicMode`.  They hold
   the bound query, the optimized annotated plan with statistics collectors
   already spliced, and the SCIA result.  Served plans are **cloned**
   (:func:`repro.plans.physical.clone_plan`) before execution: the SCIA, the
@@ -153,7 +153,7 @@ class PlanCache:
         capacity: int = DEFAULT_CAPACITY,
         metrics: "MetricsRegistry | None" = None,
     ) -> None:
-        self.capacity = max(1, capacity)
+        self.capacity = max(0, capacity)
         self._entries: "OrderedDict[tuple, CachedPlan | CachedScenarios]" = OrderedDict()
         self.stats = PlanCacheStats()
         self._metrics = metrics
@@ -176,7 +176,6 @@ class PlanCache:
         normalized_sql: str,
         param_signature: tuple,
         mode_value: str,
-        execution_mode: str,
         scope: str = "",
     ) -> tuple:
         """Key for a fully bound statement.
@@ -194,7 +193,6 @@ class PlanCache:
             normalized_sql,
             param_signature,
             mode_value,
-            execution_mode,
         )
 
     @staticmethod
@@ -249,7 +247,10 @@ class PlanCache:
             return None, miss
 
     def store(self, key: tuple, entry: "CachedPlan | CachedScenarios") -> None:
-        """Insert (or replace) an entry, evicting the LRU tail if needed."""
+        """Insert (or replace) an entry, evicting the LRU tail if needed.
+        A cache of capacity 0 stores nothing."""
+        if not self.capacity:
+            return
         with self._lock:
             if key in self._entries:
                 del self._entries[key]

@@ -11,10 +11,10 @@ same (or, parametrically, any) parameter values pay only a cheap clone and
 ``choose_plan`` selection, while a statistics-epoch bump (ANALYZE, loads,
 index/table DDL) transparently forces re-optimization.
 
-Results are identical to cold :meth:`Database.execute` calls in both row
-and batch execution modes: the simulated cost clock is still charged one
-calibrated optimization per execution, so profiles stay deterministic and
-only wall-clock latency improves.
+Results are identical to cold :meth:`Database.execute` calls: the
+simulated cost clock is still charged one calibrated optimization per
+execution, so profiles stay deterministic and only wall-clock latency
+improves.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ class PreparedStatement:
         params: Mapping[str, object] | None = None,
         mode: DynamicMode = DynamicMode.FULL,
         memory_budget_pages: int | None = None,
-        execution_mode: str | None = None,
         parametric: bool = True,
     ) -> "QueryResult":
         """Run the statement, reusing cached optimization products.
@@ -66,7 +65,6 @@ class PreparedStatement:
             mode=mode,
             memory_budget_pages=memory_budget_pages,
             parametric=parametric,
-            execution_mode=execution_mode,
         )
         self.executions += 1
         return result
@@ -83,7 +81,6 @@ class PreparedStatement:
             ast=self.ast,
             params=params,
             mode=mode,
-            execution_mode=None,
             parametric=parametric,
             use_cache=True,
         )

@@ -392,7 +392,6 @@ class QueryServer:
         mode: DynamicMode = DynamicMode.FULL,
         memory_budget_pages: int | None = None,
         parametric: bool = False,
-        execution_mode: str | None = None,
         priority: int = 0,
     ) -> "QueryResult":
         """One-shot execution without a long-lived session.
@@ -408,7 +407,6 @@ class QueryServer:
             mode=mode,
             memory_budget_pages=memory_budget_pages,
             parametric=parametric,
-            execution_mode=execution_mode,
             priority=priority,
         )
 
@@ -421,7 +419,6 @@ class QueryServer:
         mode: DynamicMode = DynamicMode.FULL,
         memory_budget_pages: int | None = None,
         parametric: bool = False,
-        execution_mode: str | None = None,
         priority: int = 0,
     ) -> "QueryResult":
         db = self.database
@@ -445,7 +442,6 @@ class QueryServer:
                     ast=ast,
                     params=params,
                     mode=mode,
-                    execution_mode=execution_mode,
                     parametric=parametric,
                     catalog=catalog,
                     cache_scope=scope,
@@ -454,7 +450,6 @@ class QueryServer:
                     prepared,
                     sql,
                     mode,
-                    execution_mode=execution_mode,
                     catalog=catalog,
                     lease=lease,
                     session_label=label,

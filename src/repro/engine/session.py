@@ -274,7 +274,6 @@ class Session:
         mode: DynamicMode = DynamicMode.FULL,
         memory_budget_pages: int | None = None,
         parametric: bool = False,
-        execution_mode: str | None = None,
         priority: int = 0,
     ) -> "QueryResult":
         """Execute a statement through admission control and the broker."""
@@ -287,7 +286,6 @@ class Session:
                 mode=mode,
                 memory_budget_pages=memory_budget_pages,
                 parametric=parametric,
-                execution_mode=execution_mode,
                 priority=priority,
             )
 
@@ -318,7 +316,6 @@ class Session:
         mode: DynamicMode,
         memory_budget_pages: int | None,
         parametric: bool,
-        execution_mode: str | None,
     ) -> "QueryResult":
         self._check_open()
         with self._statement_guard():
@@ -330,7 +327,6 @@ class Session:
                 mode=mode,
                 memory_budget_pages=memory_budget_pages,
                 parametric=parametric,
-                execution_mode=execution_mode,
             )
 
     # -- lifecycle --------------------------------------------------------

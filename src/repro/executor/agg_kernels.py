@@ -78,11 +78,174 @@ order.  No joined tuple is built here (see :mod:`repro.executor.chunk`).
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, Sequence
 
 import numpy as _np
 
+from ..errors import ExecutionError
+from ..plans.logical import AggFunc, AggregateExpr, ColumnExpr
+from ..plans.physical import HashAggregateNode
 from ..storage.index import expand_runs
+
+
+# ----------------------------------------------------------------------
+# The serial accumulator every kernel must match
+# ----------------------------------------------------------------------
+
+
+#: Whether builtin sum() performs a plain left-to-right addition fold.
+#: Python 3.12+ switched float sum() to Neumaier compensated summation —
+#: more accurate, but not bit-identical to :meth:`_AggState.update`'s
+#: running ``total += value`` — so :meth:`_AggState.update_batch` only takes
+#: the sum() fast path when the two folds provably agree.
+_SUM_IS_LEFT_FOLD = sum([1e16, 1.0, -1e16]) == ((1e16 + 1.0) + -1e16)
+
+
+class _AggState:
+    """Running state for one aggregate expression within one group."""
+
+    __slots__ = ("func", "count", "total", "minimum", "maximum")
+
+    def __init__(self, func: AggFunc) -> None:
+        self.func = func
+        self.count = 0
+        self.total = 0  # stays int for integer inputs, like Python sum()
+        self.minimum = None
+        self.maximum = None
+
+    def update(self, value) -> None:
+        self.count += 1
+        if value is None:
+            return
+        if self.func in (AggFunc.SUM, AggFunc.AVG):
+            self.total += value
+        elif self.func is AggFunc.MIN:
+            if self.minimum is None or value < self.minimum:
+                self.minimum = value
+        elif self.func is AggFunc.MAX:
+            if self.maximum is None or value > self.maximum:
+                self.maximum = value
+
+    def update_batch(self, values: Sequence) -> None:
+        """Fold a whole batch of argument values into the state.
+
+        Equivalent to calling :meth:`update` once per value in order:
+        additions and comparisons happen left-to-right over the same
+        operands, so float totals and min/max are bit-identical to the
+        row path's.  NULL (None) arguments still count but do not fold.
+        """
+        self.count += len(values)
+        func = self.func
+        if func is AggFunc.COUNT or not values:
+            return
+        if func is AggFunc.SUM or func is AggFunc.AVG:
+            if _SUM_IS_LEFT_FOLD:
+                try:
+                    self.total = sum(values, self.total)
+                    return
+                except TypeError:
+                    pass  # None present, or non-numeric values: exact loop.
+            total = self.total
+            for value in values:
+                if value is not None:
+                    total += value
+            self.total = total
+        elif func is AggFunc.MIN:
+            # Seeded with the running minimum, so a NaN leading the batch
+            # meets the same comparisons it meets in update().
+            best = self.minimum
+            try:
+                best = min(values) if best is None else min(chain((best,), values))
+            except TypeError:
+                # None mixed with values: replicate the row path's skip.
+                for value in values:
+                    if value is not None and (best is None or value < best):
+                        best = value
+            self.minimum = best
+        else:
+            best = self.maximum
+            try:
+                best = max(values) if best is None else max(chain((best,), values))
+            except TypeError:
+                for value in values:
+                    if value is not None and (best is None or value > best):
+                        best = value
+            self.maximum = best
+
+    def result(self):
+        if self.func is AggFunc.COUNT:
+            return self.count
+        if self.count == 0:
+            return None
+        if self.func is AggFunc.SUM:
+            return self.total
+        if self.func is AggFunc.AVG:
+            return self.total / self.count
+        if self.func is AggFunc.MIN:
+            return self.minimum
+        return self.maximum
+
+
+AggItem = tuple[int, AggFunc, "Callable | None"]
+
+
+def aggregate_items(
+    node: HashAggregateNode,
+) -> tuple[
+    tuple[int, ...],
+    tuple[AggItem, ...],
+    tuple[tuple[int, int], ...],
+    tuple[int | None, ...],
+]:
+    """Group positions, aggregate items, group outputs and each aggregate's
+    argument column (None for COUNT(*) or a computed argument), cached on
+    the node."""
+
+    def build():
+        child_schema = node.child.schema
+        group_positions = tuple(child_schema.index_of(col) for col in node.group_by)
+        agg_items: list[AggItem] = []
+        group_outputs: list[tuple[int, int]] = []
+        arg_columns: list[int | None] = []
+        for out_index, item in enumerate(node.output):
+            if isinstance(item.expr, AggregateExpr):
+                arg = item.expr.arg
+                column = None
+                if arg is None:
+                    arg_fn = None
+                elif isinstance(arg, ColumnExpr):
+                    # itemgetter extracts at C speed under map() in the
+                    # batch path's per-group folds.
+                    column = child_schema.index_of(arg.name)
+                    arg_fn = itemgetter(column)
+                else:
+                    arg_fn = arg.compile(child_schema)
+                agg_items.append((out_index, item.expr.func, arg_fn))
+                arg_columns.append(column)
+            elif isinstance(item.expr, ColumnExpr):
+                group_outputs.append(
+                    (out_index, child_schema.index_of(item.expr.name))
+                )
+            else:
+                raise ExecutionError(
+                    f"non-aggregate output {item.name!r} must be a group column"
+                )
+        return (
+            group_positions,
+            tuple(agg_items),
+            tuple(group_outputs),
+            tuple(arg_columns),
+        )
+
+    return node.compiled("aggregate_items", build)
+
+
+# ----------------------------------------------------------------------
+# Kernel self-checks
+# ----------------------------------------------------------------------
+
 
 
 #: Operand sets whose sums differ between sequential and pairwise,

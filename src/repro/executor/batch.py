@@ -81,7 +81,7 @@ from ..plans.physical import (
 )
 from ..storage.columnar import page_groups
 from ..storage.table import Row
-from .agg_kernels import ProbeIndex
+from .agg_kernels import ProbeIndex, _AggState, aggregate_items
 from .chunk import Chunk, as_chunk
 from .collector import RuntimeCollector
 from .columnar import (
@@ -89,7 +89,7 @@ from .columnar import (
     columnar_probe_stream,
     columnar_vectorized_aggregate,
 )
-from .iterators import _AggState, aggregate_items, execute_node
+from .iterators import execute_node
 from .runtime import RuntimeContext
 from .vector import (
     compile_batch_filter,

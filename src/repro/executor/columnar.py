@@ -76,6 +76,8 @@ from ..plans.physical import (
 from ..storage.columnar import ColumnGroup, ColumnStore
 from ..storage.table import Table
 from .agg_kernels import (
+    _AggState,
+    aggregate_items,
     factorize_array,
     factorize_values,
     float_group_sums,
@@ -88,7 +90,6 @@ from .agg_kernels import (
 )
 from .chunk import Chunk, Source
 from .collector import RuntimeCollector
-from .iterators import _AggState, aggregate_items
 from .runtime import RuntimeContext
 from .vector import compile_mask_conjuncts
 

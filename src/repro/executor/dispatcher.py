@@ -17,7 +17,6 @@ from ..optimizer.annotate import estimate_snapshot
 from ..plans.physical import PlanNode
 from ..storage.table import Row
 from .batch import execute_node_batches
-from .iterators import execute_node
 from .runtime import PlanSwitchDirective, PlanSwitched, RuntimeContext
 
 #: Span categories force-closed when a plan switch abandons the generators
@@ -120,19 +119,16 @@ class Dispatcher:
                     )
 
     def _drain(self, plan: PlanNode) -> list[Row]:
-        """Run one plan to completion on the configured execution path.
+        """Run one plan to completion on the batch executor.
 
-        Plan switches unwind out of either path as
-        :class:`~repro.executor.runtime.PlanSwitched`; on the batch path
-        they surface at batch boundaries (the cut operator's blocking point),
-        so re-optimization semantics are identical.
+        A plan switch surfaces at a batch boundary (the cut operator's
+        blocking point) and unwinds out of here as
+        :class:`~repro.executor.runtime.PlanSwitched`.
         """
-        if self.ctx.execution_mode == "batch":
-            rows: list[Row] = []
-            for batch in execute_node_batches(plan, self.ctx):
-                rows.extend(batch)
-            return rows
-        return list(execute_node(plan, self.ctx))
+        rows: list[Row] = []
+        for batch in execute_node_batches(plan, self.ctx):
+            rows.extend(batch)
+        return rows
 
     def _notify_plan(self, plan: PlanNode) -> None:
         controller = self.ctx.controller

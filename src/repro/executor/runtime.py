@@ -203,13 +203,8 @@ class RuntimeContext:
     estimate_snapshots: dict[int, dict[str, float]] | None = None
 
     @property
-    def execution_mode(self) -> str:
-        """``"row"`` or ``"batch"`` execution."""
-        return self.config.execution_mode
-
-    @property
     def batch_size(self) -> int:
-        """Target rows per batch on the batch execution path."""
+        """Target rows per executor batch."""
         return self.config.batch_size
 
     def memory_for(self, node: PlanNode) -> int:

@@ -76,8 +76,8 @@ class PlanNode:
         #: Compiled predicate/projection/key closures, keyed by purpose.
         #: Schemas are fixed for a node's lifetime, so closures compiled for
         #: one execution are valid for every later one (and are shared by the
-        #: row and batch execution paths — e.g. a hash join's key extractors
-        #: across its build and probe phases).
+        #: batch executor and the row interpreter — e.g. a hash join's key
+        #: extractors across its build and probe phases).
         self._compiled: dict[str, object] = {}
 
     def compiled(self, key: str, factory: Callable[[], _C]) -> _C:

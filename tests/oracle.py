@@ -1,16 +1,26 @@
-"""A brute-force reference evaluator used as a correctness oracle.
+"""Correctness oracles for the executor.
 
-Evaluates a bound :class:`~repro.plans.logical.LogicalQuery` the slow,
-obviously-correct way: materialise the full cross product of the FROM
-relations, filter by every predicate, then group/aggregate/sort/limit.
-Executor and integration tests compare the engine's output against this.
+:func:`evaluate` is a brute-force reference evaluator: it evaluates a bound
+:class:`~repro.plans.logical.LogicalQuery` the slow, obviously-correct way —
+materialise the full cross product of the FROM relations, filter by every
+predicate, then group/aggregate/sort/limit.  Executor and integration tests
+compare the engine's rows against it.
+
+:func:`row_path` is the parity oracle: inside it every dispatched plan runs
+on the row interpreter (:mod:`repro.executor.iterators`) instead of the
+batch executor, and rows, ``CostBreakdown``, buffer statistics and
+``ObservedStatistics`` must come out bit-identical.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
+from typing import Iterator
 
 from repro.engine.database import Database
+from repro.executor.dispatcher import Dispatcher
+from repro.executor.iterators import execute_node
 from repro.plans.logical import (
     AggFunc,
     AggregateExpr,
@@ -18,6 +28,23 @@ from repro.plans.logical import (
     LogicalQuery,
 )
 from repro.storage.schema import Schema
+
+
+@contextmanager
+def row_path() -> Iterator[None]:
+    """Run every plan dispatched inside the block on the row interpreter.
+
+    Swaps :meth:`Dispatcher._drain` — on every thread, so statements that a
+    session or the query server runs are covered too — and restores it on
+    exit.  Nothing else changes: planning, the plan cache, memory grants,
+    collectors and plan switches are the engine's own.
+    """
+    drain = Dispatcher._drain
+    Dispatcher._drain = lambda self, plan: list(execute_node(plan, self.ctx))
+    try:
+        yield
+    finally:
+        Dispatcher._drain = drain
 
 
 def evaluate(db: Database, query: LogicalQuery) -> list[tuple]:

@@ -3,7 +3,8 @@
 The batch path's contract (see ``src/repro/executor/batch.py``) is that for
 any plan it produces the same rows in the same order, the same cost-clock
 charges (exactly, not approximately), the same buffer-pool behaviour and
-the same observed statistics as the row path.  These tests enforce that
+the same observed statistics as the row path, which every test here
+reaches through :func:`tests.oracle.row_path`.  These tests enforce that
 contract across random multi-join queries, every dynamic mode, weird batch
 sizes, LIMIT, empty inputs, and a query that performs a mid-query plan
 switch.
@@ -12,6 +13,7 @@ switch.
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -31,6 +33,7 @@ from repro.workloads.synthetic import (
 
 from repro.workloads.tpcd import ALL_QUERIES
 
+from .oracle import row_path
 from .test_random_queries import build_random_db, random_query
 
 ALL_MODES = (
@@ -58,8 +61,9 @@ def assert_parity(row_result: QueryResult, batch_result: QueryResult) -> None:
 
 
 def run_both(db: Database, sql: str, mode: DynamicMode, params=None):
-    row_result = db.execute(sql, params=params, mode=mode, execution_mode="row")
-    batch_result = db.execute(sql, params=params, mode=mode, execution_mode="batch")
+    with row_path():
+        row_result = db.execute(sql, params=params, mode=mode)
+    batch_result = db.execute(sql, params=params, mode=mode)
     return row_result, batch_result
 
 
@@ -166,8 +170,8 @@ class TestBatchSizeInsensitivity:
 
 
 class TestObservedStatisticsParity:
-    def _run_collect(self, db: Database, plan, execution_mode: str):
-        config = db.config.with_updates(execution_mode=execution_mode)
+    def _run_collect(self, db: Database, plan):
+        config = db.config
         clock = CostClock(config.cost)
         pool = BufferPool(config.buffer_pool_pages, clock)
         ctx = RuntimeContext(
@@ -190,8 +194,9 @@ class TestObservedStatisticsParity:
         )
         plan, scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
         assert scia is not None and scia.collector_points > 0
-        row_observed = self._run_collect(db, plan, "row")
-        batch_observed = self._run_collect(db, plan, "batch")
+        with row_path():
+            row_observed = self._run_collect(db, plan)
+        batch_observed = self._run_collect(db, plan)
         assert set(row_observed) == set(batch_observed)
         assert row_observed, "expected at least one completed collector"
         for node_id, row_stats in row_observed.items():
@@ -240,10 +245,7 @@ class TestPlanSwitchParity:
 class TestConfigKnobs:
     def test_batch_is_the_default(self):
         assert EngineConfig().execution_mode == "batch"
-
-    def test_execution_mode_validated(self):
-        with pytest.raises(ConfigError):
-            EngineConfig(execution_mode="vector").validate()
+        assert "execution_mode" not in {f.name for f in fields(EngineConfig)}
 
     def test_batch_size_validated(self):
         with pytest.raises(ConfigError):

@@ -3,7 +3,8 @@
 The contract under test (DESIGN.md section 9): the batch executor swaps the
 inside of every qualifying leaf pipeline for vectorized NumPy work over
 whole-column arrays cut into page groups, with zone-map scan skipping and late
-materialisation — and it is byte-identical to the row path (the oracle):
+materialisation — and it is byte-identical to the row path (the oracle,
+:func:`tests.oracle.row_path`):
 result rows, simulated ``CostBreakdown``, buffer statistics and observed
 statistics, at any page-group size, including across mid-query plan
 switches.  Plus the storage layer it rides on: lazily built, incrementally
@@ -40,6 +41,7 @@ from repro.executor.vector import compile_mask_conjuncts
 from repro.workloads.tpcd import ALL_QUERIES
 
 from .conftest import make_two_table_db
+from .oracle import row_path
 
 pytestmark = pytest.mark.hashseed
 
@@ -49,9 +51,9 @@ def tpcd_db() -> Database:
     return build_database(ExperimentConfig(scale_factor=0.01))
 
 
-def dispatch(db: Database, plan, execution_mode: str, **updates):
+def dispatch(db: Database, plan):
     """One dispatcher run on a fresh runtime context; returns (result, ctx)."""
-    config = db.config.with_updates(execution_mode=execution_mode, **updates)
+    config = db.config
     clock = CostClock(config.cost)
     pool = BufferPool(config.buffer_pool_pages, clock)
     ctx = RuntimeContext(
@@ -67,6 +69,12 @@ def dispatch(db: Database, plan, execution_mode: str, **updates):
     finally:
         ctx.temp_manager.drop_all()
     return result, ctx
+
+
+def dispatch_rows(db: Database, plan):
+    """:func:`dispatch` on the row interpreter, the oracle."""
+    with row_path():
+        return dispatch(db, plan)
 
 
 def assert_observed_equal(left: dict, right: dict) -> None:
@@ -560,16 +568,16 @@ class TestColumnarParity:
     @pytest.mark.parametrize("sql", PARITY_QUERIES)
     def test_bit_identical_on_two_table_db(self, two_table_db, sql):
         plan, __scia, __opt = two_table_db.plan(sql, mode=DynamicMode.FULL)
-        col_result, col_ctx = dispatch(two_table_db, plan, "batch")
-        row_result, row_ctx = dispatch(two_table_db, plan, "row")
+        col_result, col_ctx = dispatch(two_table_db, plan)
+        row_result, row_ctx = dispatch_rows(two_table_db, plan)
         assert col_ctx.columnar.leaf  # every query here has a leaf pipeline
         assert_bit_identical(col_result, col_ctx, row_result, row_ctx)
 
     @pytest.mark.parametrize("query", ALL_QUERIES, ids=lambda q: q.name)
     def test_bit_identical_on_tpcd(self, tpcd_db, query):
         plan, __scia, __opt = tpcd_db.plan(query.sql, mode=DynamicMode.FULL)
-        row_result, row_ctx = dispatch(tpcd_db, plan, "row")
-        col_result, col_ctx = dispatch(tpcd_db, plan, "batch")
+        row_result, row_ctx = dispatch_rows(tpcd_db, plan)
+        col_result, col_ctx = dispatch(tpcd_db, plan)
         assert_bit_identical(col_result, col_ctx, row_result, row_ctx)
 
     @pytest.mark.parametrize("batch_size", [1, 7, 64, 1024])
@@ -591,8 +599,8 @@ class TestColumnarParity:
             "SELECT b, count(*) FROM t WHERE k >= 100 GROUP BY b",
         ):
             plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
-            row_result, row_ctx = dispatch(db, plan, "row")
-            col_result, col_ctx = dispatch(db, plan, "batch")
+            row_result, row_ctx = dispatch_rows(db, plan)
+            col_result, col_ctx = dispatch(db, plan)
             assert_bit_identical(col_result, col_ctx, row_result, row_ctx)
 
     def test_string_and_null_columns_hold_parity(self):
@@ -615,8 +623,8 @@ class TestColumnarParity:
             "SELECT s, count(*) FROM t WHERE k >= 10 GROUP BY s",
         ):
             plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
-            row_result, row_ctx = dispatch(db, plan, "row")
-            col_result, col_ctx = dispatch(db, plan, "batch")
+            row_result, row_ctx = dispatch_rows(db, plan)
+            col_result, col_ctx = dispatch(db, plan)
             assert_bit_identical(col_result, col_ctx, row_result, row_ctx)
 
     def test_switch_queries_survive_columnar(self, tpcd_db):
@@ -625,12 +633,9 @@ class TestColumnarParity:
         # switch remainder's temporary table must take the row kernels.
         for name in ("Q5", "Q8"):
             query = next(q for q in ALL_QUERIES if q.name == name)
-            row = tpcd_db.execute(
-                query.sql, mode=DynamicMode.FULL, execution_mode="row"
-            )
-            col = tpcd_db.execute(
-                query.sql, mode=DynamicMode.FULL, execution_mode="batch"
-            )
+            with row_path():
+                row = tpcd_db.execute(query.sql, mode=DynamicMode.FULL)
+            col = tpcd_db.execute(query.sql, mode=DynamicMode.FULL)
             assert col.rows == row.rows
             assert col.profile.plan_switches == row.profile.plan_switches
             assert row.profile.plan_switches >= 1
@@ -650,12 +655,13 @@ class TestColumnarParity:
     def test_appends_after_analyze_stay_consistent(self, two_table_db):
         db = two_table_db
         sql = "SELECT id, a FROM r1 WHERE id >= 1990"
-        before = db.execute(sql, execution_mode="batch")
+        before = db.execute(sql)
         epoch = db.catalog.stats_epoch
         db.load_rows("r1", [(i, 1, 2) for i in range(2000, 2100)])
         assert db.catalog.stats_epoch > epoch  # plan-cache invalidation
-        after_col = db.execute(sql, execution_mode="batch")
-        after_row = db.execute(sql, execution_mode="row")
+        after_col = db.execute(sql)
+        with row_path():
+            after_row = db.execute(sql)
         assert after_col.profile.columnar_pipelines == 1
         assert len(after_col.rows) == len(before.rows) + 100
         assert after_col.rows == after_row.rows
@@ -681,9 +687,7 @@ def _clustered_db(batch_size=64, rows=2000) -> Database:
 class TestZoneMapSkipping:
     def test_clustered_range_predicate_skips_groups(self):
         db = _clustered_db()
-        result = db.execute(
-            "SELECT k, v FROM t WHERE k < 100", execution_mode="batch"
-        )
+        result = db.execute("SELECT k, v FROM t WHERE k < 100")
         profile = result.profile
         assert profile.columnar_pipelines >= 1
         assert profile.zone_map_skips > 0
@@ -698,8 +702,8 @@ class TestZoneMapSkipping:
         db = _clustered_db()
         sql = "SELECT k FROM t WHERE k >= 1900"
         plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
-        row_result, row_ctx = dispatch(db, plan, "row")
-        col_result, col_ctx = dispatch(db, plan, "batch")
+        row_result, row_ctx = dispatch_rows(db, plan)
+        col_result, col_ctx = dispatch(db, plan)
         assert col_ctx.columnar.groups_skipped > 0
         assert_bit_identical(col_result, col_ctx, row_result, row_ctx)
 
@@ -714,9 +718,9 @@ class TestZoneMapSkipping:
         sql = "SELECT v FROM t WHERE k > 100000"
         plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
         with pytest.raises(TypeError):
-            dispatch(db, plan, "row")
+            dispatch_rows(db, plan)
         with pytest.raises(TypeError):
-            dispatch(db, plan, "batch")
+            dispatch(db, plan)
 
     def test_conjunct_short_circuit_matches_serial(self):
         # A row failing the first conjunct must never reach the second —
@@ -737,14 +741,14 @@ class TestZoneMapSkipping:
         sql = "SELECT k FROM t WHERE v < 100 AND k > 5"
         plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
         try:
-            row_outcome = dispatch(db, plan, "row")
+            row_outcome = dispatch_rows(db, plan)
         except TypeError:
             row_outcome = None  # optimizer reordered: both must raise
         if row_outcome is None:
             with pytest.raises(TypeError):
-                dispatch(db, plan, "batch")
+                dispatch(db, plan)
         else:
-            col_result, col_ctx = dispatch(db, plan, "batch")
+            col_result, col_ctx = dispatch(db, plan)
             assert_bit_identical(
                 col_result, col_ctx, row_outcome[0], row_outcome[1]
             )
@@ -760,16 +764,15 @@ class TestZoneMapSkipping:
         db.load_rows("t", rows)
         db.analyze()
         sql = "SELECT t.k FROM t WHERE t.f <> 5.0"
-        batch = db.execute(sql, execution_mode="batch")
+        batch = db.execute(sql)
         assert batch.profile.zone_map_skips > 0
-        assert batch.rows == db.execute(sql, execution_mode="row").rows
+        with row_path():
+            assert batch.rows == db.execute(sql).rows
         assert batch.rows == [(0,), (400,)]
 
     def test_in_list_predicate_skips(self):
         db = _clustered_db()
-        result = db.execute(
-            "SELECT v FROM t WHERE k IN (3, 5, 7)", execution_mode="batch"
-        )
+        result = db.execute("SELECT v FROM t WHERE k IN (3, 5, 7)")
         assert result.profile.zone_map_skips > 0
         assert sorted(result.rows) == [(3 % 17,), (5 % 17,), (7 % 17,)]
 
@@ -779,8 +782,8 @@ class TestZoneMapSkipping:
         plan, __scia, __opt = db.plan(
             "SELECT k FROM t WHERE k = 25", mode=DynamicMode.FULL
         )
-        row_result, row_ctx = dispatch(db, plan, "row")
-        col_result, col_ctx = dispatch(db, plan, "batch")
+        row_result, row_ctx = dispatch_rows(db, plan)
+        col_result, col_ctx = dispatch(db, plan)
         assert col_ctx.columnar.groups_skipped > 0
         assert_bit_identical(col_result, col_ctx, row_result, row_ctx)
 
@@ -801,7 +804,7 @@ class TestLateMaterialisation:
 
     def analyzed(self, db, name):
         query = next(q for q in ALL_QUERIES if q.name == name)
-        report = db.explain_analyze(query.sql, execution_mode="batch")
+        report = db.explain_analyze(query.sql)
         by_table = {
             record["table"]: record
             for record in report.result.profile.leaf_pipelines.values()
@@ -842,8 +845,7 @@ class TestLateMaterialisation:
         )
         assert "leaf pipeline: row kernels (no filter), 25 rows scanned" in (
             seed31_db.explain_analyze(
-                next(q for q in ALL_QUERIES if q.name == "Q10").sql,
-                execution_mode="batch",
+                next(q for q in ALL_QUERIES if q.name == "Q10").sql
             ).render()
         )
 
@@ -856,15 +858,14 @@ class TestLateMaterialisation:
 class TestEngineIntegration:
     def test_profile_fields_and_summary(self):
         db = _clustered_db()
-        result = db.execute(
-            "SELECT k FROM t WHERE k < 100", execution_mode="batch"
-        )
+        result = db.execute("SELECT k FROM t WHERE k < 100")
         profile = result.profile
         assert profile.columnar_pipelines >= 1
         assert profile.zone_map_groups_read >= 1
         assert "columnar: pipelines=" in profile.summary()
         assert "leaf pipelines: column=1 row=0" in profile.summary()
-        row = db.execute("SELECT k FROM t WHERE k < 100", execution_mode="row")
+        with row_path():
+            row = db.execute("SELECT k FROM t WHERE k < 100")
         assert row.profile.columnar_pipelines == 0
         assert row.profile.zone_map_skips == 0
         assert row.profile.leaf_pipelines == {}
@@ -872,26 +873,14 @@ class TestEngineIntegration:
     def test_keyed_pipelines_feed_joins_and_aggregates(self, two_table_db):
         result = two_table_db.execute(
             "SELECT r1.a, count(*) FROM r1, r2 "
-            "WHERE r1.id = r2.r1_id AND r2.c < 8 GROUP BY r1.a",
-            execution_mode="batch",
+            "WHERE r1.id = r2.r1_id AND r2.c < 8 GROUP BY r1.a"
         )
         assert result.profile.columnar_keyed_pipelines >= 1
-
-    def test_plan_cache_isolates_modes(self, two_table_db):
-        db = two_table_db
-        sql = "SELECT id FROM r1 WHERE a < 10"
-        db.execute(sql, execution_mode="row")
-        before = db.plan_cache.stats.snapshot()
-        db.execute(sql, execution_mode="batch")
-        after = db.plan_cache.stats.snapshot()
-        assert after.hits == before.hits  # no cross-mode hit
-        db.execute(sql, execution_mode="batch")
-        assert db.plan_cache.stats.hits == after.hits + 1
 
     def test_metrics_counters_recorded(self):
         registry = MetricsRegistry()
         db = Database(
-            EngineConfig(batch_size=64, execution_mode="batch"),
+            EngineConfig(batch_size=64),
             metrics=registry,
         )
         db.create_table("t", [("k", DataType.INTEGER)], key=["k"])
@@ -910,9 +899,7 @@ class TestEngineIntegration:
 
     def test_explain_analyze_reports_zone_map_line(self):
         db = _clustered_db()
-        report = db.explain_analyze(
-            "SELECT k FROM t WHERE k < 100", execution_mode="batch"
-        )
+        report = db.explain_analyze("SELECT k FROM t WHERE k < 100")
         rendered = report.render()
         assert (
             "leaf pipeline: column kernels, 2000 rows scanned, "
@@ -929,16 +916,14 @@ class TestEngineIntegration:
         assert scans and scans[0].zone_map["groups_skipped"] >= 1
 
     def test_env_and_validation(self):
-        # The columnar and parallel modes are gone: column kernels are the
-        # batch executor's own choice and every statement runs in one
-        # process, so either spelling is a configuration error, and their
+        # There is one executor: column kernels are its own choice, every
+        # statement runs in one process, and the row interpreter is no
+        # mode.  Any execution mode is a configuration error, and the
         # toggles — like the knobs no result told apart — are not fields
         # any more.
         db = _clustered_db()
         sql = "SELECT k FROM t WHERE k < 10"
-        for mode in ("columnar", "parallel"):
-            with pytest.raises(ConfigError):
-                EngineConfig(execution_mode=mode).validate()
+        for mode in ("row", "batch", "columnar", "parallel"):
             with pytest.raises(ConfigError):
                 db.execute(sql, execution_mode=mode)
         with pytest.raises(ConfigError):
@@ -966,16 +951,20 @@ class TestEngineIntegration:
             "feedback_decay",
             "feedback_max_correction",
             "server_worker_mode",
+            "execution_mode",
+            "plan_cache_enabled",
         ):
             assert gone not in {f.name for f in dataclasses.fields(EngineConfig)}
             with pytest.raises(TypeError):
                 EngineConfig(**{gone: None})
-        # The worker-mode name survives only as a read-only class constant.
+        # Both mode names survive only as read-only class constants.
         assert EngineConfig().server_worker_mode == "thread"
+        assert EngineConfig().execution_mode == "batch"
         with pytest.raises(ConfigError):
             EngineConfig(columnar_dictionary_max=0).validate()
 
     def test_row_mode_never_builds_stores(self):
         db = _clustered_db()
-        db.execute("SELECT k FROM t WHERE k < 10", execution_mode="row")
+        with row_path():
+            db.execute("SELECT k FROM t WHERE k < 10")
         assert db.catalog.table("t")._column_stores == {}

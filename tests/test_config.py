@@ -163,7 +163,6 @@ class TestEnvironment:
         before = EngineConfig()
         monkeypatch.setenv(variable, raw)
         assert EngineConfig() == before
-        assert before.execution_mode == "batch"
 
 
 class TestErrorHierarchy:

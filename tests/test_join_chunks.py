@@ -9,7 +9,7 @@ read — and build tuples only for row-oriented consumers.  Held here:
 * chunk composition: a join of joins is the concatenation of the source
   tuples, a column read through the index vectors is that column of the
   built rows, value for value and type for type;
-* the default executor against ``execution_mode="row"`` with each join
+* the default executor against the row oracle (``tests.oracle.row_path``) with each join
   kind forced, residual predicates, a collector above every join and LIMIT
   above joins: rows in order, the clock to the last bit, every observed
   statistic;
@@ -40,7 +40,7 @@ a time, then reverted):
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from functools import partial
 
 import numpy as np
@@ -58,9 +58,14 @@ from repro.optimizer.cost_model import CostModel
 from repro.plans.physical import (
     BlockNLJoinNode,
     CollectorSpec,
+    FilterNode,
+    HashAggregateNode,
     HashJoinNode,
     IndexNLJoinNode,
+    LimitNode,
+    ProjectNode,
     SeqScanNode,
+    SortNode,
     StatsCollectorNode,
 )
 from repro.storage import BufferPool, CostClock, TempTableManager
@@ -68,6 +73,7 @@ from repro.storage.index import build_index
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 
+from .oracle import row_path
 from .test_random_queries import build_random_db
 from .test_vector_agg import index_pairs, serial_pairs
 
@@ -386,10 +392,14 @@ def with_collectors(db: Database, plan, optimizer):
     return annotate_plan(plan, db.catalog, optimizer.estimator, optimizer.cost_model)
 
 
-def run_plan(db: Database, plan, execution_mode: str, allocation=None, setup=None):
-    """Drive ``plan`` to completion on one execution path; everything the
+#: The two paths a plan runs on: the row oracle and the default executor.
+PATHS = {"row": row_path, "batch": nullcontext}
+
+
+def run_plan(db: Database, plan, path: str, allocation=None, setup=None):
+    """Drive ``plan`` to completion on one of :data:`PATHS`; everything the
     parity contract covers, plus the context for a closer look."""
-    config = db.config.with_updates(execution_mode=execution_mode)
+    config = db.config
     clock = CostClock(config.cost)
     pool = BufferPool(config.buffer_pool_pages, clock)
     ctx = RuntimeContext(
@@ -404,7 +414,8 @@ def run_plan(db: Database, plan, execution_mode: str, allocation=None, setup=Non
     if setup is not None:
         setup(ctx)
     try:
-        outcome = Dispatcher(ctx).run(plan)
+        with PATHS[path]():
+            outcome = Dispatcher(ctx).run(plan)
     finally:
         ctx.temp_manager.drop_all()
     observed = {
@@ -456,7 +467,8 @@ class TestForcedJoinKinds:
         kind = rng.choice(JOIN_NODES)
         for mode in (DynamicMode.OFF, DynamicMode.FULL):
             with forced_joins(kind):
-                row = db.execute(sql, mode=mode, execution_mode="row")
+                with row_path():
+                    row = db.execute(sql, mode=mode)
                 db.plan_cache.clear()
                 batch = db.execute(sql, mode=mode)
                 db.plan_cache.clear()
@@ -523,6 +535,73 @@ class TestForcedJoinKinds:
         assert got[0] == want[0] and got[5] == want[5]
 
 
+def below_limit(plan) -> list[type]:
+    """Node types from LIMIT's child down to the first node that is not a
+    projection, filter or collector."""
+    node = next(n for n in plan.walk() if isinstance(n, LimitNode)).child
+    chain = [type(node)]
+    while isinstance(node, (ProjectNode, FilterNode, StatsCollectorNode)):
+        node = node.child
+        chain.append(type(node))
+    return chain
+
+
+class TestStreamingLimit:
+    """A LIMIT over a streaming subtree is the row interpreter's one caller
+    in the engine: the batch LIMIT drains that subtree row by row, so every
+    upstream charge stops at exactly the limit row.  Each shape runs under
+    OFF and FULL against the row oracle."""
+
+    LIMIT = 5
+
+    def assert_matches_oracle(self, db, sql, kind=None) -> list[type]:
+        chains = []
+        forced = forced_joins(kind) if kind is not None else nullcontext()
+        with forced:
+            for mode in (DynamicMode.OFF, DynamicMode.FULL):
+                plan, __s, __o = db.plan(sql, mode=mode)
+                chains.append(below_limit(plan))
+                with row_path():
+                    row = db.execute(sql, mode=mode)
+                default = db.execute(sql, mode=mode)
+                assert len(default.rows) == self.LIMIT, (mode, sql)
+                assert repr(default.rows) == repr(row.rows), (mode, sql)
+                assert default.profile.breakdown == row.profile.breakdown, (mode, sql)
+                assert repr(default.profile.total_cost) == repr(row.profile.total_cost)
+                assert default.profile.buffer == row.profile.buffer, (mode, sql)
+        db.plan_cache.clear()
+        for chain in chains:
+            # Not the blocking-child shortcut: the subtree streams.
+            assert chain[0] not in (HashAggregateNode, SortNode), chains
+        return chains[0]
+
+    @pytest.mark.parametrize("kind", JOIN_NODES, ids=lambda kind: kind.__name__)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_limit_over_each_join(self, kind, seed):
+        # Over a hash join the probe side streams; over an index-NL or a
+        # block-NL join the outer does.
+        db = chunk_db(seed, tables=2)
+        sql = f"SELECT t0.v a, t1.k b FROM t0, t1 WHERE t1.t0_k = t0.k LIMIT {self.LIMIT}"
+        assert self.assert_matches_oracle(db, sql, kind)[-1] is kind
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_limit_over_a_computed_projection(self, seed):
+        db = chunk_db(seed, tables=1)
+        sql = f"SELECT t0.k a, t0.v + 1 c FROM t0 WHERE t0.v < 12 LIMIT {self.LIMIT}"
+        chain = self.assert_matches_oracle(db, sql)
+        assert chain[0] is ProjectNode and chain[-1] is SeqScanNode
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_limit_over_having(self, seed):
+        db = chunk_db(seed, tables=2)
+        sql = (
+            "SELECT t1.k g, count(*) n FROM t0, t1 WHERE t1.t0_k = t0.k "
+            f"GROUP BY t1.k HAVING count(*) > 0 LIMIT {self.LIMIT}"
+        )
+        chain = self.assert_matches_oracle(db, sql)
+        assert chain[:2] == [FilterNode, HashAggregateNode]
+
+
 # ----------------------------------------------------------------------
 # Cut points: the switch spool, and the charges around it
 # ----------------------------------------------------------------------
@@ -575,7 +654,7 @@ class TestCutPoints:
         cut = self.cut_plans(db)[which]
         spools = []
         results = []
-        for mode in ("row", "batch"):
+        for mode in PATHS:
             log: list = []
             measured, outcome, ctx = run_plan(
                 db, cut, mode, setup=switch_at(db, cut, log)
@@ -607,7 +686,7 @@ class TestCutPoints:
         )
         grants = {top.node_id: 1}
         costs = []
-        for mode in ("row", "batch"):
+        for mode in PATHS:
             measured, __, __c = run_plan(
                 db, top, mode, allocation=grants, setup=switch_at(db, cut, [])
             )
@@ -642,7 +721,7 @@ class TestCutPoints:
                 self.committed_at_completion = join.node_id in self.ctx.memory_committed
 
         seen = []
-        for mode in ("row", "batch"):
+        for mode in PATHS:
             watcher = Watcher()
 
             def setup(ctx, watcher=watcher):
@@ -703,8 +782,7 @@ class TestMaterialisationPins:
             if record["kernel"] == "column" and record["reason"] is None
             and record["table"] in ("supplier", "nation")
         }
-        if fig10_db.config.execution_mode == "batch":  # the row path has no leaf pipelines
-            assert late == {"supplier": 0, "nation": 0}
+        assert late == {"supplier": 0, "nation": 0}
 
     def test_q8_full_spools_the_survivors_only(self, fig10_db):
         report, joins = self.analyzed(fig10_db, "Q8", DynamicMode.FULL)

@@ -17,10 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Database, DataType, EngineConfig
 from repro.executor.collector import RuntimeCollector
-from repro.executor.iterators import _AggState
+from repro.executor.agg_kernels import _AggState
 from repro.plans.logical import AggFunc
 from repro.plans.physical import CollectorSpec, SeqScanNode, StatsCollectorNode
 from repro.storage import Column, Schema
+
+from .oracle import row_path
 
 pytestmark = pytest.mark.hashseed
 
@@ -40,7 +42,8 @@ def test_grouped_min_max_after_a_leading_nan_matches_the_row_path():
         "SELECT t.g AS g, min(t.x) AS m, max(t.x) AS mx "
         "FROM t, u WHERE t.g = u.k GROUP BY t.g"
     )
-    by_row = db.execute(sql, execution_mode="row").rows
+    with row_path():
+        by_row = db.execute(sql).rows
     assert (1, 0.5, 1.0) in by_row
     assert sorted(db.execute(sql).rows) == sorted(by_row)
 

@@ -40,7 +40,6 @@ class TestSwitchDuringParallelProbe:
             RUNNING_EXAMPLE_SQL,
             params=SWITCH_PARAMS,
             mode=DynamicMode.FULL,
-            execution_mode="batch",
         )
         assert serial.profile.plan_switches >= 1
         assert any("__temp" in sql for sql in serial.profile.remainder_sqls)

@@ -18,7 +18,7 @@ from repro.workloads.synthetic import (
     build_running_example,
 )
 
-from .test_columnar import _clustered_db, assert_bit_identical, dispatch
+from .test_columnar import _clustered_db, assert_bit_identical, dispatch, dispatch_rows
 
 FILTER_SQL = "SELECT k, v FROM t WHERE k < 1200"
 
@@ -48,8 +48,8 @@ class TestColumnarMorsels:
     def test_charge_mode_parity_vs_batch_and_serial(self):
         db = _clustered_db(rows=4000)
         plan = plan_for(db, FILTER_SQL)
-        batch_result, batch_ctx = dispatch(db, plan, "batch")
-        serial_result, serial_ctx = dispatch(db, plan, "row")
+        batch_result, batch_ctx = dispatch(db, plan)
+        serial_result, serial_ctx = dispatch_rows(db, plan)
         assert batch_ctx.columnar.pipelines == 1
         assert batch_ctx.columnar.groups_skipped > 0
         assert serial_ctx.columnar.leaf == {}
@@ -67,7 +67,7 @@ class TestZoneMapObservations:
         # actual rows must count skipped groups, so Q-error never reads
         # pruning as a cardinality miss.
         db = _clustered_db(rows=4000)
-        report = db.explain_analyze(FILTER_SQL, execution_mode="batch")
+        report = db.explain_analyze(FILTER_SQL)
         assert report.result.profile.zone_map_skips > 0
         scan = next(
             node
@@ -87,7 +87,7 @@ class TestZoneMapObservations:
         db = _clustered_db(rows=4000)
         aggregate_sql = "SELECT count(*) n, sum(v) s FROM t WHERE k < 1200"
         for sql, keyed in ((FILTER_SQL, 0), (aggregate_sql, 1)):
-            __result, ctx = dispatch(db, plan_for(db, sql), "batch")
+            __result, ctx = dispatch(db, plan_for(db, sql))
             assert ctx.columnar.keyed_pipelines == keyed
             (per_scan,) = ctx.columnar.by_scan.values()
             assert per_scan["rows_skipped"] > 0
@@ -105,6 +105,5 @@ class TestSwitchInteraction:
             RUNNING_EXAMPLE_SQL,
             params=SWITCH_PARAMS,
             mode=DynamicMode.FULL,
-            execution_mode="batch",
         )
         assert serial.profile.plan_switches >= 1

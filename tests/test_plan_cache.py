@@ -2,10 +2,12 @@
 
 import json
 import random
+from contextlib import nullcontext
 
 import pytest
 
 from repro import Database, DataType, DynamicMode, EngineConfig
+from repro.errors import ConfigError
 from repro.engine.plan_cache import (
     CachedPlan,
     PlanCache,
@@ -17,6 +19,7 @@ from repro.workloads.synthetic import (
     build_running_example,
 )
 from .conftest import make_two_table_db
+from .oracle import row_path
 
 SQL = "SELECT r1.a, r2.c FROM r1, r2 WHERE r1.id = r2.r1_id AND r1.a < 40"
 PARAM_SQL = (
@@ -28,30 +31,37 @@ class TestPlanCacheUnit:
     def test_lru_eviction(self):
         cache = PlanCache(capacity=2)
         for i in range(3):
-            key = PlanCache.exact_key(f"q{i}", (), "full", "batch")
+            key = PlanCache.exact_key(f"q{i}", (), "full")
             cache.store(key, CachedPlan(query=None, plan=None, scia=None, epoch=0))
         assert len(cache) == 2
         assert cache.stats.evictions == 1
         # q0 was evicted; q1 and q2 remain.
-        assert PlanCache.exact_key("q0", (), "full", "batch") not in cache
-        assert PlanCache.exact_key("q2", (), "full", "batch") in cache
+        assert PlanCache.exact_key("q0", (), "full") not in cache
+        assert PlanCache.exact_key("q2", (), "full") in cache
 
     def test_hit_refreshes_lru_position(self):
         cache = PlanCache(capacity=2)
-        k0 = PlanCache.exact_key("q0", (), "full", "batch")
-        k1 = PlanCache.exact_key("q1", (), "full", "batch")
+        k0 = PlanCache.exact_key("q0", (), "full")
+        k1 = PlanCache.exact_key("q1", (), "full")
         cache.store(k0, CachedPlan(query=None, plan=None, scia=None, epoch=0))
         cache.store(k1, CachedPlan(query=None, plan=None, scia=None, epoch=0))
         assert cache.lookup(k0, 0)[0] is not None  # refresh q0
         cache.store(
-            PlanCache.exact_key("q2", (), "full", "batch"),
+            PlanCache.exact_key("q2", (), "full"),
             CachedPlan(query=None, plan=None, scia=None, epoch=0),
         )
         assert k0 in cache and k1 not in cache
 
+    def test_zero_capacity_stores_nothing(self):
+        cache = PlanCache(capacity=0)
+        key = PlanCache.exact_key("q", (), "full")
+        cache.store(key, CachedPlan(query=None, plan=None, scia=None, epoch=0))
+        assert len(cache) == 0 and key not in cache
+        assert cache.stats.stores == cache.stats.evictions == 0
+
     def test_epoch_mismatch_counts_invalidation(self):
         cache = PlanCache()
-        key = PlanCache.exact_key("q", (), "full", "batch")
+        key = PlanCache.exact_key("q", (), "full")
         cache.store(key, CachedPlan(query=None, plan=None, scia=None, epoch=3))
         assert cache.lookup(key, 4) == (None, "stale-epoch")
         assert cache.stats.invalidations == 1
@@ -68,7 +78,7 @@ class TestPlanCacheUnit:
 
     def test_hit_rate(self):
         cache = PlanCache()
-        key = PlanCache.exact_key("q", (), "full", "batch")
+        key = PlanCache.exact_key("q", (), "full")
         assert cache.lookup(key, 0) == (None, "absent")
         entry = CachedPlan(query=None, plan=None, scia=None, epoch=0)
         cache.store(key, entry)
@@ -95,21 +105,40 @@ class TestWarmExecution:
         )
 
     def test_warm_hits_on_row_and_batch_modes(self):
+        # The row oracle is no engine mode: it is served the entry the
+        # default run stored, and runs it to the same rows and cost.
         db = make_two_table_db()
-        for execution_mode in ("row", "batch"):
-            cold = db.execute(SQL, execution_mode=execution_mode)
-            warm = db.execute(SQL, execution_mode=execution_mode)
-            assert not cold.profile.plan_cache_hit
-            assert warm.profile.plan_cache_hit
-            assert warm.rows == cold.rows
+        cold = db.execute(SQL)
+        with row_path():
+            row = db.execute(SQL)
+        warm = db.execute(SQL)
+        assert not cold.profile.plan_cache_hit
+        assert row.profile.plan_cache_hit and warm.profile.plan_cache_hit
+        assert repr(row.rows) == repr(warm.rows) == repr(cold.rows)
+        assert repr(row.profile.total_cost) == repr(cold.profile.total_cost)
 
-    def test_execution_mode_is_part_of_the_key(self):
+    @pytest.mark.parametrize(
+        "refused",
+        [
+            {"execution_mode": "row"},
+            {"execution_mode": "batch"},
+            {"execution_mode": "columnar"},
+            {"execution_mode": "parallel"},
+            {"workers": 1},
+        ],
+        ids=lambda refused: "=".join(map(str, *refused.items())),
+    )
+    def test_execution_mode_and_workers_are_refused_first(self, refused):
+        # Refused before the statement is parsed (this one would not parse)
+        # or looked up: the cache counts nothing.
         db = make_two_table_db()
-        batch = db.execute(SQL, execution_mode="batch")
-        row = db.execute(SQL, execution_mode="row")
-        # The row-mode execution must not reuse the batch-mode entry.
-        assert not row.profile.plan_cache_hit
-        assert row.rows == batch.rows
+        db.execute(SQL)
+        before = db.plan_cache.stats.snapshot()
+        with pytest.raises(ConfigError):
+            db.execute("SELECT FROM WHERE", **refused)
+        with pytest.raises(ConfigError):
+            db.execute(SQL, **refused)
+        assert db.plan_cache.stats.snapshot() == before
 
     def test_dynamic_mode_is_part_of_the_key(self):
         db = make_two_table_db()
@@ -128,7 +157,7 @@ class TestWarmExecution:
         assert warm.rows == first.rows
 
     def test_disabled_cache_never_hits(self):
-        db = Database(EngineConfig(plan_cache_enabled=False))
+        db = Database(EngineConfig(plan_cache_size=0))
         rng = random.Random(0)
         db.create_table("t", [("id", DataType.INTEGER), ("a", DataType.INTEGER)], key=["id"])
         db.load_rows("t", [(i, rng.randrange(100)) for i in range(500)])
@@ -184,7 +213,7 @@ class TestMissReason:
         assert "cache=miss(feedback)" in second.summary()
 
     def test_cache_off_has_no_reason(self):
-        db = make_two_table_db(config=EngineConfig(plan_cache_enabled=False))
+        db = make_two_table_db(config=EngineConfig(plan_cache_size=0))
         profile = db.execute(SQL).profile
         assert (profile.plan_cache_hit, profile.plan_cache_miss) == (False, None)
         assert profile.summary().count("cache=miss") == 1
@@ -324,13 +353,14 @@ class TestEpochInvalidation:
 
 class TestPreparedStatements:
     def test_prepared_results_identical_to_cold(self):
-        for execution_mode in ("row", "batch"):
+        for executor in (row_path, nullcontext):
             cold_db = make_two_table_db()
             prep_db = make_two_table_db()
-            cold = cold_db.execute(SQL, execution_mode=execution_mode)
-            stmt = prep_db.prepare(SQL)
-            first = stmt.execute(execution_mode=execution_mode)
-            second = stmt.execute(execution_mode=execution_mode)
+            with executor():
+                cold = cold_db.execute(SQL)
+                stmt = prep_db.prepare(SQL)
+                first = stmt.execute()
+                second = stmt.execute()
             assert first.rows == cold.rows
             assert second.rows == cold.rows
             assert first.profile.total_cost == cold.profile.total_cost

@@ -8,7 +8,7 @@ every join algorithm, the collectors, and the mid-query switch machinery
 at once.
 
 The second half holds the default executor's column-space leaf pipelines
-to the row path (``execution_mode="row"``, the oracle) on tables of several
+to the row path (:func:`tests.oracle.row_path`) on tables of several
 page groups whose columns change encoding while queries run: rows, plans
 and every simulated quantity must agree exactly.
 """
@@ -26,7 +26,7 @@ from repro.bench.harness import rows_equivalent
 from repro.executor import batch, columnar, iterators
 
 from . import reference_collector
-from .oracle import evaluate
+from .oracle import evaluate, row_path
 
 pytestmark = pytest.mark.hashseed
 
@@ -254,8 +254,9 @@ LATE_QUERIES = [
 
 
 def assert_matches_row_path(db: Database, sql: str, mode=DynamicMode.FULL) -> None:
-    default = db.execute(sql, mode=mode, execution_mode="batch")
-    oracle = db.execute(sql, mode=mode, execution_mode="row")
+    default = db.execute(sql, mode=mode)
+    with row_path():
+        oracle = db.execute(sql, mode=mode)
     assert default.rows == oracle.rows, sql
     assert default.profile.plan_explanations == oracle.profile.plan_explanations, sql
     assert repr(default.profile.total_cost) == repr(oracle.profile.total_cost), sql
@@ -317,8 +318,9 @@ class TestColumnKernelsAgainstRowPath:
             "SELECT f.k, f.v FROM f": "no filter",
         }
         for sql, reason in cases.items():
-            default = db.execute(sql, execution_mode="batch")
-            oracle = db.execute(sql, execution_mode="row")
+            default = db.execute(sql)
+            with row_path():
+                oracle = db.execute(sql)
             assert default.rows == oracle.rows
             assert repr(default.profile.total_cost) == repr(oracle.profile.total_cost)
             (record,) = default.profile.leaf_pipelines.values()
@@ -329,8 +331,9 @@ class TestColumnKernelsAgainstRowPath:
         # A stage without a kernel is an ordinary row operator; the chain
         # below it is a leaf pipeline of its own and still qualifies.
         sql = "SELECT f.k, f.v + 1 x FROM f WHERE f.v < 5"
-        default = db.execute(sql, execution_mode="batch")
-        oracle = db.execute(sql, execution_mode="row")
+        default = db.execute(sql)
+        with row_path():
+            oracle = db.execute(sql)
         assert default.rows == oracle.rows
         assert repr(default.profile.total_cost) == repr(oracle.profile.total_cost)
         (record,) = default.profile.leaf_pipelines.values()
@@ -347,8 +350,7 @@ class TestColumnKernelsAgainstRowPath:
             session.analyze("hot")
             result = session.execute(
                 "SELECT f.s g, count(*) n FROM hot, f "
-                "WHERE hot.h_k = f.k AND hot.h_k < 300 GROUP BY f.s",
-                execution_mode="batch",
+                "WHERE hot.h_k = f.k AND hot.h_k < 300 GROUP BY f.s"
             )
         finally:
             session.close()
@@ -366,7 +368,8 @@ class TestColumnKernelsAgainstRowPath:
         assert not any(store._built)
         version = store.version
         sql = "SELECT f.fk g, sum(f.w) sw, count(*) n FROM f WHERE f.v < 9 GROUP BY f.fk"
-        oracle = db.execute(sql, execution_mode="row")
+        with row_path():
+            oracle = db.execute(sql)
         barrier = threading.Barrier(2)
         results, errors = [], []
 
@@ -374,7 +377,7 @@ class TestColumnKernelsAgainstRowPath:
             session = db.create_session(f"client-{index}")
             try:
                 barrier.wait(timeout=10)
-                results.append(session.execute(sql, execution_mode="batch"))
+                results.append(session.execute(sql))
             except Exception as exc:  # pragma: no cover - reported below
                 errors.append(exc)
             finally:

@@ -17,7 +17,8 @@ from repro import Database, DataType, DynamicMode, EngineConfig
 from repro.bench import ExperimentConfig, build_database
 from repro.workloads.tpcd import ALL_QUERIES
 
-from .test_columnar import dispatch
+from .oracle import row_path
+from .test_columnar import dispatch, dispatch_rows
 
 pytestmark = pytest.mark.hashseed
 
@@ -90,8 +91,8 @@ class TestRunsSplitBySkips:
     def test_charge_mode_is_bit_identical_to_row_path(self, sql):
         db, pages = _striped_db()
         plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
-        row, row_ctx = dispatch(db, plan, "row")
-        col, col_ctx = dispatch(db, plan, "batch")
+        row, row_ctx = dispatch_rows(db, plan)
+        col, col_ctx = dispatch(db, plan)
         assert repr(col.rows) == repr(row.rows)
         assert repr(col_ctx.clock.breakdown) == repr(row_ctx.clock.breakdown)
         assert col_ctx.buffer_pool.stats == row_ctx.buffer_pool.stats
@@ -136,8 +137,9 @@ class TestMultiKeyGroupKeys:
         db.load_rows("t", [(1, 0.0, 1), (2, -0.0, 1), (1, -0.0, 1)])
         db.analyze()
         sql = "SELECT t.k, t.f, sum(t.v) s FROM t GROUP BY t.k, t.f"
-        row = db.execute(sql, execution_mode="row")
-        batch = db.execute(sql, execution_mode="batch")
+        with row_path():
+            row = db.execute(sql)
+        batch = db.execute(sql)
         assert batch.profile.vectorized_agg_pipelines == 1
         assert repr(row.rows) == "[(1, 0.0, 2), (2, -0.0, 1)]"
         assert repr(batch.rows) == repr(row.rows)

@@ -23,6 +23,8 @@ from repro.executor.chunk import Source, typed
 from repro.storage.schema import Column, DataType, Schema
 from repro.storage.table import Table
 
+from .oracle import row_path
+
 pytestmark = pytest.mark.hashseed
 
 #: Per column kind: its declared type and the values a cell may take.
@@ -172,7 +174,8 @@ def test_warm_joins_and_aggregate_build_no_tuple(sf005_db, name, monkeypatch):
     from repro.workloads.tpcd import query_by_name
 
     sql = query_by_name(name).sql
-    oracle = sf005_db.execute(sql, execution_mode="row")
+    with row_path():
+        oracle = sf005_db.execute(sql)
     sf005_db.execute(sql)
     built = []
     rows = Chunk.rows

@@ -3,7 +3,8 @@
 The observe subsystem's contract (DESIGN.md section 10): the tracer only
 *reads* the cost clock, so result rows, the simulated ``CostBreakdown``,
 buffer-pool statistics and observed collector statistics are byte-identical
-with tracing on or off — on the row and batch paths, for every TPC-D
+with tracing on or off — on the batch executor and the row oracle
+(:func:`tests.oracle.row_path`), for every TPC-D
 query, and across a mid-query plan switch.  The CI leg that
 runs the whole repository suite under ``REPRO_TRACE=1`` enforces the same
 thing from the environment side.
@@ -27,10 +28,9 @@ from repro.workloads.synthetic import (
 )
 from repro.workloads.tpcd import ALL_QUERIES
 
-SWITCH_PARAMS = {"value1": 80, "value2": 80}
+from .test_join_chunks import PATHS
 
-#: Execution modes the contract covers.
-EXECUTION_MODES = ("row", "batch")
+SWITCH_PARAMS = {"value1": 80, "value2": 80}
 
 
 @pytest.fixture(scope="module")
@@ -38,9 +38,9 @@ def tpcd_db() -> Database:
     return build_database(ExperimentConfig(scale_factor=0.01))
 
 
-def dispatch(db: Database, plan, execution_mode: str, traced: bool = False):
+def dispatch(db: Database, plan, traced: bool = False):
     """One dispatcher run on a fresh runtime context; returns (result, ctx)."""
-    config = db.config.with_updates(execution_mode=execution_mode)
+    config = db.config
     clock = CostClock(config.cost)
     pool = BufferPool(config.buffer_pool_pages, clock)
     ctx = RuntimeContext(
@@ -82,14 +82,11 @@ class TestTpcdTraceParity:
     @pytest.mark.parametrize("query", ALL_QUERIES, ids=lambda q: q.name)
     def test_all_shapes_identical_with_tracing(self, tpcd_db, query):
         plan, __scia, __opt = tpcd_db.plan(query.sql, mode=DynamicMode.FULL)
-        for execution_mode in EXECUTION_MODES:
-            baseline, baseline_ctx = dispatch(
-                tpcd_db, plan, execution_mode, traced=False
-            )
-            traced, traced_ctx = dispatch(
-                tpcd_db, plan, execution_mode, traced=True
-            )
-            assert traced.rows == baseline.rows, execution_mode
+        for name, path in PATHS.items():
+            with path():
+                baseline, baseline_ctx = dispatch(tpcd_db, plan, traced=False)
+                traced, traced_ctx = dispatch(tpcd_db, plan, traced=True)
+            assert traced.rows == baseline.rows, name
             assert_ctx_parity(baseline_ctx, traced_ctx)
             assert baseline_ctx.tracer is None
             # And the trace produced alongside is a loadable document.
@@ -120,18 +117,14 @@ class TestEndToEndTraceParity:
 
     # The ``-0`` id suffix (no worker processes) keeps the ids stable.
     @pytest.mark.parametrize(
-        "execution_mode",
-        [pytest.param(mode, id=f"{mode}-0") for mode in EXECUTION_MODES],
+        "path", [pytest.param(path, id=f"{name}-0") for name, path in PATHS.items()]
     )
-    def test_mid_query_switch_parity(self, switch_dbs, execution_mode):
+    def test_mid_query_switch_parity(self, switch_dbs, path):
         plain_db, traced_db = switch_dbs
-        kwargs = dict(
-            params=SWITCH_PARAMS,
-            mode=DynamicMode.FULL,
-            execution_mode=execution_mode,
-        )
-        plain = plain_db.execute(RUNNING_EXAMPLE_SQL, **kwargs)
-        traced = traced_db.execute(RUNNING_EXAMPLE_SQL, **kwargs)
+        kwargs = dict(params=SWITCH_PARAMS, mode=DynamicMode.FULL)
+        with path():
+            plain = plain_db.execute(RUNNING_EXAMPLE_SQL, **kwargs)
+            traced = traced_db.execute(RUNNING_EXAMPLE_SQL, **kwargs)
 
         assert plain.profile.plan_switches >= 1
         assert plain.rows == traced.rows

@@ -33,7 +33,7 @@ from repro.executor.agg_kernels import (
 )
 from repro.executor.chunk import typed
 
-from .test_columnar import assert_bit_identical, dispatch
+from .test_columnar import assert_bit_identical, dispatch, dispatch_rows
 
 pytestmark = pytest.mark.hashseed
 
@@ -515,8 +515,8 @@ class TestEndToEndFloatParity:
         db = _float_db(batch_size=batch_size)
         for sql in FLOAT_AGG_QUERIES:
             plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
-            col_result, col_ctx = dispatch(db, plan, "batch")
-            row_result, row_ctx = dispatch(db, plan, "row")
+            col_result, col_ctx = dispatch(db, plan)
+            row_result, row_ctx = dispatch_rows(db, plan)
             assert col_ctx.vector.agg_pipelines == 1
             assert_bit_identical(col_result, col_ctx, row_result, row_ctx)
 
@@ -524,7 +524,7 @@ class TestEndToEndFloatParity:
         db = _float_db()
         sql = FLOAT_AGG_QUERIES[0]
         plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
-        result, ctx = dispatch(db, plan, "batch")
+        result, ctx = dispatch(db, plan)
         assert ctx.vector.agg_pipelines == 1
         assert ctx.vector.rows_folded > 0
         # The aggregate never asks for a row: nothing is materialised.
@@ -532,10 +532,10 @@ class TestEndToEndFloatParity:
         assert leaf["kernel"] == "column"
         assert leaf["rows_materialised"] == 0
         # Fold probe failed at import: same bytes, no kernel use.
-        row_result, row_ctx = dispatch(db, plan, "row")
+        row_result, row_ctx = dispatch_rows(db, plan)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(agg_kernels, "_KERNELS_OK", False)
-            off_result, off_ctx = dispatch(db, plan, "batch")
+            off_result, off_ctx = dispatch(db, plan)
         assert off_ctx.vector.agg_pipelines == 0
         assert_bit_identical(result, ctx, row_result, row_ctx)
         assert_bit_identical(off_result, off_ctx, row_result, row_ctx)
@@ -554,8 +554,8 @@ class TestEndToEndFloatParity:
         )
         sql = "SELECT s, SUM(x), COUNT(*) FROM t GROUP BY s"
         plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
-        row_result, row_ctx = dispatch(db, plan, "row")
-        col_result, col_ctx = dispatch(db, plan, "batch")
+        row_result, row_ctx = dispatch_rows(db, plan)
+        col_result, col_ctx = dispatch(db, plan)
         assert col_ctx.vector.agg_pipelines == 1
         assert_bit_identical(col_result, col_ctx, row_result, row_ctx)
 
@@ -566,8 +566,8 @@ class TestEndToEndFloatParity:
             "WHERE o_orderkey = l_orderkey AND o_custkey < 300"
         )
         plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
-        row_result, row_ctx = dispatch(db, plan, "row")
-        on_result, on_ctx = dispatch(db, plan, "batch")
+        row_result, row_ctx = dispatch_rows(db, plan)
+        on_result, on_ctx = dispatch(db, plan)
         assert on_ctx.vector.probe_pipelines >= 1
         assert_bit_identical(on_result, on_ctx, row_result, row_ctx)
         # The probe side (lineitem, a bare scan) passes its matches on as
@@ -589,7 +589,7 @@ class TestEndToEndFloatParity:
 
         registry = MetricsRegistry()
         db = Database(
-            EngineConfig(batch_size=64, execution_mode="batch"),
+            EngineConfig(batch_size=64),
             metrics=registry,
         )
         db.create_table("t", [("g", DataType.INTEGER), ("x", DataType.FLOAT)])
