@@ -102,11 +102,13 @@ def temp_table_stats(
     temp_schema: Schema,
     page_size: int,
 ) -> TableStats:
-    """Catalog statistics for the temp table, from the cut's observed profile.
+    """Catalog statistics for the temp table, from ``profile``: the cut's
+    improved *estimate* (``consumer.est.profile``), not an observed profile,
+    with its row count clamped to at least 1.
 
-    Column statistics keep everything the collectors learned (histograms,
-    distinct counts, min/max) under the temp table's column names, so the
-    re-invoked optimizer estimates the remainder from observed data.
+    Column statistics keep what that estimate carries from the collectors
+    below the cut (histograms, distinct counts, min/max) under the temp
+    table's column names.
     """
     columns: dict[str, ColumnStats] = {}
     for qualified, stats in profile.columns.items():

@@ -44,7 +44,7 @@ from ..sql.parser import parse
 from .improve import (
     apply_improved_estimates,
     blocking_consumer,
-    hash_join_probe_remaining,
+    in_flight_remaining,
     remaining_cost,
 )
 from .modes import DynamicMode
@@ -97,12 +97,15 @@ class DynamicReoptimizer:
         #: (elapsed time at adoption + the plan's estimated total cost).
         self.plan_optimizer_total = 0.0
         self._queries_by_plan: dict[int, LogicalQuery] = {}
+        #: The grants the current plan's estimates were last annotated under.
+        self._annotated_grants: dict[int, int] = {}
 
     # -- dispatcher hooks ---------------------------------------------------
 
     def set_current_plan(self, plan: PlanNode) -> None:
         """Adopt a plan (called by the dispatcher on start and after switches)."""
         self.current_plan = plan
+        self._annotated_grants = dict(self.ctx.allocation)
         stashed = self._queries_by_plan.pop(id(plan), None)
         if stashed is not None:
             self.current_query = stashed
@@ -117,7 +120,10 @@ class DynamicReoptimizer:
         if plan is None or plan.find(node.node_id) is None:
             return
         elapsed = self.ctx.clock.now - self.query_start_clock
-        apply_improved_estimates(plan, self.optimizer, self.ctx)
+        apply_improved_estimates(
+            plan, self.optimizer, self.ctx, node.node_id, self._annotated_grants
+        )
+        self._annotated_grants = dict(self.ctx.allocation)
         consumer = blocking_consumer(plan, node.node_id)
         remaining = remaining_cost(
             plan, self.ctx, self.optimizer.cost_model, in_flight=consumer
@@ -167,16 +173,9 @@ class DynamicReoptimizer:
     # -- memory re-allocation -------------------------------------------------
 
     def _reallocate(self, plan: PlanNode) -> bool:
-        fixed = {
-            node_id: pages
-            for node_id, pages in self.ctx.allocation.items()
-            if node_id in self.ctx.memory_committed
-        }
-        floors = {
-            node_id: pages
-            for node_id, pages in self.ctx.allocation.items()
-            if node_id not in self.ctx.memory_committed
-        }
+        grants, committed = self.ctx.allocation.items(), self.ctx.memory_committed
+        fixed = {n: pages for n, pages in grants if n in committed}
+        floors = {n: pages for n, pages in grants if n not in committed}
         try:
             new_allocation = self.memory_manager.allocate(
                 plan, fixed=fixed, floors=floors,
@@ -283,15 +282,7 @@ class DynamicReoptimizer:
         t_materialize = self.optimizer.cost_model.materialize(cut_pages).total_units(
             self.optimizer.cost_model.params
         )
-        if isinstance(consumer, HashJoinNode):
-            t_finish_cut = hash_join_probe_remaining(
-                consumer,
-                self.optimizer.cost_model,
-                self.ctx.catalog.page_size,
-                self.ctx.memory_for(consumer),
-            )
-        else:
-            t_finish_cut = consumer.est.op_cost
+        t_finish_cut = in_flight_remaining(consumer, self.ctx, self.optimizer.cost_model)
         t_new_total = elapsed + t_finish_cut + t_materialize + new_plan.est.total_cost
         event.t_new_total = t_new_total
 

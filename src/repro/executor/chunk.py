@@ -65,13 +65,39 @@ def numeric(values: list):
     return None
 
 
+def hash_lane(values) -> np.ndarray:
+    """``hash`` of every value, as int64."""
+    return np.fromiter(map(hash, values), np.int64, len(values))
+
+
+#: CPython's 64-bit tuple-hash constants (xxHash's primes).
+_XXPRIME_1 = np.uint64(11400714785074694791)
+_XXPRIME_2 = np.uint64(14029467366897019727)
+_XXPRIME_5 = 2870177450012600261
+
+
+def tuple_hashes(lanes: list) -> np.ndarray:
+    """``hash(tuple(row))`` per row from its elements' lanes: CPython's
+    tuple hash (``Objects/tupleobject.c``) in wrapping ``uint64``."""
+    acc = np.full(len(lanes[0]), _XXPRIME_5, dtype=np.uint64)
+    for lane in lanes:
+        acc += lane.view(np.uint64) * _XXPRIME_2
+        acc = (acc << np.uint64(31)) | (acc >> np.uint64(33))
+        acc *= _XXPRIME_1
+    acc += np.uint64(len(lanes) ^ (_XXPRIME_5 ^ 3527539))
+    # -1 is CPython's error return: a tuple hashing to it hashes to this.
+    acc[acc == np.uint64(2**64 - 1)] = 1546275796
+    return acc.view(np.int64)
+
+
 class Source:
     """One row list chunks index into, with its columns extracted on demand.
 
     An owned list (a batch, a build side) extracts a column once, over all
     of its narrow rows, and serves every later read from it in the form the
     reader computes in: the list itself for Python consumers (collectors,
-    the sampler), its typed array for kernels (join keys, residual masks) —
+    the sampler), its typed array for kernels (join keys, residual masks),
+    its hash lane for distinct sketches —
     a 4 000-value list costs 320 us to turn into an int64 array and 7 us to
     gather from one, so neither form stands in for the other.
 
@@ -94,7 +120,8 @@ class Source:
         self.heap = heap
         self.view = view
         #: ``(column, form)`` -> the column of every row, once read, as a
-        #: list (``"values"``), a :func:`typed` or a :func:`numeric` array.
+        #: list (``"values"``), a :func:`typed` or a :func:`numeric` array,
+        #: or its :func:`hash_lane` (``"hashes"``).
         self._columns: dict[tuple[int, str], object] = {}
 
     def _base(self, column: int) -> int:
@@ -178,6 +205,20 @@ class Source:
         # arg* pick the first of equal extremes, as min / max keep theirs:
         # a 0.0 / -0.0 tie comes out with the sign Python's would.
         return array[array.argmin()].item(), array[array.argmax()].item()
+
+    def hashes(self, column: int, ids):
+        """:func:`hash_lane` of :meth:`values`: the heap's, kept by its store
+        (:meth:`~repro.storage.columnar.ColumnStore.hashes`), or the list's."""
+        if self.heap is None:
+            lane = self._columns.get((column, "hashes"))
+            if lane is None:
+                lane = hash_lane(self.values(column, None))
+                self._columns[column, "hashes"] = lane
+        else:
+            lane = self.heap.hashes(self._base(column))
+            if len(lane) != len(self.rows):  # a store behind the heap
+                return hash_lane(self.values(column, ids))
+        return lane if ids is None else lane[ids]
 
     def tuples(self, ids) -> list:
         """The rows at ``ids`` (None: every row) as tuples: the list's own,
@@ -306,6 +347,16 @@ class Chunk:
             at = np.asarray(at, dtype=np.int64)
             ids = at if ids is None else ids[at]
         return self.sources[j].values(c, ids)
+
+    def hashes(self, positions: tuple) -> np.ndarray:
+        """``hash`` per row of the value at one position, of the tuple of
+        the values at several: from the columns' lanes, building no value
+        or tuple.  Read only (a lane may be its source's own)."""
+        lanes = [
+            self.sources[j].hashes(c, self.ids[j])
+            for j, c in map(self.columns.__getitem__, positions)
+        ]
+        return lanes[0] if len(lanes) == 1 else tuple_hashes(lanes)
 
     def rows(self) -> list:
         """The chunk's rows as tuples, built once from the sources' own

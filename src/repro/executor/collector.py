@@ -22,9 +22,8 @@ that the improved-estimate machinery substitutes into the plan.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import wraps
+from functools import partial
 from itertools import chain
-from operator import itemgetter
 from time import perf_counter
 from typing import Mapping, Sequence
 
@@ -35,9 +34,9 @@ from ..stats.histogram import Histogram, HistogramKind, from_sample
 from ..stats.sampling import RowSampler
 from ..stats.table_stats import ColumnStats
 from ..stats.estimator import RelProfile
-from ..storage.schema import Schema
+from ..storage.schema import DataType, Schema
 from ..storage.table import Row
-from .chunk import Chunk
+from .chunk import Chunk, as_chunk
 
 
 @dataclass(frozen=True)
@@ -102,72 +101,37 @@ class ObservedStatistics:
                     # observed cardinality surge propagates into downstream
                     # join-size estimates even without an observed histogram.
                     histogram = stats.histogram.scaled_counts(scale)
-                columns[name] = ColumnStats(
+                columns[name] = stats._replace(
                     name=name,
-                    dtype=stats.dtype,
                     count=rows,
                     distinct=max(1.0, min(stats.distinct, rows)),
-                    min_value=stats.min_value,
-                    max_value=stats.max_value,
                     histogram=histogram,
-                    is_key=stats.is_key,
+                    observed=False,
                 )
         for name, (lo, hi) in self.minmax.items():
-            base = columns.get(name)
-            if base is not None:
-                columns[name] = ColumnStats(
-                    name=name,
-                    dtype=base.dtype,
-                    count=rows,
-                    distinct=base.distinct,
-                    min_value=lo,
-                    max_value=hi,
-                    histogram=base.histogram,
-                    is_key=base.is_key,
-                    observed=True,
-                )
-            else:
-                from ..storage.schema import DataType
-
-                columns[name] = ColumnStats(
-                    name=name,
-                    dtype=DataType.FLOAT,
-                    count=rows,
-                    distinct=0.0,  # unknown: estimator falls back to defaults
-                    min_value=lo,
-                    max_value=hi,
-                    observed=True,
-                )
+            # No estimate: distinct unknown, the estimator falls back to defaults.
+            base = columns.get(name) or ColumnStats(name, DataType.FLOAT, rows, 0.0)
+            columns[name] = base._replace(
+                count=rows, min_value=lo, max_value=hi, observed=True
+            )
         for name, histogram in self.histograms.items():
-            base = columns.get(name)
+            base = columns.get(name) or ColumnStats(
+                name, DataType.FLOAT if histogram.buckets else DataType.INTEGER, rows, 0.0
+            )
             lo, hi = self.minmax.get(name, (histogram.min_value, histogram.max_value))
-            columns[name] = ColumnStats(
-                name=name,
-                dtype=base.dtype if base is not None else _guess_dtype(histogram),
+            columns[name] = base._replace(
                 count=rows,
                 distinct=max(1.0, histogram.total_distinct),
                 min_value=lo,
                 max_value=hi,
                 histogram=histogram,
-                is_key=base.is_key if base is not None else False,
                 observed=True,
             )
         for columns_key, estimate in self.distincts.items():
-            if len(columns_key) != 1:
-                continue
-            name = columns_key[0]
-            base = columns.get(name)
+            base = columns.get(columns_key[0]) if len(columns_key) == 1 else None
             if base is not None:
-                columns[name] = ColumnStats(
-                    name=name,
-                    dtype=base.dtype,
-                    count=rows,
-                    distinct=max(1.0, min(estimate, rows)),
-                    min_value=base.min_value,
-                    max_value=base.max_value,
-                    histogram=base.histogram,
-                    is_key=base.is_key,
-                    observed=True,
+                columns[columns_key[0]] = base._replace(
+                    count=rows, distinct=max(1.0, min(estimate, rows)), observed=True
                 )
         aliases = estimated.aliases if estimated is not None else frozenset()
         return RelProfile(
@@ -175,22 +139,12 @@ class ObservedStatistics:
         )
 
 
-def _guess_dtype(histogram: Histogram):
-    from ..storage.schema import DataType
-
-    return DataType.FLOAT if histogram.buckets else DataType.INTEGER
-
-
-def _timed(method):
-    """Add a batch entry point's wall-clock seconds to ``wall_s``."""
-
-    @wraps(method)
-    def timed(self, *args) -> None:
-        started = perf_counter()
-        method(self, *args)
-        self.wall_s += perf_counter() - started
-
-    return timed
+def _keys(chunk: Chunk, positions: tuple):
+    """The scalar per row for one position, the tuple for several —
+    :meth:`RuntimeCollector.observe`'s per-row extraction."""
+    if len(positions) == 1:
+        return chunk.values(positions[0])
+    return zip(*map(chunk.values, positions))
 
 
 class RuntimeCollector:
@@ -240,7 +194,7 @@ class RuntimeCollector:
         self.row_count += 1
         for name, position in self._numeric_positions:
             self._fold_minmax(name, row[position], row[position])
-        self._sample_rows((row,))
+        self._sample_rows(as_chunk((row,), len(self.schema)))
         for positions, sketch in self._sketches.values():
             if len(positions) == 1:
                 sketch.add(row[positions[0]])
@@ -257,25 +211,21 @@ class RuntimeCollector:
             if hi > entry[1]:
                 entry[1] = hi
 
-    def _sample_rows(self, rows: Sequence[Row] | Chunk) -> None:
+    def _sample_rows(self, chunk: Chunk) -> None:
         """Offer rows to the sampler; read only the hit rows' values — by
         offset, so a chunk builds none of its rows."""
         if not self._samples:
             return
-        fill, hits = self._sampler.offer(len(rows))
+        fill, hits = self._sampler.offer(len(chunk))
         if not fill and not hits:
             return
         offsets = [*range(fill), *(offset for offset, __ in hits)]
         for position, sample in self._samples.values():
-            if type(rows) is Chunk:
-                values = rows.values(position, offsets)
-            else:
-                values = [rows[offset][position] for offset in offsets]
+            values = chunk.values(position, offsets)
             sample.extend(values[:fill])
             for (__, slot), value in zip(hits, values[fill:]):
                 sample[slot] = value
 
-    @_timed
     def observe_batch(self, rows: Sequence[Row] | Chunk) -> None:
         """Examine one batch of tuples (the batch-path fast path).
 
@@ -286,22 +236,24 @@ class RuntimeCollector:
         column by column — only the columns a statistic names — and none
         of its rows is built; its min/max come from typed arrays where the
         column has them (:meth:`Chunk.bounds`), the values and types
-        Python's ``min`` / ``max`` would have returned.
+        Python's ``min`` / ``max`` would have returned.  A row list is read
+        as the chunk it wraps into.  A distinct sketch builds keys only while
+        its exact set may keep them, and reads hash lanes otherwise.
         """
         if not rows:
             return
+        started = perf_counter()
         by_column = type(rows) is Chunk
+        chunk = as_chunk(rows, len(self.schema))
         self.row_count += len(rows)
         for name, position in self._numeric_positions:
             if by_column:
-                bounds = rows.bounds(position)
+                bounds = chunk.bounds(position)
                 if bounds is not None:
                     self._fold_minmax(name, *bounds)
                     continue
                 self._minmax_python.add(name)
-                values = rows.values(position)
-            else:
-                values = list(map(itemgetter(position), rows))
+            values = chunk.values(position)
             entry = self._minmax.get(name)
             if entry is None:
                 self._minmax[name] = [min(values), max(values)]
@@ -310,16 +262,12 @@ class RuntimeCollector:
                 # exactly, even when a NaN leads the batch.
                 entry[0] = min(chain((entry[0],), values))
                 entry[1] = max(chain((entry[1],), values))
-        self._sample_rows(rows)
+        self._sample_rows(chunk)
         for positions, sketch in self._sketches.values():
-            # The scalar for one position, the tuple for several — matching
-            # observe()'s per-row extraction.
-            if not by_column:
-                sketch.add_batch(map(itemgetter(*positions), rows))
-            elif len(positions) == 1:
-                sketch.add_batch(rows.values(positions[0]))
-            else:
-                sketch.add_batch(zip(*map(rows.values, positions)))
+            sketch.add_hashes(
+                partial(chunk.hashes, positions), partial(_keys, chunk, positions)
+            )
+        self.wall_s += perf_counter() - started
 
     def finalize(self) -> ObservedStatistics:
         """Turn the accumulated state into observed statistics."""

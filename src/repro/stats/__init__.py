@@ -1,6 +1,6 @@
 """Statistics substrate: histograms, sampling, sketches, catalog statistics."""
 
-from .distinct import DistinctCounter, ExactDistinct, FlajoletMartin, HybridDistinct
+from .distinct import FlajoletMartin, HybridDistinct
 from .histogram import (
     Bucket,
     Histogram,
@@ -25,8 +25,6 @@ from .zipf import ZipfGenerator
 __all__ = [
     "Bucket",
     "ColumnStats",
-    "DistinctCounter",
-    "ExactDistinct",
     "FlajoletMartin",
     "HybridDistinct",
     "Histogram",

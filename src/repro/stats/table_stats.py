@@ -20,7 +20,6 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ..storage.schema import DataType, Schema
 from ..storage.table import Table
-from .distinct import ExactDistinct
 from .histogram import Histogram, HistogramKind, build_histogram
 
 
@@ -120,9 +119,7 @@ def compute_column_stats(
     col = schema.column(column_name)
     position = schema.index_of(column_name)
     values = [row[position] for row in table.rows]
-    counter = ExactDistinct()
-    counter.extend(values)
-    distinct = counter.estimate()
+    distinct = float(len(set(values)))
     if col.dtype.is_numeric and values:
         numeric = [float(v) for v in values]
         min_value: float | None = min(numeric)

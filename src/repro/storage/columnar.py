@@ -49,6 +49,7 @@ so a column has one representation over every row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -204,8 +205,9 @@ class ColumnStore:
         self._rows = 0
         #: Per column: ``(version, zone_bounds(position))``.
         self._bounds: dict[int, tuple] = {}
-        #: Per column: :meth:`exact`, until the rows change.
+        #: Per column: :meth:`exact` and :meth:`hashes`, until the rows change.
         self._exact: dict[int, object] = {}
+        self._hashes: dict[int, np.ndarray] = {}
         self._forget_columns()
 
     def _forget_columns(self) -> None:
@@ -271,12 +273,14 @@ class ColumnStore:
             if self._built[position]:
                 self._encode(position, start)
         self._exact.clear()
+        self._hashes.clear()
         self.version += 1
 
     def reset(self) -> None:
         """Drop everything (table truncated); the next reads rebuild."""
         self.groups.clear()
         self._exact.clear()
+        self._hashes.clear()
         self._rows = 0
         self._forget_columns()
         self.version += 1
@@ -466,6 +470,17 @@ class ColumnStore:
                 verdict = (column, self.dictionaries[position])
             self._exact[position] = verdict
         return verdict
+
+    def hashes(self, position: int):
+        """``hash`` of the column's value in every heap row, as int64 (the
+        heap's own objects: object and NaN columns have a lane too).  Kept
+        until :meth:`sync` or :meth:`reset`, like :meth:`exact`."""
+        lane = self._hashes.get(position)
+        if lane is None:
+            values = map(itemgetter(position), islice(self.table.rows, self._rows))
+            lane = np.fromiter(map(hash, values), np.int64, self._rows)
+            self._hashes[position] = lane
+        return lane
 
     def values(self, group: ColumnGroup, position: int, sel=None):
         """The group's (or run's) column in *value space*, optionally

@@ -10,6 +10,9 @@ compare the engine's rows against it.
 on the row interpreter (:mod:`repro.executor.iterators`) instead of the
 batch executor, and rows, ``CostBreakdown``, buffer statistics and
 ``ObservedStatistics`` must come out bit-identical.
+
+:func:`runtime_context` is the one way a test builds a runtime context to
+dispatch a plan on by hand.
 """
 
 from __future__ import annotations
@@ -21,12 +24,15 @@ from typing import Iterator
 from repro.engine.database import Database
 from repro.executor.dispatcher import Dispatcher
 from repro.executor.iterators import execute_node
+from repro.executor.runtime import RuntimeContext
+from repro.optimizer.cost_model import CostModel
 from repro.plans.logical import (
     AggFunc,
     AggregateExpr,
     ColumnExpr,
     LogicalQuery,
 )
+from repro.storage import BufferPool, CostClock, TempTableManager
 from repro.storage.schema import Schema
 
 
@@ -45,6 +51,24 @@ def row_path() -> Iterator[None]:
         yield
     finally:
         Dispatcher._drain = drain
+
+
+def runtime_context(db: Database, **fields) -> RuntimeContext:
+    """A fresh runtime context over ``db``'s catalog and config, with no
+    controller: its own clock, buffer pool and temporary tables.
+    ``fields`` (an allocation, a tracer) pass through."""
+    config = db.config
+    clock = CostClock(config.cost)
+    pool = BufferPool(config.buffer_pool_pages, clock)
+    return RuntimeContext(
+        catalog=db.catalog,
+        config=config,
+        clock=clock,
+        buffer_pool=pool,
+        temp_manager=TempTableManager(db.catalog, pool),
+        cost_model=CostModel(config),
+        **fields,
+    )
 
 
 def evaluate(db: Database, query: LogicalQuery) -> list[tuple]:

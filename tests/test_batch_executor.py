@@ -22,9 +22,6 @@ from repro.bench import ExperimentConfig, build_database
 from repro.engine.results import QueryResult
 from repro.errors import ConfigError
 from repro.executor.dispatcher import Dispatcher
-from repro.executor.runtime import RuntimeContext
-from repro.optimizer.cost_model import CostModel
-from repro.storage import BufferPool, CostClock, TempTableManager
 from repro.workloads.synthetic import (
     RUNNING_EXAMPLE_SQL,
     SyntheticConfig,
@@ -33,7 +30,7 @@ from repro.workloads.synthetic import (
 
 from repro.workloads.tpcd import ALL_QUERIES
 
-from .oracle import row_path
+from .oracle import row_path, runtime_context
 from .test_random_queries import build_random_db, random_query
 
 ALL_MODES = (
@@ -171,17 +168,7 @@ class TestBatchSizeInsensitivity:
 
 class TestObservedStatisticsParity:
     def _run_collect(self, db: Database, plan):
-        config = db.config
-        clock = CostClock(config.cost)
-        pool = BufferPool(config.buffer_pool_pages, clock)
-        ctx = RuntimeContext(
-            catalog=db.catalog,
-            config=config,
-            clock=clock,
-            buffer_pool=pool,
-            temp_manager=TempTableManager(db.catalog, pool),
-            cost_model=CostModel(config),
-        )
+        ctx = runtime_context(db)
         Dispatcher(ctx).run(plan)
         return ctx.observed
 

@@ -23,9 +23,7 @@ from repro import Database, DataType, DynamicMode, EngineConfig
 from repro.bench import ExperimentConfig, build_database
 from repro.errors import ConfigError
 from repro.executor.dispatcher import Dispatcher
-from repro.executor.runtime import RuntimeContext
 from repro.observe.metrics import MetricsRegistry
-from repro.optimizer.cost_model import CostModel
 from repro.plans.logical import (
     AndPredicate,
     ColumnExpr,
@@ -35,13 +33,13 @@ from repro.plans.logical import (
     InPredicate,
 )
 from repro.stats.histogram import HistogramKind
-from repro.storage import BufferPool, CostClock, Schema, TempTableManager
+from repro.storage import Schema
 from repro.storage.columnar import ColumnStore, ZoneMap, page_groups
 from repro.executor.vector import compile_mask_conjuncts
 from repro.workloads.tpcd import ALL_QUERIES
 
 from .conftest import make_two_table_db
-from .oracle import row_path
+from .oracle import row_path, runtime_context
 
 pytestmark = pytest.mark.hashseed
 
@@ -53,17 +51,7 @@ def tpcd_db() -> Database:
 
 def dispatch(db: Database, plan):
     """One dispatcher run on a fresh runtime context; returns (result, ctx)."""
-    config = db.config
-    clock = CostClock(config.cost)
-    pool = BufferPool(config.buffer_pool_pages, clock)
-    ctx = RuntimeContext(
-        catalog=db.catalog,
-        config=config,
-        clock=clock,
-        buffer_pool=pool,
-        temp_manager=TempTableManager(db.catalog, pool),
-        cost_model=CostModel(config),
-    )
+    ctx = runtime_context(db)
     try:
         result = Dispatcher(ctx).run(plan)
     finally:

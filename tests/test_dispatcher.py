@@ -6,24 +6,10 @@ from repro import Database, DynamicMode
 from repro.errors import ExecutionError
 from repro.executor.dispatcher import Dispatcher
 from repro.executor.iterators import execute_node
-from repro.executor.runtime import PlanSwitchDirective, RuntimeContext
-from repro.optimizer.cost_model import CostModel
-from repro.storage import BufferPool, CostClock, TempTableManager
+from repro.executor.runtime import PlanSwitchDirective
 
 from .conftest import make_two_table_db
-
-
-def make_ctx(db):
-    clock = CostClock(db.config.cost)
-    pool = BufferPool(db.config.buffer_pool_pages, clock)
-    return RuntimeContext(
-        catalog=db.catalog,
-        config=db.config,
-        clock=clock,
-        buffer_pool=pool,
-        temp_manager=TempTableManager(db.catalog, pool),
-        cost_model=CostModel(db.config),
-    )
+from .oracle import runtime_context
 
 
 class TestRuntimeContext:
@@ -32,7 +18,7 @@ class TestRuntimeContext:
             "SELECT r1.a one FROM r1, r2 WHERE r1.id = r2.r1_id",
             mode=DynamicMode.OFF,
         )
-        ctx = make_ctx(two_table_db)
+        ctx = runtime_context(two_table_db)
         join = next(n for n in plan.walk() if n.est.max_memory_pages > 0)
         assert ctx.memory_for(join) == join.est.max_memory_pages
         ctx.allocation[join.node_id] = 5
@@ -43,14 +29,14 @@ class TestRuntimeContext:
             "SELECT r1.a one FROM r1, r2 WHERE r1.id = r2.r1_id",
             mode=DynamicMode.OFF,
         )
-        ctx = make_ctx(two_table_db)
+        ctx = runtime_context(two_table_db)
         join = next(n for n in plan.walk() if n.est.max_memory_pages > 0)
         ctx.allocation[join.node_id] = 7
         assert ctx.commit_memory(join) == 7
         assert join.node_id in ctx.memory_committed
 
     def test_switch_registration(self, two_table_db):
-        ctx = make_ctx(two_table_db)
+        ctx = runtime_context(two_table_db)
         plan, __, __o = two_table_db.plan("SELECT a FROM r1", mode=DynamicMode.OFF)
         temp = ctx.temp_manager.create_empty(plan.schema)
         directive = PlanSwitchDirective(
@@ -71,7 +57,7 @@ class TestRuntimeContext:
         plan, __, __o = two_table_db.plan(
             "SELECT a FROM r1 WHERE a < 10", mode=DynamicMode.OFF
         )
-        ctx = make_ctx(two_table_db)
+        ctx = runtime_context(two_table_db)
         rows = list(execute_node(plan, ctx))
         assert ctx.actual_rows[plan.node_id] == len(rows)
         assert plan.node_id in ctx.completed
@@ -84,7 +70,7 @@ class TestDispatcher:
         plan, __, __o = two_table_db.plan(
             "SELECT a, count(*) n FROM r1 GROUP BY a", mode=DynamicMode.OFF
         )
-        ctx = make_ctx(two_table_db)
+        ctx = runtime_context(two_table_db)
         outcome = Dispatcher(ctx).run(plan)
         assert outcome.final_plan is plan
         assert outcome.plan_history == [plan]
@@ -93,7 +79,7 @@ class TestDispatcher:
 
     def test_controller_notified_of_plan(self, two_table_db):
         plan, __, __o = two_table_db.plan("SELECT a FROM r1", mode=DynamicMode.OFF)
-        ctx = make_ctx(two_table_db)
+        ctx = runtime_context(two_table_db)
 
         class Recorder:
             seen = None

@@ -68,12 +68,11 @@ from repro.plans.physical import (
     SortNode,
     StatsCollectorNode,
 )
-from repro.storage import BufferPool, CostClock, TempTableManager
 from repro.storage.index import build_index
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 
-from .oracle import row_path
+from .oracle import row_path, runtime_context
 from .test_random_queries import build_random_db
 from .test_vector_agg import index_pairs, serial_pairs
 
@@ -399,18 +398,8 @@ PATHS = {"row": row_path, "batch": nullcontext}
 def run_plan(db: Database, plan, path: str, allocation=None, setup=None):
     """Drive ``plan`` to completion on one of :data:`PATHS`; everything the
     parity contract covers, plus the context for a closer look."""
-    config = db.config
-    clock = CostClock(config.cost)
-    pool = BufferPool(config.buffer_pool_pages, clock)
-    ctx = RuntimeContext(
-        catalog=db.catalog,
-        config=config,
-        clock=clock,
-        buffer_pool=pool,
-        temp_manager=TempTableManager(db.catalog, pool),
-        cost_model=CostModel(config),
-        allocation=dict(allocation or {}),
-    )
+    ctx = runtime_context(db, allocation=dict(allocation or {}))
+    clock, pool = ctx.clock, ctx.buffer_pool
     if setup is not None:
         setup(ctx)
     try:

@@ -44,7 +44,8 @@ class TestPickleRoundTrip:
 
     def test_hybrid_pickle_roundtrip(self):
         h = HybridDistinct(seed=11, threshold=10)
-        h.add_batch(list(range(50)))
+        for value in range(50):
+            h.add(value)
         clone = pickle.loads(pickle.dumps(h))
         assert clone.estimate() == h.estimate()
         clone.add(999)

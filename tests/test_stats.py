@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import StatisticsError
 from repro.stats import (
-    ExactDistinct,
     FlajoletMartin,
     Reservoir,
     ZipfGenerator,
@@ -70,18 +69,13 @@ class TestReservoir:
 
 
 class TestDistinct:
-    def test_exact(self):
-        counter = ExactDistinct()
-        counter.extend([1, 1, 2, 3, 3, 3])
-        assert counter.estimate() == 3.0
-
     def test_fm_empty(self):
         assert FlajoletMartin(seed=1).estimate() < 150
 
     def test_fm_accuracy(self):
         for true_count in (100, 1000, 10_000):
             sketch = FlajoletMartin(num_maps=64, seed=3)
-            sketch.extend(range(true_count))
+            sketch.add_batch(range(true_count))
             estimate = sketch.estimate()
             assert 0.5 * true_count < estimate < 2.0 * true_count, (
                 true_count,
@@ -91,16 +85,16 @@ class TestDistinct:
     def test_fm_duplicates_do_not_inflate(self):
         sketch = FlajoletMartin(seed=4)
         for __ in range(10):
-            sketch.extend(range(500))
+            sketch.add_batch(range(500))
         single = FlajoletMartin(seed=4)
-        single.extend(range(500))
+        single.add_batch(range(500))
         assert sketch.estimate() == pytest.approx(single.estimate())
 
     def test_fm_deterministic_given_seed(self):
         a = FlajoletMartin(seed=9)
         b = FlajoletMartin(seed=9)
-        a.extend(range(1000))
-        b.extend(range(1000))
+        a.add_batch(range(1000))
+        b.add_batch(range(1000))
         assert a.estimate() == b.estimate()
 
     def test_fm_invalid_maps(self):
@@ -109,7 +103,7 @@ class TestDistinct:
 
     def test_fm_mixed_types(self):
         sketch = FlajoletMartin(seed=2)
-        sketch.extend(["a", "b", 1, 2.5, ("t", 1)])
+        sketch.add_batch(["a", "b", 1, 2.5, ("t", 1)])
         assert sketch.estimate() > 0
 
 

@@ -17,10 +17,7 @@ import pytest
 from repro import Database, DynamicMode, EngineConfig, QueryTracer
 from repro.bench import ExperimentConfig, build_database
 from repro.executor.dispatcher import Dispatcher
-from repro.executor.runtime import RuntimeContext
 from repro.observe.validate import validate_trace
-from repro.optimizer.cost_model import CostModel
-from repro.storage import BufferPool, CostClock, TempTableManager
 from repro.workloads.synthetic import (
     RUNNING_EXAMPLE_SQL,
     SyntheticConfig,
@@ -28,6 +25,7 @@ from repro.workloads.synthetic import (
 )
 from repro.workloads.tpcd import ALL_QUERIES
 
+from .oracle import runtime_context
 from .test_join_chunks import PATHS
 
 SWITCH_PARAMS = {"value1": 80, "value2": 80}
@@ -40,18 +38,9 @@ def tpcd_db() -> Database:
 
 def dispatch(db: Database, plan, traced: bool = False):
     """One dispatcher run on a fresh runtime context; returns (result, ctx)."""
-    config = db.config
-    clock = CostClock(config.cost)
-    pool = BufferPool(config.buffer_pool_pages, clock)
-    ctx = RuntimeContext(
-        catalog=db.catalog,
-        config=config,
-        clock=clock,
-        buffer_pool=pool,
-        temp_manager=TempTableManager(db.catalog, pool),
-        cost_model=CostModel(config),
-        tracer=QueryTracer(clock) if traced else None,
-    )
+    ctx = runtime_context(db)
+    if traced:
+        ctx.tracer = QueryTracer(ctx.clock)
     try:
         result = Dispatcher(ctx).run(plan)
     finally:
