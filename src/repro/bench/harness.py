@@ -42,19 +42,12 @@ class ExperimentConfig:
     #: the fact tables are smaller than they are -> underestimates; >1:
     #: catalog believes they are bigger -> overestimates).
     stale_row_factor: float = 0.5
-    #: Cross-query feedback repository.  Off by default — experiments
-    #: compare repeated executions of one engine and need the cold
-    #: optimizer's mistakes to repeat identically, so the learning loop is
-    #: opt-in (``bench_feedback`` turns it on deliberately) and a
-    #: ``REPRO_FEEDBACK=1`` suite leg cannot perturb the others.
-    feedback: bool = False
 
     def engine_config(self) -> EngineConfig:
         """The corresponding engine configuration."""
         return EngineConfig().with_updates(
             query_memory_pages=self.memory_pages,
             buffer_pool_pages=self.buffer_pool_pages,
-            feedback_enabled=self.feedback,
         )
 
     def tpcd_config(self) -> TpcdConfig:

@@ -153,10 +153,10 @@ class ReoptimizationParameters:
 class EngineConfig:
     """Top-level configuration for a :class:`repro.engine.Database` instance.
 
-    Seven fields take their default from an environment variable, for
-    deployment: ``REPRO_TRACE``, ``REPRO_SERVER``, ``REPRO_FEEDBACK``
-    (flags), ``REPRO_MAX_SESSIONS``, ``REPRO_SLOW_QUERY`` (numbers),
-    ``REPRO_FEEDBACK_PATH`` and ``REPRO_SLOW_QUERY_PATH`` (paths).
+    Five fields take their default from an environment variable, for
+    deployment: ``REPRO_TRACE``, ``REPRO_SERVER`` (flags),
+    ``REPRO_MAX_SESSIONS``, ``REPRO_SLOW_QUERY`` (numbers) and
+    ``REPRO_SLOW_QUERY_PATH`` (a path).
     """
 
     #: Server statements always run on the session's thread (not settable).
@@ -164,6 +164,9 @@ class EngineConfig:
     #: Every statement runs on the batch executor (not settable); the row
     #: interpreter drives only LIMIT over a streaming subtree.
     execution_mode: ClassVar[str] = "batch"
+    #: Every statement is planned from the catalog alone: observed
+    #: statistics never carry over to a later statement (not settable).
+    feedback_enabled: ClassVar[bool] = False
 
     cost: CostParameters = field(default_factory=CostParameters)
     reopt: ReoptimizationParameters = field(default_factory=ReoptimizationParameters)
@@ -224,18 +227,6 @@ class EngineConfig:
     #: charges it, so rows/costs/statistics are byte-identical with tracing
     #: on or off.  When enabled the trace rides on ``profile.trace``.
     tracing: bool = field(default_factory=_env_flag("REPRO_TRACE"))
-    #: Persistent estimate-feedback repository (:mod:`repro.observe.feedback`).
-    #: When on, every query's estimate-vs-actual records are absorbed at
-    #: query end and *future* optimizations consult them: the estimator
-    #: applies bounded cardinality corrections, the plan cache invalidates
-    #: entries with newly recorded bad Q-error, and SCIA/triggers treat
-    #: historically-misestimated fragments as high risk.  Recording itself
-    #: is zero-perturbation (pure reads after the cost clock stops); only
-    #: *subsequent* queries plan differently — which is the point.
-    feedback_enabled: bool = field(default_factory=_env_flag("REPRO_FEEDBACK"))
-    #: JSON file backing the feedback repository; empty = memory-only (the
-    #: repository dies with the Database instance).
-    feedback_path: str = field(default_factory=_env_text("REPRO_FEEDBACK_PATH"))
     #: Wall-clock seconds (compile + execute) above which a statement is
     #: written to the slow-query log as one structured JSON line.  0 (the
     #: default) disables the log.
@@ -268,7 +259,7 @@ class EngineConfig:
                 )
         if self.hash_fudge_factor < 1.0:
             raise ConfigError(f"hash_fudge_factor must be >= 1.0, got {self.hash_fudge_factor}")
-        for flag in ("tracing", "server_mode", "feedback_enabled"):
+        for flag in ("tracing", "server_mode"):
             if not isinstance(getattr(self, flag), bool):
                 raise ConfigError(
                     f"{flag} must be a bool, got {getattr(self, flag)!r}"

@@ -194,24 +194,6 @@ class DynamicReoptimizer:
 
     # -- plan modification --------------------------------------------------------
 
-    def _feedback_risk(self, consumer: PlanNode) -> float:
-        """Cross-query misestimation risk of the fragment being checked.
-
-        Consults the feedback repository (when the engine carries one) for
-        the join boundary the trigger would cut at: a fragment whose
-        estimates went bad in past executions gets a lower Equation 2
-        threshold.  Always 0.0 with feedback disabled, keeping the paper's
-        gates untouched.
-        """
-        feedback = getattr(self.optimizer.estimator, "feedback", None)
-        if feedback is None:
-            return 0.0
-        from ..observe.feedback import fragment_signature
-
-        return feedback.risk_score(
-            fragment_signature(consumer), self.ctx.catalog.stats_epoch
-        )
-
     def _maybe_modify_plan(
         self,
         plan: PlanNode,
@@ -236,7 +218,6 @@ class DynamicReoptimizer:
             t_cur_improved=t_cur_improved,
             t_opt_estimated=t_opt_estimated,
             params=self.params,
-            feedback_risk=self._feedback_risk(consumer),
         )
         event.trigger = decision
         if not decision.consider:
@@ -261,12 +242,7 @@ class DynamicReoptimizer:
         rebound = bind(parse(remainder_sql), self.ctx.catalog, udfs=self.udfs)
         new_plan = self.optimizer.optimize(rebound)
         if self.run_scia_on_new_plans:
-            insert_collectors(
-                new_plan,
-                self.ctx.catalog,
-                self.ctx.config,
-                feedback=getattr(self.optimizer.estimator, "feedback", None),
-            )
+            insert_collectors(new_plan, self.ctx.catalog, self.ctx.config)
         try:
             new_allocation = self.memory_manager.allocate(
                 new_plan, tracer=self.ctx.tracer, reason="switch-plan"

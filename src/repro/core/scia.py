@@ -23,8 +23,7 @@ Runs as a post-processing phase after the query optimizer (paper Figure 9):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 from ..config import EngineConfig
 from ..plans.physical import (
@@ -43,9 +42,6 @@ from ..plans.physical import (
 from ..storage.catalog import Catalog
 from ..executor.segments import blocking_input_edges
 from .inaccuracy import InaccuracyAnalysis, InaccuracyPotential
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..observe.feedback import FeedbackRepository
 
 
 @dataclass(frozen=True)
@@ -214,7 +210,6 @@ def insert_collectors(
     plan: PlanNode,
     catalog: Catalog,
     config: EngineConfig,
-    feedback: "FeedbackRepository | None" = None,
 ) -> SciaResult:
     """Run the SCIA: choose statistics within budget and splice collectors.
 
@@ -222,41 +217,8 @@ def insert_collectors(
     the (annotated) plan, per the paper.  The plan is modified in place;
     callers should re-annotate it afterwards so collector nodes carry
     estimates too.
-
-    When a feedback repository is supplied, candidates at points whose
-    fragment was historically misestimated (a recorded Q-error at or above
-    the repository threshold) are promoted to HIGH inaccuracy potential
-    before the budget cut — the engine arms collectors most aggressively
-    exactly where its estimates have been wrong before.  With no repository
-    (or no bad records) the ranking is byte-identical to the paper's.
     """
     candidates, points = enumerate_candidates(plan, catalog, config)
-    if feedback is not None and candidates:
-        from ..observe.feedback import fragment_signature
-
-        memo: dict[int, str] = {}
-        risky_points = set()
-        for parent, child_index in points:
-            signature = fragment_signature(parent.children[child_index], memo)
-            if feedback.risky(signature):
-                risky_points.add((parent.node_id, child_index))
-        if risky_points:
-            promoted = 0
-            upgraded: list[CandidateStatistic] = []
-            for candidate in candidates:
-                point = (candidate.parent_id, candidate.child_index)
-                if (
-                    point in risky_points
-                    and candidate.potential is not InaccuracyPotential.HIGH
-                ):
-                    candidate = replace(
-                        candidate, potential=InaccuracyPotential.HIGH
-                    )
-                    promoted += 1
-                upgraded.append(candidate)
-            candidates = upgraded
-            if promoted:
-                feedback.count_collectors_armed(promoted)
     budget = config.reopt.mu * plan.est.total_cost
     ordered = sorted(candidates, key=lambda c: c.effectiveness_key)
     total_cost = sum(c.estimated_cost for c in ordered)

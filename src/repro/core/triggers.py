@@ -41,9 +41,6 @@ class TriggerDecision:
     t_cur_optimizer: float
     t_cur_improved: float
     t_opt_estimated: float
-    #: Feedback-repository misestimation risk (0..1) of the fragment being
-    #: checked; relaxes the Equation 2 drift threshold.
-    feedback_risk: float = 0.0
 
 
 def should_consider_reoptimization(
@@ -51,17 +48,8 @@ def should_consider_reoptimization(
     t_cur_improved: float,
     t_opt_estimated: float,
     params: ReoptimizationParameters,
-    feedback_risk: float = 0.0,
 ) -> TriggerDecision:
-    """Apply Equations 1 and 2; ``consider=True`` means invoke the optimizer.
-
-    ``feedback_risk`` (0..1) comes from the cross-query feedback repository:
-    a fragment that has historically been misestimated gets a proportionally
-    lower Equation 2 threshold — the engine is quicker to re-check plans it
-    has been burned by before.  Zero (the default, and always the value when
-    feedback is disabled) reproduces the paper's gates exactly.
-    """
-    risk = min(max(feedback_risk, 0.0), 1.0)
+    """Apply Equations 1 and 2; ``consider=True`` means invoke the optimizer."""
 
     def decision(consider: bool, reason: str) -> TriggerDecision:
         return TriggerDecision(
@@ -70,7 +58,6 @@ def should_consider_reoptimization(
             t_cur_optimizer=t_cur_optimizer,
             t_cur_improved=t_cur_improved,
             t_opt_estimated=t_opt_estimated,
-            feedback_risk=risk,
         )
 
     if t_cur_improved <= 0:
@@ -82,24 +69,20 @@ def should_consider_reoptimization(
             f"equation 1: T_opt/T_improved = "
             f"{t_opt_estimated / t_cur_improved:.3f} > theta1 = {params.theta1}",
         )
-    # Equation 2: the plan must look sufficiently sub-optimal.  Historically
-    # misestimated fragments shrink the drift threshold toward zero.
+    # Equation 2: the plan must look sufficiently sub-optimal.
     if t_cur_optimizer <= 0:
         return decision(False, "optimizer estimate is zero")
-    effective_theta2 = params.theta2 * (1.0 - risk)
     drift = (t_cur_improved - t_cur_optimizer) / t_cur_optimizer
-    if drift <= effective_theta2:
+    if drift <= params.theta2:
         return decision(
             False,
             f"equation 2: relative drift {drift:.3f} <= theta2 = "
-            f"{effective_theta2:.3f}"
-            + (f" (feedback risk {risk:.2f})" if risk > 0 else ""),
+            f"{params.theta2:.3f}",
         )
     return decision(
         True,
-        f"gates passed: drift {drift:.3f} > theta2 = {effective_theta2:.3f}"
-        + (f" (feedback risk {risk:.2f})" if risk > 0 else "")
-        + f", T_opt/T_improved {t_opt_estimated / t_cur_improved:.3f} <= theta1",
+        f"gates passed: drift {drift:.3f} > theta2 = {params.theta2:.3f}"
+        f", T_opt/T_improved {t_opt_estimated / t_cur_improved:.3f} <= theta1",
     )
 
 

@@ -40,7 +40,6 @@ from ..executor.dispatcher import Dispatcher
 from ..executor.memory import MemoryManager
 from ..executor.runtime import RuntimeContext
 from ..observe.analyze import ExplainAnalyzeReport, analyze_execution
-from ..observe.feedback import FeedbackRepository, plan_signatures
 from ..observe.metrics import MetricsRegistry, default_registry
 from ..observe.slowlog import emit_slow_query
 from ..observe.trace import QueryTracer
@@ -114,16 +113,6 @@ class Database:
         #: exact counts pass a fresh one).
         self.metrics = metrics if metrics is not None else default_registry()
         self.plan_cache = PlanCache(self.config.plan_cache_size, metrics=self.metrics)
-        #: Cross-query cardinality-feedback repository (``None`` when
-        #: disabled — every consumer hook guards on that, so the disabled
-        #: engine is byte-identical to one built before the repository
-        #: existed).
-        self.feedback: FeedbackRepository | None = None
-        if self.config.feedback_enabled:
-            self.feedback = FeedbackRepository(
-                path=self.config.feedback_path, metrics=self.metrics
-            )
-        self.estimator.feedback = self.feedback
         self._udfs: dict[str, Callable] = {}
         self._server = None
         self._server_lock = threading.RLock()
@@ -294,9 +283,7 @@ class Database:
                 mode.value,
                 scope=scope,
             )
-            entry, cache_miss = self.plan_cache.lookup(
-                key, epoch, feedback=self.feedback
-            )
+            entry, cache_miss = self.plan_cache.lookup(key, epoch)
 
         optimizer = Optimizer(cat, self.config, estimator=self.estimator)
         if entry is not None:
@@ -321,30 +308,13 @@ class Database:
         phases["optimize"] = t3 - t2
         scia_result: SciaResult | None = None
         if mode.collects_statistics:
-            scia_result = insert_collectors(
-                plan, cat, self.config, feedback=self.feedback
-            )
+            scia_result = insert_collectors(plan, cat, self.config)
             optimizer.annotator().annotate(plan)
         phases["scia"] = perf_counter() - t3
         if use_cache and key is not None:
-            signatures: frozenset[str] = frozenset()
-            feedback_epoch = 0
-            if self.feedback is not None:
-                # Remember which fragments this plan was optimized over, so
-                # the cache can evict it the moment execution feedback proves
-                # one of them badly misestimated.
-                signatures = frozenset(plan_signatures(plan).values())
-                feedback_epoch = self.feedback.epoch
             self.plan_cache.store(
                 key,
-                CachedPlan(
-                    query=query,
-                    plan=plan,
-                    scia=scia_result,
-                    epoch=epoch,
-                    signatures=signatures,
-                    feedback_epoch=feedback_epoch,
-                ),
+                CachedPlan(query=query, plan=plan, scia=scia_result, epoch=epoch),
             )
             # Execution mutates plans in place; keep the template pristine.
             plan = clone_plan(plan)
@@ -409,9 +379,7 @@ class Database:
         phases["optimize"] = t3 - t2
         scia_result: SciaResult | None = None
         if mode.collects_statistics:
-            scia_result = insert_collectors(
-                plan, cat, self.config, feedback=self.feedback
-            )
+            scia_result = insert_collectors(plan, cat, self.config)
         phases["scia"] = perf_counter() - t3
         return PreparedExecution(
             query=query,
@@ -602,10 +570,6 @@ class Database:
             temp_manager=temp_manager,
             cost_model=cost_model,
             tracer=tracer,
-            # With feedback enabled the dispatcher snapshots each adopted
-            # plan's estimates here, so query-end absorption compares what
-            # the optimizer *planned with* against what actually flowed.
-            estimate_snapshots={} if self.feedback is not None else None,
         )
         allocation = memory_manager.allocate(plan, tracer=tracer)
         ctx.allocation.update(allocation)
@@ -714,23 +678,6 @@ class Database:
             ],
             trace=tracer,
         )
-        if self.feedback is not None:
-            # Post-clock bookkeeping: absorb this execution's estimate-vs-
-            # actual observations into the repository, then surface them on
-            # the profile.  Corrections were applied at annotation time and
-            # are stamped on the nodes they changed.
-            profile.feedback_corrections = sum(
-                1
-                for p in outcome.plan_history
-                for node in p.walk()
-                if getattr(node, "feedback_correction", None) is not None
-            )
-            summary = self.feedback.absorb_execution(
-                outcome, ctx, stats_epoch=cat.stats_epoch
-            )
-            profile.feedback_records = summary["records"]
-            profile.feedback_worst_q_error = summary["worst_q_error"]
-            profile.feedback_worst_fragment = summary["worst_fragment"]
         result = QueryResult(
             rows=outcome.rows, schema=outcome.final_plan.schema, profile=profile
         )
@@ -799,16 +746,6 @@ class Database:
     def metrics_snapshot(self) -> dict[str, dict]:
         """Snapshot of this engine's metrics registry (plain JSON-able dict)."""
         return self.metrics.snapshot()
-
-    def feedback_report(self) -> dict:
-        """The feedback repository's contents, worst fragments first.
-
-        Always JSON-able; ``{"enabled": False}`` when the repository is
-        disabled (:attr:`EngineConfig.feedback_enabled` / ``REPRO_FEEDBACK``).
-        """
-        if self.feedback is None:
-            return {"enabled": False}
-        return self.feedback.report()
 
     def explain_analyze(
         self,

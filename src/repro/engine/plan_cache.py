@@ -30,8 +30,8 @@ Two kinds of entry live in one LRU map:
 entry is stamped with the catalog's statistics epoch
 (:attr:`repro.storage.catalog.Catalog.stats_epoch`) at optimization time;
 ``ANALYZE``, data loads, index/table DDL and injected statistics bump it, and
-a lookup whose entry carries an older epoch — or a fragment that has since
-earned a bad feedback record — is a miss counted as an invalidation.  A
+a lookup whose entry carries an older epoch is a miss counted as an
+invalidation.  A
 mid-query plan switch is not such an event: what it observed goes to the
 running query's temp table (paper section 2.4), never to the catalog, so a
 statement that switches is served warm and its clone switches again, with
@@ -51,7 +51,6 @@ from ..plans.physical import PlanNode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..core.parametric import ParametricPlan
-    from ..observe.feedback import FeedbackRepository
     from ..observe.metrics import MetricsRegistry
 
 #: Default number of cached entries (exact + parametric combined).
@@ -61,7 +60,6 @@ DEFAULT_CAPACITY = 128
 #: :attr:`~repro.engine.profile.ExecutionProfile.plan_cache_miss`).
 MISS_ABSENT = "absent"
 MISS_STALE_EPOCH = "stale-epoch"
-MISS_FEEDBACK = "feedback"
 
 
 def parameter_signature(params: Mapping[str, object] | None) -> tuple:
@@ -82,13 +80,6 @@ class CachedPlan:
     plan: PlanNode
     scia: SciaResult | None
     epoch: int
-    #: Fragment signatures of the cached plan (``observe.feedback``); used
-    #: to proactively invalidate entries whose fragments earn a bad Q-error
-    #: record after the entry was stored.  Empty when feedback is disabled.
-    signatures: frozenset[str] = frozenset()
-    #: Feedback-repository epoch at store time: only records absorbed
-    #: *after* this can poison the entry.
-    feedback_epoch: int = 0
 
 
 @dataclass
@@ -108,10 +99,6 @@ class PlanCacheStats:
     invalidations: int = 0
     evictions: int = 0
     stores: int = 0
-    #: Invalidations caused by the feedback repository recording a bad
-    #: Q-error for one of the entry's fragments (a subset of
-    #: ``invalidations``).
-    feedback_invalidations: int = 0
 
     @property
     def lookups(self) -> int:
@@ -133,7 +120,6 @@ class PlanCacheStats:
             invalidations=self.invalidations,
             evictions=self.evictions,
             stores=self.stores,
-            feedback_invalidations=self.feedback_invalidations,
         )
 
 
@@ -201,21 +187,15 @@ class PlanCache:
         return ("parametric", scope, masked_sql)
 
     def lookup(
-        self,
-        key: tuple,
-        epoch: int,
-        feedback: "FeedbackRepository | None" = None,
+        self, key: tuple, epoch: int
     ) -> "tuple[CachedPlan | CachedScenarios | None, str | None]":
         """``(entry, None)`` on a hit, ``(None, reason)`` on a miss.
 
         The reason is one of :data:`MISS_ABSENT` (nothing stored under
-        ``key``), :data:`MISS_STALE_EPOCH` (the entry was optimized under
-        another statistics epoch) or :data:`MISS_FEEDBACK` (with a feedback
-        repository supplied: one of the entry's plan-fragment signatures
-        earned a bad Q-error record after the entry was stored — the
-        re-prepared plan then benefits from the feedback corrections).  The
-        last two drop the entry and count as invalidations as well as
-        misses; a hit refreshes the entry's LRU position.  The reason
+        ``key``) or :data:`MISS_STALE_EPOCH` (the entry was optimized under
+        another statistics epoch).  The latter drops the entry and counts as
+        an invalidation as well as a miss; a hit refreshes the entry's LRU
+        position.  The reason
         travels with the return value, not on the cache, which every
         session shares.
         """
@@ -226,10 +206,6 @@ class PlanCache:
                 miss = MISS_ABSENT
             elif entry.epoch != epoch:
                 miss = MISS_STALE_EPOCH
-            elif feedback is not None and getattr(entry, "signatures", None):
-                poisoned = feedback.poisoned_since(entry.feedback_epoch)
-                if poisoned and not poisoned.isdisjoint(entry.signatures):
-                    miss = MISS_FEEDBACK
             if miss is None:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
@@ -241,9 +217,6 @@ class PlanCache:
                 del self._entries[key]
                 self.stats.invalidations += 1
                 self._bump("invalidations")
-            if miss == MISS_FEEDBACK:
-                self.stats.feedback_invalidations += 1
-                self._bump("feedback_invalidations")
             return None, miss
 
     def store(self, key: tuple, entry: "CachedPlan | CachedScenarios") -> None:

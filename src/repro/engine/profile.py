@@ -84,8 +84,8 @@ class ExecutionProfile:
     phases: PhaseBreakdown = field(default_factory=PhaseBreakdown)
     #: Whether the plan (or scenario set) was served from the plan cache.
     plan_cache_hit: bool = False
-    #: Why the cache missed: ``"absent"``, ``"stale-epoch"`` or ``"feedback"``
-    #: (``None`` on a hit or with the cache off).
+    #: Why the cache missed: ``"absent"`` or ``"stale-epoch"`` (``None`` on
+    #: a hit or with the cache off).
     plan_cache_miss: str | None = None
     #: Optimizer work on this statement's behalf, initial plan plus every
     #: mid-query re-optimization: DP relation subsets visited, join
@@ -168,16 +168,6 @@ class ExecutionProfile:
     memory_granted_pages: int = 0
     broker_regrants: int = 0
     broker_reclaims: int = 0
-    #: Feedback-repository telemetry (all zero/empty when the repository is
-    #: disabled).  ``feedback_corrections`` counts plan nodes whose estimate
-    #: this execution ran with a feedback-corrected cardinality;
-    #: ``feedback_records`` how many fragment observations the execution
-    #: wrote back at query end, with ``feedback_worst_q_error``/
-    #: ``feedback_worst_fragment`` naming the worst of them.
-    feedback_corrections: int = 0
-    feedback_records: int = 0
-    feedback_worst_q_error: float = 0.0
-    feedback_worst_fragment: str = ""
     events: list[ReoptimizationEvent] = field(default_factory=list)
     plan_explanations: list[str] = field(default_factory=list)
     remainder_sqls: list[str] = field(default_factory=list)
@@ -240,17 +230,6 @@ class ExecutionProfile:
             lines.append(
                 f"joins: matches={self.join_matches} "
                 f"materialised={self.join_rows_materialised}"
-            )
-        if self.feedback_corrections or self.feedback_records:
-            lines.append(
-                f"feedback: corrections={self.feedback_corrections} "
-                f"records={self.feedback_records} "
-                f"worst q-error={self.feedback_worst_q_error:.2f}"
-                + (
-                    f" on {self.feedback_worst_fragment}"
-                    if self.feedback_worst_fragment
-                    else ""
-                )
             )
         if self.session or self.executed_via != "inline":
             lines.append(

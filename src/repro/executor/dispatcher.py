@@ -57,18 +57,11 @@ class Dispatcher:
         while True:
             self._notify_plan(current)
             span = None
-            if tracer is not None or self.ctx.estimate_snapshots is not None:
-                # Freeze the adopted plan's estimates before improved
-                # estimates overwrite node.est in place: the tracer feeds
-                # them to EXPLAIN ANALYZE, the feedback repository records
-                # them against actuals at query end.  Pure dict writes —
-                # never touches the cost clock.
-                snapshot = estimate_snapshot(current)
-                if self.ctx.estimate_snapshots is not None:
-                    self.ctx.estimate_snapshots.update(snapshot)
-                if tracer is not None:
-                    tracer.record_estimates(snapshot)
             if tracer is not None:
+                # Freeze the adopted plan's estimates for EXPLAIN ANALYZE
+                # before improved estimates overwrite node.est in place.
+                # Pure dict writes — never touches the cost clock.
+                tracer.record_estimates(estimate_snapshot(current))
                 span = tracer.begin(
                     f"plan-{len(history)}",
                     "plan",

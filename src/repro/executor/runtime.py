@@ -196,11 +196,6 @@ class RuntimeContext:
     #: hooks guard on ``None`` so disabled tracing costs one attribute
     #: check per operator, never per row.
     tracer: "QueryTracer | None" = None
-    #: Per-node estimate snapshots taken at plan adoption, keyed by node id
-    #: (populated by the dispatcher when the feedback repository is enabled;
-    #: ``None`` when it is disabled).  Pure dict writes — never touches the
-    #: cost clock.
-    estimate_snapshots: dict[int, dict[str, float]] | None = None
 
     @property
     def batch_size(self) -> int:

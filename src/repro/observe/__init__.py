@@ -1,6 +1,6 @@
 """Observability: query tracing, metrics, EXPLAIN ANALYZE, trace validation.
 
-The three public pieces:
+The public pieces:
 
 * :class:`QueryTracer` (:mod:`repro.observe.trace`) — per-query spans and
   point events with wall-clock *and* simulated-clock timestamps; exports
@@ -13,11 +13,6 @@ The three public pieces:
 * :class:`ExplainAnalyzeReport` (:mod:`repro.observe.analyze`) — the
   result of ``Database.explain_analyze(sql)``: per-node estimated vs.
   actual rows/size/cost, Q-error, and SCIA collector attribution.
-* :class:`FeedbackRepository` (:mod:`repro.observe.feedback`) — the
-  persistent Q-error feedback store (``EngineConfig(feedback_enabled=True)``
-  or ``REPRO_FEEDBACK=1``): normalized plan-fragment signatures mapped to
-  observed cardinalities, consumed by the estimator, the plan cache, SCIA
-  and the re-optimization triggers.
 * :func:`render_prometheus` (:mod:`repro.observe.export`) — Prometheus
   text exposition of a metrics snapshot (also
   ``python -m repro.observe.export snapshot.json``), and the slow-query
@@ -26,21 +21,14 @@ The three public pieces:
 
 Everything here only *reads* engine state — no call into this package
 charges the simulated cost clock, so results are byte-identical with
-observability on or off (proved by ``tests/test_trace_parity.py``).  The
-feedback repository is the deliberate exception: recording still never
-touches the clock (first runs stay byte-identical), but the records it
-keeps change how *future* statements are planned.
+observability on or off (proved by ``tests/test_trace_parity.py``).  Nor
+does anything recorded here reach a later plan: the optimizer, the
+re-optimization core and the estimator import nothing from this package
+(``tests/test_layering.py``).
 """
 
 from .analyze import ExplainAnalyzeReport, NodeAnalysis, PlanAnalysis, q_error
 from .export import render_prometheus
-from .feedback import (
-    FeedbackRecord,
-    FeedbackRepository,
-    fragment_signature,
-    fragment_text,
-    plan_signatures,
-)
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, default_registry
 from .slowlog import build_slow_query_record, emit_slow_query
 from .trace import InstantEvent, QueryTracer, Span
@@ -49,8 +37,6 @@ from .validate import validate_trace
 __all__ = [
     "Counter",
     "ExplainAnalyzeReport",
-    "FeedbackRecord",
-    "FeedbackRepository",
     "Gauge",
     "Histogram",
     "InstantEvent",
@@ -62,9 +48,6 @@ __all__ = [
     "build_slow_query_record",
     "default_registry",
     "emit_slow_query",
-    "fragment_signature",
-    "fragment_text",
-    "plan_signatures",
     "q_error",
     "render_prometheus",
     "validate_trace",

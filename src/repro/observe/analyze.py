@@ -127,11 +127,6 @@ class NodeAnalysis:
     #: ``rows_probed``/``matches``/``rows_materialised`` — the tuples
     #: built from its output chunks), None otherwise.
     vectorized: dict | None = None
-    #: For nodes whose estimate was corrected by the cross-query feedback
-    #: repository at annotation time: the correction stamp
-    #: (``{"signature", "histogram_rows", "observed_rows",
-    #: "corrected_rows", "source", "record_q_error"}``), None otherwise.
-    feedback: dict | None = None
     #: Shown when the node never completed: a mid-query switch abandoned
     #: the plan, or a consumer (e.g. LIMIT) stopped pulling early.
     not_run_note: str = "not executed"
@@ -204,16 +199,6 @@ class NodeAnalysis:
                     f"{self.vectorized.get('rows_folded', 0)} rows folded into "
                     f"{self.vectorized.get('groups', 0)} groups"
                 )
-        if self.feedback is not None:
-            lines.append(
-                f"{indent}    feedback: corrected rows "
-                f"{self.feedback.get('histogram_rows', 0):.0f} -> "
-                f"{self.feedback.get('corrected_rows', 0):.0f} "
-                f"(observed {self.feedback.get('observed_rows', 0):.0f} "
-                f"via {self.feedback.get('source', '?')}, "
-                f"recorded q_error="
-                f"{self.feedback.get('record_q_error', 0):.2f})"
-            )
         if self.collector is not None:
             lines.append(f"{indent}    {self.collector.format()}")
         return lines
@@ -403,9 +388,6 @@ def analyze_execution(
             per_vector = ctx.vector.by_node.get(node.node_id)
             if per_vector is not None:
                 node_analysis.vectorized = dict(per_vector)
-            correction = getattr(node, "feedback_correction", None)
-            if correction is not None:
-                node_analysis.feedback = dict(correction)
             if isinstance(node, StatsCollectorNode):
                 node_analysis.collector = _collector_insight(node, ctx, rows_q_error)
             analysis.nodes.append(node_analysis)

@@ -5,11 +5,9 @@ Enabled by :attr:`~repro.config.EngineConfig.slow_query_s` (or the
 wall-clock time — compile phases plus execution — reaches the threshold
 emits one line to :attr:`~repro.config.EngineConfig.slow_query_path`
 (appended; ``stderr`` when no path is configured).  The line carries the
-profile summary a person debugging the query would ask for first, plus the
-feedback repository's verdict on the execution (how many fragments were
-misestimated and how badly), so "slow because the optimizer was wrong" is
-distinguishable from "slow because the query is big" without re-running
-anything.
+profile summary a person debugging the query would ask for first: phase
+timings, simulated cost, plan-cache outcome, plan switches and memory
+re-allocations.
 
 Emission happens after the simulated cost clock stopped and only reads the
 finished profile — it can never perturb costs, statistics or results.
@@ -34,7 +32,7 @@ def build_slow_query_record(
 ) -> dict:
     """The JSON document logged for one slow statement."""
     phases = profile.phases
-    record = {
+    return {
         "event": "slow_query",
         "ts": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "sql": profile.sql,
@@ -55,14 +53,6 @@ def build_slow_query_record(
         "collectors_inserted": profile.collectors_inserted,
         "memory_granted_pages": profile.memory_granted_pages,
     }
-    if profile.feedback_records or profile.feedback_corrections:
-        record["feedback"] = {
-            "corrections": profile.feedback_corrections,
-            "records": profile.feedback_records,
-            "worst_q_error": round(profile.feedback_worst_q_error, 3),
-            "worst_fragment": profile.feedback_worst_fragment,
-        }
-    return record
 
 
 def emit_slow_query(

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..errors import OptimizerError
-from ..observe.feedback import fragment_signature, join_edge_key
 from ..plans.logical import ColumnExpr
 from ..plans.physical import (
     BlockNLJoinNode,
@@ -45,11 +44,6 @@ from ..storage.catalog import Catalog
 from ..storage.index import Index
 from .cost_model import CostModel, OperatorCost, pages_for
 
-#: Operators whose cardinality is their input's (or, for Limit, an exact
-#: cap on it): the feedback correction already flowed through the child's
-#: profile, so correcting them again would double-apply it.
-_FEEDBACK_PASSTHROUGH = (StatsCollectorNode, ProjectNode, SortNode, LimitNode)
-
 
 class PlanAnnotator:
     """Computes estimate annotations for a physical plan."""
@@ -69,9 +63,6 @@ class PlanAnnotator:
         #: node_id -> observed profile replacing the estimated one.
         self.profile_overrides = dict(profile_overrides or {})
         self.page_size = catalog.page_size
-        #: Fragment-text memo shared across this annotator's lifetime (the
-        #: DP enumerator re-annotates candidates over shared subtrees).
-        self._fragment_memo: dict[int, str] = {}
         #: Base-table profiles per ``(table, alias)``.  Catalog statistics
         #: do not change during one annotator's lifetime (re-optimization
         #: registers its temp table before building a new annotator), and
@@ -98,76 +89,7 @@ class PlanAnnotator:
             plan.est.rows = override.rows
             plan.est.row_bytes = override.row_bytes
             plan.est.pages = pages_for(override.rows, override.row_bytes, self.page_size)
-            return plan
-        self._apply_feedback(plan)
         return plan
-
-    def _apply_feedback(self, node: PlanNode) -> None:
-        """Replace the histogram cardinality with a feedback-corrected one.
-
-        Only fires when the estimator carries a feedback repository holding
-        an observation for this fragment that disagrees with the estimate
-        by at least the repository's Q-error threshold; with feedback
-        disabled (or an empty store) annotation is byte-identical to the
-        pre-feedback engine.  Mirrors the ``profile_overrides`` contract:
-        the node's own op_cost keeps its histogram basis, parents pick up
-        the corrected output profile bottom-up, and observed overrides
-        (ground truth from a collector) always win over feedback.
-        """
-        feedback = getattr(self.estimator, "feedback", None)
-        if feedback is None or node.est.profile is None:
-            return
-        if isinstance(node, _FEEDBACK_PASSTHROUGH):
-            return
-        signature = fragment_signature(node, self._fragment_memo)
-        histogram_rows = node.est.profile.rows
-        hit = self.estimator.corrected_rows(
-            signature,
-            histogram_rows,
-            self.catalog.stats_epoch,
-            edge_key=join_edge_key(node),
-        )
-        if hit is None:
-            return
-        corrected, record = hit
-        profile = node.est.profile._replace(rows=corrected)
-        node.est.profile = profile
-        node.est.rows = corrected
-        node.est.pages = pages_for(corrected, profile.row_bytes, self.page_size)
-        # Leaf scans are the one place op_cost derives from catalog state
-        # (page counts) rather than child profiles, so a correction must
-        # re-cost them: a scan of a table the catalog believes is 10x
-        # smaller would otherwise keep its 10x-cheap planned cost, and the
-        # runtime drift against it re-triggers mid-query re-optimization
-        # forever even with every cardinality corrected.  Every other
-        # operator is costed from its (already corrected) children.
-        if isinstance(node, SeqScanNode):
-            self._finish(node, self.cost_model.seq_scan(node.est.pages, corrected))
-        elif isinstance(node, IndexScanNode):
-            index = self.catalog.index_on(node.table_name, node.index_column)
-            if index is not None:
-                table = self.catalog.table(node.table_name)
-                stats = self.catalog.stats_for(node.table_name)
-                cost = self.cost_model.index_scan(
-                    height=index.height,
-                    entries_per_leaf=index.entries_per_leaf,
-                    matches=corrected,
-                    clustered=index.clustered,
-                    rows_per_page=table.rows_per_page,
-                    table_pages=stats.page_count,
-                )
-                self._finish(node, cost)
-        # Plain attribute, surfaced by EXPLAIN ANALYZE; clone_plan's shallow
-        # copies share it, which is fine — it describes the fragment, not
-        # the node instance.
-        node.feedback_correction = {
-            "signature": signature,
-            "histogram_rows": histogram_rows,
-            "observed_rows": record.observed_rows,
-            "corrected_rows": corrected,
-            "source": record.source,
-            "record_q_error": record.q_error,
-        }
 
     # ------------------------------------------------------------------
 

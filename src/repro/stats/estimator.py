@@ -114,38 +114,10 @@ class Estimator:
         #: (now known) values — used when *choosing* among parametric plans
         #: at execution start.
         self.use_parameter_values = use_parameter_values
-        #: Cross-query feedback repository
-        #: (:class:`repro.observe.feedback.FeedbackRepository`), attached by
-        #: the engine when ``EngineConfig.feedback_enabled``.  When present,
-        #: the plan annotator consults recorded fragment observations before
-        #: trusting the histogram-derived cardinality.
-        self.feedback = None
         #: ``_scale_column`` evaluations made on behalf of this estimator's
         #: profiles so far — a running total; the per-statement
         #: :class:`~repro.optimizer.optimizer.Optimizer` reports the delta.
         self.column_stats_derived = 0
-
-    def corrected_rows(
-        self,
-        signature: str,
-        est_rows: float,
-        stats_epoch: int,
-        edge_key: str | None = None,
-    ):
-        """Feedback correction for one plan fragment's row estimate.
-
-        Returns ``(corrected_rows, record)`` when the attached feedback
-        repository holds an observation that disagrees with ``est_rows`` by
-        at least its Q-error threshold, else None (no repository, no
-        record, or the histogram estimate is already close enough).
-        ``edge_key`` lets join fragments without an exact record fall back
-        to the repository's learned per-predicate selectivity adjustment.
-        """
-        if self.feedback is None:
-            return None
-        return self.feedback.corrected_rows(
-            signature, est_rows, stats_epoch, edge_key=edge_key
-        )
 
     # ------------------------------------------------------------------
     # Selectivity of single predicates

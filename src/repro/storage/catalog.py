@@ -44,10 +44,9 @@ class Catalog:
     any event that changes what the optimizer reads here — fresh or injected
     statistics, data loads, index DDL, table creation/removal — bumps it.
     The plan cache (:mod:`repro.engine.plan_cache`) refuses to serve entries
-    optimized under an older epoch and the feedback repository ages its
-    records by it.  Per-query *temporary* tables are exempt, and so is a
-    mid-query plan switch: both live and die inside one execution and write
-    nothing about the persistent database here.
+    optimized under an older epoch.  Per-query *temporary* tables are
+    exempt, and so is a mid-query plan switch: both live and die inside one
+    execution and write nothing about the persistent database here.
     """
 
     def __init__(self, page_size: int) -> None:

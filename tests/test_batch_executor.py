@@ -64,19 +64,10 @@ def run_both(db: Database, sql: str, mode: DynamicMode, params=None):
     return row_result, batch_result
 
 
-def parity_db(seed: int, tables: int = 3) -> Database:
-    """Parity asserts bit-identical repeat executions on one engine; the
-    cross-query feedback loop deliberately changes later runs, so pin it off
-    regardless of a ``REPRO_FEEDBACK=1`` suite leg."""
-    return build_random_db(
-        seed, tables, config=EngineConfig(feedback_enabled=False)
-    )
-
-
 class TestRandomQueryParity:
     @pytest.mark.parametrize("seed", range(8))
     def test_rows_costs_and_events_match(self, seed):
-        db = parity_db(seed)
+        db = build_random_db(seed)
         rng = random.Random(seed * 17 + 1)
         sql = random_query(rng)
         for mode in ALL_MODES:
@@ -85,7 +76,7 @@ class TestRandomQueryParity:
 
     @pytest.mark.parametrize("seed", [2, 5])
     def test_with_indexes(self, seed):
-        db = parity_db(seed, tables=4)
+        db = build_random_db(seed, tables=4)
         for i in range(1, 4):
             db.create_index(f"ix_t{i}", f"t{i}", f"t{i - 1}_k")
         rng = random.Random(seed + 41)
@@ -95,7 +86,7 @@ class TestRandomQueryParity:
             assert_parity(row_result, batch_result)
 
     def test_distinct_and_order_by(self):
-        db = parity_db(3)
+        db = build_random_db(3)
         sql = (
             "SELECT DISTINCT t0.v, t1.v FROM t0, t1 "
             "WHERE t1.t0_k = t0.k ORDER BY t0.v, t1.v"
@@ -105,7 +96,7 @@ class TestRandomQueryParity:
             assert_parity(row_result, batch_result)
 
     def test_limit_keeps_early_termination_charges(self):
-        db = parity_db(4)
+        db = build_random_db(4)
         sql = "SELECT t0.v one FROM t0 WHERE t0.v < 12 LIMIT 5"
         for mode in (DynamicMode.OFF, DynamicMode.FULL):
             row_result, batch_result = run_both(db, sql, mode)
@@ -173,7 +164,7 @@ class TestObservedStatisticsParity:
         return ctx.observed
 
     def test_collectors_observe_identical_statistics(self):
-        db = parity_db(6)
+        db = build_random_db(6)
         sql = (
             "SELECT t0.v, count(*) n FROM t0, t1, t2 "
             "WHERE t1.t0_k = t0.k AND t2.t1_k = t1.k AND t0.v < 10 "
@@ -202,8 +193,7 @@ class TestObservedStatisticsParity:
 class TestPlanSwitchParity:
     @pytest.fixture(scope="class")
     def underestimate_db(self):
-        # Cold-optimizer misestimates must repeat identically run to run.
-        db = Database(EngineConfig(feedback_enabled=False))
+        db = Database()
         build_running_example(
             db, SyntheticConfig(rel1_rows=20_000, rel3_rows=60_000, correlation=1.0)
         )

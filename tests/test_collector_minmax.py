@@ -272,7 +272,7 @@ class TestHeapSource:
         and refilled) as the inner side of an index-NL join under a
         collector: every run folds exactly what the row path folds, from
         arrays rebuilt for the rows the join reads."""
-        db = Database(EngineConfig(batch_size=16, feedback_enabled=False))
+        db = Database(EngineConfig(batch_size=16))
         db.create_table("o", [("k", DataType.INTEGER), ("v", DataType.FLOAT)], key=["k"])
         db.load_rows("o", [(k, k / 4 - 0.5) for k in range(6)])
         db.create_index("ix_o", "o", "k")

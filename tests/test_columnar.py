@@ -938,6 +938,8 @@ class TestEngineIntegration:
             "feedback_q_error_threshold",
             "feedback_decay",
             "feedback_max_correction",
+            "feedback_path",
+            "feedback_enabled",
             "server_worker_mode",
             "execution_mode",
             "plan_cache_enabled",
@@ -945,9 +947,10 @@ class TestEngineIntegration:
             assert gone not in {f.name for f in dataclasses.fields(EngineConfig)}
             with pytest.raises(TypeError):
                 EngineConfig(**{gone: None})
-        # Both mode names survive only as read-only class constants.
+        # These names survive only as read-only class constants.
         assert EngineConfig().server_worker_mode == "thread"
         assert EngineConfig().execution_mode == "batch"
+        assert EngineConfig().feedback_enabled is False
         with pytest.raises(ConfigError):
             EngineConfig(columnar_dictionary_max=0).validate()
 

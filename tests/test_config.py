@@ -92,7 +92,6 @@ class TestEngineConfig:
 FLAG_FIELDS = {
     "REPRO_TRACE": "tracing",
     "REPRO_SERVER": "server_mode",
-    "REPRO_FEEDBACK": "feedback_enabled",
 }
 
 
@@ -157,6 +156,8 @@ class TestEnvironment:
             ("REPRO_ADMISSION_QUEUE", "bogus"),
             ("REPRO_SESSION_MEMORY", "static"),
             ("REPRO_SERVER_WORKER_MODE", "fork"),
+            ("REPRO_FEEDBACK", "1"),
+            ("REPRO_FEEDBACK_PATH", "feedback.json"),
         ],
     )
     def test_removed_variables_are_not_read(self, monkeypatch, variable, raw):

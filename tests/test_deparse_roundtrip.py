@@ -9,7 +9,7 @@ to byte-identical text.
 
 import pytest
 
-from repro import Database, EngineConfig
+from repro import Database
 from repro.sql.binder import bind
 from repro.sql.deparser import deparse
 from repro.sql.parser import parse
@@ -25,11 +25,7 @@ from .conftest import make_two_table_db
 
 @pytest.fixture(scope="module")
 def tpcd_db():
-    # Feedback off: the direct execution would otherwise absorb records
-    # that re-plan the roundtripped execution (a tie-flipped join order
-    # perturbs float aggregates at ULP level), and these tests compare
-    # the two executions row for row.
-    db = Database(EngineConfig(feedback_enabled=False))
+    db = Database()
     generate_tpcd(db, TpcdConfig(scale_factor=0.002))
     return db
 

@@ -142,15 +142,11 @@ CONFIGURATIONS = [FIGURE_10, (0.02, 256)]
 SWITCHING = ("Q5", "Q7", "Q8")
 
 
-def tpcd_database(scale: float, pages: int, feedback: bool) -> Database:
-    return build_database(
-        ExperimentConfig(scale_factor=scale, memory_pages=pages, seed=31, feedback=feedback)
-    )
-
-
 @pytest.fixture(scope="module", params=CONFIGURATIONS, ids=lambda p: f"sf{p[0]}-{p[1]}p")
 def tpcd(request):
-    return tpcd_database(*request.param, feedback=False), request.param
+    scale, pages = request.param
+    config = ExperimentConfig(scale_factor=scale, memory_pages=pages, seed=31)
+    return build_database(config), request.param
 
 
 @pytest.mark.parametrize("query", ALL_QUERIES, ids=lambda q: q.name)
@@ -170,24 +166,6 @@ def test_paper_queries_plan_like_the_exhaustive_enumerator(tpcd, query):
         # The point of the bound: most candidates are never built.
         __, costed, pruned = log[0]
         assert costed * 4 <= costed + pruned
-
-
-@pytest.mark.parametrize("configuration", CONFIGURATIONS, ids=lambda p: f"sf{p[0]}-{p[1]}p")
-@pytest.mark.parametrize("name", ["Q3", "Q10", *SWITCHING])
-def test_paper_queries_with_feedback(configuration, name):
-    """The same with the feedback repository attached: first empty (the
-    execution that fills it, remainder re-plan included), then planning
-    from the corrections it recorded.  One database per statement — what
-    one query records changes how the next is planned."""
-    db = tpcd_database(*configuration, feedback=True)
-    sql = next(q.sql for q in ALL_QUERIES if q.name == name)
-    with oracle_checked() as log:
-        db.execute(sql, mode=DynamicMode.FULL)
-        assert len(db.feedback) > 0
-        db.plan(sql, mode=DynamicMode.OFF)
-        db.plan(sql, mode=DynamicMode.FULL)
-    assert len(log) >= 3
-    assert sum(record["corrections"] for record in db.feedback.report()["records"]) > 0
 
 
 # ----------------------------------------------------------------------

@@ -330,9 +330,7 @@ def chunk_db(seed: int, tables: int = 3, **config) -> Database:
     db = build_random_db(
         seed,
         tables,
-        EngineConfig(
-            batch_size=16, reservoir_sample_size=8, feedback_enabled=False, **config
-        ),
+        EngineConfig(batch_size=16, reservoir_sample_size=8, **config),
     )
     for i in range(tables):
         db.create_index(f"ix_t{i}_k", f"t{i}", "k")
@@ -485,7 +483,7 @@ class TestForcedJoinKinds:
     def test_arithmetic_residual_computes_in_python_ints(self):
         # 3 037 000 500 squared is just past 2**63: an int64 kernel wraps it
         # negative, Python's ints do not.
-        db = Database(EngineConfig(batch_size=16, feedback_enabled=False))
+        db = Database(EngineConfig(batch_size=16))
         for name in ("a", "b"):
             db.create_table(name, [("k", DataType.INTEGER), ("x", DataType.INTEGER)])
             db.load_rows(name, [(i % 7, 3_037_000_500 + i) for i in range(40)])

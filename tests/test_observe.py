@@ -1,7 +1,8 @@
 """The observe subsystem: tracer, metrics registry, EXPLAIN ANALYZE.
 
 Unit coverage for ``repro.observe`` (span recording, Chrome export and its
-schema validator, the metrics registry) plus integration coverage for
+schema validator, the metrics registry, the Prometheus exporter, the
+slow-query log) plus integration coverage for
 ``Database.explain_analyze`` and the traced mid-query plan switch — the
 exported trace must be valid Chrome trace-event JSON containing the switch
 decision with its triggering estimate delta.  Trace *parity* (tracing
@@ -10,12 +11,17 @@ cannot change any simulated quantity) lives in ``test_trace_parity.py``.
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro import (
     Database,
+    DataType,
     DynamicMode,
     EngineConfig,
     MetricsRegistry,
@@ -25,7 +31,10 @@ from repro import (
 from repro.bench import ExperimentConfig, build_database
 from repro.engine.profile import ExecutionProfile
 from repro.observe.analyze import Q_ERROR_BAD, q_error
+from repro.observe.export import main as export_main
+from repro.observe.export import prometheus_name, render_prometheus
 from repro.observe.metrics import Counter, Gauge, Histogram
+from repro.observe.slowlog import build_slow_query_record, emit_slow_query
 from repro.observe.validate import main as validate_main
 from repro.observe.validate import validate_trace
 from repro.plans.printer import collector_nodes, explain_with_attribution
@@ -277,8 +286,6 @@ class TestMetrics:
     def test_database_records_metrics(self):
         registry = MetricsRegistry()
         db = Database(metrics=registry)
-        from repro import DataType
-
         db.create_table("t", [("k", DataType.INTEGER), ("v", DataType.INTEGER)])
         db.load_rows("t", [(i, i % 5) for i in range(100)])
         db.analyze()
@@ -488,3 +495,152 @@ class TestTracedPlanSwitch:
             RUNNING_EXAMPLE_SQL, params=SWITCH_PARAMS, mode=DynamicMode.FULL
         )
         assert result.profile.trace is None
+
+
+# ----------------------------------------------------------------------
+# Prometheus exporter
+# ----------------------------------------------------------------------
+
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+JOIN_SQL = (
+    "SELECT r.v, count(*) n FROM r, s "
+    "WHERE s.r_k = r.k AND r.v < 8 GROUP BY r.v ORDER BY r.v"
+)
+
+
+def join_db(**overrides) -> Database:
+    """Two joined tables on a fresh metrics registry."""
+    db = Database(EngineConfig().with_updates(**overrides), metrics=MetricsRegistry())
+    db.create_table(
+        "r", [("k", DataType.INTEGER), ("v", DataType.INTEGER)], key=["k"]
+    )
+    db.create_table(
+        "s",
+        [("k", DataType.INTEGER), ("r_k", DataType.INTEGER), ("v", DataType.INTEGER)],
+        key=["k"],
+    )
+    db.load_rows("r", [(k, k % 10) for k in range(100)])
+    db.load_rows("s", [(k, k % 100, k % 7) for k in range(200)])
+    db.analyze()
+    return db
+
+
+SNAPSHOT = {
+    "query.count": {"type": "counter", "value": 3},
+    "broker.pages_in_use": {"type": "gauge", "value": 2.5},
+    "query.wall_s": {
+        "type": "histogram",
+        "count": 4,
+        "sum": 10.0,
+        "min": 1.0,
+        "max": 4.0,
+        "buckets": {"le_1": 2, "le_10": 1, "le_inf": 1},
+    },
+}
+
+
+class TestPrometheusExporter:
+    def test_name_sanitization(self):
+        assert prometheus_name("broker.grant_pages") == "repro_broker_grant_pages"
+        assert prometheus_name("9weird metric!") == "repro_9weird_metric_"
+
+    def test_counter_and_gauge_rendering(self):
+        text = render_prometheus(SNAPSHOT)
+        assert "# TYPE repro_query_count counter" in text
+        assert "repro_query_count 3" in text
+        assert "# TYPE repro_broker_pages_in_use gauge" in text
+        assert "repro_broker_pages_in_use 2.5" in text
+
+    def test_histogram_buckets_cumulate(self):
+        lines = render_prometheus(SNAPSHOT).splitlines()
+        buckets = [l for l in lines if l.startswith("repro_query_wall_s_bucket")]
+        assert buckets == [
+            'repro_query_wall_s_bucket{le="1"} 2',
+            'repro_query_wall_s_bucket{le="10"} 3',
+            'repro_query_wall_s_bucket{le="+Inf"} 4',
+        ]
+        assert "repro_query_wall_s_sum 10" in lines
+        assert "repro_query_wall_s_count 4" in lines
+
+    def test_live_snapshot_renders(self):
+        db = join_db()
+        db.execute(JOIN_SQL, mode=DynamicMode.OFF)
+        text = render_prometheus(db.metrics_snapshot())
+        assert "repro_engine_queries 1" in text
+        assert 'repro_query_simulated_cost_bucket{le="+Inf"} 1' in text
+
+    def test_cli_round_trip(self, tmp_path, capsys):
+        path = tmp_path / "snapshot.json"
+        path.write_text(json.dumps(SNAPSHOT), encoding="utf-8")
+        assert export_main([str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "repro_query_count 3" in out
+        assert export_main([str(tmp_path / "missing.json")]) == 2
+
+    def test_cli_runs_without_the_engine(self, tmp_path):
+        # The exporter is a scrape-side tool: it must work as a plain
+        # script in an environment where the engine is not importable.
+        path = tmp_path / "snapshot.json"
+        path.write_text(json.dumps(SNAPSHOT), encoding="utf-8")
+        script = os.path.join(SRC_DIR, "repro", "observe", "export.py")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(tmp_path)  # repro is NOT on the path
+        proc = subprocess.run(
+            [sys.executable, script, str(path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "repro_query_count 3" in proc.stdout
+
+
+# ----------------------------------------------------------------------
+# Slow-query log
+# ----------------------------------------------------------------------
+
+
+class TestSlowQueryLog:
+    def test_threshold_gates_emission(self, tmp_path):
+        log = str(tmp_path / "slow.jsonl")
+        db = join_db(slow_query_s=1e-9, slow_query_path=log)
+        db.execute(JOIN_SQL, mode=DynamicMode.OFF)
+        db.execute("SELECT count(*) n FROM r", mode=DynamicMode.OFF)
+        lines = open(log, encoding="utf-8").read().splitlines()
+        assert len(lines) == 2
+        record = json.loads(lines[0])
+        assert record["event"] == "slow_query"
+        assert record["sql"] == JOIN_SQL
+        assert record["total_wall_s"] >= 0.0
+        assert record["threshold_s"] == 1e-9
+        snapshot = db.metrics.snapshot()
+        assert snapshot["slow_query.count"]["value"] == 2
+
+    def test_fast_queries_not_logged(self, tmp_path):
+        log = str(tmp_path / "slow.jsonl")
+        db = join_db(slow_query_s=3600.0, slow_query_path=log)
+        db.execute("SELECT count(*) n FROM r", mode=DynamicMode.OFF)
+        assert not os.path.exists(log)
+
+    def test_disabled_by_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SLOW_QUERY", raising=False)
+        assert EngineConfig().slow_query_s == 0.0
+
+    def test_emit_to_stream(self):
+        db = join_db()
+        profile = db.execute(JOIN_SQL, mode=DynamicMode.OFF).profile
+        stream = io.StringIO()
+        record = emit_slow_query(profile, threshold_s=0.5, stream=stream)
+        parsed = json.loads(stream.getvalue())
+        assert parsed == json.loads(json.dumps(record))
+        assert parsed["threshold_s"] == 0.5
+
+    def test_record_shape(self):
+        db = join_db()
+        profile = db.execute(JOIN_SQL, mode=DynamicMode.OFF).profile
+        record = build_slow_query_record(profile, threshold_s=0.25)
+        for key in (
+            "event", "ts", "sql", "total_wall_s", "compile_wall_s",
+            "execute_wall_s", "simulated_cost", "rows", "plan_switches",
+        ):
+            assert key in record, key

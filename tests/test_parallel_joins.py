@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Database, DynamicMode, EngineConfig
+from repro import Database, DynamicMode
 from repro.workloads.synthetic import (
     RUNNING_EXAMPLE_SQL,
     SyntheticConfig,
@@ -22,12 +22,8 @@ SWITCH_PARAMS = {"value1": 80, "value2": 80}
 
 @pytest.fixture(scope="module")
 def switch_db() -> Database:
-    """The running example sized so FULL mode plan-switches at the cut join.
-
-    Feedback stays off: the test needs the cold optimizer's misestimate
-    (and the resulting switch) to repeat identically across executions.
-    """
-    db = Database(EngineConfig(feedback_enabled=False))
+    """The running example sized so FULL mode plan-switches at the cut join."""
+    db = Database()
     build_running_example(
         db, SyntheticConfig(rel1_rows=20_000, rel3_rows=60_000, correlation=1.0)
     )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Database, DynamicMode, EngineConfig
+from repro import Database, DynamicMode
 from repro.bench.harness import rows_equivalent
 from repro.core.parametric import (
     DEFAULT_SCENARIOS,
@@ -137,8 +137,7 @@ class TestHybridExecution:
     def test_hybrid_keeps_reoptimization_armed(self):
         # Correlated data: the parametric choice fixes the parameter error
         # but not the correlation error, so the hybrid may still switch.
-        # Feedback off: the comparison needs all three runs cold.
-        database = Database(EngineConfig(feedback_enabled=False))
+        database = Database()
         build_running_example(
             database,
             SyntheticConfig(rel1_rows=20_000, rel3_rows=60_000, correlation=1.0),

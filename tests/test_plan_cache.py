@@ -185,9 +185,7 @@ class TestMissReason:
     def test_absent_stale_epoch_and_hit(self, tmp_path):
         log = tmp_path / "slow.jsonl"
         db = make_two_table_db(
-            config=EngineConfig(
-                feedback_enabled=False, slow_query_s=1e-9, slow_query_path=str(log)
-            )
+            config=EngineConfig(slow_query_s=1e-9, slow_query_path=str(log))
         )
         cold = db.execute(SQL).profile
         warm = db.execute(SQL).profile
@@ -202,15 +200,13 @@ class TestMissReason:
         logged = [json.loads(line) for line in log.read_text().splitlines()]
         assert [r["plan_cache_miss"] for r in logged] == ["absent", None, "stale-epoch"]
 
-    def test_feedback_poisoned_entry(self):
-        from .test_feedback import JOIN_SQL, feedback_db
+    def test_absent_and_stale_epoch_are_the_only_reasons(self):
+        from repro.engine import plan_cache
 
-        db = feedback_db()
-        first = db.execute(JOIN_SQL, mode=DynamicMode.OFF).profile
-        second = db.execute(JOIN_SQL, mode=DynamicMode.OFF).profile
-        assert first.plan_cache_miss == "absent"
-        assert second.plan_cache_miss == "feedback"
-        assert "cache=miss(feedback)" in second.summary()
+        reasons = {
+            value for name, value in vars(plan_cache).items() if name.startswith("MISS_")
+        }
+        assert reasons == {"absent", "stale-epoch"}
 
     def test_cache_off_has_no_reason(self):
         db = make_two_table_db(config=EngineConfig(plan_cache_size=0))
@@ -228,8 +224,7 @@ class TestEpochInvalidation:
 
     def _switching_db(self) -> Database:
         """The running example at the size where FULL mode switches plans."""
-        # Feedback off: the tests need the cold misestimate to switch.
-        db = Database(EngineConfig(feedback_enabled=False))
+        db = Database()
         build_running_example(
             db, SyntheticConfig(rel1_rows=20_000, rel3_rows=60_000, correlation=1.0)
         )

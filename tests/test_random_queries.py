@@ -212,13 +212,8 @@ def wide_rows(rng: random.Random, lo: int, hi: int, odd: object = 0, many_string
 
 
 def build_wide_db(seed: int, config=None) -> tuple[Database, random.Random]:
-    """``f`` (600 rows, ten page groups at batch_size 64) and ``d``.
-
-    Feedback stays off: the tests run each statement twice (default path,
-    then oracle) and the second run must plan exactly like the first."""
-    config = config or EngineConfig(
-        batch_size=64, columnar_dictionary_max=8, feedback_enabled=False
-    )
+    """``f`` (600 rows, ten page groups at batch_size 64) and ``d``."""
+    config = config or EngineConfig(batch_size=64, columnar_dictionary_max=8)
     db = Database(config)
     rng = random.Random(seed)
     db.create_table("f", WIDE_COLUMNS, key=["k"])
@@ -362,7 +357,7 @@ class TestColumnKernelsAgainstRowPath:
     def test_two_sessions_first_touching_a_column_build_it_once(self):
         pytest.importorskip("numpy")
         db, __ = build_wide_db(
-            11, EngineConfig(batch_size=64, max_sessions=2, feedback_enabled=False)
+            11, EngineConfig(batch_size=64, max_sessions=2)
         )
         store = db.table("f").column_store(64, db.config.columnar_dictionary_max)
         assert not any(store._built)

@@ -17,10 +17,8 @@ SMALL = SyntheticConfig(rel1_rows=8000, rel2_rows=2000, rel3_rows=24_000)
 
 @pytest.fixture(scope="module")
 def underestimate_db():
-    """Correlated selection attributes: the optimizer under-estimates.
-    Feedback stays off so the misestimate (and its switch) repeats for
-    every test sharing the module fixture."""
-    db = Database(EngineConfig(feedback_enabled=False))
+    """Correlated selection attributes: the optimizer under-estimates."""
+    db = Database()
     build_running_example(
         db, SyntheticConfig(rel1_rows=20_000, rel3_rows=60_000, correlation=1.0)
     )

@@ -21,7 +21,6 @@ def build_db(responsive: bool) -> Database:
     # estimated maximum does not fit, so it starts on its minimum grant.
     config = EngineConfig().with_updates(
         query_memory_pages=64, responsive_hash_joins=responsive,
-        feedback_enabled=False,  # repeated runs must stay cold
     )
     db = Database(config)
     generate_tpcd(

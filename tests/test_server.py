@@ -22,10 +22,7 @@ from repro.observe.metrics import MetricsRegistry
 
 
 def small_db(config: EngineConfig | None = None) -> Database:
-    # Session-scoped cache assertions need cold repeat executions; pin the
-    # cross-query feedback loop off even under a REPRO_FEEDBACK=1 suite leg.
-    config = (config or EngineConfig()).with_updates(feedback_enabled=False)
-    db = Database(config, metrics=MetricsRegistry())
+    db = Database(config or EngineConfig(), metrics=MetricsRegistry())
     db.create_table("r", [("id", DataType.INTEGER), ("a", DataType.INTEGER)], key=["id"])
     db.create_table("s", [("id", DataType.INTEGER), ("b", DataType.INTEGER)], key=["id"])
     db.load_rows("r", [(i, i % 10) for i in range(500)])
@@ -417,9 +414,7 @@ class TestSwitchesLeaveOtherPlansCached:
     def _database(self) -> Database:
         from repro.workloads import SyntheticConfig, build_running_example
 
-        config = EngineConfig(
-            max_sessions=2, feedback_enabled=False, server_mode=False
-        )
+        config = EngineConfig(max_sessions=2, server_mode=False)
         db = Database(config, metrics=MetricsRegistry())
         build_running_example(
             db, SyntheticConfig(rel1_rows=20_000, rel3_rows=60_000, correlation=1.0)

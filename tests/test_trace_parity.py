@@ -89,11 +89,7 @@ class TestEndToEndTraceParity:
     @pytest.fixture(scope="class")
     def switch_dbs(self):
         def build(tracing: bool) -> Database:
-            # Both engines must make the same cold misestimates; the
-            # feedback loop would teach the second run a different plan.
-            db = Database(
-                EngineConfig(tracing=tracing, feedback_enabled=False)
-            )
+            db = Database(EngineConfig(tracing=tracing))
             build_running_example(
                 db,
                 SyntheticConfig(
