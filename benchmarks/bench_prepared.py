@@ -1,7 +1,7 @@
 """Cold vs warm end-to-end latency with the plan cache and prepared statements.
 
-Every other benchmark reports the *simulated* cost clock; like
-``bench_wallclock`` this one measures real elapsed time.  Each TPC-D query
+Every other benchmark script reports the *simulated* cost clock; this
+one measures real elapsed time.  Each TPC-D query
 is executed end-to-end (parse, bind, optimize, SCIA, execute) twice over:
 
 * **cold** — the plan cache is cleared before every run, so each execution

@@ -20,7 +20,7 @@ Which of steps 2/3 run is governed by the :class:`~repro.core.modes.DynamicMode`
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from ..config import ReoptimizationParameters

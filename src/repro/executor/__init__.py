@@ -1,9 +1,8 @@
-"""Execution engine: iterators, batch path, memory manager, segments, dispatcher."""
+"""Execution engine: the batch executor, memory manager, segments, dispatcher."""
 
 from .batch import execute_node_batches
 from .collector import ObservedStatistics, RuntimeCollector
 from .dispatcher import DispatchResult, Dispatcher, SwitchEvent
-from .iterators import execute_node
 from .memory import MemoryDemand, MemoryManager, execution_order, memory_demands
 from .runtime import (
     ExecutionController,
@@ -27,7 +26,6 @@ __all__ = [
     "Segment",
     "SwitchEvent",
     "blocking_input_edges",
-    "execute_node",
     "execute_node_batches",
     "execution_order",
     "memory_demands",

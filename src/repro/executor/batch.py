@@ -19,8 +19,7 @@ result, sort / distinct / limit, a computed projection — reads the chunk as
 the row sequence it also is.  Column-kernel leaf pipelines yield chunks of
 row ids too; every other operator yields plain row lists, the degenerate
 chunk; their hot loops run as list
-comprehensions over precompiled closures (cached on the plan node, shared
-with the row path).
+comprehensions over precompiled closures (cached on the plan node).
 
 Leaf pipelines (a scan under filters/projections) that statically qualify
 run in column space instead and materialise late — see
@@ -31,7 +30,8 @@ kernel honours the parity contract below.
 
 Parity contract: for any plan, the batch path produces **the same rows in
 the same order, the same cost-clock charges and the same observed
-statistics** as the row path in :mod:`repro.executor.iterators`.  The
+statistics** as a row-at-a-time interpreter (the test suite keeps one as
+its reference, ``tests/reference/iterators.py``).  The
 charging formulas and charge *ordering* are replicated exactly — scans
 charge per page as pages are read, streaming operators charge once at end
 of stream from running totals, blocking operators charge at their blocking
@@ -49,10 +49,23 @@ the cut operator spools its output chunks into the directive's temporary
 table, which holds them as one chunk, before
 :class:`~repro.executor.runtime.PlanSwitched` unwinds to the dispatcher.
 
-The one deliberate exception is LIMIT: its subtree executes row-at-a-time
-(via :func:`~repro.executor.iterators.execute_node`) because early
-termination must stop upstream work — and upstream cost charges — at
-exactly the limit row, which a read-ahead batch would overshoot.
+A LIMIT runs its child batched too, with one stop rule.  The operators
+from its child down to the first blocking one — scans, filters,
+projections, collectors, distinct, the hash join's probe side and the
+nested-loops joins' outer side: the *spine* — read one page a batch, so no
+scan requests a page past the stop row's.  When the limit row falls inside
+a batch, each operator on the spine in turn maps "``k`` rows of my last
+batch taken" back to its own input row and settles its end-of-stream
+counters to what a row-at-a-time operator would have counted there (a
+hash join's probe count stops at the stop row, an index-NL join counts the
+stop row's whole fan-out, a block-NL join's compares stop at the stop
+pair).  The limit then closes the spine, and every ``finally`` charges
+those counters in the order the generators close.  On the spine filters,
+projections and join residuals run row by row, each row once, as a
+row-at-a-time operator runs them: the positions that passed tell the stop
+rule where the operator stood, and an expression that raises part-way
+through a batch hands on the rows before the raising one and raises when
+pulled again, so a LIMIT met first never sees it.
 """
 
 from __future__ import annotations
@@ -89,8 +102,8 @@ from .columnar import (
     columnar_probe_stream,
     columnar_vectorized_aggregate,
 )
-from .iterators import execute_node
 from .runtime import RuntimeContext
+from .segments import STREAMED_INPUT
 from .vector import (
     compile_batch_filter,
     compile_batch_projector,
@@ -136,6 +149,39 @@ def _chunked(rows: list, size: int) -> BatchIterator:
         yield rows[start : start + size]
 
 
+def _selector(node: PlanNode, ctx: RuntimeContext, predicates, schema, kernel):
+    """A filter's or a join residual's ``predicates`` as ``fn(batch) ->
+    (passed, positions, error)``.
+
+    Off a LIMIT's spine it runs ``kernel()``'s batch kernel, with
+    ``positions`` and ``error`` None: an input there is read to its end,
+    so an error may raise at once.  On the spine the predicates run row by
+    row, each row once, as a row-at-a-time operator runs them:
+    ``positions`` says which rows of ``batch`` passed (what the stop rule
+    reads), and a row that raises ends the batch, ``passed`` holding what
+    the rows before it gave and ``error`` what it raised."""
+    if not predicates:
+        return lambda batch: (batch, range(len(batch)), None)
+    if node.node_id not in ctx.spine:
+        batch_kernel = kernel()
+        return lambda batch: (batch_kernel(batch), None, None)
+    fns = [p.compile(schema) for p in predicates]
+
+    def select(batch) -> tuple:
+        positions, error = [], None
+        try:
+            for i, row in enumerate(batch):
+                if all(fn(row) for fn in fns):
+                    positions.append(i)
+        except Exception as raised:
+            error = raised
+        if type(batch) is Chunk:
+            return batch.take(np.array(positions, dtype=np.int64)), positions, error
+        return [batch[i] for i in positions], positions, error
+
+    return select
+
+
 def _join_stats(node: PlanNode, ctx: RuntimeContext) -> dict:
     """The join's telemetry record; its output chunks count the tuples
     built from them into ``rows_materialised``."""
@@ -145,20 +191,26 @@ def _join_stats(node: PlanNode, ctx: RuntimeContext) -> dict:
     )
 
 
-def _chunk_residual(node: PlanNode):
-    """A join's residual predicates as ``fn(chunk) -> batch``, or None.
+def _residual(node: PlanNode, ctx: RuntimeContext):
+    """A join's residual predicates as a :func:`_selector` over its output
+    chunks.
 
-    The mask kernels of the leaf pipelines, over the columns the predicates
-    name: conjunct by conjunct, narrowing the chunk's index vectors in
-    between, so a row one conjunct excludes never reaches the next (the
-    serial short-circuit).  Predicates without an exact mask kernel — a
-    UDF, or arithmetic, which wraps over int64 arrays where Python's ints
-    do not — filter the chunk's built rows instead."""
+    Off the spine they run as the mask kernels of the leaf pipelines, over
+    the columns the predicates name: conjunct by conjunct, narrowing the
+    chunk's index vectors in between, so a row one conjunct excludes never
+    reaches the next (the serial short-circuit).  Predicates without an
+    exact mask kernel — a UDF, or arithmetic, which wraps over int64 arrays
+    where Python's ints do not — filter the chunk's built rows instead."""
     predicates = getattr(node, "residual", None)
     if predicates is None:
         predicates = node.predicates
-    if not predicates:
-        return None
+    return _selector(
+        node, ctx, predicates, node.schema, lambda: _chunk_kernel(node, predicates)
+    )
+
+
+def _chunk_kernel(node: PlanNode, predicates):
+    """The residual's batch kernel, ``fn(chunk) -> batch``."""
     conjuncts = node.compiled(
         "mask_residual",
         lambda: None
@@ -194,7 +246,9 @@ def _seq_scan(node: SeqScanNode, ctx: RuntimeContext) -> BatchIterator:
     per_page = table.rows_per_page
     # Whole pages accumulate until a batch holds batch_size rows: the page
     # groups.  Each group's pages are requested and charged as one run.
-    for first_page, last_page in page_groups(table, ctx.batch_size):
+    # Under a LIMIT a batch is one page: none past the stop row's is read.
+    grain = 1 if node.node_id in ctx.spine else ctx.batch_size
+    for first_page, last_page in page_groups(table, grain):
         ctx.charge_scan_pages(table, first_page, last_page)
         yield rows[first_page * per_page : last_page * per_page]
 
@@ -229,32 +283,77 @@ def _index_scan(node: IndexScanNode, ctx: RuntimeContext) -> BatchIterator:
 
 
 def _filter(node: FilterNode, ctx: RuntimeContext) -> BatchIterator:
-    batch_filter = node.compiled(
-        "batch_filter",
-        lambda: compile_batch_filter(node.predicates, node.child.schema),
+    schema = node.child.schema
+    select = _selector(
+        node, ctx, node.predicates, schema,
+        lambda: node.compiled(
+            "batch_filter", lambda: compile_batch_filter(node.predicates, schema)
+        ),
     )
     per_row = max(1, len(node.predicates)) * ctx.cost_model.params.cpu_per_compare
     consumed = 0
+    batch = kept = ()
+
+    def stop(taken: int) -> int:
+        nonlocal consumed
+        read = kept[taken - 1] + 1
+        consumed += read - len(batch)
+        return read
+
+    if node.node_id in ctx.spine:
+        ctx.spine[node.node_id] = stop
     try:
         for batch in execute_node_batches(node.child, ctx):
             consumed += len(batch)
-            passed = batch_filter(batch)
+            passed, kept, error = select(batch)
             if passed:
                 yield passed
+            if error is not None:
+                raise error
     finally:
         ctx.clock.charge_cpu(consumed * per_row)
 
 
 def _project(node: ProjectNode, ctx: RuntimeContext) -> BatchIterator:
-    batch_project = node.compiled(
-        "batch_project",
-        lambda: compile_batch_projector(node.output, node.child.schema),
-    )
+    schema = node.child.schema
     consumed = 0
+    batch = ()
+
+    def stop(taken: int) -> int:
+        nonlocal consumed
+        consumed += taken - len(batch)
+        return taken
+
+    if node.node_id in ctx.spine:
+        # Row by row, as a row-at-a-time operator: a row that raises ends
+        # the batch, which hands on the rows before it.
+        ctx.spine[node.node_id] = stop
+        fns = [item.expr.compile(schema) for item in node.output]
+
+        def project(batch) -> tuple:
+            out: list = []
+            try:
+                for row in batch:
+                    out.append(tuple(fn(row) for fn in fns))
+            except Exception as error:
+                return out, error
+            return out, None
+    else:
+        batch_project = node.compiled(
+            "batch_project", lambda: compile_batch_projector(node.output, schema)
+        )
+
+        def project(batch) -> tuple:
+            return batch_project(batch), None
+
     try:
         for batch in execute_node_batches(node.child, ctx):
             consumed += len(batch)
-            yield batch_project(batch)
+            projected, error = project(batch)
+            if projected:
+                yield projected
+            if error is not None:
+                raise error
     finally:
         ctx.clock.charge_cpu(consumed * ctx.cost_model.params.cpu_per_tuple)
 
@@ -269,6 +368,8 @@ def _collector(node: StatsCollectorNode, ctx: RuntimeContext) -> BatchIterator:
     # either way — so a column read is amortised like everywhere else.
     pending: list[Chunk] = []
     held = 0
+    if node.node_id in ctx.spine:
+        ctx.spine[node.node_id] = lambda taken: taken
     for batch in execute_node_batches(node.child, ctx):
         if type(batch) is Chunk:
             pending.append(batch)
@@ -287,42 +388,35 @@ def _collector(node: StatsCollectorNode, ctx: RuntimeContext) -> BatchIterator:
 def _limit(node: LimitNode, ctx: RuntimeContext) -> BatchIterator:
     if node.limit <= 0:
         return
-    if isinstance(node.child, (SortNode, HashAggregateNode)):
-        # Fully-blocking child: every upstream charge lands at the child's
-        # blocking point before its first output batch, so truncating its
-        # (already-paid-for) output stream is charge-identical to the row
-        # path — and the whole subtree still executes batched.
-        emitted = 0
-        tail: list[Row] = []
-        for batch in execute_node_batches(node.child, ctx):
-            take = node.limit - emitted
-            if take <= len(batch):
-                emitted += take
-                tail = batch[:take]
-                break
-            emitted += len(batch)
-            yield batch
-        ctx.clock.charge_cpu(emitted * ctx.cost_model.params.cpu_per_tuple)
-        if tail:
-            yield tail
-        return
-    # Streaming subtree: run it on the row path — batch read-ahead would
-    # consume (and charge for) rows past the limit that row execution
-    # never touches.
-    batch_size = ctx.batch_size
-    batch: list[Row] = []
+    # The spine: down the streamed inputs to a scan or the first blocking
+    # operator, which the spine leaves out.
+    path = [node.child]
+    while type(path[-1]) in STREAMED_INPUT:
+        path.append(path[-1].children[STREAMED_INPUT[type(path[-1])]])
+    if path[-1].children:
+        path.pop()
+    ctx.spine = dict.fromkeys(below.node_id for below in path)
     emitted = 0
-    for row in execute_node(node.child, ctx):
-        batch.append(row)
-        emitted += 1
-        if emitted >= node.limit:
+    tail = None
+    for batch in execute_node_batches(node.child, ctx):
+        take = node.limit - emitted
+        if take <= len(batch):
+            emitted += take
+            tail = batch[:take]
+            # Top down, each operator on the spine maps the rows taken of
+            # its last batch to the rows it read of its input's.
+            taken = take
+            for below in path:
+                stop = ctx.spine[below.node_id]
+                if stop is None or taken is None:
+                    break
+                taken = stop(taken)
             break
-        if len(batch) >= batch_size:
-            yield batch
-            batch = []
-    ctx.clock.charge_cpu(emitted * ctx.cost_model.params.cpu_per_tuple)
-    if batch:
+        emitted += len(batch)
         yield batch
+    ctx.clock.charge_cpu(emitted * ctx.cost_model.params.cpu_per_tuple)
+    if tail:
+        yield tail
 
 
 # ----------------------------------------------------------------------
@@ -334,7 +428,7 @@ def _hash_join(node: HashJoinNode, ctx: RuntimeContext) -> BatchIterator:
     build_schema, probe_schema = node.build.schema, node.probe.schema
     build_keys = [build_schema.index_of(col) for col, __ in node.key_pairs]
     probe_keys = [probe_schema.index_of(col) for __, col in node.key_pairs]
-    residual = _chunk_residual(node)
+    select = _residual(node, ctx)
     stats = _join_stats(node, ctx)
     page_size = ctx.catalog.page_size
 
@@ -359,23 +453,29 @@ def _hash_join(node: HashJoinNode, ctx: RuntimeContext) -> BatchIterator:
     directive = ctx.take_switch_for(node.node_id)
 
     # The build structure is the sorted key index, born from the build
-    # side's key columns.  A single-key probe side that runs in column
-    # space hands over its key arrays and builds only the probe rows that
-    # match; any other arrives as batches whose key columns are gathered.
-    stream = None
-    if len(probe_keys) == 1:
-        stream = columnar_probe_stream(node.probe, ctx, probe_keys[0])
-    if stream is None:
-        stream = _probe_stream(node.probe, ctx, probe_keys)
+    # side's key columns.
     index = ProbeIndex([build.column(position) for position in build_keys])
     build = build.take(index.order)
     probe_width = len(probe_schema)
 
     def probe_batches() -> BatchIterator:
-        probe_count = 0
-        output_count = 0
+        probe_count = output_count = count = 0
+        matched = probe_ids = out = kept = None
+
+        def stop(taken: int) -> int:
+            nonlocal probe_count, output_count
+            at = kept[taken - 1]
+            read = int(matched[at if probe_ids is None else probe_ids[at]]) + 1
+            probe_count += read - count
+            output_count += taken - len(out)
+            return read
+
+        if node.node_id in ctx.spine:
+            ctx.spine[node.node_id] = stop
         try:
-            for count, keys, fetch in stream:
+            # The probe side is held by the loop alone: closing the join
+            # closes it first, as a row-at-a-time join's loop does.
+            for count, keys, fetch in _probe_stream(node.probe, ctx, probe_keys):
                 probe_count += count
                 slots, matched, counts = index.probe(keys)
                 if not len(matched):
@@ -386,13 +486,14 @@ def _hash_join(node: HashJoinNode, ctx: RuntimeContext) -> BatchIterator:
                 probe_ids = None
                 if counts is not None:
                     probe_ids = np.repeat(np.arange(len(matched)), counts)
-                out = Chunk.join(build, slots, probe, probe_ids, stats)
-                if residual is not None:
-                    out = residual(out)
-                    if not out:
-                        continue
-                output_count += len(out)
-                yield out
+                out, kept, error = select(
+                    Chunk.join(build, slots, probe, probe_ids, stats)
+                )
+                if out:
+                    output_count += len(out)
+                    yield out
+                if error is not None:
+                    raise error
         finally:
             stats["rows_probed"] += probe_count
             stats["matches"] += output_count
@@ -414,8 +515,19 @@ def _hash_join(node: HashJoinNode, ctx: RuntimeContext) -> BatchIterator:
 
 def _probe_stream(node: PlanNode, ctx: RuntimeContext, positions: list[int]):
     """A probe side as ``(rows, key columns, fetch)`` per batch, where
-    ``fetch(positions)`` is the batch narrowed to those rows — the contract
-    :func:`~repro.executor.columnar.columnar_probe_stream` set."""
+    ``fetch(positions)`` is the batch narrowed to those rows.  A single-key
+    probe side that runs in column space hands over its key arrays and
+    builds only the probe rows that match
+    (:func:`~repro.executor.columnar.columnar_probe_stream`); any other
+    arrives as batches whose key columns are gathered."""
+    if len(positions) == 1:
+        stream = columnar_probe_stream(node, ctx, positions[0])
+        if stream is not None:
+            return stream
+    return _gathered_keys(node, ctx, positions)
+
+
+def _gathered_keys(node: PlanNode, ctx: RuntimeContext, positions: list[int]):
     width = len(node.schema)
     for batch in execute_node_batches(node, ctx):
         chunk = as_chunk(batch, width)
@@ -437,15 +549,26 @@ def _index_nl_join(node: IndexNLJoinNode, ctx: RuntimeContext) -> BatchIterator:
         )
     outer_width = len(node.outer.schema)
     outer_position = node.outer.schema.index_of(node.outer_column)
-    residual = _chunk_residual(node)
+    select = _residual(node, ctx)
     stats = _join_stats(node, ctx)
     # The inner side is the table's heap itself, addressed by the row ids
     # the index returns (min/max reads its column store's whole columns).
     store = inner_table.column_store(ctx.batch_size, ctx.config.columnar_dictionary_max)
     inner = as_chunk(inner_table.rows, len(inner_table.schema), heap=store)
-    outer_count = 0
-    matches_total = 0
-    output_count = 0
+    outer_count = matches_total = output_count = 0
+    outer = counts = row_ids = outer_ids = out = kept = None
+
+    def stop(taken: int) -> int:
+        nonlocal outer_count, matches_total, output_count
+        read = int(outer_ids[kept[taken - 1]]) + 1
+        outer_count += read - len(outer)
+        # The stop row's whole fan-out was counted before its first match.
+        matches_total += int(counts[:read].sum()) - len(row_ids)
+        output_count += taken - len(out)
+        return read
+
+    if node.node_id in ctx.spine:
+        ctx.spine[node.node_id] = stop
     try:
         for batch in execute_node_batches(node.outer, ctx):
             outer_count += len(batch)
@@ -457,13 +580,14 @@ def _index_nl_join(node: IndexNLJoinNode, ctx: RuntimeContext) -> BatchIterator:
                 continue
             matches_total += len(row_ids)
             outer_ids = np.repeat(np.arange(len(outer), dtype=np.int64), counts)
-            out = Chunk.join(outer, outer_ids, inner, row_ids, stats)
-            if residual is not None:
-                out = residual(out)
-                if not out:
-                    continue
-            output_count += len(out)
-            yield out
+            out, kept, error = select(
+                Chunk.join(outer, outer_ids, inner, row_ids, stats)
+            )
+            if out:
+                output_count += len(out)
+                yield out
+            if error is not None:
+                raise error
     finally:
         stats["rows_probed"] += outer_count
         stats["matches"] += output_count
@@ -487,7 +611,7 @@ def _index_nl_join(node: IndexNLJoinNode, ctx: RuntimeContext) -> BatchIterator:
 
 def _block_nl_join(node: BlockNLJoinNode, ctx: RuntimeContext) -> BatchIterator:
     page_size = ctx.catalog.page_size
-    residual = _chunk_residual(node)
+    select = _residual(node, ctx)
     stats = _join_stats(node, ctx)
     outer_width = len(node.outer.schema)
     inner = Chunk.concat(
@@ -513,31 +637,44 @@ def _block_nl_join(node: BlockNLJoinNode, ctx: RuntimeContext) -> BatchIterator:
         blocks_done = 0
         compares = 0
         outer_count = output_count = 0
+        # Rows of the outer's last batch the blocks took; None once drained.
+        outer_read = None
+        joined = out = kept = None
+
+        def stop(taken: int) -> int | None:
+            nonlocal compares, output_count
+            compares += kept[taken - 1] + 1 - len(joined)
+            output_count += taken - len(out)
+            return outer_read
+
+        if node.node_id in ctx.spine:
+            ctx.spine[node.node_id] = stop
 
         def flush() -> BatchIterator:
-            nonlocal blocks_done, compares, output_count
+            nonlocal blocks_done, compares, output_count, joined, out, kept
             if blocks_done > 0:
                 # Re-scan of the (materialised) inner per additional block.
                 ctx.clock.charge_seq_read(inner_pages)
             blocks_done += 1
-            compares += pending * inner_count
             outer = Chunk.concat(block, outer_width)
-            for start in range(0, pending, slab):
-                stop = min(start + slab, pending)
+            for first in range(0, pending, slab):
+                last = min(first + slab, pending)
                 # Outer-major pairs: each outer row against the whole
                 # inner, in inner order.
-                out = Chunk.join(
+                joined = Chunk.join(
                     outer,
-                    np.repeat(np.arange(start, stop, dtype=np.int64), inner_count),
+                    np.repeat(np.arange(first, last, dtype=np.int64), inner_count),
                     inner,
-                    np.tile(inner_ids, stop - start),
+                    np.tile(inner_ids, last - first),
                     stats,
                 )
-                if residual is not None:
-                    out = residual(out)
+                compares += len(joined)
+                out, kept, error = select(joined)
                 if out:
                     output_count += len(out)
                     yield out
+                if error is not None:
+                    raise error
 
         try:
             for batch in execute_node_batches(node.outer, ctx):
@@ -554,9 +691,11 @@ def _block_nl_join(node: BlockNLJoinNode, ctx: RuntimeContext) -> BatchIterator:
                     start += take
                     pending += take
                     if pending >= block_rows:
+                        outer_read = start
                         yield from flush()
                         block = []
                         pending = 0
+            outer_read = None
             if block:
                 yield from flush()
         finally:
@@ -671,11 +810,15 @@ def _distinct(node: DistinctNode, ctx: RuntimeContext) -> BatchIterator:
     add = seen.add
     input_rows = 0
     grant: int | None = None
+    batch = fresh = ()
+    if node.node_id in ctx.spine:
+        # A first occurrence: no equal row stands before it.
+        ctx.spine[node.node_id] = lambda taken: list(batch).index(fresh[taken - 1]) + 1
     for batch in execute_node_batches(node.child, ctx):
         if grant is None:
             grant = ctx.commit_memory(node)
         input_rows += len(batch)
-        fresh: list[Row] = []
+        fresh = []
         for row in batch:
             if row not in seen:
                 add(row)

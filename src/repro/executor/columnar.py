@@ -10,7 +10,10 @@ never by an option:
 
 * the table is a base table (a switch's temporary table holds the cut's
   row-id chunk, not a heap: its scan yields slices of that chunk, which
-  the operators above read by column as they read any join's output), and
+  the operators above read by column as they read any join's output),
+* the scan is not on a LIMIT's spine, which reads one page a batch so no
+  page past the stop row's is requested (see :mod:`repro.executor.batch`),
+  and
 * every stage has an exact column-space kernel: filters compile to NumPy
   masks (:func:`repro.executor.vector.compile_mask_conjuncts`), projections
   select plain columns (*takes* — view remaps that touch no data).  The
@@ -302,6 +305,8 @@ def _prepare(node: PlanNode, ctx: RuntimeContext) -> _Prepared | None:
     reason = kernels = None
     if table.is_temporary:
         reason = "temporary table"
+    elif scan.node_id in ctx.spine:
+        reason = "under a LIMIT"
     else:
         kernels = node.compiled(
             "leaf_kernels", lambda: _compile_kernels(nodes_bottom_up, scan)

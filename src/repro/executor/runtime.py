@@ -190,6 +190,9 @@ class RuntimeContext:
     columnar: ColumnarExecStats = field(default_factory=ColumnarExecStats)
     #: Vectorized-kernel telemetry (populated by the agg/probe kernels).
     vector: VectorExecStats = field(default_factory=VectorExecStats)
+    #: The streaming spine below a LIMIT (:func:`repro.executor.batch._limit`
+    #: sets it): node id -> the operator's stop rule, None until it runs.
+    spine: dict = field(default_factory=dict)
     #: Optional span tracer (:mod:`repro.observe.trace`).  Strictly
     #: observational — it reads ``clock.now`` but never charges, so every
     #: simulated quantity is identical whether or not it is attached.  All

@@ -20,23 +20,42 @@ from dataclasses import dataclass, field
 from ..plans.physical import (
     BlockNLJoinNode,
     DistinctNode,
-    HashAggregateNode,
+    FilterNode,
     HashJoinNode,
+    IndexNLJoinNode,
+    LimitNode,
     PlanNode,
-    SortNode,
+    ProjectNode,
+    StatsCollectorNode,
 )
+
+#: Per operator type, the input it streams, as a child index: its rows flow
+#: on as they arrive.  Every other input is consumed in full first (the
+#: build side of a hash join, the inner of a block NL join, the inputs of
+#: sort and hash aggregation).  A distinct streams its input but holds
+#: every row it has seen, so its segment ends there: its input edge is
+#: blocking for segments, while a LIMIT above it still stops it early
+#: (:func:`repro.executor.batch._limit`).
+STREAMED_INPUT = {
+    FilterNode: 0,
+    ProjectNode: 0,
+    StatsCollectorNode: 0,
+    LimitNode: 0,
+    DistinctNode: 0,
+    HashJoinNode: 1,  # probe side
+    IndexNLJoinNode: 0,  # outer side
+    BlockNLJoinNode: 0,  # outer side
+}
 
 
 def blocking_input_edges(plan: PlanNode) -> list[tuple[PlanNode, int]]:
     """All ``(parent, child_index)`` edges whose child is consumed fully first."""
     edges: list[tuple[PlanNode, int]] = []
     for node in plan.walk():
-        if isinstance(node, HashJoinNode):
-            edges.append((node, 0))  # build side
-        elif isinstance(node, BlockNLJoinNode):
-            edges.append((node, 1))  # inner side
-        elif isinstance(node, (HashAggregateNode, SortNode, DistinctNode)):
-            edges.append((node, 0))
+        streamed = STREAMED_INPUT.get(type(node))
+        for index in range(len(node.children)):
+            if index != streamed or type(node) is DistinctNode:
+                edges.append((node, index))
     return edges
 
 

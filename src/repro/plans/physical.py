@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import copy
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from ..stats.estimator import RelProfile

@@ -35,7 +35,6 @@ from ..plans.logical import (
     OrPredicate,
     Predicate,
 )
-from ..storage.schema import DataType
 from .table_stats import ColumnStats, TableStats
 
 #: System-R magic selectivities used when no statistics apply.

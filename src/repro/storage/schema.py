@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
 from ..errors import CatalogError

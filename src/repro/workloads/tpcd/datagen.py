@@ -35,7 +35,6 @@ from ...stats.histogram import HistogramKind
 from ...stats.zipf import ZipfGenerator
 from .schema import (
     END_DATE,
-    LINE_STATUSES,
     MARKET_SEGMENTS,
     NATIONS,
     ORDER_PRIORITIES,

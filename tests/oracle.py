@@ -7,12 +7,14 @@ predicate, then group/aggregate/sort/limit.  Executor and integration tests
 compare the engine's rows against it.
 
 :func:`row_path` is the parity oracle: inside it every dispatched plan runs
-on the row interpreter (:mod:`repro.executor.iterators`) instead of the
+on the row interpreter (:mod:`tests.reference.iterators`) instead of the
 batch executor, and rows, ``CostBreakdown``, buffer statistics and
 ``ObservedStatistics`` must come out bit-identical.
 
 :func:`runtime_context` is the one way a test builds a runtime context to
-dispatch a plan on by hand.
+dispatch a plan on by hand, and :func:`dispatched` records, per plan node,
+what an engine run marked completed and what its collectors observed;
+:func:`assert_row_parity` holds one statement to the row interpreter with it.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from repro.engine.database import Database
+from repro.engine.results import QueryResult
 from repro.executor.dispatcher import Dispatcher
-from repro.executor.iterators import execute_node
+from .reference.iterators import execute_node
 from repro.executor.runtime import RuntimeContext
 from repro.optimizer.cost_model import CostModel
 from repro.plans.logical import (
@@ -51,6 +54,80 @@ def row_path() -> Iterator[None]:
         yield
     finally:
         Dispatcher._drain = drain
+
+
+@contextmanager
+def dispatched() -> Iterator[list]:
+    """Yield a list that receives, for every statement dispatched inside the
+    block, its :func:`execution_record`."""
+    run = Dispatcher.run
+    records: list = []
+
+    def recorded(self, plan):
+        outcome = run(self, plan)
+        records.append(execution_record(self.ctx, outcome.plan_history))
+        return outcome
+
+    Dispatcher.run = recorded
+    try:
+        yield records
+    finally:
+        Dispatcher.run = run
+
+
+#: Profile fields that must be equal on both paths; the clock's compare by
+#: ``repr`` (last bit, and a NumPy scalar does not pass for a Python float).
+EVENT_FIELDS = (
+    "buffer", "plan_switches", "memory_reallocations", "collectors_inserted",
+    "remainder_sqls",
+)
+CLOCK_FIELDS = ("breakdown", "total_cost")
+
+
+def assert_row_parity(db: Database, sql: str, mode, params=None) -> QueryResult:
+    """Run ``sql`` under ``mode`` on the row interpreter and on the engine,
+    assert equal rows and clock (by ``repr``), :data:`EVENT_FIELDS` and
+    every :func:`execution_record`, and return the engine's result."""
+    with row_path(), dispatched() as row_runs:
+        row = db.execute(sql, params=params, mode=mode)
+    with dispatched() as runs:
+        result = db.execute(sql, params=params, mode=mode)
+    assert repr(result.rows) == repr(row.rows), sql
+    for name in CLOCK_FIELDS + EVENT_FIELDS:
+        got, want = getattr(result.profile, name), getattr(row.profile, name)
+        if name in CLOCK_FIELDS:
+            got, want = repr(got), repr(want)
+        assert got == want, (sql, name)
+    assert runs == row_runs, sql
+    return result
+
+
+def execution_record(ctx: RuntimeContext, plans) -> list:
+    """Per plan run, per node in walk order (node ids differ between two
+    runs of one cached plan): whether it was marked completed, its actual
+    rows, and its collector's :func:`observed_view`."""
+    return [
+        [
+            (
+                node.node_id in ctx.completed,
+                ctx.actual_rows.get(node.node_id),
+                observed_view(ctx.observed.get(node.node_id)),
+            )
+            for node in plan.walk()
+        ]
+        for plan in plans
+    ]
+
+
+def observed_view(stats):
+    """An ``ObservedStatistics`` as comparable values (None stays None):
+    everything but the work it cost."""
+    if stats is None:
+        return None
+    return (
+        stats.row_count, repr(stats.row_bytes), dict(stats.minmax), dict(stats.distincts),
+        {name: (h.kind, h.buckets) for name, h in stats.histograms.items()},
+    )
 
 
 def runtime_context(db: Database, **fields) -> RuntimeContext:

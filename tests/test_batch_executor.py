@@ -19,7 +19,6 @@ import pytest
 
 from repro import Database, DynamicMode, EngineConfig
 from repro.bench import ExperimentConfig, build_database
-from repro.engine.results import QueryResult
 from repro.errors import ConfigError
 from repro.executor.dispatcher import Dispatcher
 from repro.workloads.synthetic import (
@@ -30,7 +29,7 @@ from repro.workloads.synthetic import (
 
 from repro.workloads.tpcd import ALL_QUERIES
 
-from .oracle import row_path, runtime_context
+from .oracle import assert_row_parity, row_path, runtime_context
 from .test_random_queries import build_random_db, random_query
 
 ALL_MODES = (
@@ -41,29 +40,6 @@ ALL_MODES = (
 )
 
 
-def assert_parity(row_result: QueryResult, batch_result: QueryResult) -> None:
-    """Assert exact row, cost-clock, buffer and event parity.
-
-    Rows compare by ``repr``: ``==`` would let a NumPy scalar pass for the
-    Python number it equals, and the contract is bit-identical rows."""
-    assert repr(row_result.rows) == repr(batch_result.rows)
-    row_profile = row_result.profile
-    batch_profile = batch_result.profile
-    assert row_profile.breakdown == batch_profile.breakdown
-    assert row_profile.total_cost == batch_profile.total_cost
-    assert row_profile.buffer == batch_profile.buffer
-    assert row_profile.plan_switches == batch_profile.plan_switches
-    assert row_profile.memory_reallocations == batch_profile.memory_reallocations
-    assert row_profile.collectors_inserted == batch_profile.collectors_inserted
-
-
-def run_both(db: Database, sql: str, mode: DynamicMode, params=None):
-    with row_path():
-        row_result = db.execute(sql, params=params, mode=mode)
-    batch_result = db.execute(sql, params=params, mode=mode)
-    return row_result, batch_result
-
-
 class TestRandomQueryParity:
     @pytest.mark.parametrize("seed", range(8))
     def test_rows_costs_and_events_match(self, seed):
@@ -71,8 +47,7 @@ class TestRandomQueryParity:
         rng = random.Random(seed * 17 + 1)
         sql = random_query(rng)
         for mode in ALL_MODES:
-            row_result, batch_result = run_both(db, sql, mode)
-            assert_parity(row_result, batch_result)
+            assert_row_parity(db, sql, mode)
 
     @pytest.mark.parametrize("seed", [2, 5])
     def test_with_indexes(self, seed):
@@ -82,8 +57,7 @@ class TestRandomQueryParity:
         rng = random.Random(seed + 41)
         sql = random_query(rng, tables=4)
         for mode in (DynamicMode.OFF, DynamicMode.FULL):
-            row_result, batch_result = run_both(db, sql, mode)
-            assert_parity(row_result, batch_result)
+            assert_row_parity(db, sql, mode)
 
     def test_distinct_and_order_by(self):
         db = build_random_db(3)
@@ -92,16 +66,15 @@ class TestRandomQueryParity:
             "WHERE t1.t0_k = t0.k ORDER BY t0.v, t1.v"
         )
         for mode in ALL_MODES:
-            row_result, batch_result = run_both(db, sql, mode)
-            assert_parity(row_result, batch_result)
+            assert_row_parity(db, sql, mode)
 
     def test_limit_keeps_early_termination_charges(self):
         db = build_random_db(4)
-        sql = "SELECT t0.v one FROM t0 WHERE t0.v < 12 LIMIT 5"
-        for mode in (DynamicMode.OFF, DynamicMode.FULL):
-            row_result, batch_result = run_both(db, sql, mode)
-            assert len(batch_result.rows) <= 5
-            assert_parity(row_result, batch_result)
+        for limit in (1, 5, 17, 10_000):
+            sql = f"SELECT t0.v one FROM t0 WHERE t0.v < 12 LIMIT {limit}"
+            for mode in (DynamicMode.OFF, DynamicMode.FULL):
+                result = assert_row_parity(db, sql, mode)
+                assert len(result.rows) <= limit
 
     def test_empty_input(self):
         db = Database()
@@ -114,8 +87,7 @@ class TestRandomQueryParity:
             "SELECT v, count(*) n FROM e GROUP BY v",
             "SELECT count(*) n FROM e",
         ):
-            row_result, batch_result = run_both(db, sql, DynamicMode.FULL)
-            assert_parity(row_result, batch_result)
+            assert_row_parity(db, sql, DynamicMode.FULL)
 
 
 class TestTpcdParity:
@@ -130,7 +102,7 @@ class TestTpcdParity:
     @pytest.mark.parametrize("query", ALL_QUERIES, ids=lambda q: q.name)
     def test_rows_costs_and_events_match(self, fig10_db, query):
         for mode in (DynamicMode.OFF, DynamicMode.FULL):
-            assert_parity(*run_both(fig10_db, query.sql, mode))
+            assert_row_parity(fig10_db, query.sql, mode)
 
 
 class TestBatchSizeInsensitivity:
@@ -153,8 +125,7 @@ class TestBatchSizeInsensitivity:
             "SELECT t0.v, count(*) n FROM t0, t1 "
             "WHERE t1.t0_k = t0.k AND t1.v < 7 GROUP BY t0.v"
         )
-        row_result, batch_result = run_both(db, sql, DynamicMode.FULL)
-        assert_parity(row_result, batch_result)
+        assert_row_parity(db, sql, DynamicMode.FULL)
 
 
 class TestObservedStatisticsParity:
@@ -202,21 +173,16 @@ class TestPlanSwitchParity:
     PARAMS = {"value1": 80, "value2": 80}
 
     def test_mid_query_switch_is_identical(self, underestimate_db):
-        row_result, batch_result = run_both(
+        result = assert_row_parity(
             underestimate_db, RUNNING_EXAMPLE_SQL, DynamicMode.FULL, self.PARAMS
         )
-        assert batch_result.profile.plan_switches >= 1
-        assert_parity(row_result, batch_result)
-        assert (
-            row_result.profile.remainder_sqls == batch_result.profile.remainder_sqls
-        )
+        assert result.profile.plan_switches >= 1
 
     def test_switch_parity_in_plan_only_mode(self, underestimate_db):
-        row_result, batch_result = run_both(
+        result = assert_row_parity(
             underestimate_db, RUNNING_EXAMPLE_SQL, DynamicMode.PLAN_ONLY, self.PARAMS
         )
-        assert batch_result.profile.plan_switches >= 1
-        assert_parity(row_result, batch_result)
+        assert result.profile.plan_switches >= 1
 
 
 class TestConfigKnobs:

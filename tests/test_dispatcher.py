@@ -5,10 +5,10 @@ import pytest
 from repro import Database, DynamicMode
 from repro.errors import ExecutionError
 from repro.executor.dispatcher import Dispatcher
-from repro.executor.iterators import execute_node
 from repro.executor.runtime import PlanSwitchDirective
 
 from .conftest import make_two_table_db
+from .reference.iterators import execute_node
 from .oracle import runtime_context
 
 

@@ -105,4 +105,4 @@ def test_checks_catch_a_dead_name():
     assert not _resolves("src/repro/executor/parallel.py")
     assert not _resolves("src/repro/concurrency.py")
     assert not _resolves("benchmarks/bench_parallel{,_joins}.py")
-    assert _resolves("benchmarks/bench_{wallclock,prepared}.py")
+    assert _resolves("benchmarks/bench_{server,prepared}.py")

@@ -23,7 +23,7 @@ from repro.plans.physical import (
 )
 
 from .conftest import make_two_table_db
-from .oracle import evaluate
+from .oracle import assert_row_parity, evaluate
 
 
 def run_both(db: Database, sql: str) -> tuple[list, list]:
@@ -110,21 +110,17 @@ class TestOperatorCorrectness:
         assert actual[0][0] == pytest.approx(expected[0][0])
 
     def test_order_by_limit(self, db):
-        result = db.execute(
-            "SELECT a, sum(b) s FROM r1 GROUP BY a ORDER BY s DESC, a LIMIT 5",
-            mode=DynamicMode.OFF,
-        )
-        expected = evaluate(
-            db,
-            db.bind_sql(
-                "SELECT a, sum(b) s FROM r1 GROUP BY a ORDER BY s DESC, a LIMIT 5"
-            ),
-        )
-        assert result.rows == expected  # ordered comparison
+        sql = "SELECT a, sum(b) s FROM r1 GROUP BY a ORDER BY s DESC, a LIMIT 5"
+        for mode in (DynamicMode.OFF, DynamicMode.FULL):
+            result = assert_row_parity(db, sql, mode)
+            assert result.rows == evaluate(db, db.bind_sql(sql))  # ordered comparison
 
     def test_limit_zero(self, db):
-        result = db.execute("SELECT a FROM r1 LIMIT 0", mode=DynamicMode.OFF)
-        assert result.rows == []
+        for limit in (0, 1, 7):
+            sql = f"SELECT a FROM r1 LIMIT {limit}"
+            for mode in (DynamicMode.OFF, DynamicMode.FULL):
+                result = assert_row_parity(db, sql, mode)
+                assert result.rows == evaluate(db, db.bind_sql(sql))
 
     def test_index_scan_matches_seq_scan(self):
         db = make_two_table_db(r1_rows=20_000)

@@ -58,6 +58,7 @@ from repro.optimizer.cost_model import CostModel
 from repro.plans.physical import (
     BlockNLJoinNode,
     CollectorSpec,
+    DistinctNode,
     FilterNode,
     HashAggregateNode,
     HashJoinNode,
@@ -72,7 +73,7 @@ from repro.storage.index import build_index
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 
-from .oracle import row_path, runtime_context
+from .oracle import assert_row_parity, observed_view, row_path, runtime_context
 from .test_random_queries import build_random_db
 from .test_vector_agg import index_pairs, serial_pairs
 
@@ -405,16 +406,11 @@ def run_plan(db: Database, plan, path: str, allocation=None, setup=None):
             outcome = Dispatcher(ctx).run(plan)
     finally:
         ctx.temp_manager.drop_all()
-    observed = {
-        node_id: (
-            stats.row_count, stats.row_bytes, dict(stats.minmax), dict(stats.distincts),
-            {name: (h.kind, h.buckets) for name, h in stats.histograms.items()},
-        )
-        for node_id, stats in ctx.observed.items()
-    }
+    observed = {node_id: observed_view(stats) for node_id, stats in ctx.observed.items()}
     measured = (
-        outcome.rows, repr(clock.now), clock.breakdown.snapshot(), pool.stats,
-        ctx.actual_rows, observed,
+        repr(outcome.rows), repr((clock.now, clock.breakdown)), clock.breakdown.snapshot(),
+        pool.stats,
+        ctx.actual_rows, sorted(ctx.completed), observed,
     )
     return measured, outcome, ctx
 
@@ -459,9 +455,10 @@ class TestForcedJoinKinds:
                 db.plan_cache.clear()
                 batch = db.execute(sql, mode=mode)
                 db.plan_cache.clear()
-            assert batch.rows == row.rows, (seed, sql)
+            assert repr(batch.rows) == repr(row.rows), (seed, sql)
+            assert repr(batch.profile.breakdown) == repr(row.profile.breakdown)
             for field in (
-                "plan_explanations", "breakdown", "buffer", "plan_switches",
+                "plan_explanations", "buffer", "plan_switches",
                 "memory_reallocations", "collectors_inserted", "remainder_sqls",
             ):
                 assert getattr(batch.profile, field) == getattr(row.profile, field)
@@ -519,7 +516,7 @@ class TestForcedJoinKinds:
         want = run_plan(db, node, "row")[0]
         monkeypatch.setattr(batch_module, "execute_node_batches", stream)
         got = run_plan(db, node, "batch")[0]
-        assert got[0] == want[0] and got[5] == want[5]
+        assert got[0] == want[0] and got[-1] == want[-1]  # rows, observed
 
 
 def below_limit(plan) -> list[type]:
@@ -533,32 +530,54 @@ def below_limit(plan) -> list[type]:
     return chain
 
 
+def fan_out_limit(rows: list) -> int | None:
+    """A limit whose row is the first of a run of rows sharing ``t0.k``:
+    with t0 the outer, one outer row's fan-out, cut after its first match."""
+    for i in range(len(rows) - 1):
+        if rows[i][0] == rows[i + 1][0]:
+            return i + 1
+    return None
+
+
+#: The limits each shape runs at, by name: the small ones, one page's rows
+#: and one past it, one inside an index-NL outer row's fan-out, one inside
+#: a block-NL block, and one above the result size.
+LIMITS = {
+    "1": lambda rows, page: 1,
+    "5": lambda rows, page: 5,
+    "page": lambda rows, page: page,
+    "page+1": lambda rows, page: page + 1,
+    "fan-out": lambda rows, page: fan_out_limit(rows) or 2,
+    "in-block": lambda rows, page: len(rows) // 2 + 1,
+    "above": lambda rows, page: len(rows) + 3,
+}
+
+
+@pytest.mark.hashseed
 class TestStreamingLimit:
-    """A LIMIT over a streaming subtree is the row interpreter's one caller
-    in the engine: the batch LIMIT drains that subtree row by row, so every
-    upstream charge stops at exactly the limit row.  Each shape runs under
-    OFF and FULL against the row oracle."""
+    """A LIMIT over a streaming subtree runs it batched and stops it with
+    one rule: every operator down its spine settles its counters at the
+    limit row, and no scan reads a page past the stop row's.  Each shape
+    runs under OFF and FULL at every limit of :data:`LIMITS` against the
+    row oracle: rows, the clock to the last bit, the buffer pool, every
+    collector's observed statistics and which nodes completed."""
 
-    LIMIT = 5
-
-    def assert_matches_oracle(self, db, sql, kind=None) -> list[type]:
-        chains = []
+    def assert_matches_oracle(self, db, sql, limit, kind=None) -> list[type]:
         forced = forced_joins(kind) if kind is not None else nullcontext()
+        chains = []
         with forced:
+            full = db.execute(sql, mode=DynamicMode.OFF).rows
+            page = db.table("t0").rows_per_page
+            count = LIMITS[limit](full, page)
+            sql = f"{sql} LIMIT {count}"
             for mode in (DynamicMode.OFF, DynamicMode.FULL):
                 plan, __s, __o = db.plan(sql, mode=mode)
                 chains.append(below_limit(plan))
-                with row_path():
-                    row = db.execute(sql, mode=mode)
-                default = db.execute(sql, mode=mode)
-                assert len(default.rows) == self.LIMIT, (mode, sql)
-                assert repr(default.rows) == repr(row.rows), (mode, sql)
-                assert default.profile.breakdown == row.profile.breakdown, (mode, sql)
-                assert repr(default.profile.total_cost) == repr(row.profile.total_cost)
-                assert default.profile.buffer == row.profile.buffer, (mode, sql)
+                result = assert_row_parity(db, sql, mode)
+                assert len(result.rows) == min(count, len(full)), (mode, sql)
         db.plan_cache.clear()
         for chain in chains:
-            # Not the blocking-child shortcut: the subtree streams.
+            # The subtree streams: no blocking operator tops it.
             assert chain[0] not in (HashAggregateNode, SortNode), chains
         return chains[0]
 
@@ -566,27 +585,173 @@ class TestStreamingLimit:
     @pytest.mark.parametrize("seed", range(3))
     def test_limit_over_each_join(self, kind, seed):
         # Over a hash join the probe side streams; over an index-NL or a
-        # block-NL join the outer does.
+        # block-NL join the outer does.  The filter on t0 makes it an
+        # index-NL join's outer, fanning out over t1's foreign keys.
         db = chunk_db(seed, tables=2)
-        sql = f"SELECT t0.v a, t1.k b FROM t0, t1 WHERE t1.t0_k = t0.k LIMIT {self.LIMIT}"
-        assert self.assert_matches_oracle(db, sql, kind)[-1] is kind
+        sql = "SELECT t0.k a, t1.k b FROM t0, t1 WHERE t1.t0_k = t0.k AND t0.v < 8"
+        for limit in LIMITS:
+            assert self.assert_matches_oracle(db, sql, limit, kind)[-1] is kind
+        if kind is IndexNLJoinNode:
+            with forced_joins(kind):
+                rows = db.execute(sql, mode=DynamicMode.OFF).rows
+            assert fan_out_limit(rows) is not None
+
+    def test_limit_inside_a_block_that_ends_mid_page(self):
+        # A one-page block over a filtered outer: the block fills, and is
+        # joined, part-way through an outer page, so the filter below
+        # stops where the block stopped taking rows.
+        rng = random.Random(5)
+        db = Database(EngineConfig(batch_size=16, query_memory_pages=3))
+        columns = [("k", DataType.INTEGER), ("v", DataType.INTEGER)]
+        for name in ("a", "b"):
+            db.create_table(name, columns, key=["k"])
+        db.load_rows("a", [(k, rng.randrange(15)) for k in range(1500)])
+        db.load_rows("b", [(k, k) for k in range(6)])
+        db.analyze()
+        assert db.table("a").page_count > 3
+        sql = "SELECT a.k x, b.k y FROM a, b WHERE a.v = b.v AND a.v < 9"
+        with forced_joins(BlockNLJoinNode):
+            full = db.execute(sql, mode=DynamicMode.OFF).rows
+            for limit in (1, 50, len(full) // 2, len(full) + 1):
+                query = f"{sql} LIMIT {limit}"
+                plan, __s, __o = db.plan(query, mode=DynamicMode.OFF)
+                assert below_limit(plan)[-1] is BlockNLJoinNode
+                for mode in (DynamicMode.OFF, DynamicMode.FULL):
+                    assert_row_parity(db, query, mode)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_limit_over_a_computed_projection(self, seed):
         db = chunk_db(seed, tables=1)
-        sql = f"SELECT t0.k a, t0.v + 1 c FROM t0 WHERE t0.v < 12 LIMIT {self.LIMIT}"
-        chain = self.assert_matches_oracle(db, sql)
-        assert chain[0] is ProjectNode and chain[-1] is SeqScanNode
+        sql = "SELECT t0.k a, t0.v + 1 c FROM t0 WHERE t0.v < 12"
+        for limit in ("1", "5", "page", "page+1", "above"):
+            chain = self.assert_matches_oracle(db, sql, limit)
+            assert chain[0] is ProjectNode and chain[-1] is SeqScanNode
 
     @pytest.mark.parametrize("seed", range(3))
     def test_limit_over_having(self, seed):
         db = chunk_db(seed, tables=2)
         sql = (
             "SELECT t1.k g, count(*) n FROM t0, t1 WHERE t1.t0_k = t0.k "
-            f"GROUP BY t1.k HAVING count(*) > 0 LIMIT {self.LIMIT}"
+            "GROUP BY t1.k HAVING count(*) > 0"
         )
-        chain = self.assert_matches_oracle(db, sql)
-        assert chain[:2] == [FilterNode, HashAggregateNode]
+        for limit in ("1", "5", "above"):
+            chain = self.assert_matches_oracle(db, sql, limit)
+            assert chain[:2] == [FilterNode, HashAggregateNode]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_limit_over_distinct(self, seed):
+        db = chunk_db(seed, tables=2)
+        sql = "SELECT DISTINCT t0.v a, t1.v b FROM t0, t1 WHERE t1.t0_k = t0.k"
+        for limit in ("1", "5", "page+1", "above"):
+            assert self.assert_matches_oracle(db, sql, limit)[0] is DistinctNode
+
+
+class TestErrorsPastTheLimit:
+    """An expression that raises on a row past the limit row, inside the
+    batch that holds the limit row, raises on neither path: a batch hands
+    on the rows before the raising one and raises only when pulled again.
+    Without the LIMIT both paths raise the same exception."""
+
+    def run(self, db, sql):
+        outcomes = []
+        for path in (row_path, nullcontext):
+            with path():
+                try:
+                    result = db.execute(sql, mode=DynamicMode.OFF)
+                except Exception as error:  # noqa: BLE001 - the type is compared
+                    outcomes.append(type(error))
+                else:
+                    rows, breakdown = result.rows, result.profile.breakdown
+                    outcomes.append((len(rows), repr(rows), repr(breakdown)))
+            db.plan_cache.clear()
+        return outcomes
+
+    def first_raising(self, db, fails) -> int:
+        """The position of the first row of t0 ``fails``, which must fall
+        inside the first batch, past a few rows."""
+        rows = db.table("t0").rows
+        position = next(i for i, row in enumerate(rows) if fails(row))
+        assert 1 < position < db.config.batch_size - 1, position
+        return position
+
+    def assert_limit_hides_the_error(self, db, sql, position, error):
+        row, batch = self.run(db, f"{sql} LIMIT {position}")
+        assert row == batch
+        assert row[0] == position
+        assert self.run(db, sql) == [error, error]
+
+    def test_computed_projection(self):
+        db = chunk_db(0, tables=1)
+        v = db.table("t0").schema.index_of("v")
+        x = db.table("t0").rows[6][v]
+        position = self.first_raising(db, lambda row: row[v] == x)
+        sql = f"SELECT t0.k a, 100 / (t0.v - {x}) c FROM t0"
+        self.assert_limit_hides_the_error(db, sql, position, ZeroDivisionError)
+
+    def test_udf_filter(self):
+        db = chunk_db(0, tables=1)
+        v = db.table("t0").schema.index_of("v")
+        x = db.table("t0").rows[6][v]
+
+        def check(value):
+            if value == x:
+                raise ValueError("past the limit")
+            return 1
+
+        db.register_udf("check", check)
+        position = self.first_raising(db, lambda row: row[v] == x)
+        sql = "SELECT t0.k a FROM t0 WHERE check(t0.v) > 0"
+        self.assert_limit_hides_the_error(db, sql, position, ValueError)
+
+
+class TestUdfCallsUnderALimit:
+    """On a LIMIT's spine a UDF runs once per row, in row order, as a filter
+    and as each join's residual.  The row path's calls are a prefix of the
+    batch path's (the stop batch runs on past the limit row, up to its own
+    end), and no row is called twice — so a stateful UDF, a sampling filter
+    that passes every third call, gives the same rows and clock on both
+    paths.  The UDF's argument names its row: the table key, or a pair's."""
+
+    def assert_called_once_per_row(self, db, sql, calls, kind=None):
+        for limit in (1, 5, 17, 40):
+            outcomes, called = [], []
+            for path in (row_path, nullcontext):
+                calls.clear()
+                forced = forced_joins(kind) if kind is not None else nullcontext()
+                with forced, path():
+                    result = db.execute(f"{sql} LIMIT {limit}", mode=DynamicMode.OFF)
+                outcomes.append((repr(result.rows), repr(result.profile.breakdown)))
+                called.append(list(calls))
+                db.plan_cache.clear()
+            row, batch = called
+            assert outcomes[0] == outcomes[1], (limit, kind)
+            assert len(row) > limit and batch[: len(row)] == row, (limit, kind)
+            assert len(set(batch)) == len(batch), (limit, kind)
+
+    def sampling_db(self, tables: int):
+        db = chunk_db(0, tables=tables)
+        calls: list = []
+
+        def sample(value):
+            calls.append(value)
+            return len(calls) % 3 == 0
+
+        db.register_udf("sample", sample)
+        return db, calls
+
+    def test_filter(self):
+        db, calls = self.sampling_db(1)
+        sql = "SELECT t0.k a FROM t0 WHERE sample(t0.k) > 0"
+        self.assert_called_once_per_row(db, sql, calls)
+
+    @pytest.mark.parametrize("kind", JOIN_NODES, ids=lambda kind: kind.__name__)
+    def test_join_residual(self, kind):
+        db, calls = self.sampling_db(2)
+        sql = (
+            "SELECT t0.k a, t1.k b FROM t0, t1 "
+            "WHERE t1.t0_k = t0.k AND sample(t1.k * 100000 + t0.k) > 0"
+        )
+        self.assert_called_once_per_row(db, sql, calls, kind)
 
 
 # ----------------------------------------------------------------------

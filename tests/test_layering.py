@@ -1,14 +1,16 @@
-"""Observation never changes a plan.
+"""Observation never changes a plan, and ``src/`` imports only what it uses.
 
 The optimizer, the re-optimization core and the estimator import nothing
 from ``repro.observe``: what the tracer, the metrics registry and EXPLAIN
 ANALYZE record about one statement cannot reach the planning of another.
-Every import is read from the source, typing-only ones included.
+Every import is read from the source, typing-only ones included.  No name
+is imported under ``src/repro`` and never referenced.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -47,3 +49,35 @@ def test_relative_imports_resolve():
     names = imported_modules(PACKAGE / "core" / "scia.py")
     assert "repro.storage.catalog" in names  # from ..storage.catalog
     assert "repro.core.inaccuracy" in names  # from .inaccuracy
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names ``path`` imports and never references: not in its code, not
+    in a string (a quoted annotation), not re-exported through ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", node.value))
+    return [
+        f"{path.relative_to(PACKAGE)}:{line}: {name}"
+        for name, line in sorted(imported.items(), key=lambda item: item[1])
+        if name not in used
+    ]
+
+
+def test_every_import_is_used():
+    offenders = [
+        offender
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for offender in unused_imports(path)
+    ]
+    assert offenders == []

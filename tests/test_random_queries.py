@@ -23,9 +23,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Database, DataType, DynamicMode, EngineConfig
 from repro.bench.harness import rows_equivalent
-from repro.executor import batch, columnar, iterators
+from repro.executor import batch, columnar
 
 from . import reference_collector
+from .reference import iterators
 from .oracle import evaluate, row_path
 
 pytestmark = pytest.mark.hashseed
