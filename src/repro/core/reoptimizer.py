@@ -79,7 +79,6 @@ class DynamicReoptimizer:
         calibration: OptimizerCalibration | None = None,
         params: ReoptimizationParameters | None = None,
         udfs: Mapping[str, Callable] | None = None,
-        run_scia_on_new_plans: bool = True,
     ) -> None:
         self.ctx = ctx
         self.optimizer = optimizer
@@ -88,7 +87,6 @@ class DynamicReoptimizer:
         self.calibration = calibration or OptimizerCalibration()
         self.params = params or ctx.config.reopt
         self.udfs = dict(udfs or {})
-        self.run_scia_on_new_plans = run_scia_on_new_plans
         self.events: list[ReoptimizationEvent] = []
         self.query_start_clock = ctx.clock.now
         self.current_plan: PlanNode | None = None
@@ -241,8 +239,7 @@ class DynamicReoptimizer:
         remainder_sql = deparse(remainder.query)
         rebound = bind(parse(remainder_sql), self.ctx.catalog, udfs=self.udfs)
         new_plan = self.optimizer.optimize(rebound)
-        if self.run_scia_on_new_plans:
-            insert_collectors(new_plan, self.ctx.catalog, self.ctx.config)
+        insert_collectors(new_plan, self.ctx.catalog, self.ctx.config)
         try:
             new_allocation = self.memory_manager.allocate(
                 new_plan, tracer=self.ctx.tracer, reason="switch-plan"

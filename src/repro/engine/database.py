@@ -645,14 +645,6 @@ class Database:
             plan_cache_miss=prepared.cache_miss,
             columnar_pipelines=ctx.columnar.pipelines,
             columnar_keyed_pipelines=ctx.columnar.keyed_pipelines,
-            zone_map_skips=ctx.columnar.groups_skipped,
-            zone_map_groups_read=ctx.columnar.groups_read,
-            zone_map_pages_skipped=ctx.columnar.pages_skipped,
-            zone_map_rows_skipped=ctx.columnar.rows_skipped,
-            zone_map_by_scan={
-                node_id: dict(per_scan)
-                for node_id, per_scan in sorted(ctx.columnar.by_scan.items())
-            },
             leaf_pipelines=ctx.columnar.leaf_pipelines(ctx.actual_rows),
             vectorized_agg_pipelines=ctx.vector.agg_pipelines,
             vectorized_probe_pipelines=ctx.vector.probe_pipelines,
@@ -725,9 +717,6 @@ class Database:
         m.counter("reoptimizer.collectors_inserted").inc(profile.collectors_inserted)
         m.counter("columnar.pipelines").inc(ctx.columnar.pipelines)
         m.counter("columnar.keyed_pipelines").inc(ctx.columnar.keyed_pipelines)
-        m.counter("columnar.zone_map.groups_read").inc(ctx.columnar.groups_read)
-        m.counter("columnar.zone_map.groups_skipped").inc(ctx.columnar.groups_skipped)
-        m.counter("columnar.zone_map.pages_skipped").inc(ctx.columnar.pages_skipped)
         for record in profile.leaf_pipelines.values():
             m.counter(f"leaf.{record['kernel']}_pipelines").inc()
             m.counter("leaf.rows_scanned").inc(record["rows_scanned"])

@@ -119,23 +119,12 @@ class ExecutionProfile:
     #: ``rows_materialised`` — the row tuples actually built, which late
     #: materialisation keeps at the rows a row-oriented operator received
     #: (0 under a vectorized aggregate, the matched rows under a
-    #: vectorized join probe) — and, for column kernels, ``passes``: one
-    #: per run of page groups the zone maps did not skip (1 for a scan
-    #: with no skip).  ``zone_map_skips`` counts page groups proven
-    #: empty by zone maps and skipped whole; ``zone_map_groups_read`` the
-    #: groups whose arrays were evaluated; ``zone_map_pages_skipped`` the
-    #: pages inside skipped groups; ``columnar_pipelines`` how many leaf
-    #: pipelines ran in column space (``columnar_keyed_pipelines`` of them
-    #: feeding join-probe/aggregate key extraction).  ``zone_map_by_scan``
-    #: breaks skips down per scan (keyed by scan node id).
+    #: vectorized join probe).  ``columnar_pipelines`` counts the leaf
+    #: pipelines that ran in column space (``columnar_keyed_pipelines`` of
+    #: them feeding join-probe/aggregate key extraction).
     leaf_pipelines: dict[int, dict] = field(default_factory=dict)
     columnar_pipelines: int = 0
     columnar_keyed_pipelines: int = 0
-    zone_map_skips: int = 0
-    zone_map_groups_read: int = 0
-    zone_map_pages_skipped: int = 0
-    zone_map_rows_skipped: int = 0
-    zone_map_by_scan: dict[int, dict] = field(default_factory=dict)
     #: Vectorized-kernel telemetry.  ``vectorized_agg_pipelines`` counts
     #: aggregates folded by the NumPy group-by kernels over column-space
     #: pipelines,
@@ -210,15 +199,6 @@ class ExecutionProfile:
                 f"{sum(r['rows_scanned'] for r in records)}/"
                 f"{sum(r['rows_selected'] for r in records)}/"
                 f"{sum(r['rows_materialised'] for r in records)}"
-            )
-        if self.columnar_pipelines:
-            lines.append(
-                f"columnar: pipelines={self.columnar_pipelines} "
-                f"(keyed={self.columnar_keyed_pipelines}) "
-                f"groups read/skipped="
-                f"{self.zone_map_groups_read}/{self.zone_map_skips} "
-                f"pages skipped={self.zone_map_pages_skipped} "
-                f"rows skipped={self.zone_map_rows_skipped}"
             )
         if self.vectorized_agg_pipelines or self.vectorized_probe_pipelines:
             lines.append(

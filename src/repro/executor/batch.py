@@ -122,8 +122,8 @@ BatchIterator = Iterator[Batch]
 def execute_node_batches(node: PlanNode, ctx: RuntimeContext) -> BatchIterator:
     """Execute a plan subtree, yielding non-empty batches of result rows."""
     # Leaf pipelines with vectorizable filters run over the table's column
-    # arrays with zone-map skipping; the stream is row-kernel identical,
-    # including bookkeeping, so no _tracked wrapper here.
+    # arrays; the stream is row-kernel identical, including bookkeeping, so
+    # no _tracked wrapper here.
     columnar_stream = columnar_pipeline(node, ctx)
     if columnar_stream is not None:
         return columnar_stream
@@ -553,7 +553,7 @@ def _index_nl_join(node: IndexNLJoinNode, ctx: RuntimeContext) -> BatchIterator:
     stats = _join_stats(node, ctx)
     # The inner side is the table's heap itself, addressed by the row ids
     # the index returns (min/max reads its column store's whole columns).
-    store = inner_table.column_store(ctx.batch_size, ctx.config.columnar_dictionary_max)
+    store = inner_table.column_store(dictionary_max=ctx.config.columnar_dictionary_max)
     inner = as_chunk(inner_table.rows, len(inner_table.schema), heap=store)
     outer_count = matches_total = output_count = 0
     outer = counts = row_ids = outer_ids = out = kept = None

@@ -21,7 +21,7 @@ projection, a UDF) builds tuples, through :meth:`Chunk.rows`, the one place
 a joined tuple is made.  A chunk
 is a read-only sequence of its rows, so such consumers iterate and
 ``extend`` from it as they do from the plain row list every other operator
-yields; a slice of it is the chunk of those rows, still unbuilt.  A switch
+yields; a slice of it is the chunk of those rows.  A switch
 spool concatenates the cut's chunks into one that its temporary table
 holds, and the table's scan yields slices of it.  A row list is the
 degenerate chunk and :func:`as_chunk` wraps one without touching its
@@ -381,10 +381,15 @@ class Chunk:
         return iter(self.rows())
 
     def __getitem__(self, item):
-        """A row, or for a slice the chunk of those rows (nothing built)."""
-        if type(item) is slice and self._rows is None:
-            return self.take(np.arange(*item.indices(self.length), dtype=np.int64))
-        return self.rows()[item]
+        """A row, or for a slice the chunk of those rows: unbuilt, or
+        carrying the matching slice of this chunk's rows once built (so
+        they are not built, nor counted, twice)."""
+        if type(item) is not slice:
+            return self.rows()[item]
+        part = self.take(np.arange(*item.indices(self.length), dtype=np.int64))
+        if self._rows is not None:
+            part._rows = self._rows[item]
+        return part
 
 
 def as_chunk(batch, width: int, heap=None) -> Chunk:

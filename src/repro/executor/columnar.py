@@ -4,7 +4,7 @@ A *leaf pipeline* is a chain of filters/projections (optionally topped by a
 statistics collector) over a base-table sequential scan.  The batch executor
 runs every leaf pipeline that statically qualifies over the table's
 :class:`~repro.storage.columnar.ColumnStore` — one typed NumPy array per
-column, cut into zone-mapped *page groups* — instead of its row tuples.
+column over every row — instead of its row tuples.
 Whether a pipeline qualifies is decided from what the code can observe,
 never by an option:
 
@@ -27,48 +27,37 @@ without one the heap tuples already are the cheapest answer.  Every pipeline
 that stays on the row kernels records why (``ctx.columnar.leaf``, surfaced
 on the profile and in EXPLAIN ANALYZE).
 
-A page group is a slice, a run is a pass: the pipeline works on *runs*,
-maximal stretches of consecutive groups the zone maps do not skip — with no
-skip, the whole scan (``leaf_pipelines[scan]["passes"]`` counts them):
+A pipeline is one pass over whole stored columns:
 
-* **Zone-map skipping** — before any array is touched, the *first* mask
-  stage's column-vs-constant conjuncts are tested against every group's
-  zone maps; a group whose min/max proves zero matches is skipped whole.
-  Only the first mask can skip: every stage below it is count-preserving
-  (a take), so all skipped-group stage counts are known exactly.
-* **Masks** — per run, conjuncts evaluate as boolean masks over the run's
-  arrays, in order, never showing a conjunct that could raise a row an
-  earlier one excluded (the serial short-circuit; see :class:`_Resolver`).
+* **Masks** — conjuncts evaluate as boolean masks over the columns, in
+  order, never showing a conjunct that could raise a row an earlier one
+  excluded (the serial short-circuit; see :class:`_Resolver`).
   Comparisons of a dictionary-encoded column with a constant evaluate in
   code space and never decode a string.
-* **Late materialisation** — what leaves the masks is ``(run, selection
-  vector)``, and what a pipeline hands on is a :class:`~.chunk.Chunk` of
-  the survivors' row ids over the table's heap: one :class:`~.chunk.Source`
-  per pipeline, reading the store's columns through the output view.  A
-  hash-join probe (:func:`columnar_probe_stream`) hands on the probe rows
-  that found a match the same way; the vectorized aggregate
+* **Late materialisation** — what leaves the masks is a selection vector
+  of row ids, and what a pipeline hands on is one :class:`~.chunk.Chunk`
+  of the survivors' row ids over the table's heap, read through the
+  store's columns and the pipeline's output view.  A hash-join probe
+  (:func:`columnar_probe_stream`) hands on the probe rows that found a
+  match the same way; the vectorized aggregate
   (:func:`columnar_vectorized_aggregate`) reads the store directly.  A
   tuple is built only when a row-oriented operator reads a chunk as rows.
 
 Parity contract: rows, ``CostBreakdown``, buffer statistics and observed
 statistics are byte-identical to the row kernels.  Charges are *replayed*:
-a run's pages as one sequential request when the run is reached (the same
+the scan's pages as one sequential request before the hand-off (the same
 additions, in page order, as page by page), streaming-stage totals from
-exact integer row counts at end of stream.  Zone-map-skipped groups have
-their scan charges replayed too, in page order between the runs, so every
-simulated quantity stays byte-identical to the row path and the zone maps
-are purely a wall-clock win.
+exact integer row counts at end of stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as _np
 
-from ..plans.logical import AggFunc, ColumnExpr, CompareOp, Comparison, InPredicate
+from ..plans.logical import AggFunc, ColumnExpr
 from ..plans.physical import (
     FilterNode,
     PlanNode,
@@ -76,7 +65,7 @@ from ..plans.physical import (
     SeqScanNode,
     StatsCollectorNode,
 )
-from ..storage.columnar import ColumnGroup, ColumnStore
+from ..storage.columnar import ColumnStore
 from ..storage.table import Table
 from .agg_kernels import (
     _AggState,
@@ -104,7 +93,7 @@ class _Kernels:
     Depends on the plan alone (schemas, predicates, projections), so it is
     compiled once per cached plan — stored on the chain's top node, whose
     compiled-closure cache every execution's clone shares — and holds no
-    node, table or per-run state.
+    node, table or per-execution state.
     """
 
     #: Why the chain has no column-space form (a stage without an exact
@@ -124,11 +113,6 @@ class _Kernels:
     #: Whether the output view is the identity over the full base schema
     #: (the pipeline's chunks read the heap through no view).
     identity: bool = False
-    #: Index of the first mask stage, or None.
-    first_mask: int | None = None
-    #: Zone-map skip conditions derived from the first mask stage:
-    #: ``(base column, check(lows, highs) -> bool array)`` pairs.
-    conditions: tuple = ()
 
 
 @dataclass
@@ -177,8 +161,6 @@ def _compile_kernels(nodes_bottom_up: list[PlanNode], scan: SeqScanNode) -> _Ker
     """
     view = list(range(len(scan.schema)))
     masks: list = []
-    first_mask: int | None = None
-    conditions: tuple = ()
     for node in nodes_bottom_up:
         if isinstance(node, FilterNode):
             view_t = tuple(view)
@@ -190,13 +172,6 @@ def _compile_kernels(nodes_bottom_up: list[PlanNode], scan: SeqScanNode) -> _Ker
             )
             if conjuncts is None:
                 return _Kernels(unsupported="predicate without a kernel")
-            if first_mask is None:
-                # Every stage below the first mask is a take
-                # (count-preserving), so a proven-empty group's per-stage
-                # counts are all known: group rows below the mask, zero at
-                # and above it.  That is what makes a skip charge-safe.
-                first_mask = len(masks)
-                conditions = _zone_conditions(node, view_t)
             masks.append(conjuncts)
         elif isinstance(node, ProjectNode):
             if not all(isinstance(item.expr, ColumnExpr) for item in node.output):
@@ -215,83 +190,7 @@ def _compile_kernels(nodes_bottom_up: list[PlanNode], scan: SeqScanNode) -> _Ker
         collects=len(masks) < len(nodes_bottom_up),
         out_view=tuple(view),
         identity=view == list(range(len(scan.schema))),
-        first_mask=first_mask,
-        conditions=conditions,
     )
-
-
-def _comparison_check(op: CompareOp, value: object):
-    """``check(lows, highs) -> bool array``: True for the groups where no
-    value in ``[low, high]`` can satisfy ``column <op> value``."""
-
-    def check(lows, highs):
-        if op is CompareOp.EQ:
-            return (value < lows) | (value > highs)
-        if op is CompareOp.LT:
-            return lows >= value
-        if op is CompareOp.LE:
-            return lows > value
-        if op is CompareOp.GT:
-            return highs <= value
-        if op is CompareOp.GE:
-            return highs < value
-        return (lows == value) & (highs == value)  # NE
-
-    return check
-
-
-def _in_check(values: tuple):
-    def check(lows, highs):
-        disproved = True
-        for value in values:
-            disproved = disproved & ((value < lows) | (value > highs))
-        return disproved
-
-    return check
-
-
-def _skipped_groups(conditions: tuple, store: ColumnStore) -> list[bool]:
-    """Per group: whether its zone maps disprove the first mask stage.
-
-    Conservative: groups containing NULLs never skip (the serial path
-    would raise on a NULL comparison, and skipping must not change
-    behaviour), a NaN bound compares False either way, and a condition
-    whose constant cannot be compared with the bounds skips nothing."""
-    skipped = _np.zeros(len(store.groups), dtype=bool)
-    for position, check in conditions:
-        lows, highs, provable = store.zone_bounds(position)
-        try:
-            skipped |= check(lows, highs) & provable
-        except (TypeError, OverflowError):
-            continue
-    return skipped.tolist()
-
-
-def _zone_conditions(node: FilterNode, view: Sequence[int]) -> tuple:
-    """Skip conditions provable from zone maps for one filter's conjuncts.
-
-    Only column-vs-constant comparisons and column IN-lists yield
-    conditions; any *one* disproved conjunct disproves the conjunction, so
-    other conjunct shapes simply contribute nothing.
-    """
-    conditions = []
-    schema = node.child.schema
-    for pred in node.predicates:
-        if isinstance(pred, Comparison):
-            normalized = pred.normalized()
-            pair = normalized.column_and_constant()
-            if pair is not None:
-                column, value = pair
-                conditions.append(
-                    (view[schema.index_of(column)],
-                     _comparison_check(normalized.op, value))
-                )
-        elif isinstance(pred, InPredicate) and isinstance(pred.expr, ColumnExpr):
-            conditions.append(
-                (view[schema.index_of(pred.expr.name)],
-                 _in_check(tuple(pred.values)))
-            )
-    return tuple(conditions)
 
 
 def _prepare(node: PlanNode, ctx: RuntimeContext) -> _Prepared | None:
@@ -316,7 +215,7 @@ def _prepare(node: PlanNode, ctx: RuntimeContext) -> _Prepared | None:
 
 
 def _column_store(ctx: RuntimeContext, table: Table) -> ColumnStore:
-    return table.column_store(ctx.batch_size, ctx.config.columnar_dictionary_max)
+    return table.column_store(dictionary_max=ctx.config.columnar_dictionary_max)
 
 
 # ----------------------------------------------------------------------
@@ -339,7 +238,7 @@ def columnar_pipeline(
     if prepared is None:
         return None
     reason = prepared.reason
-    if reason is None and prepared.kernels.first_mask is None:
+    if reason is None and not any(prepared.kernels.masks):
         reason = "no filter"
     if reason is not None:
         # The operators re-enter here for every node further down the
@@ -359,8 +258,8 @@ def columnar_pipeline(
 def columnar_probe_stream(node: PlanNode, ctx: RuntimeContext, key_position: int):
     """A late-materialising hash-join probe source, or None.
 
-    Yields ``(count, [key], fetch)`` per run with survivors: the number
-    of probe rows, their key column read straight off the probe pipeline's
+    Yields ``(count, [key], fetch)`` once if any row survives: the number
+    of probe rows, their key column read straight off the store's
     arrays (an int array, or ``(codes, dictionary)`` for a dictionary
     column, which stays in code space) and ``fetch(positions)``, the chunk
     of just those rows' row ids.  Declines
@@ -383,11 +282,9 @@ def columnar_probe_stream(node: PlanNode, ctx: RuntimeContext, key_position: int
 def _probe_batches(ctx, prepared: _Prepared, store: ColumnStore, column: int):
     dictionary = store.dictionaries[column]
     source = _heap_source(prepared, store)
-    for run, sel, survivors in _run_pipeline(ctx, prepared, yield_runs=True):
-        keys = store.array(run, column)
-        if sel is not None:
-            keys = keys[sel]
-        chunk = _survivors(ctx, prepared, source, run, sel, survivors)
+    for sel, survivors in _run_pipeline(ctx, prepared, keyed=True):
+        keys = store.array(column, sel)
+        chunk = _survivors(ctx, prepared, source, sel, survivors)
         yield survivors, [keys if dictionary is None else (keys, dictionary)], chunk.take
 
 
@@ -399,13 +296,10 @@ def _heap_source(prepared: _Prepared, store: ColumnStore) -> Source:
     return Source(prepared.table.rows, len(kernels.out_view), store, view)
 
 
-def _survivors(ctx, prepared: _Prepared, source: Source, run, sel, count) -> Chunk:
-    """A run's surviving rows as a chunk of their row ids; a row consumer
+def _survivors(ctx, prepared: _Prepared, source: Source, sel, count) -> Chunk:
+    """The surviving rows as a chunk of their row ids; a row consumer
     reading it counts the tuples into the leaf record."""
-    if sel is None:
-        ids = _np.arange(run.start_row, run.end_row, dtype=_np.int64)
-    else:
-        ids = sel + run.start_row
+    ids = _np.arange(count, dtype=_np.int64) if sel is None else sel
     return Chunk((source,), [ids], count, ctx.columnar.leaf[prepared.scan.node_id])
 
 
@@ -414,8 +308,8 @@ def columnar_vectorized_aggregate(node, ctx: RuntimeContext):
 
     Returns ``(groups, input_rows, grant)`` or None to stay on the
     per-batch fold.  The input pipeline runs in column space end to end;
-    no row is ever materialised.  Its runs' selections become one index
-    into the store's columns (a slice when one run keeps every row), keys
+    no row is ever materialised.  Its selection is the index into the
+    store's columns (a slice when it keeps every row), keys
     factorize in first-occurrence order over the whole stream, then each
     aggregate argument is gathered and folded *one column at a time*: the
     transient memory is the index, the group codes and one gathered column,
@@ -449,16 +343,12 @@ def columnar_vectorized_aggregate(node, ctx: RuntimeContext):
         for column in {*key_cols, *(c for __, c in specs if c is not None)}
     }
 
-    parts: list = []  # per run, its selected rows as table rows
+    rows = None  # the selected rows, as row ids or a slice
     input_rows = 0
     grant: int | None = None
-    for run, sel, survivors in _run_pipeline(ctx, prepared, yield_runs=True):
-        if grant is None:
-            grant = ctx.commit_memory(node)
-        input_rows += survivors
-        parts.append(
-            slice(run.start_row, run.end_row) if sel is None else sel + run.start_row
-        )
+    for sel, input_rows in _run_pipeline(ctx, prepared, keyed=True):
+        grant = ctx.commit_memory(node)
+        rows = slice(0, input_rows) if sel is None else sel
 
     ctx.columnar.keyed_pipelines += 1
     vec = ctx.vector
@@ -471,13 +361,10 @@ def columnar_vectorized_aggregate(node, ctx: RuntimeContext):
     if input_rows == 0:
         return {}, 0, grant
 
-    rows = parts[0] if len(parts) == 1 else _np.r_[tuple(parts)]
-    del parts
-
     def stream(column: int, raw: bool = False):
         """One column of the whole selected stream: as stored (dictionary
         codes, possibly-int32 integers) when ``raw``, else in value space."""
-        array = store.column(column)[rows]
+        array = store.array(column, rows)
         if raw or array.dtype != _np.int32:
             return array
         if encodings[column] == "dict":
@@ -630,22 +517,21 @@ class _Unobservable(Exception):
 
 
 class _Resolver:
-    """The mask kernels' column resolver: one run's column arrays,
-    narrowed by the selection vector ``sel`` (None = all rows).
+    """The mask kernels' column resolver: the store's columns, narrowed by
+    the selection vector ``sel`` (None = all rows).
 
     A row failing conjunct *i* must never reach conjunct *i + 1* — the
     serial short-circuit, observable when the later conjunct would raise
     (a NULL comparison).  Numeric arrays and NULL-free dictionary codes
-    cannot raise, so conjuncts over them evaluate on the whole run and
-    their masks are ANDed; with ``guard`` set (rows already excluded, not
-    yet narrowed) asking for anything else raises :class:`_Unobservable`
-    and the pipeline narrows before re-evaluating."""
+    cannot raise, so conjuncts over them evaluate on every row and their
+    masks are ANDed; with ``guard`` set (rows already excluded, not yet
+    narrowed) asking for anything else raises :class:`_Unobservable` and
+    the pipeline narrows before re-evaluating."""
 
-    __slots__ = ("store", "run", "sel", "guard")
+    __slots__ = ("store", "sel", "guard")
 
-    def __init__(self, store: ColumnStore, run: ColumnGroup) -> None:
+    def __init__(self, store: ColumnStore) -> None:
         self.store = store
-        self.run = run
         self.sel = None
         self.guard = False
 
@@ -653,57 +539,36 @@ class _Resolver:
         store = self.store
         if self.guard and store.encoding(column) not in ("int64", "float64"):
             raise _Unobservable
-        return store.values(self.run, column, self.sel)
+        return store.values(column, self.sel)
 
     def codes(self, column: int):
-        coded = self.store.dict_codes(self.run, column)
-        if coded is None or self.sel is None:
-            return coded
-        return coded[0][self.sel], coded[1]
+        return self.store.dict_codes(column, self.sel)
 
 
 def _run_pipeline(
-    ctx: RuntimeContext, prep: _Prepared, *, yield_runs: bool = False
+    ctx: RuntimeContext, prep: _Prepared, *, keyed: bool = False
 ) -> Iterator:
-    """The column-space pipeline body: zone-check every group, then per run
-    of read groups mask/take in column space and hand the survivors over.
+    """The column-space pipeline body: charge the scan, mask/take over
+    whole columns and hand the survivors over, once.
 
     By default survivors are shown to the collector, if one tops the
-    chain, and yielded as one chunk of row ids per run.  With
-    ``yield_runs`` the narrowed run itself is the batch: ``(run, sel,
-    survivors)`` triples for consumers that stay in column space and
-    materialise late, only offered by callers that verified no collector
-    tops the chain.
+    chain, and yielded as one chunk of row ids.  With ``keyed`` the
+    selection itself is the batch: ``(sel, survivors)`` for consumers that
+    stay in column space and materialise late, only offered by callers
+    that verified no collector tops the chain.
     """
     config = ctx.config
     table = prep.table
     store = _column_store(ctx, table)
     scan = prep.scan
     kernels = prep.kernels
-    masks = kernels.masks
-    first_mask = kernels.first_mask
-    # Maximal stretches of groups with one zone-map verdict, in page order:
-    # ``(skipped, first group, stop group)``.
-    runs, first = [], 0
-    for skip, members in groupby(_skipped_groups(kernels.conditions, store)):
-        stop = first + len(list(members))
-        runs.append((skip, first, stop))
-        first = stop
-    passes = sum(1 for skip, __, __ in runs if not skip)
-    groups_skipped = sum(stop - first for skip, first, stop in runs if skip)
 
     telemetry = ctx.columnar
     telemetry.pipelines += 1
     pipeline_id = telemetry.pipelines
-    per_scan = telemetry.by_scan.setdefault(
-        scan.node_id,
-        {"table": scan.table_name, "groups_read": 0,
-         "groups_skipped": 0, "pages_skipped": 0, "rows_skipped": 0},
-    )
     leaf = telemetry.leaf[scan.node_id] = {
         "table": scan.table_name, "kernel": "column", "reason": None,
         "rows_scanned": 0, "rows_selected": 0, "rows_materialised": 0,
-        "passes": passes,
     }
 
     collector: RuntimeCollector | None = None
@@ -720,9 +585,7 @@ def _run_pipeline(
         span = tracer.begin(
             f"columnar-pipeline-{pipeline_id}",
             "pipeline",
-            kind="columnar-keyed" if yield_runs else "columnar",
-            groups=len(store.groups),
-            runs=passes,
+            kind="columnar-keyed" if keyed else "columnar",
             root=prep.nodes_bottom_up[-1].label if prep.nodes_bottom_up else scan.label,
         )
 
@@ -730,82 +593,57 @@ def _run_pipeline(
     for pnode in prep.nodes_bottom_up:
         ctx.mark_started(pnode)
 
-    charge_scan = ctx.charge_scan_pages
     scan_rows = 0
     stage_rows = [0] * len(prep.nodes_bottom_up)
-    source = None if yield_runs else _heap_source(prep, store)
     try:
-        for skip, first, stop in runs:
-            run = store.run(first, stop)
-            run_rows = run.row_count
-            if skip:
-                per_scan["groups_skipped"] += stop - first
-                per_scan["pages_skipped"] += run.last_page - run.first_page
-                per_scan["rows_skipped"] += run_rows
-                # The skip saves the real work (tuple materialisation,
-                # predicate evaluation) but replays the simulated page
-                # charges, so every cost/buffer number matches a path that
-                # read the groups.  A skipped group provably holds its row
-                # count below the first mask and zero survivors at it.
-                charge_scan(table, run.first_page, run.last_page)
-                scan_rows += run_rows
-                for position in range(first_mask):
-                    stage_rows[position] += run_rows
-                continue
-            per_scan["groups_read"] += stop - first
-            # The run's scan charges, ahead of its hand-off as the row scan
-            # charges a batch's pages before yielding it.
-            charge_scan(table, run.first_page, run.last_page)
-            scan_rows += run_rows
+        # The scan's charges, ahead of its hand-off as the row scan charges
+        # a batch's pages before yielding it.
+        ctx.charge_scan_pages(table, 0, table.page_count)
+        scan_rows = table.row_count
 
-            # -- masks select the surviving rows ------------------------
-            mask = None  # over the whole run, while no conjunct narrowed
-            sel = None  # row indices into the run, once one did
-            survivors = run_rows
-            resolver = None
-            for position, conjuncts in enumerate(masks):
-                if conjuncts is not None:
-                    if resolver is None:
-                        resolver = _Resolver(store, run)
-                    for fn in conjuncts:
-                        if sel is None:
-                            resolver.guard = mask is not None
-                            try:
-                                passed = fn(resolver)
-                            except _Unobservable:
-                                resolver.guard = False
-                                sel = resolver.sel = _np.nonzero(mask)[0]
-                            else:
-                                mask = passed if mask is None else mask & passed
-                                continue
-                        if len(sel) == 0:
-                            break
-                        sel = resolver.sel = sel[fn(resolver)]
-                    if sel is not None:
-                        survivors = len(sel)
-                    else:
-                        survivors = int(_np.count_nonzero(mask))
-                stage_rows[position] += survivors
-                if survivors == 0:
-                    break
+        # -- masks select the surviving rows ----------------------------
+        mask = None  # over every row, while no conjunct narrowed
+        sel = None  # row ids, once one did
+        survivors = scan_rows
+        resolver = _Resolver(store)
+        for position, conjuncts in enumerate(kernels.masks):
+            if conjuncts is not None:
+                for fn in conjuncts:
+                    if sel is None:
+                        resolver.guard = mask is not None
+                        try:
+                            passed = fn(resolver)
+                        except _Unobservable:
+                            resolver.guard = False
+                            sel = resolver.sel = _np.nonzero(mask)[0]
+                        else:
+                            mask = passed if mask is None else mask & passed
+                            continue
+                    if len(sel) == 0:
+                        break
+                    sel = resolver.sel = sel[fn(resolver)]
+                if sel is not None:
+                    survivors = len(sel)
+                else:
+                    survivors = int(_np.count_nonzero(mask))
+            stage_rows[position] = survivors
             if survivors == 0:
-                continue
-            if survivors == run_rows:
+                break
+        if survivors:
+            if survivors == scan_rows:
                 sel = None
             elif sel is None:
                 sel = _np.nonzero(mask)[0]
-
-            if yield_runs:
-                # Column-space consumer: the narrowed run is the batch,
+            if keyed:
+                # Column-space consumer: the selection is the batch,
                 # reaching it at the clock position a chunk would have.
-                yield run, sel, survivors
-                continue
-
-            batch = _survivors(ctx, prep, source, run, sel, survivors)
-            if collector is not None:
-                collector.observe_batch(batch)
-                stage_rows[-1] += survivors
-            yield batch
+                yield sel, survivors
+            else:
+                batch = _survivors(ctx, prep, _heap_source(prep, store), sel, survivors)
+                if collector is not None:
+                    collector.observe_batch(batch)
+                    stage_rows[-1] = survivors
+                yield batch
     finally:
         _charge_streaming_stages(ctx, kernels, scan_rows, stage_rows)
         selected = stage_rows[-1] if stage_rows else scan_rows
@@ -820,4 +658,4 @@ def _run_pipeline(
     for position, pnode in enumerate(prep.nodes_bottom_up):
         ctx.mark_completed(pnode, stage_rows[position])
     if tracer is not None:
-        tracer.end(span, rows=selected, groups_skipped=groups_skipped)
+        tracer.end(span, rows=selected)

@@ -75,9 +75,8 @@ class ColumnarExecStats:
     """Leaf-pipeline telemetry accumulated over one query run.
 
     Which kernels each leaf pipeline ran on and how many tuples it had to
-    build, plus what the column-space pipelines did with their zone maps.
-    These are purely observational: skipped groups' simulated charges are
-    replayed, so costs stay bit-identical to the row kernels.
+    build.  Purely observational: costs stay bit-identical to the row
+    kernels.
     """
 
     #: Leaf pipelines that ran in column space (keyed ones included).
@@ -85,30 +84,15 @@ class ColumnarExecStats:
     #: Of those, pipelines whose consumer — a vectorized hash-join probe
     #: or aggregate — stayed in column space.
     keyed_pipelines: int = 0
-    #: Zone-map breakdown per column-space scan, keyed by scan node id:
-    #: ``{"table", "groups_read"`` (page groups whose arrays were
-    #: evaluated), ``"groups_skipped"`` (skipped whole via zone maps),
-    #: ``"pages_skipped", "rows_skipped"}`` (never materialised or
-    #: filtered).
-    by_scan: dict[int, dict] = field(default_factory=dict)
     #: Every leaf pipeline the batch executor ran, keyed by scan node id:
     #: ``{"table", "kernel": "column" | "row", "reason"}`` — why it stayed
     #: on the row kernels, None for column — plus, for column pipelines,
     #: ``"rows_scanned"``, ``"rows_selected"`` (rows leaving the pipeline),
     #: ``"rows_materialised"`` (tuples a row consumer had built from its
-    #: chunks of row ids) and ``"passes"``
-    #: (kernel passes: runs of page groups not skipped); row pipelines
+    #: chunks of row ids); row pipelines
     #: carry ``"top"`` (the chain's top node id) and get their counts from
     #: the completion actuals when the profile is assembled.
     leaf: dict[int, dict] = field(default_factory=dict)
-
-    def _total(self, counter: str) -> int:
-        return sum(per_scan[counter] for per_scan in self.by_scan.values())
-
-    groups_read = property(lambda self: self._total("groups_read"))
-    groups_skipped = property(lambda self: self._total("groups_skipped"))
-    pages_skipped = property(lambda self: self._total("pages_skipped"))
-    rows_skipped = property(lambda self: self._total("rows_skipped"))
 
     def leaf_pipelines(self, actual_rows: dict[int, int]) -> dict[int, dict]:
         """``leaf`` with every record's row counts filled in: a row

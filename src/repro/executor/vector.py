@@ -190,8 +190,8 @@ def compile_batch_projector(
 # ----------------------------------------------------------------------
 #
 # A column-space leaf pipeline evaluates a filter as one boolean mask over a
-# page group's column arrays instead of one Python expression per row.  A
-# filter compiles to a closure tree — per-group overhead is O(tree size),
+# table's column arrays instead of one Python expression per row.  A
+# filter compiles to a closure tree — per-call overhead is O(tree size),
 # per-row work runs inside NumPy — taking a ``resolve(column) -> ndarray``
 # callback so the caller controls where arrays come from.  A resolver may
 # also offer ``resolve.codes(column) -> (codes, dictionary) | None``: a

@@ -111,16 +111,9 @@ class NodeAnalysis:
     collector: CollectorInsight | None = None
     #: For the sequential scan under a leaf pipeline: which kernels ran it
     #: and how many tuples it built (``{"table", "kernel", "reason",
-    #: "rows_scanned", "rows_selected", "rows_materialised"}``, plus
-    #: ``"passes"`` for column kernels — see
+    #: "rows_scanned", "rows_selected", "rows_materialised"}`` — see
     #: :attr:`ExecutionProfile.leaf_pipelines`), None otherwise.
     leaf_pipeline: dict | None = None
-    #: For sequential scans executed by the column kernels: page groups
-    #: skipped via zone maps vs. read (``{"groups_read", "groups_skipped",
-    #: "pages_skipped", "rows_skipped", "table"}``), None otherwise.
-    #: Skipped rows are exact free observations — already included in
-    #: ``actual_rows``, so Q-error never counts them as missing.
-    zone_map: dict | None = None
     #: For nodes served by a vectorized kernel: the per-node counters
     #: (``{"kind": "aggregate"|"preagg-run"|"probe", ...}`` with
     #: ``rows_folded``/``groups`` for aggregates and, for every join,
@@ -166,23 +159,11 @@ class NodeAnalysis:
         if self.leaf_pipeline is not None:
             leaf = self.leaf_pipeline
             why = f" ({leaf['reason']})" if leaf["reason"] else ""
-            passes = leaf.get("passes")
             lines.append(
                 f"{indent}    leaf pipeline: {leaf['kernel']} kernels{why}, "
                 f"{leaf['rows_scanned']} rows scanned, "
                 f"{leaf['rows_selected']} selected, "
                 f"{leaf['rows_materialised']} materialised"
-                + ("" if passes is None else f", {passes} passes")
-            )
-        if self.zone_map is not None:
-            read = self.zone_map.get("groups_read", 0)
-            skipped = self.zone_map.get("groups_skipped", 0)
-            total = read + skipped
-            rate = (skipped / total) if total else 0.0
-            lines.append(
-                f"{indent}    zone maps: skipped {skipped}/{total} page groups "
-                f"({rate:.0%}, {self.zone_map.get('pages_skipped', 0)} pages, "
-                f"{self.zone_map.get('rows_skipped', 0)} rows)"
             )
         if self.vectorized is not None:
             kind = self.vectorized.get("kind", "?")
@@ -382,9 +363,6 @@ def analyze_execution(
                 ),
             )
             node_analysis.leaf_pipeline = profile.leaf_pipelines.get(node.node_id)
-            per_scan = ctx.columnar.by_scan.get(node.node_id)
-            if per_scan is not None:
-                node_analysis.zone_map = dict(per_scan)
             per_vector = ctx.vector.by_node.get(node.node_id)
             if per_vector is not None:
                 node_analysis.vectorized = dict(per_vector)

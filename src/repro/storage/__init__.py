@@ -2,7 +2,7 @@
 
 from .buffer import BufferPool, BufferStats
 from .catalog import Catalog, TableEntry
-from .columnar import ColumnStore, ZoneMap, page_groups
+from .columnar import ColumnStore, page_groups
 from .disk import CostBreakdown, CostClock
 from .index import Index, build_index
 from .schema import Column, DataType, Schema, date_to_int, int_to_date
@@ -24,7 +24,6 @@ __all__ = [
     "Table",
     "TableEntry",
     "TempTableManager",
-    "ZoneMap",
     "build_index",
     "date_to_int",
     "int_to_date",

@@ -1,23 +1,18 @@
-"""Column store: one typed NumPy array per column, page groups as slices.
+"""Column store: one typed NumPy array per column over every row.
 
 A :class:`ColumnStore` is a columnar shadow of a heap :class:`~.table.Table`:
-one encoded array per column over every row of the table, and the table cut
-into *page groups* (the runs of whole pages the serial batch scan
-accumulates into one batch — see :func:`page_groups`), each holding its
-page / row bounds and a per-column :class:`ZoneMap` (min / max / null
-count).  A page group's column is a slice of the column — a view, never a
-copy — and so is a *run* of consecutive groups (:meth:`ColumnStore.run`):
-a page group is a slice, a run is a pass.  The heap rows remain the source
-of truth — the store is a derived, incrementally-maintained acceleration
-structure that the column-space leaf pipelines
-(:mod:`repro.executor.columnar`) use for vectorized filter masks, key
-extraction, aggregation and zone-map scan skipping.
+one encoded array per column, over every row of the table.  The heap rows
+remain the source of truth — the store is a derived,
+incrementally-maintained acceleration structure that the column-space leaf
+pipelines (:mod:`repro.executor.columnar`) read for vectorized filter
+masks, key extraction and aggregation, and that heap chunks gather their
+columns from (:class:`repro.executor.chunk.Source`).
 
-The store costs what is read: a column is encoded — array, zone maps and
-its encoding decision — the first time anything asks for it, under the
-table's store lock.  Encodings depend on one column's values only, so the
-state a column reaches is the one an eager build of every column would
-have given it, whichever query touches it first and however late.
+The store costs what is read: a column is encoded — array and encoding
+decision — the first time anything asks for it, under the table's store
+lock.  Encodings depend on one column's values only, so the state a column
+reaches is the one an eager build of every column would have given it,
+whichever query touches it first and however late.
 
 Column encodings:
 
@@ -38,20 +33,17 @@ Column encodings:
 Maintenance: :meth:`Table.append_rows <repro.storage.table.Table.append_rows>`
 re-syncs every attached store after each bulk append.  Rows are only ever
 appended or truncated, so freshness is a row-count comparison; a stale
-store keeps the longest valid prefix of groups and re-encodes just the tail
-rows (at most the previously-partial final group plus the new rows) of the
-columns already built, onto the kept prefix of each column.  Encoding
-demotions (dictionary overflow, int64 overflow, a NULL arriving in a
-numeric column) re-encode the whole column as objects, zone maps included,
-so a column has one representation over every row.
+store encodes just the appended rows of the columns already built, onto
+the end of each column.  Encoding demotions (dictionary overflow, int64
+overflow, a NULL arriving in a numeric column) re-encode the whole column
+as objects, so a column has one representation over every row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .schema import DataType
 
@@ -63,53 +55,22 @@ import numpy as np
 _INT32_MIN = -(2**31)
 _INT32_MAX = 2**31 - 1
 
-#: A column's array type per encoding.
-_DTYPES = {
-    "int64": np.int64, "float64": np.float64, "dict": np.int32, "object": object,
-}
-
 #: Cached predicate truth tables per dictionary (each at most
 #: ``dictionary_max`` booleans).
 _TRUTH_TABLES_MAX = 64
 
 
 def page_groups(table: "Table", batch_size: int) -> list[tuple[int, int]]:
-    """Page ranges matching the serial batch scan's yield boundaries.
+    """Page ranges matching the row scan's yield boundaries.
 
-    The serial scan accumulates whole pages until at least ``batch_size``
-    rows are buffered, then yields; every consumer that wants to reproduce
-    the serial batch structure — the batch scan itself and the columnar
-    store — derives its geometry from this one
-    function so the boundaries can never drift apart.  Every page but the
-    table's last is full, so each group is the same number of pages and the
-    last takes what is left.
+    The scan accumulates whole pages until at least ``batch_size`` rows
+    are buffered, then yields.  Every page but the table's last is full,
+    so each group is the same number of pages and the last takes what is
+    left.
     """
     pages = table.page_count
     step = -(-batch_size // table.rows_per_page)
     return [(first, min(first + step, pages)) for first in range(0, pages, step)]
-
-
-@dataclass(frozen=True)
-class ZoneMap:
-    """Min / max / null-count summary of one column over one page group.
-
-    ``min_value`` / ``max_value`` are exact Python values (never NumPy
-    scalars) over the group's non-NULL entries, or ``None`` when the group
-    holds only NULLs.  A zone map is a *sound over-approximation*: a scan
-    predicate that cannot be satisfied by any value in ``[min, max]`` with
-    ``null_count == 0`` proves the group matches zero rows.  A float group
-    holding a NaN records ``nan`` bounds, which no predicate can disprove.
-    """
-
-    min_value: object | None
-    max_value: object | None
-    null_count: int
-    row_count: int
-
-    @property
-    def all_null(self) -> bool:
-        """Whether every row of the group is NULL in this column."""
-        return self.null_count == self.row_count
 
 
 class _Dictionary:
@@ -160,51 +121,24 @@ class _Dictionary:
         return table
 
 
-class ColumnGroup(NamedTuple):
-    """A page group, or a run of consecutive ones, as page and row bounds.
-
-    A page group (an entry of :attr:`ColumnStore.groups`) also holds one
-    zone map per column — ``None`` until the column is built; read them
-    through :meth:`ColumnStore.zone`.  A run (:meth:`ColumnStore.run`) has
-    none.  Column data are slices of the store's columns:
-    :meth:`ColumnStore.array`.
-    """
-
-    index: int
-    first_page: int
-    last_page: int
-    start_row: int
-    end_row: int
-    zones: list | None
-
-    @property
-    def row_count(self) -> int:
-        return self.end_row - self.start_row
-
-
 class ColumnStore:
-    """Columnar shadow of one table at one page-group geometry.
+    """Columnar shadow of one table at one dictionary budget.
 
-    Created (and cached) through :meth:`Table.column_store`; one store per
-    ``(batch_size, dictionary_max)`` pair, because the group geometry is
-    the batch geometry.  :meth:`sync` is idempotent and incremental; column
+    Created (and cached) through :meth:`Table.column_store`, one store per
+    ``dictionary_max``.  :meth:`sync` is idempotent and incremental; column
     data is built on first read (:meth:`array`, :meth:`values`,
-    :meth:`zone`, :meth:`encoding`).
+    :meth:`encoding`).
     """
 
-    def __init__(self, table: "Table", batch_size: int, dictionary_max: int = 256):
+    def __init__(self, table: "Table", dictionary_max: int = 256):
         self.table = table
-        self.batch_size = batch_size
         self.dictionary_max = dictionary_max
-        self.groups: list[ColumnGroup] = []
         self._width = len(table.schema)
         #: Bumped whenever a column is built or sync rebuilds anything
         #: (observability for tests).
         self.version = 0
-        #: Row count the group geometry reflects.
+        #: Row count the built columns reflect.
         self._rows = 0
-        #: Per column: ``(version, zone_bounds(position))``.
-        self._bounds: dict[int, tuple] = {}
         #: Per column: :meth:`exact` and :meth:`hashes`, until the rows change.
         self._exact: dict[int, object] = {}
         self._hashes: dict[int, np.ndarray] = {}
@@ -239,36 +173,14 @@ class ColumnStore:
         """Bring the store up to date with the table's rows.
 
         Rows are only appended (or truncated, which resets the store), so
-        an unchanged row count means nothing to do.  Otherwise keeps the
-        longest prefix of groups whose page bounds *and* row extent still
-        match the current geometry (appends can only grow the final,
-        previously-partial group) and re-encodes the rows after it — for
-        the columns already built; the others stay unread.
+        an unchanged row count means nothing to do.  Otherwise encodes the
+        appended rows onto the columns already built; the others stay
+        unread.
         """
-        table = self.table
-        nrows = table.row_count
+        nrows = self.table.row_count
         if nrows == self._rows:
             return
-        bounds = page_groups(table, self.batch_size)
-        per_page = table.rows_per_page
-        keep = 0
-        for group, (first_page, last_page) in zip(self.groups, bounds):
-            if (
-                group.first_page == first_page
-                and group.last_page == last_page
-                and group.end_row == min(last_page * per_page, nrows)
-            ):
-                keep += 1
-            else:
-                break
-        del self.groups[keep:]
-        start = self.groups[-1].end_row if self.groups else 0
-        for index, (first_page, last_page) in enumerate(bounds[keep:], keep):
-            start_row, end_row = first_page * per_page, min(last_page * per_page, nrows)
-            self.groups.append(ColumnGroup(
-                index, first_page, last_page, start_row, end_row, [None] * self._width
-            ))
-        self._rows = nrows
+        start, self._rows = self._rows, nrows
         for position in range(self._width):
             if self._built[position]:
                 self._encode(position, start)
@@ -278,7 +190,6 @@ class ColumnStore:
 
     def reset(self) -> None:
         """Drop everything (table truncated); the next reads rebuild."""
-        self.groups.clear()
         self._exact.clear()
         self._hashes.clear()
         self._rows = 0
@@ -286,7 +197,7 @@ class ColumnStore:
         self.version += 1
 
     def _ensure(self, position: int) -> None:
-        """Build ``position``'s array and zone maps, once.
+        """Build ``position``'s array, once.
 
         Serialized by the table's store lock: two sessions first-touching
         the same column build it once, and neither sees it half-built."""
@@ -302,26 +213,16 @@ class ColumnStore:
     # -- encoding -------------------------------------------------------
 
     def _encode(self, position: int, start: int) -> None:
-        """Encode rows ``start ..`` of column ``position`` onto the kept
-        prefix of its array, with the zone maps of the groups they fill
-        (every group from the one starting at ``start``).  A value the
-        encoding cannot hold demotes the column and re-encodes all of it.
-
-        Encoded group by group — each group's values are type-checked,
-        converted and summarised while they are in cache — into one array."""
-        rows = self.table.rows
+        """Encode rows ``start ..`` of column ``position`` onto the end of
+        its array.  A value the encoding cannot hold demotes the column and
+        re-encodes all of it."""
         while True:
             kind = self.encodings[position]
-            tail = np.empty(self._rows - start, _DTYPES[kind])
+            values = list(
+                map(itemgetter(position), islice(self.table.rows, start, self._rows))
+            )
             try:
-                for group in self.groups:
-                    if group.start_row < start:
-                        continue
-                    chunk = rows[group.start_row : group.end_row]
-                    values = list(map(itemgetter(position), chunk))
-                    array, zone = self._encode_as(kind, position, values)
-                    group.zones[position] = zone
-                    tail[group.start_row - start : group.end_row - start] = array
+                tail = self._encode_as(kind, position, values)
                 break
             except _EncodingOverflow:
                 self.encodings[position] = "object"
@@ -336,10 +237,10 @@ class ColumnStore:
                 tail = tail.astype(np.int32)
         if start:
             # An int32 prefix meeting an int64 tail widens here.
-            tail = np.concatenate((self._columns[position][:start], tail))
+            tail = np.concatenate((self._columns[position], tail))
         self._columns[position] = tail
 
-    def _encode_as(self, kind: str, position: int, values: list) -> tuple:
+    def _encode_as(self, kind: str, position: int, values: list):
         # Exact-type gate: NumPy would silently *truncate* a stray float in
         # an int64 array, coerce ints to floats in a float64 one, turn
         # ``True`` into ``1`` (bool is an int subclass) and fold ``1`` and
@@ -354,7 +255,7 @@ class ColumnStore:
         if kind == "object":
             arr = np.empty(len(values), dtype=object)
             arr[:] = values
-            return arr, _zone_of(values)
+            return arr
         if kind == "int64":
             exact = all(
                 issubclass(t, int) and not issubclass(t, bool) for t in types
@@ -363,19 +264,15 @@ class ColumnStore:
             exact = all(issubclass(t, float) for t in types)
         if not exact:
             raise _EncodingOverflow
-        try:
-            arr = np.array(values, dtype=np.int64 if kind == "int64" else np.float64)
-        except OverflowError:
-            raise _EncodingOverflow from None
         # int64 conversion raises on overflow and float64 stores Python
         # floats exactly (same IEEE 754 representation), so tolist() always
         # returns the original values.
-        low, high = arr.min().item(), arr.max().item()
-        if low != low or high != high:  # a NaN: bounds prove nothing
-            low = high = float("nan")
-        return arr, ZoneMap(low, high, 0, len(values))
+        try:
+            return np.array(values, dtype=np.int64 if kind == "int64" else np.float64)
+        except OverflowError:
+            raise _EncodingOverflow from None
 
-    def _encode_dict(self, position: int, values: list) -> tuple:
+    def _encode_dict(self, position: int, values: list):
         dictionary = self.dictionaries[position]
         # First-occurrence order, like encoding value by value.
         for value in dict.fromkeys(values):
@@ -384,18 +281,9 @@ class ColumnStore:
         if len(dictionary.values) > self.dictionary_max:
             raise _EncodingOverflow
         code_of = {None: -1, **dictionary.codes}
-        codes = np.fromiter(
+        return np.fromiter(
             map(code_of.__getitem__, values), dtype=np.int32, count=len(values)
         )
-        present = np.unique(codes).tolist()
-        non_null = [dictionary.values[c] for c in present if c >= 0]
-        zone = ZoneMap(
-            min_value=min(non_null) if non_null else None,
-            max_value=max(non_null) if non_null else None,
-            null_count=int((codes < 0).sum()) if present and present[0] < 0 else 0,
-            row_count=len(values),
-        )
-        return codes, zone
 
     # -- access ---------------------------------------------------------
 
@@ -404,58 +292,16 @@ class ColumnStore:
         self._ensure(position)
         return self.encodings[position]
 
-    def run(self, first: int, stop: int) -> ColumnGroup:
-        """Page groups ``first .. stop - 1`` as one span of pages and rows
-        (no zone maps): what one kernel pass reads."""
-        head, last = self.groups[first], self.groups[stop - 1]
-        return ColumnGroup(
-            first, head.first_page, last.last_page, head.start_row, last.end_row, None
-        )
-
-    def column(self, position: int):
-        """The column over every row, as stored: dictionary codes for
-        ``"dict"`` columns, possibly int32 for ``"int64"`` ones."""
+    def array(self, position: int, sel=None):
+        """The column as stored — dictionary codes for ``"dict"`` columns,
+        possibly int32 for ``"int64"`` ones — over every row, or at the row
+        indices (or slice) ``sel``."""
         self._ensure(position)
-        return self._columns[position]
-
-    def array(self, group: ColumnGroup, position: int):
-        """The group's (or run's) slice of :meth:`column` — a view."""
-        return self.column(position)[group.start_row : group.end_row]
-
-    def zone(self, group: ColumnGroup, position: int) -> ZoneMap:
-        """The page group's zone map for one column."""
-        self._ensure(position)
-        return group.zones[position]
-
-    def zone_bounds(self, position: int):
-        """Every group's zone map for one column as three aligned arrays:
-        ``(lows, highs, provable)``.  ``provable`` is False where a group
-        holds a NULL or nothing but NULLs — bounds that must never skip a
-        group — and its ``lows`` / ``highs`` entries are then arbitrary.
-        Cached until the store next changes."""
-        cached = self._bounds.get(position)
-        if cached is not None and cached[0] == self.version:
-            return cached[1]
-        zones = [self.zone(group, position) for group in self.groups]
-        provable = np.fromiter(
-            (z.null_count == 0 and z.min_value is not None for z in zones),
-            dtype=bool,
-            count=len(zones),
-        )
-        dtype = {"int64": np.int64, "float64": np.float64}.get(
-            self.encodings[position], object
-        )
-        filler = next((z.min_value for z in zones if z.min_value is not None), 0)
-        lows = np.empty(len(zones), dtype=dtype)
-        highs = np.empty(len(zones), dtype=dtype)
-        lows[:] = [filler if z.min_value is None else z.min_value for z in zones]
-        highs[:] = [filler if z.max_value is None else z.max_value for z in zones]
-        bounds = (lows, highs, provable)
-        self._bounds[position] = (self.version, bounds)
-        return bounds
+        column = self._columns[position]
+        return column if sel is None else column[sel]
 
     def exact(self, position: int):
-        """``(column, dictionary)`` when :meth:`column` gathered, decoded
+        """``(column, dictionary)`` when :meth:`array` gathered, decoded
         through ``dictionary`` (unless None) and ``tolist()``-ed gives the
         heap's values: every encoding but ``"object"`` and a ``"float64"``
         column holding a NaN (each heap NaN is its own object, and a group
@@ -482,26 +328,23 @@ class ColumnStore:
             self._hashes[position] = lane
         return lane
 
-    def values(self, group: ColumnGroup, position: int, sel=None):
-        """The group's (or run's) column in *value space*, optionally
-        narrowed to the row indices ``sel``: dictionary columns decoded
+    def values(self, position: int, sel=None):
+        """:meth:`array` in *value space*: dictionary columns decoded
         (strings are built per call and not kept; predicates on dictionary
         columns evaluate in code space instead, see :meth:`dict_codes`),
         everything else as stored.  ``tolist()`` of the result is exact; an
         ``"int64"`` column may come back as int32, which compares exactly
         but must be widened before arithmetic."""
-        array = self.array(group, position)
-        if sel is not None:
-            array = array[sel]
+        array = self.array(position, sel)
         dictionary = self.dictionaries[position]
         return array if dictionary is None else dictionary.decode(array)
 
-    def dict_codes(self, group: ColumnGroup, position: int):
+    def dict_codes(self, position: int, sel=None):
         """``(codes, dictionary)`` when the column is dictionary-encoded and
-        the group (or run) holds no NULL in it, else None.  With no NULL
-        every code indexes the dictionary, so a per-value truth table
-        gathered by code is the predicate's mask."""
-        array = self.array(group, position)
+        holds no NULL in the rows read, else None.  With no NULL every code
+        indexes the dictionary, so a per-value truth table gathered by code
+        is the predicate's mask."""
+        array = self.array(position, sel)
         dictionary = self.dictionaries[position]
         if dictionary is None or (array < 0).any():
             return None
@@ -510,31 +353,3 @@ class ColumnStore:
 
 class _EncodingOverflow(Exception):
     """Internal signal: the column's current encoding cannot hold a value."""
-
-
-def _zone_of(values: list) -> ZoneMap:
-    """Exact min/max/null-count of one column chunk, as Python values; a
-    NaN makes both bounds NaN, which no predicate can disprove, and so do
-    values that do not compare (a string beside an int)."""
-    null_count = 0
-    mn = mx = None
-    nan = False
-    try:
-        for value in values:
-            if value is None:
-                null_count += 1
-            elif value != value:
-                nan = True
-            elif mn is None:
-                mn = mx = value
-            elif value < mn:
-                mn = value
-            elif value > mx:
-                mx = value
-    except TypeError:
-        nan, null_count = True, values.count(None)
-    if nan:
-        mn = mx = float("nan")
-    return ZoneMap(
-        min_value=mn, max_value=mx, null_count=null_count, row_count=len(values)
-    )

@@ -45,7 +45,7 @@ class Table:
         #: sequence of rows that builds them when iterated — until
         #: :attr:`rows` is first read.
         self.held = None
-        #: Columnar shadows keyed by (batch_size, dictionary_max); built on
+        #: Columnar shadows keyed by dictionary_max; built on
         #: demand by :meth:`column_store` and kept in sync by
         #: :meth:`append_rows` / :meth:`truncate`.
         self._column_stores: dict = {}
@@ -106,8 +106,8 @@ class Table:
             self._rows.append(tuple(row))
             added += 1
         if added:
-            # Zone maps / column arrays are maintained on append: each
-            # attached store extends its tail groups incrementally.
+            # Column arrays are maintained on append: each attached store
+            # encodes the new rows of its built columns.
             with self._store_lock:
                 for store in self._column_stores.values():
                     store.sync()
@@ -120,21 +120,17 @@ class Table:
             raise StorageError(f"table {self.name!r} is not empty")
         self.held = rows
 
-    def column_store(self, batch_size: int, dictionary_max: int = 256):
-        """The (synced) columnar shadow of this table at one batch geometry.
-
-        Stores are cached per ``(batch_size, dictionary_max)`` — the page
-        groups *are* the serial batch-scan batches, so the geometry is part
-        of the identity.
-        """
-        key = (batch_size, dictionary_max)
+    def column_store(self, batch_size: int | None = None, dictionary_max: int = 256):
+        """The (synced) columnar shadow of this table, one per
+        ``dictionary_max``.  ``batch_size`` is accepted and ignored: the
+        store holds whole columns, with no batch geometry."""
         with self._store_lock:
-            store = self._column_stores.get(key)
+            store = self._column_stores.get(dictionary_max)
             if store is None:
                 from .columnar import ColumnStore
 
-                store = self._column_stores[key] = ColumnStore(
-                    self, batch_size, dictionary_max
+                store = self._column_stores[dictionary_max] = ColumnStore(
+                    self, dictionary_max
                 )
             store.sync()
         return store

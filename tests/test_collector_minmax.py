@@ -238,7 +238,7 @@ class TestHeapSource:
         table = db.table("h")
         # Neither loading nor ANALYZE builds a column store, let alone arrays.
         assert table._column_stores == {}
-        store = table.column_store(32)
+        store = table.column_store()
         assert store._exact == {}
         rng = np.random.default_rng(7)
         _assert_heap_bounds(table, store, rng.integers(0, 200, 300))
@@ -261,7 +261,7 @@ class TestHeapSource:
         db.create_table("h", _HEAP_COLUMNS, key=["k"])
         db.load_rows("h", _heap_rows(0, 50))
         table = db.table("h")
-        store = table.column_store(32)
+        store = table.column_store()
         table.rows.append((50, 10**6, 99.0, 0.0))  # not synced yet
         chunk = _heap_chunk(table, store, [3, 50])
         assert chunk.bounds(2) is None  # the Python fold reads the rows
@@ -279,7 +279,7 @@ class TestHeapSource:
         db.create_table("hot", [("hk", DataType.INTEGER), ("hv", DataType.INTEGER)])
         db.create_index("ix_hot", "hot", "hk")
         sql = "SELECT o.v a, hot.hv b FROM o, hot WHERE o.k = hot.hk"
-        store = db.table("hot").column_store(16, db.config.columnar_dictionary_max)
+        store = db.table("hot").column_store(dictionary_max=db.config.columnar_dictionary_max)
         for start, stop in ((0, 40), (40, 90), (10, 20)):
             if start == 10:
                 db.table("hot").truncate()

@@ -1,15 +1,13 @@
-"""Column-space leaf pipelines: storage, zone maps, kernels, parity, integration.
+"""Column-space leaf pipelines: storage, kernels, parity, integration.
 
 The contract under test (DESIGN.md section 9): the batch executor swaps the
 inside of every qualifying leaf pipeline for vectorized NumPy work over
-whole-column arrays cut into page groups, with zone-map scan skipping and late
-materialisation — and it is byte-identical to the row path (the oracle,
-:func:`tests.oracle.row_path`):
-result rows, simulated ``CostBreakdown``, buffer statistics and observed
-statistics, at any page-group size, including across mid-query plan
-switches.  Plus the storage layer it rides on: lazily built, incrementally
-synced ``ColumnStore`` columns, dictionary overflow demotion, and zone-map
-soundness on the edge groups (all-NULL, single-row).
+whole-column arrays with late materialisation — and it is byte-identical
+to the row path (the oracle, :func:`tests.oracle.row_path`): result rows,
+simulated ``CostBreakdown``, buffer statistics and observed statistics, at
+any batch size, including across mid-query plan switches.  Plus the
+storage layer it rides on: lazily built, incrementally synced
+``ColumnStore`` columns and dictionary overflow demotion.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from repro.plans.logical import (
 )
 from repro.stats.histogram import HistogramKind
 from repro.storage import Schema
-from repro.storage.columnar import ColumnStore, ZoneMap, page_groups
+from repro.storage.columnar import page_groups
 from repro.executor.vector import compile_mask_conjuncts
 from repro.workloads.tpcd import ALL_QUERIES
 
@@ -93,31 +91,22 @@ def assert_bit_identical(left, left_ctx, right, right_ctx) -> None:
 
 
 # ----------------------------------------------------------------------
-# Storage: ColumnStore geometry, sync, encodings
+# Storage: ColumnStore sync, encodings; the row scan's page groups
 # ----------------------------------------------------------------------
 
 
-def _make_table(rows, dtypes=None, batch_size=64, dictionary_max=256):
-    db = Database(EngineConfig(batch_size=batch_size))
+def _make_table(rows, dtypes=None, dictionary_max=256):
+    db = Database()
     width = len(rows[0]) if rows else 1
     dtypes = dtypes or [DataType.INTEGER] * width
     db.create_table("t", [(f"c{i}", dtypes[i]) for i in range(width)])
     if rows:
         db.load_rows("t", rows)
     table = db.catalog.table("t")
-    return db, table, table.column_store(batch_size, dictionary_max)
+    return db, table, table.column_store(dictionary_max=dictionary_max)
 
 
 class TestColumnStore:
-    def test_groups_match_page_group_geometry(self):
-        __, table, store = _make_table([(i, i % 5) for i in range(1000)])
-        bounds = page_groups(table, 64)
-        assert [(g.first_page, g.last_page) for g in store.groups] == bounds
-        assert store.groups[0].start_row == 0
-        assert store.groups[-1].end_row == table.row_count
-        for prev, nxt in zip(store.groups, store.groups[1:]):
-            assert prev.end_row == nxt.start_row
-
     @pytest.mark.parametrize("width", [1, 3, 40])
     def test_page_groups_match_the_page_by_page_accumulation(self, width):
         # The definition: whole pages accumulate until batch_size rows are
@@ -148,26 +137,25 @@ class TestColumnStore:
     def test_integer_column_round_trips_exactly(self):
         values = [(-(2**62), 0), (2**62, 1), (17, 2)]
         __, table, store = _make_table(values)
-        group = store.groups[0]
         assert store.encoding(0) == "int64"
-        assert store.values(group, 0).tolist() == [v for v, __ in values]
+        assert store.values(0).tolist() == [v for v, __ in values]
 
     def test_huge_integer_demotes_to_object(self):
         __, __t, store = _make_table([(2**70, 0), (1, 1)])
         assert store.encoding(0) == "object"
-        assert store.values(store.groups[0], 0).tolist() == [2**70, 1]
+        assert store.values(0).tolist() == [2**70, 1]
 
     def test_bool_demotes_to_object(self):
         # bool is an int subclass but int64 storage would turn True into 1,
         # breaking value-level parity with the heap tuples.
         __, __t, store = _make_table([(True, 0), (False, 1)])
         assert store.encoding(0) == "object"
-        assert store.values(store.groups[0], 0).tolist() == [True, False]
+        assert store.values(0).tolist() == [True, False]
 
     def test_null_in_numeric_column_demotes_to_object(self):
         __, __t, store = _make_table([(1, 0), (None, 1), (3, 2)])
         assert store.encoding(0) == "object"
-        assert store.values(store.groups[0], 0).tolist() == [1, None, 3]
+        assert store.values(0).tolist() == [1, None, 3]
 
     def test_string_column_dictionary_encodes(self):
         rows = [(i, ["red", "green", "blue"][i % 3]) for i in range(300)]
@@ -175,12 +163,7 @@ class TestColumnStore:
             rows, dtypes=[DataType.INTEGER, DataType.STRING]
         )
         assert store.encoding(1) == "dict"
-        decoded = [
-            v
-            for group in store.groups
-            for v in store.values(group, 1).tolist()
-        ]
-        assert decoded == [value for __, value in rows]
+        assert store.values(1).tolist() == [value for __, value in rows]
 
     def test_dictionary_overflow_demotes_and_decodes_in_place(self):
         rows = [(i, f"v{i}") for i in range(300)]
@@ -189,25 +172,16 @@ class TestColumnStore:
         )
         assert store.encoding(1) == "object"
         assert store.dictionaries[1] is None
-        decoded = [
-            v
-            for group in store.groups
-            for v in store.values(group, 1).tolist()
-        ]
-        assert decoded == [value for __, value in rows]
+        assert store.values(1).tolist() == [value for __, value in rows]
 
     def test_incremental_sync_keeps_full_group_prefix(self):
         db, table, store = _make_table([(i, 0) for i in range(1000)])
+        prefix = store.array(0)
         version = store.version
-        prefix = [id(g) for g in store.groups[:-1]]
         table.append_rows([(i, 1) for i in range(1000, 1500)])
         assert store.version > version
-        assert [id(g) for g in store.groups[: len(prefix)]] == prefix
-        assert store.groups[-1].end_row == 1500
-        decoded = [
-            v for group in store.groups for v in store.values(group, 0).tolist()
-        ]
-        assert decoded == [row[0] for row in table.rows]
+        assert store.array(0)[:1000].tolist() == prefix.tolist()
+        assert store.values(0).tolist() == [row[0] for row in table.rows]
 
     def test_sync_is_idempotent(self):
         __, table, store = _make_table([(i, 0) for i in range(100)])
@@ -220,61 +194,53 @@ class TestColumnStore:
         __, table, store = _make_table([(2**70, 0)])
         assert store.encoding(0) == "object"
         table.truncate()
-        assert store.groups == []
         assert store.encoding(0) == "int64"
+        assert len(store.array(0)) == 0
 
     def test_store_cached_per_geometry(self):
+        # One store per dictionary budget.
         __, table, store = _make_table([(i, 0) for i in range(100)])
-        assert table.column_store(64) is store
-        assert table.column_store(32) is not store
+        assert table.column_store(dictionary_max=256) is store
+        assert table.column_store(dictionary_max=16) is not store
 
     def test_columns_build_on_first_read_only(self):
         rows = [(i, i % 5, f"s{i % 3}") for i in range(1000)]
         dtypes = [DataType.INTEGER, DataType.INTEGER, DataType.STRING]
         __, __t, store = _make_table(rows, dtypes=dtypes)
-        assert len(store.groups) >= 3
         assert store._built == [False, False, False]
-        assert all(z is None for g in store.groups for z in g.zones)
         version = store.version
-        assert store.values(store.groups[1], 1).tolist() == [
-            row[1] for row in rows[store.groups[1].start_row : store.groups[1].end_row]
-        ]
-        # The whole column, every group, in one build; its neighbours unread.
+        sel = np.arange(300, 600)
+        assert store.values(1, sel).tolist() == [row[1] for row in rows[300:600]]
+        # The whole column in one build; its neighbours unread.
         assert store.version == version + 1
         assert store._built == [False, True, False]
-        for group in store.groups:
-            assert group.zones[1] is not None
-            assert group.zones[0] is None and group.zones[2] is None
-            assert np.shares_memory(store.array(group, 1), store._columns[1])
-        store.values(store.groups[0], 1)
-        store.zone(store.groups[2], 1)
+        assert store._columns[0] is None and store._columns[2] is None
+        assert store.array(1) is store._columns[1]
+        store.values(1)
+        store.dict_codes(1)
         assert store.version == version + 1
 
     def test_unchanged_table_costs_a_row_count_check(self, monkeypatch):
-        from repro.storage import columnar as storage_columnar
-
         __, table, store = _make_table([(i, 0) for i in range(1000)])
         store.encoding(0)
         calls = []
-        real = storage_columnar.page_groups
+        encode = store._encode
         monkeypatch.setattr(
-            storage_columnar, "page_groups",
-            lambda *args: calls.append(args) or real(*args),
+            store, "_encode",
+            lambda *args: calls.append(args) or encode(*args),
         )
         version = store.version
-        assert table.column_store(64) is store
-        assert table.column_store(64) is store
+        assert table.column_store() is store
+        assert table.column_store() is store
         assert calls == [] and store.version == version
         table.append_rows([(1000, 1)])
-        assert len(calls) == 1 and store.version == version + 1
+        assert calls == [(0, 1000)] and store.version == version + 1
 
     def test_append_extends_only_tail_groups_of_built_columns(self, monkeypatch):
         rows = [(i, i % 7, float(i)) for i in range(1000)]
         dtypes = [DataType.INTEGER, DataType.INTEGER, DataType.FLOAT]
         __, table, store = _make_table(rows, dtypes=dtypes)
         store.encoding(1)
-        kept = [(id(g), id(g.zones[1])) for g in store.groups[:-1]]
-        tail = store.groups[-1].start_row
         encoded = []
         encode_as = store._encode_as
         monkeypatch.setattr(
@@ -283,36 +249,25 @@ class TestColumnStore:
             or encode_as(kind, position, values),
         )
         table.append_rows([(i, i % 7, float(i)) for i in range(1000, 1300)])
-        # Only the built column, only from the previously-partial group on.
-        assert encoded == [
-            (1, g.row_count) for g in store.groups if g.start_row >= tail
-        ]
-        assert sum(n for __, n in encoded) == 1300 - tail
-        assert [(id(g), id(g.zones[1])) for g in store.groups[: len(kept)]] == kept
-        assert store.groups[-1].end_row == 1300
+        # Only the built column, only the appended rows.
+        assert encoded == [(1, 300)]
         assert store._built == [False, True, False]
-        for group in store.groups:
-            assert np.shares_memory(store.array(group, 1), store._columns[1])
-            assert group.zones[0] is None and group.zones[2] is None
-        decoded = [v for g in store.groups for v in store.values(g, 1).tolist()]
-        assert decoded == [row[1] for row in table.rows]
+        assert store._columns[0] is None and store._columns[2] is None
+        assert store.values(1).tolist() == [row[1] for row in table.rows]
 
     def test_integers_that_fit_store_as_int32_and_widen_on_append(self):
         __, table, store = _make_table([(i, 0) for i in range(1000)])
-        assert store.array(store.groups[0], 0).dtype == np.int32
+        assert store.array(0).dtype == np.int32
         assert store.encoding(0) == "int64"
-        table.append_rows([(2**40, 1)])  # outgrows int32 in the tail group
-        assert {store.array(g, 0).dtype for g in store.groups} == {
-            np.dtype(np.int64)
-        }
-        decoded = [v for g in store.groups for v in store.values(g, 0).tolist()]
-        assert decoded == [row[0] for row in table.rows]
-        # A column that never fit is int64 from its first group on.
+        table.append_rows([(2**40, 1)])  # outgrows int32 in the appended row
+        assert store.array(0).dtype == np.int64
+        assert store.values(0).tolist() == [row[0] for row in table.rows]
+        # A column that never fit is int64 from the start.
         __, __t, wide = _make_table([(2**40 + i, 0) for i in range(300)])
-        assert wide.array(wide.groups[-1], 0).dtype == np.int64
+        assert wide.array(0).dtype == np.int64
 
     def test_lazy_build_order_equals_eager_build(self):
-        # Column 0 demotes to object in a late group (NULL), column 1's
+        # Column 0 demotes to object late (a NULL), column 1's
         # dictionary overflows mid-build, column 2 outgrows int32 late,
         # column 3 is a float with a stray bool.  Whichever column is read
         # first, and whether the appends land before or after the reads,
@@ -340,9 +295,8 @@ class TestColumnStore:
                     store.encoding(c),
                     None if store.dictionaries[c] is None
                     else list(store.dictionaries[c].values),
-                    [store.array(g, c).dtype for g in store.groups],
-                    [store.array(g, c).tolist() for g in store.groups],
-                    [repr(store.zone(g, c)) for g in store.groups],
+                    store.array(c).dtype,
+                    store.array(c).tolist(),
                 )
                 for c in range(5)
             ]
@@ -378,7 +332,7 @@ class TestColumnStore:
         def touch():
             try:
                 barrier.wait(timeout=10)
-                seen.append(store.values(store.groups[-1], 1).tolist())
+                seen.append(store.values(1, np.arange(19_000, 20_000)).tolist())
             except Exception as exc:  # pragma: no cover - reported below
                 errors.append(exc)
 
@@ -394,49 +348,7 @@ class TestColumnStore:
             sys.setswitchinterval(interval)
         assert not errors and not any(t.is_alive() for t in threads)
         assert store.version == version + 1  # one build, not eight
-        last = store.groups[-1]
-        assert seen == [[i % 9 for i in range(last.start_row, last.end_row)]] * 8
-
-
-class TestZoneMaps:
-    def test_zone_maps_exact_min_max(self):
-        __, __t, store = _make_table([(i, i % 7) for i in range(1000)])
-        for group in store.groups:
-            zone = store.zone(group, 0)
-            assert zone.min_value == group.start_row
-            assert zone.max_value == group.end_row - 1
-            assert zone.null_count == 0
-            assert zone.row_count == group.row_count
-
-    def test_all_null_group(self):
-        __, __t, store = _make_table([(None, i) for i in range(10)])
-        zone = store.zone(store.groups[0], 0)
-        assert zone.all_null
-        assert zone.min_value is None and zone.max_value is None
-        assert zone.null_count == zone.row_count == 10
-
-    def test_single_row_groups(self):
-        # batch_size 1: every page is its own group, and a table one row
-        # past a page boundary ends in a genuine single-row group.
-        table_rows = 257  # one row past a 256-row page boundary
-        __, table, store = _make_table(
-            [(i, 0) for i in range(table_rows)], batch_size=1
-        )
-        assert len(store.groups) == table.page_count == 2
-        last = store.groups[-1]
-        assert last.row_count == 1
-        zone = store.zone(last, 0)
-        assert zone.min_value == zone.max_value == table_rows - 1
-        assert zone.row_count == 1
-        for group in store.groups:
-            zone = store.zone(group, 0)
-            assert zone.min_value == group.start_row
-            assert zone.max_value == group.end_row - 1
-
-    def test_maintained_across_appends(self):
-        __, table, store = _make_table([(i, 0) for i in range(100)])
-        table.append_rows([(1_000_000, 0)])
-        assert store.zone(store.groups[-1], 0).max_value == 1_000_000
+        assert seen == [[i % 9 for i in range(19_000, 20_000)]] * 8
 
 
 # ----------------------------------------------------------------------
@@ -657,12 +569,12 @@ class TestColumnarParity:
 
 
 # ----------------------------------------------------------------------
-# Zone-map skipping behaviour
+# Clustered, NULL-, NaN- and short-circuit-sensitive scans
 # ----------------------------------------------------------------------
 
 
 def _clustered_db(batch_size=64, rows=2000) -> Database:
-    """A table clustered on k, so k-range predicates prune page groups."""
+    """A table clustered on k: a k-range predicate selects a few pages."""
     db = Database(EngineConfig(batch_size=batch_size))
     db.create_table(
         "t", [("k", DataType.INTEGER), ("v", DataType.INTEGER)], key=["k"]
@@ -673,18 +585,9 @@ def _clustered_db(batch_size=64, rows=2000) -> Database:
 
 
 class TestZoneMapSkipping:
-    def test_clustered_range_predicate_skips_groups(self):
-        db = _clustered_db()
-        result = db.execute("SELECT k, v FROM t WHERE k < 100")
-        profile = result.profile
-        assert profile.columnar_pipelines >= 1
-        assert profile.zone_map_skips > 0
-        assert profile.zone_map_pages_skipped > 0
-        assert profile.zone_map_by_scan
-        (per_scan,) = profile.zone_map_by_scan.values()
-        assert per_scan["table"] == "t"
-        assert per_scan["groups_skipped"] == profile.zone_map_skips
-        assert sorted(result.rows) == [(i, i % 17) for i in range(100)]
+    """Scans a vectorized kernel could get wrong — clustered ranges,
+    NULL- and NaN-bearing columns, conjuncts that must not reach rows an
+    earlier one excluded — held to the row path."""
 
     def test_charge_mode_is_cost_identical_to_batch(self):
         db = _clustered_db()
@@ -692,14 +595,11 @@ class TestZoneMapSkipping:
         plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
         row_result, row_ctx = dispatch_rows(db, plan)
         col_result, col_ctx = dispatch(db, plan)
-        assert col_ctx.columnar.groups_skipped > 0
         assert_bit_identical(col_result, col_ctx, row_result, row_ctx)
 
     def test_groups_with_nulls_never_skip_and_error_parity(self):
         # A NULL comparison raises on the serial path when the row is
-        # reached; skipping a NULL-bearing group would mask that error, so
-        # such groups never skip — and the column kernels raise the same
-        # TypeError the row path raises.
+        # reached; the column kernels raise the same TypeError.
         db = Database(EngineConfig(batch_size=8))
         db.create_table("t", [("k", DataType.INTEGER), ("v", DataType.INTEGER)])
         db.load_rows("t", [(i if i % 8 else None, i) for i in range(2048)])
@@ -716,7 +616,7 @@ class TestZoneMapSkipping:
         # serial path completes without touching the NULLs and the
         # column kernels must do the same: k demoted to the object
         # encoding, so the second conjunct waits for the selection to
-        # narrow instead of evaluating over the whole group.
+        # narrow instead of evaluating over the whole column.
         db = Database(EngineConfig(batch_size=8))
         db.create_table("t", [("k", DataType.INTEGER), ("v", DataType.INTEGER)])
         db.load_rows(
@@ -742,9 +642,8 @@ class TestZoneMapSkipping:
             )
 
     def test_nan_in_an_object_column_bounds_prove_nothing(self):
-        # The int 7 sends the FLOAT column to objects; the group holding
-        # the NaN must get NaN bounds, or `f <> 5.0` would skip the NaN
-        # row it selects.
+        # The int 7 sends the FLOAT column to objects; `f <> 5.0` must
+        # select the NaN row, as the row path does.
         db = Database(EngineConfig(batch_size=64))
         db.create_table("t", [("k", DataType.INTEGER), ("f", DataType.FLOAT)])
         rows = [(i, 7 if i == 0 else 5.0) for i in range(600)]
@@ -753,26 +652,18 @@ class TestZoneMapSkipping:
         db.analyze()
         sql = "SELECT t.k FROM t WHERE t.f <> 5.0"
         batch = db.execute(sql)
-        assert batch.profile.zone_map_skips > 0
         with row_path():
             assert batch.rows == db.execute(sql).rows
         assert batch.rows == [(0,), (400,)]
 
-    def test_in_list_predicate_skips(self):
-        db = _clustered_db()
-        result = db.execute("SELECT v FROM t WHERE k IN (3, 5, 7)")
-        assert result.profile.zone_map_skips > 0
-        assert sorted(result.rows) == [(3 % 17,), (5 % 17,), (7 % 17,)]
-
     def test_page_per_group_geometry_skips_and_matches(self):
-        # batch_size 1 degenerates every page group to a single page.
+        # batch_size 1: the row scan yields one page a batch.
         db = _clustered_db(batch_size=1, rows=2000)
         plan, __scia, __opt = db.plan(
             "SELECT k FROM t WHERE k = 25", mode=DynamicMode.FULL
         )
         row_result, row_ctx = dispatch_rows(db, plan)
         col_result, col_ctx = dispatch(db, plan)
-        assert col_ctx.columnar.groups_skipped > 0
         assert_bit_identical(col_result, col_ctx, row_result, row_ctx)
 
 
@@ -806,7 +697,7 @@ class TestLateMaterialisation:
             "lineitem": {
                 "table": "lineitem", "kernel": "column", "reason": None,
                 "rows_scanned": 59963, "rows_selected": selected,
-                "rows_materialised": 0, "passes": 1,
+                "rows_materialised": 0,
             }
         }
 
@@ -848,14 +739,11 @@ class TestEngineIntegration:
         db = _clustered_db()
         result = db.execute("SELECT k FROM t WHERE k < 100")
         profile = result.profile
-        assert profile.columnar_pipelines >= 1
-        assert profile.zone_map_groups_read >= 1
-        assert "columnar: pipelines=" in profile.summary()
+        assert profile.columnar_pipelines == 1
         assert "leaf pipelines: column=1 row=0" in profile.summary()
         with row_path():
             row = db.execute("SELECT k FROM t WHERE k < 100")
         assert row.profile.columnar_pipelines == 0
-        assert row.profile.zone_map_skips == 0
         assert row.profile.leaf_pipelines == {}
 
     def test_keyed_pipelines_feed_joins_and_aggregates(self, two_table_db):
@@ -877,9 +765,6 @@ class TestEngineIntegration:
         db.execute("SELECT k FROM t WHERE k < 64")
         snap = registry.snapshot()
         assert snap["columnar.pipelines"]["value"] >= 1
-        assert snap["columnar.zone_map.groups_skipped"]["value"] >= 1
-        assert snap["columnar.zone_map.pages_skipped"]["value"] >= 1
-        assert snap["columnar.zone_map.groups_read"]["value"] >= 1
         assert snap["leaf.column_pipelines"]["value"] == 1
         assert snap["leaf.rows_scanned"]["value"] == 2000
         assert snap["leaf.rows_selected"]["value"] == 64
@@ -893,15 +778,7 @@ class TestEngineIntegration:
             "leaf pipeline: column kernels, 2000 rows scanned, "
             "100 selected, 100 materialised"
         ) in rendered
-        assert "zone maps: skipped" in rendered
-        assert "page groups" in rendered
-        scans = [
-            n
-            for plan in report.plans
-            for n in plan.nodes
-            if n.zone_map is not None
-        ]
-        assert scans and scans[0].zone_map["groups_skipped"] >= 1
+        assert "zone maps" not in rendered
 
     def test_env_and_validation(self):
         # There is one executor: column kernels are its own choice, every

@@ -4,12 +4,15 @@ The deparser is load-bearing in two places: mid-query re-optimization
 round-trips the remainder query through SQL text (paper section 2.4), and
 the plan cache keys exact entries by the deparsed bound query — so the
 deparsed text must itself parse, bind to an equivalent query, and deparse
-to byte-identical text.
+to byte-identical text.  For the remainder the round trip is a no-op: the
+re-bound query equals the one ``build_remainder`` returned.
 """
 
 import pytest
 
-from repro import Database
+from repro import Database, DynamicMode
+from repro.bench import ExperimentConfig, build_database
+from repro.core import reoptimizer
 from repro.sql.binder import bind
 from repro.sql.deparser import deparse
 from repro.sql.parser import parse
@@ -19,6 +22,7 @@ from repro.workloads.synthetic import (
     build_running_example,
 )
 from repro.workloads.tpcd import ALL_QUERIES, TpcdConfig, generate_tpcd
+from repro.workloads.tpcd.datagen import CatalogProfile
 
 from .conftest import make_two_table_db
 
@@ -78,3 +82,35 @@ class TestParameterRoundTrips:
             db, RUNNING_EXAMPLE_SQL, params={"value1": 50, "value2": 50}
         )
         assert once == twice
+
+
+class TestRemainderRoundTrips:
+    @pytest.mark.parametrize("seed", [7, 31])
+    @pytest.mark.parametrize("catalog", list(CatalogProfile), ids=lambda c: c.value)
+    def test_remainder_equals_its_rebound_sql(self, monkeypatch, catalog, seed):
+        # What a switch re-binds from the remainder's SQL text is the bound
+        # query build_remainder handed it.
+        built, checked = [], []
+
+        def recording_build(*args):
+            remainder = reoptimizer_build(*args)
+            built.append(remainder.query)
+            return remainder
+
+        def checking_bind(*args, **kwargs):
+            rebound = reoptimizer_bind(*args, **kwargs)
+            checked.append(rebound == built[-1])
+            return rebound
+
+        reoptimizer_build = reoptimizer.build_remainder
+        reoptimizer_bind = reoptimizer.bind
+        monkeypatch.setattr(reoptimizer, "build_remainder", recording_build)
+        monkeypatch.setattr(reoptimizer, "bind", checking_bind)
+        db = build_database(
+            ExperimentConfig(
+                scale_factor=0.01, memory_pages=192, catalog=catalog, seed=seed
+            )
+        )
+        for query in ALL_QUERIES:
+            db.execute(query.sql, mode=DynamicMode.FULL)
+        assert checked and all(checked) and len(checked) == len(built)

@@ -5,6 +5,11 @@ import pytest
 from repro import Database, DataType, DynamicMode, EngineConfig
 from repro.errors import BindError, CatalogError, ConfigError
 from repro.storage import Column, Schema
+from repro.workloads.synthetic import (
+    RUNNING_EXAMPLE_SQL,
+    SyntheticConfig,
+    build_running_example,
+)
 
 from .conftest import make_two_table_db
 
@@ -102,6 +107,24 @@ class TestExecute:
         )
         expected = sum(1 for row in two_table_db.table("r1").rows if row[1] + 1 == 5)
         assert result.rows[0][0] == expected
+
+    def test_udf_in_a_switched_remainder(self):
+        # The remainder is re-bound from its SQL text after a switch, so the
+        # session's UDFs must reach that bind too.
+        db = Database()
+        build_running_example(
+            db, SyntheticConfig(rel1_rows=20_000, rel3_rows=60_000, correlation=1.0)
+        )
+        db.register_udf("ident", lambda x: x)
+        sql = RUNNING_EXAMPLE_SQL.replace(
+            "avg(rel1.selectattr2)", "avg(ident(rel3.joinattr3))"
+        )
+        params = {"value1": 80, "value2": 80}
+        full = db.execute(sql, params=params, mode=DynamicMode.FULL)
+        assert full.profile.plan_switches == 1
+        assert "ident(" in full.profile.remainder_sqls[0]
+        off = db.execute(sql, params=params, mode=DynamicMode.OFF)
+        assert sorted(full.rows) == sorted(off.rows)
 
     def test_executions_are_deterministic(self, two_table_db):
         sql = "SELECT r1.a, sum(r2.c) s FROM r1, r2 WHERE r1.id = r2.r1_id GROUP BY r1.a"

@@ -89,7 +89,7 @@ def test_heap_lanes_are_pythons_hash(case, data):
     db.create_table("h", [(f"c{i}", _KINDS[k][0]) for i, k in enumerate(kinds)])
     db.load_rows("h", rows)
     table = db.table("h")
-    store = table.column_store(8, 4)
+    store = table.column_store(dictionary_max=4)
     heap = as_chunk(table.rows, len(kinds), heap=store)
     for chunk in (heap, heap.take(ids_into(data.draw, rows, data.draw(st.integers(0, 50))))):
         assert chunk.hashes(positions).tolist() == expected(chunk, positions)

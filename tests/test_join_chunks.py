@@ -48,6 +48,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Database, DataType, DynamicMode, EngineConfig
+from repro.executor import batch as batch_executor
 from repro.executor.agg_kernels import ProbeIndex
 from repro.executor.chunk import Chunk, as_chunk, typed
 from repro.executor.dispatcher import Dispatcher
@@ -202,7 +203,7 @@ def heap_of(rows, width) -> Chunk:
     columns = [Column(f"c{i}", DataType.INTEGER) for i in range(width)]
     table = Table("h", Schema(columns), 4096)
     table.append_rows(rows)
-    return as_chunk(table.rows, width, heap=table.column_store(4))
+    return as_chunk(table.rows, width, heap=table.column_store())
 
 
 def ids_into(draw, rows, length):
@@ -232,7 +233,7 @@ def assert_reads_as(chunk: Chunk, expect: list[tuple]) -> None:
             at = [len(expect) - 1, 0]
             assert chunk.values(position, at) == [want[-1], want[0]]
     assert chunk.rows() == expect
-    assert list(chunk) == expect and chunk[:2] == expect[:2]
+    assert list(chunk) == expect and chunk[:2].rows() == expect[:2]
 
 
 class TestChunkComposition:
@@ -292,6 +293,31 @@ class TestChunkComposition:
         assert taken.ids[0].tolist() == [4, 0, 4]
         assert taken.rows() == [rows[4], rows[0], rows[4]]
         assert all(got is want for got, want in zip(taken.rows(), [rows[4], rows[0]]))
+
+    def test_slice_of_a_built_chunk_runs_the_mask_residual(self):
+        db = Database()
+        for name in ("a", "b"):
+            db.create_table(name, [("k", DataType.INTEGER), ("x", DataType.INTEGER)])
+            db.load_rows(name, [(i % 3, i) for i in range(12)])
+        db.analyze()
+        sql = "SELECT a.k k, b.x x FROM a, b WHERE a.k = b.k AND a.x < b.x"
+        with forced_joins(HashJoinNode):
+            plan, __s, __o = db.plan(sql, mode=DynamicMode.OFF)
+        join = next(n for n in plan.walk() if isinstance(n, HashJoinNode))
+        residual = batch_executor._chunk_kernel(join, join.residual)
+        left, right = (db.table(side.table_name).rows for side in join.children)
+        pairs = [(i, j) for i in range(12) for j in range(12) if i % 3 == j % 3]
+        stats = {"rows_materialised": 0}
+        chunk = Chunk.join(
+            as_chunk(left, 2), np.asarray([i for i, __ in pairs]),
+            as_chunk(right, 2), np.asarray([j for __, j in pairs]), stats,
+        )
+        rows = chunk.rows()
+        part = chunk[5:]
+        assert type(part) is Chunk and part.rows() == rows[5:]
+        assert stats["rows_materialised"] == len(pairs)  # built once
+        ax, bx = (join.schema.index_of(c) for c in ("a.x", "b.x"))
+        assert residual(part).rows() == [r for r in rows[5:] if r[ax] < r[bx]]
 
 
 # ----------------------------------------------------------------------

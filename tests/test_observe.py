@@ -452,6 +452,7 @@ class TestTracedPlanSwitch:
         traced_switch.profile.trace.export_chrome(str(path))
         document = json.loads(path.read_text())
         assert validate_trace(document) == []
+        assert validate_main([str(path)]) == 0
 
     def test_switch_decision_event_carries_estimate_delta(self, traced_switch):
         doc = traced_switch.profile.trace.to_chrome()

@@ -1,10 +1,10 @@
-"""Zone-map observations and the mid-query switch under the batch path.
+"""Scan observations and the mid-query switch under the batch path.
 
 The module name is historical: there is no parallel executor (DESIGN.md
 section 8).  What it tests stays: a leaf pipeline runs in column space on
-the batch path and stays bit-identical to the row path, zone-map skips
-count as exact cardinality observations, and the running example
-plan-switches in FULL mode on the batch path.
+the batch path and stays bit-identical to the row path, its scan counts
+every row it read as an exact cardinality observation, and the running
+example plan-switches in FULL mode on the batch path.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def plan_for(db: Database, sql: str):
 
 class TestColumnarMorsels:
     """One leaf pipeline, two executors: the batch executor runs it in
-    column space (zone maps included), the row executor tuple by tuple."""
+    column space, the row executor tuple by tuple."""
 
     def test_charge_mode_parity_vs_batch_and_serial(self):
         db = _clustered_db(rows=4000)
@@ -51,47 +51,44 @@ class TestColumnarMorsels:
         batch_result, batch_ctx = dispatch(db, plan)
         serial_result, serial_ctx = dispatch_rows(db, plan)
         assert batch_ctx.columnar.pipelines == 1
-        assert batch_ctx.columnar.groups_skipped > 0
         assert serial_ctx.columnar.leaf == {}
         assert_bit_identical(serial_result, serial_ctx, batch_result, batch_ctx)
 
 
 # ----------------------------------------------------------------------
-# Zone-map skips as exact free observations (SCIA / EXPLAIN ANALYZE)
+# Column scans as exact observations (EXPLAIN ANALYZE)
 # ----------------------------------------------------------------------
 
 
 class TestZoneMapObservations:
     def test_scan_actuals_include_skipped_rows(self):
-        # A zone-map skip is an exact cardinality observation: the scan's
-        # actual rows must count skipped groups, so Q-error never reads
-        # pruning as a cardinality miss.
+        # A column scan's actual rows are every row it read, rows its
+        # filter rejects included, so Q-error never reads a selective
+        # filter as a cardinality miss.
         db = _clustered_db(rows=4000)
         report = db.explain_analyze(FILTER_SQL)
-        assert report.result.profile.zone_map_skips > 0
         scan = next(
             node
             for plan in report.plans
             for node in plan.nodes
-            if node.zone_map is not None
+            if node.leaf_pipeline is not None
         )
-        assert scan.zone_map["rows_skipped"] > 0
+        assert scan.leaf_pipeline["kernel"] == "column"
         table_rows = len(db.catalog.table("t").rows)
-        assert scan.actual_rows == table_rows
+        assert scan.actual_rows == scan.leaf_pipeline["rows_scanned"] == table_rows
         assert scan.rows_q_error == pytest.approx(1.0, abs=0.05)
-        assert f"{scan.zone_map['rows_skipped']} rows" in report.render()
+        assert f"{table_rows} rows scanned, 1200 selected" in report.render()
 
     def test_by_scan_counts_rows_in_both_modes(self):
-        # Both hand-off modes: survivors materialised as row batches, and
-        # runs a vectorized aggregate consumes in column space.
+        # Both hand-off modes: survivors handed on as a chunk, and a
+        # selection a vectorized aggregate consumes in column space.
         db = _clustered_db(rows=4000)
         aggregate_sql = "SELECT count(*) n, sum(v) s FROM t WHERE k < 1200"
         for sql, keyed in ((FILTER_SQL, 0), (aggregate_sql, 1)):
             __result, ctx = dispatch(db, plan_for(db, sql))
             assert ctx.columnar.keyed_pipelines == keyed
-            (per_scan,) = ctx.columnar.by_scan.values()
-            assert per_scan["rows_skipped"] > 0
-            assert per_scan["rows_skipped"] == ctx.columnar.rows_skipped
+            (record,) = ctx.columnar.leaf.values()
+            assert (record["rows_scanned"], record["rows_selected"]) == (4000, 1200)
 
 
 # ----------------------------------------------------------------------

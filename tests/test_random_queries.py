@@ -277,14 +277,13 @@ class TestColumnKernelsAgainstRowPath:
     def test_encodings_change_under_running_queries(self, seed, odd):
         pytest.importorskip("numpy")
         db, rng = build_wide_db(seed)
-        store = db.table("f").column_store(64, 8)
-        assert len(store.groups) >= 3
+        store = db.table("f").column_store(dictionary_max=8)
         for sql in wide_queries(rng):
             assert_matches_row_path(db, sql)
         late, big, s = (db.table("f").schema.index_of(c) for c in ("late", "big", "s"))
         assert not store._built[late]
         assert store.encodings[s] == "dict"
-        assert {store.array(g, big).dtype.name for g in store.groups} == {"int32"}
+        assert store.array(big).dtype.name == "int32"
         # Appends: ``late`` meets a value int64 cannot hold exactly (before
         # it was ever read), ``s`` overflows its dictionary mid-column and
         # ``big`` outgrows int32.
@@ -294,7 +293,7 @@ class TestColumnKernelsAgainstRowPath:
             assert_matches_row_path(db, sql)
         assert store.encodings[late] == "object"
         assert store.encodings[big] == "int64"
-        assert {store.array(g, big).dtype.name for g in store.groups} == {"int64"}
+        assert store.array(big).dtype.name == "int64"
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=15, deadline=None)
@@ -360,7 +359,7 @@ class TestColumnKernelsAgainstRowPath:
         db, __ = build_wide_db(
             11, EngineConfig(batch_size=64, max_sessions=2)
         )
-        store = db.table("f").column_store(64, db.config.columnar_dictionary_max)
+        store = db.table("f").column_store(dictionary_max=db.config.columnar_dictionary_max)
         assert not any(store._built)
         version = store.version
         sql = "SELECT f.fk g, sum(f.w) sw, count(*) n FROM f WHERE f.v < 9 GROUP BY f.fk"

@@ -1,11 +1,9 @@
-"""Leaf pipelines make one kernel pass per run of page groups.
+"""Leaf pipelines make one kernel pass over whole stored columns.
 
-The column store holds whole columns and a page group is a slice of them,
-so a leaf pipeline masks, materialises and hands over once per *run* — a
-maximal stretch of consecutive groups the zone maps do not skip — instead
-of once per group.  Under test: a scan with no skip is one pass on every
-paper query; a table whose zone maps skip alternate groups splits into
-runs and stays bit-identical to the row path; and the column-space
+The column store holds whole columns, so a leaf pipeline masks,
+materialises and hands over once per scan.  Under test: every column scan
+of the paper queries reads every stored row of its table; a table striped
+page by page stays bit-identical to the row path; and the column-space
 multi-key aggregate keeps each group's first row's key values.
 """
 
@@ -40,33 +38,30 @@ class TestOnePassPerScan:
             result = paper_db.execute(query.sql, mode=mode)
             for record in result.profile.leaf_pipelines.values():
                 if record["kernel"] == "column":
-                    assert record["passes"] == 1, (query.name, record)
+                    table = paper_db.table(record["table"])
+                    assert record["rows_scanned"] == table.row_count, query.name
                     scans += 1
         assert scans >= len(ALL_QUERIES)
-
 
     def test_groups_and_numeric_read_the_one_stored_column(self, paper_db):
         table = paper_db.table("lineitem")
         store = table.column_store(
-            paper_db.config.batch_size, paper_db.config.columnar_dictionary_max
+            dictionary_max=paper_db.config.columnar_dictionary_max
         )
         column = table.schema.index_of("l_quantity")
-        assert store.exact(column)[0] is store.column(column)
-        for group in store.groups:
-            view = store.array(group, column)
-            assert view.base is store.column(column)
-            assert len(view) == group.row_count
+        assert store.exact(column)[0] is store.array(column)
+        assert len(store.array(column)) == table.row_count
 
 
 # ----------------------------------------------------------------------
-# Runs split by zone-map skips
+# Striped data
 # ----------------------------------------------------------------------
 
 
-def _striped_db(**config) -> tuple[Database, int]:
-    """``t(k, v)`` at ``batch_size=8``, one page per group, with ``v`` 0 on
-    even pages and 1 on odd ones: ``v = 0`` skips every other group."""
-    db = Database(EngineConfig(batch_size=BATCH, **config))
+def _striped_db() -> Database:
+    """``t(k, v)`` at ``batch_size=8``, one page per row-scan batch, with
+    ``v`` 0 on even pages and 1 on odd ones."""
+    db = Database(EngineConfig(batch_size=BATCH))
     db.create_table("t", [("k", DataType.INTEGER), ("v", DataType.INTEGER)])
     db.create_table("u", [("k", DataType.INTEGER), ("w", DataType.INTEGER)])
     per_page = db.catalog.table("t").rows_per_page
@@ -75,7 +70,7 @@ def _striped_db(**config) -> tuple[Database, int]:
     db.load_rows("t", [(i, (i // per_page) % 2) for i in range(pages * per_page)])
     db.load_rows("u", [(i * 7, i % 5) for i in range(400)])
     db.analyze()
-    return db, pages
+    return db
 
 
 STRIPED_SQL = [
@@ -87,9 +82,12 @@ STRIPED_SQL = [
 
 
 class TestRunsSplitBySkips:
+    """Data whose selected rows alternate page by page, as a range
+    predicate's do when the table is clustered on another column."""
+
     @pytest.mark.parametrize("sql", STRIPED_SQL)
     def test_charge_mode_is_bit_identical_to_row_path(self, sql):
-        db, pages = _striped_db()
+        db = _striped_db()
         plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
         row, row_ctx = dispatch_rows(db, plan)
         col, col_ctx = dispatch(db, plan)
@@ -103,23 +101,7 @@ class TestRunsSplitBySkips:
         )
         record = col_ctx.columnar.leaf[scan_id]
         assert record["kernel"] == "column"
-        assert record["passes"] == (pages + 1) // 2  # the even pages
         assert record["rows_scanned"] == row_ctx.actual_rows[scan_id]
-        per_scan = col_ctx.columnar.by_scan[scan_id]
-        assert per_scan["groups_read"] == (pages + 1) // 2
-        assert per_scan["groups_skipped"] == pages // 2
-
-    def test_explain_and_trace_show_the_pass_count(self):
-        db, pages = _striped_db(tracing=True)
-        report = db.explain_analyze(STRIPED_SQL[0])
-        assert f"materialised, {(pages + 1) // 2} passes" in report.render()
-        spans = [
-            event
-            for event in report.result.profile.trace.to_chrome()["traceEvents"]
-            if event.get("name", "").startswith("columnar-pipeline-")
-            and "runs" in event.get("args", {})
-        ]
-        assert [event["args"]["runs"] for event in spans] == [(pages + 1) // 2]
 
 
 # ----------------------------------------------------------------------
