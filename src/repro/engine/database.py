@@ -643,11 +643,6 @@ class Database:
             ),
             plan_cache_hit=prepared.cache_hit,
             plan_cache_miss=prepared.cache_miss,
-            columnar_pipelines=ctx.columnar.pipelines,
-            columnar_keyed_pipelines=ctx.columnar.keyed_pipelines,
-            leaf_pipelines=ctx.columnar.leaf_pipelines(ctx.actual_rows),
-            vectorized_agg_pipelines=ctx.vector.agg_pipelines,
-            vectorized_probe_pipelines=ctx.vector.probe_pipelines,
             rows_folded=ctx.vector.rows_folded,
             join_matches=ctx.vector.join_total("matches"),
             join_rows_materialised=ctx.vector.join_total("rows_materialised"),
@@ -715,15 +710,6 @@ class Database:
         m.counter("reoptimizer.plan_switches").inc(ctx.switches)
         m.counter("reoptimizer.memory_reallocations").inc(ctx.reallocations)
         m.counter("reoptimizer.collectors_inserted").inc(profile.collectors_inserted)
-        m.counter("columnar.pipelines").inc(ctx.columnar.pipelines)
-        m.counter("columnar.keyed_pipelines").inc(ctx.columnar.keyed_pipelines)
-        for record in profile.leaf_pipelines.values():
-            m.counter(f"leaf.{record['kernel']}_pipelines").inc()
-            m.counter("leaf.rows_scanned").inc(record["rows_scanned"])
-            m.counter("leaf.rows_selected").inc(record["rows_selected"])
-            m.counter("leaf.rows_materialised").inc(record["rows_materialised"])
-        m.counter("vector.agg_pipelines").inc(ctx.vector.agg_pipelines)
-        m.counter("vector.probe_pipelines").inc(ctx.vector.probe_pipelines)
         m.counter("vector.rows_folded").inc(ctx.vector.rows_folded)
         m.counter("join.matches").inc(profile.join_matches)
         m.counter("join.rows_materialised").inc(profile.join_rows_materialised)

@@ -110,30 +110,10 @@ class ExecutionProfile:
     sketch_values_hashed: int = 0
     minmax_columns_tracked: int = 0
     minmax_python_columns: int = 0
-    #: Leaf-pipeline telemetry (batch execution; zero/empty on the row
-    #: path).  ``leaf_pipelines`` has one record per leaf pipeline,
-    #: keyed by scan node id: ``kernel`` (``"column"`` / ``"row"``), the
-    #: ``reason`` a pipeline stayed on the row kernels (temporary table,
-    #: predicate without a kernel, no filter; None for column),
-    #: ``rows_scanned``, ``rows_selected`` (rows leaving the pipeline),
-    #: ``rows_materialised`` — the row tuples actually built, which late
-    #: materialisation keeps at the rows a row-oriented operator received
-    #: (0 under a vectorized aggregate, the matched rows under a
-    #: vectorized join probe).  ``columnar_pipelines`` counts the leaf
-    #: pipelines that ran in column space (``columnar_keyed_pipelines`` of
-    #: them feeding join-probe/aggregate key extraction).
-    leaf_pipelines: dict[int, dict] = field(default_factory=dict)
-    columnar_pipelines: int = 0
-    columnar_keyed_pipelines: int = 0
-    #: Vectorized-kernel telemetry.  ``vectorized_agg_pipelines`` counts
-    #: aggregates folded by the NumPy group-by kernels over column-space
-    #: pipelines,
-    #: ``vectorized_probe_pipelines`` hash-join probe sides read in column
-    #: space, ``rows_folded`` the input rows those aggregate folds consumed,
-    #: ``join_matches`` the rows the joins emitted (as row-id chunks) and
-    #: ``join_rows_materialised`` the tuples built from those chunks.
-    vectorized_agg_pipelines: int = 0
-    vectorized_probe_pipelines: int = 0
+    #: Executor telemetry.  ``rows_folded`` counts the input rows the hash
+    #: aggregates folded, ``join_matches`` the rows the joins emitted (as
+    #: row-id chunks) and ``join_rows_materialised`` the tuples built from
+    #: those chunks.
     rows_folded: int = 0
     join_matches: int = 0
     join_rows_materialised: int = 0
@@ -190,22 +170,6 @@ class ExecutionProfile:
             f"cache={'hit' if self.plan_cache_hit else 'miss'}"
             + (f"({self.plan_cache_miss})" if self.plan_cache_miss else ""),
         ]
-        if self.leaf_pipelines:
-            records = self.leaf_pipelines.values()
-            lines.append(
-                f"leaf pipelines: column={self.columnar_pipelines} "
-                f"row={sum(1 for r in records if r['kernel'] == 'row')} "
-                f"rows scanned/selected/materialised="
-                f"{sum(r['rows_scanned'] for r in records)}/"
-                f"{sum(r['rows_selected'] for r in records)}/"
-                f"{sum(r['rows_materialised'] for r in records)}"
-            )
-        if self.vectorized_agg_pipelines or self.vectorized_probe_pipelines:
-            lines.append(
-                f"vectorized: agg pipelines={self.vectorized_agg_pipelines} "
-                f"probe pipelines={self.vectorized_probe_pipelines} "
-                f"rows folded={self.rows_folded}"
-            )
         if self.join_matches:
             lines.append(
                 f"joins: matches={self.join_matches} "

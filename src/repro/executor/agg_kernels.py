@@ -1,9 +1,11 @@
 """Vectorized group-by folding and join-probe kernels (NumPy).
 
-The kernels the column-space leaf pipelines (:mod:`repro.executor.columnar`)
-fold aggregates and probe hash joins with, under the engine's unconditional
+The kernels the hash aggregate folds with and the hash join probes with
+(:mod:`repro.executor.batch`), under the engine's unconditional
 bit-parity contract: every result byte — including float64 SUM/AVG totals
-— must match the serial ``_AggState`` accumulator exactly.
+— must match the serial accumulator exactly: the row interpreter's
+per-row ``total += value`` / keep-first comparison per group
+(``tests/reference/iterators.py``).
 
 Float SUM parity argument
 -------------------------
@@ -44,8 +46,9 @@ The choice is made per group from its run length, never by an option.
 
 If a future NumPy changes the axis-0 fold (e.g. blocks over rows), the
 import-time probe fails closed: :func:`kernels_available` returns False
-and every caller falls back to the serial fold, keeping parity at the
-cost of speed.  If only the accumulate probe fails, long runs take the
+and the hash aggregate folds every column with the object folds
+(:func:`object_group_sums`, :func:`object_group_minmax`), keeping parity
+at the cost of speed.  If only the accumulate probe fails, long runs take the
 (still verified) matrix fold.
 
 MIN/MAX and integers
@@ -78,7 +81,6 @@ order.  No joined tuple is built here (see :mod:`repro.executor.chunk`).
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -88,104 +90,6 @@ from ..errors import ExecutionError
 from ..plans.logical import AggFunc, AggregateExpr, ColumnExpr
 from ..plans.physical import HashAggregateNode
 from ..storage.index import expand_runs
-
-
-# ----------------------------------------------------------------------
-# The serial accumulator every kernel must match
-# ----------------------------------------------------------------------
-
-
-#: Whether builtin sum() performs a plain left-to-right addition fold.
-#: Python 3.12+ switched float sum() to Neumaier compensated summation —
-#: more accurate, but not bit-identical to :meth:`_AggState.update`'s
-#: running ``total += value`` — so :meth:`_AggState.update_batch` only takes
-#: the sum() fast path when the two folds provably agree.
-_SUM_IS_LEFT_FOLD = sum([1e16, 1.0, -1e16]) == ((1e16 + 1.0) + -1e16)
-
-
-class _AggState:
-    """Running state for one aggregate expression within one group."""
-
-    __slots__ = ("func", "count", "total", "minimum", "maximum")
-
-    def __init__(self, func: AggFunc) -> None:
-        self.func = func
-        self.count = 0
-        self.total = 0  # stays int for integer inputs, like Python sum()
-        self.minimum = None
-        self.maximum = None
-
-    def update(self, value) -> None:
-        self.count += 1
-        if value is None:
-            return
-        if self.func in (AggFunc.SUM, AggFunc.AVG):
-            self.total += value
-        elif self.func is AggFunc.MIN:
-            if self.minimum is None or value < self.minimum:
-                self.minimum = value
-        elif self.func is AggFunc.MAX:
-            if self.maximum is None or value > self.maximum:
-                self.maximum = value
-
-    def update_batch(self, values: Sequence) -> None:
-        """Fold a whole batch of argument values into the state.
-
-        Equivalent to calling :meth:`update` once per value in order:
-        additions and comparisons happen left-to-right over the same
-        operands, so float totals and min/max are bit-identical to the
-        row path's.  NULL (None) arguments still count but do not fold.
-        """
-        self.count += len(values)
-        func = self.func
-        if func is AggFunc.COUNT or not values:
-            return
-        if func is AggFunc.SUM or func is AggFunc.AVG:
-            if _SUM_IS_LEFT_FOLD:
-                try:
-                    self.total = sum(values, self.total)
-                    return
-                except TypeError:
-                    pass  # None present, or non-numeric values: exact loop.
-            total = self.total
-            for value in values:
-                if value is not None:
-                    total += value
-            self.total = total
-        elif func is AggFunc.MIN:
-            # Seeded with the running minimum, so a NaN leading the batch
-            # meets the same comparisons it meets in update().
-            best = self.minimum
-            try:
-                best = min(values) if best is None else min(chain((best,), values))
-            except TypeError:
-                # None mixed with values: replicate the row path's skip.
-                for value in values:
-                    if value is not None and (best is None or value < best):
-                        best = value
-            self.minimum = best
-        else:
-            best = self.maximum
-            try:
-                best = max(values) if best is None else max(chain((best,), values))
-            except TypeError:
-                for value in values:
-                    if value is not None and (best is None or value > best):
-                        best = value
-            self.maximum = best
-
-    def result(self):
-        if self.func is AggFunc.COUNT:
-            return self.count
-        if self.count == 0:
-            return None
-        if self.func is AggFunc.SUM:
-            return self.total
-        if self.func is AggFunc.AVG:
-            return self.total / self.count
-        if self.func is AggFunc.MIN:
-            return self.minimum
-        return self.maximum
 
 
 AggItem = tuple[int, AggFunc, "Callable | None"]
@@ -216,8 +120,6 @@ def aggregate_items(
                 if arg is None:
                     arg_fn = None
                 elif isinstance(arg, ColumnExpr):
-                    # itemgetter extracts at C speed under map() in the
-                    # batch path's per-group folds.
                     column = child_schema.index_of(arg.name)
                     arg_fn = itemgetter(column)
                 else:
@@ -500,7 +402,7 @@ def float_group_sums(values, codes, n_groups: int, layout=None) -> list:
 
 
 def int_group_sums(values, codes, n_groups: int, layout=None) -> list:
-    """Exact SUM per group for an int64 array (no NULLs).
+    """Exact SUM per group for an int64 or int32 array (no NULLs).
 
     Integer addition is associative, so ``np.add.reduceat`` is exact as
     long as no partial can wrap int64; otherwise the fold runs over the
@@ -511,7 +413,7 @@ def int_group_sums(values, codes, n_groups: int, layout=None) -> list:
     counts, order, starts = (
         layout if layout is not None else group_layout(codes, n_groups)
     )
-    sorted_values = values[order]
+    sorted_values = values[order].astype(_np.int64, copy=False)
     largest = max(-int(sorted_values.min()), int(sorted_values.max()))
     if largest and int(counts.max()) > (2**62) // largest:
         return [int(t) for t in _np.add.reduceat(

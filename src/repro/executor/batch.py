@@ -5,28 +5,24 @@ yields *batches* of roughly ``EngineConfig.batch_size`` rows, so Python's
 generator-dispatch overhead, the cost-clock charges and the ``_tracked``
 bookkeeping are all amortised over a batch instead of paid per tuple.
 
-What flows out of the three join operators is a row-id
-:class:`~repro.executor.chunk.Chunk`: index vectors over the row lists the
-join read, not joined tuples.  A hash join's build side *is* the stable-
+What flows out of a sequential scan and the three join operators is a
+row-id :class:`~repro.executor.chunk.Chunk`: index vectors over the row
+lists they read, not tuples.  A scan charges its pages and hands on one
+chunk of every row id over the table's heap, read through its column
+store.  Filters and join residuals narrow a chunk by NumPy masks over the
+columns they name (:func:`_mask_selector`); a plain-column projection
+remaps a heap chunk's columns; a hash join's build side *is* the stable-
 sorted key index (:class:`~repro.executor.agg_kernels.ProbeIndex`) and a
 probe batch is one gather from its table; an index-NL join
 answers a whole outer key column against the index's arrays
 (:meth:`~repro.storage.index.Index.lookup_many`); a block-NL join emits
-``repeat`` / ``tile`` vectors per block.  Joins read their key columns,
-residual predicates, statistics collectors and aggregates the columns they
-name, and a tuple is built only where a row-oriented consumer — the final
-result, sort / distinct / limit, a computed projection — reads the chunk as
-the row sequence it also is.  Column-kernel leaf pipelines yield chunks of
-row ids too; every other operator yields plain row lists, the degenerate
-chunk; their hot loops run as list
+``repeat`` / ``tile`` vectors per block; the hash aggregate factorizes its
+keys and folds each argument column in the NumPy kernels.  A tuple is
+built only where a row-oriented consumer — the final result, sort /
+distinct / limit, a computed projection, a predicate without an exact
+mask — reads a chunk as the row sequence it also is.  Every other operator
+yields plain row lists, the degenerate chunk; their hot loops run as list
 comprehensions over precompiled closures (cached on the plan node).
-
-Leaf pipelines (a scan under filters/projections) that statically qualify
-run in column space instead and materialise late — see
-:mod:`repro.executor.columnar`, which also documents the qualification
-rule.  The choice is the executor's, per pipeline; it is observable
-(``ExecutionProfile.leaf_pipelines``) but not configurable, and either
-kernel honours the parity contract below.
 
 Parity contract: for any plan, the batch path produces **the same rows in
 the same order, the same cost-clock charges and the same observed
@@ -92,23 +88,29 @@ from ..plans.physical import (
     SortNode,
     StatsCollectorNode,
 )
-from ..storage.columnar import page_groups
+from ..plans.logical import AggFunc, ColumnExpr
 from ..storage.table import Row
-from .agg_kernels import ProbeIndex, _AggState, aggregate_items
+from .agg_kernels import (
+    ProbeIndex,
+    aggregate_items,
+    factorize_array,
+    factorize_values,
+    float_group_sums,
+    group_layout,
+    int_group_sums,
+    kernels_available,
+    minmax_group_fold,
+    object_group_minmax,
+    object_group_sums,
+)
 from .chunk import Chunk, as_chunk
 from .collector import RuntimeCollector
-from .columnar import (
-    columnar_pipeline,
-    columnar_probe_stream,
-    columnar_vectorized_aggregate,
-)
 from .runtime import RuntimeContext
 from .segments import STREAMED_INPUT
 from .vector import (
     compile_batch_filter,
     compile_batch_projector,
     compile_mask_conjuncts,
-    has_arithmetic,
 )
 
 #: What flows between operators: a plain row list, or — out of the joins —
@@ -121,12 +123,6 @@ BatchIterator = Iterator[Batch]
 
 def execute_node_batches(node: PlanNode, ctx: RuntimeContext) -> BatchIterator:
     """Execute a plan subtree, yielding non-empty batches of result rows."""
-    # Leaf pipelines with vectorizable filters run over the table's column
-    # arrays; the stream is row-kernel identical, including bookkeeping, so
-    # no _tracked wrapper here.
-    columnar_stream = columnar_pipeline(node, ctx)
-    if columnar_stream is not None:
-        return columnar_stream
     executor = _BATCH_EXECUTORS.get(type(node))
     if executor is None:
         raise ExecutionError(f"no batch executor for node type {type(node).__name__}")
@@ -149,11 +145,12 @@ def _chunked(rows: list, size: int) -> BatchIterator:
         yield rows[start : start + size]
 
 
-def _selector(node: PlanNode, ctx: RuntimeContext, predicates, schema, kernel):
+def _selector(node: PlanNode, ctx: RuntimeContext, predicates, schema):
     """A filter's or a join residual's ``predicates`` as ``fn(batch) ->
     (passed, positions, error)``.
 
-    Off a LIMIT's spine it runs ``kernel()``'s batch kernel, with
+    Off a LIMIT's spine it runs the batch kernel — :func:`_mask_selector`,
+    or the row kernel where the predicates have no exact mask — with
     ``positions`` and ``error`` None: an input there is read to its end,
     so an error may raise at once.  On the spine the predicates run row by
     row, each row once, as a row-at-a-time operator runs them:
@@ -163,7 +160,7 @@ def _selector(node: PlanNode, ctx: RuntimeContext, predicates, schema, kernel):
     if not predicates:
         return lambda batch: (batch, range(len(batch)), None)
     if node.node_id not in ctx.spine:
-        batch_kernel = kernel()
+        batch_kernel = node.compiled("select", lambda: _batch_kernel(predicates, schema))
         return lambda batch: (batch_kernel(batch), None, None)
     fns = [p.compile(schema) for p in predicates]
 
@@ -182,6 +179,75 @@ def _selector(node: PlanNode, ctx: RuntimeContext, predicates, schema, kernel):
     return select
 
 
+def _batch_kernel(predicates, schema):
+    """``predicates`` as ``fn(batch) -> batch``: the mask kernels over the
+    columns they name, or — where one has no exact mask (a UDF,
+    arithmetic, a comparison NumPy would round) — the row kernel over the
+    batch's built rows."""
+    conjuncts = compile_mask_conjuncts(predicates, schema)
+    if conjuncts is None:
+        return compile_batch_filter(predicates, schema)
+    return _mask_selector(conjuncts, len(schema))
+
+
+class _Unobservable(Exception):
+    """Raised by the resolver when a conjunct asks for a column whose
+    comparison could raise while rows are already excluded."""
+
+
+class _Resolver:
+    """The mask kernels' column resolver over one chunk.
+
+    A row failing conjunct *i* must never reach conjunct *i + 1* — the
+    serial short-circuit, observable when the later conjunct would raise
+    (a NULL comparison).  Numeric arrays and NULL-free dictionary codes
+    cannot raise, so conjuncts over them evaluate on every row and their
+    masks are ANDed; with ``guard`` set (rows already excluded, not yet
+    narrowed) asking for anything else raises :class:`_Unobservable` and
+    the selector narrows the chunk before re-evaluating."""
+
+    __slots__ = ("chunk", "guard")
+
+    def __init__(self, chunk: Chunk, guard: bool) -> None:
+        self.chunk = chunk
+        self.guard = guard
+
+    def __call__(self, position: int):
+        pair = self.chunk.stored(position)
+        if pair is not None and pair[1] is None:
+            return pair[0]
+        if self.guard:
+            raise _Unobservable
+        return self.chunk.column(position)
+
+    def codes(self, position: int):
+        pair = self.chunk.stored(position)
+        if pair is None or pair[1] is None or (pair[0] < 0).any():
+            return None
+        return pair
+
+
+def _mask_selector(conjuncts: list, width: int):
+    """``fn(batch) -> chunk``: the batch narrowed to the rows passing every
+    mask conjunct, in order (see :class:`_Resolver`)."""
+
+    def select(batch) -> Chunk:
+        chunk = as_chunk(batch, width)
+        mask = None
+        for conjunct in conjuncts:
+            try:
+                passed = conjunct(_Resolver(chunk, mask is not None))
+            except _Unobservable:
+                chunk, mask = chunk.take(np.nonzero(mask)[0]), None
+                if not len(chunk):
+                    return chunk
+                passed = conjunct(_Resolver(chunk, False))
+            mask = passed if mask is None else mask & passed
+        return chunk if mask.all() else chunk.take(np.nonzero(mask)[0])
+
+    return select
+
+
 def _join_stats(node: PlanNode, ctx: RuntimeContext) -> dict:
     """The join's telemetry record; its output chunks count the tuples
     built from them into ``rows_materialised``."""
@@ -193,45 +259,12 @@ def _join_stats(node: PlanNode, ctx: RuntimeContext) -> dict:
 
 def _residual(node: PlanNode, ctx: RuntimeContext):
     """A join's residual predicates as a :func:`_selector` over its output
-    chunks.
-
-    Off the spine they run as the mask kernels of the leaf pipelines, over
-    the columns the predicates name: conjunct by conjunct, narrowing the
-    chunk's index vectors in between, so a row one conjunct excludes never
-    reaches the next (the serial short-circuit).  Predicates without an
-    exact mask kernel — a UDF, or arithmetic, which wraps over int64 arrays
-    where Python's ints do not — filter the chunk's built rows instead."""
+    chunks: the filters' mask kernels, over the columns the predicates
+    name."""
     predicates = getattr(node, "residual", None)
     if predicates is None:
         predicates = node.predicates
-    return _selector(
-        node, ctx, predicates, node.schema, lambda: _chunk_kernel(node, predicates)
-    )
-
-
-def _chunk_kernel(node: PlanNode, predicates):
-    """The residual's batch kernel, ``fn(chunk) -> batch``."""
-    conjuncts = node.compiled(
-        "mask_residual",
-        lambda: None
-        if any(map(has_arithmetic, predicates))
-        else compile_mask_conjuncts(predicates, node.schema),
-    )
-    if conjuncts is None:
-        return node.compiled(
-            "batch_residual", lambda: compile_batch_filter(predicates, node.schema)
-        )
-
-    def residual(chunk: Chunk) -> Chunk:
-        for passing in conjuncts:
-            mask = passing(chunk.column)
-            if not mask.all():
-                chunk = chunk.take(np.nonzero(mask)[0])
-                if not len(chunk):
-                    break
-        return chunk
-
-    return residual
+    return _selector(node, ctx, predicates, node.schema)
 
 
 # ----------------------------------------------------------------------
@@ -241,16 +274,30 @@ def _chunk_kernel(node: PlanNode, predicates):
 
 def _seq_scan(node: SeqScanNode, ctx: RuntimeContext) -> BatchIterator:
     table = ctx.catalog.table(node.table_name)
-    # A temp table holding its cut's chunk yields slices of it, unbuilt.
-    rows = table.rows if table.held is None else table.held
-    per_page = table.rows_per_page
-    # Whole pages accumulate until a batch holds batch_size rows: the page
-    # groups.  Each group's pages are requested and charged as one run.
-    # Under a LIMIT a batch is one page: none past the stop row's is read.
-    grain = 1 if node.node_id in ctx.spine else ctx.batch_size
-    for first_page, last_page in page_groups(table, grain):
-        ctx.charge_scan_pages(table, first_page, last_page)
-        yield rows[first_page * per_page : last_page * per_page]
+    held = table.held
+    stats = ctx.vector.by_node.setdefault(
+        node.node_id, {"kind": "scan", "rows_scanned": 0, "rows_materialised": 0}
+    )
+    if node.node_id in ctx.spine:
+        # Under a LIMIT a batch is one page: none past the stop row's is read.
+        rows = table.rows if held is None else held
+        per_page = table.rows_per_page
+        for page in range(table.page_count):
+            ctx.charge_scan_pages(table, page, page + 1)
+            batch = rows[page * per_page : (page + 1) * per_page]
+            stats["rows_scanned"] += len(batch)
+            yield batch
+        return
+    # One request for every page, charged as page by page, then one chunk
+    # of every row: a temp table's held chunk, or row ids over the heap,
+    # whose columns its readers take from the column store.
+    ctx.charge_scan_pages(table, 0, table.page_count)
+    if held is None:
+        store = table.column_store(dictionary_max=ctx.config.columnar_dictionary_max)
+        held = as_chunk(table.rows, len(table.schema), heap=store)
+    stats["rows_scanned"] += len(held)
+    if len(held):
+        yield Chunk(held.sources, held.ids, len(held), stats)
 
 
 def _index_scan(node: IndexScanNode, ctx: RuntimeContext) -> BatchIterator:
@@ -283,13 +330,7 @@ def _index_scan(node: IndexScanNode, ctx: RuntimeContext) -> BatchIterator:
 
 
 def _filter(node: FilterNode, ctx: RuntimeContext) -> BatchIterator:
-    schema = node.child.schema
-    select = _selector(
-        node, ctx, node.predicates, schema,
-        lambda: node.compiled(
-            "batch_filter", lambda: compile_batch_filter(node.predicates, schema)
-        ),
-    )
+    select = _selector(node, ctx, node.predicates, node.child.schema)
     per_row = max(1, len(node.predicates)) * ctx.cost_model.params.cpu_per_compare
     consumed = 0
     batch = kept = ()
@@ -342,8 +383,20 @@ def _project(node: ProjectNode, ctx: RuntimeContext) -> BatchIterator:
         batch_project = node.compiled(
             "batch_project", lambda: compile_batch_projector(node.output, schema)
         )
+        columns = None
+        if all(isinstance(item.expr, ColumnExpr) for item in node.output):
+            columns = [schema.index_of(item.expr.name) for item in node.output]
 
         def project(batch) -> tuple:
+            # Plain columns over one heap source: a view remap, no tuple.
+            if (
+                columns is not None
+                and type(batch) is Chunk
+                and len(batch.sources) == 1
+                and batch.sources[0].heap is not None
+            ):
+                source = batch.sources[0].project(columns)
+                return Chunk((source,), batch.ids, len(batch), batch.stats), None
             return batch_project(batch), None
 
     try:
@@ -475,14 +528,16 @@ def _hash_join(node: HashJoinNode, ctx: RuntimeContext) -> BatchIterator:
         try:
             # The probe side is held by the loop alone: closing the join
             # closes it first, as a row-at-a-time join's loop does.
-            for count, keys, fetch in _probe_stream(node.probe, ctx, probe_keys):
+            for batch in execute_node_batches(node.probe, ctx):
+                probe = as_chunk(batch, probe_width)
+                count = len(probe)
                 probe_count += count
-                slots, matched, counts = index.probe(keys)
+                slots, matched, counts = index.probe(list(map(probe.key, probe_keys)))
                 if not len(matched):
                     continue
                 # Only probe rows that found a match travel on, each paired
                 # with its build rows in build order.
-                probe = as_chunk(fetch(matched), probe_width)
+                probe = probe.take(matched)
                 probe_ids = None
                 if counts is not None:
                     probe_ids = np.repeat(np.arange(len(matched)), counts)
@@ -511,28 +566,6 @@ def _hash_join(node: HashJoinNode, ctx: RuntimeContext) -> BatchIterator:
     if directive is not None:
         ctx.spool_and_switch(node, directive, probe_batches())
     yield from probe_batches()
-
-
-def _probe_stream(node: PlanNode, ctx: RuntimeContext, positions: list[int]):
-    """A probe side as ``(rows, key columns, fetch)`` per batch, where
-    ``fetch(positions)`` is the batch narrowed to those rows.  A single-key
-    probe side that runs in column space hands over its key arrays and
-    builds only the probe rows that match
-    (:func:`~repro.executor.columnar.columnar_probe_stream`); any other
-    arrives as batches whose key columns are gathered."""
-    if len(positions) == 1:
-        stream = columnar_probe_stream(node, ctx, positions[0])
-        if stream is not None:
-            return stream
-    return _gathered_keys(node, ctx, positions)
-
-
-def _gathered_keys(node: PlanNode, ctx: RuntimeContext, positions: list[int]):
-    width = len(node.schema)
-    for batch in execute_node_batches(node, ctx):
-        chunk = as_chunk(batch, width)
-        yield len(chunk), [chunk.column(p) for p in positions], chunk.take
-
 
 
 # ----------------------------------------------------------------------
@@ -714,71 +747,44 @@ def _block_nl_join(node: BlockNLJoinNode, ctx: RuntimeContext) -> BatchIterator:
 
 
 def _hash_aggregate(node: HashAggregateNode, ctx: RuntimeContext) -> BatchIterator:
+    """One body: the whole input as one chunk, its group keys factorized
+    in first-occurrence order (the row path's dict insertion order), then
+    every aggregate folded a column at a time — in the NumPy kernels over
+    an exact int64 / float64 column, in the serial object folds over
+    Python values (a computed argument, any other column, or every column
+    when the kernels' import-time probe failed).  Each fold runs once over
+    the whole stream, bit-identical to the serial accumulator
+    (``executor/agg_kernels.py`` holds the argument)."""
     child_schema = node.child.schema
     # ``arguments``: per aggregate its argument's child column, or None —
     # COUNT(*), or a computed argument, which ``arg_fn`` evaluates over
     # built rows.
     group_positions, agg_items, group_outputs, arguments = aggregate_items(node)
-    scalar_key = len(group_positions) == 1
-
-    # ``groups`` keeps first-occurrence insertion order, like the row path.
-    # Each batch is read by column — its keys and arguments only, so a
-    # join's chunk builds no tuple — and bucketed by key as row offsets;
-    # every aggregate then folds a whole per-group value run with
-    # _AggState.update_batch, bit-identical to per-row update() because runs
-    # preserve row order and fold left-to-right.
-    groups: dict[object, list[_AggState]] = {}
-    input_rows = 0
+    batches = []
     grant: int | None = None
-    # Best case the whole aggregate runs in column space: keys factorize
-    # straight off the column arrays and every fold runs in the vectorized
-    # kernels, bit-identical to the serial accumulator
-    # (executor/agg_kernels.py documents the parity argument).
-    preaggregated = columnar_vectorized_aggregate(node, ctx)
-    if preaggregated is not None:
-        groups, input_rows, grant = preaggregated
-    else:
-        for batch in execute_node_batches(node.child, ctx):
-            if grant is None:
-                grant = ctx.commit_memory(node)
-            input_rows += len(batch)
-            chunk = as_chunk(batch, len(child_schema))
-            if not group_positions:
-                buckets = {(): None}  # None: every row
-            else:
-                keys = map(chunk.values, group_positions)
-                keys = next(keys) if scalar_key else zip(*keys)
-                buckets = {}
-                setdefault = buckets.setdefault
-                for offset, key in enumerate(keys):
-                    setdefault(key, []).append(offset)
-            args = [
-                chunk.values(position) if position is not None
-                else None if arg_fn is None
-                else list(map(arg_fn, chunk))
-                for position, (__, __f, arg_fn) in zip(arguments, agg_items)
-            ]
-            for key, offsets in buckets.items():
-                states = groups.get(key)
-                if states is None:
-                    states = [_AggState(func) for __, func, __unused in agg_items]
-                    groups[key] = states
-                for state, values in zip(states, args):
-                    if values is None:
-                        # COUNT(*): update(1) per row
-                        state.count += len(chunk) if offsets is None else len(offsets)
-                    elif offsets is None:
-                        state.update_batch(values)
-                    else:
-                        state.update_batch(list(map(values.__getitem__, offsets)))
+    for batch in execute_node_batches(node.child, ctx):
+        if grant is None:
+            grant = ctx.commit_memory(node)
+        batches.append(batch)
     if grant is None:
         grant = ctx.commit_memory(node)
-    if not node.group_by and not groups:
-        groups[()] = [_AggState(func) for __, func, __unused in agg_items]
+    chunk = Chunk.concat(batches, len(child_schema)) if batches else as_chunk([], 0)
+    del batches
+    input_rows = len(chunk)
+    if input_rows:
+        codes, group_keys = _group_codes(chunk, group_positions)
+    else:
+        codes, group_keys = None, [] if node.group_by else [()]
+    results = _fold_aggregates(chunk, codes, len(group_keys), agg_items, arguments)
+    vec = ctx.vector
+    vec.rows_folded += input_rows
+    vec.by_node[node.node_id] = {
+        "kind": "aggregate", "rows_folded": input_rows, "groups": len(group_keys),
+    }
 
     page_size = ctx.catalog.page_size
     input_pages = pages_for(input_rows, child_schema.row_bytes, page_size)
-    group_pages = pages_for(len(groups), node.schema.row_bytes, page_size)
+    group_pages = pages_for(len(group_keys), node.schema.row_bytes, page_size)
     ctx.charge(
         ctx.cost_model.aggregate(
             input_rows=input_rows,
@@ -788,16 +794,110 @@ def _hash_aggregate(node: HashAggregateNode, ctx: RuntimeContext) -> BatchIterat
         )
     )
     width = len(node.output)
+    scalar_key = len(group_positions) == 1
     key_index_of = {position: i for i, position in enumerate(group_positions)}
     output: list[Row] = []
-    for key, states in groups.items():
+    for g, key in enumerate(group_keys):
         out = [None] * width
         for out_index, position in group_outputs:
             out[out_index] = key if scalar_key else key[key_index_of[position]]
-        for state, (out_index, __f, __a) in zip(states, agg_items):
-            out[out_index] = state.result()
+        for folded, (out_index, __f, __a) in zip(results, agg_items):
+            out[out_index] = folded[g]
         output.append(tuple(out))
     yield from _chunked(output, ctx.batch_size)
+
+
+def _group_codes(chunk: Chunk, positions) -> tuple:
+    """``(codes, keys)``: each row's group and each group's key — the value,
+    or the tuple of values, of its first row — in first-occurrence order.
+
+    An int64 or dictionary-coded column factorizes its array; anything else
+    its Python values through a dict, which groups as the row path's dict
+    does (0.0 and -0.0 share a group, distinct NaN objects do not)."""
+    if not positions:
+        return np.zeros(len(chunk), dtype=np.int64), [()]
+    per_codes, per_keys, readers = [], [], []
+    for position in positions:
+        pair = chunk.stored(position)
+        if pair is not None and pair[0].dtype.kind == "i":
+            array, dictionary = pair
+            codes, __, firsts = factorize_array(array)
+            if dictionary is None:
+                read = lambda ids, a=array: a[ids].tolist()  # noqa: E731
+            else:
+                read = lambda ids, a=array, d=dictionary: d.decode(a[ids]).tolist()  # noqa: E731
+            keys = read(firsts)
+        else:
+            values = pair[0].tolist() if pair is not None else chunk.values(position)
+            codes, keys = factorize_values(values)
+            read = lambda ids, v=values: list(map(v.__getitem__, ids.tolist()))  # noqa: E731
+        per_codes.append(codes)
+        per_keys.append(keys)
+        readers.append(read)
+    if len(positions) == 1:
+        return per_codes[0], per_keys[0]
+    span = 1
+    for keys in per_keys:
+        span *= len(keys)
+    if span >= 2**62:  # the combined code could overflow: group tuples
+        rows = np.arange(len(chunk), dtype=np.int64)
+        return factorize_values(list(zip(*(read(rows) for read in readers))))
+    combined = per_codes[0]
+    for codes, keys in zip(per_codes[1:], per_keys[1:]):
+        combined = combined * len(keys) + codes
+    codes, __, firsts = factorize_array(combined)
+    # Key tuples hold each group's first row's values, as the row path's
+    # first-inserted key does: equal keys can differ (0.0 and -0.0).
+    return codes, list(zip(*(read(firsts) for read in readers)))
+
+
+def _fold_aggregates(chunk: Chunk, codes, n_groups: int, agg_items, arguments) -> list:
+    """Per aggregate, its result in every group (see :func:`_hash_aggregate`);
+    with no input, the one empty group's: COUNT 0, anything else None."""
+    if codes is None:
+        return [[0 if func is AggFunc.COUNT else None] for __, func, __a in agg_items]
+    counts = np.bincount(codes, minlength=n_groups).tolist()
+    layout = code_list = None
+    folds: dict = {}
+    results = []
+    for (__, func, arg_fn), position in zip(agg_items, arguments):
+        values = None
+        if position is None and arg_fn is not None:
+            # A computed argument: evaluated per row, as the row path does,
+            # COUNT's included (it may raise).
+            values = list(map(arg_fn, chunk))
+        if func is AggFunc.COUNT:
+            results.append(counts)
+            continue
+        total, maximum = func in (AggFunc.SUM, AggFunc.AVG), func is AggFunc.MAX
+        folded = folds.get((position, total, maximum)) if values is None else None
+        if folded is None:
+            pair = chunk.stored(position) if values is None else None
+            if pair is not None and pair[1] is None and kernels_available():
+                array = pair[0]
+                if layout is None:
+                    layout = group_layout(codes, n_groups)
+                if not total:
+                    folded = minmax_group_fold(array, codes, n_groups, maximum, layout)
+                elif array.dtype.kind == "f":
+                    folded = float_group_sums(array, codes, n_groups, layout)
+                else:
+                    folded = int_group_sums(array, codes, n_groups, layout)
+            else:
+                if values is None:
+                    values = chunk.values(position)
+                if code_list is None:
+                    code_list = codes.tolist()
+                if total:
+                    folded = object_group_sums(values, code_list, n_groups)
+                else:
+                    folded = object_group_minmax(values, code_list, n_groups, maximum)
+            if position is not None:
+                folds[position, total, maximum] = folded
+        if func is AggFunc.AVG:
+            folded = [total / count for total, count in zip(folded, counts)]
+        results.append(folded)
+    return results
 
 
 # ----------------------------------------------------------------------

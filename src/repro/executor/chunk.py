@@ -1,9 +1,9 @@
-"""Row-id chunks: what the join operators emit instead of joined tuples.
+"""Row-id chunks: what scans and joins emit instead of tuples.
 
-A :class:`Chunk` is a batch of joined rows that have not been built: a flat
+A :class:`Chunk` is a batch of rows that have not been built: a flat
 tuple of *sources* — row lists such as a row operator's batch, a hash
 join's accumulated build side or a base table's heap, which every
-column-kernel leaf pipeline's chunks index by row id — each paired with an
+sequential scan's chunk indexes by row id — each paired with an
 int64 index vector (``None`` for "every row, in order"), plus the schema map
 *output column -> (source, column)*.  Row ``i`` of the chunk is the
 concatenation of ``source.rows[ids[i]]`` over the sources, in order.
@@ -13,17 +13,17 @@ returns ``L``'s sources re-indexed by the left ids followed by ``R``'s by
 the right ids (:meth:`Chunk.join`): index vectors compose, chunks never
 nest, and a 91 620-row intermediate is a handful of int64 vectors over the
 few thousand narrow tuples it was joined from.  Consumers read what they
-name — :meth:`Chunk.column` gathers one column as an array for join keys,
-:meth:`Chunk.values` as Python values for residual predicates and
-statistics collectors and the aggregate's keys and arguments — and only a
-row-oriented consumer (the final result, sort / distinct, a computed
-projection, a UDF) builds tuples, through :meth:`Chunk.rows`, the one place
-a joined tuple is made.  A chunk
+name — :meth:`Chunk.stored` a column in its exact typed form for filter
+masks and aggregate folds, :meth:`Chunk.key` a join key, :meth:`Chunk.column`
+a column as an array, :meth:`Chunk.values` as Python values for collectors
+and object folds — and only a row-oriented consumer (the final result,
+sort / distinct, a computed projection, a UDF) builds tuples, through
+:meth:`Chunk.rows`, the one place a tuple is made.  A chunk
 is a read-only sequence of its rows, so such consumers iterate and
 ``extend`` from it as they do from the plain row list every other operator
 yields; a slice of it is the chunk of those rows.  A switch
 spool concatenates the cut's chunks into one that its temporary table
-holds, and the table's scan yields slices of it.  A row list is the
+holds, and the table's scan yields it.  A row list is the
 degenerate chunk and :func:`as_chunk` wraps one without touching its
 rows.
 """
@@ -108,7 +108,7 @@ class Source:
     the values exactly (an object-encoded or NaN-bearing column, a store
     behind the heap, see :meth:`ColumnStore.exact
     <repro.storage.columnar.ColumnStore.exact>`) it reads the rows it
-    names.  A heap read through a leaf pipeline's projection carries its
+    names.  A heap read through a plain-column projection carries its
     ``view``: output column -> table column (None: every column, in order).
     """
 
@@ -137,26 +137,46 @@ class Source:
             return None  # ... or a store behind the heap: ids may be past it
         return verdict
 
-    def _stored(self, column: int, ids):
-        """A heap column at ``ids`` gathered from the store, or None (see
-        :meth:`_exact`)."""
+    def stored(self, column: int, ids):
+        """``(array, dictionary)``: the column at ``ids`` in an exact typed
+        form — int64 (int32 as the store keeps a column whose values fit:
+        exact under comparison and ``tolist()``, widened before a sum),
+        NaN-free float64, or with a ``dictionary`` its int32 codes (-1 a
+        NULL) — or None where only Python values hold it exactly.  A heap's
+        comes from its store, a list's from its :func:`numeric` array."""
+        if self.heap is None:
+            array = self._columns.get((column, "numeric"), False)
+            if array is False:
+                array = self._columns[column, "numeric"] = numeric(
+                    self.values(column, None)
+                )
+            if array is None:
+                return None
+            return (array if ids is None else array[ids]), None
         verdict = self._exact(column)
         if verdict is None:
             return None
         array, dictionary = verdict
-        if ids is not None:
-            array = array[ids]
-        if dictionary is not None:
-            return dictionary.decode(array)
-        return array.astype(np.int64) if array.dtype == np.int32 else array
+        return (array if ids is None else array[ids]), dictionary
+
+    def project(self, columns) -> "Source":
+        """This heap source read through ``columns`` (output column -> a
+        column of this source): a view remap that touches no data."""
+        view = tuple(map(self._base, columns))
+        if view == tuple(range(len(self.heap.table.schema))):
+            view = None
+        return Source(self.rows, len(view or self.heap.table.schema), self.heap, view)
 
     def values(self, column: int, ids) -> list:
         """Column ``column`` at row indices ``ids`` (None: every row), as
         the rows' own objects (strings, ints and floats: equal objects of
         the same type)."""
         if self.heap is not None:
-            array = self._stored(column, ids)
-            if array is not None:
+            pair = self.stored(column, ids)
+            if pair is not None:
+                array, dictionary = pair
+                if dictionary is not None:
+                    array = dictionary.decode(array)
                 return array.tolist()
             rows = self.rows if ids is None else map(self.rows.__getitem__, ids.tolist())
             return list(map(itemgetter(self._base(column)), rows))
@@ -171,11 +191,16 @@ class Source:
     def gather(self, column: int, ids):
         """The same column as an array (see :func:`typed`)."""
         if self.heap is not None:
-            array = self._stored(column, ids)
-            if array is None:
+            pair = self.stored(column, ids)
+            if pair is None:
                 return typed(self.values(column, ids))
+            array, dictionary = pair
+            if dictionary is not None:
+                return dictionary.decode(array)
             # typed()'s forms: int64, or objects (floats as Python floats).
-            return array.astype(object) if array.dtype == np.float64 else array
+            if array.dtype == np.float64:
+                return array.astype(object)
+            return array.astype(np.int64, copy=False)
         array = self._columns.get((column, "typed"))
         if array is None:
             array = self._columns[column, "typed"] = typed(self.values(column, None))
@@ -192,12 +217,9 @@ class Source:
             array = None
             if verdict is not None and verdict[1] is None and self.rows:
                 array = verdict[0]
-        elif (column, "numeric") in self._columns:
-            array = self._columns[column, "numeric"]
         else:
-            array = self._columns[column, "numeric"] = numeric(
-                self.values(column, None)
-            )
+            pair = self.stored(column, None)
+            array = None if pair is None else pair[0]
         if array is None:
             return None
         if ids is not None:
@@ -330,6 +352,21 @@ class Chunk:
         :func:`typed`), gathered through its source's index vector."""
         j, c = self.columns[position]
         return self.sources[j].gather(c, self.ids[j])
+
+    def stored(self, position: int):
+        """One output column in its exact typed form (see
+        :meth:`Source.stored`), or None."""
+        j, c = self.columns[position]
+        return self.sources[j].stored(c, self.ids[j])
+
+    def key(self, position: int):
+        """A join key column: a dictionary column as ``(codes,
+        dictionary)``, which a probe translates once per dictionary value,
+        any other as :meth:`column`."""
+        pair = self.stored(position)
+        if pair is not None and pair[1] is not None:
+            return pair
+        return self.column(position)
 
     def bounds(self, position: int):
         """``(min, max)`` of one output column (see :meth:`Source.bounds`),

@@ -21,7 +21,7 @@ from .runtime import PlanSwitchDirective, PlanSwitched, RuntimeContext
 
 #: Span categories force-closed when a plan switch abandons the generators
 #: that would have closed them naturally.
-_ABANDONABLE = frozenset({"operator", "pipeline"})
+_ABANDONABLE = frozenset({"operator"})
 
 
 @dataclass

@@ -71,68 +71,22 @@ class ExecutionController(Protocol):
 
 
 @dataclass
-class ColumnarExecStats:
-    """Leaf-pipeline telemetry accumulated over one query run.
-
-    Which kernels each leaf pipeline ran on and how many tuples it had to
-    build.  Purely observational: costs stay bit-identical to the row
-    kernels.
-    """
-
-    #: Leaf pipelines that ran in column space (keyed ones included).
-    pipelines: int = 0
-    #: Of those, pipelines whose consumer — a vectorized hash-join probe
-    #: or aggregate — stayed in column space.
-    keyed_pipelines: int = 0
-    #: Every leaf pipeline the batch executor ran, keyed by scan node id:
-    #: ``{"table", "kernel": "column" | "row", "reason"}`` — why it stayed
-    #: on the row kernels, None for column — plus, for column pipelines,
-    #: ``"rows_scanned"``, ``"rows_selected"`` (rows leaving the pipeline),
-    #: ``"rows_materialised"`` (tuples a row consumer had built from its
-    #: chunks of row ids); row pipelines
-    #: carry ``"top"`` (the chain's top node id) and get their counts from
-    #: the completion actuals when the profile is assembled.
-    leaf: dict[int, dict] = field(default_factory=dict)
-
-    def leaf_pipelines(self, actual_rows: dict[int, int]) -> dict[int, dict]:
-        """``leaf`` with every record's row counts filled in: a row
-        pipeline scans what its scan emitted, selects what its top node
-        emitted, and had every scanned row as a tuple (unless its record
-        says otherwise: a temp table's chunk, scanned bare)."""
-        out: dict[int, dict] = {}
-        for scan_id, record in sorted(self.leaf.items()):
-            record = dict(record)
-            top = record.pop("top", None)
-            if record["kernel"] == "row":
-                scanned = actual_rows.get(scan_id, 0)
-                record["rows_scanned"] = scanned
-                record["rows_selected"] = actual_rows.get(top, 0)
-                record.setdefault("rows_materialised", scanned)
-            out[scan_id] = record
-        return out
-
-
-@dataclass
 class VectorExecStats:
-    """Vectorized-kernel telemetry accumulated over one query run.
-
-    Counts where the NumPy group-by fold and join-probe kernels ran in
-    place of the per-row Python loops.  Purely observational: the kernels
-    are bit-identical to the serial folds, so these numbers explain
-    wall-clock wins and never simulated-cost differences.
+    """Per-operator telemetry accumulated over one query run: what each
+    scan, join and aggregate read and how many tuples were built from its
+    chunks.  Purely observational: it explains wall-clock behaviour and
+    never a simulated cost.
     """
 
-    #: Hash aggregates folded entirely by the vectorized kernels (the
-    #: column-space whole-stream fold).
-    agg_pipelines: int = 0
-    #: Hash-join probe sides read in column space, materialised late.
-    probe_pipelines: int = 0
-    #: Input rows folded by vectorized aggregation kernels.
+    #: Input rows the hash aggregates folded.
     rows_folded: int = 0
-    #: Per-node breakdown keyed by plan-node id (aggregate nodes:
-    #: ``{"kind": "aggregate", "rows_folded", "groups"}``; every join node:
-    #: ``{"kind": "probe", "rows_probed", "matches", "rows_materialised"}``
-    #: — outer/probe rows in, rows out, tuples built from its chunks).
+    #: Per-node records keyed by plan-node id: every sequential scan
+    #: ``{"kind": "scan", "rows_scanned", "rows_materialised"}``, every
+    #: join ``{"kind": "probe", "rows_probed", "matches",
+    #: "rows_materialised"}`` — outer/probe rows in, rows out — and every
+    #: hash aggregate ``{"kind": "aggregate", "rows_folded", "groups"}``.
+    #: ``rows_materialised`` counts the tuples built from the node's output
+    #: chunks.
     by_node: dict[int, dict] = field(default_factory=dict)
 
     def join_total(self, counter: str) -> int:
@@ -170,9 +124,7 @@ class RuntimeContext:
     switches: int = 0
     #: Count of memory re-allocations performed so far.
     reallocations: int = 0
-    #: Leaf-pipeline telemetry (populated by :mod:`repro.executor.columnar`).
-    columnar: ColumnarExecStats = field(default_factory=ColumnarExecStats)
-    #: Vectorized-kernel telemetry (populated by the agg/probe kernels).
+    #: Per-operator telemetry (populated by the batch operators).
     vector: VectorExecStats = field(default_factory=VectorExecStats)
     #: The streaming spine below a LIMIT (:func:`repro.executor.batch._limit`
     #: sets it): node id -> the operator's stop rule, None until it runs.

@@ -56,7 +56,7 @@ from ..plans.logical import (
     ScalarExpr,
 )
 from ..errors import ExecutionError
-from ..storage.schema import Schema
+from ..storage.schema import DataType, Schema
 
 #: Cross-query cache of compiled code objects, keyed by source text.
 _CODE_CACHE: "OrderedDict[str, CodeType]" = OrderedDict()
@@ -186,29 +186,27 @@ def compile_batch_projector(
 
 
 # ----------------------------------------------------------------------
-# NumPy mask kernels (column-space leaf pipelines)
+# NumPy mask kernels
 # ----------------------------------------------------------------------
 #
-# A column-space leaf pipeline evaluates a filter as one boolean mask over a
-# table's column arrays instead of one Python expression per row.  A
-# filter compiles to a closure tree — per-call overhead is O(tree size),
-# per-row work runs inside NumPy — taking a ``resolve(column) -> ndarray``
-# callback so the caller controls where arrays come from.  A resolver may
-# also offer ``resolve.codes(column) -> (codes, dictionary) | None``: a
+# Filters and join residuals evaluate as one boolean mask over a batch's
+# columns instead of one Python expression per row.  A predicate compiles
+# to a closure tree — per-call overhead is O(tree size), per-row work runs
+# inside NumPy — taking a ``resolve(position) -> ndarray`` callback so the
+# caller controls where arrays come from.  A resolver may also offer
+# ``resolve.codes(position) -> (codes, dictionary) | None``: a
 # column-vs-constant comparison or IN-list over a dictionary-encoded column
 # then evaluates once per *dictionary value* and gathers the answers by
-# code, never decoding the strings (see ``_code_space``).  Any predicate
-# shape without an exact NumPy equivalent returns None and the caller falls
-# back to the tuple-space batch kernel for that operator: notably UDF
-# calls, and division by anything but a non-zero constant (NumPy's
-# division-by-zero semantics differ from Python's).
+# code, never decoding the strings (see ``_code_space``).
 #
-# Semantics parity: comparisons/arithmetic on int64/float64 arrays follow
-# the same integer/IEEE-754 rules as Python scalars (int32-stored columns
-# compare as they are and widen before arithmetic); object arrays apply the
-# Python operators elementwise.  ``AND`` conjunctions become ``&`` of masks,
-# which is equivalent to short-circuit evaluation because predicates are
-# side-effect-free.
+# A predicate compiles only where NumPy answers exactly as Python does;
+# otherwise the compiler returns None and the caller runs the row kernel
+# (:func:`compile_batch_filter`) for that operator.  That leaves out UDF
+# calls, all arithmetic (int64 wraps where Python's ints do not, and NumPy
+# divides by zero where Python raises) and comparisons NumPy would round
+# (see ``_exact_pair``).  What compiles compares columns and constants:
+# int64 and float64 arrays follow Python's integer / IEEE-754 rules, object
+# arrays apply the Python operators elementwise.
 
 _MASK_OPS = {
     CompareOp.EQ: operator.eq,
@@ -219,73 +217,57 @@ _MASK_OPS = {
     CompareOp.GE: operator.ge,
 }
 
-_ARITH_OPS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-}
+#: Below this magnitude a float and an int compare alike as Python's
+#: exact comparison and after NumPy casts the int to float64.
+_EXACT_MAGNITUDE = 2**53
 
 
-def _wide(operand):
-    """An arithmetic operand at full width: the column store keeps
-    integers that fit as int32, which compare exactly as they are but
-    would overflow early under arithmetic."""
-    if getattr(operand, "dtype", None) == _np.int32:
-        return operand.astype(_np.int64)
-    return operand
-
-
-def _mask_expr(expr: ScalarExpr, schema: Schema, position_map):
-    """Compile a scalar expression to ``fn(resolve) -> ndarray | scalar``.
-
-    Returns None when the expression has no exact NumPy kernel.
-    """
+def _mask_expr(expr: ScalarExpr, schema: Schema):
+    """Compile a column or a constant to ``fn(resolve) -> ndarray | scalar``;
+    None for anything computed."""
     if isinstance(expr, ColumnExpr):
-        column = position_map(schema.index_of(expr.name))
-        return lambda resolve: resolve(column)
+        position = schema.index_of(expr.name)
+        return lambda resolve: resolve(position)
     if isinstance(expr, ConstExpr):
         value = expr.value
         return lambda resolve: value
-    if isinstance(expr, ArithExpr):
-        op = _ARITH_OPS.get(expr.op)
-        if op is None:
-            return None
-        if expr.op == "/":
-            # Python raises ZeroDivisionError row by row; NumPy does not.
-            # Only a provably non-zero constant divisor is equivalent.
-            if not (isinstance(expr.right, ConstExpr) and expr.right.value != 0):
-                return None
-        left = _mask_expr(expr.left, schema, position_map)
-        right = _mask_expr(expr.right, schema, position_map)
-        if left is None or right is None:
-            return None
-        return lambda resolve: op(_wide(left(resolve)), _wide(right(resolve)))
-    if isinstance(expr, NegExpr):
-        child = _mask_expr(expr.child, schema, position_map)
-        if child is None:
-            return None
-        return lambda resolve: -_wide(child(resolve))
-    return None  # FuncExpr / future shapes: no vector kernel
+    return None
 
 
-def has_arithmetic(pred) -> bool:
-    """Whether ``pred`` computes (``+ - * /``, negation) anywhere below it.
-    The mask kernels compute over fixed-width arrays: exact over what a
-    column store holds, not over arbitrary Python ints."""
-    if isinstance(pred, (ArithExpr, NegExpr)):
+def _numeric_kind(expr: ScalarExpr, schema: Schema) -> str | None:
+    """``"int"`` or ``"float"`` for a numeric column or constant."""
+    if isinstance(expr, ColumnExpr):
+        dtype = schema.column(expr.name).dtype
+        if dtype is DataType.FLOAT:
+            return "float"
+        return "int" if dtype in (DataType.INTEGER, DataType.DATE) else None
+    if isinstance(expr.value, int):
+        return "int"
+    return "float" if isinstance(expr.value, float) else None
+
+
+def _exact_pair(left: ScalarExpr, right: ScalarExpr, schema: Schema) -> bool:
+    """Whether NumPy compares ``left`` with ``right`` as Python does.
+
+    Against a float, NumPy casts an int64 operand to float64, which rounds
+    above 2**53 where Python compares exactly.  Two ints compare exactly;
+    a constant below 2**53 in magnitude cannot flip the outcome of the
+    cast.  Anything else with a FLOAT side declines — a FLOAT column may
+    hold Python ints too (a SUM or arithmetic over INTEGER columns is typed
+    FLOAT), so even FLOAT against FLOAT can be a mix."""
+    kinds = (_numeric_kind(left, schema), _numeric_kind(right, schema))
+    if None in kinds or kinds == ("int", "int"):
         return True
-    below = [getattr(pred, name, None) for name in ("left", "right", "expr", "child")]
-    below.extend(getattr(pred, "children", ()))
-    return any(has_arithmetic(node) for node in below if node is not None)
+    constant = left if isinstance(left, ConstExpr) else right
+    return isinstance(constant, ConstExpr) and abs(constant.value) < _EXACT_MAGNITUDE
 
 
-def _code_space(column: int, key: tuple, test, value_space):
+def _code_space(position: int, key: tuple, test, value_space):
     """``value_space``, or its dictionary-code-space equivalent.
 
     ``test(value) -> bool`` is the predicate on one column value.  When the
-    resolver serves ``column`` as dictionary codes (only for NULL-free
-    groups, so every code indexes the dictionary), the mask is the
+    resolver serves ``position`` as dictionary codes (only when no NULL is
+    read, so every code indexes the dictionary), the mask is the
     per-value truth table gathered by code: the same booleans the decoded
     strings would compare to, one Python comparison per *distinct* value.
     A constant the values cannot be compared with makes the table raise;
@@ -294,7 +276,7 @@ def _code_space(column: int, key: tuple, test, value_space):
 
     def kernel(resolve):
         codes_of = getattr(resolve, "codes", None)
-        coded = codes_of(column) if codes_of is not None else None
+        coded = codes_of(position) if codes_of is not None else None
         if coded is not None:
             codes, dictionary = coded
             try:
@@ -306,14 +288,14 @@ def _code_space(column: int, key: tuple, test, value_space):
     return kernel
 
 
-def _mask_predicate(pred: Predicate, schema: Schema, position_map):
+def _mask_predicate(pred: Predicate, schema: Schema):
     """Compile a predicate to ``fn(resolve) -> bool ndarray``, or None."""
     if isinstance(pred, Comparison):
         if not pred.columns():
-            return None  # constant-only comparison never yields an array
-        left = _mask_expr(pred.left, schema, position_map)
-        right = _mask_expr(pred.right, schema, position_map)
-        if left is None or right is None:
+            return None  # a constant-only comparison never yields an array
+        left = _mask_expr(pred.left, schema)
+        right = _mask_expr(pred.right, schema)
+        if left is None or right is None or not _exact_pair(pred.left, pred.right, schema):
             return None
         op = _MASK_OPS[pred.op]
 
@@ -326,57 +308,43 @@ def _mask_predicate(pred: Predicate, schema: Schema, position_map):
         flipped = _MASK_OPS[pred.normalized().op]
         constant = pair[1]
         return _code_space(
-            position_map(schema.index_of(pair[0])),
+            schema.index_of(pair[0]),
             (pred.normalized().op, constant),
             lambda value: flipped(value, constant),
             compare,
         )
     if isinstance(pred, InPredicate):
-        if not pred.columns():
-            return None
-        expr = _mask_expr(pred.expr, schema, position_map)
-        if expr is None:
-            return None
         values = list(pred.values)
+        kinds = {type(value) is str for value in values}
+        if (
+            not isinstance(pred.expr, ColumnExpr)
+            or len(kinds) != 1
+            or not all(_exact_pair(pred.expr, ConstExpr(v), schema) for v in values)
+        ):
+            return None  # NumPy's isin casts a mixed list to one type
+        position = schema.index_of(pred.expr.name)
 
         def member(resolve):
-            return _np.isin(expr(resolve), values)
+            return _np.isin(resolve(position), values)
 
-        if not isinstance(pred.expr, ColumnExpr):
-            return member
-        members = set(values)
         return _code_space(
-            position_map(schema.index_of(pred.expr.name)),
-            ("in", pred.values),
-            members.__contains__,
-            member,
+            position, ("in", pred.values), set(values).__contains__, member
         )
-    if isinstance(pred, AndPredicate):
-        children = [_mask_predicate(c, schema, position_map) for c in pred.children]
+    if isinstance(pred, (AndPredicate, OrPredicate)):
+        children = [_mask_predicate(c, schema) for c in pred.children]
         if any(c is None for c in children):
             return None
+        combine = operator.and_ if isinstance(pred, AndPredicate) else operator.or_
 
-        def conjunction(resolve, children=children):
+        def combined(resolve):
             mask = children[0](resolve)
             for child in children[1:]:
-                mask = mask & child(resolve)
+                mask = combine(mask, child(resolve))
             return mask
 
-        return conjunction
-    if isinstance(pred, OrPredicate):
-        children = [_mask_predicate(c, schema, position_map) for c in pred.children]
-        if any(c is None for c in children):
-            return None
-
-        def disjunction(resolve, children=children):
-            mask = children[0](resolve)
-            for child in children[1:]:
-                mask = mask | child(resolve)
-            return mask
-
-        return disjunction
+        return combined
     if isinstance(pred, NotPredicate):
-        child = _mask_predicate(pred.child, schema, position_map)
+        child = _mask_predicate(pred.child, schema)
         if child is None:
             return None
         return lambda resolve: ~child(resolve)
@@ -384,31 +352,24 @@ def _mask_predicate(pred: Predicate, schema: Schema, position_map):
 
 
 def compile_mask_conjuncts(
-    predicates: Sequence[Predicate],
-    schema: Schema,
-    position_map: Callable[[int], int] | None = None,
+    predicates: Sequence[Predicate], schema: Schema
 ) -> list | None:
     """Compile a conjunction to one NumPy mask function *per conjunct*.
 
     Each returned ``fn(resolve) -> bool ndarray`` evaluates over the arrays
-    ``resolve`` serves (``resolve`` takes positions already passed through
-    ``position_map``, which translates schema positions to base-column
-    indices when the filter sits above pure-column projections).  Callers
-    must apply the conjuncts *in order*, and may show a conjunct rows an
-    earlier one excluded only when it cannot raise on them (numeric
-    arrays, NULL-free dictionary codes) — otherwise they narrow the row
-    selection first: that reproduces the serial per-row short-circuit,
-    where a row failing conjunct *i* never sees conjunct *i+1* —
-    observable when a later conjunct would raise (e.g. a NULL
-    comparison).  Returns None —
-    caller falls back to :func:`compile_batch_filter` — when any conjunct
+    ``resolve`` serves for ``schema``'s positions.  Callers must apply the
+    conjuncts *in order*, and may show a conjunct rows an earlier one
+    excluded only when it cannot raise on them (numeric arrays, NULL-free
+    dictionary codes) — otherwise they narrow the rows first: that
+    reproduces the serial per-row short-circuit, where a row failing
+    conjunct *i* never sees conjunct *i+1* — observable when a later
+    conjunct would raise (e.g. a NULL comparison).  Returns None — the
+    caller runs :func:`compile_batch_filter` instead — when any conjunct
     lacks an exact kernel.
     """
     if not predicates:
         return None
-    if position_map is None:
-        position_map = lambda position: position  # noqa: E731
-    compiled = [_mask_predicate(p, schema, position_map) for p in predicates]
+    compiled = [_mask_predicate(p, schema) for p in predicates]
     if any(fn is None for fn in compiled):
         return None
     return compiled

@@ -109,16 +109,12 @@ class NodeAnalysis:
     sim_window: tuple[float, float] | None
     rows_q_error: float | None
     collector: CollectorInsight | None = None
-    #: For the sequential scan under a leaf pipeline: which kernels ran it
-    #: and how many tuples it built (``{"table", "kernel", "reason",
-    #: "rows_scanned", "rows_selected", "rows_materialised"}`` — see
-    #: :attr:`ExecutionProfile.leaf_pipelines`), None otherwise.
-    leaf_pipeline: dict | None = None
-    #: For nodes served by a vectorized kernel: the per-node counters
-    #: (``{"kind": "aggregate"|"preagg-run"|"probe", ...}`` with
-    #: ``rows_folded``/``groups`` for aggregates and, for every join,
-    #: ``rows_probed``/``matches``/``rows_materialised`` — the tuples
-    #: built from its output chunks), None otherwise.
+    #: The node's executor record, for every scan, join and hash
+    #: aggregate: ``{"kind": "scan", "rows_scanned", "rows_materialised"}``,
+    #: ``{"kind": "probe", "rows_probed", "matches", "rows_materialised"}``
+    #: or ``{"kind": "aggregate", "rows_folded", "groups"}`` —
+    #: ``rows_materialised`` the tuples built from its output chunks —
+    #: None otherwise.
     vectorized: dict | None = None
     #: Shown when the node never completed: a mid-query switch abandoned
     #: the plan, or a consumer (e.g. LIMIT) stopped pulling early.
@@ -156,29 +152,24 @@ class NodeAnalysis:
         else:
             act = f"{indent}    act:  ({self.not_run_note})"
         lines = [head, est, act]
-        if self.leaf_pipeline is not None:
-            leaf = self.leaf_pipeline
-            why = f" ({leaf['reason']})" if leaf["reason"] else ""
-            lines.append(
-                f"{indent}    leaf pipeline: {leaf['kernel']} kernels{why}, "
-                f"{leaf['rows_scanned']} rows scanned, "
-                f"{leaf['rows_selected']} selected, "
-                f"{leaf['rows_materialised']} materialised"
-            )
-        if self.vectorized is not None:
-            kind = self.vectorized.get("kind", "?")
-            if kind == "probe":
+        record = self.vectorized
+        if record is not None:
+            kind = record["kind"]
+            if kind == "scan":
                 lines.append(
-                    f"{indent}    join: "
-                    f"{self.vectorized.get('rows_probed', 0)} rows probed, "
-                    f"{self.vectorized.get('matches', 0)} matches, "
-                    f"{self.vectorized.get('rows_materialised', 0)} materialised"
+                    f"{indent}    scan: {record['rows_scanned']} rows scanned, "
+                    f"{record['rows_materialised']} materialised"
+                )
+            elif kind == "probe":
+                lines.append(
+                    f"{indent}    join: {record['rows_probed']} rows probed, "
+                    f"{record['matches']} matches, "
+                    f"{record['rows_materialised']} materialised"
                 )
             else:
                 lines.append(
-                    f"{indent}    vectorized {kind}: "
-                    f"{self.vectorized.get('rows_folded', 0)} rows folded into "
-                    f"{self.vectorized.get('groups', 0)} groups"
+                    f"{indent}    aggregate: {record['rows_folded']} rows folded "
+                    f"into {record['groups']} groups"
                 )
         if self.collector is not None:
             lines.append(f"{indent}    {self.collector.format()}")
@@ -362,7 +353,6 @@ def analyze_execution(
                     else "did not complete — consumer stopped pulling early"
                 ),
             )
-            node_analysis.leaf_pipeline = profile.leaf_pipelines.get(node.node_id)
             per_vector = ctx.vector.by_node.get(node.node_id)
             if per_vector is not None:
                 node_analysis.vectorized = dict(per_vector)

@@ -3,7 +3,7 @@
 Named counters, gauges, and histograms that accumulate *across* queries —
 the cross-query complement to the per-query :class:`~repro.observe.trace.QueryTracer`.
 The engine feeds it plan-cache hit/miss/eviction counts, reoptimizer
-switch/reallocation counts, leaf-pipeline and join row counts, and
+switch/reallocation counts, join row counts and rows folded, and
 buffer-pool hit rates; benchmarks dump :meth:`MetricsRegistry.snapshot`
 into their ``BENCH_*.json`` documents so the perf trajectory records the
 *why* alongside the timings.

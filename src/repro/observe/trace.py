@@ -1,7 +1,7 @@
 """Span-based query tracing.
 
 A :class:`QueryTracer` records what a single query execution *did* —
-hierarchical spans (compile phase -> plan -> pipeline -> operator) plus
+hierarchical spans (compile phase -> plan -> operator) plus
 point events (collector observations, memory grants, re-optimization
 decisions) — with both wall-clock and simulated-cost-clock timestamps.
 Traces export as Chrome trace-event JSON (loadable in ``chrome://tracing``
@@ -23,7 +23,7 @@ Span-closure discipline: mid-query plan switches abandon generators whose
 natural end never runs.  Chrome's ``B``/``E`` events require strict LIFO
 nesting per thread, so only the strictly-sequential top-level spans
 (compile phases, ``execute``, per-plan spans) export as ``B``/``E`` pairs;
-operator/pipeline spans export as ``X`` *complete* events, which carry an
+operator spans export as ``X`` *complete* events, which carry an
 explicit duration and have no nesting requirement.  Spans still
 open at export time are auto-closed (LIFO) at the export timestamp.
 """

@@ -2,7 +2,7 @@
 
 from .buffer import BufferPool, BufferStats
 from .catalog import Catalog, TableEntry
-from .columnar import ColumnStore, page_groups
+from .columnar import ColumnStore
 from .disk import CostBreakdown, CostClock
 from .index import Index, build_index
 from .schema import Column, DataType, Schema, date_to_int, int_to_date
@@ -27,5 +27,4 @@ __all__ = [
     "build_index",
     "date_to_int",
     "int_to_date",
-    "page_groups",
 ]

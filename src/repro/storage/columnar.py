@@ -3,10 +3,9 @@
 A :class:`ColumnStore` is a columnar shadow of a heap :class:`~.table.Table`:
 one encoded array per column, over every row of the table.  The heap rows
 remain the source of truth — the store is a derived,
-incrementally-maintained acceleration structure that the column-space leaf
-pipelines (:mod:`repro.executor.columnar`) read for vectorized filter
-masks, key extraction and aggregation, and that heap chunks gather their
-columns from (:class:`repro.executor.chunk.Source`).
+incrementally-maintained acceleration structure that every heap chunk
+reads its columns from (:class:`repro.executor.chunk.Source`): filter
+masks, join keys, aggregate folds and collectors alike.
 
 The store costs what is read: a column is encoded — array and encoding
 decision — the first time anything asks for it, under the table's store
@@ -58,19 +57,6 @@ _INT32_MAX = 2**31 - 1
 #: Cached predicate truth tables per dictionary (each at most
 #: ``dictionary_max`` booleans).
 _TRUTH_TABLES_MAX = 64
-
-
-def page_groups(table: "Table", batch_size: int) -> list[tuple[int, int]]:
-    """Page ranges matching the row scan's yield boundaries.
-
-    The scan accumulates whole pages until at least ``batch_size`` rows
-    are buffered, then yields.  Every page but the table's last is full,
-    so each group is the same number of pages and the last takes what is
-    left.
-    """
-    pages = table.page_count
-    step = -(-batch_size // table.rows_per_page)
-    return [(first, min(first + step, pages)) for first in range(0, pages, step)]
 
 
 class _Dictionary:

@@ -115,7 +115,7 @@ class Table:
 
     def hold(self, rows) -> None:
         """Store ``rows`` in this empty table without building them: scans
-        slice what is held, and :attr:`rows` builds the tuples when read."""
+        read what is held, and :attr:`rows` builds the tuples when read."""
         if self.row_count:
             raise StorageError(f"table {self.name!r} is not empty")
         self.held = rows

@@ -99,7 +99,16 @@ def assert_row_parity(db: Database, sql: str, mode, params=None) -> QueryResult:
             got, want = repr(got), repr(want)
         assert got == want, (sql, name)
     assert runs == row_runs, sql
+    assert events_view(result.profile) == events_view(row.profile), sql
     return result
+
+
+def events_view(profile) -> list:
+    """The controller's decisions and the trigger inputs behind them."""
+    return [
+        (e.action, e.detail, repr(e.clock_time), repr(e.trigger), repr(e.t_new_total))
+        for e in profile.events
+    ]
 
 
 def execution_record(ctx: RuntimeContext, plans) -> list:
@@ -128,6 +137,17 @@ def observed_view(stats):
         stats.row_count, repr(stats.row_bytes), dict(stats.minmax), dict(stats.distincts),
         {name: (h.kind, h.buckets) for name, h in stats.histograms.items()},
     )
+
+
+def scan_records(report) -> dict:
+    """Table name -> the executor record of its scan (``kind``,
+    ``rows_scanned``, ``rows_materialised``) in the last plan an EXPLAIN
+    ANALYZE report ran."""
+    return {
+        node.detail.split(" as ")[0]: node.vectorized
+        for node in report.plans[-1].nodes
+        if node.vectorized and node.vectorized["kind"] == "scan"
+    }
 
 
 def runtime_context(db: Database, **fields) -> RuntimeContext:

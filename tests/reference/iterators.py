@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Sequence
 
 from repro.errors import ExecutionError
 from repro.optimizer.cost_model import OperatorCost, pages_for
-from repro.plans.logical import AggregateExpr, ColumnExpr
+from repro.plans.logical import AggFunc, AggregateExpr, ColumnExpr
 from repro.plans.physical import (
     BlockNLJoinNode,
     DistinctNode,
@@ -47,7 +47,7 @@ from repro.plans.physical import (
     StatsCollectorNode,
 )
 from repro.storage.table import Row
-from repro.executor.agg_kernels import _AggState, aggregate_items
+from repro.executor.agg_kernels import aggregate_items
 from repro.executor.collector import RuntimeCollector
 from repro.executor.runtime import RuntimeContext
 
@@ -418,6 +418,46 @@ def _block_nl_join(node: BlockNLJoinNode, ctx: RuntimeContext) -> Iterator[Row]:
 # ----------------------------------------------------------------------
 # Aggregation
 # ----------------------------------------------------------------------
+
+
+class _AggState:
+    """Running state for one aggregate expression within one group: the
+    serial accumulator the batch executor's folds must match."""
+
+    __slots__ = ("func", "count", "total", "minimum", "maximum")
+
+    def __init__(self, func: AggFunc) -> None:
+        self.func = func
+        self.count = 0
+        self.total = 0  # stays int for integer inputs, like Python sum()
+        self.minimum = None
+        self.maximum = None
+
+    def update(self, value) -> None:
+        self.count += 1
+        if value is None:
+            return
+        if self.func in (AggFunc.SUM, AggFunc.AVG):
+            self.total += value
+        elif self.func is AggFunc.MIN:
+            if self.minimum is None or value < self.minimum:
+                self.minimum = value
+        elif self.func is AggFunc.MAX:
+            if self.maximum is None or value > self.maximum:
+                self.maximum = value
+
+    def result(self):
+        if self.func is AggFunc.COUNT:
+            return self.count
+        if self.count == 0:
+            return None
+        if self.func is AggFunc.SUM:
+            return self.total
+        if self.func is AggFunc.AVG:
+            return self.total / self.count
+        if self.func is AggFunc.MIN:
+            return self.minimum
+        return self.maximum
 
 
 def _hash_aggregate(node: HashAggregateNode, ctx: RuntimeContext) -> Iterator[Row]:

@@ -1,13 +1,14 @@
-"""Column-space leaf pipelines: storage, kernels, parity, integration.
+"""Column-space operators: storage, mask kernels, parity, integration.
 
-The contract under test (DESIGN.md section 9): the batch executor swaps the
-inside of every qualifying leaf pipeline for vectorized NumPy work over
-whole-column arrays with late materialisation — and it is byte-identical
-to the row path (the oracle, :func:`tests.oracle.row_path`): result rows,
-simulated ``CostBreakdown``, buffer statistics and observed statistics, at
-any batch size, including across mid-query plan switches.  Plus the
-storage layer it rides on: lazily built, incrementally synced
-``ColumnStore`` columns and dictionary overflow demotion.
+The contract under test (DESIGN.md section 6): scans hand on chunks of row
+ids over the column store, filters narrow them by NumPy masks, the
+aggregate folds whole columns, and a tuple is built only where a row
+consumer reads one — byte-identical to the row path (the oracle,
+:func:`tests.oracle.row_path`): result rows, simulated ``CostBreakdown``,
+buffer statistics and observed statistics, at any batch size, including
+across mid-query plan switches.  Plus the storage layer it rides on:
+lazily built, incrementally synced ``ColumnStore`` columns and dictionary
+overflow demotion.
 """
 
 from __future__ import annotations
@@ -32,12 +33,11 @@ from repro.plans.logical import (
 )
 from repro.stats.histogram import HistogramKind
 from repro.storage import Schema
-from repro.storage.columnar import page_groups
 from repro.executor.vector import compile_mask_conjuncts
 from repro.workloads.tpcd import ALL_QUERIES
 
 from .conftest import make_two_table_db
-from .oracle import row_path, runtime_context
+from .oracle import assert_row_parity, row_path, runtime_context, scan_records
 
 pytestmark = pytest.mark.hashseed
 
@@ -91,7 +91,7 @@ def assert_bit_identical(left, left_ctx, right, right_ctx) -> None:
 
 
 # ----------------------------------------------------------------------
-# Storage: ColumnStore sync, encodings; the row scan's page groups
+# Storage: ColumnStore sync and encodings
 # ----------------------------------------------------------------------
 
 
@@ -107,33 +107,6 @@ def _make_table(rows, dtypes=None, dictionary_max=256):
 
 
 class TestColumnStore:
-    @pytest.mark.parametrize("width", [1, 3, 40])
-    def test_page_groups_match_the_page_by_page_accumulation(self, width):
-        # The definition: whole pages accumulate until batch_size rows are
-        # buffered.  page_groups computes the same bounds arithmetically.
-        def accumulate(table, batch_size):
-            groups, start, buffered = [], 0, 0
-            for page_no, page in enumerate(table.iter_pages()):
-                buffered += len(page)
-                if buffered >= batch_size:
-                    groups.append((start, page_no + 1))
-                    start, buffered = page_no + 1, 0
-            if buffered:
-                groups.append((start, table.page_count))
-            return groups
-
-        for rows in (0, 1, 255, 256, 257, 1000, 5000):
-            db = Database()
-            db.create_table("t", [(f"c{i}", DataType.INTEGER) for i in range(width)])
-            db.load_rows("t", [(i,) * width for i in range(rows)])
-            table = db.catalog.table("t")
-            per_page = table.rows_per_page
-            for batch_size in (1, per_page - 1, per_page, per_page + 1, 1024, 10**6):
-                if batch_size > 0:
-                    assert page_groups(table, batch_size) == accumulate(
-                        table, batch_size
-                    ), (rows, batch_size)
-
     def test_integer_column_round_trips_exactly(self):
         values = [(-(2**62), 0), (2**62, 1), (17, 2)]
         __, table, store = _make_table(values)
@@ -400,35 +373,26 @@ class TestMaskCompiler:
         assert mask.tolist() == [False, True, False, True]
 
     def test_arithmetic_division_by_zero_constant_rejected(self):
-        # NumPy's x/0 yields inf+warning where Python raises; the kernel
-        # must refuse rather than diverge.
+        # NumPy's x/0 yields inf+warning where Python raises, and int64
+        # arithmetic wraps where Python's ints do not: no arithmetic has a
+        # mask kernel, whatever the divisor.
         from repro.plans.logical import ArithExpr
 
         schema = _schema()
-        assert (
-            compile_mask_filter(
-                [
-                    Comparison(
-                        CompareOp.EQ,
-                        ArithExpr("/", ColumnExpr("id"), ConstExpr(0)),
-                        ConstExpr(1),
-                    )
-                ],
-                schema,
-            )
-            is None
-        )
-        fn = compile_mask_filter(
-            [
-                Comparison(
-                    CompareOp.EQ,
-                    ArithExpr("/", ColumnExpr("id"), ConstExpr(2)),
-                    ConstExpr(2),
+        for divisor in (0, 2):
+            assert (
+                compile_mask_filter(
+                    [
+                        Comparison(
+                            CompareOp.EQ,
+                            ArithExpr("/", ColumnExpr("id"), ConstExpr(divisor)),
+                            ConstExpr(1),
+                        )
+                    ],
+                    schema,
                 )
-            ],
-            schema,
-        )
-        assert fn is not None
+                is None
+            )
 
     def test_unsupported_expression_returns_none(self):
         from repro.plans.logical import FuncExpr
@@ -470,7 +434,7 @@ class TestColumnarParity:
         plan, __scia, __opt = two_table_db.plan(sql, mode=DynamicMode.FULL)
         col_result, col_ctx = dispatch(two_table_db, plan)
         row_result, row_ctx = dispatch_rows(two_table_db, plan)
-        assert col_ctx.columnar.leaf  # every query here has a leaf pipeline
+        assert any(r["kind"] == "scan" for r in col_ctx.vector.by_node.values())
         assert_bit_identical(col_result, col_ctx, row_result, row_ctx)
 
     @pytest.mark.parametrize("query", ALL_QUERIES, ids=lambda q: q.name)
@@ -529,8 +493,7 @@ class TestColumnarParity:
 
     def test_switch_queries_survive_columnar(self, tpcd_db):
         # Q5 and Q8 re-optimize mid-query at this scale; the column kernels
-        # must reproduce the switch and the final profile exactly, and the
-        # switch remainder's temporary table must take the row kernels.
+        # must reproduce the switch and the final profile exactly.
         for name in ("Q5", "Q8"):
             query = next(q for q in ALL_QUERIES if q.name == name)
             with row_path():
@@ -541,16 +504,14 @@ class TestColumnarParity:
             assert row.profile.plan_switches >= 1
             assert col.profile.total_cost == row.profile.total_cost
             assert col.profile.breakdown == row.profile.breakdown
-            assert col.profile.columnar_pipelines >= 1
-            temps = [
-                record
-                for record in col.profile.leaf_pipelines.values()
-                if record["table"].startswith("__temp_")
-            ]
-            assert temps
-            for record in temps:
-                assert record["kernel"] == "row"
-                assert record["reason"] == "temporary table"
+
+    @pytest.mark.parametrize("name", ["Q3", "Q8"])
+    def test_the_controller_sees_what_the_row_path_sees(self, tpcd_db, name):
+        # A collector completes after the scan and filters below it: the
+        # remaining cost behind Eq 1 / Eq 2 counts them as done.
+        query = next(q for q in ALL_QUERIES if q.name == name)
+        result = assert_row_parity(tpcd_db, query.sql, DynamicMode.FULL)
+        assert any(e.trigger is not None for e in result.profile.events)
 
     def test_appends_after_analyze_stay_consistent(self, two_table_db):
         db = two_table_db
@@ -562,7 +523,6 @@ class TestColumnarParity:
         after_col = db.execute(sql)
         with row_path():
             after_row = db.execute(sql)
-        assert after_col.profile.columnar_pipelines == 1
         assert len(after_col.rows) == len(before.rows) + 100
         assert after_col.rows == after_row.rows
         assert after_col.profile.total_cost == after_row.profile.total_cost
@@ -668,6 +628,85 @@ class TestZoneMapSkipping:
 
 
 # ----------------------------------------------------------------------
+# Masks NumPy would answer unlike Python: the row kernel runs instead
+# ----------------------------------------------------------------------
+
+
+class TestExactMasks:
+    """A filter or join residual compiles to masks only where NumPy compares
+    as Python does; otherwise that one operator runs the row kernel."""
+
+    def test_leaf_filter_arithmetic_does_not_wrap(self):
+        # (2**40 + i) * (2**40 - i) is past 2**63: int64 wraps it negative.
+        db = Database()
+        db.create_table("t", [("a", DataType.INTEGER), ("b", DataType.INTEGER)])
+        db.load_rows(
+            "t",
+            [(2**40 + i, 2**40 - i) for i in range(3000)] + [(i, i) for i in range(3000)],
+        )
+        db.analyze()
+        for op, count in ((">", 5999), ("<", 0)):
+            for mode in (DynamicMode.OFF, DynamicMode.FULL):
+                result = assert_row_parity(
+                    db, f"SELECT count(*) n FROM t WHERE t.a * t.b {op} 0", mode
+                )
+                assert result.rows == [(count,)]
+
+    @pytest.fixture
+    def past_2_53(self) -> Database:
+        db = Database()
+        db.create_table("t", [("k", DataType.INTEGER), ("a", DataType.INTEGER)])
+        db.load_rows("t", [(i, 2**53 + 1) for i in range(2000)])
+        db.create_table("u", [("k", DataType.INTEGER), ("f", DataType.FLOAT)])
+        db.load_rows("u", [(i, 2.0**53) for i in range(0, 2000, 4)])
+        db.analyze()
+        return db
+
+    def test_integer_against_float_past_2_53_on_a_scan(self, past_2_53):
+        # NumPy casts the int64 column to float64: 2**53 + 1 rounds to 2**53.
+        for mode in (DynamicMode.OFF, DynamicMode.FULL):
+            result = assert_row_parity(
+                past_2_53, "SELECT t.k FROM t WHERE t.a > 9007199254740992.0", mode
+            )
+            assert len(result.rows) == 2000
+
+    def test_integer_against_float_past_2_53_in_a_join_residual(self, past_2_53):
+        sql = "SELECT t.k, u.f FROM t, u WHERE t.k = u.k AND t.a > u.f"
+        for mode in (DynamicMode.OFF, DynamicMode.FULL):
+            assert len(assert_row_parity(past_2_53, sql, mode).rows) == 500
+
+    def test_which_comparisons_compile(self, past_2_53):
+        table = past_2_53.catalog.table
+        schema = table("t").schema.qualify("t").concat(table("u").schema.qualify("u"))
+
+        def compiles(left, op, right) -> bool:
+            return compile_mask_conjuncts([Comparison(op, left, right)], schema) is not None
+
+        a, f, k = ColumnExpr("t.a"), ColumnExpr("u.f"), ColumnExpr("t.k")
+        assert compiles(a, CompareOp.GT, ConstExpr(2**60))  # int against int
+        assert compiles(a, CompareOp.GT, ConstExpr(2.0**53 - 1))
+        assert not compiles(a, CompareOp.GT, ConstExpr(2.0**53))
+        assert compiles(f, CompareOp.LT, ConstExpr(24))
+        assert not compiles(f, CompareOp.LT, ConstExpr(2**53))
+        assert compiles(a, CompareOp.EQ, k)
+        assert not compiles(a, CompareOp.GT, f)  # a column-vs-column mix
+        assert not compiles(f, CompareOp.GT, f)  # a FLOAT column may hold ints
+
+    def test_no_paper_query_scan_filter_loses_its_mask(self, tpcd_db):
+        from repro.plans.physical import FilterNode, SeqScanNode
+
+        filters = 0
+        for query in ALL_QUERIES:
+            plan, __scia, __opt = tpcd_db.plan(query.sql, mode=DynamicMode.FULL)
+            for node in plan.walk():
+                if isinstance(node, FilterNode) and isinstance(node.child, SeqScanNode):
+                    filters += 1
+                    masks = compile_mask_conjuncts(node.predicates, node.child.schema)
+                    assert masks is not None, (query.name, node.detail())
+        assert filters >= len(ALL_QUERIES)
+
+
+# ----------------------------------------------------------------------
 # Late materialisation: tuples are built only for rows a row operator gets
 # ----------------------------------------------------------------------
 
@@ -684,29 +723,32 @@ class TestLateMaterialisation:
     def analyzed(self, db, name):
         query = next(q for q in ALL_QUERIES if q.name == name)
         report = db.explain_analyze(query.sql)
-        by_table = {
-            record["table"]: record
-            for record in report.result.profile.leaf_pipelines.values()
-        }
-        return report, by_table
+        return report, scan_records(report)
+
+    @staticmethod
+    def selected(report) -> int:
+        """Rows the filter over lineitem's scan passed."""
+        (rows,) = [
+            node.actual_rows for node in report.plans[-1].nodes
+            if node.label == "Filter" and "l_shipdate" in node.detail
+        ]
+        return rows
 
     @pytest.mark.parametrize("name, selected", [("Q1", 59963), ("Q6", 1081)])
     def test_aggregates_materialise_nothing(self, seed31_db, name, selected):
-        __, by_table = self.analyzed(seed31_db, name)
+        report, by_table = self.analyzed(seed31_db, name)
         assert by_table == {
             "lineitem": {
-                "table": "lineitem", "kernel": "column", "reason": None,
-                "rows_scanned": 59963, "rows_selected": selected,
-                "rows_materialised": 0,
+                "kind": "scan", "rows_scanned": 59963, "rows_materialised": 0,
             }
         }
+        assert self.selected(report) == selected
 
     def test_probe_side_materialises_what_the_join_emits(self, seed31_db):
         report, by_table = self.analyzed(seed31_db, "Q3")
         lineitem = by_table["lineitem"]
-        assert lineitem["kernel"] == "column"
         assert lineitem["rows_scanned"] == 59963
-        assert lineitem["rows_selected"] == 32739
+        assert self.selected(report) == 32739
         joins = [
             node
             for node in report.plans[-1].nodes
@@ -717,16 +759,12 @@ class TestLateMaterialisation:
         # The probe side passes its matches on as row ids, and the
         # aggregate above reads their columns: neither builds a tuple.
         assert lineitem["rows_materialised"] == top.vectorized["rows_materialised"] == 0
-        # A bare scan feeding a hash-join build is cheapest as heap rows.
-        __, q10 = self.analyzed(seed31_db, "Q10")
-        assert (q10["nation"]["kernel"], q10["nation"]["reason"]) == (
-            "row", "no filter",
-        )
-        assert "leaf pipeline: row kernels (no filter), 25 rows scanned" in (
-            seed31_db.explain_analyze(
-                next(q for q in ALL_QUERIES if q.name == "Q10").sql
-            ).render()
-        )
+        # A bare scan feeding a hash-join build hands on its row ids too.
+        report, q10 = self.analyzed(seed31_db, "Q10")
+        assert q10["nation"] == {
+            "kind": "scan", "rows_scanned": 25, "rows_materialised": 0,
+        }
+        assert "scan: 25 rows scanned, 0 materialised" in report.render()
 
 
 # ----------------------------------------------------------------------
@@ -737,21 +775,33 @@ class TestLateMaterialisation:
 class TestEngineIntegration:
     def test_profile_fields_and_summary(self):
         db = _clustered_db()
-        result = db.execute("SELECT k FROM t WHERE k < 100")
-        profile = result.profile
-        assert profile.columnar_pipelines == 1
-        assert "leaf pipelines: column=1 row=0" in profile.summary()
+        sql = "SELECT count(*) n FROM t WHERE k < 100"
+        profile = db.execute(sql).profile
+        assert profile.rows_folded == 100
+        gone = {
+            "leaf_pipelines", "columnar_pipelines", "columnar_keyed_pipelines",
+            "vectorized_agg_pipelines", "vectorized_probe_pipelines",
+        }
+        assert not gone & {f.name for f in dataclasses.fields(profile)}
+        assert "leaf pipelines" not in profile.summary()
         with row_path():
-            row = db.execute("SELECT k FROM t WHERE k < 100")
-        assert row.profile.columnar_pipelines == 0
-        assert row.profile.leaf_pipelines == {}
+            row = db.execute(sql)
+        assert row.profile.rows_folded == 0  # the row interpreter records none
 
     def test_keyed_pipelines_feed_joins_and_aggregates(self, two_table_db):
-        result = two_table_db.execute(
+        # Both scans hand on row ids: the join reads its key columns, the
+        # aggregate its group and argument columns, and no tuple is built.
+        sql = (
             "SELECT r1.a, count(*) FROM r1, r2 "
             "WHERE r1.id = r2.r1_id AND r2.c < 8 GROUP BY r1.a"
         )
-        assert result.profile.columnar_keyed_pipelines >= 1
+        report = two_table_db.explain_analyze(sql)
+        assert report.result.profile.join_rows_materialised == 0
+        records = scan_records(report)
+        assert set(records) == {"r1", "r2"}
+        assert all(r["rows_materialised"] == 0 for r in records.values())
+        with row_path():
+            assert two_table_db.execute(sql).rows == report.result.rows
 
     def test_metrics_counters_recorded(self):
         registry = MetricsRegistry()
@@ -762,22 +812,19 @@ class TestEngineIntegration:
         db.create_table("t", [("k", DataType.INTEGER)], key=["k"])
         db.load_rows("t", [(i,) for i in range(2000)])
         db.analyze()
-        db.execute("SELECT k FROM t WHERE k < 64")
+        db.execute("SELECT count(*) n FROM t WHERE k < 64")
         snap = registry.snapshot()
-        assert snap["columnar.pipelines"]["value"] >= 1
-        assert snap["leaf.column_pipelines"]["value"] == 1
-        assert snap["leaf.rows_scanned"]["value"] == 2000
-        assert snap["leaf.rows_selected"]["value"] == 64
-        assert snap["leaf.rows_materialised"]["value"] == 64
+        assert snap["vector.rows_folded"]["value"] == 64
+        assert not [name for name in snap if name.startswith(("leaf.", "columnar."))]
+        assert "vector.agg_pipelines" not in snap
 
     def test_explain_analyze_reports_zone_map_line(self):
         db = _clustered_db()
         report = db.explain_analyze("SELECT k FROM t WHERE k < 100")
         rendered = report.render()
-        assert (
-            "leaf pipeline: column kernels, 2000 rows scanned, "
-            "100 selected, 100 materialised"
-        ) in rendered
+        # The result reads the filter's 100 rows as tuples.
+        assert "scan: 2000 rows scanned, 100 materialised" in rendered
+        assert "leaf pipeline" not in rendered
         assert "zone maps" not in rendered
 
     def test_env_and_validation(self):

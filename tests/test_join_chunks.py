@@ -56,6 +56,16 @@ from repro.executor.runtime import PlanSwitchDirective, RuntimeContext
 from repro.optimizer import dp
 from repro.optimizer.annotate import annotate_plan
 from repro.optimizer.cost_model import CostModel
+from repro.plans.logical import (
+    AggFunc,
+    AggregateExpr,
+    ColumnExpr,
+    CompareOp,
+    Comparison,
+    ConstExpr,
+    OutputColumn,
+    output_schema,
+)
 from repro.plans.physical import (
     BlockNLJoinNode,
     CollectorSpec,
@@ -74,7 +84,13 @@ from repro.storage.index import build_index
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 
-from .oracle import assert_row_parity, observed_view, row_path, runtime_context
+from .oracle import (
+    assert_row_parity,
+    observed_view,
+    row_path,
+    runtime_context,
+    scan_records,
+)
 from .test_random_queries import build_random_db
 from .test_vector_agg import index_pairs, serial_pairs
 
@@ -304,7 +320,7 @@ class TestChunkComposition:
         with forced_joins(HashJoinNode):
             plan, __s, __o = db.plan(sql, mode=DynamicMode.OFF)
         join = next(n for n in plan.walk() if isinstance(n, HashJoinNode))
-        residual = batch_executor._chunk_kernel(join, join.residual)
+        residual = batch_executor._batch_kernel(join.residual, join.schema)
         left, right = (db.table(side.table_name).rows for side in join.children)
         pairs = [(i, j) for i in range(12) for j in range(12) if i % 3 == j % 3]
         stats = {"rows_materialised": 0}
@@ -499,7 +515,7 @@ class TestForcedJoinKinds:
         )
         plan, __s, __o = db.plan(sql, mode=DynamicMode.OFF)
         __, ctx = assert_paths_agree(db, plan)
-        (record,) = ctx.vector.by_node.values()
+        (record,) = [r for r in ctx.vector.by_node.values() if r["kind"] == "probe"]
         # The UDF needs whole rows: every match was built to be filtered.
         assert record["rows_materialised"] >= record["matches"] > 0
 
@@ -951,16 +967,12 @@ class TestMaterialisationPins:
         assert profile.join_rows_materialised == 0
         assert "join: 22755 rows probed, 91620 matches, 0 materialised" in report.render()
         assert "joins: matches=" in profile.summary()
-        # The late probe runs wherever it qualifies, whatever the sizes:
-        # supplier (100 rows) and n2 (25) probe the 3 246-row chunk by key
-        # column and pass their matches on as row ids, building none.
-        late = {
-            record["table"]: record["rows_materialised"]
-            for record in profile.leaf_pipelines.values()
-            if record["kernel"] == "column" and record["reason"] is None
-            and record["table"] in ("supplier", "nation")
-        }
-        assert late == {"supplier": 0, "nation": 0}
+        # Every scan hands on row ids, whatever its size: supplier (100
+        # rows) and n2 (25) probe the 3 246-row chunk by key column and
+        # pass their matches on, building none.
+        scans = scan_records(report)
+        assert {"supplier", "nation"} <= set(scans)
+        assert all(r["rows_materialised"] == 0 for r in scans.values())
 
     def test_q8_full_spools_the_survivors_only(self, fig10_db):
         report, joins = self.analyzed(fig10_db, "Q8", DynamicMode.FULL)
@@ -990,12 +1002,11 @@ class TestMaterialisationPins:
             if j.vectorized and j.vectorized.get("matches") == switched.materialized_rows
         ]
         assert cut.vectorized["rows_materialised"] == 0
-        # ... and the remainder's scan of it yields slices of that chunk.
+        # ... and the remainder's scan of it yields that chunk.
         (temp,) = [
-            record for record in report.profile.leaf_pipelines.values()
-            if record["table"].startswith("__temp_")
+            record for table, record in scan_records(report).items()
+            if table.startswith("__temp_")
         ]
-        assert temp["reason"] == "temporary table"
         assert temp["rows_scanned"] == switched.materialized_rows
         assert temp["rows_materialised"] == 0
 
@@ -1007,3 +1018,136 @@ class TestMaterialisationPins:
         assert profile.join_rows_materialised <= 3_000
         after = fig10_db.metrics_snapshot()["join.rows_materialised"]["value"]
         assert after - before["value"] == profile.join_rows_materialised
+
+
+# ----------------------------------------------------------------------
+# Every operator without a column kernel, between operators with one
+# ----------------------------------------------------------------------
+
+
+BATCH_SIZES = [1, 2, None]
+
+
+class TestFormerFallbacks:
+    """Each shape once ended a column-space leaf pipeline and sent what
+    lay above it to the row kernels; now only the operator without a
+    kernel reads tuples.  Held to the row path at batch sizes 1, 2 and the
+    default, under OFF and FULL — for the hand-built plans, FULL is a
+    statistics collector over the bottom filter, where SCIA places one."""
+
+    def db(self, batch_size):
+        config = EngineConfig() if batch_size is None else EngineConfig(batch_size=batch_size)
+        db = build_random_db(5, 3, config)
+        db.register_udf("half", lambda v: v // 2)
+        return db
+
+    @staticmethod
+    def predicates(db, where: str):
+        return db.bind_sql(f"SELECT t1.k a FROM t0, t1 WHERE {where}").predicates
+
+    @staticmethod
+    def collected(node, mode):
+        if mode is DynamicMode.OFF:
+            return node
+        names = [column.name for column in node.schema.columns]
+        return StatsCollectorNode(node, CollectorSpec(histogram_columns=(names[0],)))
+
+    @pytest.mark.parametrize("mode", [DynamicMode.OFF, DynamicMode.FULL])
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    def test_udf_conjunct_above_a_mask_filter(self, batch_size, mode):
+        db = self.db(batch_size)
+        mask = FilterNode(scan(db, "t1"), self.predicates(db, "t1.v < 9 AND t1.k > 2"))
+        udf = FilterNode(self.collected(mask, mode), self.predicates(db, "half(t1.k) > 3"))
+        __, ctx = assert_paths_agree(db, annotated(db, udf))
+        (record,) = ctx.vector.by_node.values()
+        # The UDF reads the mask filter's survivors as tuples, no more.
+        assert 0 < record["rows_materialised"] == ctx.actual_rows[mask.node_id]
+        assert record["rows_materialised"] < record["rows_scanned"]
+
+    @pytest.mark.parametrize("mode", [DynamicMode.OFF, DynamicMode.FULL])
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    def test_computed_projection_between_two_filters(self, batch_size, mode):
+        db = self.db(batch_size)
+        below = FilterNode(scan(db, "t1"), self.predicates(db, "t1.v < 9"))
+        (plus,) = [
+            item.expr for item in db.bind_sql("SELECT t1.v + 1 c FROM t1").output
+        ]
+        output = [OutputColumn("a", ColumnExpr("t1.k")), OutputColumn("c", plus)]
+        child = self.collected(below, mode)
+        project = ProjectNode(child, output, output_schema(output, child.schema))
+        # ``c`` is typed FLOAT and holds ints: its mask compares them exactly.
+        above = FilterNode(project, [Comparison(CompareOp.GT, ColumnExpr("c"), ConstExpr(4))])
+        outcome, __ = assert_paths_agree(db, annotated(db, above))
+        assert outcome.rows and all(c > 4 for __, c in outcome.rows)
+
+    @pytest.mark.parametrize("mode", [DynamicMode.OFF, DynamicMode.FULL])
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    def test_filter_over_a_switchs_held_chunk(self, batch_size, mode):
+        db = self.db(batch_size)
+        cut = annotated(
+            db, HashJoinNode(scan(db, "t0"), scan(db, "t1"), [("t0.k", "t1.t0_k")])
+        )
+        predicates = self.predicates(db, "t1.v < 9 AND t0.v <> t1.v")
+        outcomes = []
+        for path in PATHS:
+            def setup(ctx: RuntimeContext) -> None:
+                temp = ctx.temp_manager.create_empty(cut.schema)
+                held = SeqScanNode(temp.name, temp.name, temp.schema)
+                remainder = FilterNode(self.collected(held, mode), predicates)
+                ctx.request_switch(
+                    PlanSwitchDirective(
+                        cut_node_id=cut.node_id, temp_table=temp,
+                        new_plan=annotated(db, remainder), new_allocation={},
+                        remainder_sql="(forced)",
+                    )
+                )
+
+            measured, outcome, ctx = run_plan(db, cut, path, setup=setup)
+            assert ctx.switches == 1 and outcome.rows
+            outcomes.append((measured[:4], list(measured[6].values())))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("mode", [DynamicMode.OFF, DynamicMode.FULL])
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    def test_filter_over_a_session_temp_table(self, batch_size, mode):
+        db = self.db(batch_size)
+        session = db.create_session("scratch")
+        try:
+            session.create_temp_table("hot", [("h_k", DataType.INTEGER), ("h_v", DataType.INTEGER)])
+            session.load_rows("hot", [(k, k % 11) for k in range(0, 90, 3)])
+            session.analyze("hot")
+            for sql in (
+                "SELECT hot.h_k a FROM hot WHERE hot.h_v < 6 AND hot.h_k > 9",
+                "SELECT hot.h_k a, t1.v b FROM hot, t1 "
+                "WHERE hot.h_k = t1.k AND hot.h_v <> t1.v",
+            ):
+                assert assert_row_parity(session, sql, mode).rows
+        finally:
+            session.close()
+
+    @pytest.mark.parametrize("mode", [DynamicMode.OFF, DynamicMode.FULL])
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    def test_aggregate_with_a_computed_argument_over_a_join(self, batch_size, mode):
+        db = self.db(batch_size)
+        sql = (
+            "SELECT t1.v g, sum(t0.v + t1.k) s, count(*) n, min(half(t0.k)) m "
+            "FROM t0, t1 WHERE t1.t0_k = t0.k GROUP BY t1.v"
+        )
+        assert assert_row_parity(db, sql, mode).rows
+
+    @pytest.mark.parametrize("mode", [DynamicMode.OFF, DynamicMode.FULL])
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    def test_aggregate_over_a_row_list(self, batch_size, mode):
+        db = self.db(batch_size)
+        output = [OutputColumn("g", ColumnExpr("t1.v")), OutputColumn("f", ColumnExpr("t1.t0_k"))]
+        project = ProjectNode(scan(db, "t1"), output, output_schema(output, scan(db, "t1").schema))
+        distinct = self.collected(DistinctNode(project), mode)
+        items = [
+            OutputColumn("g", ColumnExpr("g")),
+            OutputColumn("n", AggregateExpr(AggFunc.COUNT)),
+            OutputColumn("s", AggregateExpr(AggFunc.SUM, ColumnExpr("f"))),
+            OutputColumn("x", AggregateExpr(AggFunc.MAX, ColumnExpr("f"))),
+        ]
+        top = HashAggregateNode(distinct, ["g"], items, output_schema(items, distinct.schema))
+        outcome, __ = assert_paths_agree(db, annotated(db, top))
+        assert outcome.rows

@@ -1,28 +1,31 @@
-"""MIN / MAX and the collectors' min/max when a NaN leads a batch.
+"""MIN / MAX and the collectors' min/max when a NaN leads a run.
 
 Every comparison with NaN is false, so Python's ``min`` / ``max`` keep a
 NaN that comes first: ``min([nan, 0.5])`` is NaN.  Folding a batch's own
 extreme into the running one therefore dropped the 0.5 that the row path,
-comparing value by value against the running extreme, keeps.  Both batch
-folds seed ``min`` / ``max`` with the running extreme, which makes exactly
-the row path's comparisons.
+comparing value by value against the running extreme, keeps.  The
+aggregate's group folds — :func:`minmax_group_fold` over float64 columns,
+:func:`object_group_minmax` over Python values — and the collectors' batch
+fold make exactly the row path's comparisons.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Database, DataType, EngineConfig
 from repro.executor.collector import RuntimeCollector
-from repro.executor.agg_kernels import _AggState
+from repro.executor.agg_kernels import minmax_group_fold, object_group_minmax
 from repro.plans.logical import AggFunc
 from repro.plans.physical import CollectorSpec, SeqScanNode, StatsCollectorNode
 from repro.storage import Column, Schema
 
 from .oracle import row_path
+from .reference.iterators import _AggState
 
 pytestmark = pytest.mark.hashseed
 
@@ -48,25 +51,49 @@ def test_grouped_min_max_after_a_leading_nan_matches_the_row_path():
     assert sorted(db.execute(sql).rows) == sorted(by_row)
 
 
-@given(batches=st.lists(st.lists(st.one_of(st.none(), NUMBERS), max_size=5), max_size=5))
+def _serial(func, groups: list) -> list:
+    """Per group, the reference accumulator's MIN or MAX, value by value."""
+    states = [_AggState(func) for __ in groups]
+    for state, run in zip(states, groups):
+        for value in run:
+            state.update(value)
+    return [state.result() for state in states]
+
+
+def _group_fold(groups: list, maximum: bool) -> list:
+    """The aggregate's fold over the groups' runs interleaved in row order:
+    float64 when no value is None, the object fold otherwise."""
+    # Round robin over the groups: each run keeps its order.
+    rows = sorted(
+        ((i, g, v) for g, run in enumerate(groups) for i, v in enumerate(run)),
+        key=lambda row: row[:2],
+    )
+    codes = [g for __, g, __v in rows]
+    values = [v for __, __g, v in rows]
+    if None in values:
+        return object_group_minmax(values, codes, len(groups), maximum)
+    return minmax_group_fold(
+        np.array(values, dtype=np.float64), np.array(codes), len(groups), maximum
+    )
+
+
+@given(groups=st.lists(st.lists(st.one_of(st.none(), NUMBERS), min_size=1, max_size=6), min_size=1, max_size=4))
 @settings(max_examples=150, deadline=None)
-def test_agg_state_folds_a_batch_as_it_folds_its_rows(batches):
-    for func in (AggFunc.MIN, AggFunc.MAX):
-        by_row, by_batch = _AggState(func), _AggState(func)
-        for batch in batches:
-            for value in batch:
-                by_row.update(value)
-            by_batch.update_batch(batch)
-        assert repr(by_batch.result()) == repr(by_row.result())
+def test_group_folds_fold_as_the_serial_accumulator(groups):
+    groups = [[float(v) if type(v) is int else v for v in run] for run in groups]
+    for func, maximum in ((AggFunc.MIN, False), (AggFunc.MAX, True)):
+        assert repr(_group_fold(groups, maximum)) == repr(_serial(func, groups))
 
 
-def test_agg_state_keeps_a_value_behind_a_leading_nan():
-    low, high = _AggState(AggFunc.MIN), _AggState(AggFunc.MAX)
-    for state in (low, high):
-        state.update_batch([1.0])
-        state.update_batch([NAN, 0.5, 1.5])
-        state.update_batch([None, NAN, 0.25])
-    assert (low.result(), high.result()) == (0.25, 1.5)
+def test_group_folds_keep_a_value_behind_a_leading_nan():
+    # A NaN behind the first value never wins a comparison, so the values
+    # behind it still do; a NaN in front stays, as min() keeps it.
+    for fold in (_group_fold, lambda groups, maximum: _group_fold(
+        [[None, *run] for run in groups], maximum
+    )):
+        assert fold([[1.0, NAN, 0.5, 1.5], [2.0, NAN, 0.25]], False) == [0.5, 0.25]
+        assert fold([[1.0, NAN, 0.5, 1.5], [2.0, NAN, 0.25]], True) == [1.5, 2.0]
+        assert repr(fold([[NAN, 0.5]], False)) == "[nan]"
 
 
 def _collector() -> RuntimeCollector:

@@ -1,7 +1,7 @@
 """Scan observations and the mid-query switch under the batch path.
 
 The module name is historical: there is no parallel executor (DESIGN.md
-section 8).  What it tests stays: a leaf pipeline runs in column space on
+section 8).  What it tests stays: a filtered scan runs in column space on
 the batch path and stays bit-identical to the row path, its scan counts
 every row it read as an exact cardinality observation, and the running
 example plan-switches in FULL mode on the batch path.
@@ -18,6 +18,7 @@ from repro.workloads.synthetic import (
     build_running_example,
 )
 
+from .oracle import scan_records
 from .test_columnar import _clustered_db, assert_bit_identical, dispatch, dispatch_rows
 
 FILTER_SQL = "SELECT k, v FROM t WHERE k < 1200"
@@ -42,7 +43,7 @@ def plan_for(db: Database, sql: str):
 
 
 class TestColumnarMorsels:
-    """One leaf pipeline, two executors: the batch executor runs it in
+    """One filtered scan, two executors: the batch executor runs it in
     column space, the row executor tuple by tuple."""
 
     def test_charge_mode_parity_vs_batch_and_serial(self):
@@ -50,8 +51,9 @@ class TestColumnarMorsels:
         plan = plan_for(db, FILTER_SQL)
         batch_result, batch_ctx = dispatch(db, plan)
         serial_result, serial_ctx = dispatch_rows(db, plan)
-        assert batch_ctx.columnar.pipelines == 1
-        assert serial_ctx.columnar.leaf == {}
+        (record,) = batch_ctx.vector.by_node.values()
+        assert record["kind"] == "scan"
+        assert serial_ctx.vector.by_node == {}
         assert_bit_identical(serial_result, serial_ctx, batch_result, batch_ctx)
 
 
@@ -71,24 +73,26 @@ class TestZoneMapObservations:
             node
             for plan in report.plans
             for node in plan.nodes
-            if node.leaf_pipeline is not None
+            if node.vectorized and node.vectorized["kind"] == "scan"
         )
-        assert scan.leaf_pipeline["kernel"] == "column"
         table_rows = len(db.catalog.table("t").rows)
-        assert scan.actual_rows == scan.leaf_pipeline["rows_scanned"] == table_rows
+        assert scan.actual_rows == scan.vectorized["rows_scanned"] == table_rows
         assert scan.rows_q_error == pytest.approx(1.0, abs=0.05)
-        assert f"{table_rows} rows scanned, 1200 selected" in report.render()
+        # The result reads the filter's 1 200 rows as tuples.
+        assert f"scan: {table_rows} rows scanned, 1200 materialised" in report.render()
 
     def test_by_scan_counts_rows_in_both_modes(self):
-        # Both hand-off modes: survivors handed on as a chunk, and a
-        # selection a vectorized aggregate consumes in column space.
+        # Both consumers: the result, which reads the filter's chunk as
+        # tuples, and an aggregate, which reads its columns.
         db = _clustered_db(rows=4000)
         aggregate_sql = "SELECT count(*) n, sum(v) s FROM t WHERE k < 1200"
-        for sql, keyed in ((FILTER_SQL, 0), (aggregate_sql, 1)):
-            __result, ctx = dispatch(db, plan_for(db, sql))
-            assert ctx.columnar.keyed_pipelines == keyed
-            (record,) = ctx.columnar.leaf.values()
-            assert (record["rows_scanned"], record["rows_selected"]) == (4000, 1200)
+        for sql, built in ((FILTER_SQL, 1200), (aggregate_sql, 0)):
+            report = db.explain_analyze(sql)
+            assert scan_records(report) == {
+                "t": {"kind": "scan", "rows_scanned": 4000, "rows_materialised": built}
+            }
+            (selected,) = [n.actual_rows for n in report.plans[-1].nodes if n.label == "Filter"]
+            assert selected == 1200
 
 
 # ----------------------------------------------------------------------

@@ -7,10 +7,10 @@ correctness net in the suite: it exercises the optimizer's plan choices,
 every join algorithm, the collectors, and the mid-query switch machinery
 at once.
 
-The second half holds the default executor's column-space leaf pipelines
-to the row path (:func:`tests.oracle.row_path`) on tables of several
-page groups whose columns change encoding while queries run: rows, plans
-and every simulated quantity must agree exactly.
+The second half holds the default executor's column-space operators to
+the row path (:func:`tests.oracle.row_path`) on tables of several pages
+whose columns change encoding while queries run: rows, plans and every
+simulated quantity must agree exactly.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Database, DataType, DynamicMode, EngineConfig
 from repro.bench.harness import rows_equivalent
-from repro.executor import batch, columnar
+from repro.executor import batch
 
 from . import reference_collector
 from .reference import iterators
-from .oracle import evaluate, row_path
+from .oracle import evaluate, row_path, scan_records
 
 pytestmark = pytest.mark.hashseed
 
@@ -127,7 +127,7 @@ def assert_collectors_agree(seed: int, sql: str, tables: int = 3, indexes: bool 
                 db.create_index(f"ix_t{i}", f"t{i}", f"t{i - 1}_k")
         with pytest.MonkeyPatch.context() as patch:
             if collector is not None:
-                for module in (batch, columnar, iterators):
+                for module in (batch, iterators):
                     patch.setattr(module, "RuntimeCollector", collector)
             profile = (result := db.execute(sql, mode=DynamicMode.FULL)).profile
         if collector is not None:
@@ -178,7 +178,7 @@ class TestRandomizedQueries:
 
 
 # ----------------------------------------------------------------------
-# Column-space leaf pipelines (the default path) against the row path
+# Column-space operators (the default path) against the row path
 # ----------------------------------------------------------------------
 
 WIDE_COLUMNS = [
@@ -191,7 +191,7 @@ WIDE_COLUMNS = [
     ("big", DataType.INTEGER),
 ]
 
-#: What makes ``f.late`` leave the int64 encoding, in a late page group.
+#: What makes ``f.late`` leave the int64 encoding, in a late page.
 LATE_DEMOTIONS = (None, True, 2**70)
 
 
@@ -213,7 +213,7 @@ def wide_rows(rng: random.Random, lo: int, hi: int, odd: object = 0, many_string
 
 
 def build_wide_db(seed: int, config=None) -> tuple[Database, random.Random]:
-    """``f`` (600 rows, ten page groups at batch_size 64) and ``d``."""
+    """``f`` (600 rows, several pages at batch_size 64) and ``d``."""
     config = config or EngineConfig(batch_size=64, columnar_dictionary_max=8)
     db = Database(config)
     rng = random.Random(seed)
@@ -262,13 +262,6 @@ def assert_matches_row_path(db: Database, sql: str, mode=DynamicMode.FULL) -> No
     assert (
         default.profile.memory_reallocations == oracle.profile.memory_reallocations
     ), sql
-    # The scan of f ran on the column kernels; the oracle built nothing.
-    kernels = {
-        record["table"]: record["kernel"]
-        for record in default.profile.leaf_pipelines.values()
-    }
-    assert kernels.get("f") == "column", (sql, default.profile.leaf_pipelines)
-    assert oracle.profile.leaf_pipelines == {}
 
 
 class TestColumnKernelsAgainstRowPath:
@@ -305,37 +298,31 @@ class TestColumnKernelsAgainstRowPath:
                 assert_matches_row_path(db, sql, mode)
 
     def test_pipelines_without_kernels_stay_on_rows_with_a_reason(self):
+        # An operator without a column kernel reads its input as tuples —
+        # a UDF filter every scanned row, the result a bare scan's — and
+        # one below it with a kernel still hands on row ids.
         pytest.importorskip("numpy")
         db, __ = build_wide_db(3)
         db.register_udf("half", lambda v: v // 2)
-        cases = {
-            "SELECT f.k FROM f WHERE half(f.v) < 3": "predicate without a kernel",
-            "SELECT f.k, f.v FROM f": "no filter",
-        }
-        for sql, reason in cases.items():
-            default = db.execute(sql)
+        for sql, built in (
+            ("SELECT f.k FROM f WHERE half(f.v) < 3", 600),
+            ("SELECT f.k, f.v FROM f", 600),
+            ("SELECT f.k, f.v + 1 x FROM f WHERE f.v < 5", None),  # < 600
+        ):
+            report = db.explain_analyze(sql)
             with row_path():
                 oracle = db.execute(sql)
-            assert default.rows == oracle.rows
-            assert repr(default.profile.total_cost) == repr(oracle.profile.total_cost)
-            (record,) = default.profile.leaf_pipelines.values()
-            assert (record["kernel"], record["reason"]) == ("row", reason)
-            assert record["rows_scanned"] == record["rows_materialised"] == 600
-            assert record["rows_selected"] == len(default.rows)
-            assert default.profile.columnar_pipelines == 0
-        # A stage without a kernel is an ordinary row operator; the chain
-        # below it is a leaf pipeline of its own and still qualifies.
-        sql = "SELECT f.k, f.v + 1 x FROM f WHERE f.v < 5"
-        default = db.execute(sql)
-        with row_path():
-            oracle = db.execute(sql)
-        assert default.rows == oracle.rows
-        assert repr(default.profile.total_cost) == repr(oracle.profile.total_cost)
-        (record,) = default.profile.leaf_pipelines.values()
-        assert (record["kernel"], record["reason"]) == ("column", None)
-        assert record["rows_materialised"] == len(default.rows) < 600
+            assert report.result.rows == oracle.rows
+            assert repr(report.result.profile.total_cost) == repr(
+                oracle.profile.total_cost
+            )
+            (record,) = scan_records(report).values()
+            assert record["rows_scanned"] == 600
+            # The computed projection builds the filter's survivors only.
+            expected = len(oracle.rows) if built is None else built
+            assert record["rows_materialised"] == expected
 
-    def test_session_temp_tables_take_the_row_kernels(self):
+    def test_session_temp_tables_read_the_store(self):
         pytest.importorskip("numpy")
         db, __ = build_wide_db(7)
         session = db.create_session("hot-client")
@@ -343,15 +330,23 @@ class TestColumnKernelsAgainstRowPath:
             session.create_temp_table("hot", [("h_k", DataType.INTEGER)])
             session.load_rows("hot", [(k,) for k in range(0, 600, 7)])
             session.analyze("hot")
-            result = session.execute(
+            sql = (
                 "SELECT f.s g, count(*) n FROM hot, f "
                 "WHERE hot.h_k = f.k AND hot.h_k < 300 GROUP BY f.s"
             )
+            result = session.execute(sql)
+            with row_path():
+                oracle = session.execute(sql)
+            store = session.catalog.table("hot").column_store(
+                dictionary_max=db.config.columnar_dictionary_max
+            )
         finally:
             session.close()
-        by_table = {r["table"]: r for r in result.profile.leaf_pipelines.values()}
-        assert by_table["hot"]["kernel"] == "row"
-        assert by_table["hot"]["reason"] == "temporary table"
+        # A session temp table is a heap like any other: its scan hands on
+        # row ids, its filter reads the store's column.
+        assert store._built[0]
+        assert repr(result.rows) == repr(oracle.rows)
+        assert repr(result.profile.total_cost) == repr(oracle.profile.total_cost)
         assert sum(n for __, n in result.rows) == len(range(0, 300, 7))
 
     def test_two_sessions_first_touching_a_column_build_it_once(self):

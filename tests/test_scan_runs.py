@@ -1,10 +1,10 @@
-"""Leaf pipelines make one kernel pass over whole stored columns.
+"""A scan is one pass over whole stored columns.
 
-The column store holds whole columns, so a leaf pipeline masks,
-materialises and hands over once per scan.  Under test: every column scan
-of the paper queries reads every stored row of its table; a table striped
-page by page stays bit-identical to the row path; and the column-space
-multi-key aggregate keeps each group's first row's key values.
+The column store holds whole columns, so a scan charges its pages and
+hands on one chunk of every row id, once.  Under test: every scan of the
+paper queries reads every stored row of its table; a table striped page
+by page stays bit-identical to the row path; and the multi-key aggregate
+keeps each group's first row's key values.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from repro import Database, DataType, DynamicMode, EngineConfig
 from repro.bench import ExperimentConfig, build_database
 from repro.workloads.tpcd import ALL_QUERIES
 
-from .oracle import row_path
+from .oracle import row_path, scan_records
 from .test_columnar import dispatch, dispatch_rows
 
 pytestmark = pytest.mark.hashseed
@@ -35,10 +35,10 @@ class TestOnePassPerScan:
     ):
         scans = 0
         for query in ALL_QUERIES:
-            result = paper_db.execute(query.sql, mode=mode)
-            for record in result.profile.leaf_pipelines.values():
-                if record["kernel"] == "column":
-                    table = paper_db.table(record["table"])
+            report = paper_db.explain_analyze(query.sql, mode=mode)
+            for name, record in scan_records(report).items():
+                if not name.startswith("__temp_"):  # dropped with its query
+                    table = paper_db.table(name)
                     assert record["rows_scanned"] == table.row_count, query.name
                     scans += 1
         assert scans >= len(ALL_QUERIES)
@@ -96,11 +96,10 @@ class TestRunsSplitBySkips:
         assert col_ctx.buffer_pool.stats == row_ctx.buffer_pool.stats
         assert col_ctx.actual_rows == row_ctx.actual_rows
         scan_id = next(
-            scan_id for scan_id, record in col_ctx.columnar.leaf.items()
-            if record["table"] == "t"
+            node.node_id for node in plan.walk()
+            if getattr(node, "table_name", None) == "t"
         )
-        record = col_ctx.columnar.leaf[scan_id]
-        assert record["kernel"] == "column"
+        record = col_ctx.vector.by_node[scan_id]
         assert record["rows_scanned"] == row_ctx.actual_rows[scan_id]
 
 
@@ -122,6 +121,6 @@ class TestMultiKeyGroupKeys:
         with row_path():
             row = db.execute(sql)
         batch = db.execute(sql)
-        assert batch.profile.vectorized_agg_pipelines == 1
+        assert batch.profile.rows_folded == 3
         assert repr(row.rows) == "[(1, 0.0, 2), (2, -0.0, 1)]"
         assert repr(batch.rows) == repr(row.rows)

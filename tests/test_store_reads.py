@@ -23,7 +23,7 @@ from repro.executor.chunk import Source, typed
 from repro.storage.schema import Column, DataType, Schema
 from repro.storage.table import Table
 
-from .oracle import row_path
+from .oracle import row_path, scan_records
 
 pytestmark = pytest.mark.hashseed
 
@@ -166,8 +166,8 @@ def sf005_db():
 
 @pytest.mark.parametrize("name", ["Q3", "Q10"])
 def test_warm_joins_and_aggregate_build_no_tuple(sf005_db, name, monkeypatch):
-    """Every column-kernel leaf pipeline and every join of warm Q3 / Q10
-    reports ``rows_materialised == 0``, and no chunk is ever read as rows:
+    """Every scan and every join of warm Q3 / Q10 reports
+    ``rows_materialised == 0``, and no chunk is ever read as rows:
     the joins pass row ids over the column store, and the aggregate reads
     the columns it names.  Rows and costs are the row path's."""
     from repro.executor.chunk import Chunk
@@ -184,8 +184,9 @@ def test_warm_joins_and_aggregate_build_no_tuple(sf005_db, name, monkeypatch):
     profile = report.result.profile
     assert profile.plan_cache_hit
     assert built == []
-    leaves = profile.leaf_pipelines.values()
-    assert all(r["rows_materialised"] == 0 for r in leaves if r["kernel"] == "column")
+    scans = scan_records(report)
+    assert len(scans) == (3 if name == "Q3" else 4)
+    assert all(r["rows_materialised"] == 0 for r in scans.values())
     joins = [n.vectorized for n in report.plans[-1].nodes if n.vectorized]
     joins = [j for j in joins if j["kind"] == "probe"]
     assert len(joins) == (2 if name == "Q3" else 3)
@@ -194,6 +195,6 @@ def test_warm_joins_and_aggregate_build_no_tuple(sf005_db, name, monkeypatch):
     if name == "Q10":
         rendered = report.render()
         assert "join: 100411 rows probed, 3855 matches, 0 materialised" in rendered
-        assert "100411 selected, 0 materialised" in rendered
+        assert "scan: 299849 rows scanned, 0 materialised" in rendered
     assert report.result.rows == oracle.rows
     assert repr(profile.total_cost) == repr(oracle.profile.total_cost)

@@ -1,10 +1,10 @@
 """Vectorized aggregation & join-probe kernels: bit-exact float parity.
 
-The contract under test (DESIGN.md section 9): the NumPy group-by fold
+The contract under test (DESIGN.md section 6): the NumPy group-by fold
 kernels in ``executor/agg_kernels.py`` reproduce the serial accumulator
 byte-for-byte — including non-associative float SUM/AVG, signed zeros,
-infinities and NaN — so the batch executor's column-space leaf pipelines
-aggregate entirely in column space.  Plus the join-probe kernel's exact
+infinities and NaN — so the batch executor's one hash-aggregate body
+folds entirely in column space.  Plus the join-probe kernel's exact
 emission-order parity with late materialisation, and the import-time fold
 probes failing closed.
 """
@@ -19,7 +19,7 @@ import pytest
 
 from repro import Database, DataType, DynamicMode, EngineConfig
 from repro.bench import ExperimentConfig, build_database
-from repro.executor import agg_kernels
+from repro.executor import agg_kernels, batch
 from repro.executor.agg_kernels import (
     ProbeIndex,
     factorize_array,
@@ -33,6 +33,7 @@ from repro.executor.agg_kernels import (
 )
 from repro.executor.chunk import typed
 
+from .oracle import assert_row_parity
 from .test_columnar import assert_bit_identical, dispatch, dispatch_rows
 
 pytestmark = pytest.mark.hashseed
@@ -517,28 +518,54 @@ class TestEndToEndFloatParity:
             plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
             col_result, col_ctx = dispatch(db, plan)
             row_result, row_ctx = dispatch_rows(db, plan)
-            assert col_ctx.vector.agg_pipelines == 1
             assert_bit_identical(col_result, col_ctx, row_result, row_ctx)
 
-    def test_columnar_uses_vector_kernels(self):
+    def test_columnar_uses_vector_kernels(self, monkeypatch):
         db = _float_db()
         sql = FLOAT_AGG_QUERIES[0]
         plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
+        folds = []
+        kernel = batch.float_group_sums
+        monkeypatch.setattr(
+            batch, "float_group_sums", lambda *a: folds.append(1) or kernel(*a)
+        )
         result, ctx = dispatch(db, plan)
-        assert ctx.vector.agg_pipelines == 1
-        assert ctx.vector.rows_folded > 0
+        assert ctx.vector.rows_folded == 900
+        assert len(folds) == 1  # SUM and AVG of x share one fold
         # The aggregate never asks for a row: nothing is materialised.
-        (leaf,) = ctx.columnar.leaf.values()
-        assert leaf["kernel"] == "column"
-        assert leaf["rows_materialised"] == 0
+        (scan,) = [r for r in ctx.vector.by_node.values() if r["kind"] == "scan"]
+        assert scan["rows_materialised"] == 0
         # Fold probe failed at import: same bytes, no kernel use.
         row_result, row_ctx = dispatch_rows(db, plan)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(agg_kernels, "_KERNELS_OK", False)
             off_result, off_ctx = dispatch(db, plan)
-        assert off_ctx.vector.agg_pipelines == 0
+        assert len(folds) == 1
         assert_bit_identical(result, ctx, row_result, row_ctx)
         assert_bit_identical(off_result, off_ctx, row_result, row_ctx)
+
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_float_group_keys_group_by_value(self, nan):
+        # Float keys group through a dict over their values: 0.5 and 0.7
+        # stay apart, -0.0 joins 0.0's group under the first one's sign,
+        # and each NaN object is its own group.
+        db = Database(EngineConfig(batch_size=16))
+        db.create_table(
+            "t", [("g", DataType.INTEGER), ("x", DataType.FLOAT), ("y", DataType.INTEGER)]
+        )
+        keys = [0.5, 0.7, 1.5, 2.25, -0.0, 0.0, 0.1]
+        db.load_rows("t", [(i % 3, keys[i % 7], i) for i in range(200)])
+        if nan:
+            db.load_rows("t", [(i, float("nan"), i) for i in range(3)])
+        for mode in (DynamicMode.OFF, DynamicMode.FULL):
+            rows = assert_row_parity(
+                db, "SELECT t.x, count(*) n, sum(t.y) s FROM t GROUP BY t.x", mode
+            ).rows
+            assert len(rows) == 6 + 3 * nan
+            assert repr(rows[4][0]) == "-0.0"
+            assert assert_row_parity(
+                db, "SELECT t.g, t.x, min(t.y) m FROM t GROUP BY t.g, t.x", mode
+            ).rows
 
     def test_dictionary_overflow_groups_through_object_path(self):
         # > columnar_dictionary_max distinct strings demote the column to
@@ -556,7 +583,7 @@ class TestEndToEndFloatParity:
         plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
         row_result, row_ctx = dispatch_rows(db, plan)
         col_result, col_ctx = dispatch(db, plan)
-        assert col_ctx.vector.agg_pipelines == 1
+        assert col_ctx.vector.rows_folded == 600
         assert_bit_identical(col_result, col_ctx, row_result, row_ctx)
 
     def test_probe_kernel_parity_and_knob(self):
@@ -568,17 +595,15 @@ class TestEndToEndFloatParity:
         plan, __scia, __opt = db.plan(sql, mode=DynamicMode.FULL)
         row_result, row_ctx = dispatch_rows(db, plan)
         on_result, on_ctx = dispatch(db, plan)
-        assert on_ctx.vector.probe_pipelines >= 1
         assert_bit_identical(on_result, on_ctx, row_result, row_ctx)
         # The probe side (lineitem, a bare scan) passes its matches on as
         # row ids; the tuples built are the join's, for the result it emits.
-        lineitem = next(
-            record
-            for record in on_ctx.columnar.leaf.values()
-            if record["table"] == "lineitem"
-        )
-        assert lineitem["kernel"] == "column"
-        assert lineitem["rows_materialised"] == 0 < lineitem["rows_selected"]
+        (lineitem,) = [
+            on_ctx.vector.by_node[node.node_id]
+            for node in plan.walk()
+            if getattr(node, "table_name", None) == "lineitem"
+        ]
+        assert lineitem["rows_materialised"] == 0 < lineitem["rows_scanned"]
         assert on_ctx.vector.join_total("rows_materialised") == len(on_result.rows) > 0
         # The knob is gone: which probe runs is the executor's choice.
         with pytest.raises(TypeError):
@@ -595,9 +620,7 @@ class TestEndToEndFloatParity:
         db.create_table("t", [("g", DataType.INTEGER), ("x", DataType.FLOAT)])
         db.load_rows("t", [(i % 5, float(i) * 0.1) for i in range(400)])
         result = db.execute("SELECT g, SUM(x) FROM t GROUP BY g")
-        assert result.profile.vectorized_agg_pipelines == 1
-        assert result.profile.rows_folded > 0
-        assert "vectorized:" in result.profile.summary()
+        assert result.profile.rows_folded == 400
         snap = registry.snapshot()
-        assert snap["vector.agg_pipelines"]["value"] >= 1
-        assert snap["vector.rows_folded"]["value"] > 0
+        assert snap["vector.rows_folded"]["value"] == 400
+        assert "vector.agg_pipelines" not in snap
