@@ -153,14 +153,21 @@ class ReoptimizationParameters:
 class EngineConfig:
     """Top-level configuration for a :class:`repro.engine.Database` instance.
 
-    Five fields take their default from an environment variable, for
-    deployment: ``REPRO_TRACE``, ``REPRO_SERVER`` (flags),
-    ``REPRO_MAX_SESSIONS``, ``REPRO_SLOW_QUERY`` (numbers) and
-    ``REPRO_SLOW_QUERY_PATH`` (a path).
+    Four fields take their default from an environment variable, for
+    deployment: ``REPRO_TRACE`` (a flag), ``REPRO_MAX_SESSIONS``,
+    ``REPRO_SLOW_QUERY`` (numbers) and ``REPRO_SLOW_QUERY_PATH`` (a path).
+
+    Every statement's workspace budget is :attr:`query_memory_pages`.
+    :meth:`Database.execute` runs inline; a statement reaches the query
+    server (admission control and the memory broker) only through a
+    :class:`~repro.engine.session.Session`.
     """
 
     #: Server statements always run on the session's thread (not settable).
     server_worker_mode: ClassVar[str] = "thread"
+    #: :meth:`Database.execute` always runs inline; only sessions go
+    #: through the server (not settable).
+    server_mode: ClassVar[bool] = False
     #: Every statement runs on the batch executor (not settable); the row
     #: interpreter drives only LIMIT over a streaming subtree.
     execution_mode: ClassVar[str] = "batch"
@@ -204,13 +211,6 @@ class EngineConfig:
     #: and simulated-cost profiles are identical either way (only wall-clock
     #: latency differs).
     plan_cache_size: int = 128
-    #: Route every :meth:`Database.execute` through the embedded query
-    #: server (admission control + memory broker) as if it arrived on a
-    #: session.  Uncontended single-threaded execution is byte-identical to
-    #: direct execution — the broker grants the full per-query budget when
-    #: nothing competes for it — so the whole test suite can run with the
-    #: server enabled.
-    server_mode: bool = field(default_factory=_env_flag("REPRO_SERVER"))
     #: Statements allowed to execute concurrently (the admission
     #: controller's active-slot count).  Arrivals beyond this park in the
     #: admission queue.
@@ -259,11 +259,8 @@ class EngineConfig:
                 )
         if self.hash_fudge_factor < 1.0:
             raise ConfigError(f"hash_fudge_factor must be >= 1.0, got {self.hash_fudge_factor}")
-        for flag in ("tracing", "server_mode"):
-            if not isinstance(getattr(self, flag), bool):
-                raise ConfigError(
-                    f"{flag} must be a bool, got {getattr(self, flag)!r}"
-                )
+        if not isinstance(self.tracing, bool):
+            raise ConfigError(f"tracing must be a bool, got {self.tracing!r}")
 
     @property
     def resolved_server_memory_pages(self) -> int:

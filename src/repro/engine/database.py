@@ -203,10 +203,9 @@ class Database:
 
     def create_session(self, name: str | None = None):
         """Open a concurrent-server session (own temp-table namespace,
-        session-scoped prepared statements and plan-cache entries).  Works
-        with or without :attr:`EngineConfig.server_mode`; the flag only
-        controls whether plain :meth:`execute` calls also route through the
-        server."""
+        session-scoped prepared statements and plan-cache entries).  A
+        session's statements are the only ones that go through the
+        server's admission control and memory broker."""
         return self.server.session(name)
 
     def prepare(self, sql: str) -> PreparedStatement:
@@ -430,7 +429,6 @@ class Database:
         sql: str,
         params: Mapping[str, object] | None = None,
         mode: DynamicMode = DynamicMode.FULL,
-        memory_budget_pages: int | None = None,
         parametric: bool = False,
         execution_mode: str | None = None,
         workers: int | None = None,
@@ -455,12 +453,10 @@ class Database:
         :attr:`ExecutionProfile.phases` and
         :attr:`ExecutionProfile.plan_cache_hit`.
 
-        With :attr:`EngineConfig.server_mode` on, the statement routes
-        through the concurrent query server — admission control and the
-        cross-query memory broker — on an ad-hoc basis (results are
-        byte-identical; profiles gain the server telemetry fields).  Use
-        :meth:`create_session` for session-scoped temp tables and
-        prepared handles.
+        The statement runs inline on the caller's thread with the
+        per-query budget :attr:`EngineConfig.query_memory_pages`.  Use
+        :meth:`create_session` to run through the concurrent query server
+        (admission control and the cross-query memory broker).
         """
         if execution_mode is not None:
             raise ConfigError(
@@ -472,16 +468,8 @@ class Database:
                 f"workers={workers!r}: there is no parallel executor; "
                 "every statement runs in one process"
             )
-        if self.config.server_mode:
-            return self.server.execute(
-                sql,
-                params=params,
-                mode=mode,
-                memory_budget_pages=memory_budget_pages,
-                parametric=parametric,
-            )
         prepared = self._prepare(sql, params=params, mode=mode, parametric=parametric)
-        return self._run(prepared, sql, mode, memory_budget_pages)
+        return self._run(prepared, sql, mode)
 
     def _execute_prepared(
         self,
@@ -489,38 +477,25 @@ class Database:
         ast: AstSelect,
         params: Mapping[str, object] | None,
         mode: DynamicMode,
-        memory_budget_pages: int | None,
         parametric: bool,
     ) -> QueryResult:
         """Execution entry point for :class:`PreparedStatement`."""
-        if self.config.server_mode:
-            return self.server._execute(
-                session=None,
-                sql=sql,
-                ast=ast,
-                params=params,
-                mode=mode,
-                memory_budget_pages=memory_budget_pages,
-                parametric=parametric,
-            )
         prepared = self._prepare(
             sql, ast=ast, params=params, mode=mode, parametric=parametric
         )
-        return self._run(prepared, sql, mode, memory_budget_pages)
+        return self._run(prepared, sql, mode)
 
     def _run(
         self,
         prepared: PreparedExecution,
         sql: str,
         mode: DynamicMode,
-        memory_budget_pages: int | None = None,
         analysis_sink: dict | None = None,
         catalog: Catalog | None = None,
         lease=None,
         session_label: str = "",
         admission_wait_s: float = 0.0,
         admission_queue_depth: int = 0,
-        executed_via: str = "inline",
     ) -> QueryResult:
         """Run a prepared execution through the dynamic-re-optimization loop.
 
@@ -530,7 +505,7 @@ class Database:
 
         The server path passes ``catalog`` (the session's overlay — temp
         tables the re-optimizer materializes land there), a broker
-        ``lease`` whose granted pages replace the default memory budget and
+        ``lease`` whose granted pages replace the per-query budget and
         whose mid-query re-grants reach this execution's
         :class:`MemoryManager` via :meth:`SessionLease.attach`, and the
         admission telemetry recorded on the profile.
@@ -553,10 +528,10 @@ class Database:
         # that optimized this query once, keeping profiles deterministic.
         clock.charge_optimizer(self.calibration.estimated_units(len(query.relations)))
 
-        if lease is not None:
-            budget = lease.granted_pages
-        else:
-            budget = memory_budget_pages or self.config.query_memory_pages
+        budget = (
+            lease.granted_pages if lease is not None
+            else self.config.query_memory_pages
+        )
         memory_manager = MemoryManager(budget)
         if lease is not None:
             # Broker re-grants/reclaims now flow into this manager; they
@@ -647,7 +622,6 @@ class Database:
             join_matches=ctx.vector.join_total("matches"),
             join_rows_materialised=ctx.vector.join_total("rows_materialised"),
             session=session_label,
-            executed_via=executed_via,
             admission_wait_s=admission_wait_s,
             queue_depth_at_admission=admission_queue_depth,
             memory_requested_pages=(
@@ -727,7 +701,6 @@ class Database:
         sql: str,
         params: Mapping[str, object] | None = None,
         mode: DynamicMode = DynamicMode.FULL,
-        memory_budget_pages: int | None = None,
     ) -> ExplainAnalyzeReport:
         """EXPLAIN ANALYZE: execute the statement, then report estimated vs.
         actual rows/size/cost per plan node with Q-errors and
@@ -741,7 +714,7 @@ class Database:
         """
         prepared = self._prepare(sql, params=params, mode=mode)
         sink: dict = {}
-        self._run(prepared, sql, mode, memory_budget_pages, analysis_sink=sink)
+        self._run(prepared, sql, mode, analysis_sink=sink)
         return sink["report"]
 
     # -- introspection ---------------------------------------------------------

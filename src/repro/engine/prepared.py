@@ -48,7 +48,6 @@ class PreparedStatement:
         self,
         params: Mapping[str, object] | None = None,
         mode: DynamicMode = DynamicMode.FULL,
-        memory_budget_pages: int | None = None,
         parametric: bool = True,
     ) -> "QueryResult":
         """Run the statement, reusing cached optimization products.
@@ -63,7 +62,6 @@ class PreparedStatement:
             ast=self.ast,
             params=params,
             mode=mode,
-            memory_budget_pages=memory_budget_pages,
             parametric=parametric,
         )
         self.executions += 1

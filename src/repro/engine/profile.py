@@ -120,17 +120,16 @@ class ExecutionProfile:
     #: Concurrent-server telemetry (label fields empty and wait/broker
     #: counters zero for inline executions; the memory fields always record
     #: the budget the query actually ran under).
-    #: ``session`` is the owning session's label, ``executed_via`` how the
-    #: statement ran (``"inline"`` or ``"thread"``, through the server),
-    #: ``admission_wait_s`` how long admission control parked it and
-    #: ``queue_depth_at_admission`` how many statements were waiting when it
-    #: arrived.  ``memory_requested_pages``/``memory_granted_pages`` record
-    #: the broker lease, and ``broker_regrants``/``broker_reclaims`` how
+    #: ``session`` is the owning session's label (empty when the statement
+    #: ran inline, without the server), ``admission_wait_s`` how long
+    #: admission control parked it and ``queue_depth_at_admission`` how
+    #: many statements were waiting when it arrived.
+    #: ``memory_requested_pages``/``memory_granted_pages`` record the
+    #: broker lease, and ``broker_regrants``/``broker_reclaims`` how
     #: many times the broker grew or shrank that lease mid-query — each
     #: re-grant is exactly the cross-query pressure the paper's memory
     #: re-allocation trigger (section 2.3) responds to.
     session: str = ""
-    executed_via: str = "inline"
     admission_wait_s: float = 0.0
     queue_depth_at_admission: int = 0
     memory_requested_pages: int = 0
@@ -175,9 +174,9 @@ class ExecutionProfile:
                 f"joins: matches={self.join_matches} "
                 f"materialised={self.join_rows_materialised}"
             )
-        if self.session or self.executed_via != "inline":
+        if self.session:
             lines.append(
-                f"server: session={self.session or '-'} via={self.executed_via} "
+                f"server: session={self.session} "
                 f"admission wait={self.admission_wait_s * 1e3:.2f}ms "
                 f"queue depth={self.queue_depth_at_admission} "
                 f"memory granted/requested="

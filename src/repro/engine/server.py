@@ -9,10 +9,9 @@ machinery that makes that safe and interesting:
 
 **Admission control** (:class:`AdmissionController`) bounds concurrency at
 ``max_sessions`` statements in flight, parking excess arrivals in a bounded
-priority queue (FIFO within a priority level).  A full queue
-(:data:`ADMISSION_QUEUE_SIZE` parked) rejects immediately and a parked
-statement times out after :data:`ADMISSION_TIMEOUT_S` — both raise
-:class:`~repro.errors.AdmissionError`.
+FIFO queue.  A full queue (:data:`ADMISSION_QUEUE_SIZE` parked) rejects
+immediately and a parked statement times out after
+:data:`ADMISSION_TIMEOUT_S` — both raise :class:`~repro.errors.AdmissionError`.
 
 **The global memory broker** (:class:`GlobalMemoryBroker`) divides the
 server-wide page pool into per-session leases
@@ -27,8 +26,9 @@ real cross-query pressure instead of a synthetic budget change.  Pages a
 manager has already promised to operators (``reserved_pages``) are never
 reclaimed, preserving the paper's started-operators-keep-their-grants rule.
 
-Statements run on the submitting session's thread, sharing the engine's
-memory, so a mid-query re-grant reaches the running query.
+Statements arrive only through a :class:`~repro.engine.session.Session`
+and run on its thread, sharing the engine's memory, so a mid-query
+re-grant reaches the running query.
 
 Determinism: an uncontended server grants every statement its full
 requested budget (the pool defaults to ``max_sessions *
@@ -40,16 +40,16 @@ memory telemetry records the arbitration that actually happened.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import threading
+from collections import deque
 from time import monotonic, perf_counter
 from typing import TYPE_CHECKING, Mapping
 
 from ..core.modes import DynamicMode
 from ..errors import AdmissionError
 from ..executor.memory import MemoryManager
-from .session import Session, SessionCatalog
+from .session import Session
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..observe.metrics import MetricsRegistry
@@ -135,10 +135,6 @@ class GlobalMemoryBroker:
     arrivals reclaim borrowed headroom (never below a lease's guarantee or
     its manager's promised pages) and departures re-grant freed pages to
     running leases in arrival order.
-
-    Statements with an *explicit* ``memory_budget_pages`` are granted
-    exactly that amount (their profile must not depend on server state); a
-    request larger than the whole pool waits for exclusive use of it.
     """
 
     def __init__(
@@ -153,7 +149,7 @@ class GlobalMemoryBroker:
         self.timeout_s = timeout_s
         self._metrics = metrics
         self._cond = threading.Condition()
-        #: Live leases in arrival order (re-grant priority).
+        #: Live leases in arrival order (the re-grant order).
         self._leases: list[SessionLease] = []
 
     @property
@@ -172,17 +168,10 @@ class GlobalMemoryBroker:
         """Pages not currently granted to any lease."""
         return self.total_pages - self.granted_pages()
 
-    def acquire(
-        self, label: str, requested_pages: int, explicit: bool = False
-    ) -> SessionLease:
+    def acquire(self, label: str, requested_pages: int) -> SessionLease:
         """Block until a lease with at least its guarantee can be issued."""
         requested = max(1, requested_pages)
-        guarantee = requested if explicit else min(requested, self.fair_share)
-        # An explicit budget larger than the whole pool is still honored —
-        # profiles must never depend on server sizing — but it overcommits
-        # the pool, so it waits for exclusive use and makes everyone else
-        # wait for its pages to come back.
-        overcommit = guarantee > self.total_pages
+        guarantee = min(requested, self.fair_share)
         lease = SessionLease(label, requested, guarantee)
         deadline = monotonic() + self.timeout_s
         with self._cond:
@@ -191,10 +180,7 @@ class GlobalMemoryBroker:
                     max(0, other.granted_pages - other.reclaim_floor())
                     for other in self._leases
                 )
-                if overcommit:
-                    if not self._leases:
-                        break
-                elif self.free_pages() + reclaimable >= guarantee:
+                if self.free_pages() + reclaimable >= guarantee:
                     break
                 remaining = deadline - monotonic()
                 if remaining <= 0:
@@ -206,14 +192,10 @@ class GlobalMemoryBroker:
                     )
                 self._bump("broker.waits")
                 self._cond.wait(remaining)
-            if overcommit:
-                grant = requested
-                self._bump("broker.overcommits")
-            else:
-                shortfall = guarantee - self.free_pages()
-                if shortfall > 0:
-                    self._reclaim(shortfall)
-                grant = min(requested, max(guarantee, self.free_pages()))
+            shortfall = guarantee - self.free_pages()
+            if shortfall > 0:
+                self._reclaim(shortfall)
+            grant = min(requested, max(guarantee, self.free_pages()))
             lease.apply_grant(grant)
             lease.regrants = 0  # the initial grant is not a re-grant
             self._leases.append(lease)
@@ -282,9 +264,9 @@ class GlobalMemoryBroker:
 
 
 class AdmissionController:
-    """Bounded priority-queue admission: at most ``max_active`` statements
-    run; up to ``queue_size`` more wait (higher ``priority`` first, FIFO
-    within a level); everyone else is refused immediately."""
+    """Bounded FIFO admission: at most ``max_active`` statements run; up to
+    ``queue_size`` more wait, admitted in arrival order; everyone else is
+    refused immediately."""
 
     def __init__(
         self,
@@ -299,10 +281,10 @@ class AdmissionController:
         self._metrics = metrics
         self._cond = threading.Condition()
         self._active = 0
-        self._waiting: list[tuple[int, int]] = []  # heap of (-priority, seq)
-        self._seq = itertools.count()
+        self._waiting: deque[int] = deque()  # tickets, oldest first
+        self._tickets = itertools.count()
 
-    def admit(self, priority: int = 0) -> tuple[float, int]:
+    def admit(self) -> tuple[float, int]:
         """Block until admitted; returns (wait_seconds, queue_depth_on_arrival)."""
         t0 = perf_counter()
         with self._cond:
@@ -313,8 +295,8 @@ class AdmissionController:
                     f"{self._active} active)"
                 )
             depth = len(self._waiting)
-            ticket = (-priority, next(self._seq))
-            heapq.heappush(self._waiting, ticket)
+            ticket = next(self._tickets)
+            self._waiting.append(ticket)
             self._set_gauges()
             deadline = monotonic() + self.timeout_s
             try:
@@ -331,11 +313,10 @@ class AdmissionController:
                     self._cond.wait(remaining)
             except BaseException:
                 self._waiting.remove(ticket)
-                heapq.heapify(self._waiting)
                 self._set_gauges()
                 self._cond.notify_all()
                 raise
-            heapq.heappop(self._waiting)
+            self._waiting.popleft()
             self._active += 1
             self._bump("server.admitted")
             self._set_gauges()
@@ -385,57 +366,20 @@ class QueryServer:
         """Open a new session (its own temp namespace and cache scope)."""
         return Session(self, name)
 
-    def execute(
-        self,
-        sql: str,
-        params: Mapping[str, object] | None = None,
-        mode: DynamicMode = DynamicMode.FULL,
-        memory_budget_pages: int | None = None,
-        parametric: bool = False,
-        priority: int = 0,
-    ) -> "QueryResult":
-        """One-shot execution without a long-lived session.
-
-        Still fully admission-controlled and brokered; temp tables the
-        re-optimizer materializes mid-query live in a per-call catalog
-        overlay, so concurrent one-shot statements cannot collide on
-        ``__temp_N`` names."""
-        return self._execute(
-            session=None,
-            sql=sql,
-            params=params,
-            mode=mode,
-            memory_budget_pages=memory_budget_pages,
-            parametric=parametric,
-            priority=priority,
-        )
-
     def _execute(
         self,
-        session: Session | None,
+        session: Session,
         sql: str,
         ast: "AstSelect | None" = None,
         params: Mapping[str, object] | None = None,
         mode: DynamicMode = DynamicMode.FULL,
-        memory_budget_pages: int | None = None,
         parametric: bool = False,
-        priority: int = 0,
     ) -> "QueryResult":
+        """Run one session statement under admission and a broker lease."""
         db = self.database
-        label = session.name if session is not None else "adhoc"
-        scope = session.scope if session is not None else ""
-        catalog = (
-            session.catalog if session is not None else SessionCatalog(db.catalog)
-        )
-        wait_s, depth = self.admission.admit(priority)
+        wait_s, depth = self.admission.admit()
         try:
-            explicit = memory_budget_pages is not None
-            requested = (
-                memory_budget_pages
-                if explicit
-                else db.config.query_memory_pages
-            )
-            lease = self.broker.acquire(label, requested, explicit=explicit)
+            lease = self.broker.acquire(session.name, db.config.query_memory_pages)
             try:
                 prepared = db._prepare(
                     sql,
@@ -443,19 +387,18 @@ class QueryServer:
                     params=params,
                     mode=mode,
                     parametric=parametric,
-                    catalog=catalog,
-                    cache_scope=scope,
+                    catalog=session.catalog,
+                    cache_scope=session.scope,
                 )
                 return db._run(
                     prepared,
                     sql,
                     mode,
-                    catalog=catalog,
+                    catalog=session.catalog,
                     lease=lease,
-                    session_label=label,
+                    session_label=session.name,
                     admission_wait_s=wait_s,
                     admission_queue_depth=depth,
-                    executed_via="thread",
                 )
             finally:
                 self.broker.release(lease)

@@ -272,9 +272,7 @@ class Session:
         sql: str,
         params: Mapping[str, object] | None = None,
         mode: DynamicMode = DynamicMode.FULL,
-        memory_budget_pages: int | None = None,
         parametric: bool = False,
-        priority: int = 0,
     ) -> "QueryResult":
         """Execute a statement through admission control and the broker."""
         self._check_open()
@@ -284,9 +282,7 @@ class Session:
                 sql=sql,
                 params=params,
                 mode=mode,
-                memory_budget_pages=memory_budget_pages,
                 parametric=parametric,
-                priority=priority,
             )
 
     def prepare(self, sql: str) -> PreparedStatement:
@@ -314,7 +310,6 @@ class Session:
         ast: "AstSelect",
         params: Mapping[str, object] | None,
         mode: DynamicMode,
-        memory_budget_pages: int | None,
         parametric: bool,
     ) -> "QueryResult":
         self._check_open()
@@ -325,7 +320,6 @@ class Session:
                 ast=ast,
                 params=params,
                 mode=mode,
-                memory_budget_pages=memory_budget_pages,
                 parametric=parametric,
             )
 

@@ -37,7 +37,6 @@ def build_slow_query_record(
         "ts": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "sql": profile.sql,
         "session": profile.session,
-        "executed_via": profile.executed_via,
         "mode": profile.mode,
         "threshold_s": threshold_s,
         "total_wall_s": round(phases.total_s, 6),

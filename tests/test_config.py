@@ -83,6 +83,13 @@ class TestEngineConfig:
         with pytest.raises(ConfigError):
             EngineConfig().with_updates(runtime_histogram_buckets=0)
 
+    def test_server_mode_is_not_settable(self):
+        # Database.execute always runs inline; benchmarks/suite/env.py
+        # still reads the attribute.
+        assert EngineConfig().server_mode is False
+        with pytest.raises(TypeError):
+            EngineConfig(server_mode=True)
+
     def test_paper_memory_example(self):
         # 8 MB at 4 KB pages = 2048 pages (the section 2.3 walk-through).
         config = EngineConfig()
@@ -91,7 +98,6 @@ class TestEngineConfig:
 
 FLAG_FIELDS = {
     "REPRO_TRACE": "tracing",
-    "REPRO_SERVER": "server_mode",
 }
 
 
@@ -156,6 +162,7 @@ class TestEnvironment:
             ("REPRO_ADMISSION_QUEUE", "bogus"),
             ("REPRO_SESSION_MEMORY", "static"),
             ("REPRO_SERVER_WORKER_MODE", "fork"),
+            ("REPRO_SERVER", "1"),
             ("REPRO_FEEDBACK", "1"),
             ("REPRO_FEEDBACK_PATH", "feedback.json"),
         ],

@@ -88,11 +88,11 @@ class TestExecute:
         assert profile.initial_estimated_cost > 0
         assert "mode=off" in profile.summary()
 
-    def test_memory_budget_override(self, two_table_db):
-        generous = two_table_db.execute(
+    def test_memory_budget_override(self):
+        db = make_two_table_db(config=EngineConfig(query_memory_pages=10_000))
+        generous = db.execute(
             "SELECT r1.a one, r2.c two FROM r1, r2 WHERE r1.id = r2.r1_id",
             mode=DynamicMode.OFF,
-            memory_budget_pages=10_000,
         )
         assert generous.profile.breakdown.write == 0
 

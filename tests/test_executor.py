@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Database, DataType
+from repro import Database, DataType, EngineConfig
 from repro.core.modes import DynamicMode
 from repro.errors import MemoryGrantError
 from repro.executor import (
@@ -166,10 +166,14 @@ class TestOperatorCorrectness:
 
 class TestSpillAccounting:
     def test_tight_memory_costs_more(self):
-        db = make_two_table_db(r1_rows=20_000, r2_rows=40_000)
         sql = "SELECT r1.a one, r2.c two FROM r1, r2 WHERE r1.id = r2.r1_id"
-        generous = db.execute(sql, mode=DynamicMode.OFF, memory_budget_pages=4096)
-        tight = db.execute(sql, mode=DynamicMode.OFF, memory_budget_pages=32)
+        generous, tight = (
+            make_two_table_db(
+                r1_rows=20_000, r2_rows=40_000,
+                config=EngineConfig(query_memory_pages=pages),
+            ).execute(sql, mode=DynamicMode.OFF)
+            for pages in (4096, 32)
+        )
         assert tight.profile.total_cost > generous.profile.total_cost
         assert tight.profile.breakdown.write > 0
         assert generous.profile.breakdown.write == 0

@@ -5,6 +5,7 @@ memory re-allocation trigger under induced cross-query contention."""
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -77,56 +78,50 @@ class TestAdmissionController:
             ctl.admit()
         ctl.leave()
 
-    def test_priority_order(self):
-        ctl = AdmissionController(max_active=1, queue_size=8, timeout_s=10.0)
-        ctl.admit()  # occupy the only slot
-        order: list[str] = []
-        started = threading.Barrier(3)
-
-        def waiter(label: str, priority: int):
-            started.wait()
-            ctl.admit(priority=priority)
-            order.append(label)
-            ctl.leave()
-
-        low = threading.Thread(target=waiter, args=("low", 0))
-        high = threading.Thread(target=waiter, args=("high", 5))
-        low.start()
-        high.start()
-        started.wait()  # both threads are about to enqueue
-        # Give both a moment to actually enter the queue before freeing
-        # the slot, so priority (not racing) decides the order.
-        while True:
-            with ctl._cond:
-                if len(ctl._waiting) == 2:
-                    break
-        ctl.leave()
-        low.join()
-        high.join()
-        assert order == ["high", "low"]
-
     def test_concurrency_never_exceeds_max_active(self):
-        ctl = AdmissionController(max_active=3, queue_size=64, timeout_s=10.0)
-        active = 0
-        peak = 0
-        lock = threading.Lock()
+        # Twenty waiters park one after another behind held slots.  With one
+        # slot they run one at a time, so their admission order is exact and
+        # must be their arrival order (a LIFO queue admits the last first).
+        for max_active in (3, 1):
+            ctl = AdmissionController(
+                max_active=max_active, queue_size=64, timeout_s=10.0
+            )
+            active = 0
+            peak = 0
+            admitted: list[int] = []
+            lock = threading.Lock()
 
-        def work():
-            nonlocal active, peak
-            ctl.admit()
-            with lock:
-                active += 1
-                peak = max(peak, active)
-            with lock:
-                active -= 1
-            ctl.leave()
+            def work(arrival: int):
+                nonlocal active, peak
+                ctl.admit()
+                with lock:
+                    active += 1
+                    peak = max(peak, active)
+                    admitted.append(arrival)
+                with lock:
+                    active -= 1
+                ctl.leave()
 
-        threads = [threading.Thread(target=work) for _ in range(20)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert peak <= 3
+            for __ in range(max_active):
+                ctl.admit()
+            threads = []
+            for arrival in range(20):
+                thread = threading.Thread(target=work, args=(arrival,))
+                thread.start()
+                threads.append(thread)
+                deadline = time.monotonic() + 10.0
+                while len(ctl._waiting) <= arrival:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+            for __ in range(max_active):
+                ctl.leave()
+            for thread in threads:
+                thread.join(10.0)
+                assert not thread.is_alive()
+            assert 1 <= peak <= max_active
+            assert sorted(admitted) == list(range(20))
+            if max_active == 1:
+                assert admitted == list(range(20))
 
 
 class TestGlobalMemoryBroker:
@@ -152,21 +147,6 @@ class TestGlobalMemoryBroker:
         assert first.regrants == 1
         broker.release(first)
 
-    def test_explicit_request_exact_grant(self):
-        broker = GlobalMemoryBroker(total_pages=100, max_sessions=4)
-        lease = broker.acquire("exact", 80, explicit=True)
-        assert lease.granted_pages == 80
-        assert lease.guarantee_pages == 80
-        broker.release(lease)
-
-    def test_explicit_oversized_overcommits_exclusively(self):
-        broker = GlobalMemoryBroker(total_pages=100, max_sessions=2)
-        lease = broker.acquire("huge", 500, explicit=True)
-        assert lease.granted_pages == 500
-        assert broker.free_pages() < 0
-        broker.release(lease)
-        assert broker.free_pages() == 100
-
     def test_reclaim_respects_reserved_pages(self):
         broker = GlobalMemoryBroker(total_pages=100, max_sessions=2)
         first = broker.acquire("running", 90)
@@ -185,36 +165,50 @@ class TestGlobalMemoryBroker:
         broker = GlobalMemoryBroker(
             total_pages=10, max_sessions=1, timeout_s=0.05
         )
-        lease = broker.acquire("holder", 10, explicit=True)
+        # The holder's grant is its whole guarantee: nothing is reclaimable.
+        lease = broker.acquire("holder", 10)
+        assert lease.granted_pages == lease.guarantee_pages == 10
         with pytest.raises(AdmissionError):
-            broker.acquire("starved", 10, explicit=True)
+            broker.acquire("starved", 10)
         broker.release(lease)
+        assert broker.acquire("starved", 10).granted_pages == 10
 
 
 class TestServerExecution:
     def test_server_mode_routes_and_matches_inline(self):
-        inline = small_db()
-        base = inline.execute(JOIN_SQL)
-        server_db = small_db(EngineConfig(server_mode=True, max_sessions=2))
-        res = server_db.execute(JOIN_SQL)
-        assert res.rows == base.rows
-        assert res.profile.total_cost == base.profile.total_cost
-        assert res.profile.executed_via == "thread"
-        assert res.profile.memory_granted_pages == res.profile.memory_requested_pages
+        """A session statement (admission + a broker lease) equals the
+        inline ``db.execute`` of the same statement, including Q5, Q7 and
+        Q8 under FULL, which switch plans mid-query."""
+        from repro.bench.harness import ExperimentConfig, build_database
+        from repro.workloads.tpcd import ALL_QUERIES
 
-    def test_explicit_budget_parity_under_server(self):
-        inline = small_db()
-        base = inline.execute(JOIN_SQL, memory_budget_pages=7)
-        server_db = small_db(EngineConfig(server_mode=True, max_sessions=2))
-        res = server_db.execute(JOIN_SQL, memory_budget_pages=7)
-        assert res.rows == base.rows
-        assert res.profile.total_cost == base.profile.total_cost
-        assert res.profile.memory_granted_pages == 7
+        tpcd = build_database(
+            ExperimentConfig(scale_factor=0.01, memory_pages=192, seed=31)
+        )
+        switching = [q.sql for q in ALL_QUERIES if q.name in ("Q5", "Q7", "Q8")]
+        assert len(switching) == 3
+        for db, sql in [(small_db(), JOIN_SQL)] + [(tpcd, sql) for sql in switching]:
+            base = db.execute(sql, mode=DynamicMode.FULL)
+            with db.create_session("parity") as session:
+                res = session.execute(sql, mode=DynamicMode.FULL)
+            assert res.rows == base.rows
+            assert repr(res.profile.total_cost) == repr(base.profile.total_cost)
+            assert repr(res.profile.breakdown) == repr(base.profile.breakdown)
+            assert res.profile.plan_switches == base.profile.plan_switches
+            assert res.profile.memory_reallocations == base.profile.memory_reallocations
+            assert res.profile.session == "parity"
+            assert base.profile.session == ""
+            assert (
+                res.profile.memory_granted_pages
+                == res.profile.memory_requested_pages
+                == base.profile.memory_granted_pages
+            )
+            assert sql == JOIN_SQL or base.profile.plan_switches >= 1
 
     def test_concurrent_sessions_byte_identical(self):
         inline = small_db()
         base = inline.execute(JOIN_SQL)
-        server_db = small_db(EngineConfig(server_mode=True, max_sessions=4))
+        server_db = small_db(EngineConfig(max_sessions=4))
         results: dict[int, list] = {}
 
         def client(i: int):
@@ -235,8 +229,9 @@ class TestServerExecution:
                 assert rows == base.rows
 
     def test_admission_telemetry_on_profile(self):
-        server_db = small_db(EngineConfig(server_mode=True, max_sessions=2))
-        res = server_db.execute(JOIN_SQL)
+        server_db = small_db(EngineConfig(max_sessions=2))
+        with server_db.create_session("telemetry") as session:
+            res = session.execute(JOIN_SQL)
         assert res.profile.admission_wait_s >= 0.0
         assert res.profile.queue_depth_at_admission == 0
         snap = server_db.metrics_snapshot()
@@ -360,7 +355,7 @@ class TestSessionIsolation:
         # collide on the re-optimizer's __temp_N names in the shared catalog.
         from repro.workloads import SyntheticConfig, build_running_example
 
-        config = EngineConfig(server_mode=True, max_sessions=2)
+        config = EngineConfig(max_sessions=2)
         db = Database(config, metrics=MetricsRegistry())
         build_running_example(db, SyntheticConfig())
         from repro.workloads import RUNNING_EXAMPLE_SQL
@@ -414,7 +409,7 @@ class TestSwitchesLeaveOtherPlansCached:
     def _database(self) -> Database:
         from repro.workloads import SyntheticConfig, build_running_example
 
-        config = EngineConfig(max_sessions=2, server_mode=False)
+        config = EngineConfig(max_sessions=2)
         db = Database(config, metrics=MetricsRegistry())
         build_running_example(
             db, SyntheticConfig(rel1_rows=20_000, rel3_rows=60_000, correlation=1.0)
@@ -588,7 +583,7 @@ class TestPlanCacheConcurrency:
     serve a stale plan or corrupt LRU/counter state."""
 
     def test_epoch_bumps_race_lookups(self):
-        db = small_db(EngineConfig(server_mode=True, max_sessions=4))
+        db = small_db(EngineConfig(max_sessions=4))
         stop = threading.Event()
         errors: list = []
         executed = {"count": 0}
@@ -597,12 +592,13 @@ class TestPlanCacheConcurrency:
 
         def executor_thread():
             try:
-                while not stop.is_set():
-                    res = db.execute(JOIN_SQL)
-                    if res.rows != base:
-                        raise AssertionError("rows diverged under epoch races")
-                    with lock:
-                        executed["count"] += 1
+                with db.create_session() as session:
+                    while not stop.is_set():
+                        res = session.execute(JOIN_SQL)
+                        if res.rows != base:
+                            raise AssertionError("rows diverged under epoch races")
+                        with lock:
+                            executed["count"] += 1
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 
@@ -617,8 +613,6 @@ class TestPlanCacheConcurrency:
         threads.append(threading.Thread(target=bumper_thread))
         for t in threads:
             t.start()
-        import time
-
         time.sleep(1.0)
         stop.set()
         for t in threads:
@@ -635,17 +629,18 @@ class TestPlanCacheConcurrency:
         assert res.rows == base
 
     def test_prepared_statements_race_epoch_bumps(self):
-        db = small_db(EngineConfig(server_mode=True, max_sessions=4))
-        stmt = db.prepare(JOIN_SQL)
-        base = stmt.execute().rows
+        db = small_db(EngineConfig(max_sessions=4))
+        base = db.prepare(JOIN_SQL).execute().rows
         stop = threading.Event()
         errors: list = []
 
         def runner():
             try:
-                while not stop.is_set():
-                    if stmt.execute().rows != base:
-                        raise AssertionError("prepared rows diverged")
+                with db.create_session() as session:
+                    stmt = session.prepare(JOIN_SQL)
+                    while not stop.is_set():
+                        if stmt.execute().rows != base:
+                            raise AssertionError("prepared rows diverged")
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 
@@ -660,8 +655,6 @@ class TestPlanCacheConcurrency:
         threads.append(threading.Thread(target=bumper))
         for t in threads:
             t.start()
-        import time
-
         time.sleep(0.8)
         stop.set()
         for t in threads:

@@ -157,7 +157,7 @@ class TestEndToEndTraceParity:
 
 
 # ----------------------------------------------------------------------
-# Server mode (PR 10, satellite): traces from concurrent sessions
+# Server sessions: traces from concurrent sessions
 # ----------------------------------------------------------------------
 
 
@@ -169,9 +169,7 @@ class TestServerModeTracing:
 
     @pytest.fixture(scope="class")
     def server_db(self) -> Database:
-        db = Database(
-            EngineConfig(server_mode=True, max_sessions=4, tracing=True)
-        )
+        db = Database(EngineConfig(max_sessions=4, tracing=True))
         build_running_example(
             db,
             SyntheticConfig(rel1_rows=20_000, rel3_rows=60_000, correlation=1.0),
