@@ -1,6 +1,6 @@
 """Query optimizer: cost model, access paths, DP join enumeration, calibration."""
 
-from .annotate import PlanAnnotator, annotate_plan
+from .annotate import PlanAnnotator
 from .calibration import OptimizerCalibration, calibrate_unit, measure_star_join_times
 from .cost_model import CostModel, OperatorCost, pages_for
 from .optimizer import Optimizer
@@ -11,7 +11,6 @@ __all__ = [
     "Optimizer",
     "OptimizerCalibration",
     "PlanAnnotator",
-    "annotate_plan",
     "calibrate_unit",
     "measure_star_join_times",
     "pages_for",

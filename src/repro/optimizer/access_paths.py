@@ -35,19 +35,17 @@ class _Bound:
         if self.predicates is None:
             self.predicates = []
 
-    def tighten_low(self, value: object, inclusive: bool, pred: Predicate) -> None:
+    def tighten_low(self, value: object, inclusive: bool) -> None:
         """Raise the lower bound if ``value`` is tighter."""
         if self.low is None or value > self.low or (value == self.low and not inclusive):
             self.low = value
             self.low_inclusive = inclusive
-        self.predicates.append(pred)
 
-    def tighten_high(self, value: object, inclusive: bool, pred: Predicate) -> None:
+    def tighten_high(self, value: object, inclusive: bool) -> None:
         """Lower the upper bound if ``value`` is tighter."""
         if self.high is None or value < self.high or (value == self.high and not inclusive):
             self.high = value
             self.high_inclusive = inclusive
-        self.predicates.append(pred)
 
     @property
     def usable(self) -> bool:
@@ -72,16 +70,21 @@ def sargable_bound(
         value = col_const[1]
         op = normalized.op
         if op is CompareOp.EQ:
-            bound.tighten_low(value, True, pred)
-            bound.tighten_high(value, True, pred)
+            bound.tighten_low(value, True)
+            bound.tighten_high(value, True)
         elif op is CompareOp.GE:
-            bound.tighten_low(value, True, pred)
+            bound.tighten_low(value, True)
         elif op is CompareOp.GT:
-            bound.tighten_low(value, False, pred)
+            bound.tighten_low(value, False)
         elif op is CompareOp.LE:
-            bound.tighten_high(value, True, pred)
+            bound.tighten_high(value, True)
         elif op is CompareOp.LT:
-            bound.tighten_high(value, False, pred)
+            bound.tighten_high(value, False)
+        else:
+            continue
+        # Once, whichever ends it tightened: the index scan's estimate
+        # applies each bound predicate's selectivity.
+        bound.predicates.append(pred)
     return bound
 
 

@@ -409,22 +409,6 @@ def _require_profile(node: PlanNode) -> RelProfile:
     return profile
 
 
-def annotate_plan(
-    plan: PlanNode,
-    catalog: Catalog,
-    estimator: Estimator,
-    cost_model: CostModel,
-    allocation: Mapping[int, int] | None = None,
-    profile_overrides: Mapping[int, RelProfile] | None = None,
-) -> PlanNode:
-    """Convenience wrapper around :class:`PlanAnnotator`."""
-    annotator = PlanAnnotator(
-        catalog, estimator, cost_model,
-        allocation=allocation, profile_overrides=profile_overrides,
-    )
-    return annotator.annotate(plan)
-
-
 def estimate_snapshot(plan: PlanNode) -> dict[int, dict[str, float]]:
     """Freeze a plan's per-node estimates as plain numbers.
 

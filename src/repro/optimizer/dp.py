@@ -13,9 +13,9 @@ this module is our equivalent.
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import partial
+from heapq import heapify, heappop, heappush
 from itertools import combinations
-from typing import Callable
 
 from ..errors import OptimizerError
 from ..plans.logical import (
@@ -37,8 +37,13 @@ from ..storage.catalog import Catalog
 from .access_paths import best_access_path
 from .annotate import PlanAnnotator
 
-#: ``(lower bound on est.total_cost, plan-node factory, is connected)``.
-_Candidate = tuple[float, Callable[[], PlanNode], bool]
+#: A visit entry: ``((cost, i, j), item)``.  A group, ``j == -1``, is the
+#: extension ``(best[rest], leaf i)`` before its candidates exist: its cost
+#: is ``best[rest].est.total_cost`` and its item ``(left, keys, residual,
+#: candidate count)``.  A candidate, ``j >= 0``, is the ``j``-th physical
+#: alternative of group ``i``: its cost is a lower bound on its
+#: ``est.total_cost`` and its item the plan-node factory.
+_Entry = tuple[tuple[float, int, int], object]
 
 
 class JoinEnumerator:
@@ -53,7 +58,10 @@ class JoinEnumerator:
     products of non-negative terms and IEEE rounding is monotone, so
     ``bound <= cost`` holds to the last bit, and building only candidates
     whose bound can still win returns the plan that costing all of them
-    returns (``tests/exhaustive_dp.py``).
+    returns (``tests/exhaustive_dp.py``).  Every candidate extending
+    ``best[rest]`` costs at least ``best[rest].est.total_cost``, so a whole
+    extension group is ordered on that number, ahead of its own candidates,
+    and its candidates are generated only when the visit reaches it.
     """
 
     def __init__(
@@ -66,22 +74,28 @@ class JoinEnumerator:
         self.catalog = catalog
         self.annotator = annotator
         self.aliases = [rel.alias for rel in query.relations]
-        self._bit = {alias: 1 << i for i, alias in enumerate(self.aliases)}
-        #: ``(predicate, relation mask, equi columns)`` for every predicate
-        #: a join can apply; ``equi columns`` is ``(left, right, bit of
-        #: left's relation)`` for ``a.x = b.y`` and None otherwise.
-        #: ``_classify_predicates`` runs at every DP extension step, so
-        #: ``qualifiers()`` and ``is_equi_join`` are evaluated once here.
-        self._predicate_masks: list[tuple[Predicate, int, tuple | None]] = []
+        bit = {alias: 1 << i for i, alias in enumerate(self.aliases)}
+        #: Per relation ``i``: ``(relation mask, predicate, key pair, index)``
+        #: for every predicate a join adding ``i`` can apply, in query
+        #: order.  ``key pair`` is ``(other side, i's column)`` for an
+        #: equi-join and None otherwise; ``index`` is the catalog's index on
+        #: ``i``'s column of the pair, or None.
+        self._joins: list[list[tuple]] = [[] for __ in self.aliases]
         for pred in query.predicates:
-            bits = [self._bit.get(q) for q in pred.qualifiers()]
-            if bits and None not in bits:
-                equi = None
+            bits = [bit.get(q) for q in pred.qualifiers()]
+            if not bits or None in bits or len(bits) < 2:
+                continue
+            mask = sum(bits)
+            for i, relation in enumerate(query.relations):
+                if not mask >> i & 1:
+                    continue
+                pair = index = None
                 if isinstance(pred, Comparison) and pred.is_equi_join:
-                    left_col: str = pred.left.name  # type: ignore[union-attr]
-                    right_col: str = pred.right.name  # type: ignore[union-attr]
-                    equi = (left_col, right_col, self._bit[qualifier_of(left_col)])
-                self._predicate_masks.append((pred, sum(bits), equi))
+                    pair = (pred.left.name, pred.right.name)  # type: ignore[union-attr]
+                    if bit[qualifier_of(pair[0])] == 1 << i:
+                        pair = pair[::-1]
+                    index = catalog.index_on(relation.table_name, pair[1].rsplit(".", 1)[-1])
+                self._joins[i].append((mask, pred, pair, index))
         #: Memoized best access path per alias.  ``_join_candidates`` needs
         #: the leaf for the newly added relation at every one of the
         #: O(n * 2^n) DP extension steps; the leaf only depends on the
@@ -90,8 +104,6 @@ class JoinEnumerator:
         #: Memoized per-alias selection predicates (scanned from the full
         #: predicate list otherwise — quadratic in practice).
         self._selection_cache: dict[str, list[Predicate]] = {}
-        #: ``catalog.index_on``, asked per equi-join pair at every step.
-        self._index_on = cache(catalog.index_on)
         #: Work counters for this enumeration (exact, hardware-independent):
         #: candidates annotated, and candidates their bound ruled out.
         self.subsets_enumerated = 0
@@ -129,86 +141,102 @@ class JoinEnumerator:
         return leaf
 
     def best_join_plan(self) -> PlanNode:
-        """The cheapest left-deep join plan covering every relation."""
+        """The cheapest left-deep join plan covering every relation.
+
+        A subset's groups and candidates are visited in ascending ``(cost,
+        i, j)`` from one heap: a group's key precedes every key of its own
+        candidates, so they enter the heap before any of them could be
+        next, and candidates come out in ``(bound, generation order)``
+        exactly as if all had been bounded up front.  Once a key is above
+        the incumbent's ``(cost, i, j)``, neither it nor anything after it
+        can be the first candidate of minimal cost.
+        """
         if not self.aliases:
             raise OptimizerError("query has no relations")
         count = len(self.aliases)
         best: dict[int, PlanNode] = {
             1 << i: self._leaf(alias) for i, alias in enumerate(self.aliases)
         }
+        annotate = self.annotator.annotate_node
         for size in range(2, count + 1):
             for members in combinations(range(count), size):
                 subset = sum(1 << i for i in members)
                 self.subsets_enumerated += 1
-                # ``members`` is in FROM-clause order, so candidates are
-                # generated, and cost ties broken, the same way in every
-                # interpreter (iterating a set of alias strings made the
-                # plan depend on PYTHONHASHSEED).
-                candidates: list[_Candidate] = []
-                for i in members:
-                    rest = subset ^ (1 << i)
-                    left = best.get(rest)
-                    if left is not None:
-                        candidates += self._join_candidates(left, rest, i)
-                winner = self._cheapest(candidates)
-                if winner is not None:
-                    best[subset] = winner
-        plan = best.get((1 << count) - 1)
-        if plan is None:
-            raise OptimizerError("join enumeration failed to cover all relations")
-        return plan
-
-    def _cheapest(self, candidates: list[_Candidate]) -> PlanNode | None:
-        """The first candidate, in generation order, of minimal cost.
-
-        System-R's rule that a connected extension beats a cartesian one
-        whatever it costs is settled before costing: a subset with a
-        connected candidate never looks at the others.  The rest are
-        visited in ascending ``(bound, generation number)``; once that is
-        above the incumbent's ``(cost, number)`` neither this candidate nor
-        any later one can be the first minimum.
-        """
-        connected = any(is_connected for __, __, is_connected in candidates)
-        pool = sorted(
-            (bound, number, build)
-            for number, (bound, build, is_connected) in enumerate(candidates)
-            if is_connected or not connected
-        )
-        winner, best_key, costed = None, None, 0
-        for bound, number, build in pool:
-            if winner is not None and (bound, number) > best_key:
-                break
-            # Children (the best sub-plan and the leaf access path) are
-            # already annotated; only the new join node needs costing.
-            plan = self.annotator.annotate_node(build())
-            costed += 1
-            key = (plan.est.total_cost, number)
-            if winner is None or key < best_key:
-                winner, best_key = plan, key
-        self.candidates_costed += costed
-        self.candidates_pruned += len(candidates) - costed
-        return winner
+                connected, cartesian = self._groups(members, subset, best)
+                # System-R: a connected extension beats any cartesian one,
+                # whatever it costs.  A cartesian group is one candidate.
+                generated = sum(item[3] for __, item in connected) + len(cartesian)
+                heap = connected or cartesian
+                heapify(heap)
+                winner, best_key, costed = None, None, 0
+                while heap:
+                    key, item = heappop(heap)
+                    if best_key is not None and key > best_key:
+                        break
+                    if key[2] < 0:
+                        for candidate in self._join_candidates((key, item)):
+                            heappush(heap, candidate)
+                        continue
+                    # Children (the best sub-plan and the leaf access path)
+                    # are already annotated; only the new join node needs
+                    # costing.
+                    plan = annotate(item())
+                    costed += 1
+                    plan_key = (plan.est.total_cost, key[1], key[2])
+                    if best_key is None or plan_key < best_key:
+                        winner, best_key = plan, plan_key
+                best[subset] = winner
+                self.candidates_costed += costed
+                self.candidates_pruned += generated - costed
+        return best[(1 << count) - 1]
 
     # ------------------------------------------------------------------
 
-    def _join_candidates(
-        self, left: PlanNode, left_mask: int, new_index: int
-    ) -> list[_Candidate]:
-        """Physical join alternatives adding relation ``new_index`` to ``left``."""
-        relation = self.query.relations[new_index]
-        key_pairs, residual = self._classify_predicates(left_mask, 1 << new_index)
+    def _groups(
+        self, members: tuple[int, ...], subset: int, best: dict[int, PlanNode]
+    ) -> tuple[list[_Entry], list[_Entry]]:
+        """The extensions ``(best[subset - i], leaf i)`` of one subset, as
+        ``(connected, cartesian)`` group entries in FROM-clause order (so
+        cost ties break the same way in every interpreter).
+
+        A predicate applies at the join adding ``i`` when its relations fit
+        inside ``subset``: it touches ``i`` and another relation, so it was
+        neither applied below nor at the leaf.
+        """
+        connected: list[_Entry] = []
+        cartesian: list[_Entry] = []
+        for i in members:
+            left = best[subset ^ 1 << i]
+            keys, residual, size = [], [], 2
+            for mask, pred, pair, index in self._joins[i]:
+                if mask & ~subset:
+                    continue
+                if pair is None:
+                    residual.append(pred)
+                else:
+                    keys.append((pair, index))
+                    size += index is not None
+            entry = ((left.est.total_cost, i, -1), (left, keys, residual, size if keys else 1))
+            (connected if keys or residual else cartesian).append(entry)
+        return connected, cartesian
+
+    def _join_candidates(self, group: _Entry) -> list[_Entry]:
+        """The physical join alternatives of one group, keyed by their bound."""
+        (__, i, __), (left, keys, residual, __) = group
+        relation = self.query.relations[i]
         right = self._leaf(relation.alias)
         annotator = self.annotator
         params = annotator.cost_model.params
         inputs_cost = left.est.total_cost + right.est.total_cost
-        if not key_pairs:
+        if not keys:
             # Every applicable predicate spans both inputs, so any residual
             # connects them; none at all makes this a cartesian product.
             # Block NL never reads its output size: the bound is exact.
             cost = annotator.block_nl_join_cost(left.est, right.est)[2]
             build = partial(BlockNLJoinNode, left, right, residual)
-            return [(cost.total_units(params) + inputs_cost, build, bool(residual))]
-        candidates: list[_Candidate] = []
+            return [((cost.total_units(params) + inputs_cost, i, 0), build)]
+        key_pairs = [pair for pair, __ in keys]
+        candidates: list[_Entry] = []
         # Hash join: the existing tree as build side, then the new relation.
         for build_side, probe_side, pairs in (
             (left, right, key_pairs),
@@ -216,11 +244,9 @@ class JoinEnumerator:
         ):
             cost = annotator.hash_join_cost(build_side.est, probe_side.est, MIN_ROWS)[2]
             build = partial(HashJoinNode, build_side, probe_side, pairs, residual)
-            candidates.append((cost.total_units(params) + inputs_cost, build, True))
+            candidates.append(((cost.total_units(params) + inputs_cost, i, len(candidates)), build))
         # Indexed nested loops, probing the new relation's index.
-        for pair in key_pairs:
-            inner_base = pair[1].rsplit(".", 1)[-1]
-            index = self._index_on(relation.table_name, inner_base)
+        for pair, index in keys:
             if index is None:
                 continue
             inl_residual = residual + self._selection_predicates(relation.alias)
@@ -230,37 +256,11 @@ class JoinEnumerator:
                 IndexNLJoinNode, left, relation.table_name, relation.alias,
                 # The leaf's schema is the table's, qualified by this alias;
                 # schemas are immutable.
-                right.schema, pair[0], inner_base, inl_residual,
+                right.schema, pair[0], pair[1].rsplit(".", 1)[-1], inl_residual,
             )
-            candidates.append((cost.total_units(params) + left.est.total_cost, build, True))
+            bound = cost.total_units(params) + left.est.total_cost
+            candidates.append(((bound, i, len(candidates)), build))
         return candidates
-
-    def _classify_predicates(
-        self, left_mask: int, new_bit: int
-    ) -> tuple[list[tuple[str, str]], list[Predicate]]:
-        """Split predicates into equi-join key pairs and residual conjuncts.
-
-        A predicate becomes applicable at this join when its relations fit
-        inside ``left_mask`` plus the new relation but not inside
-        ``left_mask`` alone (those were applied below) and not inside the
-        new relation alone (applied at the leaf).
-        """
-        outside = ~(left_mask | new_bit)
-        key_pairs: list[tuple[str, str]] = []
-        residual: list[Predicate] = []
-        for pred, mask, equi in self._predicate_masks:
-            if mask & outside or not mask & new_bit or not mask & left_mask:
-                continue
-            if equi is None:
-                residual.append(pred)
-            else:
-                # Two relations, one on each side of this join (the mask
-                # test above): orient the pair as (left input, new relation).
-                left_col, right_col, left_bit = equi
-                if left_bit == new_bit:
-                    left_col, right_col = right_col, left_col
-                key_pairs.append((left_col, right_col))
-        return key_pairs, residual
 
 
 def _equality(left_col: str, right_col: str) -> Predicate:

@@ -548,10 +548,6 @@ class LogicalQuery:
         """Predicates that touch only the given relation."""
         return [p for p in self.predicates if p.qualifiers() == frozenset({alias})]
 
-    def join_predicates(self) -> list[Predicate]:
-        """Predicates spanning two or more relations."""
-        return [p for p in self.predicates if len(p.qualifiers()) >= 2]
-
     def sql(self) -> str:
         """Deparse the whole query back to SQL text."""
         from ..sql.deparser import deparse  # local import avoids a cycle

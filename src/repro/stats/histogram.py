@@ -172,18 +172,6 @@ class Histogram:
         matched = sum(n * _overlap_fraction(a, b, lo, hi) for a, b, n, __ in self._rows)
         return min(1.0, matched / self.total_count)
 
-    def count_in_range(self, low: float | None, high: float | None) -> float:
-        """Estimated number of rows with values in the range."""
-        return self.selectivity_range(low, high) * self.total_count
-
-    def distinct_in_range(self, low: float | None, high: float | None) -> float:
-        """Estimated number of distinct values in the range."""
-        if self.is_empty:
-            return 0.0
-        lo = self._rows[0][0] if low is None else low
-        hi = self._rows[-1][1] if high is None else high
-        return sum(d * _overlap_fraction(a, b, lo, hi) for a, b, __, d in self._rows)
-
     # ------------------------------------------------------------------
     # Propagation operations (an inlined ``max`` / ``min`` keeps the
     # builtin's tie rule, first argument wins: it decides a zero's sign)

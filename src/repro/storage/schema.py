@@ -89,13 +89,17 @@ class Schema:
     __slots__ = ("columns", "row_bytes", "_by_name", "_by_base")
 
     def __init__(self, columns: Iterable[Column]) -> None:
-        self.columns: tuple[Column, ...] = tuple(columns)
-        #: Estimated stored width of one row, including the row header.
-        self.row_bytes: int = ROW_HEADER_BYTES + sum(c.width for c in self.columns)
-        names = [col.name for col in self.columns]
-        if len(set(names)) != len(names):
+        columns = tuple(columns)
+        self._set(columns, ROW_HEADER_BYTES + sum(c.width for c in columns))
+
+    def _set(self, columns: tuple[Column, ...], row_bytes: int) -> None:
+        if len({col.name for col in columns}) != len(columns):
+            names = [col.name for col in columns]
             duplicate = next(n for i, n in enumerate(names) if n in names[:i])
             raise CatalogError(f"duplicate column name {duplicate!r} in schema")
+        self.columns: tuple[Column, ...] = columns
+        #: Estimated stored width of one row, including the row header.
+        self.row_bytes: int = row_bytes
         # Name lookup tables, built by the first lookup: join enumeration
         # concatenates a schema for every candidate it costs and resolves
         # names only on the plan it keeps.  Building is idempotent, so
@@ -177,8 +181,17 @@ class Schema:
         return Schema(c.qualified(qualifier) for c in self.columns)
 
     def concat(self, other: "Schema") -> "Schema":
-        """Return the schema of the concatenation of rows from both schemas."""
-        return Schema((*self.columns, *other.columns))
+        """Return the schema of the concatenation of rows from both schemas.
+
+        Join enumeration concatenates a schema for every candidate it
+        builds, so the width comes from the inputs' (one header each).
+        """
+        schema = Schema.__new__(Schema)
+        schema._set(
+            (*self.columns, *other.columns),
+            self.row_bytes + other.row_bytes - ROW_HEADER_BYTES,
+        )
+        return schema
 
     def project(self, names: Sequence[str]) -> "Schema":
         """Return a schema containing only the named columns, in given order."""

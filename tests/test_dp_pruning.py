@@ -2,11 +2,12 @@
 
 ``tests/exhaustive_dp.py`` is the previous enumerator, verbatim: it builds
 and annotates every candidate of every relation subset.  The enumerator in
-``src/`` computes a lower bound per candidate first and annotates only the
-ones that can still win.  Everything here holds the two to the same plan —
-node for node, float for float — and holds the bound itself to
-``bound <= annotated cost`` on every candidate, including the ones the
-enumerator never looks at.
+``src/`` orders each extension group on its input's cost, generates a
+group's candidates with their lower bounds only when its visit reaches the
+group, and annotates only the candidates that can still win.  Everything
+here holds the two to the same plan — node for node, float for float — and
+holds the bound itself to ``bound <= annotated cost`` on every candidate,
+including the ones the enumerator never looks at.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.plans.physical import (
     ProjectNode,
 )
 from repro.stats.estimator import MIN_ROWS
-from repro.workloads.tpcd import ALL_QUERIES
+from repro.workloads.tpcd import ALL_QUERIES, query_by_name
 
 from .exhaustive_dp import ExhaustiveJoinEnumerator
 from .test_random_queries import build_random_db, random_join_graph_query, random_query
@@ -93,13 +94,14 @@ def oracle_checked(cost_model=None):
     is repeated through the exhaustive enumerator on the same query,
     catalog, estimator and overrides and must return the same join plan
     while accounting for every candidate the reference costed; and every
-    candidate the pruned enumerator generates, visited or not, is annotated
-    to check its bound.  Yields the log of checked calls as ``(aliases,
-    costed, pruned)``.
+    candidate of every extension group the pruned enumerator generates,
+    expanded or not, is annotated to check its bound, and its ``(bound, i,
+    j)`` must come after its group's key.  Yields the log of checked calls
+    as ``(aliases, costed, pruned)``.
     """
     log: list[tuple[tuple[str, ...], int, int]] = []
     real_optimize = Optimizer.optimize
-    real_cheapest = JoinEnumerator._cheapest
+    real_groups = JoinEnumerator._groups
 
     def optimize(self, query, profile_overrides=None):
         costed, pruned, subsets = (
@@ -119,15 +121,20 @@ def oracle_checked(cost_model=None):
         log.append((tuple(reference.aliases), costed, pruned))
         return plan
 
-    def cheapest(self, candidates):
-        for bound, build, __ in candidates:
-            cost = self.annotator.annotate_node(build()).est.total_cost
-            assert bound <= cost, (bound, cost)
-        return real_cheapest(self, candidates)
+    def groups(self, members, subset, best):
+        connected, cartesian = real_groups(self, members, subset, best)
+        for group in connected + cartesian:
+            candidates = self._join_candidates(group)
+            assert len(candidates) == group[1][3]
+            for key, build in candidates:
+                assert group[0] < key, (group[0], key)
+                cost = self.annotator.annotate_node(build()).est.total_cost
+                assert key[0] <= cost, (key[0], cost)
+        return connected, cartesian
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Optimizer, "optimize", optimize)
-        patch.setattr(JoinEnumerator, "_cheapest", cheapest)
+        patch.setattr(JoinEnumerator, "_groups", groups)
         if cost_model is not None:
             patch.setattr(optimizer_module, "CostModel", cost_model)
         yield log
@@ -166,6 +173,38 @@ def test_paper_queries_plan_like_the_exhaustive_enumerator(tpcd, query):
         # The point of the bound: most candidates are never built.
         __, costed, pruned = log[0]
         assert costed * 4 <= costed + pruned
+
+
+#: ``(groups visited, groups expanded)`` of a cold ``OFF`` plan, seed 31: a
+#: group enters a subset's visit after the connected-beats-cartesian split
+#: and is expanded into candidates only if the visit reaches its key.
+GROUP_PINS = {
+    FIGURE_10: {"Q5": (167, 113), "Q7": (168, 101), "Q8": (821, 462)},
+    (0.02, 256): {"Q5": (167, 115), "Q7": (168, 98), "Q8": (821, 435)},
+}
+
+
+@pytest.mark.parametrize("name", SWITCHING)
+def test_groups_are_expanded_only_when_the_visit_reaches_them(tpcd, name):
+    db, configuration = tpcd
+    counts = [0, 0]
+    real_groups = JoinEnumerator._groups
+    real_candidates = JoinEnumerator._join_candidates
+
+    def groups(self, members, subset, best):
+        connected, cartesian = real_groups(self, members, subset, best)
+        counts[0] += len(connected or cartesian)
+        return connected, cartesian
+
+    def join_candidates(self, group):
+        counts[1] += 1
+        return real_candidates(self, group)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(JoinEnumerator, "_groups", groups)
+        patch.setattr(JoinEnumerator, "_join_candidates", join_candidates)
+        db.plan(query_by_name(name).sql, mode=DynamicMode.OFF)
+    assert tuple(counts) == GROUP_PINS[configuration][name]
 
 
 # ----------------------------------------------------------------------
@@ -269,6 +308,13 @@ def test_same_table_twice_keeps_the_from_order_tie_break():
     assert optimizer.candidates_costed == optimizer.subsets_enumerated == 4
 
 
+def two_relation_groups(enumerator: JoinEnumerator) -> tuple[list, list]:
+    """``(connected, cartesian)`` extension groups of a two-relation query's
+    one subset: ``(first, second)``, then ``(second, first)``."""
+    best = {1 << i: enumerator._leaf(alias) for i, alias in enumerate(enumerator.aliases)}
+    return enumerator._groups((0, 1), 3, best)
+
+
 def test_bound_is_attained_at_the_estimators_floor():
     """Key-to-key joins of one-row inputs: the estimated output is exactly
     ``MIN_ROWS``, so a hash join's bound equals its cost — a bound taken
@@ -281,11 +327,12 @@ def test_bound_is_attained_at_the_estimators_floor():
     query = db.bind_sql("SELECT a.v x FROM a, b WHERE a.k = b.k AND a.v = 3 AND b.v = 4")
     optimizer = Optimizer(db.catalog, db.config, db.estimator)
     enumerator = JoinEnumerator(query, db.catalog, optimizer.annotator())
-    candidates = enumerator._join_candidates(enumerator._leaf("a"), 1, 1)
+    connected, cartesian = two_relation_groups(enumerator)
+    assert len(connected) == 2 and not cartesian
     attained = 0
-    for bound, build, connected in candidates:
+    for (bound, __, __), build in enumerator._join_candidates(connected[1]):
         plan = enumerator.annotator.annotate_node(build())
-        assert connected and bound <= plan.est.total_cost
+        assert bound <= plan.est.total_cost
         if isinstance(plan, HashJoinNode):
             assert plan.est.rows == MIN_ROWS
             attained += bound == plan.est.total_cost
@@ -341,8 +388,9 @@ def test_property_bound_never_exceeds_the_annotated_cost(
     optimizer = Optimizer(db.catalog, db.config, db.estimator)
     enumerator = JoinEnumerator(query, db.catalog, optimizer.annotator())
     kinds = set()
-    for left, mask, new in (("a", 1, 1), ("b", 2, 0)):
-        for bound, build, __ in enumerator._join_candidates(enumerator._leaf(left), mask, new):
+    connected, cartesian = two_relation_groups(enumerator)
+    for group in connected + cartesian:
+        for (bound, __, __), build in enumerator._join_candidates(group):
             plan = build()
             kinds.add(type(plan))
             at_maximum = optimizer.annotator().annotate_node(plan).est

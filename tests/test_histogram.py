@@ -153,11 +153,6 @@ class TestEstimation:
         assert hist.selectivity_range(500, 600) == 0.0
         assert hist.selectivity_range(50, 40) == 0.0
 
-    def test_count_and_distinct_in_range(self):
-        hist = self._hist(list(range(100)))
-        assert hist.count_in_range(None, None) == pytest.approx(100)
-        assert hist.distinct_in_range(None, None) == pytest.approx(100)
-
     @given(values_strategy, st.integers(min_value=-1500, max_value=1500))
     @settings(max_examples=60, deadline=None)
     def test_property_selectivities_bounded(self, values, probe):

@@ -54,7 +54,7 @@ from repro.executor.chunk import Chunk, as_chunk, typed
 from repro.executor.dispatcher import Dispatcher
 from repro.executor.runtime import PlanSwitchDirective, RuntimeContext
 from repro.optimizer import dp
-from repro.optimizer.annotate import annotate_plan
+from repro.optimizer.annotate import PlanAnnotator
 from repro.optimizer.cost_model import CostModel
 from repro.plans.logical import (
     AggFunc,
@@ -348,19 +348,18 @@ def forced_joins(kind: type):
     (the hash join stands in where it does not)."""
     real = dp.JoinEnumerator._join_candidates
 
-    def only(self, left, left_mask, new_index):
-        candidates = real(self, left, left_mask, new_index)
+    def only(self, group):
+        candidates = real(self, group)
         wanted = [c for c in candidates if c[1].func is kind]
         if wanted or kind is not BlockNLJoinNode:
             return wanted or candidates
-        relation = self.query.relations[new_index]
-        key_pairs, residual = self._classify_predicates(left_mask, 1 << new_index)
-        right = self._leaf(relation.alias)
+        (__, i, __), (left, keys, residual, __) = group
+        right = self._leaf(self.aliases[i])
         cost = self.annotator.block_nl_join_cost(left.est, right.est)[2]
-        predicates = residual + [dp._equality(*pair) for pair in key_pairs]
+        predicates = residual + [dp._equality(*pair) for pair, __ in keys]
         bound = cost.total_units(self.annotator.cost_model.params)
         bound += left.est.total_cost + right.est.total_cost
-        return [(bound, partial(BlockNLJoinNode, left, right, predicates), True)]
+        return [((bound, i, 0), partial(BlockNLJoinNode, left, right, predicates))]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dp.JoinEnumerator, "_join_candidates", only)
@@ -429,7 +428,7 @@ def with_collectors(db: Database, plan, optimizer):
         return StatsCollectorNode(node, spec)
 
     plan = wrap(plan)
-    return annotate_plan(plan, db.catalog, optimizer.estimator, optimizer.cost_model)
+    return PlanAnnotator(db.catalog, optimizer.estimator, optimizer.cost_model).annotate(plan)
 
 
 #: The two paths a plan runs on: the row oracle and the default executor.
@@ -808,7 +807,7 @@ def scan(db: Database, name: str) -> SeqScanNode:
 
 def annotated(db: Database, plan):
     __, __s, optimizer = db.plan("SELECT t0.k a FROM t0", mode=DynamicMode.OFF)
-    return annotate_plan(plan, db.catalog, optimizer.estimator, optimizer.cost_model)
+    return PlanAnnotator(db.catalog, optimizer.estimator, optimizer.cost_model).annotate(plan)
 
 
 def switch_at(db: Database, cut, log: list):

@@ -7,6 +7,7 @@ import pytest
 
 from repro import Database, DataType, EngineConfig
 from repro.core.modes import DynamicMode
+from repro.core.parametric import plug_parameters
 from repro.errors import ConfigError
 from repro.optimizer import (
     CostModel,
@@ -16,6 +17,7 @@ from repro.optimizer import (
     calibrate_unit,
     pages_for,
 )
+from repro.optimizer.access_paths import access_path_candidates
 from repro.plans.physical import (
     FilterNode,
     HashAggregateNode,
@@ -144,11 +146,36 @@ class TestCalibration:
 class TestAccessPathSelection:
     def test_index_chosen_for_selective_predicate(self):
         db = make_two_table_db()
-        db.create_index("ix_r1_a", "r1", "a")
-        plan, __, __opt = db.plan("SELECT id one FROM r1 WHERE a = 3", mode=DynamicMode.OFF)
+        db.create_index("ix_r1_id", "r1", "id")
+        plan, __, __opt = db.plan("SELECT id one FROM r1 WHERE id = 3", mode=DynamicMode.OFF)
         scans = [n for n in plan.walk() if isinstance(n, IndexScanNode)]
         assert scans, "expected an index scan for a selective equality"
         assert scans[0].low == 3 and scans[0].high == 3
+        assert scans[0].est.rows == 1
+
+    @pytest.mark.parametrize("where, params", [("r1.a = 3", None), ("r1.a = :p", {"p": 3})])
+    def test_equality_bounds_an_index_scan_once(self, where, params):
+        """``=`` sets both ends of the key range but is one predicate: the
+        index scan estimates what the filter over a sequential scan does
+        (19 of 2 000 rows for a constant, the default selectivity for a host
+        variable), not the square of its selectivity."""
+        db = make_two_table_db()
+        db.create_index("ix_r1_a", "r1", "a")
+        query = db.bind_sql(f"SELECT r1.id one FROM r1 WHERE {where}", params)
+        relation = query.relations[0]
+        predicates = query.selection_predicates(relation.alias)
+        annotator = Optimizer(db.catalog, db.config, db.estimator).annotator()
+        scan, index_scan = access_path_candidates(relation, predicates, db.catalog)
+        assert isinstance(scan, FilterNode) and isinstance(index_scan, IndexScanNode)
+        assert list(index_scan.bound_predicates) == predicates
+        for node in (scan, index_scan):
+            annotator.annotate(node)
+        assert index_scan.est.rows == scan.est.rows == (19 if params is None else 200)
+        if params is not None:
+            # A new binding re-derives the key range through the same rule.
+            plugged = plug_parameters(index_scan, {"p": 7})
+            assert len(plugged.bound_predicates) == 1
+            assert plugged.low == plugged.high == 7
 
     def test_seq_scan_for_unselective_predicate(self):
         db = make_two_table_db()
@@ -170,14 +197,13 @@ class TestAccessPathSelection:
 
     def test_residual_predicates_filtered_above_index(self):
         db = make_two_table_db()
-        db.create_index("ix_r1_a", "r1", "a")
+        db.create_index("ix_r1_id", "r1", "id")
         plan, __, __opt = db.plan(
-            "SELECT id one FROM r1 WHERE a = 3 AND b < 10", mode=DynamicMode.OFF
+            "SELECT id one FROM r1 WHERE id = 3 AND b < 10", mode=DynamicMode.OFF
         )
         filters = [n for n in plan.walk() if isinstance(n, FilterNode)]
         index_scans = [n for n in plan.walk() if isinstance(n, IndexScanNode)]
-        if index_scans:
-            assert filters and len(filters[0].predicates) == 1
+        assert index_scans and filters and len(filters[0].predicates) == 1
 
 
 class TestJoinEnumeration:

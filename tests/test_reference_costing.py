@@ -348,21 +348,24 @@ def reference_formulas():
 
 @contextmanager
 def every_candidate(log: list):
-    """Annotate every candidate the enumerator generates, and log its
-    bound, its plan text and ``repr(est.total_cost)`` of every node."""
-    real_cheapest = JoinEnumerator._cheapest
+    """Annotate every candidate of every extension group the enumerator
+    generates, expanded or not, and log its bound, its plan text and
+    ``repr(est.total_cost)`` of every node."""
+    real_groups = JoinEnumerator._groups
 
-    def cheapest(self, candidates):
-        for bound, build, connected in candidates:
-            plan = self.annotator.annotate_node(build())
-            log.append((
-                repr(bound), connected, explain(plan),
-                [(repr(n.est.total_cost), repr(n.est.rows)) for n in plan.walk()],
-            ))
-        return real_cheapest(self, candidates)
+    def groups(self, members, subset, best):
+        connected, cartesian = real_groups(self, members, subset, best)
+        for group in connected + cartesian:
+            for (bound, __, __), build in self._join_candidates(group):
+                plan = self.annotator.annotate_node(build())
+                log.append((
+                    repr(bound), group in connected, explain(plan),
+                    [(repr(n.est.total_cost), repr(n.est.rows)) for n in plan.walk()],
+                ))
+        return connected, cartesian
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(JoinEnumerator, "_cheapest", cheapest)
+        patch.setattr(JoinEnumerator, "_groups", groups)
         yield
 
 

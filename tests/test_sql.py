@@ -277,7 +277,6 @@ class TestBinder:
     def test_join_count(self, two_table_db):
         query = two_table_db.bind_sql("SELECT r1.a FROM r1, r2 WHERE r1.id = r2.r1_id")
         assert query.join_count == 1
-        assert len(query.join_predicates()) == 1
         assert query.selection_predicates("r1") == []
 
 
